@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .adjointfields import OvershearClass, Theta, Xi, generator_field, overshear_class
+from .adjointfields import Theta, Xi, generator_field
 from .polyring import Polynomial, parse_poly, row_col
 
 
@@ -249,10 +249,10 @@ class Overshear:
     def __post_init__(self):
         gid = Theta(self.a, self.b)
         gid.validate(self.n)
-        cls = overshear_class(self.f, gid)
-        if cls is OvershearClass.NEITHER:
+        theta = generator_field(self.n, gid)
+        tf = theta.apply(self.f)
+        if not theta.apply(tf).is_zero():
             raise ValueError("coefficient fails the overshear test Theta^2(f) = 0")
-        tf = generator_field(self.n, gid).apply(self.f)
         object.__setattr__(self, "theta_f", tf)
 
 

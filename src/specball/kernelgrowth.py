@@ -3,8 +3,21 @@
 A degree-preserving derivation is determined by a linear action on the
 variables, so it is stored as an exact matrix A with D(x_j) = sum_i A[i,j] x_i.
 Restriction to the degree-m slice is the induced Leibniz action on monomials.
-Kernel dimensions come from exact sparse elimination; for diagonal actions a
-weight-counting dynamic program provides an independent oracle.
+
+`kernel_dim_with_method` gives dim ker D and dim ker D^2 on every slice of
+degree 0..m_max from weight counts, once the linear matrix is verified to be
+of the right kind:
+
+* diagonal with integer weights ("weights"): ker = ker^2 = W_0;
+* nilpotent ("sl2"): the Jordan type, from ranks of powers of A, fixes the
+  Jacobson-Morozov grading h, block k carrying h-weights k-1, k-3, ..., 1-k,
+  and the sl2 decomposition of the slice gives ker = W_0 + W_1 and
+  ker^2 = W_0 + 2 W_1 + W_2;
+* anything else ("exact"): sparse integer elimination of the slice matrices.
+
+W_j counts the degree-m monomials of total weight j.  Elimination of the
+slice matrices (`kernel_dim`) stays as the independent oracle for the other
+two methods.
 """
 
 from __future__ import annotations
@@ -14,7 +27,7 @@ from fractions import Fraction
 from math import comb
 
 from .adjointfields import VectorField, make_theta, make_xi
-from .linalg import CERT_PRIMES, ModularRowSpace, SparseMatrix, clear_denominators
+from .linalg import SparseMatrix
 from .polyring import HomSliceBasis, Monomial
 
 
@@ -111,41 +124,60 @@ def restrict(v: VectorField, m: int) -> HomSliceOperator:
     return LinearDerivation.from_vector_field(v).restrict(m)
 
 
-MODULAR_SIZE_THRESHOLD = 2500
-
-
-def kernel_dim(op: HomSliceOperator, power: int = 1, method: str = "exact") -> int:
-    """Nullity of the slice matrix or of its square.
-
-    method "exact" (default) eliminates over the rationals.  "modular"
-    requires rank agreement across the fixed certification primes and falls
-    back to exact elimination on disagreement; "auto" switches to modular
-    above MODULAR_SIZE_THRESHOLD columns.
-    """
-    dim, _ = kernel_dim_with_method(op, power, method)
-    return dim
-
-
-def kernel_dim_with_method(op: HomSliceOperator, power: int = 1,
-                           method: str = "exact") -> tuple[int, str]:
+def kernel_dim(op: HomSliceOperator, power: int = 1) -> int:
+    """Nullity of the slice matrix (power 1) or of its square (power 2), by
+    exact elimination over the rationals."""
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
-    if method not in ("exact", "modular", "auto"):
-        raise ValueError(f"unknown method {method!r}")
     mat = op.matrix if power == 1 else op.matrix @ op.matrix
-    if method == "auto":
-        method = "modular" if op.size > MODULAR_SIZE_THRESHOLD else "exact"
-    if method == "modular":
-        ranks = set()
-        for p in CERT_PRIMES:
-            space = ModularRowSpace(p)
-            for row in mat.rows_sparse():
-                space.insert(clear_denominators(row))
-            ranks.add(space.rank)
-        if len(ranks) == 1:
-            return mat.ncols - ranks.pop(), "modular"
-        # prime disagreement: escalate to the exact nullity
-    return mat.nullity(), "exact"
+    return mat.nullity()
+
+
+def kernel_dim_with_method(der: LinearDerivation,
+                           m_max: int) -> tuple[list[tuple[int, int]], str]:
+    """(dim ker D, dim ker D^2) on the slices of degree 0..m_max, and the
+    method that produced them: "weights", "sl2" or "exact" (module docstring).
+    """
+    if m_max < 0:
+        raise ValueError("degree must be non-negative")
+    if der.is_diagonal() and all(w.denominator == 1 for w in der.weights().values()):
+        ws = WeightSystem([int(w) for w in der.weights().values()])
+        return [(w0, w0) for w0 in weight_kernel_table(ws, m_max)], "weights"
+    blocks = jordan_type(der)
+    if blocks is not None:
+        h = [k - 1 - 2 * i for k in blocks for i in range(k)]
+        counts = _weight_counts(h, m_max)
+        rows = []
+        for by_weight in counts:
+            w0, w1, w2 = (by_weight.get(j, 0) for j in (0, 1, 2))
+            rows.append((w0 + w1, w0 + 2 * w1 + w2))
+        return rows, "sl2"
+    rows = []
+    for m in range(m_max + 1):
+        op = der.restrict(m)
+        rows.append((kernel_dim(op, 1), kernel_dim(op, 2)))
+    return rows, "exact"
+
+
+def jordan_type(der: LinearDerivation) -> list[int] | None:
+    """Jordan block sizes (descending) of the linear matrix when it is
+    nilpotent, from the ranks of its powers; None when it is not nilpotent."""
+    mat = SparseMatrix(der.nvars, der.nvars, der.entries)
+    ranks = [der.nvars]
+    power = mat
+    while ranks[-1] > 0:
+        r = power.rank()
+        if r == ranks[-1]:
+            return None          # the ranks stopped falling above zero
+        ranks.append(r)
+        if r > 0:
+            power = power @ mat
+    # blocks of size >= k: ranks[k-1] - ranks[k]
+    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]
+    blocks = []
+    for k in range(1, len(at_least)):
+        blocks.extend([k] * (at_least[k - 1] - at_least[k]))
+    return sorted(blocks, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -170,26 +202,29 @@ class WeightSystem:
         return WeightSystem(out)
 
 
+def _weight_counts(weights: list[int], m_max: int) -> list[dict[int, int]]:
+    """For each degree m = 0..m_max, the number of degree-m monomials of each
+    total weight, in one pass over the variables."""
+    counts: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(m_max)]
+    for w in weights:
+        # add the degree-d monomials divisible by the new variable: it times
+        # each degree-(d-1) monomial, whose counts already include it
+        for d in range(1, m_max + 1):
+            cur = counts[d]
+            for wt, c in counts[d - 1].items():
+                cur[wt + w] = cur.get(wt + w, 0) + c
+    return counts
+
+
 def weight_kernel_table(ws: WeightSystem, m_max: int) -> list[int]:
     """Weight-zero monomial counts for every degree 0..m_max in one pass.
 
-    Dynamic program over (variables, degree, weight); must agree with the
-    nullity of the corresponding diagonal slice operator degree by degree.
+    Must agree with the nullity of the corresponding diagonal slice operator
+    degree by degree.
     """
     if m_max < 0:
         raise ValueError("degree must be non-negative")
-    counts: dict[tuple[int, int], int] = {(0, 0): 1}
-    for w in ws.weights:
-        new: dict[tuple[int, int], int] = {}
-        for (d, wt), c in counts.items():
-            e = 0
-            while d + e <= m_max:
-                key = (d + e, wt + e * w)
-                new[key] = new.get(key, 0) + c
-                e += 1
-        counts = new
-    return [sum(c for (d, wt), c in counts.items() if d == m and wt == 0)
-            for m in range(m_max + 1)]
+    return [by_weight.get(0, 0) for by_weight in _weight_counts(ws.weights, m_max)]
 
 
 def weight_kernel_dim(ws: WeightSystem, m: int) -> int:
@@ -268,18 +303,23 @@ def finite_difference_degree(values: list[int], max_order: int | None = None) ->
     return None
 
 
+def slice_dim(nvars: int, m: int) -> int:
+    """Number of degree-m monomials in nvars variables."""
+    return comb(nvars + m - 1, m)
+
+
+def _growth_records(der: LinearDerivation, m_min: int, m_max: int) -> list[GrowthRecord]:
+    rows, method = kernel_dim_with_method(der, m_max)
+    return [GrowthRecord(m=m, slice_dim=slice_dim(der.nvars, m), dim_ker=k1,
+                         dim_ker_sq=k2, method=method)
+            for m, (k1, k2) in enumerate(rows) if m >= m_min]
+
+
 def chain_kernel_dims(m_max: int) -> list[GrowthRecord]:
-    """Exact kernel dimensions of the length-3 chain derivation per degree."""
+    """Kernel dimensions of the length-3 chain derivation per degree 1..m_max."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    der = LinearDerivation.chain(3)
-    out = []
-    for m in range(1, m_max + 1):
-        op = der.restrict(m)
-        out.append(GrowthRecord(m=m, slice_dim=op.size,
-                                dim_ker=kernel_dim(op, 1),
-                                dim_ker_sq=kernel_dim(op, 2)))
-    return out
+    return _growth_records(LinearDerivation.chain(3), 1, m_max)
 
 
 def jordan_blocks_theta12(n: int) -> list[int]:
@@ -287,25 +327,7 @@ def jordan_blocks_theta12(n: int) -> list[int]:
     matrix powers; returned as a descending multiset."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    op = restrict(make_theta(n, 1, 2), 1)
-    dim = op.size
-    ranks = [dim]
-    mat = op.matrix
-    power = mat
-    while True:
-        r = power.rank()
-        ranks.append(r)
-        if r == 0:
-            break
-        power = power @ mat
-    # blocks of size >= k: ranks[k-1] - ranks[k]
-    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    at_least.append(0)
-    blocks = []
-    for k in range(1, len(at_least)):
-        count = at_least[k - 1] - at_least[k]
-        blocks.extend([k] * count)
-    return sorted(blocks, reverse=True)
+    return jordan_type(LinearDerivation.from_vector_field(make_theta(n, 1, 2)))
 
 
 def adjoin_bound_check(psi_dims: list[int], m: int) -> int:
@@ -338,19 +360,10 @@ class GrowthSummary:
     within_bound: bool | None
 
 
-def growth_table(v: VectorField, m_max: int,
-                 method: str = "exact") -> tuple[list[GrowthRecord], GrowthSummary]:
+def growth_table(v: VectorField, m_max: int) -> tuple[list[GrowthRecord], GrowthSummary]:
     """Kernel dimensions for m = 0..m_max plus an empirical polynomial-degree
     estimate of the square-kernel sequence via exact finite differences."""
-    der = LinearDerivation.from_vector_field(v)
-    records = []
-    for m in range(m_max + 1):
-        op = der.restrict(m)
-        k1, how1 = kernel_dim_with_method(op, 1, method)
-        k2, how2 = kernel_dim_with_method(op, 2, method)
-        records.append(GrowthRecord(m=m, slice_dim=op.size, dim_ker=k1,
-                                    dim_ker_sq=k2,
-                                    method=how1 if how1 == how2 else "mixed"))
+    records = _growth_records(LinearDerivation.from_vector_field(v), 0, m_max)
     deg, period = strided_degree([r.dim_ker_sq for r in records])
     bound = v.n * v.n - 1
     return records, GrowthSummary(
@@ -389,13 +402,11 @@ def jet_inequality(n: int, k: int, m_max: int, cumulative: bool = False) -> JetR
     degree-m slices."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    theta_der = LinearDerivation.from_vector_field(make_theta(n, 1, 2))
-    xi_der = LinearDerivation.from_vector_field(make_xi(n, 1))
-    theta_sq = []
-    xi_sq = []
-    for m in range(m_max + 1):
-        theta_sq.append(kernel_dim(theta_der.restrict(m), 2))
-        xi_sq.append(kernel_dim(xi_der.restrict(m), 2))
+    theta_rows, _ = kernel_dim_with_method(
+        LinearDerivation.from_vector_field(make_theta(n, 1, 2)), m_max)
+    xi_rows, _ = kernel_dim_with_method(LinearDerivation.from_vector_field(make_xi(n, 1)), m_max)
+    theta_sq = [k2 for _, k2 in theta_rows]
+    xi_sq = [k2 for _, k2 in xi_rows]
     if cumulative:
         theta_sq = _partial_sums(theta_sq)
         xi_sq = _partial_sums(xi_sq)
@@ -443,16 +454,11 @@ def conjecture_probe(der: LinearDerivation, m_max: int, max_stride: int = 6) -> 
     empirical polynomial-degree estimate.  Reports consistency with the
     degree bound N-2 on the window only; never a proof.
 
-    Diagonal derivations with integer weights use the weight-counting
-    dynamic program, which reaches far larger degrees than the slice
-    matrices; the growth sequences are often quasi-polynomial, so the
-    degree search allows a small period.
+    Diagonal and nilpotent derivations are counted by weights, which reaches
+    far larger degrees than the slice matrices; the growth sequences are often
+    quasi-polynomial, so the degree search allows a small period.
     """
-    if der.is_diagonal() and all(w.denominator == 1 for w in der.weights().values()):
-        ws = WeightSystem([int(w) for w in der.weights().values()])
-        dims = weight_kernel_table(ws, m_max)
-    else:
-        dims = [kernel_dim(der.restrict(m), 1) for m in range(m_max + 1)]
+    dims = [k1 for k1, _ in kernel_dim_with_method(der, m_max)[0]]
     deg, period = strided_degree(dims, max_stride=max_stride)
     bound = der.nvars - 2
     consistent = (deg <= bound) if deg is not None else None

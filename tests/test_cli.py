@@ -90,8 +90,8 @@ def test_kernels_csv(capsys):
     assert rows[0][:6] == ["n", "field", "m", "slice_dim", "dim_ker", "dim_ker_sq"]
     data = rows[1:]
     assert [int(r[4]) for r in data] == [1, 2, 4, 6, 9]
-    # weight DP column agrees with the exact nullity
-    assert all(r[7] == r[4] for r in data)
+    # diagonal field: counted by weights, and the weight DP column repeats dim_ker
+    assert all(r[6] == "weights" and r[7] == r[4] for r in data)
 
 
 def test_growth_chain(capsys):
@@ -104,6 +104,22 @@ def test_growth_chain(capsys):
 def test_growth_field(capsys):
     code, out = run(capsys, ["growth", "--field", "theta12", "--n", "2", "--m", "0..6"])
     assert code == 0
+    rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
+    assert all(r["method"] == "sl2" for r in rows)
+
+
+def test_growth_needs_field_or_chain(capsys):
+    assert cli.main(["growth", "--m", "0..3"]) == 2
+    assert cli.main(["growth", "--chain", "--field", "theta12", "--m", "0..3"]) == 2
+    assert cli.main(["growth", "--field", "theta12", "--m=-1..3"]) == 2
+
+
+def test_kernels_range_not_from_zero(capsys):
+    code, out = run(capsys, ["kernels", "--n", "3", "--field", "theta12", "--m", "2..3"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
+    got = [(r["m"], r["slice_dim"], r["dim_ker"], r["dim_ker_sq"], r["method"]) for r in rows]
+    assert got == [("2", "45", "19", "33", "sl2"), ("3", "165", "57", "103", "sl2")]
 
 
 def test_jets(capsys):

@@ -142,6 +142,26 @@ def test_overshear_atom_validation():
     assert atom.theta_f.is_zero()
 
 
+def test_overshear_builds_its_field_once(monkeypatch):
+    from specball import adjointfields, flows
+    calls = []
+
+    def counting(n, gid):
+        calls.append(gid)
+        return adjointfields.make_theta(n, gid.a, gid.b)
+
+    monkeypatch.setattr(adjointfields, "generator_field", counting)
+    monkeypatch.setattr(flows, "generator_field", counting)
+    for f in ("x11", "x21", "x11*x21 + 2*x21^2"):
+        calls.clear()
+        Overshear(n=2, a=1, b=2, f=parse_poly(f, 2), t=0.5)
+        assert calls == [Theta(1, 2)], f
+    calls.clear()
+    with pytest.raises(ValueError, match="Theta\\^2"):
+        Overshear(n=2, a=1, b=2, f=parse_poly("x12", 2), t=0.5)
+    assert len(calls) == 1
+
+
 def test_overshear_flow_identity_at_t0():
     rng = np.random.default_rng(4)
     A = sample_spectral_ball(rng, 2)

@@ -17,6 +17,7 @@ from specball.kernelgrowth import (
     jet_inequality,
     jordan_blocks_theta12,
     kernel_dim,
+    kernel_dim_with_method,
     restrict,
     strided_degree,
     weight_kernel_dim,
@@ -166,9 +167,9 @@ def test_growth_table_xi1_n2():
 
 
 def test_growth_table_theta12_sq_n2():
-    records, summary = growth_table(make_theta(2, 1, 2), 8)
+    records, summary = growth_table(make_theta(2, 1, 2), 200)
     # closed form derived from the sl2 decomposition: C(m+2, 2)
-    assert [r.dim_ker_sq for r in records] == [comb(m + 2, 2) for m in range(9)]
+    assert [r.dim_ker_sq for r in records] == [comb(m + 2, 2) for m in range(201)]
     assert all(r.dim_ker_sq <= 2 * r.dim_ker for r in records)
     assert all(r.dim_ker_sq <= r.slice_dim for r in records)
     assert summary.within_bound
@@ -191,6 +192,9 @@ def test_jet_inequality_n2_k5():
     assert rep.crossover_m == 5
     assert all(r.holds for r in rep.rows if r.m >= 5)
     assert not rep.rows[4].holds
+    # n=3: the crossover moves to 8
+    rep3 = jet_inequality(3, 5, 10)
+    assert rep3.crossover_m == 8 and not rep3.rows[7].holds
 
 
 def test_jet_lhs_is_degree_n2_polynomial():
@@ -232,16 +236,23 @@ def test_linear_derivation_from_field_roundtrip():
     assert op.matrix.entries == direct.matrix.entries
 
 
-def test_modular_kernel_method_agrees_with_exact():
-    from specball.kernelgrowth import kernel_dim_with_method
-    for n, m in [(2, 4), (3, 3)]:
-        for power in (1, 2):
-            op = restrict(make_theta(n, 1, 2), m)
-            exact, how_e = kernel_dim_with_method(op, power, "exact")
-            modular, how_m = kernel_dim_with_method(op, power, "modular")
-            assert exact == modular
-            assert how_e == "exact" and how_m == "modular"
-    # auto stays exact below the size threshold
-    op = restrict(make_xi(2, 1), 3)
-    dim, how = kernel_dim_with_method(op, 1, "auto")
-    assert how == "exact" and dim == 6
+@pytest.mark.parametrize("der,m_max,method", [
+    (LinearDerivation.from_vector_field(make_theta(2, 1, 2)), 7, "sl2"),
+    (LinearDerivation.from_vector_field(make_theta(3, 1, 2)), 5, "sl2"),
+    (LinearDerivation.from_vector_field(make_theta(3, 2, 1)), 3, "sl2"),
+    (LinearDerivation.from_vector_field(make_theta(3, 1, 3)), 3, "sl2"),
+    (LinearDerivation.from_vector_field(make_xi(2, 1)), 5, "weights"),
+    (LinearDerivation.from_vector_field(make_xi(3, 1)), 5, "weights"),
+    (LinearDerivation.chain(3), 8, "sl2"),
+    (LinearDerivation.chain(3).adjoin_nilpotent_pair(), 4, "sl2"),
+    (LinearDerivation(2, {(0, 0): 1, (1, 0): 1}), 4, "exact"),   # neither kind
+    (LinearDerivation(2, {(0, 1): 1, (1, 0): 1}), 4, "exact"),   # invertible
+], ids=["theta12-n2", "theta12-n3", "theta21-n3", "theta13-n3", "xi1-n2", "xi1-n3",
+        "chain", "chain-adjoined", "non-nilpotent", "invertible"])
+def test_kernel_table_agrees_with_elimination(der, m_max, method):
+    rows, how = kernel_dim_with_method(der, m_max)
+    assert how == method
+    assert len(rows) == m_max + 1
+    for m, (k1, k2) in enumerate(rows):
+        op = der.restrict(m)
+        assert (k1, k2) == (kernel_dim(op, 1), kernel_dim(op, 2)), f"m={m}"
