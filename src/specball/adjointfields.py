@@ -141,12 +141,9 @@ class VectorField:
         """Derivation action: sum of component * dp/dx over all coordinates."""
         if p.nvars != self.n * self.n:
             raise DimensionMismatch("polynomial ring does not match field dimension")
-        out = Polynomial.zero(p.nvars)
-        for v, coeff in self.components.items():
-            dp = p.partial(v)
-            if not dp.is_zero():
-                out = out + coeff * dp
-        return out
+        comps = self.components
+        return Polynomial.sum_of_products(
+            p.nvars, ((comps[v], dp) for v, dp in p.gradient().items() if v in comps))
 
     def coefficient_degree(self) -> int:
         return max((p.degree() for p in self.components.values()), default=-1)

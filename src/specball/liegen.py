@@ -134,7 +134,8 @@ class _SlProjector:
     Substitutes x_nn by -(x_11 + ... + x_{n-1,n-1}) in every component,
     drops the d/dx_nn component (it is determined by trace invariance),
     and indexes columns by (degree-(d+1) monomial in the first n^2 - 1
-    variables) x (component).
+    variables) x (component).  The substitution is linear, so the image of
+    each monomial is computed once and reused for every field.
     """
 
     def __init__(self, n: int, grade: int):
@@ -143,24 +144,38 @@ class _SlProjector:
         self.ncomp = self.nvars - 1
         self.monomials = list(slice_monomials(self.nvars - 1, grade + 1))
         self.index = {mo: i for i, mo in enumerate(self.monomials)}
+        # monomial -> [(column offset of its image term, coefficient)]
+        self._images: dict[Monomial, list[tuple[int, int | Fraction]]] = {}
+
+    def _image(self, mono: Monomial) -> list[tuple[int, int | Fraction]]:
+        sub = substitute_trace(Polynomial.from_monomial(self.nvars, mono))
+        image = []
+        for m, c in sub.terms.items():
+            idx = self.index.get(m)
+            if idx is None:
+                raise GradingError("substituted monomial outside the slice")
+            image.append((idx * self.ncomp, c))
+        self._images[mono] = image
+        return image
 
     def vector(self, v: VectorField) -> dict[int, int]:
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         last = self.nvars - 1
+        images = self._images
         for comp, poly in v.components.items():
             if comp == last:
                 continue
-            sub = substitute_trace(poly)
-            for mono, c in sub.terms.items():
-                idx = self.index.get(mono)
-                if idx is None:
-                    raise GradingError("substituted monomial outside the slice")
-                key = idx * self.ncomp + comp
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            for mono, c in poly.terms.items():
+                image = images.get(mono)
+                if image is None:
+                    image = self._image(mono)
+                for offset, tc in image:
+                    key = offset + comp
+                    s = out.get(key, 0) + c * tc
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
         return clear_denominators(out)
 
 
@@ -171,8 +186,8 @@ class _SlProjector:
 class GradedSpan:
     """Span of fields with homogeneous degree-(grade+1) components.
 
-    Stores the accepted basis fields plus exact and/or modular echelon
-    structures for membership tests.
+    Stores the accepted basis fields, their primitive integer component
+    vectors, and exact or modular echelon structures for membership tests.
     """
 
     def __init__(self, n: int, grade: int, method: str, primes: int = 3):
@@ -182,6 +197,7 @@ class GradedSpan:
         self.primes = CERT_PRIMES[:max(1, min(primes, len(CERT_PRIMES)))]
         self.basis = HomSliceBasis(n * n, grade + 1, n=n)
         self.fields: list[VectorField] = []
+        self.vectors: list[dict[int, int]] = []
         self._exact = ExactRowSpace() if method == "exact" else None
         self._cert = [ModularRowSpace(p) for p in self.primes] if method == "modular" else None
 
@@ -196,6 +212,7 @@ class GradedSpan:
         if vec is None:
             vec = self._vector(v)
         self.fields.append(v)
+        self.vectors.append(vec)
         if self._exact is not None:
             self._exact.insert(vec)
         if self._cert is not None:
@@ -274,12 +291,14 @@ def closure(seeds: list[Seed], max_degree: int, method: str = "auto",
     t_start = time.monotonic()
     deadline = t_start + budget_ms / 1000.0 if budget_ms else None
 
-    gens = [generator_field(n, g) for g in generator_ids(n)]
+    gen_fields = {g: generator_field(n, g) for g in generator_ids(n)}
+    gens = list(gen_fields.values())
     spans: dict[int, GradedSpan] = {}
     reports: dict[int, DegreeReport] = {}
     filters: dict[int, ModularRowSpace] = {}
     sl_proj: dict[int, _SlProjector] = {}
     sl_filter: dict[int, ModularRowSpace] = {}
+    sl_vectors: dict[int, list[dict[int, int]]] = {}
     brackets_done = 0
     overall_complete = True
 
@@ -293,26 +312,30 @@ def closure(seeds: list[Seed], max_degree: int, method: str = "auto",
         filters[d] = ModularRowSpace(WORK_PRIME)
         sl_proj[d] = _SlProjector(n, d)
         sl_filter[d] = ModularRowSpace(WORK_PRIME)
+        sl_vectors[d] = []
 
-    # traceless target spans, used for the early-exit rank and the reports
+    # traceless target vectors, built once for the early-exit rank and the
+    # certificate
     sl_targets: dict[int, ModularRowSpace] = {}
-    pair_lists: dict[int, list[tuple[Polynomial, GeneratorId]]] = {}
+    pair_vectors: dict[int, list[tuple[Polynomial, GeneratorId, dict[int, int]]]] = {}
     for d in range(max_degree + 1):
-        pairs = _target_pairs(n, d)
-        pair_lists[d] = pairs
+        pair_vectors[d] = [(f, g, sl_proj[d].vector(scale_field(f, gen_fields[g])))
+                           for f, g in _target_pairs(n, d)]
         tgt = ModularRowSpace(WORK_PRIME)
-        for f, g in pairs:
-            tgt.insert(sl_proj[d].vector(scale_field(f, generator_field(n, g))))
+        for _, _, vec in pair_vectors[d]:
+            tgt.insert(vec)
         sl_targets[d] = tgt
 
     def try_insert(d: int, v: VectorField) -> bool:
         if v.is_zero():
             return False
         vec = clear_denominators(vectorize(v, d + 1, spans[d].basis))
-        if not filters[d].insert(dict(vec)):
+        if not filters[d].insert(vec):
             return False
         spans[d].add(v, vec)
-        sl_filter[d].insert(sl_proj[d].vector(v))
+        sl_vec = sl_proj[d].vector(v)
+        sl_vectors[d].append(sl_vec)
+        sl_filter[d].insert(sl_vec)
         return True
 
     grade_of_seed: dict[int, list[Seed]] = {}
@@ -368,7 +391,7 @@ def closure(seeds: list[Seed], max_degree: int, method: str = "auto",
                 for gi in range(len(gens)):
                     queue.append((0, gi, new_idx))
 
-        reports[d] = _certify_degree(n, d, spans[d], sl_proj[d], pair_lists[d],
+        reports[d] = _certify_degree(n, d, spans[d], sl_vectors[d], pair_vectors[d],
                                      brackets_done - brackets_at_start, complete)
         overall_complete = overall_complete and reports[d].complete
 
@@ -380,26 +403,23 @@ def _seed_dim(seeds: list[Seed]) -> int:
     return matrix_dim(seeds[0].coefficient.nvars)
 
 
-def _certify_degree(n: int, d: int, span: GradedSpan, proj: _SlProjector,
-                    pairs: list[tuple[Polynomial, GeneratorId]],
+def _certify_degree(n: int, d: int, span: GradedSpan, sl_vectors: list[dict[int, int]],
+                    pair_vectors: list[tuple[Polynomial, GeneratorId, dict[int, int]]],
                     brackets_done: int, complete: bool) -> DegreeReport:
     """Certify span equality with the pair span in traceless coordinates.
 
-    Exact mode reduces every pair vector against an exact echelon form of
-    the span (and vice versa); modular mode requires agreement across the
-    fixed certification primes.
+    `sl_vectors` are the traceless vectors of the span's fields and
+    `pair_vectors` those of the target pairs f*V.  Exact mode reduces every
+    pair vector against an exact echelon form of the span (and vice versa);
+    modular mode requires agreement across the fixed certification primes.
     """
-    sl_vectors = [proj.vector(v) for v in span.fields]
-    pair_vectors = [(f, g, proj.vector(scale_field(f, generator_field(n, g))))
-                    for f, g in pairs]
-
     if span.method == "exact":
         s_space = ExactRowSpace()
         for vec in sl_vectors:
-            s_space.insert(dict(vec))
+            s_space.insert(vec)
         t_space = ExactRowSpace()
         for _, _, vec in pair_vectors:
-            t_space.insert(dict(vec))
+            t_space.insert(vec)
         missing = [(f, g) for f, g, vec in pair_vectors if not s_space.contains(vec)]
         sub_ok = all(t_space.contains(vec) for vec in sl_vectors)
         sl_rank = s_space.rank
@@ -412,10 +432,10 @@ def _certify_degree(n: int, d: int, span: GradedSpan, proj: _SlProjector,
         for p in span.primes:
             s_space = ModularRowSpace(p)
             for vec in sl_vectors:
-                s_space.insert(dict(vec))
+                s_space.insert(vec)
             t_space = ModularRowSpace(p)
             for _, _, vec in pair_vectors:
-                t_space.insert(dict(vec))
+                t_space.insert(vec)
             missing_sets.append({k for k, (f, g, vec) in enumerate(pair_vectors)
                                  if not s_space.contains(vec)})
             sub_oks.append(all(t_space.contains(vec) for vec in sl_vectors))
@@ -428,19 +448,19 @@ def _certify_degree(n: int, d: int, span: GradedSpan, proj: _SlProjector,
         sl_target_rank = max(t_ranks)
 
     gl_space = ModularRowSpace(CERT_PRIMES[0])
-    for v in span.fields:
-        gl_space.insert(clear_denominators(vectorize(v, d + 1, span.basis)))
+    for vec in span.vectors:
+        gl_space.insert(vec)
 
-    achieved = len(pairs) - len(missing)
+    achieved = len(pair_vectors) - len(missing)
     return DegreeReport(
         n=n, grade=d, method=span.method,
-        target_rank=len(pairs), achieved_rank=achieved,
+        target_rank=len(pair_vectors), achieved_rank=achieved,
         missing_witnesses=[f"{format_poly(f)} * {g.label()}" for f, g in missing],
         sl_rank=sl_rank, sl_target_component_rank=sl_target_rank,
         gl_rank=gl_space.rank,
         brackets_evaluated=brackets_done,
         complete=complete,
-        certified=(achieved == len(pairs) and sub_ok and complete),
+        certified=(achieved == len(pair_vectors) and sub_ok and complete),
     )
 
 

@@ -10,26 +10,23 @@ where permitted, as a multi-prime certificate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 # fixed 62/61-bit primes for deterministic modular certification
 CERT_PRIMES = (2305843009213693951, 4611686018427387847, 4611686018427387817)
 
 
-def clear_denominators(vec: dict[int, Fraction]) -> dict[int, int]:
+def clear_denominators(vec: dict[int, int | Fraction]) -> dict[int, int]:
     """Scale a rational vector to a primitive integer vector."""
-    if not vec:
-        return {}
-    denom = 1
-    for c in vec.values():
-        denom = denom * Fraction(c).denominator // gcd(denom, Fraction(c).denominator)
-    ints = {k: int(Fraction(c) * denom) for k, c in vec.items() if c != 0}
+    if all(type(c) is int for c in vec.values()):
+        ints = {k: c for k, c in vec.items() if c}
+    else:
+        denom = lcm(*(Fraction(c).denominator for c in vec.values()))
+        ints = {k: int(Fraction(c) * denom) for k, c in vec.items() if c != 0}
     if not ints:
         return {}
-    g = 0
-    for c in ints.values():
-        g = gcd(g, c)
+    g = gcd(*ints.values())
     if g > 1:
         ints = {k: c // g for k, c in ints.items()}
     lead = ints[min(ints)]
@@ -145,28 +142,8 @@ def exact_rank(rows: Iterable[dict[int, Fraction | int]]) -> int:
     return space.rank
 
 
-def modular_rank(rows: Iterable[dict[int, int]], p: int) -> int:
-    space = ModularRowSpace(p)
-    for r in rows:
-        space.insert(r)
-    return space.rank
-
-
-def exact_nullity(columns: list[dict[int, Fraction | int]], ncols: int | None = None) -> int:
-    """Nullity of a matrix given as a list of sparse columns.
-
-    The rank of a matrix equals the rank of its transpose, so we insert the
-    columns as rows; nullity = number of columns - rank.
-    """
-    space = ExactRowSpace()
-    for col in columns:
-        space.insert(clear_denominators(col))
-    total = len(columns) if ncols is None else ncols
-    return total - space.rank
-
-
 class SparseMatrix:
-    """Sparse exact matrix keyed (row, col), with product and power."""
+    """Sparse exact matrix keyed (row, col), with product and rank."""
 
     def __init__(self, nrows: int, ncols: int, entries: dict[tuple[int, int], Fraction] | None = None):
         self.nrows = nrows
@@ -177,12 +154,6 @@ class SparseMatrix:
                 v = Fraction(v)
                 if v != 0:
                     self.entries[k] = v
-
-    def columns(self) -> list[dict[int, Fraction]]:
-        cols: list[dict[int, Fraction]] = [dict() for _ in range(self.ncols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
 
     def rows_sparse(self) -> list[dict[int, Fraction]]:
         rows: list[dict[int, Fraction]] = [dict() for _ in range(self.nrows)]
@@ -212,14 +183,6 @@ class SparseMatrix:
                 if s:
                     out[(i, j)] = s
         return SparseMatrix(self.nrows, other.ncols, out)
-
-    def power(self, e: int) -> "SparseMatrix":
-        if e < 1:
-            raise ValueError("power must be >= 1")
-        result = self
-        for _ in range(e - 1):
-            result = result @ self
-        return result
 
     def rank(self) -> int:
         return exact_rank(self.rows_sparse())

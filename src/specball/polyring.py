@@ -2,9 +2,12 @@
 
 The coordinate ring is C[x_11, ..., x_nn] for an n x n matrix of
 indeterminates.  Variables are addressed either as 1-based (row, col)
-pairs or as flat indices (row-1)*n + (col-1); all arithmetic is exact
-with `fractions.Fraction` coefficients.  Values are immutable after
-construction and safe to share.
+pairs or as flat indices (row-1)*n + (col-1).  All arithmetic is exact:
+a coefficient is stored as an `int` when it is integral and as a
+`fractions.Fraction` only when a denominator remains, so fields with
+integer coefficients never build a `Fraction`.  The two types compare and
+hash equal, so equality does not depend on which one a term holds.  Values
+are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -43,6 +46,15 @@ def var_name(flat: int, n: int) -> str:
     return f"x[{r},{c}]"
 
 
+def _exact_coefficient(c) -> int | Fraction:
+    """c as an int when it is integral, otherwise as a Fraction."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
 def matrix_dim(nvars: int) -> int:
     """The n with n*n == nvars; raises if nvars is not a perfect square."""
     n = isqrt(nvars)
@@ -68,6 +80,16 @@ class Monomial:
     def __setattr__(self, *args):
         raise AttributeError("Monomial is immutable")
 
+    @classmethod
+    def _of(cls, powers: tuple[tuple[int, int], ...], degree: int) -> "Monomial":
+        """Wrap sorted (variable, exponent) pairs with positive exponents
+        summing to degree, skipping the checks of __init__."""
+        mono = object.__new__(cls)
+        _SET_POWERS(mono, powers)
+        _SET_DEGREE(mono, degree)
+        _SET_HASH(mono, hash(powers))
+        return mono
+
     @staticmethod
     def one() -> "Monomial":
         return _MONOMIAL_ONE
@@ -83,10 +105,14 @@ class Monomial:
         return 0
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        if not other.powers:
+            return self
+        if not self.powers:
+            return other
         d = dict(self.powers)
         for v, e in other.powers:
             d[v] = d.get(v, 0) + e
-        return Monomial(d.items())
+        return Monomial._of(tuple(sorted(d.items())), self.degree + other.degree)
 
     def dense(self, nvars: int) -> tuple[int, ...]:
         out = [0] * nvars
@@ -108,23 +134,42 @@ class Monomial:
         return f"Monomial({self.powers!r})"
 
 
+_SET_POWERS = Monomial.powers.__set__
+_SET_DEGREE = Monomial.degree.__set__
+_SET_HASH = Monomial._hash.__set__
 _MONOMIAL_ONE = Monomial()
 
 
 class Polynomial:
-    """Sparse exact polynomial: a map Monomial -> Fraction without zeros."""
+    """Sparse exact polynomial: a map Monomial -> coefficient without zeros.
+
+    Each coefficient is an int when integral and a Fraction otherwise.
+    """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[Monomial, Fraction] | None = None):
-        object.__setattr__(self, "nvars", nvars)
+    def __init__(self, nvars: int, terms: dict[Monomial, int | Fraction] | None = None):
         clean = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                c = _exact_coefficient(c)
+                if c:
                     clean[m] = c
-        object.__setattr__(self, "terms", clean)
+        _SET_NVARS(self, nvars)
+        _SET_TERMS(self, clean)
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "Polynomial":
+        """Wrap a zero-free term dict built by the arithmetic below, without
+        copying it.  Only a Fraction can have become integral; it is lowered
+        to an int here."""
+        for m, c in terms.items():
+            if type(c) is not int and c.denominator == 1:
+                terms[m] = c.numerator
+        p = object.__new__(cls)
+        _SET_NVARS(p, nvars)
+        _SET_TERMS(p, terms)
+        return p
 
     def __setattr__(self, *args):
         raise AttributeError("Polynomial is immutable")
@@ -137,13 +182,13 @@ class Polynomial:
 
     @staticmethod
     def constant(nvars: int, c) -> "Polynomial":
-        return Polynomial(nvars, {Monomial.one(): Fraction(c)})
+        return Polynomial(nvars, {Monomial.one(): c})
 
     @staticmethod
     def variable(nvars: int, flat: int) -> "Polynomial":
         if not (0 <= flat < nvars):
             raise IndexError(f"variable {flat} out of range")
-        return Polynomial(nvars, {Monomial.variable(flat): Fraction(1)})
+        return Polynomial(nvars, {Monomial.variable(flat): 1})
 
     @staticmethod
     def x(row: int, col: int, n: int) -> "Polynomial":
@@ -151,7 +196,26 @@ class Polynomial:
 
     @staticmethod
     def from_monomial(nvars: int, mono: Monomial, coeff=1) -> "Polynomial":
-        return Polynomial(nvars, {mono: Fraction(coeff)})
+        return Polynomial(nvars, {mono: coeff})
+
+    @staticmethod
+    def sum_of_products(nvars: int, pairs: Iterable[tuple["Polynomial", "Polynomial"]]
+                        ) -> "Polynomial":
+        """The sum of p * q over the (p, q) pairs, accumulated in one term dict."""
+        out: dict[Monomial, int | Fraction] = {}
+        for p, q in pairs:
+            if p.nvars != nvars or q.nvars != nvars:
+                raise DimensionMismatch(
+                    f"rings differ: {p.nvars} and {q.nvars} vs {nvars} variables")
+            for m1, c1 in p.terms.items():
+                for m2, c2 in q.terms.items():
+                    m = m1 * m2
+                    s = out.get(m, 0) + c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+        return Polynomial._of(nvars, out)
 
     # -- queries -------------------------------------------------------
 
@@ -170,11 +234,11 @@ class Polynomial:
             return False
         return m is None or degs == {m}
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(Monomial.one(), Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get(Monomial.one(), 0)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> int | Fraction:
+        return self.terms.get(mono, 0)
 
     def _check(self, other: "Polynomial"):
         if self.nvars != other.nvars:
@@ -191,38 +255,28 @@ class Polynomial:
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
-        return Polynomial(self.nvars, out)
+                del out[m]
+        return Polynomial._of(self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            self._check(other)
-            out: dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = m1 * m2
-                    s = out.get(m, 0) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
-            return Polynomial(self.nvars, out)
+            return Polynomial.sum_of_products(self.nvars, ((self, other),))
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
+        c = _exact_coefficient(c)
+        if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {m: c * co for m, co in self.terms.items()})
+        return Polynomial._of(self.nvars, {m: c * co for m, co in self.terms.items()})
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -247,19 +301,22 @@ class Polynomial:
 
     def partial(self, flat: int) -> "Polynomial":
         """Exact partial derivative with respect to one variable."""
-        out: dict[Monomial, Fraction] = {}
+        return self.gradient().get(flat) or Polynomial.zero(self.nvars)
+
+    def gradient(self) -> dict[int, "Polynomial"]:
+        """The nonzero partial derivatives by variable, in one pass over the terms."""
+        # dividing by x_v is injective on the monomials it divides, so no two
+        # terms of one derivative share a monomial
+        grads: dict[int, dict[Monomial, int | Fraction]] = {}
         for mono, c in self.terms.items():
-            e = mono.exponent(flat)
-            if e == 0:
-                continue
-            reduced = Monomial([(v, ex - 1 if v == flat else ex)
-                                for v, ex in mono.powers])
-            s = out.get(reduced, 0) + c * e
-            if s:
-                out[reduced] = s
-            else:
-                out.pop(reduced, None)
-        return Polynomial(self.nvars, out)
+            powers = mono.powers
+            for i, (v, e) in enumerate(powers):
+                if e > 1:
+                    lowered = powers[:i] + ((v, e - 1),) + powers[i + 1:]
+                else:
+                    lowered = powers[:i] + powers[i + 1:]
+                grads.setdefault(v, {})[Monomial._of(lowered, mono.degree - 1)] = c * e
+        return {v: Polynomial._of(self.nvars, terms) for v, terms in grads.items()}
 
     def substitute(self, flat: int, replacement: "Polynomial") -> "Polynomial":
         """Replace one variable by a polynomial, exactly."""
@@ -276,7 +333,7 @@ class Polynomial:
 
     # -- printing ------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         return sorted(self.terms.items(),
                       key=lambda kv: kv[0].sort_key(self.nvars), reverse=True)
 
@@ -285,6 +342,10 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({format_poly(self)!r}, nvars={self.nvars})"
+
+
+_SET_NVARS = Polynomial.nvars.__set__
+_SET_TERMS = Polynomial.terms.__set__
 
 
 def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:

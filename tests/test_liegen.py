@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,6 +12,7 @@ from specball.adjointfields import (
     make_xi,
     scale_field,
 )
+from specball.linalg import clear_denominators
 from specball.liegen import (
     GradingError,
     PreconditionError,
@@ -23,8 +26,9 @@ from specball.liegen import (
     verify_all_identities,
     verify_cross_image,
     verify_identity,
+    _SlProjector,
 )
-from specball.polyring import Polynomial, parse_poly
+from specball.polyring import Polynomial, parse_poly, slice_monomials, substitute_trace
 
 
 # matches_printed flags: the orientation-consistent evaluation reproduces
@@ -223,3 +227,54 @@ def test_cross_image(n, rank):
 def test_cross_image_requires_n3():
     with pytest.raises(PreconditionError):
         verify_cross_image(2)
+
+
+@pytest.fixture(scope="module")
+def closure_n3():
+    return closure(build_seeds(3), 2)
+
+
+def sl_vector_oracle(v, grade):
+    """Traceless vector of a field, substituting the trace in each whole
+    component: the computation `_SlProjector.vector` does per monomial."""
+    nvars = v.n * v.n
+    ncomp = nvars - 1
+    index = {mo: i for i, mo in enumerate(slice_monomials(nvars - 1, grade + 1))}
+    out = {}
+    for comp, poly in v.components.items():
+        if comp == nvars - 1:
+            continue
+        for mono, c in substitute_trace(poly).terms.items():
+            key = index[mono] * ncomp + comp
+            out[key] = out.get(key, 0) + c
+    return clear_denominators(out)
+
+
+def test_sl_projection_matches_per_component_oracle(closure_n3):
+    for d in range(3):
+        proj = _SlProjector(3, d)
+        fields = closure_n3.spans[d].fields
+        for v in fields:
+            assert proj.vector(v) == sl_vector_oracle(v, d)
+        # rational coefficients take the Fraction path
+        for v in (Fraction(1, 2) * fields[-1], fields[0] + Fraction(1, 2) * fields[-1]):
+            assert proj.vector(v) == sl_vector_oracle(v, d)
+
+
+@pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 2)])
+def test_closure_ranks_closed_form(n, max_degree, closure_n3):
+    # the targets are f*V for the degree-d monomials f in the n^2 - 1
+    # traceless coordinates and the n^2 - 1 generators V; their span loses,
+    # for each k = 1..n-1, the relation among the generator fields with
+    # degree-k coefficients (a generic matrix commutes with its k-th power)
+    # times each degree-(d-k) monomial
+    res = closure_n3 if n == 3 else closure(build_seeds(n), max_degree)
+    for d in range(max_degree + 1):
+        rep = res.reports[d]
+        target = (n * n - 1) * comb(n * n + d - 2, d)
+        relations = sum(comb(n * n + d - k - 2, d - k) for k in range(1, min(d, n - 1) + 1))
+        assert rep.target_rank == target
+        assert rep.sl_rank == rep.sl_target_component_rank == target - relations
+        assert rep.certified
+    expected = {2: [3, 8, 15, 24, 35], 3: [8, 63, 279]}[n]
+    assert [res.reports[d].sl_rank for d in range(max_degree + 1)] == expected

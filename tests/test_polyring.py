@@ -183,3 +183,46 @@ def test_power():
     x = parse_poly("x11 + 1", 2)
     assert x ** 0 == Polynomial.constant(4, 1)
     assert x ** 3 == x * x * x
+
+
+def test_integral_coefficients_are_stored_as_int():
+    m = Monomial([(1, 2), (3, 1)])
+    p = Polynomial(4, {m: Fraction(6, 2)})
+    assert type(p.terms[m]) is int and p.terms[m] == 3
+    q = Polynomial(4, {m: 3})
+    assert p == q and hash(p) == hash(q)
+    # a Fraction that becomes integral in arithmetic is lowered to an int
+    half = Polynomial(4, {m: Fraction(1, 2)})
+    for r in (half + half, half.scale(2), half * Polynomial.constant(4, 2),
+              Polynomial(4, {Monomial([(1, 2)]): Fraction(1, 2)}).partial(1)):
+        assert all(type(c) is int for c in r.terms.values())
+
+
+def test_fraction_coefficient_kept_and_roundtrips():
+    text = "3*x12^2*x21 - 1/2*x11"
+    p = parse_poly(text, 3)
+    cubic, = parse_poly("x12^2*x21", 3).terms
+    linear, = parse_poly("x11", 3).terms
+    assert type(p.terms[cubic]) is int and p.terms[cubic] == 3
+    assert type(p.terms[linear]) is Fraction and p.terms[linear] == Fraction(-1, 2)
+    assert format_poly(p) == text
+    assert parse_poly(format_poly(p), 3) == p
+
+
+def test_bracket_keeps_integer_coefficients():
+    from specball.adjointfields import bracket, generator_field, generator_ids
+    from specball.liegen import build_seeds
+
+    def int_coefficients(v):
+        return all(type(c) is int
+                   for comp in v.components.values() for c in comp.terms.values())
+
+    for n in (2, 3):
+        fields = [generator_field(n, g) for g in generator_ids(n)]
+        for x, y in itertools.product(fields, repeat=2):
+            assert int_coefficients(bracket(x, y))
+    # every seed field, each bracketed with the next one in the seed list
+    seed_fields = [s.field(3) for s in build_seeds(3)]
+    products = [bracket(x, y) for x, y in itertools.pairwise(seed_fields)]
+    assert sum(not w.is_zero() for w in products) > len(products) // 2
+    assert all(int_coefficients(w) for w in products)
