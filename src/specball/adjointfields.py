@@ -326,8 +326,3 @@ def _signed(poly_text: str) -> str:
     if " " in poly_text:
         return f"+({poly_text})"
     return poly_text if poly_text.startswith("-") else "+" + poly_text
-
-
-def action_polynomial(report_entry: str, n: int) -> Polynomial:
-    from .polyring import parse_poly
-    return parse_poly(report_entry, n)

@@ -151,12 +151,10 @@ def cmd_verify(args) -> int:
 def cmd_generate(args) -> int:
     config = {"command": "generate", "n": args.n, "max_degree": args.max_degree,
               "method": args.method, "budget_ms": args.budget_ms,
-              "budget_brackets": args.budget_brackets, "primes": args.primes}
+              "budget_brackets": args.budget_brackets}
     seeds = liegen.build_seeds(args.n)
-    result = liegen.closure(seeds, args.max_degree, method=args.method,
-                            budget_ms=args.budget_ms,
-                            budget_brackets=args.budget_brackets,
-                            primes=args.primes)
+    result = liegen.closure(seeds, args.max_degree, budget_ms=args.budget_ms,
+                            budget_brackets=args.budget_brackets)
     degrees = []
     for d in sorted(result.reports):
         rep = result.reports[d]
@@ -300,6 +298,17 @@ def cmd_orbit(args) -> int:
 # parser
 
 
+def _bounded(kind, low: float, strict: bool = False):
+    """argparse type: a `kind` value of at least `low`, or above it if strict."""
+    def parse(text: str):
+        value = kind(text)
+        if value < low or (strict and not value > low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="specball",
                                  description=__doc__.strip().splitlines()[0])
@@ -325,12 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="bracket-closure of the overshear seeds")
     common(p, n_default=2)
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--method", choices=["auto", "exact", "modular"], default="auto")
-    p.add_argument("--budget-ms", type=float, default=None)
-    p.add_argument("--budget-brackets", type=int, default=None)
-    p.add_argument("--primes", type=int, default=3,
-                   help="certification primes (fixed list, at most 3)")
+    p.add_argument("--max-degree", type=_bounded(int, 0), required=True)
+    p.add_argument("--method", choices=["auto", "exact", "modular"], default="auto",
+                   help="no effect: every grade is certified by exact elimination")
+    p.add_argument("--budget-ms", type=_bounded(float, 0, strict=True), default=None)
+    p.add_argument("--budget-brackets", type=_bounded(int, 0), default=None)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("kernels", help="kernel dimensions on homogeneous slices")

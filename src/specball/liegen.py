@@ -6,13 +6,16 @@ closes under brackets, grade by grade, where the grade of f*V is deg f.
 The verification target at grade d is containment of f*V for every
 degree-d monomial f in the traceless coordinates and every generator V.
 
-Component vectors of fields with homogeneous degree-(d+1) components are
-reduced either with exact integer elimination or modulo fixed large primes
-("modular-certified"); a cheap single-prime filter screens candidates in
-both modes.  Because the generator fields satisfy polynomial relations
-(e.g. 2*x12*Theta12 + 2*x21*Theta21 + (x11-x22)*Xi1 = 0 on 2x2 matrices),
-the component rank of the target space is lower than the raw pair count;
-reports carry both numbers.
+Fields with homogeneous degree-(d+1) components are vectorized twice: in
+raw coordinates, where a single-prime filter decides which brackets are
+kept, and in traceless coordinates, where exact integer elimination
+decides the certificate.  The filter is sound because it can only err
+towards rejection: vectors independent mod p are independent over Q, and
+a wrongly rejected field leaves its pairs missing, which reads "not
+certified", never a false certificate.  Because the generator fields
+satisfy polynomial relations (e.g. 2*x12*Theta12 + 2*x21*Theta21 +
+(x11-x22)*Xi1 = 0 on 2x2 matrices), the component rank of the target
+space is lower than the raw pair count; reports carry both numbers.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .adjointfields import (
     make_xi,
     scale_field,
 )
-from .linalg import CERT_PRIMES, ExactRowSpace, ModularRowSpace, clear_denominators
+from .linalg import ExactRowSpace, ModularRowSpace, clear_denominators
 from .polyring import (
     HomSliceBasis,
     Monomial,
@@ -115,19 +118,6 @@ def vectorize(v: VectorField, m: int, basis: HomSliceBasis | None = None) -> dic
     return out
 
 
-def unvectorize(vec: dict[int, Fraction], n: int, m: int,
-                basis: HomSliceBasis | None = None) -> VectorField:
-    nvars = n * n
-    if basis is None:
-        basis = HomSliceBasis(nvars, m, n=n)
-    comps: dict[int, dict[Monomial, Fraction]] = {}
-    for idx, c in vec.items():
-        mono = basis.monomials[idx // nvars]
-        comp = idx % nvars
-        comps.setdefault(comp, {})[mono] = Fraction(c)
-    return VectorField(n, {comp: Polynomial(nvars, terms) for comp, terms in comps.items()})
-
-
 class _SlProjector:
     """Projects fields to traceless coordinates and vectorizes them.
 
@@ -184,52 +174,23 @@ class _SlProjector:
 
 
 class GradedSpan:
-    """Span of fields with homogeneous degree-(grade+1) components.
+    """Fields accepted at one grade (homogeneous degree-(grade+1)
+    components) and their primitive integer vectors over `basis`."""
 
-    Stores the accepted basis fields, their primitive integer component
-    vectors, and exact or modular echelon structures for membership tests.
-    """
-
-    def __init__(self, n: int, grade: int, method: str, primes: int = 3):
+    def __init__(self, n: int, grade: int):
         self.n = n
         self.grade = grade
-        self.method = method       # "exact" or "modular"
-        self.primes = CERT_PRIMES[:max(1, min(primes, len(CERT_PRIMES)))]
         self.basis = HomSliceBasis(n * n, grade + 1, n=n)
         self.fields: list[VectorField] = []
         self.vectors: list[dict[int, int]] = []
-        self._exact = ExactRowSpace() if method == "exact" else None
-        self._cert = [ModularRowSpace(p) for p in self.primes] if method == "modular" else None
 
     @property
     def rank(self) -> int:
         return len(self.fields)
 
-    def _vector(self, v: VectorField) -> dict[int, int]:
-        return clear_denominators(vectorize(v, self.grade + 1, self.basis))
-
-    def add(self, v: VectorField, vec: dict[int, int] | None = None):
-        if vec is None:
-            vec = self._vector(v)
+    def add(self, v: VectorField, vec: dict[int, int]):
         self.fields.append(v)
         self.vectors.append(vec)
-        if self._exact is not None:
-            self._exact.insert(vec)
-        if self._cert is not None:
-            for sp in self._cert:
-                sp.insert(vec)
-
-    def contains(self, v: VectorField) -> bool:
-        """Exact membership in exact mode; agreement across the fixed
-        certification primes in modular mode."""
-        if v.is_zero():
-            return True
-        if v.n != self.n:
-            raise GradingError("field dimension mismatch")
-        vec = self._vector(v)
-        if self._exact is not None:
-            return self._exact.contains(vec)
-        return all(sp.contains(vec) for sp in self._cert)
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +201,16 @@ class GradedSpan:
 class DegreeReport:
     n: int
     grade: int
-    method: str
+    method: str                      # "exact": integer elimination certifies every grade
     target_rank: int                 # monomial x generator pair count (traceless)
-    achieved_rank: int               # pairs certified inside the span
+    achieved_rank: int               # pairs inside the span
     missing_witnesses: list[str]
     sl_rank: int                     # component rank of the traceless projection
     sl_target_component_rank: int
     gl_rank: int                     # component rank of the raw span
     brackets_evaluated: int
     complete: bool                   # fixed point or target reached within budget
-    certified: bool                  # achieved_rank == target_rank under the method
+    certified: bool                  # achieved_rank == target_rank, span inside the pairs
 
 
 @dataclass
@@ -274,69 +235,30 @@ def _target_pairs(n: int, grade: int) -> list[tuple[Polynomial, GeneratorId]]:
     return out
 
 
-def closure(seeds: list[Seed], max_degree: int, method: str = "auto",
+def closure(seeds: list[Seed], max_degree: int,
             budget_brackets: int | None = None, budget_ms: float | None = None,
-            early_exit: bool = True, n: int | None = None,
-            primes: int = 3) -> ClosureResult:
+            early_exit: bool = True, n: int | None = None) -> ClosureResult:
     """Bracket-closure of the seed set, graded by coefficient degree.
 
-    method "auto" picks exact elimination for small instances and
-    multi-prime modular certification above (n, grade) = (3, 2);
-    `primes` caps how many of the fixed certification primes are used.
+    Each grade keeps three echelons: the raw filter mod WORK_PRIME, which
+    decides which fields are kept; an exact one of the kept fields'
+    traceless vectors, which stops the grade early once it reaches the
+    target rank; and an exact one of the target pairs' traceless vectors.
+    The last two certify the grade (`_certify_degree`).
     """
     if not seeds:
         raise PreconditionError("empty seed set")
     if n is None:
         n = _seed_dim(seeds)
     t_start = time.monotonic()
-    deadline = t_start + budget_ms / 1000.0 if budget_ms else None
+    deadline = t_start + budget_ms / 1000.0 if budget_ms is not None else None
 
     gen_fields = {g: generator_field(n, g) for g in generator_ids(n)}
     gens = list(gen_fields.values())
     spans: dict[int, GradedSpan] = {}
     reports: dict[int, DegreeReport] = {}
-    filters: dict[int, ModularRowSpace] = {}
-    sl_proj: dict[int, _SlProjector] = {}
-    sl_filter: dict[int, ModularRowSpace] = {}
-    sl_vectors: dict[int, list[dict[int, int]]] = {}
     brackets_done = 0
     overall_complete = True
-
-    def grade_method(d: int) -> str:
-        if method != "auto":
-            return method
-        return "modular" if (n >= 3 and d >= 3) else "exact"
-
-    for d in range(max_degree + 1):
-        spans[d] = GradedSpan(n, d, grade_method(d), primes=primes)
-        filters[d] = ModularRowSpace(WORK_PRIME)
-        sl_proj[d] = _SlProjector(n, d)
-        sl_filter[d] = ModularRowSpace(WORK_PRIME)
-        sl_vectors[d] = []
-
-    # traceless target vectors, built once for the early-exit rank and the
-    # certificate
-    sl_targets: dict[int, ModularRowSpace] = {}
-    pair_vectors: dict[int, list[tuple[Polynomial, GeneratorId, dict[int, int]]]] = {}
-    for d in range(max_degree + 1):
-        pair_vectors[d] = [(f, g, sl_proj[d].vector(scale_field(f, gen_fields[g])))
-                           for f, g in _target_pairs(n, d)]
-        tgt = ModularRowSpace(WORK_PRIME)
-        for _, _, vec in pair_vectors[d]:
-            tgt.insert(vec)
-        sl_targets[d] = tgt
-
-    def try_insert(d: int, v: VectorField) -> bool:
-        if v.is_zero():
-            return False
-        vec = clear_denominators(vectorize(v, d + 1, spans[d].basis))
-        if not filters[d].insert(vec):
-            return False
-        spans[d].add(v, vec)
-        sl_vec = sl_proj[d].vector(v)
-        sl_vectors[d].append(sl_vec)
-        sl_filter[d].insert(sl_vec)
-        return True
 
     grade_of_seed: dict[int, list[Seed]] = {}
     for s in seeds:
@@ -344,21 +266,37 @@ def closure(seeds: list[Seed], max_degree: int, method: str = "auto",
 
     budget_hit = False
     for d in range(max_degree + 1):
+        span = spans[d] = GradedSpan(n, d)
+        raw_filter = ModularRowSpace(WORK_PRIME)
+        proj = _SlProjector(n, d)
+        sl_space = ExactRowSpace()
+        pairs = [(f, g, proj.vector(scale_field(f, gen_fields[g])))
+                 for f, g in _target_pairs(n, d)]
+        target_space = ExactRowSpace()
+        for _, _, vec in pairs:
+            target_space.insert(vec)
+
+        def try_insert(v: VectorField) -> bool:
+            if v.is_zero():
+                return False
+            vec = clear_denominators(vectorize(v, d + 1, span.basis))
+            if not raw_filter.insert(vec):
+                return False
+            span.add(v, vec)
+            sl_space.insert(proj.vector(v))
+            return True
+
         brackets_at_start = brackets_done
-        new_elements = deque()
+        new_elements = []
         for s in grade_of_seed.get(d, ()):
-            if try_insert(d, s.field(n)):
-                new_elements.append(len(spans[d].fields) - 1)
+            if try_insert(s.field(n)):
+                new_elements.append(span.rank - 1)
 
-        target_rank_sl = sl_targets[d].rank
         complete = True
-
-        def target_reached() -> bool:
-            return early_exit and sl_filter[d].rank >= target_rank_sl
 
         # bracket queue: (grade a index, grade b index) pairs with a + b = d
         queue: deque[tuple[int, int, int]] = deque()
-        for idx in list(new_elements):
+        for idx in new_elements:
             for gi in range(len(gens)):
                 queue.append((0, gi, idx))          # (a=0 generator, element of grade d)
         for a in range(1, d // 2 + 1):
@@ -369,8 +307,8 @@ def closure(seeds: list[Seed], max_degree: int, method: str = "auto",
                         continue
                     queue.append((a, i, j))
 
-        while queue and not target_reached():
-            if deadline and time.monotonic() > deadline:
+        while queue and not (early_exit and sl_space.rank >= target_space.rank):
+            if deadline is not None and time.monotonic() > deadline:
                 complete = False
                 budget_hit = True
                 break
@@ -381,17 +319,17 @@ def closure(seeds: list[Seed], max_degree: int, method: str = "auto",
             a, i, j = queue.popleft()
             b = d - a
             if a == 0:
-                x, y = gens[i], spans[d].fields[j]
+                x, y = gens[i], span.fields[j]
             else:
                 x, y = spans[a].fields[i], spans[b].fields[j]
             w = bracket(x, y)
             brackets_done += 1
-            if try_insert(d, w):
-                new_idx = len(spans[d].fields) - 1
+            if try_insert(w):
+                new_idx = span.rank - 1
                 for gi in range(len(gens)):
                     queue.append((0, gi, new_idx))
 
-        reports[d] = _certify_degree(n, d, spans[d], sl_vectors[d], pair_vectors[d],
+        reports[d] = _certify_degree(n, d, span, sl_space, target_space, pairs,
                                      brackets_done - brackets_at_start, complete)
         overall_complete = overall_complete and reports[d].complete
 
@@ -403,69 +341,32 @@ def _seed_dim(seeds: list[Seed]) -> int:
     return matrix_dim(seeds[0].coefficient.nvars)
 
 
-def _certify_degree(n: int, d: int, span: GradedSpan, sl_vectors: list[dict[int, int]],
-                    pair_vectors: list[tuple[Polynomial, GeneratorId, dict[int, int]]],
+def _certify_degree(n: int, d: int, span: GradedSpan, sl_space: ExactRowSpace,
+                    target_space: ExactRowSpace,
+                    pairs: list[tuple[Polynomial, GeneratorId, dict[int, int]]],
                     brackets_done: int, complete: bool) -> DegreeReport:
     """Certify span equality with the pair span in traceless coordinates.
 
-    `sl_vectors` are the traceless vectors of the span's fields and
-    `pair_vectors` those of the target pairs f*V.  Exact mode reduces every
-    pair vector against an exact echelon form of the span (and vice versa);
-    modular mode requires agreement across the fixed certification primes.
+    `sl_space` is the exact echelon of the span's traceless vectors and
+    `target_space` that of the target pairs f*V, listed with their vectors
+    in `pairs`.  A pair outside `sl_space` is missing; the grade is
+    certified when no pair is missing, the span lies inside the pair span
+    and the closure completed.  `gl_rank` counts the kept fields: their raw
+    vectors are independent mod p, hence over Q.
     """
-    if span.method == "exact":
-        s_space = ExactRowSpace()
-        for vec in sl_vectors:
-            s_space.insert(vec)
-        t_space = ExactRowSpace()
-        for _, _, vec in pair_vectors:
-            t_space.insert(vec)
-        missing = [(f, g) for f, g, vec in pair_vectors if not s_space.contains(vec)]
-        sub_ok = all(t_space.contains(vec) for vec in sl_vectors)
-        sl_rank = s_space.rank
-        sl_target_rank = t_space.rank
-    else:
-        missing_sets = []
-        sub_oks = []
-        ranks = []
-        t_ranks = []
-        for p in span.primes:
-            s_space = ModularRowSpace(p)
-            for vec in sl_vectors:
-                s_space.insert(vec)
-            t_space = ModularRowSpace(p)
-            for _, _, vec in pair_vectors:
-                t_space.insert(vec)
-            missing_sets.append({k for k, (f, g, vec) in enumerate(pair_vectors)
-                                 if not s_space.contains(vec)})
-            sub_oks.append(all(t_space.contains(vec) for vec in sl_vectors))
-            ranks.append(s_space.rank)
-            t_ranks.append(t_space.rank)
-        agreed = set.union(*missing_sets) if missing_sets else set()
-        missing = [(pair_vectors[k][0], pair_vectors[k][1]) for k in sorted(agreed)]
-        sub_ok = all(sub_oks)
-        sl_rank = max(ranks)
-        sl_target_rank = max(t_ranks)
-
-    gl_space = ModularRowSpace(CERT_PRIMES[0])
-    for vec in span.vectors:
-        gl_space.insert(vec)
-
-    achieved = len(pair_vectors) - len(missing)
+    missing = [(f, g) for f, g, vec in pairs if not sl_space.contains(vec)]
+    sub_ok = all(target_space.contains(row) for row in sl_space.rows.values())
+    achieved = len(pairs) - len(missing)
     return DegreeReport(
-        n=n, grade=d, method=span.method,
-        target_rank=len(pair_vectors), achieved_rank=achieved,
+        n=n, grade=d, method="exact",
+        target_rank=len(pairs), achieved_rank=achieved,
         missing_witnesses=[f"{format_poly(f)} * {g.label()}" for f, g in missing],
-        sl_rank=sl_rank, sl_target_component_rank=sl_target_rank,
-        gl_rank=gl_space.rank,
+        sl_rank=sl_space.rank, sl_target_component_rank=target_space.rank,
+        gl_rank=span.rank,
         brackets_evaluated=brackets_done,
         complete=complete,
-        certified=(achieved == len(pair_vectors) and sub_ok and complete),
+        certified=(achieved == len(pairs) and sub_ok and complete),
     )
-
-
-def contains(span: GradedSpan, v: VectorField) -> bool:
-    return span.contains(v)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Row spaces are kept in echelon form keyed by pivot column.  Exact rows are
 primitive integer vectors (denominators cleared, gcd divided out), so all
-reductions stay in arbitrary-precision integers.  The modular variant runs
-the same elimination over F_p and is used both as a fast pre-filter and,
-where permitted, as a multi-prime certificate.
+reductions stay in arbitrary-precision integers; every rank and membership
+that a report certifies comes from them.  The modular variant runs the same
+elimination over F_p and serves only as a filter: integer vectors that are
+independent mod p are independent over Q, so the rows it accepts are
+independent, but a vector it rejects may still be new over Q.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
-
-# fixed 62/61-bit primes for deterministic modular certification
-CERT_PRIMES = (2305843009213693951, 4611686018427387847, 4611686018427387817)
 
 
 def clear_denominators(vec: dict[int, int | Fraction]) -> dict[int, int]:
@@ -112,14 +111,12 @@ class ModularRowSpace:
             if row is None:
                 break
             b = v[col]
-            new = dict(v)
             for k, c in row.items():
-                s = (new.get(k, 0) - b * c) % p
+                s = (v.get(k, 0) - b * c) % p
                 if s:
-                    new[k] = s
+                    v[k] = s
                 else:
-                    new.pop(k, None)
-            v = new
+                    v.pop(k, None)
         return v
 
     def insert(self, vec: dict[int, int]) -> bool:

@@ -348,21 +348,6 @@ _SET_NVARS = Polynomial.nvars.__set__
 _SET_TERMS = Polynomial.terms.__set__
 
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Dispatch form of the ring operations: add, sub, mul, scale."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        if len(b.terms) > 1 or (b.terms and next(iter(b.terms)).degree > 0):
-            raise ValueError("scale expects a constant polynomial")
-        return a.scale(b.constant_term())
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # homogeneous slices
 

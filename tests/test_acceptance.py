@@ -111,8 +111,9 @@ def test_criterion_02_identity_catalog(capsys):
 
 def test_criterion_03_generation_closure(capsys):
     """Bracket closure of the overshear seeds reaches every monomial
-    coefficient in traceless coordinates: n=2 through degree 4 (exact) and
-    n=3 through degree 3 (modular-certified at degree 3).  < 10 min."""
+    coefficient in traceless coordinates: n=2 through degree 4 and n=3
+    through degree 3, every grade certified by exact elimination.
+    < 10 min."""
     t0 = time.time()
     ok = True
     details = []

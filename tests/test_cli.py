@@ -81,6 +81,38 @@ def test_generate_budget_exhaustion(capsys):
     assert not payload["complete"]
 
 
+def test_generate_method_flag_has_no_effect(capsys):
+    # every grade is certified by exact elimination whatever --method says
+    degrees = []
+    for method in ("auto", "exact", "modular"):
+        code, out = run(capsys, ["generate", "--n", "2", "--max-degree", "3",
+                                 "--method", method])
+        assert code == 0
+        degrees.append(json.loads(out)["degrees"])
+    assert degrees[0] == degrees[1] == degrees[2]
+    assert [d["method"] for d in degrees[0]] == ["exact"] * 4
+
+
+@pytest.mark.parametrize("flags", [
+    ["--max-degree", "-1"],
+    ["--max-degree", "2", "--budget-brackets", "-1"],
+    ["--max-degree", "2", "--budget-ms", "-5"],
+    ["--max-degree", "2", "--budget-ms", "0"],
+])
+def test_generate_rejects_out_of_range_bounds(capsys, flags):
+    code, out = run(capsys, ["generate", "--n", "2"] + flags)
+    assert code == 2
+    assert out == ""
+
+
+def test_generate_zero_bracket_budget(capsys):
+    # no bracket allowed: the seeds alone, reported as out of budget
+    code, out = run(capsys, ["generate", "--n", "2", "--max-degree", "1",
+                             "--budget-brackets", "0"])
+    assert code == 3
+    assert not json.loads(out)["complete"]
+
+
 def test_kernels_csv(capsys):
     code, out = run(capsys, ["kernels", "--n", "2", "--field", "xi1", "--m", "0..4"])
     assert code == 0

@@ -14,7 +14,6 @@ from specball.polyring import (
     enumerate_slice,
     format_poly,
     parse_poly,
-    poly_arith,
     substitute_trace,
 )
 
@@ -49,17 +48,6 @@ def test_monomial_product_degree():
     sq = x12 * x12
     assert sq == parse_poly("x12^2", 2)
     assert sq.degree() == 2
-
-
-def test_poly_arith_dispatch():
-    a = parse_poly("x11", 2)
-    b = parse_poly("x22", 2)
-    assert poly_arith(a, b, "add") == a + b
-    assert poly_arith(a, b, "sub") == a - b
-    assert poly_arith(a, b, "mul") == a * b
-    assert poly_arith(a, Polynomial.constant(4, Fraction(3, 2)), "scale") == a.scale(Fraction(3, 2))
-    with pytest.raises(ValueError):
-        poly_arith(a, b, "pow")
 
 
 def test_dimension_mismatch():
