@@ -145,21 +145,6 @@ class VectorField:
         return Polynomial.sum_of_products(
             p.nvars, ((comps[v], dp) for v, dp in p.gradient().items() if v in comps))
 
-    def coefficient_degree(self) -> int:
-        return max((p.degree() for p in self.components.values()), default=-1)
-
-    def is_coefficient_homogeneous(self, d: int | None = None) -> bool:
-        degs = set()
-        for p in self.components.values():
-            if not p.is_homogeneous():
-                return False
-            degs.add(p.degree())
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return d is None or degs == {d}
-
     def __repr__(self):
         inner = ", ".join(
             f"{var_name(v, self.n)}: {format_poly(p)}"
@@ -201,10 +186,6 @@ def generator_field(n: int, gid: GeneratorId) -> VectorField:
     if isinstance(gid, Xi):
         return make_xi(n, gid.a)
     raise InvalidGenerator(f"unknown generator id {gid!r}")
-
-
-def apply(v: VectorField, p: Polynomial) -> Polynomial:
-    return v.apply(p)
 
 
 def bracket(v: VectorField, w: VectorField) -> VectorField:

@@ -180,12 +180,6 @@ def cmd_generate(args) -> int:
 # kernels / growth / jets
 
 
-_FIELD_BUILDERS = {
-    "xi": lambda n, a: make_xi(n, a),
-    "theta": lambda n, a, b: make_theta(n, a, b),
-}
-
-
 def _field_by_name(name: str, n: int):
     name = name.lower()
     if name.startswith("xi"):

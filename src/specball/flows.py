@@ -438,22 +438,34 @@ def matrix_from_json(data) -> Matrix:
     return as_matrix(A)
 
 
-def _complex_from_json(pair) -> complex:
+def _complex_from_json(pair, name: str) -> complex:
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(x, (int, float)) for x in pair)):
+        raise ValueError(f"{name} must be an [re, im] pair of numbers")
     return complex(pair[0], pair[1])
 
 
 def atom_from_json(obj: dict, n: int) -> AutomorphismAtom:
-    if len(obj) != 1:
-        raise ValueError("atom object must have exactly one key")
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ValueError("each atom must be an object with exactly one key")
     kind, body = next(iter(obj.items()))
+    if not isinstance(body, dict):
+        raise ValueError(f"{kind} atom: its value must be an object")
     if kind == "overshear":
-        a, b = body["theta"]
-        f = parse_poly(body["f"], n)
-        t = _complex_from_json(body["t"]) if isinstance(body["t"], list) else complex(body["t"])
-        return Overshear(n=n, a=a, b=b, f=f, t=t)
+        theta, f, t = body["theta"], body["f"], body["t"]
+        if not (isinstance(theta, list) and len(theta) == 2
+                and all(isinstance(i, int) for i in theta)):
+            raise ValueError("overshear 'theta' must be a pair of integer indices")
+        if not isinstance(f, str):
+            raise ValueError("overshear 'f' must be a polynomial string")
+        if isinstance(t, list):
+            t = _complex_from_json(t, "overshear 't'")
+        elif not isinstance(t, (int, float, str)):
+            raise ValueError("overshear 't' must be a number or an [re, im] pair")
+        return Overshear(n=n, a=theta[0], b=theta[1], f=parse_poly(f, n), t=complex(t))
     if kind == "moebius":
-        return Moebius(alpha=_complex_from_json(body["alpha"]),
-                       gamma=_complex_from_json(body["gamma"]))
+        return Moebius(alpha=_complex_from_json(body["alpha"], "moebius 'alpha'"),
+                       gamma=_complex_from_json(body["gamma"], "moebius 'gamma'"))
     if kind == "transpose":
         return Transpose()
     if kind == "conjugate":
@@ -462,4 +474,6 @@ def atom_from_json(obj: dict, n: int) -> AutomorphismAtom:
 
 
 def word_from_json(data: list, n: int) -> AutomorphismWord:
+    if not isinstance(data, list):
+        raise ValueError("word JSON must be a list of atom objects")
     return [atom_from_json(obj, n) for obj in data]

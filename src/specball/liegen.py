@@ -6,16 +6,18 @@ closes under brackets, grade by grade, where the grade of f*V is deg f.
 The verification target at grade d is containment of f*V for every
 degree-d monomial f in the traceless coordinates and every generator V.
 
-Fields with homogeneous degree-(d+1) components are vectorized twice: in
-raw coordinates, where a single-prime filter decides which brackets are
-kept, and in traceless coordinates, where exact integer elimination
-decides the certificate.  The filter is sound because it can only err
-towards rejection: vectors independent mod p are independent over Q, and
-a wrongly rejected field leaves its pairs missing, which reads "not
-certified", never a false certificate.  Because the generator fields
-satisfy polynomial relations (e.g. 2*x12*Theta12 + 2*x21*Theta21 +
-(x11-x22)*Xi1 = 0 on 2x2 matrices), the component rank of the target
-space is lower than the raw pair count; reports carry both numbers.
+The closure works in one coordinate system, the traceless one: x_nn is
+replaced by -(x_11 + ... + x_{n-1,n-1}), which is the fibre tr = 0, and
+exact integer elimination decides both which brackets are kept and the
+certificate.  Keeping a bracket only when its traceless vector is new
+loses nothing.  Every field here is tangent to the trace levels
+(Y(tr) = 0), so restricting to tr = 0 is a Lie algebra homomorphism whose
+kernel, the fields divisible by tr, is an ideal: [tr*A, Y] = tr*[A, Y].
+A field whose traceless vector is already spanned therefore adds nothing
+to any later grade either.  Because the generator fields satisfy
+polynomial relations (e.g. 2*x12*Theta12 + 2*x21*Theta21 + (x11-x22)*Xi1 =
+0 on 2x2 matrices), the component rank of the target space is lower than
+the pair count; reports carry both numbers.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .adjointfields import (
     make_xi,
     scale_field,
 )
-from .linalg import ExactRowSpace, ModularRowSpace, clear_denominators
+from .linalg import ExactRowSpace, clear_denominators
 from .polyring import (
     HomSliceBasis,
     Monomial,
@@ -47,8 +49,6 @@ from .polyring import (
     substitute_trace,
     var_name,
 )
-
-WORK_PRIME = 2305843009213693967  # fixed 62-bit prime for the insertion filter
 
 
 class GradingError(ValueError):
@@ -100,7 +100,9 @@ def build_seeds(n: int) -> list[Seed]:
 
 def vectorize(v: VectorField, m: int, basis: HomSliceBasis | None = None) -> dict[int, Fraction]:
     """Flat sparse vector of a field whose components are homogeneous of
-    degree m, over the basis (degree-m monomials) x (component index)."""
+    degree m, over the basis (degree-m monomials) x (component index).
+
+    Raw coordinates: `closure` uses the traceless ones (`_SlProjector`)."""
     n = v.n
     nvars = n * n
     if basis is None:
@@ -170,30 +172,6 @@ class _SlProjector:
 
 
 # ---------------------------------------------------------------------------
-# graded spans
-
-
-class GradedSpan:
-    """Fields accepted at one grade (homogeneous degree-(grade+1)
-    components) and their primitive integer vectors over `basis`."""
-
-    def __init__(self, n: int, grade: int):
-        self.n = n
-        self.grade = grade
-        self.basis = HomSliceBasis(n * n, grade + 1, n=n)
-        self.fields: list[VectorField] = []
-        self.vectors: list[dict[int, int]] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.fields)
-
-    def add(self, v: VectorField, vec: dict[int, int]):
-        self.fields.append(v)
-        self.vectors.append(vec)
-
-
-# ---------------------------------------------------------------------------
 # closure engine
 
 
@@ -207,7 +185,7 @@ class DegreeReport:
     missing_witnesses: list[str]
     sl_rank: int                     # component rank of the traceless projection
     sl_target_component_rank: int
-    gl_rank: int                     # component rank of the raw span
+    gl_rank: int                     # kept fields; equal to sl_rank
     brackets_evaluated: int
     complete: bool                   # fixed point or target reached within budget
     certified: bool                  # achieved_rank == target_rank, span inside the pairs
@@ -217,7 +195,7 @@ class DegreeReport:
 class ClosureResult:
     n: int
     max_degree: int
-    spans: dict[int, GradedSpan]
+    spans: dict[int, list[VectorField]]  # grade -> kept fields
     reports: dict[int, DegreeReport]
     complete: bool
 
@@ -240,34 +218,33 @@ def closure(seeds: list[Seed], max_degree: int,
             early_exit: bool = True, n: int | None = None) -> ClosureResult:
     """Bracket-closure of the seed set, graded by coefficient degree.
 
-    Each grade keeps three echelons: the raw filter mod WORK_PRIME, which
-    decides which fields are kept; an exact one of the kept fields'
-    traceless vectors, which stops the grade early once it reaches the
-    target rank; and an exact one of the target pairs' traceless vectors.
-    The last two certify the grade (`_certify_degree`).
+    Each grade keeps two exact echelons, both in traceless coordinates:
+    one of the kept fields' vectors, which accepts a bracket exactly when
+    its vector is new over Q and stops the grade early once it reaches the
+    target rank, and one of the target pairs' vectors.  Together they
+    certify the grade (`_certify_degree`).  A rejected bracket differs from
+    a combination of kept fields by a multiple of tr, and multiples of tr
+    form an ideal, so rejecting it changes no later grade's span (module
+    docstring).
     """
     if not seeds:
         raise PreconditionError("empty seed set")
     if n is None:
         n = _seed_dim(seeds)
-    t_start = time.monotonic()
-    deadline = t_start + budget_ms / 1000.0 if budget_ms is not None else None
+    deadline = time.monotonic() + budget_ms / 1000.0 if budget_ms is not None else None
 
     gen_fields = {g: generator_field(n, g) for g in generator_ids(n)}
     gens = list(gen_fields.values())
-    spans: dict[int, GradedSpan] = {}
+    spans: dict[int, list[VectorField]] = {}
     reports: dict[int, DegreeReport] = {}
     brackets_done = 0
-    overall_complete = True
 
     grade_of_seed: dict[int, list[Seed]] = {}
     for s in seeds:
         grade_of_seed.setdefault(s.grade, []).append(s)
 
-    budget_hit = False
     for d in range(max_degree + 1):
-        span = spans[d] = GradedSpan(n, d)
-        raw_filter = ModularRowSpace(WORK_PRIME)
+        kept = spans[d] = []
         proj = _SlProjector(n, d)
         sl_space = ExactRowSpace()
         pairs = [(f, g, proj.vector(scale_field(f, gen_fields[g])))
@@ -276,64 +253,47 @@ def closure(seeds: list[Seed], max_degree: int,
         for _, _, vec in pairs:
             target_space.insert(vec)
 
-        def try_insert(v: VectorField) -> bool:
-            if v.is_zero():
-                return False
-            vec = clear_denominators(vectorize(v, d + 1, span.basis))
-            if not raw_filter.insert(vec):
-                return False
-            span.add(v, vec)
-            sl_space.insert(proj.vector(v))
-            return True
+        # bracket queue: (a, index in grade a, index in grade d - a); a = 0
+        # indexes the generators
+        queue: deque[tuple[int, int, int]] = deque()
+
+        def keep(v: VectorField):
+            """Keep v if its traceless vector is new, and queue its brackets
+            with the generators."""
+            if sl_space.insert(proj.vector(v)):
+                kept.append(v)
+                queue.extend((0, gi, len(kept) - 1) for gi in range(len(gens)))
 
         brackets_at_start = brackets_done
-        new_elements = []
         for s in grade_of_seed.get(d, ()):
-            if try_insert(s.field(n)):
-                new_elements.append(span.rank - 1)
-
-        complete = True
-
-        # bracket queue: (grade a index, grade b index) pairs with a + b = d
-        queue: deque[tuple[int, int, int]] = deque()
-        for idx in new_elements:
-            for gi in range(len(gens)):
-                queue.append((0, gi, idx))          # (a=0 generator, element of grade d)
+            keep(s.field(n))
         for a in range(1, d // 2 + 1):
             b = d - a
-            for i in range(len(spans[a].fields)):
-                for j in range(len(spans[b].fields)):
+            for i in range(len(spans[a])):
+                for j in range(len(spans[b])):
                     if a == b and j <= i:
                         continue
                     queue.append((a, i, j))
 
+        complete = True
         while queue and not (early_exit and sl_space.rank >= target_space.rank):
-            if deadline is not None and time.monotonic() > deadline:
+            if ((deadline is not None and time.monotonic() > deadline)
+                    or (budget_brackets is not None and brackets_done >= budget_brackets)):
                 complete = False
-                budget_hit = True
-                break
-            if budget_brackets is not None and brackets_done >= budget_brackets:
-                complete = False
-                budget_hit = True
                 break
             a, i, j = queue.popleft()
-            b = d - a
             if a == 0:
-                x, y = gens[i], span.fields[j]
+                x, y = gens[i], kept[j]
             else:
-                x, y = spans[a].fields[i], spans[b].fields[j]
-            w = bracket(x, y)
+                x, y = spans[a][i], spans[d - a][j]
+            keep(bracket(x, y))
             brackets_done += 1
-            if try_insert(w):
-                new_idx = span.rank - 1
-                for gi in range(len(gens)):
-                    queue.append((0, gi, new_idx))
 
-        reports[d] = _certify_degree(n, d, span, sl_space, target_space, pairs,
+        reports[d] = _certify_degree(n, d, sl_space, target_space, pairs,
                                      brackets_done - brackets_at_start, complete)
-        overall_complete = overall_complete and reports[d].complete
 
-    return ClosureResult(n, max_degree, spans, reports, overall_complete and not budget_hit)
+    return ClosureResult(n, max_degree, spans, reports,
+                         all(rep.complete for rep in reports.values()))
 
 
 def _seed_dim(seeds: list[Seed]) -> int:
@@ -341,8 +301,7 @@ def _seed_dim(seeds: list[Seed]) -> int:
     return matrix_dim(seeds[0].coefficient.nvars)
 
 
-def _certify_degree(n: int, d: int, span: GradedSpan, sl_space: ExactRowSpace,
-                    target_space: ExactRowSpace,
+def _certify_degree(n: int, d: int, sl_space: ExactRowSpace, target_space: ExactRowSpace,
                     pairs: list[tuple[Polynomial, GeneratorId, dict[int, int]]],
                     brackets_done: int, complete: bool) -> DegreeReport:
     """Certify span equality with the pair span in traceless coordinates.
@@ -351,8 +310,8 @@ def _certify_degree(n: int, d: int, span: GradedSpan, sl_space: ExactRowSpace,
     `target_space` that of the target pairs f*V, listed with their vectors
     in `pairs`.  A pair outside `sl_space` is missing; the grade is
     certified when no pair is missing, the span lies inside the pair span
-    and the closure completed.  `gl_rank` counts the kept fields: their raw
-    vectors are independent mod p, hence over Q.
+    and the closure completed.  Every kept field grew `sl_space`, so
+    `gl_rank`, the kept-field count, is its rank.
     """
     missing = [(f, g) for f, g, vec in pairs if not sl_space.contains(vec)]
     sub_ok = all(target_space.contains(row) for row in sl_space.rows.values())
@@ -362,7 +321,7 @@ def _certify_degree(n: int, d: int, span: GradedSpan, sl_space: ExactRowSpace,
         target_rank=len(pairs), achieved_rank=achieved,
         missing_witnesses=[f"{format_poly(f)} * {g.label()}" for f, g in missing],
         sl_rank=sl_space.rank, sl_target_component_rank=target_space.rank,
-        gl_rank=span.rank,
+        gl_rank=sl_space.rank,
         brackets_evaluated=brackets_done,
         complete=complete,
         certified=(achieved == len(pairs) and sub_ok and complete),

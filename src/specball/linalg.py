@@ -4,9 +4,11 @@ Row spaces are kept in echelon form keyed by pivot column.  Exact rows are
 primitive integer vectors (denominators cleared, gcd divided out), so all
 reductions stay in arbitrary-precision integers; every rank and membership
 that a report certifies comes from them.  The modular variant runs the same
-elimination over F_p and serves only as a filter: integer vectors that are
-independent mod p are independent over Q, so the rows it accepts are
-independent, but a vector it rejects may still be new over Q.
+elimination over F_p.  No path in the package uses it: it stays because the
+benchmark's traced run wraps its `reduce`, and because its rank is the
+lower bound a one-prime certificate needs (integer vectors independent
+mod p are independent over Q, while a vector it rejects may still be new
+over Q).
 """
 
 from __future__ import annotations

@@ -234,12 +234,6 @@ class Polynomial:
             return False
         return m is None or degs == {m}
 
-    def constant_term(self) -> int | Fraction:
-        return self.terms.get(Monomial.one(), 0)
-
-    def coefficient(self, mono: Monomial) -> int | Fraction:
-        return self.terms.get(mono, 0)
-
     def _check(self, other: "Polynomial"):
         if self.nvars != other.nvars:
             raise DimensionMismatch(

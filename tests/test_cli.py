@@ -209,6 +209,25 @@ def test_orbit_outside_ball_is_precondition_error(capsys, orbit_files):
     assert code == 4
 
 
+@pytest.mark.parametrize("word,field", [
+    ({"a": 1}, "list of atom objects"),
+    (["transpose"], "exactly one key"),
+    ([{"overshear": {"theta": 5, "f": "x11", "t": [0.3, 0.0]}}], "'theta'"),
+    ([{"overshear": {"theta": ["1", "2"], "f": "x11", "t": [0.3, 0.0]}}], "'theta'"),
+    ([{"overshear": {"theta": [1, 2], "f": 5, "t": [0.3, 0.0]}}], "'f'"),
+    ([{"moebius": {"alpha": 0.5, "gamma": [1, 0]}}], "'alpha'"),
+])
+def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word, field):
+    mat = orbit_files[0]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(word))
+    code = cli.main(["orbit", "--word", str(path), "--matrix", str(mat)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert field in captured.err
+
+
 def test_out_file_atomic_write(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = cli.main(["tables", "--n", "3", "--out", str(out_path)])

@@ -8,7 +8,9 @@ from specball.adjointfields import (
     Theta,
     VectorField,
     Xi,
+    bracket,
     generator_field,
+    generator_ids,
     make_theta,
     make_xi,
     scale_field,
@@ -46,14 +48,15 @@ EXPECTED_PRINTED_MATCH = {
 }
 
 
-def in_span(span, v):
-    """Membership oracle: exact elimination over the raw vectors of the
-    span's fields, independent of the echelons `closure` keeps."""
-    m = span.grade + 1
+def in_span(fields, v, grade):
+    """Traceless membership oracle: exact elimination over the
+    `sl_vector_oracle` vectors of the grade's kept fields, independent of
+    the echelons `closure` keeps.  The closure spans the target fields only
+    modulo multiples of the trace, so raw vectors are not compared."""
     space = ExactRowSpace()
-    for w in span.fields:
-        space.insert(clear_denominators(vectorize(w, m, span.basis)))
-    return space.contains(clear_denominators(vectorize(v, m, span.basis)))
+    for w in fields:
+        space.insert(sl_vector_oracle(w, grade))
+    return space.contains(sl_vector_oracle(v, grade))
 
 
 def field_of(vec, n, m):
@@ -119,13 +122,13 @@ def test_closure_degree0_full_sl2():
 def test_closure_degree1_contains_x12_theta12():
     res = closure(build_seeds(2), 1)
     v = scale_field(Polynomial.x(1, 2, 2), make_theta(2, 1, 2))
-    assert in_span(res.spans[1], v)
+    assert in_span(res.spans[1], v, 1)
     assert res.reports[1].certified
 
 
 def test_closure_contains_zero_field():
     res = closure(build_seeds(2), 1)
-    assert in_span(res.spans[1], VectorField.zero(2))
+    assert in_span(res.spans[1], VectorField.zero(2), 1)
 
 
 def test_closure_n2_contains_x12_powers():
@@ -133,7 +136,7 @@ def test_closure_n2_contains_x12_powers():
     t12 = make_theta(2, 1, 2)
     x12 = Polynomial.x(1, 2, 2)
     for d in (1, 2, 3):
-        assert in_span(res.spans[d], scale_field(x12 ** d, t12))
+        assert in_span(res.spans[d], scale_field(x12 ** d, t12), d)
     for d in (0, 1, 2, 3):
         assert res.reports[d].certified
 
@@ -141,13 +144,13 @@ def test_closure_n2_contains_x12_powers():
 def test_closure_n3_degree1_contains_x11_xi1():
     res = closure(build_seeds(3), 1)
     v = scale_field(Polynomial.x(1, 1, 3), make_xi(3, 1))
-    assert in_span(res.spans[1], v)
+    assert in_span(res.spans[1], v, 1)
 
 
 def test_closure_n3_degree2_contains_x12sq_theta12():
     res = closure(build_seeds(3), 2)
     v = scale_field(parse_poly("x12^2", 3), make_theta(3, 1, 2))
-    assert in_span(res.spans[2], v)
+    assert in_span(res.spans[2], v, 2)
     assert res.reports[2].certified
 
 
@@ -165,10 +168,10 @@ def test_closure_order_independent():
         assert r1.reports[d].sl_rank == r2.reports[d].sl_rank
         assert r1.reports[d].gl_rank == r2.reports[d].gl_rank
         # spans agree as subspaces: each basis field of one lies in the other
-        for v in r1.spans[d].fields:
-            assert in_span(r2.spans[d], v)
-        for v in r2.spans[d].fields:
-            assert in_span(r1.spans[d], v)
+        for v in r1.spans[d]:
+            assert in_span(r2.spans[d], v, d)
+        for v in r2.spans[d]:
+            assert in_span(r1.spans[d], v, d)
     e1 = closure(seeds, 2)
     e2 = closure(shuffled, 2)
     for d in range(3):
@@ -185,8 +188,8 @@ def test_closure_monotone_under_budget():
     assert full.complete
     for d in range(3):
         assert res.reports[d].achieved_rank <= full.reports[d].achieved_rank
-        for v in res.spans[d].fields:
-            assert in_span(full.spans[d], v)
+        for v in res.spans[d]:
+            assert in_span(full.spans[d], v, d)
 
 
 def test_empty_seed_set_rejected():
@@ -222,7 +225,6 @@ def test_verify_identity_unknown_name():
 
 def test_hyperbolic_detour_value():
     # frozen by hand: 2[x12 Xi1, x12 Theta12] - [x12^2 Xi1, Theta12] = -2 x12^2 Theta12
-    from specball.adjointfields import bracket
     n = 2
     x12 = Polynomial.x(1, 2, n)
     xi1, t12 = make_xi(n, 1), make_theta(n, 1, 2)
@@ -268,12 +270,43 @@ def sl_vector_oracle(v, grade):
 def test_sl_projection_matches_per_component_oracle(closure_n3):
     for d in range(3):
         proj = _SlProjector(3, d)
-        fields = closure_n3.spans[d].fields
+        fields = closure_n3.spans[d]
         for v in fields:
             assert proj.vector(v) == sl_vector_oracle(v, d)
         # rational coefficients take the Fraction path
         for v in (Fraction(1, 2) * fields[-1], fields[0] + Fraction(1, 2) * fields[-1]):
             assert proj.vector(v) == sl_vector_oracle(v, d)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_multiples_of_trace_form_an_ideal(n):
+    # why `closure` may reject a bracket whose traceless vector is spanned:
+    # tr*V vanishes in traceless coordinates, and so does its bracket with
+    # any field W, because W(tr) = 0 gives [tr*V, W] = tr*[V, W]
+    tr = Polynomial.x(1, 1, n)
+    for i in range(2, n + 1):
+        tr = tr + Polynomial.x(i, i, n)
+    seeds = [s for s in build_seeds(n) if s.grade <= 1]
+    nonzero = 0
+    for g in generator_ids(n):
+        tv = scale_field(tr, generator_field(n, g))
+        assert not tv.is_zero() and sl_vector_oracle(tv, 1) == {}
+        for s in seeds:
+            w = bracket(tv, s.field(n))
+            nonzero += not w.is_zero()
+            assert sl_vector_oracle(w, 1 + s.grade) == {}
+    assert nonzero > len(seeds)
+
+
+@pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 2)])
+def test_kept_fields_are_traceless_independent(n, max_degree, closure_n3):
+    res = closure_n3 if n == 3 else closure(build_seeds(n), max_degree)
+    for d in range(max_degree + 1):
+        space = ExactRowSpace()
+        for v in res.spans[d]:
+            assert space.insert(sl_vector_oracle(v, d))
+        rep = res.reports[d]
+        assert len(res.spans[d]) == space.rank == rep.sl_rank == rep.gl_rank
 
 
 @pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 2)])
