@@ -18,7 +18,6 @@ operator-commutator orientation; spans and kernels are unaffected.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -245,13 +244,13 @@ def divergence(v: VectorField) -> Polynomial:
 # table emission
 
 
-def emit_tables(n: int, fmt: str = "dict"):
+def emit_tables(n: int) -> dict:
     """Generator fields and the full action on linear monomials.
 
     Returns a dict with `generators` (componentwise text form) and `action`
-    (rows indexed by linear monomial, columns by generator).  fmt="text"
-    renders both as aligned plain text instead.  For n >= 10 all variables
-    use the bracketed x[k,l] form.
+    (rows indexed by linear monomial, columns by generator);
+    `render_tables_text` renders it as aligned plain text.  For n >= 10 all
+    variables use the bracketed x[k,l] form.
     """
     if n < 2:
         raise ValueError("table emission needs n >= 2")
@@ -272,23 +271,16 @@ def emit_tables(n: int, fmt: str = "dict"):
         xv = Polynomial.variable(n * n, v)
         action.append([format_poly(field.apply(xv)) for _, field in fields])
 
-    report = {
+    return {
         "n": n,
         "generator_order": [g.label() for g in gens],
         "generators": generators,
         "variables": variables,
         "action": action,
     }
-    if fmt == "dict":
-        return report
-    if fmt == "json":
-        return json.dumps(report, indent=2)
-    if fmt == "text":
-        return _render_tables_text(report)
-    raise ValueError(f"unknown format {fmt!r}")
 
 
-def _render_tables_text(report: dict) -> str:
+def render_tables_text(report: dict) -> str:
     lines = [f"generator fields (n={report['n']})", ""]
     for entry in report["generators"]:
         parts = " ".join(

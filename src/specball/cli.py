@@ -17,8 +17,8 @@ from importlib import resources
 
 import numpy as np
 
-from . import adjointfields, flows, kernelgrowth, liegen
-from .adjointfields import emit_tables, make_theta, make_xi
+from . import flows, kernelgrowth, liegen
+from .adjointfields import emit_tables, make_theta, make_xi, render_tables_text
 from .polyring import parse_poly
 
 SCHEMA_VERSION = 1
@@ -107,7 +107,7 @@ def cmd_tables(args) -> int:
         matched = _table_structure(report) == _table_structure(_golden_tables())
     payload = _report(config, {"tables": report, "golden_match": matched})
     if args.format == "text":
-        text = adjointfields._render_tables_text(report)
+        text = render_tables_text(report)
         if matched is not None:
             text += f"\n\ngolden_match: {matched}"
         _write_output(text, args.out)
@@ -310,17 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, n_default=None):
         p.add_argument("--out", default=None, help="output path (atomic write)")
-        p.add_argument("--format", choices=["json", "text", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=0)
         if n_default is not None:
             p.add_argument("--n", type=int, default=n_default)
 
     p = sub.add_parser("tables", help="emit generator and action tables")
     common(p, n_default=3)
+    p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="check the bracket identity catalog")
     common(p, n_default=2)
+    p.add_argument("--format", choices=["json", "text"], default="json")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the randomized identity instances")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--all", action="store_true")
     g.add_argument("--id", default=None)

@@ -1,8 +1,11 @@
 """Kernel dimensions of degree-preserving derivations on homogeneous slices.
 
 A degree-preserving derivation is determined by a linear action on the
-variables, so it is stored as an exact matrix A with D(x_j) = sum_i A[i,j] x_i.
-Restriction to the degree-m slice is the induced Leibniz action on monomials.
+variables, so it is stored as the entries of a matrix A with
+D(x_j) = sum_i A[i,j] x_i, each an `int` when integral and a `Fraction` only
+when a denominator remains (the polyring convention).  Restriction to the
+degree-m slice is the induced Leibniz action on monomials, a
+`linalg.SparseMatrix` whose rows are integer for every integral derivation.
 
 `kernel_dim_with_method` gives dim ker D and dim ker D^2 on every slice of
 degree 0..m_max from weight counts, once the linear matrix is verified to be
@@ -13,11 +16,12 @@ of the right kind:
   Jacobson-Morozov grading h, block k carrying h-weights k-1, k-3, ..., 1-k,
   and the sl2 decomposition of the slice gives ker = W_0 + W_1 and
   ker^2 = W_0 + 2 W_1 + W_2;
-* anything else ("exact"): sparse integer elimination of the slice matrices.
+* anything else ("exact"): elimination of the slice matrices.
 
 W_j counts the degree-m monomials of total weight j.  Elimination of the
-slice matrices (`kernel_dim`) stays as the independent oracle for the other
-two methods.
+slice matrices (`kernel_dim`: the rows of D, or of D^2 multiplied row by row,
+inserted into `linalg.ExactRowSpace` with denominators cleared) is the one
+kernel oracle; it serves the "exact" method and checks the other two.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from math import comb
 
 from .adjointfields import VectorField, make_theta, make_xi
 from .linalg import SparseMatrix
-from .polyring import HomSliceBasis, Monomial
+from .polyring import HomSliceBasis, Monomial, exact_coefficient
 
 
 class GradingError(ValueError):
@@ -38,14 +42,14 @@ class GradingError(ValueError):
 class LinearDerivation:
     """Degree-preserving derivation on nvars variables."""
 
-    def __init__(self, nvars: int, entries: dict[tuple[int, int], Fraction]):
+    def __init__(self, nvars: int, entries: dict[tuple[int, int], int | Fraction]):
         self.nvars = nvars
-        self.entries = {k: Fraction(v) for k, v in entries.items() if v != 0}
+        self.entries = {k: exact_coefficient(c) for k, c in entries.items() if c}
 
     @staticmethod
     def from_vector_field(v: VectorField) -> "LinearDerivation":
         nvars = v.n * v.n
-        entries: dict[tuple[int, int], Fraction] = {}
+        entries: dict[tuple[int, int], int | Fraction] = {}
         for var, poly in v.components.items():
             if not poly.is_homogeneous(1):
                 raise GradingError("vector field is not degree-preserving "
@@ -58,79 +62,66 @@ class LinearDerivation:
     @staticmethod
     def chain(length: int = 3) -> "LinearDerivation":
         """x_1 d/dx_0 + x_2 d/dx_1 + ... on `length` variables."""
-        return LinearDerivation(length, {(j + 1, j): Fraction(1) for j in range(length - 1)})
+        return LinearDerivation(length, {(j + 1, j): 1 for j in range(length - 1)})
 
     @staticmethod
     def diagonal(weights: list[int]) -> "LinearDerivation":
-        return LinearDerivation(len(weights),
-                                {(i, i): Fraction(w) for i, w in enumerate(weights)})
+        return LinearDerivation(len(weights), {(i, i): w for i, w in enumerate(weights)})
 
     def is_diagonal(self) -> bool:
         return all(i == j for (i, j) in self.entries)
 
-    def weights(self) -> dict[int, Fraction]:
+    def integer_weights(self) -> list[int] | None:
+        """The weight of each variable when the derivation is diagonal with
+        integer weights, else None."""
         if not self.is_diagonal():
-            raise GradingError("derivation is not diagonal")
-        return {j: self.entries.get((j, j), Fraction(0)) for j in range(self.nvars)}
+            return None
+        weights = [self.entries.get((j, j), 0) for j in range(self.nvars)]
+        return weights if all(type(w) is int for w in weights) else None
 
     def adjoin_nilpotent_pair(self) -> "LinearDerivation":
         """The derivation y d/dx + self on two fresh variables plus the old ones."""
-        entries = {(1, 0): Fraction(1)}
+        entries = {(1, 0): 1}
         for (i, j), c in self.entries.items():
             entries[(i + 2, j + 2)] = c
         return LinearDerivation(self.nvars + 2, entries)
 
-    def restrict(self, m: int, basis: HomSliceBasis | None = None) -> "HomSliceOperator":
-        """Matrix of the induced action on the degree-m slice."""
-        if basis is None:
-            basis = HomSliceBasis(self.nvars, m)
-        by_col: dict[int, list[tuple[int, Fraction]]] = {}
+    def matrix(self) -> SparseMatrix:
+        """The linear matrix A, with D(x_j) = sum_i A[i,j] x_i."""
+        rows: dict[int, dict[int, int | Fraction]] = {}
+        for (i, j), c in self.entries.items():
+            rows.setdefault(i, {})[j] = c
+        return SparseMatrix(self.nvars, self.nvars, rows)
+
+    def restrict(self, m: int) -> SparseMatrix:
+        """Matrix of the induced action on the degree-m slice, indexed by
+        `HomSliceBasis(nvars, m)`."""
+        basis = HomSliceBasis(self.nvars, m)
+        by_col: dict[int, list[tuple[int, int | Fraction]]] = {}
         for (i, j), c in self.entries.items():
             by_col.setdefault(j, []).append((i, c))
-        entries: dict[tuple[int, int], Fraction] = {}
+        rows: dict[int, dict[int, int | Fraction]] = {}
         for col, mono in enumerate(basis.monomials):
             for j, e in mono.powers:
-                images = by_col.get(j)
-                if not images:
-                    continue
-                for i, c in images:
+                for i, c in by_col.get(j, ()):
                     shifted = dict(mono.powers)
                     shifted[j] = shifted[j] - 1
                     shifted[i] = shifted.get(i, 0) + 1
-                    row = basis.index[Monomial(shifted.items())]
-                    key = (row, col)
-                    s = entries.get(key, 0) + e * c
-                    if s:
-                        entries[key] = s
-                    else:
-                        entries.pop(key, None)
-        return HomSliceOperator(self.nvars, m, basis, SparseMatrix(len(basis), len(basis), entries))
+                    row = rows.setdefault(basis.index[Monomial(shifted.items())], {})
+                    row[col] = row.get(col, 0) + e * c
+        return SparseMatrix(len(basis), len(basis), rows)
 
 
-@dataclass
-class HomSliceOperator:
-    """A derivation restricted to the homogeneous slice of degree m."""
-    nvars: int
-    m: int
-    basis: HomSliceBasis
-    matrix: SparseMatrix
-
-    @property
-    def size(self) -> int:
-        return len(self.basis)
-
-
-def restrict(v: VectorField, m: int) -> HomSliceOperator:
+def restrict(v: VectorField, m: int) -> SparseMatrix:
     return LinearDerivation.from_vector_field(v).restrict(m)
 
 
-def kernel_dim(op: HomSliceOperator, power: int = 1) -> int:
-    """Nullity of the slice matrix (power 1) or of its square (power 2), by
-    exact elimination over the rationals."""
+def kernel_dim(mat: SparseMatrix, power: int = 1) -> int:
+    """Nullity of a slice matrix (power 1) or of its square (power 2), by
+    exact integer elimination."""
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
-    mat = op.matrix if power == 1 else op.matrix @ op.matrix
-    return mat.nullity()
+    return (mat if power == 1 else mat @ mat).nullity()
 
 
 def kernel_dim_with_method(der: LinearDerivation,
@@ -140,9 +131,9 @@ def kernel_dim_with_method(der: LinearDerivation,
     """
     if m_max < 0:
         raise ValueError("degree must be non-negative")
-    if der.is_diagonal() and all(w.denominator == 1 for w in der.weights().values()):
-        ws = WeightSystem([int(w) for w in der.weights().values()])
-        return [(w0, w0) for w0 in weight_kernel_table(ws, m_max)], "weights"
+    weights = der.integer_weights()
+    if weights is not None:
+        return [(w0, w0) for w0 in weight_kernel_table(WeightSystem(weights), m_max)], "weights"
     blocks = jordan_type(der)
     if blocks is not None:
         h = [k - 1 - 2 * i for k in blocks for i in range(k)]
@@ -154,15 +145,15 @@ def kernel_dim_with_method(der: LinearDerivation,
         return rows, "sl2"
     rows = []
     for m in range(m_max + 1):
-        op = der.restrict(m)
-        rows.append((kernel_dim(op, 1), kernel_dim(op, 2)))
+        mat = der.restrict(m)
+        rows.append((kernel_dim(mat, 1), kernel_dim(mat, 2)))
     return rows, "exact"
 
 
 def jordan_type(der: LinearDerivation) -> list[int] | None:
     """Jordan block sizes (descending) of the linear matrix when it is
     nilpotent, from the ranks of its powers; None when it is not nilpotent."""
-    mat = SparseMatrix(der.nvars, der.nvars, der.entries)
+    mat = der.matrix()
     ranks = [der.nvars]
     power = mat
     while ranks[-1] > 0:
@@ -191,15 +182,10 @@ class WeightSystem:
 
     @staticmethod
     def from_vector_field(v: VectorField) -> "WeightSystem":
-        der = LinearDerivation.from_vector_field(v)
-        w = der.weights()
-        out = []
-        for j in range(der.nvars):
-            wj = w[j]
-            if wj.denominator != 1:
-                raise GradingError("non-integer weight")
-            out.append(int(wj))
-        return WeightSystem(out)
+        weights = LinearDerivation.from_vector_field(v).integer_weights()
+        if weights is None:
+            raise GradingError("field is not diagonal with integer weights")
+        return WeightSystem(weights)
 
 
 def _weight_counts(weights: list[int], m_max: int) -> list[dict[int, int]]:
@@ -244,7 +230,7 @@ def diagonal_kernel_series_formula(n: int, m: int, printed: bool = False) -> int
 
     printed=True evaluates the often-quoted variant that uses multiplicity
     4n-4 for the +-1 factors and repeats k in the second binomial; it is kept
-    only for the comparison report.
+    so that the tests can show that variant overcounts.
     """
     mult1 = (4 * n - 4) if printed else 2 * (n - 2)
     mult0 = (n - 2) ** 2 + 2

@@ -45,6 +45,7 @@ from .polyring import (
     Polynomial,
     flat_index,
     format_poly,
+    matrix_dim,
     slice_monomials,
     substitute_trace,
     var_name,
@@ -98,15 +99,14 @@ def build_seeds(n: int) -> list[Seed]:
 # ---------------------------------------------------------------------------
 # vectorization
 
-def vectorize(v: VectorField, m: int, basis: HomSliceBasis | None = None) -> dict[int, Fraction]:
+def vectorize(v: VectorField, m: int) -> dict[int, Fraction]:
     """Flat sparse vector of a field whose components are homogeneous of
     degree m, over the basis (degree-m monomials) x (component index).
 
     Raw coordinates: `closure` uses the traceless ones (`_SlProjector`)."""
     n = v.n
     nvars = n * n
-    if basis is None:
-        basis = HomSliceBasis(nvars, m, n=n)
+    basis = HomSliceBasis(nvars, m)
     out: dict[int, Fraction] = {}
     for comp, poly in v.components.items():
         if not poly.is_homogeneous(m):
@@ -215,7 +215,7 @@ def _target_pairs(n: int, grade: int) -> list[tuple[Polynomial, GeneratorId]]:
 
 def closure(seeds: list[Seed], max_degree: int,
             budget_brackets: int | None = None, budget_ms: float | None = None,
-            early_exit: bool = True, n: int | None = None) -> ClosureResult:
+            early_exit: bool = True) -> ClosureResult:
     """Bracket-closure of the seed set, graded by coefficient degree.
 
     Each grade keeps two exact echelons, both in traceless coordinates:
@@ -226,11 +226,13 @@ def closure(seeds: list[Seed], max_degree: int,
     a combination of kept fields by a multiple of tr, and multiples of tr
     form an ideal, so rejecting it changes no later grade's span (module
     docstring).
+
+    When a budget runs out the closure stops after reporting that grade:
+    later grades get no `spans` or `reports` entry, and `complete` is False.
     """
     if not seeds:
         raise PreconditionError("empty seed set")
-    if n is None:
-        n = _seed_dim(seeds)
+    n = matrix_dim(seeds[0].coefficient.nvars)
     deadline = time.monotonic() + budget_ms / 1000.0 if budget_ms is not None else None
 
     gen_fields = {g: generator_field(n, g) for g in generator_ids(n)}
@@ -291,14 +293,11 @@ def closure(seeds: list[Seed], max_degree: int,
 
         reports[d] = _certify_degree(n, d, sl_space, target_space, pairs,
                                      brackets_done - brackets_at_start, complete)
+        if not complete:
+            break
 
     return ClosureResult(n, max_degree, spans, reports,
                          all(rep.complete for rep in reports.values()))
-
-
-def _seed_dim(seeds: list[Seed]) -> int:
-    from .polyring import matrix_dim
-    return matrix_dim(seeds[0].coefficient.nvars)
 
 
 def _certify_degree(n: int, d: int, sl_space: ExactRowSpace, target_space: ExactRowSpace,

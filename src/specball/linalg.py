@@ -9,13 +9,18 @@ benchmark's traced run wraps its `reduce`, and because its rank is the
 lower bound a one-prime certificate needs (integer vectors independent
 mod p are independent over Q, while a vector it rejects may still be new
 over Q).
+
+`SparseMatrix` is the kernel oracle's slice matrix: integer rows (a
+`Fraction` only where the derivation has a denominator), multiplied row by
+row, with rank and nullity from the exact echelon.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+
+from .polyring import exact_coefficient
 
 
 def clear_denominators(vec: dict[int, int | Fraction]) -> dict[int, int]:
@@ -134,57 +139,39 @@ class ModularRowSpace:
         return not self.reduce(vec)
 
 
-def exact_rank(rows: Iterable[dict[int, Fraction | int]]) -> int:
-    space = ExactRowSpace()
-    for r in rows:
-        space.insert(clear_denominators(r))
-    return space.rank
-
-
 class SparseMatrix:
-    """Sparse exact matrix keyed (row, col), with product and rank."""
+    """Sparse exact matrix stored by rows: `rows[i][j]` is the nonzero entry
+    (i, j), an `int` when integral and a `Fraction` otherwise (the polyring
+    convention).  It holds the slice matrices of the kernel oracle."""
 
-    def __init__(self, nrows: int, ncols: int, entries: dict[tuple[int, int], Fraction] | None = None):
+    def __init__(self, nrows: int, ncols: int,
+                 rows: dict[int, dict[int, int | Fraction]] | None = None):
         self.nrows = nrows
         self.ncols = ncols
-        self.entries: dict[tuple[int, int], Fraction] = {}
-        if entries:
-            for k, v in entries.items():
-                v = Fraction(v)
-                if v != 0:
-                    self.entries[k] = v
-
-    def rows_sparse(self) -> list[dict[int, Fraction]]:
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+        self.rows: dict[int, dict[int, int | Fraction]] = {}
+        for i, row in (rows or {}).items():
+            clean = {j: exact_coefficient(c) for j, c in row.items() if c}
+            if clean:
+                self.rows[i] = clean
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
             raise ValueError("matrix shapes do not align")
-        by_row: dict[int, dict[int, Fraction]] = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(i, {})[k] = v
-        other_rows: dict[int, dict[int, Fraction]] = {}
-        for (k, j), w in other.entries.items():
-            other_rows.setdefault(k, {})[j] = w
-        out: dict[tuple[int, int], Fraction] = {}
-        for i, row in by_row.items():
-            acc: dict[int, Fraction] = {}
+        other_rows = other.rows
+        out: dict[int, dict[int, int | Fraction]] = {}
+        for i, row in self.rows.items():
+            acc: dict[int, int | Fraction] = {}
             for k, v in row.items():
-                orow = other_rows.get(k)
-                if not orow:
-                    continue
-                for j, w in orow.items():
+                for j, w in other_rows.get(k, {}).items():
                     acc[j] = acc.get(j, 0) + v * w
-            for j, s in acc.items():
-                if s:
-                    out[(i, j)] = s
+            out[i] = acc
         return SparseMatrix(self.nrows, other.ncols, out)
 
     def rank(self) -> int:
-        return exact_rank(self.rows_sparse())
+        space = ExactRowSpace()
+        for row in self.rows.values():
+            space.insert(clear_denominators(row))
+        return space.rank
 
     def nullity(self) -> int:
         return self.ncols - self.rank()

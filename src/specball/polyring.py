@@ -46,7 +46,7 @@ def var_name(flat: int, n: int) -> str:
     return f"x[{r},{c}]"
 
 
-def _exact_coefficient(c) -> int | Fraction:
+def exact_coefficient(c) -> int | Fraction:
     """c as an int when it is integral, otherwise as a Fraction."""
     if type(c) is not int:
         c = Fraction(c)
@@ -152,7 +152,7 @@ class Polynomial:
         clean = {}
         if terms:
             for m, c in terms.items():
-                c = _exact_coefficient(c)
+                c = exact_coefficient(c)
                 if c:
                     clean[m] = c
         _SET_NVARS(self, nvars)
@@ -267,7 +267,7 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
-        c = _exact_coefficient(c)
+        c = exact_coefficient(c)
         if not c:
             return Polynomial.zero(self.nvars)
         return Polynomial._of(self.nvars, {m: c * co for m, co in self.terms.items()})
@@ -358,12 +358,11 @@ def slice_monomials(nvars: int, m: int) -> Iterator[Monomial]:
 class HomSliceBasis:
     """Ordered basis of the homogeneous polynomials of fixed total degree."""
 
-    def __init__(self, nvars: int, m: int, n: int | None = None):
+    def __init__(self, nvars: int, m: int):
         if m < 0:
             raise ValueError("degree must be non-negative")
         self.nvars = nvars
         self.m = m
-        self.n = n if n is not None else (isqrt(nvars) if isqrt(nvars) ** 2 == nvars else None)
         self.monomials: list[Monomial] = list(slice_monomials(nvars, m))
         self.index: dict[Monomial, int] = {mo: i for i, mo in enumerate(self.monomials)}
 
@@ -378,7 +377,7 @@ def enumerate_slice(n: int, m: int) -> HomSliceBasis:
     """Basis of degree-m homogeneous polynomials in the n x n matrix entries."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return HomSliceBasis(n * n, m, n=n)
+    return HomSliceBasis(n * n, m)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from specball.adjointfields import (
     make_theta,
     make_xi,
     overshear_class,
+    render_tables_text,
     scale_field,
 )
 from specball.polyring import Polynomial, parse_poly
@@ -261,7 +262,7 @@ def test_emit_tables_counts():
     assert len(rep3["action"]) == 9 and all(len(row) == 8 for row in rep3["action"])
     with pytest.raises(ValueError):
         emit_tables(1)
-    text = emit_tables(3, fmt="text")
+    text = render_tables_text(rep3)
     assert "theta12" in text and "xi2" in text
 
 

@@ -39,6 +39,25 @@ def test_tables_n10_uses_bracketed_syntax(capsys):
     assert payload["tables"]["variables"][0] == "x[1,1]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernels", "--n", "2", "--field", "xi1", "--m", "0..2", "--format", "text"],
+    ["tables", "--n", "2", "--format", "csv"],
+    ["generate", "--n", "2", "--max-degree", "1", "--seed", "3"],
+])
+def test_unread_output_options_are_usage_errors(capsys, argv):
+    # --format exists only on tables and verify (json or text), --seed only on verify
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_tables_text_format(capsys):
+    code, out = run(capsys, ["tables", "--n", "3", "--format", "text"])
+    assert code == 0
+    assert out.startswith("generator fields (n=3)")
+    assert "golden_match: True" in out
+
+
 def test_verify_all(capsys):
     code, out = run(capsys, ["verify", "--all", "--n", "2"])
     assert code == 0

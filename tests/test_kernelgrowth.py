@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -29,16 +30,16 @@ from specball.polyring import Polynomial
 
 def test_restrict_theta12_n2_m1_nilpotent():
     op = restrict(make_theta(2, 1, 2), 1)
-    assert op.size == 4
-    sq = op.matrix @ op.matrix
-    cube = sq @ op.matrix
-    assert sq.entries and not cube.entries       # nilpotent of index 3
+    assert op.nrows == 4
+    sq = op @ op
+    cube = sq @ op
+    assert sq.rows and not cube.rows             # nilpotent of index 3
 
 
 def test_restrict_xi_is_diagonal():
     for n in (2, 3):
         op = restrict(make_xi(n, 1), 1)
-        assert all(i == j for (i, j) in op.matrix.entries)
+        assert all(set(row) == {i} for i, row in op.rows.items())
 
 
 def test_restrict_rejects_nonlinear_field():
@@ -51,8 +52,8 @@ def test_restrict_rejects_nonlinear_field():
 def test_restrict_zero_field():
     from specball.adjointfields import VectorField
     op = restrict(VectorField.zero(2), 2)
-    assert op.matrix.entries == {}
-    assert kernel_dim(op, 1) == op.size
+    assert op.rows == {}
+    assert kernel_dim(op, 1) == op.nrows
 
 
 def test_kernel_dim_examples():
@@ -233,7 +234,7 @@ def test_linear_derivation_from_field_roundtrip():
     der = LinearDerivation.from_vector_field(make_theta(3, 1, 2))
     op = der.restrict(1)
     direct = restrict(make_theta(3, 1, 2), 1)
-    assert op.matrix.entries == direct.matrix.entries
+    assert op.rows == direct.rows
 
 
 @pytest.mark.parametrize("der,m_max,method", [
@@ -256,3 +257,33 @@ def test_kernel_table_agrees_with_elimination(der, m_max, method):
     for m, (k1, k2) in enumerate(rows):
         op = der.restrict(m)
         assert (k1, k2) == (kernel_dim(op, 1), kernel_dim(op, 2)), f"m={m}"
+
+
+@pytest.mark.parametrize("der", [
+    LinearDerivation.from_vector_field(make_theta(2, 1, 2)),
+    LinearDerivation.from_vector_field(make_theta(3, 1, 2)),
+    LinearDerivation.from_vector_field(make_xi(2, 1)),
+    LinearDerivation.from_vector_field(make_xi(3, 1)),
+    LinearDerivation.chain(3),
+], ids=["theta12-n2", "theta12-n3", "xi1-n2", "xi1-n3", "chain"])
+def test_integral_derivations_have_int_entries(der):
+    # an integral derivation builds no Fraction, in the linear matrix, the
+    # slice matrices or their squares
+    mats = [der.matrix()]
+    for m in range(4):
+        mat = der.restrict(m)
+        mats += [mat, mat @ mat]
+    for mat in mats:
+        for row in mat.rows.values():
+            assert all(type(c) is int for c in row.values())
+
+
+def test_rational_derivation_matches_its_double():
+    # diagonalisable with eigenvalues +-1/2 on x0, x1: weight zero exactly on
+    # x0^k x1^k, so ker = ker^2 has dimension 1 on even degrees, 0 on odd ones
+    half = LinearDerivation(2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(-1, 2), (1, 0): 1})
+    double = LinearDerivation(2, {(0, 0): 1, (1, 1): -1, (1, 0): 2})
+    rows, how = kernel_dim_with_method(half, 6)
+    assert how == "exact"
+    assert rows == kernel_dim_with_method(double, 6)[0]
+    assert rows == [(1, 1) if m % 2 == 0 else (0, 0) for m in range(7)]

@@ -182,14 +182,24 @@ def test_closure_monotone_under_budget():
     # a tiny bracket budget yields a flagged partial result, never a wrong one
     res = closure(build_seeds(2), 2, budget_brackets=5)
     assert not res.complete
-    partial = res.reports[2]
-    assert partial.achieved_rank <= partial.target_rank
+    assert 2 not in res.reports and 2 not in res.spans   # grade 1 ran out
     full = closure(build_seeds(2), 2)
     assert full.complete
-    for d in range(3):
-        assert res.reports[d].achieved_rank <= full.reports[d].achieved_rank
+    for d, rep in res.reports.items():
+        assert rep.achieved_rank <= rep.target_rank
+        assert rep.achieved_rank <= full.reports[d].achieved_rank
         for v in res.spans[d]:
             assert in_span(full.spans[d], v, d)
+
+
+def test_closure_stops_at_the_grade_that_ran_out():
+    # grade 0 is complete without a bracket; grade 1 needs brackets, so a zero
+    # budget ends the closure there and no later grade is started
+    res = closure(build_seeds(3), 3, budget_brackets=0)
+    assert set(res.reports) == set(res.spans) == {0, 1}
+    assert res.reports[0].complete and not res.reports[1].complete
+    assert res.reports[1].brackets_evaluated == 0
+    assert not res.complete
 
 
 def test_empty_seed_set_rejected():
