@@ -18,6 +18,7 @@ operator-commutator orientation; spans and kernels are unaffected.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -179,7 +180,10 @@ def _add_term(comps: dict[int, Polynomial], n: int, var: tuple[int, int], p: Pol
     comps[v] = p if q is None else q + p
 
 
+@functools.cache
 def generator_field(n: int, gid: GeneratorId) -> VectorField:
+    """The field of a generator id, built once per (n, gid): fields are
+    immutable, and there are n^2 - 1 ids for each n."""
     if isinstance(gid, Theta):
         return make_theta(n, gid.a, gid.b)
     if isinstance(gid, Xi):

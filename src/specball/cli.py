@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -303,7 +304,10 @@ def _bounded(kind, low: float, strict: bool = False):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `specball` parser, built on first use and shared by every later
+    `main` call in the process (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(prog="specball",
                                  description=__doc__.strip().splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)

@@ -7,6 +7,11 @@ recursion; eigenvalue moduli come from an Aberth-Ehrlich simultaneous
 root finder on the characteristic polynomial, so no eigendecomposition
 is needed anywhere.
 
+The matrices here are n x n with n of a few units, so the scalar kernels
+avoid numpy's per-call cost where it would dominate the arithmetic: the
+root finder iterates on a Python list of `complex`, and an overshear is
+applied as one row and one column update instead of two dense products.
+
 Automorphism atoms: overshear/shear conjugations exp(s E_ab) with the
 exact nilpotent exponential I + s E_ab, Moebius transformations
 A -> gamma (A - alpha I)(I - conj(alpha) A)^{-1}, transposition, and
@@ -42,7 +47,7 @@ def as_matrix(data, n: int | None = None) -> Matrix:
         raise ValueError("expected a square matrix")
     if n is not None and A.shape[0] != n:
         raise ValueError(f"expected a {n}x{n} matrix")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     return A
 
@@ -66,19 +71,48 @@ class FibreCoordinates:
 
 
 def char_poly(A: Matrix) -> FibreCoordinates:
-    """Faddeev-LeVerrier recursion; deterministic, no eigendecomposition."""
+    """Faddeev-LeVerrier recursion; deterministic, no eigendecomposition.
+
+    M_k = A M_{k-1} + c_k I with c_k = -tr(A M_{k-1}) / k, starting from
+    M_0 = I; c_k is added on the diagonal of the fresh product in place.
+    """
     A = as_matrix(A)
     n = A.shape[0]
     M = np.eye(n, dtype=complex)
     cs = []
-    c = 1.0 + 0j
     for k in range(1, n + 1):
-        AM = A @ M
-        c = -np.trace(AM) / k
+        M = A @ M
+        c = -M.trace() / k
         cs.append(c)
-        M = AM + c * np.eye(n, dtype=complex)
+        M.flat[:: n + 1] += c
     pi = tuple((-1) ** j * cs[j - 1] for j in range(1, n + 1))
     return FibreCoordinates(pi)
+
+
+def _horner(coeffs: list[complex], x: complex) -> complex:
+    out = coeffs[0]
+    for a in coeffs[1:]:
+        out = out * x + a
+    return out
+
+
+def _aberth_sweep(coeffs: list[complex], dc: list[complex],
+                  z: list[complex]) -> tuple[list[complex], float]:
+    """One simultaneous Aberth-Ehrlich update of all iterates and the
+    largest step taken; each update reads only the previous iterates."""
+    newton = []
+    for x in z:
+        dp = _horner(dc, x)
+        newton.append(_horner(coeffs, x) / dp if dp != 0 else 0j)
+    new_z = []
+    max_step = 0.0
+    for i, (x, w) in enumerate(zip(z, newton)):
+        s = sum(1.0 / (x - y) for j, y in enumerate(z) if j != i)
+        denom = 1.0 - w * s
+        step = w / denom if denom != 0 else w
+        new_z.append(x - step)
+        max_step = max(max_step, abs(step))
+    return new_z, max_step
 
 
 def poly_roots(monic: Sequence[complex], tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
@@ -86,7 +120,10 @@ def poly_roots(monic: Sequence[complex], tol: float = 1e-13, max_iter: int = 200
 
     Roots at zero are split off exactly first (they are exact for nilpotent
     characteristic polynomials); the remaining roots start on a circle at
-    the Cauchy bound and are refined simultaneously.
+    the Cauchy bound and are refined simultaneously.  The degrees met here
+    are a few units, so the iteration runs on a Python list of `complex`
+    (numpy's per-call cost on arrays this small would exceed the
+    arithmetic).
     """
     coeffs = [complex(c) for c in monic]
     if not coeffs or coeffs[0] != 1:
@@ -102,48 +139,31 @@ def poly_roots(monic: Sequence[complex], tol: float = 1e-13, max_iter: int = 200
     if d == 0:
         return np.zeros(zeros_at_origin, dtype=complex)
     if d == 1:
-        roots = np.array([-coeffs[1]], dtype=complex)
-        return np.concatenate([roots, np.zeros(zeros_at_origin, dtype=complex)])
+        return np.array([-coeffs[1]] + [0j] * zeros_at_origin, dtype=complex)
 
-    c = np.array(coeffs, dtype=complex)
     radius = 1.0 + max(abs(x) for x in coeffs[1:])
-    angles = 2 * np.pi * (np.arange(d) + 0.25) / d
-    z = radius * np.exp(1j * angles) * (1 + 0.05 * np.cos(7 * angles))
-
-    dc = c[:-1] * np.arange(d, 0, -1)
-
-    def horner(vals, co):
-        out = np.zeros_like(vals) + co[0]
-        for a in co[1:]:
-            out = out * vals + a
-        return out
+    angles = [2 * math.pi * (k + 0.25) / d for k in range(d)]
+    z = [radius * cmath.exp(1j * a) * (1 + 0.05 * math.cos(7 * a)) for a in angles]
+    dc = [c * (d - i) for i, c in enumerate(coeffs[:-1])]
 
     for iteration in range(max_iter):
-        p = horner(z, c)
-        dp = horner(z, dc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(dp != 0, p / dp, 0)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        s = inv.sum(axis=1)
-        denom = 1.0 - newton * s
-        step = np.where(denom != 0, newton / denom, newton)
-        z = z - step
-        if not np.all(np.isfinite(z)):
+        try:
+            z, max_step = _aberth_sweep(coeffs, dc, z)
+            converged = max_step <= tol * (1.0 + max(map(abs, z)))
+        except (ZeroDivisionError, OverflowError):   # coincident or unbounded iterates
+            z, converged = [complex(math.nan)], False
+        if not all(map(cmath.isfinite, z)):
             raise NumericsError("root iteration diverged",
                                 iteration=iteration, coefficients=coeffs)
-        if np.max(np.abs(step)) <= tol * (1.0 + np.max(np.abs(z))):
+        if converged:
             break
     else:
-        residual = float(np.max(np.abs(horner(z, c))))
+        residual = float(np.max(np.abs([_horner(coeffs, x) for x in z])))
         if residual > 1e-8 * (1.0 + radius) ** d:
             raise NumericsError("root finder did not converge",
                                 iterations=max_iter, residual=residual,
                                 coefficients=coeffs)
-    return np.concatenate([z, np.zeros(zeros_at_origin, dtype=complex)])
+    return np.array(z + [0j] * zeros_at_origin, dtype=complex)
 
 
 def spectral_radius(A: Matrix) -> float:
@@ -247,6 +267,8 @@ class Overshear:
     theta_f: Polynomial = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not cmath.isfinite(self.t):
+            raise ValueError("overshear 't' must be finite")
         gid = Theta(self.a, self.b)
         gid.validate(self.n)
         theta = generator_field(self.n, gid)
@@ -262,6 +284,9 @@ class Moebius:
     gamma: complex
 
     def __post_init__(self):
+        for name in ("alpha", "gamma"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"moebius '{name}' must be finite")
         if abs(self.alpha) >= 1:
             raise ValueError("Moebius atom needs |alpha| < 1")
         if abs(abs(self.gamma) - 1.0) > 1e-12:
@@ -290,15 +315,24 @@ AutomorphismWord = list
 
 
 def overshear_flow(atom: Overshear, A: Matrix, t: complex | None = None) -> Matrix:
-    """Evaluate the overshear/shear conjugation at the atom's time (or t)."""
+    """Evaluate the overshear/shear conjugation at the atom's time (or t).
+
+    The conjugation (I + s E_ab) A (I - s E_ab) is applied in its rank-one
+    form: left multiplication by I + s E_ab adds s times row b to row a,
+    and right multiplication by I - s E_ab then subtracts s times column a
+    of that product from column b.  Since a != b, E_ab^2 = 0 and this is
+    the whole product, with no dense matrix built.
+    """
     A = as_matrix(A, atom.n)
     tt = atom.t if t is None else t
     fA = eval_poly_at_matrix(atom.f, A)
     tfA = eval_poly_at_matrix(atom.theta_f, A)
     s = epsilon(tt * tfA) * tt * fA
-    E = elementary_matrix(atom.n, atom.a, atom.b)
-    I = np.eye(atom.n, dtype=complex)
-    return (I + s * E) @ A @ (I - s * E)
+    a, b = atom.a - 1, atom.b - 1
+    X = A.copy()
+    X[a] += s * X[b]
+    X[:, b] -= s * X[:, a]
+    return X
 
 
 def moebius(atom: Moebius, A: Matrix) -> Matrix:
@@ -442,7 +476,10 @@ def _complex_from_json(pair, name: str) -> complex:
     if not (isinstance(pair, list) and len(pair) == 2
             and all(isinstance(x, (int, float)) for x in pair)):
         raise ValueError(f"{name} must be an [re, im] pair of numbers")
-    return complex(pair[0], pair[1])
+    z = complex(pair[0], pair[1])
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} must be finite")
+    return z
 
 
 def atom_from_json(obj: dict, n: int) -> AutomorphismAtom:

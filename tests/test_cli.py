@@ -235,6 +235,12 @@ def test_orbit_outside_ball_is_precondition_error(capsys, orbit_files):
     ([{"overshear": {"theta": ["1", "2"], "f": "x11", "t": [0.3, 0.0]}}], "'theta'"),
     ([{"overshear": {"theta": [1, 2], "f": 5, "t": [0.3, 0.0]}}], "'f'"),
     ([{"moebius": {"alpha": 0.5, "gamma": [1, 0]}}], "'alpha'"),
+    # json reads NaN and Infinity; the atom names the field, not the matrix
+    ([{"moebius": {"alpha": [float("nan"), 0], "gamma": [1, 0]}}], "moebius 'alpha' must be finite"),
+    ([{"moebius": {"alpha": [0.2, 0], "gamma": [float("nan"), 0]}}], "moebius 'gamma' must be finite"),
+    ([{"overshear": {"theta": [1, 2], "f": "x11", "t": float("nan")}}], "overshear 't' must be finite"),
+    ([{"overshear": {"theta": [1, 2], "f": "x11", "t": [0.3, float("inf")]}}],
+     "overshear 't' must be finite"),
 ])
 def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word, field):
     mat = orbit_files[0]
@@ -245,6 +251,28 @@ def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word
     assert code == 2
     assert captured.out == ""
     assert field in captured.err
+
+
+def test_cached_parser_is_reentrant(capsys, orbit_files):
+    mat, word, bad, empty = orbit_files
+    usage = ["generate", "--n", "2"]
+    orbit = ["orbit", "--word", str(word), "--matrix", str(mat), "--check-fibre"]
+    tables = ["tables", "--n", "2"]
+
+    def call(argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = {}
+    for argv in (usage, orbit, tables):
+        cli.build_parser.cache_clear()
+        first[tuple(argv)] = call(argv)
+    assert first[tuple(usage)][0] == 2 and "--max-degree" in first[tuple(usage)][2]
+    cli.build_parser.cache_clear()
+    for argv in (usage, orbit, tables, orbit):
+        assert call(argv) == first[tuple(argv)], argv
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_out_file_atomic_write(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 
 import numpy as np
 import pytest
@@ -92,6 +93,63 @@ def test_poly_roots_known_roots():
         assert np.allclose(found, np.sort_complex(roots), atol=1e-8)
 
 
+def _match(found, want):
+    """Distance from each root of `want` to its own root of `found`, pairing
+    greedily by nearness (both lists have the same length)."""
+    found = list(found)
+    out = []
+    for w in sorted(want, key=abs):
+        k = min(range(len(found)), key=lambda i: abs(found[i] - w))
+        out.append(abs(found.pop(k) - w))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_poly_roots_matches_numpy_roots(d):
+    rng = np.random.default_rng(100 + d)
+    eps = np.finfo(float).eps
+    cases = [rng.normal(size=d) + 1j * rng.normal(size=d)]
+    # roots near the unit circle
+    cases.append(np.exp(2j * np.pi * rng.uniform(size=d)) * (1 + 1e-6 * rng.normal(size=d)))
+    if d >= 2:
+        # exact roots at 0, split off before the iteration
+        cases.append(np.concatenate([np.zeros(d // 2),
+                                     rng.normal(size=d - d // 2) + 1j * rng.normal(size=d - d // 2)]))
+    for roots in cases:
+        coeffs = np.poly(roots)
+        found = poly_roots(list(coeffs))
+        assert isinstance(found, np.ndarray) and found.dtype == complex
+        assert len(found) == d
+        assert _match(found, np.roots(coeffs)).max() <= 1e-9 * (1.0 + np.abs(roots).max()), roots
+    if d >= 2:
+        # a double root, apart from the others: both finders split it by
+        # about sqrt(eps) times the scale
+        r = complex(*(0.5 * rng.normal(size=2)))
+        others = 2.5 * np.exp(2j * np.pi * (np.arange(d - 2) + rng.uniform()) / max(d - 2, 1))
+        roots = np.concatenate([[r, r], others])
+        coeffs = np.poly(roots)
+        err = _match(poly_roots(list(coeffs)), np.roots(coeffs))
+        assert err.max() <= 4 * np.sqrt(eps) * (1.0 + np.abs(roots).max()), err
+
+
+def test_poly_roots_exact_zeros():
+    assert np.array_equal(poly_roots([1, 0, 0, 0]), np.zeros(3))
+    found = poly_roots([1, -0.5, 0, 0])
+    assert np.count_nonzero(found == 0) == 2 and abs(found[0] - 0.5) < 1e-15
+
+
+def test_poly_roots_reports_non_convergence():
+    # roots 10, 10.5, 11 lie far inside the start circle of radius 1 + 1155.5
+    coeffs = list(np.poly([10, 10.5, 11]))
+    assert np.allclose(np.sort(poly_roots(coeffs).real), [10, 10.5, 11])
+    with pytest.raises(NumericsError, match="did not converge") as exc:
+        poly_roots(coeffs, max_iter=1)
+    assert exc.value.diagnostics["iterations"] == 1
+    assert exc.value.diagnostics["residual"] > 1e-8 * (1 + 1155.5) ** 3
+    with pytest.raises(NumericsError, match="diverged"):
+        poly_roots([1, complex(math.nan), 1])
+
+
 def test_poly_roots_validates_input():
     with pytest.raises(ValueError):
         poly_roots([2.0, 1.0])
@@ -160,6 +218,32 @@ def test_overshear_builds_its_field_once(monkeypatch):
     with pytest.raises(ValueError, match="Theta\\^2"):
         Overshear(n=2, a=1, b=2, f=parse_poly("x12", 2), t=0.5)
     assert len(calls) == 1
+
+
+def test_overshear_flow_matches_dense_product():
+    # rank-one row/column update against (I + s E_ab) A (I - s E_ab)
+    rng = np.random.default_rng(30)
+    for n in (2, 3, 4):
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                if a == b:
+                    continue
+                A = sample_spectral_ball(rng, n)
+                # Theta_ab(x_aa) = x_ba and Theta_ab(x_ba) = 0, so Theta_ab^2(f) = 0
+                x_aa, x_ba = Polynomial.x(a, a, n), Polynomial.x(b, a, n)
+                p, q, r = (int(c) for c in rng.integers(-3, 4, size=3))
+                f = (x_aa.scale(p) + (x_aa * x_ba).scale(q) + (x_ba * x_ba).scale(r)
+                     + Polynomial.constant(n * n, 1))
+                t = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                atom = Overshear(n=n, a=a, b=b, f=f, t=t)
+                s = (epsilon(t * eval_poly_at_matrix(atom.theta_f, A))
+                     * t * eval_poly_at_matrix(f, A))
+                I, E = np.eye(n), elementary_matrix(n, a, b)
+                dense = (I + s * E) @ A @ (I - s * E)
+                A0 = A.copy()
+                got = overshear_flow(atom, A)
+                assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max(), (n, a, b)
+                assert np.array_equal(A, A0)   # the input is not written
 
 
 def test_overshear_flow_identity_at_t0():
@@ -270,6 +354,22 @@ def test_moebius_validation():
         Moebius(alpha=1.2, gamma=1)
     with pytest.raises(ValueError):
         Moebius(alpha=0.2, gamma=1.5)
+
+
+@pytest.mark.parametrize("alpha,gamma,field", [
+    (complex(math.nan, 0), 1, "'alpha'"),
+    (0.2, complex(math.nan, 0), "'gamma'"),
+    (complex(0, math.inf), 1, "'alpha'"),
+])
+def test_moebius_rejects_non_finite_parameters(alpha, gamma, field):
+    with pytest.raises(ValueError, match=field):
+        Moebius(alpha=alpha, gamma=gamma)
+
+
+@pytest.mark.parametrize("t", [math.nan, complex(0, math.inf), complex(-math.inf, 0)])
+def test_overshear_rejects_non_finite_time(t):
+    with pytest.raises(ValueError, match="'t' must be finite"):
+        Overshear(n=2, a=1, b=2, f=parse_poly("x21", 2), t=t)
 
 
 def test_conjugate_validation():
@@ -401,6 +501,19 @@ def test_word_json():
     assert isinstance(word[2], Transpose)
     with pytest.raises(ValueError):
         word_from_json([{"bogus": {}}], 2)
+
+
+@pytest.mark.parametrize("atom,field", [
+    ({"moebius": {"alpha": [math.nan, 0], "gamma": [1, 0]}}, "moebius 'alpha'"),
+    ({"moebius": {"alpha": [0.2, 0], "gamma": [math.nan, 0]}}, "moebius 'gamma'"),
+    ({"overshear": {"theta": [1, 2], "f": "x21", "t": math.nan}}, "overshear 't'"),
+    ({"overshear": {"theta": [1, 2], "f": "x21", "t": [0.3, math.inf]}}, "overshear 't'"),
+])
+def test_word_json_rejects_non_finite_parameters(atom, field):
+    # Python's json reads NaN and Infinity, so they reach atom construction
+    parsed = json.loads(json.dumps([atom]))
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        word_from_json(parsed, 2)
 
 
 def test_as_matrix_validation():
