@@ -124,7 +124,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = liegen.identity_names(args.n)
+    names = liegen.identity_names()
     if args.all:
         selected = names
     else:

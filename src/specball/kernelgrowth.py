@@ -28,15 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from .adjointfields import VectorField, make_theta, make_xi
 from .linalg import SparseMatrix
-from .polyring import HomSliceBasis, Monomial, exact_coefficient
-
-
-class GradingError(ValueError):
-    pass
+from .polyring import GradingError, HomSliceBasis, Monomial, exact_coefficient
 
 
 class LinearDerivation:
@@ -394,8 +391,8 @@ def jet_inequality(n: int, k: int, m_max: int, cumulative: bool = False) -> JetR
     theta_sq = [k2 for _, k2 in theta_rows]
     xi_sq = [k2 for _, k2 in xi_rows]
     if cumulative:
-        theta_sq = _partial_sums(theta_sq)
-        xi_sq = _partial_sums(xi_sq)
+        theta_sq = list(accumulate(theta_sq))
+        xi_sq = list(accumulate(xi_sq))
     rows = []
     for m in range(m_max + 1):
         lhs = comb(m + n * n, n * n)
@@ -410,15 +407,6 @@ def jet_inequality(n: int, k: int, m_max: int, cumulative: bool = False) -> JetR
     if crossover is not None and not rows[crossover].holds:
         crossover = None
     return JetReport(n=n, k=k, cumulative=cumulative, rows=rows, crossover_m=crossover)
-
-
-def _partial_sums(xs: list[int]) -> list[int]:
-    out = []
-    s = 0
-    for x in xs:
-        s += x
-        out.append(s)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,24 +22,29 @@ the pair count; reports carry both numbers.
 
 from __future__ import annotations
 
+import random
 import time
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .adjointfields import (
     GeneratorId,
+    OvershearClass,
     Theta,
     VectorField,
+    Xi,
     bracket,
     generator_field,
     generator_ids,
     make_theta,
-    make_xi,
+    overshear_class,
     scale_field,
 )
 from .linalg import ExactRowSpace, clear_denominators
 from .polyring import (
+    GradingError,
     HomSliceBasis,
     Monomial,
     Polynomial,
@@ -50,10 +55,6 @@ from .polyring import (
     substitute_trace,
     var_name,
 )
-
-
-class GradingError(ValueError):
-    pass
 
 
 class PreconditionError(ValueError):
@@ -79,19 +80,16 @@ class Seed:
 
 def build_seeds(n: int) -> list[Seed]:
     """All overshear pairs (monomial f of degree <= 2, basis generator g)
-    with g^2(f) = 0, plus the generators themselves."""
+    with g^2(f) = 0; the constant f = 1 gives the generators themselves."""
     if n < 2:
         raise PreconditionError("n must be at least 2")
     nvars = n * n
-    gens = generator_ids(n)
-    fields = {g: generator_field(n, g) for g in gens}
-    seeds = [Seed(Polynomial.constant(nvars, 1), g, 0) for g in gens]
-    for d in (1, 2):
+    seeds = []
+    for d in (0, 1, 2):
         for mono in slice_monomials(nvars, d):
             f = Polynomial.from_monomial(nvars, mono)
-            for g in gens:
-                df = fields[g].apply(f)
-                if df.is_zero() or fields[g].apply(df).is_zero():
+            for g in generator_ids(n):
+                if overshear_class(f, g) is not OvershearClass.NEITHER:
                     seeds.append(Seed(f, g, d))
     return seeds
 
@@ -203,8 +201,6 @@ class ClosureResult:
 def _target_pairs(n: int, grade: int) -> list[tuple[Polynomial, GeneratorId]]:
     nvars = n * n
     gens = generator_ids(n)
-    if grade == 0:
-        return [(Polynomial.constant(nvars, 1), g) for g in gens]
     out = []
     for mono in slice_monomials(nvars - 1, grade):
         f = Polynomial.from_monomial(nvars, mono)
@@ -229,6 +225,7 @@ def closure(seeds: list[Seed], max_degree: int,
 
     When a budget runs out the closure stops after reporting that grade:
     later grades get no `spans` or `reports` entry, and `complete` is False.
+    A grade that would start after `budget_ms` has passed is not started.
     """
     if not seeds:
         raise PreconditionError("empty seed set")
@@ -245,7 +242,11 @@ def closure(seeds: list[Seed], max_degree: int,
     for s in seeds:
         grade_of_seed.setdefault(s.grade, []).append(s)
 
+    complete = True
     for d in range(max_degree + 1):
+        if deadline is not None and time.monotonic() > deadline:
+            complete = False
+            break
         kept = spans[d] = []
         proj = _SlProjector(n, d)
         sl_space = ExactRowSpace()
@@ -277,7 +278,6 @@ def closure(seeds: list[Seed], max_degree: int,
                         continue
                     queue.append((a, i, j))
 
-        complete = True
         while queue and not (early_exit and sl_space.rank >= target_space.rank):
             if ((deadline is not None and time.monotonic() > deadline)
                     or (budget_brackets is not None and brackets_done >= budget_brackets)):
@@ -296,8 +296,7 @@ def closure(seeds: list[Seed], max_degree: int,
         if not complete:
             break
 
-    return ClosureResult(n, max_degree, spans, reports,
-                         all(rep.complete for rep in reports.values()))
+    return ClosureResult(n, max_degree, spans, reports, complete)
 
 
 def _certify_degree(n: int, d: int, sl_space: ExactRowSpace, target_space: ExactRowSpace,
@@ -330,7 +329,7 @@ def _certify_degree(n: int, d: int, sl_space: ExactRowSpace, target_space: Exact
 # ---------------------------------------------------------------------------
 # identity catalog
 
-_X = Polynomial.x
+_DRAWS = 12
 
 
 @dataclass
@@ -345,72 +344,113 @@ class IdentityResult:
     notes: str = ""
 
 
-def _idents(n: int) -> dict:
-    """Catalog entries: name -> (lhs builder, verified rhs, printed rhs, note)."""
-    t12, t21 = make_theta(n, 1, 2), make_theta(n, 2, 1)
-    xi1 = make_xi(n, 1)
-    x12, x22, x11 = _X(1, 2, n), _X(2, 2, n), _X(1, 1, n)
-    th12_x12 = x22 - x11      # Theta12(x12)
+_Instance = tuple[VectorField, VectorField, VectorField]
 
-    catalog = {}
 
-    catalog["xi-bracket"] = (
-        lambda: bracket(t12, t21),
-        lambda: xi1,
-        lambda: xi1,
-        "[Theta12, Theta21] = Xi1",
-    )
+@dataclass(frozen=True)
+class _Identity:
+    build: Callable[[int, random.Random], _Instance]
+    verified_form: str
+    printed_form: str | None = None     # the commonly quoted form; None: the verified one
+    randomized: bool = False            # checked on _DRAWS random instances, not once
 
-    catalog["d1-linear"] = (
-        lambda: bracket(scale_field(x22, t12), t21),
-        lambda: scale_field(x22, xi1) + scale_field(x12, t12),
-        lambda: scale_field(x22, xi1) + scale_field(x12, t12),
-        "[x22*Theta12, Theta21] = x22*Xi1 + x12*Theta12",
-    )
 
-    catalog["d2-shear-detour"] = (
-        lambda: bracket(scale_field(x12 * x12, t21), t12),
-        lambda: scale_field(2 * (x12 * th12_x12), t21) - scale_field(x12 * x12, xi1),
-        lambda: scale_field(2 * (x12 * th12_x12), t21) - scale_field(x12 * x12, xi1),
-        "[x12^2*Theta21, Theta12] = 2*x12*Theta12(x12)*Theta21 - x12^2*Xi1",
-    )
+def _theta_xi(n: int) -> tuple[VectorField, VectorField, VectorField, Polynomial]:
+    """Theta12, Theta21, Xi1 and x12 on n x n matrices."""
+    return (generator_field(n, Theta(1, 2)), generator_field(n, Theta(2, 1)),
+            generator_field(n, Xi(1)), Polynomial.x(1, 2, n))
 
-    catalog["d2-hyperbolic"] = (
-        lambda: (2 * bracket(scale_field(x12, xi1), scale_field(x12, t12))
-                 - bracket(scale_field(x12 * x12, xi1), t12)),
-        lambda: scale_field((-2) * (x12 * x12), t12),
-        lambda: scale_field(6 * (x12 * x12), t12),
+
+def _xi_bracket(n: int, rng: random.Random) -> _Instance:
+    t12, t21, xi1, _ = _theta_xi(n)
+    return bracket(t12, t21), xi1, xi1
+
+
+def _d1_linear(n: int, rng: random.Random) -> _Instance:
+    t12, t21, xi1, x12 = _theta_xi(n)
+    x22 = Polynomial.x(2, 2, n)
+    rhs = scale_field(x22, xi1) + scale_field(x12, t12)
+    return bracket(scale_field(x22, t12), t21), rhs, rhs
+
+
+def _d2_shear_detour(n: int, rng: random.Random) -> _Instance:
+    t12, t21, xi1, x12 = _theta_xi(n)
+    rhs = scale_field(2 * x12 * t12.apply(x12), t21) - scale_field(x12 * x12, xi1)
+    return bracket(scale_field(x12 * x12, t21), t12), rhs, rhs
+
+
+def _d2_hyperbolic(n: int, rng: random.Random) -> _Instance:
+    t12, _, xi1, x12 = _theta_xi(n)
+    lhs = (2 * bracket(scale_field(x12, xi1), scale_field(x12, t12))
+           - bracket(scale_field(x12 * x12, xi1), t12))
+    return lhs, scale_field((-2) * (x12 * x12), t12), scale_field(6 * (x12 * x12), t12)
+
+
+def _general_step(deg: int) -> Callable[[int, random.Random], _Instance]:
+    def build(n: int, rng: random.Random) -> _Instance:
+        t12, _, xi1, x12 = _theta_xi(n)
+        xpow, top = x12 ** deg, x12 ** (deg + 1)
+        lhs = (deg * bracket(scale_field(x12, xi1), scale_field(xpow, t12))
+               - bracket(scale_field(xpow, xi1), scale_field(x12, t12)))
+        return (lhs, scale_field((-2 * deg * (deg - 1)) * top, t12),
+                scale_field((2 * (deg * deg + deg - 2)) * top, t12))
+    return build
+
+
+def _random_monomial(rng: random.Random, n: int, max_degree: int) -> Polynomial:
+    deg = rng.randrange(1, max_degree + 1)
+    powers = Counter(rng.randrange(n * n) for _ in range(deg))
+    return Polynomial.from_monomial(n * n, Monomial(powers.items()))
+
+
+def _cross_term(n: int, rng: random.Random) -> _Instance:
+    a = _random_monomial(rng, n, 1)
+    f = _random_monomial(rng, n, 2)
+    g = _random_monomial(rng, n, 2)
+    gens = generator_ids(n)
+    T = generator_field(n, rng.choice([gg for gg in gens if isinstance(gg, Theta)]))
+    L = generator_field(n, rng.choice(gens))
+    lhs = bracket(scale_field(a * f, T), scale_field(g, L)) \
+        - bracket(scale_field(f, T), scale_field(a * g, L))
+    rhs = scale_field(f * g * T.apply(a), L) + scale_field(f * g * L.apply(a), T)
+    return lhs, rhs, -rhs
+
+
+def _hyperbolic_step(n: int, rng: random.Random) -> _Instance:
+    t12, t21, xi1, _ = _theta_xi(n)
+    f = _random_monomial(rng, n, 3)
+    shear = scale_field(t21.apply(f), t12)
+    return (bracket(t21, scale_field(f, t12)),
+            -scale_field(f, xi1) - shear, scale_field(f, xi1) - shear)
+
+
+# Builders take (n, rng) and return (lhs, verified rhs, printed rhs); the
+# printed rhs is the commonly quoted form where it differs.
+_CATALOG: dict[str, _Identity] = {
+    "xi-bracket": _Identity(_xi_bracket, "[Theta12, Theta21] = Xi1"),
+    "d1-linear": _Identity(_d1_linear, "[x22*Theta12, Theta21] = x22*Xi1 + x12*Theta12"),
+    "d2-shear-detour": _Identity(
+        _d2_shear_detour, "[x12^2*Theta21, Theta12] = 2*x12*Theta12(x12)*Theta21 - x12^2*Xi1"),
+    "d2-hyperbolic": _Identity(
+        _d2_hyperbolic,
         "2[x12*Xi1, x12*Theta12] - [x12^2*Xi1, Theta12] = c*x12^2*Theta12; "
         "the bracket orientation fixes c = -2 (the often-quoted 6 mixes "
-        "incompatible sign conventions)",
-    )
-
-    for deg in range(2, 6):
-        xpow = x12 ** deg
-
-        def lhs(deg=deg, xpow=xpow):
-            return (deg * bracket(scale_field(x12, xi1), scale_field(xpow, t12))
-                    - bracket(scale_field(xpow, xi1), scale_field(x12, t12)))
-
-        def rhs_verified(deg=deg):
-            return scale_field((-2 * deg * (deg - 1)) * (x12 ** (deg + 1)), t12)
-
-        def rhs_printed(deg=deg):
-            return scale_field((2 * (deg * deg + deg - 2)) * (x12 ** (deg + 1)), t12)
-
-        catalog[f"general-step-d{deg}"] = (
-            lhs, rhs_verified, rhs_printed,
-            f"d[x12*Xi1, x12^d*Theta12] - [x12^d*Xi1, x12*Theta12] = c*x12^(d+1)*Theta12, "
-            f"d={deg}; orientation-consistent c = -2d(d-1)",
-        )
-
-    return catalog
+        "incompatible sign conventions)"),
+    **{f"general-step-d{deg}": _Identity(
+        _general_step(deg),
+        f"d[x12*Xi1, x12^d*Theta12] - [x12^d*Xi1, x12*Theta12] = c*x12^(d+1)*Theta12, "
+        f"d={deg}; orientation-consistent c = -2d(d-1)") for deg in range(2, 6)},
+    "cross-term": _Identity(
+        _cross_term, "[a*f*T, g*L] - [f*T, a*g*L] = +f*g*(T(a)*L + L(a)*T)",
+        "same with a leading minus sign", randomized=True),
+    "hyperbolic-step": _Identity(
+        _hyperbolic_step, "[Theta21, f*Theta12] = -f*Xi1 - Theta21(f)*Theta12",
+        "f*Xi1 - Theta21(f)*Theta12", randomized=True),
+}
 
 
-def identity_names(n: int = 2) -> list[str]:
-    names = list(_idents(n).keys())
-    names += ["cross-term", "hyperbolic-step"]
-    return names
+def identity_names() -> list[str]:
+    return list(_CATALOG)
 
 
 def verify_identity(name: str, n: int, seed: int = 0) -> IdentityResult:
@@ -418,99 +458,28 @@ def verify_identity(name: str, n: int, seed: int = 0) -> IdentityResult:
 
     `holds` refers to the orientation-consistent right-hand side; where a
     commonly quoted variant differs by sign or scalar, `matches_printed`
-    reports whether that variant also matched.
+    reports whether that variant also matched.  A randomized identity must
+    hold on each of `_DRAWS` (12) instances drawn from `random.Random(seed)`.
     """
-    if name == "cross-term":
-        return _verify_cross_term(n, seed)
-    if name == "hyperbolic-step":
-        return _verify_hyperbolic_step(n, seed)
-    catalog = _idents(n)
-    if name not in catalog:
+    if name not in _CATALOG:
         raise KeyError(f"unknown identity {name!r}")
-    lhs_b, rhs_v, rhs_p, note = catalog[name]
-    lhs = lhs_b()
-    verified = rhs_v()
-    printed = rhs_p()
-    holds = (lhs - verified).is_zero()
+    entry = _CATALOG[name]
+    rng = random.Random(seed)
+    holds = matches_printed = True
+    for _ in range(_DRAWS if entry.randomized else 1):
+        lhs, verified, printed = entry.build(n, rng)
+        holds = holds and (lhs - verified).is_zero()
+        matches_printed = matches_printed and (lhs - printed).is_zero()
     return IdentityResult(
-        identity=name, n=n,
-        holds=holds,
-        matches_printed=(lhs - printed).is_zero(),
-        verified_form=note,
-        printed_form=note,
+        identity=name, n=n, holds=holds, matches_printed=matches_printed,
+        verified_form=entry.verified_form,
+        printed_form=entry.printed_form or entry.verified_form,
         residual_is_zero=holds,
-    )
-
-
-def _random_monomial(rng, n: int, max_degree: int) -> Polynomial:
-    nvars = n * n
-    deg = rng.randrange(1, max_degree + 1)
-    powers: dict[int, int] = {}
-    for _ in range(deg):
-        v = rng.randrange(nvars)
-        powers[v] = powers.get(v, 0) + 1
-    return Polynomial.from_monomial(nvars, Monomial(powers.items()))
-
-
-def _verify_cross_term(n: int, seed: int) -> IdentityResult:
-    """[a f T, g L] - [f T, a g L] = f g (T(a) L + L(a) T) on random monomials.
-
-    With this bracket orientation the right side carries a plus sign; the
-    minus-sign variant is reported through matches_printed.
-    """
-    import random
-    rng = random.Random(seed)
-    gens = generator_ids(n)
-    ok = True
-    printed_ok = True
-    for _ in range(12):
-        a = _random_monomial(rng, n, 1)
-        f = _random_monomial(rng, n, 2)
-        g = _random_monomial(rng, n, 2)
-        tid = rng.choice([gg for gg in gens if isinstance(gg, Theta)])
-        lid = rng.choice(gens)
-        T = generator_field(n, tid)
-        L = generator_field(n, lid)
-        lhs = bracket(scale_field(a * f, T), scale_field(g, L)) \
-            - bracket(scale_field(f, T), scale_field(a * g, L))
-        rhs = scale_field(f * g * T.apply(a), L) + scale_field(f * g * L.apply(a), T)
-        ok = ok and (lhs - rhs).is_zero()
-        printed_ok = printed_ok and (lhs + rhs).is_zero()
-    return IdentityResult(
-        identity="cross-term", n=n, holds=ok, matches_printed=printed_ok,
-        verified_form="[a*f*T, g*L] - [f*T, a*g*L] = +f*g*(T(a)*L + L(a)*T)",
-        printed_form="same with a leading minus sign",
-        residual_is_zero=ok,
-        notes="randomized monomial instances",
-    )
-
-
-def _verify_hyperbolic_step(n: int, seed: int) -> IdentityResult:
-    """[Theta21, f*Theta12] = -f*Xi1 - Theta21(f)*Theta12 (orientation-consistent)."""
-    import random
-    rng = random.Random(seed)
-    t12, t21 = make_theta(n, 1, 2), make_theta(n, 2, 1)
-    xi1 = make_xi(n, 1)
-    ok = True
-    printed_ok = True
-    for _ in range(12):
-        f = _random_monomial(rng, n, 3)
-        lhs = bracket(t21, scale_field(f, t12))
-        rhs = -scale_field(f, xi1) - scale_field(t21.apply(f), t12)
-        printed = scale_field(f, xi1) - scale_field(t21.apply(f), t12)
-        ok = ok and (lhs - rhs).is_zero()
-        printed_ok = printed_ok and (lhs - printed).is_zero()
-    return IdentityResult(
-        identity="hyperbolic-step", n=n, holds=ok, matches_printed=printed_ok,
-        verified_form="[Theta21, f*Theta12] = -f*Xi1 - Theta21(f)*Theta12",
-        printed_form="f*Xi1 - Theta21(f)*Theta12",
-        residual_is_zero=ok,
-        notes="randomized monomial instances",
-    )
+        notes="randomized monomial instances" if entry.randomized else "")
 
 
 def verify_all_identities(n: int, seed: int = 0) -> list[IdentityResult]:
-    return [verify_identity(name, n, seed=seed) for name in identity_names(n)]
+    return [verify_identity(name, n, seed=seed) for name in _CATALOG]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ class DimensionMismatch(ValueError):
     """Two operands live in coordinate rings of different sizes."""
 
 
+class GradingError(ValueError):
+    """A polynomial or field lies outside the homogeneous slice asked for."""
+
+
 class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")

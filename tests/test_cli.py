@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +64,16 @@ def test_verify_all(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(r["holds"] for r in payload["identities"])
+
+
+def test_verify_report_matches_recorded(capsys):
+    # every field of the --all report at seed 0, forms and notes included
+    with open(Path(__file__).parent / "data" / "verify_all_seed0.json") as fh:
+        recorded = json.load(fh)
+    for n in ("2", "3"):
+        code, out = run(capsys, ["verify", "--all", "--n", n, "--seed", "0"])
+        assert code == 0
+        assert json.loads(out) == recorded[n]
 
 
 def test_verify_single_id(capsys):

@@ -49,6 +49,11 @@ def test_restrict_rejects_nonlinear_field():
         restrict(v, 2)
 
 
+def test_one_grading_error_class():
+    from specball import liegen, polyring
+    assert GradingError is liegen.GradingError is polyring.GradingError
+
+
 def test_restrict_zero_field():
     from specball.adjointfields import VectorField
     op = restrict(VectorField.zero(2), 2)
