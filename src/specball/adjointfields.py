@@ -1,13 +1,10 @@
 """Polynomial vector fields of the conjugation action on n x n matrices.
 
-The generators are
-
-    Theta_ab = sum_k ( x_bk d/dx_ak - x_ka d/dx_kb ),  a != b
-    Xi_a     = sum_k ( x_ak d/dx_ak - x_{a+1,k} d/dx_{a+1,k}
-                       - x_ka d/dx_ka + x_{k,a+1} d/dx_{k,a+1} )
-
-which realize the elementary matrices E_ab and the coroots
-H_a = [E_{a,a+1}, E_{a+1,a}] as derivations of the coordinate ring.
+Each generator is the commutator field X -> BX - XB of an integer sl_n
+matrix B, written down once, by `generator_matrix`: B = E_ab for
+Theta(a, b), a != b, and B = H_a = E_aa - E_{a+1,a+1} for Xi(a).  The
+field's d/dx_ij coefficient is sum_k (B_ik x_kj - x_ik B_kj); for Theta_ab
+this is sum_k ( x_bk d/dx_ak - x_ka d/dx_kb ).
 
 Bracket orientation: `bracket` is oriented so that the generator map
 E_ab -> Theta_ab, H_a -> Xi_a is a Lie algebra homomorphism, i.e.
@@ -19,11 +16,13 @@ operator-commutator orientation; spans and kernels are unaffected.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from .polyring import (
     DimensionMismatch,
+    Monomial,
     Polynomial,
     flat_index,
     format_poly,
@@ -41,12 +40,6 @@ class Theta:
     a: int
     b: int
 
-    def validate(self, n: int):
-        if self.a == self.b:
-            raise InvalidGenerator("Theta requires a != b")
-        if not (1 <= self.a <= n and 1 <= self.b <= n):
-            raise InvalidGenerator(f"Theta({self.a},{self.b}) out of range for n={n}")
-
     def label(self) -> str:
         return f"theta{self.a}{self.b}" if max(self.a, self.b) <= 9 else f"theta[{self.a},{self.b}]"
 
@@ -55,10 +48,6 @@ class Theta:
 class Xi:
     """Generator id for the hyperbolic (diagonal) field attached to H_a."""
     a: int
-
-    def validate(self, n: int):
-        if not (1 <= self.a <= n - 1):
-            raise InvalidGenerator(f"Xi({self.a}) out of range for n={n}")
 
     def label(self) -> str:
         return f"xi{self.a}"
@@ -69,14 +58,8 @@ GeneratorId = Theta | Xi
 
 def generator_ids(n: int) -> list[GeneratorId]:
     """The n^2 - 1 basis generators in canonical order."""
-    gens: list[GeneratorId] = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if a != b:
-                gens.append(Theta(a, b))
-    for a in range(1, n):
-        gens.append(Xi(a))
-    return gens
+    thetas = [Theta(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    return thetas + [Xi(a) for a in range(1, n)]
 
 
 class VectorField:
@@ -152,43 +135,50 @@ class VectorField:
         return f"VectorField(n={self.n}, {{{inner}}})"
 
 
-def make_theta(n: int, a: int, b: int) -> VectorField:
-    """Theta_ab = sum_k ( x_bk d/dx_ak - x_ka d/dx_kb )."""
-    Theta(a, b).validate(n)
-    comps: dict[int, Polynomial] = {}
-    for k in range(1, n + 1):
-        _add_term(comps, n, (a, k), Polynomial.x(b, k, n))
-        _add_term(comps, n, (k, b), -Polynomial.x(k, a, n))
+def generator_matrix(n: int, gid: GeneratorId) -> list[list[int]]:
+    """The integer n x n matrix of a generator id: E_ab for Theta(a, b) with
+    a != b in 1..n, and E_aa - E_{a+1,a+1} for Xi(a) with a in 1..n-1.  Any
+    other id raises InvalidGenerator."""
+    B = [[0] * n for _ in range(n)]
+    if isinstance(gid, Theta) and gid.a != gid.b and 0 < gid.a <= n and 0 < gid.b <= n:
+        B[gid.a - 1][gid.b - 1] = 1
+    elif isinstance(gid, Xi) and 0 < gid.a < n:
+        B[gid.a - 1][gid.a - 1], B[gid.a][gid.a] = 1, -1
+    else:
+        raise InvalidGenerator(f"{gid!r} is not a generator id for n={n}")
+    return B
+
+
+def commutator_field(B: list[list[int]]) -> VectorField:
+    """The field X -> BX - XB of an n x n matrix B: its d/dx_ij coefficient
+    is sum_k (B_ik x_kj - x_ik B_kj)."""
+    n = len(B)
+    comps = {}
+    for i in range(n):
+        for j in range(n):
+            terms = Counter()
+            for k in range(n):
+                terms[Monomial.variable(k * n + j)] += B[i][k]
+                terms[Monomial.variable(i * n + k)] -= B[k][j]
+            comps[i * n + j] = Polynomial(n * n, terms)
     return VectorField(n, comps)
+
+
+def make_theta(n: int, a: int, b: int) -> VectorField:
+    """Theta_ab, the commutator field of E_ab."""
+    return commutator_field(generator_matrix(n, Theta(a, b)))
 
 
 def make_xi(n: int, a: int) -> VectorField:
-    """Xi_a, the hyperbolic field of H_a = [E_{a,a+1}, E_{a+1,a}]."""
-    Xi(a).validate(n)
-    comps: dict[int, Polynomial] = {}
-    for k in range(1, n + 1):
-        _add_term(comps, n, (a, k), Polynomial.x(a, k, n))
-        _add_term(comps, n, (a + 1, k), -Polynomial.x(a + 1, k, n))
-        _add_term(comps, n, (k, a), -Polynomial.x(k, a, n))
-        _add_term(comps, n, (k, a + 1), Polynomial.x(k, a + 1, n))
-    return VectorField(n, comps)
-
-
-def _add_term(comps: dict[int, Polynomial], n: int, var: tuple[int, int], p: Polynomial):
-    v = flat_index(var[0], var[1], n)
-    q = comps.get(v)
-    comps[v] = p if q is None else q + p
+    """Xi_a, the commutator field of H_a = E_aa - E_{a+1,a+1}."""
+    return commutator_field(generator_matrix(n, Xi(a)))
 
 
 @functools.cache
 def generator_field(n: int, gid: GeneratorId) -> VectorField:
     """The field of a generator id, built once per (n, gid): fields are
     immutable, and there are n^2 - 1 ids for each n."""
-    if isinstance(gid, Theta):
-        return make_theta(n, gid.a, gid.b)
-    if isinstance(gid, Xi):
-        return make_xi(n, gid.a)
-    raise InvalidGenerator(f"unknown generator id {gid!r}")
+    return commutator_field(generator_matrix(n, gid))
 
 
 def bracket(v: VectorField, w: VectorField) -> VectorField:

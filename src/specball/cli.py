@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from . import flows, kernelgrowth, liegen
-from .adjointfields import emit_tables, make_theta, make_xi, render_tables_text
+from .adjointfields import emit_tables, generator_field, generator_ids, render_tables_text
 from .polyring import parse_poly
 
 SCHEMA_VERSION = 1
@@ -182,15 +182,12 @@ def cmd_generate(args) -> int:
 
 
 def _field_by_name(name: str, n: int):
+    """The generator field labelled name (xi1, theta12, theta[10,2], ...)."""
+    gens = {g.label(): g for g in generator_ids(n)}
     name = name.lower()
-    if name.startswith("xi"):
-        return make_xi(n, int(name[2:])), name
-    if name.startswith("theta"):
-        idx = name[5:]
-        if len(idx) != 2:
-            raise ValueError("field name must look like xi1 or theta12")
-        return make_theta(n, int(idx[0]), int(idx[1])), name
-    raise ValueError(f"unknown field {name!r}")
+    if name not in gens:
+        raise ValueError(f"unknown field {name!r} for n={n}; known: {', '.join(gens)}")
+    return generator_field(n, gens[name]), name
 
 
 def cmd_kernels(args) -> int:
@@ -214,6 +211,8 @@ def cmd_kernels(args) -> int:
 def cmd_growth(args) -> int:
     lo, hi = _parse_range(args.m)
     if args.chain:
+        if lo < 1:
+            raise ValueError("the chain table starts at m = 1")
         config = {"command": "growth", "chain": True, "m": args.m}
         records = kernelgrowth.chain_kernel_dims(hi)
         records = [r for r in records if lo <= r.m <= hi]
@@ -265,11 +264,8 @@ def cmd_orbit(args) -> int:
     if not flows.in_spectral_ball(A):
         print("error: input matrix is not in the spectral ball", file=sys.stderr)
         return EXIT_PRECONDITION
-    trajectory = [flows.matrix_to_json(A)]
-    X = A
-    for atom in word:
-        X = flows.apply_atom(atom, X)
-        trajectory.append(flows.matrix_to_json(X))
+    points = list(flows.word_trajectory(word, A))
+    X = points[-1]
     non_moebius = all(not isinstance(a, flows.Moebius) for a in word)
     drift = None
     if args.check_fibre and non_moebius:
@@ -279,7 +275,7 @@ def cmd_orbit(args) -> int:
     payload = _report(config, {
         "n": A.shape[0],
         "result": flows.matrix_to_json(X),
-        "trajectory": trajectory,
+        "trajectory": [flows.matrix_to_json(P) for P in points],
         "in_ball": bool(flows.in_spectral_ball(X)),
         "fibre_drift": drift,
     })

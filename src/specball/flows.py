@@ -15,7 +15,8 @@ applied as one row and one column update instead of two dense products.
 Automorphism atoms: overshear/shear conjugations exp(s E_ab) with the
 exact nilpotent exponential I + s E_ab, Moebius transformations
 A -> gamma (A - alpha I)(I - conj(alpha) A)^{-1}, transposition, and
-explicit SL_n conjugations.
+explicit SL_n conjugations.  `word_trajectory` evaluates a word atom by
+atom.  A field value B A - A B takes B from `generator_matrix`.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .adjointfields import Theta, Xi, generator_field
-from .polyring import Polynomial, parse_poly, row_col
+from .adjointfields import GeneratorId, Theta, generator_field, generator_matrix
+from .polyring import Polynomial, PolyParseError, parse_poly, row_col
 
 
 class NumericsError(RuntimeError):
@@ -115,7 +116,12 @@ def _aberth_sweep(coeffs: list[complex], dc: list[complex],
     return new_z, max_step
 
 
-def poly_roots(monic: Sequence[complex], tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
+# Aberth-Ehrlich stops at a step below ROOT_TOL (relative) or after ROOT_MAX_ITER sweeps
+ROOT_TOL = 1e-13
+ROOT_MAX_ITER = 200
+
+
+def poly_roots(monic: Sequence[complex]) -> np.ndarray:
     """All roots of a monic polynomial via Aberth-Ehrlich iteration.
 
     Roots at zero are split off exactly first (they are exact for nilpotent
@@ -146,10 +152,10 @@ def poly_roots(monic: Sequence[complex], tol: float = 1e-13, max_iter: int = 200
     z = [radius * cmath.exp(1j * a) * (1 + 0.05 * math.cos(7 * a)) for a in angles]
     dc = [c * (d - i) for i, c in enumerate(coeffs[:-1])]
 
-    for iteration in range(max_iter):
+    for iteration in range(ROOT_MAX_ITER):
         try:
             z, max_step = _aberth_sweep(coeffs, dc, z)
-            converged = max_step <= tol * (1.0 + max(map(abs, z)))
+            converged = max_step <= ROOT_TOL * (1.0 + max(map(abs, z)))
         except (ZeroDivisionError, OverflowError):   # coincident or unbounded iterates
             z, converged = [complex(math.nan)], False
         if not all(map(cmath.isfinite, z)):
@@ -161,7 +167,7 @@ def poly_roots(monic: Sequence[complex], tol: float = 1e-13, max_iter: int = 200
         residual = float(np.max(np.abs([_horner(coeffs, x) for x in z])))
         if residual > 1e-8 * (1.0 + radius) ** d:
             raise NumericsError("root finder did not converge",
-                                iterations=max_iter, residual=residual,
+                                iterations=ROOT_MAX_ITER, residual=residual,
                                 coefficients=coeffs)
     return np.array(z + [0j] * zeros_at_origin, dtype=complex)
 
@@ -238,19 +244,6 @@ def eval_poly_at_matrix(f: Polynomial, A: Matrix) -> complex:
 # automorphism atoms
 
 
-def elementary_matrix(n: int, a: int, b: int) -> Matrix:
-    E = np.zeros((n, n), dtype=complex)
-    E[a - 1, b - 1] = 1.0
-    return E
-
-
-def coroot_matrix(n: int, a: int) -> Matrix:
-    H = np.zeros((n, n), dtype=complex)
-    H[a - 1, a - 1] = 1.0
-    H[a, a] = -1.0
-    return H
-
-
 @dataclass(frozen=True)
 class Overshear:
     """Time-t map of the field f * Theta_ab, where Theta_ab^2(f) = 0.
@@ -269,9 +262,7 @@ class Overshear:
     def __post_init__(self):
         if not cmath.isfinite(self.t):
             raise ValueError("overshear 't' must be finite")
-        gid = Theta(self.a, self.b)
-        gid.validate(self.n)
-        theta = generator_field(self.n, gid)
+        theta = generator_field(self.n, Theta(self.a, self.b))
         tf = theta.apply(self.f)
         if not theta.apply(tf).is_zero():
             raise ValueError("coefficient fails the overshear test Theta^2(f) = 0")
@@ -360,14 +351,21 @@ def apply_atom(atom: AutomorphismAtom, A: Matrix) -> Matrix:
     raise TypeError(f"unknown atom {atom!r}")
 
 
-def apply_word(word: AutomorphismWord, A: Matrix) -> Matrix:
-    """Left-to-right composition: the first atom acts first."""
+def word_trajectory(word: AutomorphismWord, A: Matrix) -> Iterator[Matrix]:
+    """A, then the matrix after each atom in turn (the first atom acts
+    first); an atom that yields a non-finite entry raises NumericsError."""
     A = as_matrix(A)
-    for atom in word:
+    yield A
+    for i, atom in enumerate(word):
         A = apply_atom(atom, A)
         if not np.all(np.isfinite(A)):
-            raise NumericsError("word evaluation produced non-finite entries")
-    return A
+            raise NumericsError("word evaluation produced non-finite entries", atom=i)
+        yield A
+
+
+def apply_word(word: AutomorphismWord, A: Matrix) -> Matrix:
+    """Left-to-right composition: the first atom acts first."""
+    return list(word_trajectory(word, A))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +418,11 @@ def iterate_algorithm(alg: Algorithm, t: float, n_steps: int, A: Matrix) -> Matr
     return X
 
 
-def field_at_point(f: Polynomial, gid: Theta | Xi, A: Matrix) -> Matrix:
+def field_at_point(f: Polynomial, gid: GeneratorId, A: Matrix) -> Matrix:
     """Value of the field f * V at the matrix A: f(A) * (B A - A B) where
-    B is the generator matrix (E_ab or H_a)."""
+    B is the generator's matrix."""
     A = as_matrix(A)
-    n = A.shape[0]
-    if isinstance(gid, Theta):
-        gid.validate(n)
-        B = elementary_matrix(n, gid.a, gid.b)
-    elif isinstance(gid, Xi):
-        gid.validate(n)
-        B = coroot_matrix(n, gid.a)
-    else:
-        raise TypeError(f"unknown generator {gid!r}")
+    B = np.array(generator_matrix(A.shape[0], gid), dtype=complex)
     return eval_poly_at_matrix(f, A) * (B @ A - A @ B)
 
 
@@ -440,16 +430,20 @@ def field_at_point(f: Polynomial, gid: Theta | Xi, A: Matrix) -> Matrix:
 # sampling
 
 
-def sample_spectral_ball(rng: np.random.Generator, n: int, radius: float = 0.9,
-                         coupling: float = 0.3) -> Matrix:
+SAMPLE_RADIUS = 0.9
+SAMPLE_COUPLING = 0.3
+
+
+def sample_spectral_ball(rng: np.random.Generator, n: int) -> Matrix:
     """Random point of the spectral ball: a Schur form with eigenvalues
-    uniform in the disc of the given radius, conjugated by a random unitary.
-    The spectral radius is below `radius` by construction and the samples
+    uniform in the disc of radius SAMPLE_RADIUS and SAMPLE_COUPLING times
+    normal entries above the diagonal, conjugated by a random unitary.  The
+    spectral radius is below SAMPLE_RADIUS by construction and the samples
     are generically non-normal."""
-    lam = radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    lam = SAMPLE_RADIUS * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
     T = np.diag(lam).astype(complex)
     upper = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    T += coupling * np.triu(upper, 1)
+    T += SAMPLE_COUPLING * np.triu(upper, 1)
     Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     Q, R = np.linalg.qr(Z)
     Q = Q @ np.diag(np.diag(R) / np.abs(np.diag(R)))
@@ -472,9 +466,13 @@ def matrix_from_json(data) -> Matrix:
     return as_matrix(A)
 
 
+def _is_number(x) -> bool:
+    """A JSON number: json reads true and false as bool, a subclass of int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _complex_from_json(pair, name: str) -> complex:
-    if not (isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(x, (int, float)) for x in pair)):
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
         raise ValueError(f"{name} must be an [re, im] pair of numbers")
     z = complex(pair[0], pair[1])
     if not cmath.isfinite(z):
@@ -482,32 +480,49 @@ def _complex_from_json(pair, name: str) -> complex:
     return z
 
 
+_ATOM_KEYS = {"overshear": ("theta", "f", "t"), "moebius": ("alpha", "gamma"),
+              "transpose": (), "conjugate": ("G",)}
+
+
 def atom_from_json(obj: dict, n: int) -> AutomorphismAtom:
+    """One atom of an n x n word; a malformed one raises ValueError naming
+    the offending field."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError("each atom must be an object with exactly one key")
     kind, body = next(iter(obj.items()))
+    if kind not in _ATOM_KEYS:
+        raise ValueError(f"unknown atom kind {kind!r}")
     if not isinstance(body, dict):
         raise ValueError(f"{kind} atom: its value must be an object")
+    missing = [key for key in _ATOM_KEYS[kind] if key not in body]
+    if missing:
+        raise ValueError(f"{kind} atom: missing {missing[0]!r}")
     if kind == "overshear":
         theta, f, t = body["theta"], body["f"], body["t"]
         if not (isinstance(theta, list) and len(theta) == 2
-                and all(isinstance(i, int) for i in theta)):
+                and all(isinstance(i, int) and not isinstance(i, bool) for i in theta)):
             raise ValueError("overshear 'theta' must be a pair of integer indices")
         if not isinstance(f, str):
             raise ValueError("overshear 'f' must be a polynomial string")
+        try:
+            f = parse_poly(f, n)
+        except PolyParseError as exc:
+            raise ValueError(f"overshear 'f': {exc}") from exc
         if isinstance(t, list):
             t = _complex_from_json(t, "overshear 't'")
-        elif not isinstance(t, (int, float, str)):
+        elif not _is_number(t):
             raise ValueError("overshear 't' must be a number or an [re, im] pair")
-        return Overshear(n=n, a=theta[0], b=theta[1], f=parse_poly(f, n), t=complex(t))
+        return Overshear(n=n, a=theta[0], b=theta[1], f=f, t=complex(t))
     if kind == "moebius":
         return Moebius(alpha=_complex_from_json(body["alpha"], "moebius 'alpha'"),
                        gamma=_complex_from_json(body["gamma"], "moebius 'gamma'"))
     if kind == "transpose":
         return Transpose()
-    if kind == "conjugate":
-        return Conjugate(matrix_from_json(body["G"]))
-    raise ValueError(f"unknown atom kind {kind!r}")
+    try:
+        G = as_matrix(matrix_from_json(body["G"]), n)
+    except ValueError as exc:
+        raise ValueError(f"conjugate 'G': {exc}") from exc
+    return Conjugate(G)
 
 
 def word_from_json(data: list, n: int) -> AutomorphismWord:

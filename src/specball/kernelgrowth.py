@@ -268,17 +268,14 @@ class GrowthRecord:
         assert 0 <= self.dim_ker <= self.dim_ker_sq <= self.slice_dim
 
 
-def finite_difference_degree(values: list[int], max_order: int | None = None) -> int | None:
+def finite_difference_degree(values: list[int]) -> int | None:
     """Least k with vanishing (k+1)-th finite differences on the window.
 
     Returns None when no such k is detectable (window too small, or the
     sequence is not polynomial on the window).
     """
-    if len(values) < 2:
-        return None
-    seq = list(values)
-    limit = len(values) - 2 if max_order is None else min(max_order, len(values) - 2)
-    for k in range(limit + 1):
+    seq = values
+    for k in range(len(values) - 1):
         diff = [seq[i + 1] - seq[i] for i in range(len(seq) - 1)]
         if all(x == 0 for x in diff):
             return k
@@ -321,14 +318,18 @@ def adjoin_bound_check(psi_dims: list[int], m: int) -> int:
     return sum((1 + k) * psi_dims[m - k] for k in range(m + 1))
 
 
-def strided_degree(values: list[int], max_stride: int = 6) -> tuple[int | None, int]:
+# the longest quasi-polynomial period the degree estimates look for
+MAX_STRIDE = 6
+
+
+def strided_degree(values: list[int]) -> tuple[int | None, int]:
     """Empirical polynomial degree allowing a quasi-polynomial period.
 
-    Tries strides 1..max_stride; returns (degree, stride) for the smallest
+    Tries strides 1..MAX_STRIDE; returns (degree, stride) for the smallest
     stride whose residue subsequences all show the same finite-difference
     degree, or (None, 0) when nothing is detectable on the window.
     """
-    for stride in range(1, max_stride + 1):
+    for stride in range(1, MAX_STRIDE + 1):
         degs = [finite_difference_degree(values[r::stride]) for r in range(stride)]
         if all(d is not None for d in degs):
             return max(degs), stride
@@ -423,7 +424,7 @@ class ProbeReport:
     consistent: bool | None          # None when the degree is undetermined
 
 
-def conjecture_probe(der: LinearDerivation, m_max: int, max_stride: int = 6) -> ProbeReport:
+def conjecture_probe(der: LinearDerivation, m_max: int) -> ProbeReport:
     """Kernel-dimension window for a degree-preserving derivation plus an
     empirical polynomial-degree estimate.  Reports consistency with the
     degree bound N-2 on the window only; never a proof.
@@ -433,7 +434,7 @@ def conjecture_probe(der: LinearDerivation, m_max: int, max_stride: int = 6) -> 
     quasi-polynomial, so the degree search allows a small period.
     """
     dims = [k1 for k1, _ in kernel_dim_with_method(der, m_max)[0]]
-    deg, period = strided_degree(dims, max_stride=max_stride)
+    deg, period = strided_degree(dims)
     bound = der.nvars - 2
     consistent = (deg <= bound) if deg is not None else None
     return ProbeReport(nvars=der.nvars, dims=dims, empirical_degree=deg,

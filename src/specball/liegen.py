@@ -38,7 +38,6 @@ from .adjointfields import (
     bracket,
     generator_field,
     generator_ids,
-    make_theta,
     overshear_class,
     scale_field,
 )
@@ -504,26 +503,23 @@ def verify_cross_image(n: int) -> CrossImageReport:
     if n < 3:
         raise PreconditionError("the cross-image span statement requires n >= 3")
     nvars = n * n
-    t12 = make_theta(n, 1, 2)
+    t12 = generator_field(n, Theta(1, 2))
     space = ExactRowSpace()
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if a == b:
+    for gid in generator_ids(n):
+        if not isinstance(gid, Theta):
+            continue
+        tab = generator_field(n, gid)
+        for xcd in (Polynomial.variable(nvars, flat) for flat in range(nvars)):
+            if not t12.apply(xcd).is_zero():
                 continue
-            tab = make_theta(n, a, b)
-            for c in range(1, n + 1):
-                for dd in range(1, n + 1):
-                    xcd = Polynomial.x(c, dd, n)
-                    if not t12.apply(xcd).is_zero():
-                        continue
-                    img = substitute_trace(tab.apply(xcd))
-                    if img.is_zero():
-                        continue
-                    vec = {}
-                    for mono, coeff in img.terms.items():
-                        (v, e), = mono.powers
-                        vec[v] = coeff
-                    space.insert(clear_denominators(vec))
+            img = substitute_trace(tab.apply(xcd))
+            if img.is_zero():
+                continue
+            vec = {}
+            for mono, coeff in img.terms.items():
+                (v, e), = mono.powers
+                vec[v] = coeff
+            space.insert(clear_denominators(vec))
     rank = space.rank
     x12_vec = {flat_index(1, 2, n): 1}
     return CrossImageReport(n=n, rank=rank, expected_rank=nvars - 2,

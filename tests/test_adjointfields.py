@@ -7,11 +7,13 @@ from specball.adjointfields import (
     InvalidGenerator,
     OvershearClass,
     Theta,
+    Xi,
     bracket,
     divergence,
     emit_tables,
     generator_field,
     generator_ids,
+    generator_matrix,
     make_theta,
     make_xi,
     overshear_class,
@@ -75,6 +77,17 @@ def test_invalid_generators():
         make_xi(3, 3)
     with pytest.raises(InvalidGenerator):
         make_theta(3, 4, 1)
+
+
+def test_generator_matrix():
+    assert generator_matrix(3, Theta(3, 1)) == [[0, 0, 0], [0, 0, 0], [1, 0, 0]]
+    assert generator_matrix(3, Xi(2)) == [[0, 0, 0], [0, 1, 0], [0, 0, -1]]
+    for n in (2, 3, 4):
+        assert all(sum(B[i][i] for i in range(n)) == 0     # traceless: in sl_n
+                   for B in (generator_matrix(n, g) for g in generator_ids(n)))
+    for bad in (Theta(2, 2), Theta(0, 1), Theta(1, 4), Xi(0), Xi(3), "theta12"):
+        with pytest.raises(InvalidGenerator):
+            generator_matrix(3, bad)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

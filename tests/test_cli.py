@@ -176,6 +176,37 @@ def test_growth_needs_field_or_chain(capsys):
     assert cli.main(["growth", "--field", "theta12", "--m=-1..3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernels", "--n", "2", "--field", "theta13", "--m", "0..2"],
+    ["kernels", "--n", "2", "--field", "xiz", "--m", "0..2"],
+    ["kernels", "--n", "2", "--field", "foo", "--m", "0..2"],
+    ["growth", "--n", "2", "--field", "xi2", "--m", "0..2"],
+])
+def test_unknown_field_lists_known_labels(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "known: theta12, theta21, xi1" in captured.err
+
+
+def test_kernels_bracketed_label_for_n10(capsys):
+    code, out = run(capsys, ["kernels", "--n", "10", "--field", "theta[10,2]", "--m", "0..1"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
+    # the linear slice of a root field: 100 - rank(ad E_ab) = 100 - 18
+    assert [(r["field"], r["dim_ker"]) for r in rows] == [("theta[10,2]", "1"), ("theta[10,2]", "82")]
+
+
+def test_growth_chain_range_below_one_is_usage_error(capsys):
+    # the chain table starts at m = 1; a range reaching below it is refused
+    code = cli.main(["growth", "--chain", "--m", "0..3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "m = 1" in captured.err
+
+
 def test_kernels_range_not_from_zero(capsys):
     code, out = run(capsys, ["kernels", "--n", "3", "--field", "theta12", "--m", "2..3"])
     assert code == 0
@@ -252,6 +283,17 @@ def test_orbit_outside_ball_is_precondition_error(capsys, orbit_files):
     ([{"overshear": {"theta": [1, 2], "f": "x11", "t": float("nan")}}], "overshear 't' must be finite"),
     ([{"overshear": {"theta": [1, 2], "f": "x11", "t": [0.3, float("inf")]}}],
      "overshear 't' must be finite"),
+    # json reads true as a bool, which Python counts as the int 1
+    ([{"overshear": {"theta": [1, 2], "f": "x11", "t": True}}], "overshear 't'"),
+    ([{"overshear": {"theta": [True, 2], "f": "x11", "t": [0.3, 0.0]}}], "overshear 'theta'"),
+    ([{"moebius": {"alpha": [True, 0], "gamma": [1, 0]}}], "moebius 'alpha'"),
+    ([{"overshear": {"theta": [1, 2], "t": [0.3, 0.0]}}], "overshear atom: missing 'f'"),
+    ([{"moebius": {"alpha": [0.2, 0]}}], "moebius atom: missing 'gamma'"),
+    ([{"conjugate": {}}], "conjugate atom: missing 'G'"),
+    ([{"overshear": {"theta": [1, 2], "f": "x1", "t": [0.3, 0.0]}}], "overshear 'f'"),
+    # a 3x3 G against the 2x2 matrix
+    ([{"conjugate": {"G": [[[1, 0] if i == j else [0, 0] for j in range(3)] for i in range(3)]}}],
+     "conjugate 'G': expected a 2x2 matrix"),
 ])
 def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word, field):
     mat = orbit_files[0]
@@ -262,6 +304,20 @@ def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word
     assert code == 2
     assert captured.out == ""
     assert field in captured.err
+
+
+def test_orbit_overflow_in_a_valid_word_is_numeric_error(capsys, tmp_path):
+    # e^(t x21) overflows at t = 1e300: the word is valid and the input
+    # finite, so the failure is the evaluation's (exit 4), not a usage error
+    mat, word = tmp_path / "A.json", tmp_path / "w.json"
+    mat.write_text(json.dumps(matrix_to_json(np.array([[0.1, 0], [0.2, 0.3]]))))
+    word.write_text(json.dumps([{"overshear": {"theta": [1, 2], "f": "x11", "t": [1e300, 0]}}]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["orbit", "--word", str(word), "--matrix", str(mat)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "non-finite" in captured.err
 
 
 def test_cached_parser_is_reentrant(capsys, orbit_files):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from specball.adjointfields import Theta, Xi
+from specball import flows
+from specball.adjointfields import Theta, Xi, generator_field, generator_ids
 from specball.flows import (
     Conjugate,
     FibreCoordinates,
@@ -19,7 +20,6 @@ from specball.flows import (
     apply_word,
     as_matrix,
     char_poly,
-    elementary_matrix,
     epsilon,
     eval_poly_at_matrix,
     field_at_point,
@@ -37,6 +37,13 @@ from specball.flows import (
     word_from_json,
 )
 from specball.polyring import Polynomial, parse_poly
+
+
+def matrix_unit(n, a, b):
+    """E_ab, written here apart from specball's generator_matrix."""
+    E = np.zeros((n, n))
+    E[a - 1, b - 1] = 1.0
+    return E
 
 
 def sym_from_eigs(eigs):
@@ -138,12 +145,13 @@ def test_poly_roots_exact_zeros():
     assert np.count_nonzero(found == 0) == 2 and abs(found[0] - 0.5) < 1e-15
 
 
-def test_poly_roots_reports_non_convergence():
+def test_poly_roots_reports_non_convergence(monkeypatch):
     # roots 10, 10.5, 11 lie far inside the start circle of radius 1 + 1155.5
     coeffs = list(np.poly([10, 10.5, 11]))
     assert np.allclose(np.sort(poly_roots(coeffs).real), [10, 10.5, 11])
+    monkeypatch.setattr(flows, "ROOT_MAX_ITER", 1)
     with pytest.raises(NumericsError, match="did not converge") as exc:
-        poly_roots(coeffs, max_iter=1)
+        poly_roots(coeffs)
     assert exc.value.diagnostics["iterations"] == 1
     assert exc.value.diagnostics["residual"] > 1e-8 * (1 + 1155.5) ** 3
     with pytest.raises(NumericsError, match="diverged"):
@@ -238,7 +246,7 @@ def test_overshear_flow_matches_dense_product():
                 atom = Overshear(n=n, a=a, b=b, f=f, t=t)
                 s = (epsilon(t * eval_poly_at_matrix(atom.theta_f, A))
                      * t * eval_poly_at_matrix(f, A))
-                I, E = np.eye(n), elementary_matrix(n, a, b)
+                I, E = np.eye(n), matrix_unit(n, a, b)
                 dense = (I + s * E) @ A @ (I - s * E)
                 A0 = A.copy()
                 got = overshear_flow(atom, A)
@@ -258,7 +266,7 @@ def test_shear_flow_explicit_matrix_form():
     A = sample_spectral_ball(rng, 2)
     t = 0.37 - 0.21j
     atom = Overshear(n=2, a=1, b=2, f=parse_poly("x21", 2), t=t)
-    I, E = np.eye(2), elementary_matrix(2, 1, 2)
+    I, E = np.eye(2), matrix_unit(2, 1, 2)
     s = t * A[1, 0]
     expected = (I + s * E) @ A @ (I - s * E)
     assert np.allclose(overshear_flow(atom, A), expected, atol=1e-14)
@@ -270,7 +278,7 @@ def test_overshear_flow_exponential_form():
     A = sample_spectral_ball(rng, 2)
     t = 0.29
     atom = Overshear(n=2, a=1, b=2, f=parse_poly("x11", 2), t=t)
-    I, E = np.eye(2), elementary_matrix(2, 1, 2)
+    I, E = np.eye(2), matrix_unit(2, 1, 2)
     s = (np.exp(t * A[1, 0]) - 1) * A[0, 0] / A[1, 0]
     expected = (I + s * E) @ A @ (I - s * E)
     assert np.allclose(overshear_flow(atom, A), expected, atol=1e-12)
@@ -446,7 +454,7 @@ def test_bracket_algorithm_direction():
 
 
 def test_field_at_point_elementary():
-    E21 = elementary_matrix(2, 2, 1)
+    E21 = matrix_unit(2, 2, 1)
     H1 = field_at_point(Polynomial.constant(4, 1), Theta(1, 2), E21)
     assert np.allclose(H1, np.diag([1.0, -1.0]))
     # linear scaling in the coefficient
@@ -456,6 +464,20 @@ def test_field_at_point_elementary():
     v1 = field_at_point(f, Theta(1, 2), A)
     v2 = field_at_point(f.scale(3), Theta(1, 2), A)
     assert np.allclose(3 * v1, v2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_field_at_point_matches_generator_field(n):
+    # the numeric field B A - A B against the polynomial components of the
+    # same generator's field, evaluated at A
+    A = sample_spectral_ball(np.random.default_rng(40 + n), n)
+    one = Polynomial.constant(n * n, 1)
+    for gid in generator_ids(n):
+        V = field_at_point(one, gid, A)
+        field = generator_field(n, gid)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert abs(V[i - 1, j - 1] - eval_poly_at_matrix(field.component(i, j), A)) < 1e-14
 
 
 def test_flow_derivative_central_difference():
