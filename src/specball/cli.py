@@ -166,6 +166,8 @@ def cmd_generate(args) -> int:
             "sl_component_rank": rep.sl_rank,
             "sl_target_component_rank": rep.sl_target_component_rank,
             "gl_component_rank": rep.gl_rank,
+            "brackets_evaluated": rep.brackets_evaluated,
+            "prime": rep.prime, "relation_rank": rep.relation_rank,
             "certified": rep.certified, "complete": rep.complete,
         })
     payload = _report(config, {"degrees": degrees, "complete": result.complete})
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, n_default=2)
     p.add_argument("--max-degree", type=_bounded(int, 0), required=True)
     p.add_argument("--method", choices=["auto", "exact", "modular"], default="auto",
-                   help="no effect: every grade is certified by exact elimination")
+                   help="no effect: every grade is certified by the one-prime certificate")
     p.add_argument("--budget-ms", type=_bounded(float, 0, strict=True), default=None)
     p.add_argument("--budget-brackets", type=_bounded(int, 0), default=None)
     p.set_defaults(func=cmd_generate)

@@ -459,11 +459,15 @@ def matrix_to_json(A: Matrix) -> list:
 
 
 def matrix_from_json(data) -> Matrix:
-    try:
-        A = np.array([[complex(cell[0], cell[1]) for cell in row] for row in data])
-    except (TypeError, IndexError) as exc:
-        raise ValueError("matrix JSON must be an array of arrays of [re, im] pairs") from exc
-    return as_matrix(A)
+    """A matrix from a JSON array of rows of [re, im] pairs of numbers; a
+    cell of any other form is refused, named by its row and column."""
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise ValueError("matrix JSON must be an array of arrays of [re, im] pairs")
+    for i, row in enumerate(data, 1):
+        for j, cell in enumerate(row, 1):
+            if not _is_pair(cell):
+                raise ValueError(f"matrix entry ({i}, {j}) must be an [re, im] pair of numbers")
+    return as_matrix([[complex(re, im) for re, im in row] for row in data])
 
 
 def _is_number(x) -> bool:
@@ -471,8 +475,13 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_pair(x) -> bool:
+    """An [re, im] pair of JSON numbers."""
+    return isinstance(x, list) and len(x) == 2 and _is_number(x[0]) and _is_number(x[1])
+
+
 def _complex_from_json(pair, name: str) -> complex:
-    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+    if not _is_pair(pair):
         raise ValueError(f"{name} must be an [re, im] pair of numbers")
     z = complex(pair[0], pair[1])
     if not cmath.isfinite(z):

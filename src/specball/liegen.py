@@ -6,25 +6,33 @@ closes under brackets, grade by grade, where the grade of f*V is deg f.
 The verification target at grade d is containment of f*V for every
 degree-d monomial f in the traceless coordinates and every generator V.
 
-The closure works in one coordinate system, the traceless one: x_nn is
-replaced by -(x_11 + ... + x_{n-1,n-1}), which is the fibre tr = 0, and
-exact integer elimination decides both which brackets are kept and the
-certificate.  Keeping a bracket only when its traceless vector is new
-loses nothing.  Every field here is tangent to the trace levels
-(Y(tr) = 0), so restricting to tr = 0 is a Lie algebra homomorphism whose
-kernel, the fields divisible by tr, is an ideal: [tr*A, Y] = tr*[A, Y].
-A field whose traceless vector is already spanned therefore adds nothing
-to any later grade either.  Because the generator fields satisfy
-polynomial relations (e.g. 2*x12*Theta12 + 2*x21*Theta21 + (x11-x22)*Xi1 =
-0 on 2x2 matrices), the component rank of the target space is lower than
-the pair count; reports carry both numbers.
-"""
+The closure works on the hyperplane tr = 0, where x_nn is
+-(x_11 + ... + x_{n-1,n-1}).  A field there is its components
+0..n^2 - 2, each an integer polynomial in the first n^2 - 1 variables,
+stored as one packed integer vector (`_TracelessFields`); brackets are
+taken on these vectors, with no `Polynomial` in the loop.  Every field
+here is tangent to the trace levels (Y(tr) = 0), so restricting to tr = 0
+is a Lie algebra homomorphism whose kernel, the fields divisible by tr, is
+an ideal: [tr*A, Y] = tr*[A, Y].  A field whose restricted vector is
+already spanned therefore adds nothing to any later grade either.
 
+Kept vectors go into one echelon mod the prime `CLOSURE_PRIME`, and each
+grade is certified with that one prime (`_certify_degree`): rank_p of the
+kept vectors is at most their rank over Q, which is at most the pair
+span's rank |F_d| - dim ker Phi, which is at most |F_d| - rank_p(Rel) for
+explicit relations Rel checked exactly to lie in ker Phi.  Equal ends
+prove that the kept fields span every f*V.  The relations come from
+polynomial identities among the generator fields (e.g.
+2*x12*Theta12 + 2*x21*Theta21 + (x11-x22)*Xi1 = 0 on 2x2 matrices), so the
+component rank of the target space is lower than the pair count; reports
+carry both numbers.
+"""
 from __future__ import annotations
 
 import random
 import time
 from collections import Counter, deque
+from itertools import combinations_with_replacement
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +49,7 @@ from .adjointfields import (
     overshear_class,
     scale_field,
 )
-from .linalg import ExactRowSpace, clear_denominators
+from .linalg import ExactRowSpace, ModularRowSpace, clear_denominators
 from .polyring import (
     GradingError,
     HomSliceBasis,
@@ -169,6 +177,148 @@ class _SlProjector:
 
 
 # ---------------------------------------------------------------------------
+# integer fields on tr = 0
+
+CLOSURE_PRIME = 2 ** 31 - 1     # the prime of every closure echelon
+
+# a prepared field: (terms of d/dx_j of every component by j, terms by component)
+_Prepared = tuple[dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]
+
+
+def _sum(terms) -> dict[int, int]:
+    """The combination sum c * p over (p, c) pairs of packed dicts."""
+    out: dict[int, int] = {}
+    for p, scale in terms:
+        for k, c in p.items():
+            out[k] = out.get(k, 0) + scale * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """The product of two packed polynomials, or of a polynomial and a field."""
+    return _sum(({k1 + k2: c2 for k2, c2 in q.items()}, c1) for k1, c1 in p.items())
+
+
+def _bracket(v: _Prepared, w: _Prepared) -> dict[int, int]:
+    """[v, w]_c = w(v_c) - v(w_c) on the hyperplane, the restriction of
+    `adjointfields.bracket`: each term of d/dx_j v_c meets each term of w_j,
+    and each term of d/dx_j w_c each term of v_j."""
+    out: dict[int, int] = {}
+    get = out.get
+    for (grads, _), (_, comps), sign in ((v, w, 1), (w, v, -1)):
+        for j, lowered in grads.items():
+            terms = comps.get(j)
+            if terms is None:
+                continue
+            for low, a in lowered:
+                a *= sign
+                for m, b in terms:
+                    k = low + m
+                    out[k] = get(k, 0) + a * b
+    return {k: c for k, c in out.items() if c}
+
+
+class _TracelessFields:
+    """Integer polynomials and fields on the hyperplane tr = 0, packed.
+
+    The coordinates are the first n^2 - 1 variables; x_nn stands for
+    -(x_11 + ... + x_{n-1,n-1}).  A field is a dict key -> int, one entry
+    per term c * x^e d/dx_comp: the key holds comp in its low `cbits` bits
+    and each exponent e_j in `ebits` bits above them.  A polynomial is a
+    field whose terms all have comp 0, so multiplying by a monomial adds its
+    key and dividing by x_j subtracts `units[j]`.  Exponents in a grade-d
+    field are at most d + 1, which `ebits` holds up to `max_degree`.
+    """
+
+    def __init__(self, n: int, max_degree: int):
+        self.n = n
+        self.nv = nv = n * n - 1
+        self.cbits = (nv - 1).bit_length()
+        self.ebits = (max_degree + 1).bit_length()
+        self.units = [1 << (self.cbits + self.ebits * j) for j in range(nv)]
+        self.trace_form = {self.units[a * (n + 1)]: -1 for a in range(n - 1)}
+
+    def monomials(self, degree: int) -> list[int]:
+        """Keys of the degree-`degree` monomials, in `slice_monomials` order."""
+        units = self.units
+        return [sum(units[v] for v in combo)
+                for combo in combinations_with_replacement(range(self.nv), degree)]
+
+    def columns(self, grade: int) -> dict[int, int]:
+        """Key -> column for the fields of a grade, in the `_SlProjector`
+        layout: (index of the degree-(grade+1) monomial) * (n^2 - 1) + comp."""
+        nv = self.nv
+        return {m + c: i * nv + c
+                for i, m in enumerate(self.monomials(grade + 1)) for c in range(nv)}
+
+    def restrict(self, p: Polynomial, comp: int = 0) -> dict[int, int]:
+        """The field p * d/dx_comp on tr = 0; for comp = 0, also p itself."""
+        terms = []
+        for mono, c in p.terms.items():
+            term = {comp + sum(e * self.units[v] for v, e in mono.powers if v < self.nv): c}
+            for _ in range(mono.exponent(self.nv)):
+                term = _mul(term, self.trace_form)
+            terms.append((term, 1))
+        return _sum(terms)
+
+    def generator(self, gid: GeneratorId) -> dict[int, int]:
+        """The generator field on tr = 0, components 0..n^2 - 2."""
+        out: dict[int, int] = {}
+        for comp, poly in generator_field(self.n, gid).components.items():
+            if comp < self.nv:
+                out.update(self.restrict(poly, comp))
+        return out
+
+    def prepare(self, field: dict[int, int]) -> _Prepared:
+        """The two views `_bracket` reads: for each variable x_j the terms
+        of d/dx_j of every component, and the terms of each component, keyed
+        without the component."""
+        cmask, ebits, units = (1 << self.cbits) - 1, self.ebits, self.units
+        emask = (1 << ebits) - 1
+        comps: dict[int, list[tuple[int, int]]] = {}
+        grads: dict[int, list[tuple[int, int]]] = {}
+        for key, c in field.items():
+            comp = key & cmask
+            comps.setdefault(comp, []).append((key - comp, c))
+            exps, j = key >> self.cbits, 0
+            while exps:
+                e = exps & emask
+                if e:
+                    grads.setdefault(j, []).append((key - units[j], c * e))
+                exps >>= ebits
+                j += 1
+        return grads, comps
+
+    def relations(self, d: int) -> list[dict[int, int]]:
+        """Relations among the grade-d target pairs, as vectors over the pair
+        index (monomial index * (n^2 - 1) + generator index): for
+        k = 1..min(d, n-1), n times the traceless part of X^k in generator
+        coordinates, times each degree-(d-k) monomial.  X^k commutes with X,
+        so the matching combination of the fields f*V vanishes."""
+        n, nv, units = self.n, self.nv, self.units
+        index = {m: i for i, m in enumerate(self.monomials(d))}
+        X = [[{units[i * n + j]: 1} if i * n + j < nv else self.trace_form
+              for j in range(n)] for i in range(n)]
+        power = X
+        out = []
+        for k in range(1, min(d, n - 1) + 1):
+            trace = _sum((power[i][i], 1) for i in range(n))
+            coords = []
+            for gid in generator_ids(n):
+                if isinstance(gid, Theta):
+                    coords.append(_sum([(power[gid.a - 1][gid.b - 1], n)]))
+                else:
+                    coords.append(_sum([(power[i][i], n) for i in range(gid.a)]
+                                       + [(trace, -gid.a)]))
+            for mu in self.monomials(d - k):
+                out.append({index[mu + m] * nv + gi: c
+                            for gi, coord in enumerate(coords) for m, c in coord.items()})
+            power = [[_sum((_mul(power[i][l], X[l][j]), 1) for l in range(n))
+                      for j in range(n)] for i in range(n)]
+        return out
+
+
+# ---------------------------------------------------------------------------
 # closure engine
 
 
@@ -176,36 +326,28 @@ class _SlProjector:
 class DegreeReport:
     n: int
     grade: int
-    method: str                      # "exact": integer elimination certifies every grade
-    target_rank: int                 # monomial x generator pair count (traceless)
-    achieved_rank: int               # pairs inside the span
-    missing_witnesses: list[str]
-    sl_rank: int                     # component rank of the traceless projection
-    sl_target_component_rank: int
+    method: str                      # "one-prime": the certificate of `_certify_degree`
+    target_rank: int                 # |F_d|: monomial x generator pairs (traceless)
+    achieved_rank: int               # pairs reached: all when certified, else those reached mod p
+    missing_witnesses: list[str]     # pairs not reached mod p (unproven); [] when certified
+    sl_rank: int                     # rank_p of the kept vectors
+    sl_target_component_rank: int    # target_rank - relation_rank: the pair span's rank
+                                     # when certified, an upper bound on it otherwise
     gl_rank: int                     # kept fields; equal to sl_rank
     brackets_evaluated: int
     complete: bool                   # fixed point or target reached within budget
-    certified: bool                  # achieved_rank == target_rank, span inside the pairs
+    certified: bool                  # sl_rank == sl_target_component_rank
+    prime: int                       # p of the kept-vector and relation echelons
+    relation_rank: int               # rank_p of the relations checked to vanish
 
 
 @dataclass
 class ClosureResult:
     n: int
     max_degree: int
-    spans: dict[int, list[VectorField]]  # grade -> kept fields
+    spans: dict[int, list[dict[int, int]]]  # grade -> kept vectors, `_SlProjector` layout
     reports: dict[int, DegreeReport]
     complete: bool
-
-
-def _target_pairs(n: int, grade: int) -> list[tuple[Polynomial, GeneratorId]]:
-    nvars = n * n
-    gens = generator_ids(n)
-    out = []
-    for mono in slice_monomials(nvars - 1, grade):
-        f = Polynomial.from_monomial(nvars, mono)
-        for g in gens:
-            out.append((f, g))
-    return out
 
 
 def closure(seeds: list[Seed], max_degree: int,
@@ -213,14 +355,17 @@ def closure(seeds: list[Seed], max_degree: int,
             early_exit: bool = True) -> ClosureResult:
     """Bracket-closure of the seed set, graded by coefficient degree.
 
-    Each grade keeps two exact echelons, both in traceless coordinates:
-    one of the kept fields' vectors, which accepts a bracket exactly when
-    its vector is new over Q and stops the grade early once it reaches the
-    target rank, and one of the target pairs' vectors.  Together they
-    certify the grade (`_certify_degree`).  A rejected bracket differs from
-    a combination of kept fields by a multiple of tr, and multiples of tr
-    form an ideal, so rejecting it changes no later grade's span (module
-    docstring).
+    Fields are integer vectors on the hyperplane tr = 0 (`_TracelessFields`),
+    bracketed there by `_bracket`.  Each grade keeps a bracket exactly when
+    its vector is new mod `CLOSURE_PRIME`, and `spans[d]` lists the kept
+    vectors in the `_SlProjector` column layout.  A rejected bracket differs
+    from a combination of kept fields by a multiple of tr, or its vector is
+    new over Q but not mod p; the first loses nothing, because multiples of
+    tr form an ideal (module docstring), and the second can only leave
+    grades short of their bounds and so uncertified.  Before the brackets, the
+    grade's relations give the bound |F_d| - rank_p(Rel) on the pair span's
+    rank; the grade stops early once the kept rank reaches it, and
+    `_certify_degree` certifies the grade when it does.
 
     When a budget runs out the closure stops after reporting that grade:
     later grades get no `spans` or `reports` entry, and `complete` is False.
@@ -231,9 +376,12 @@ def closure(seeds: list[Seed], max_degree: int,
     n = matrix_dim(seeds[0].coefficient.nvars)
     deadline = time.monotonic() + budget_ms / 1000.0 if budget_ms is not None else None
 
-    gen_fields = {g: generator_field(n, g) for g in generator_ids(n)}
-    gens = list(gen_fields.values())
-    spans: dict[int, list[VectorField]] = {}
+    ring = _TracelessFields(n, max_degree)
+    gen_ids = generator_ids(n)
+    gen_fields = {g: ring.generator(g) for g in gen_ids}
+    gens = [ring.prepare(f) for f in gen_fields.values()]
+    spans: dict[int, list[dict[int, int]]] = {}
+    prepared: dict[int, list[_Prepared]] = {}
     reports: dict[int, DegreeReport] = {}
     brackets_done = 0
 
@@ -246,29 +394,31 @@ def closure(seeds: list[Seed], max_degree: int,
         if deadline is not None and time.monotonic() > deadline:
             complete = False
             break
+        cols = ring.columns(d)
+        pairs = [{f + k: c for k, c in gen_fields[g].items()}
+                 for f in ring.monomials(d) for g in gen_ids]
+        kept_space = ModularRowSpace(CLOSURE_PRIME)
+        relation_rank = _relation_rank(ring.relations(d), pairs, kept_space.p)
+        bound = len(pairs) - relation_rank
         kept = spans[d] = []
-        proj = _SlProjector(n, d)
-        sl_space = ExactRowSpace()
-        pairs = [(f, g, proj.vector(scale_field(f, gen_fields[g])))
-                 for f, g in _target_pairs(n, d)]
-        target_space = ExactRowSpace()
-        for _, _, vec in pairs:
-            target_space.insert(vec)
+        ready = prepared[d] = []
 
         # bracket queue: (a, index in grade a, index in grade d - a); a = 0
         # indexes the generators
         queue: deque[tuple[int, int, int]] = deque()
 
-        def keep(v: VectorField):
-            """Keep v if its traceless vector is new, and queue its brackets
-            with the generators."""
-            if sl_space.insert(proj.vector(v)):
-                kept.append(v)
+        def keep(field: dict[int, int]):
+            """Keep a field if its vector is new mod p, and queue its
+            brackets with the generators."""
+            vec = {cols[k]: c for k, c in field.items()}
+            if kept_space.insert(vec):
+                kept.append(vec)
+                ready.append(ring.prepare(field))
                 queue.extend((0, gi, len(kept) - 1) for gi in range(len(gens)))
 
         brackets_at_start = brackets_done
         for s in grade_of_seed.get(d, ()):
-            keep(s.field(n))
+            keep(_mul(ring.restrict(s.coefficient), gen_fields[s.generator]))
         for a in range(1, d // 2 + 1):
             b = d - a
             for i in range(len(spans[a])):
@@ -277,20 +427,19 @@ def closure(seeds: list[Seed], max_degree: int,
                         continue
                     queue.append((a, i, j))
 
-        while queue and not (early_exit and sl_space.rank >= target_space.rank):
+        while queue and not (early_exit and kept_space.rank >= bound):
             if ((deadline is not None and time.monotonic() > deadline)
                     or (budget_brackets is not None and brackets_done >= budget_brackets)):
                 complete = False
                 break
             a, i, j = queue.popleft()
             if a == 0:
-                x, y = gens[i], kept[j]
+                keep(_bracket(gens[i], ready[j]))
             else:
-                x, y = spans[a][i], spans[d - a][j]
-            keep(bracket(x, y))
+                keep(_bracket(prepared[a][i], prepared[d - a][j]))
             brackets_done += 1
 
-        reports[d] = _certify_degree(n, d, sl_space, target_space, pairs,
+        reports[d] = _certify_degree(n, d, kept_space, relation_rank, pairs, cols,
                                      brackets_done - brackets_at_start, complete)
         if not complete:
             break
@@ -298,30 +447,57 @@ def closure(seeds: list[Seed], max_degree: int,
     return ClosureResult(n, max_degree, spans, reports, complete)
 
 
-def _certify_degree(n: int, d: int, sl_space: ExactRowSpace, target_space: ExactRowSpace,
-                    pairs: list[tuple[Polynomial, GeneratorId, dict[int, int]]],
-                    brackets_done: int, complete: bool) -> DegreeReport:
-    """Certify span equality with the pair span in traceless coordinates.
+def _relation_rank(relations: list[dict[int, int]], pairs: list[dict[int, int]],
+                   prime: int) -> int:
+    """rank_p of the relations r whose image sum_i r_i * pairs[i] is exactly 0;
+    a relation that failed the check would not enter the rank."""
+    space = ModularRowSpace(prime)
+    for r in relations:
+        if not _sum((pairs[i], c) for i, c in r.items()):
+            space.insert(r)
+    return space.rank
 
-    `sl_space` is the exact echelon of the span's traceless vectors and
-    `target_space` that of the target pairs f*V, listed with their vectors
-    in `pairs`.  A pair outside `sl_space` is missing; the grade is
-    certified when no pair is missing, the span lies inside the pair span
-    and the closure completed.  Every kept field grew `sl_space`, so
-    `gl_rank`, the kept-field count, is its rank.
+
+def _certify_degree(n: int, d: int, kept_space: ModularRowSpace, relation_rank: int,
+                    pairs: list[dict[int, int]], cols: dict[int, int],
+                    brackets_done: int, complete: bool) -> DegreeReport:
+    """The one-prime certificate of a grade.
+
+    K are the kept vectors, T the span of the target pairs F_d and Phi the
+    map from pair coordinates to vectors; the relations Rel lie in ker Phi
+    (checked exactly).  Then
+
+        rank_p(K) <= rank_Q(K) <= rank_Q(T) = |F_d| - dim ker Phi
+                  <= |F_d| - rank_p(Rel).
+
+    K lies in T because the C[x]-span of the generators is closed under
+    brackets: in the orientation of `bracket`,
+    [fV, hW] = h W(f) V - f V(h) W + fh [V, W].  When the two ends
+    are equal every inequality is an equality, so span K = T over Q and
+    every pair f*V is reached.  An unlucky prime can only leave the ends
+    apart: the grade is then not certified, and the pairs outside K mod p
+    are listed as unproven in `missing_witnesses`.
     """
-    missing = [(f, g) for f, g, vec in pairs if not sl_space.contains(vec)]
-    sub_ok = all(target_space.contains(row) for row in sl_space.rows.values())
-    achieved = len(pairs) - len(missing)
+    bound = len(pairs) - relation_rank
+    certified = kept_space.rank == bound
+    missing = []
+    if not certified:
+        nv = n * n - 1
+        gens = generator_ids(n)
+        monos = list(slice_monomials(nv, d))
+        missing = [f"{format_poly(Polynomial.from_monomial(n * n, monos[i // nv]))} * "
+                   f"{gens[i % nv].label()}"
+                   for i, pair in enumerate(pairs)
+                   if not kept_space.contains({cols[k]: c for k, c in pair.items()})]
     return DegreeReport(
-        n=n, grade=d, method="exact",
-        target_rank=len(pairs), achieved_rank=achieved,
-        missing_witnesses=[f"{format_poly(f)} * {g.label()}" for f, g in missing],
-        sl_rank=sl_space.rank, sl_target_component_rank=target_space.rank,
-        gl_rank=sl_space.rank,
+        n=n, grade=d, method="one-prime",
+        target_rank=len(pairs), achieved_rank=len(pairs) - len(missing),
+        missing_witnesses=missing,
+        sl_rank=kept_space.rank, sl_target_component_rank=bound,
+        gl_rank=kept_space.rank,
         brackets_evaluated=brackets_done,
-        complete=complete,
-        certified=(achieved == len(pairs) and sub_ok and complete),
+        complete=complete, certified=certified,
+        prime=kept_space.p, relation_rank=relation_rank,
     )
 
 

@@ -2,13 +2,12 @@
 
 Row spaces are kept in echelon form keyed by pivot column.  Exact rows are
 primitive integer vectors (denominators cleared, gcd divided out), so all
-reductions stay in arbitrary-precision integers; every rank and membership
-that a report certifies comes from them.  The modular variant runs the same
-elimination over F_p.  No path in the package uses it: it stays because the
-benchmark's traced run wraps its `reduce`, and because its rank is the
-lower bound a one-prime certificate needs (integer vectors independent
-mod p are independent over Q, while a vector it rejects may still be new
-over Q).
+reductions stay in arbitrary-precision integers; the kernel oracle and the
+cross-image check rank with them.  The modular variant keeps a reduced
+echelon over F_p.  The bracket closure keeps its vectors and relations in
+it, because its rank is the lower bound a one-prime certificate needs
+(integer vectors independent mod p are independent over Q, while a vector
+it rejects may still be new over Q).
 
 `SparseMatrix` is the kernel oracle's slice matrix: integer rows (a
 `Fraction` only where the derivation has a denominator), multiplied row by
@@ -95,44 +94,49 @@ class ExactRowSpace:
 
 
 class ModularRowSpace:
-    """Row echelon over F_p with unit pivots; mirrors ExactRowSpace."""
+    """Reduced row echelon over F_p: each row has a unit pivot at its first
+    column and is zero at every other row's pivot.  Reducing a vector is
+    then one pass over its pivot columns, with no fill-in at other pivots;
+    an insert clears its pivot column from the rows already kept."""
 
     def __init__(self, p: int):
         self.p = p
-        self.rows: dict[int, dict[int, int]] = {}
+        self.rows: dict[int, dict[int, int]] = {}   # pivot column -> row
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        p = self.p
-        v = {}
-        for k, c in vec.items():
-            c %= p
-            if c:
-                v[k] = c
-        while v:
-            col = min(v)
-            row = self.rows.get(col)
-            if row is None:
-                break
-            b = v[col]
-            for k, c in row.items():
-                s = (v.get(k, 0) - b * c) % p
-                if s:
-                    v[k] = s
-                else:
-                    v.pop(k, None)
-        return v
+        """vec minus its pivot entries times their rows, mod p."""
+        p, rows = self.p, self.rows
+        out = dict(vec)
+        get = out.get
+        for col, b in vec.items():
+            row = rows.get(col)
+            if row is not None and b % p:
+                for k, c in row.items():
+                    out[k] = get(k, 0) - b * c
+        return {k: r for k, c in out.items() if (r := c % p)}
 
     def insert(self, vec: dict[int, int]) -> bool:
         rem = self.reduce(vec)
         if not rem:
             return False
+        p = self.p
         col = min(rem)
-        inv = pow(rem[col], -1, self.p)
-        self.rows[col] = {k: (c * inv) % self.p for k, c in rem.items()}
+        inv = pow(rem[col], -1, p)
+        new = {k: c * inv % p for k, c in rem.items()}
+        for row in self.rows.values():
+            b = row.get(col)
+            if b:
+                for k, c in new.items():
+                    s = (row.get(k, 0) - b * c) % p
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+        self.rows[col] = new
         return True
 
     def contains(self, vec: dict[int, int]) -> bool:

@@ -112,7 +112,7 @@ def test_generate_budget_exhaustion(capsys):
 
 
 def test_generate_method_flag_has_no_effect(capsys):
-    # every grade is certified by exact elimination whatever --method says
+    # every grade is certified by the one-prime certificate whatever --method says
     degrees = []
     for method in ("auto", "exact", "modular"):
         code, out = run(capsys, ["generate", "--n", "2", "--max-degree", "3",
@@ -120,7 +120,30 @@ def test_generate_method_flag_has_no_effect(capsys):
         assert code == 0
         degrees.append(json.loads(out)["degrees"])
     assert degrees[0] == degrees[1] == degrees[2]
-    assert [d["method"] for d in degrees[0]] == ["exact"] * 4
+    assert [d["method"] for d in degrees[0]] == ["one-prime"] * 4
+
+
+@pytest.mark.parametrize("n,max_degree,rows", [
+    (2, 4, [(3, 3, 0, 0), (9, 8, 1, 8), (18, 15, 3, 25), (30, 24, 6, 40), (45, 35, 10, 63)]),
+    (3, 2, [(8, 8, 0, 0), (64, 63, 1, 246), (288, 279, 9, 1157)]),
+])
+def test_generate_pinned_rows(capsys, n, max_degree, rows):
+    # (target rank, component rank, relation rank, brackets evaluated) per
+    # grade; the ranks and bracket counts are those the closure gave when it
+    # eliminated polynomial fields exactly over Q
+    code, out = run(capsys, ["generate", "--n", str(n), "--max-degree", str(max_degree)])
+    assert code == 0
+    degrees = json.loads(out)["degrees"]
+    assert len(degrees) == len(rows)
+    for d, (row, (target, rank, relations, brackets)) in enumerate(zip(degrees, rows)):
+        assert row == {
+            "n": n, "degree": d, "method": "one-prime",
+            "target_rank": target, "achieved_rank": target, "missing_witnesses": [],
+            "sl_component_rank": rank, "sl_target_component_rank": rank,
+            "gl_component_rank": rank, "brackets_evaluated": brackets,
+            "prime": 2 ** 31 - 1, "relation_rank": relations,
+            "certified": True, "complete": True,
+        }
 
 
 @pytest.mark.parametrize("flags", [
@@ -294,6 +317,13 @@ def test_orbit_outside_ball_is_precondition_error(capsys, orbit_files):
     # a 3x3 G against the 2x2 matrix
     ([{"conjugate": {"G": [[[1, 0] if i == j else [0, 0] for j in range(3)] for i in range(3)]}}],
      "conjugate 'G': expected a 2x2 matrix"),
+    # each cell of G is an [re, im] pair of numbers, named by row and column
+    ([{"conjugate": {"G": [[[1, 0, 9], [0, 0]], [[0, 0], [1, 0]]]}}],
+     "conjugate 'G': matrix entry (1, 1)"),
+    ([{"conjugate": {"G": [[[1, 0], [0, 0]], [[0, 0], [True, 0]]]}}],
+     "conjugate 'G': matrix entry (2, 2)"),
+    ([{"conjugate": {"G": [[[1, 0], ["0", 0]], [[0, 0], [1, 0]]]}}],
+     "conjugate 'G': matrix entry (1, 2)"),
 ])
 def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word, field):
     mat = orbit_files[0]
@@ -304,6 +334,23 @@ def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word
     assert code == 2
     assert captured.out == ""
     assert field in captured.err
+
+
+@pytest.mark.parametrize("matrix,entry", [
+    ([[[0.1, 0, 99], [0, 0]], [[0, 0], [0.2, 0]]], "(1, 1)"),
+    ([[[0.1, 0], [True, False]], [[0, 0], [0.2, 0]]], "(1, 2)"),
+    ([[[0.1, 0], [0, 0]], [["0", 0], [0.2, 0]]], "(2, 1)"),
+])
+def test_orbit_malformed_matrix_cell_is_usage_error(capsys, orbit_files, tmp_path, matrix, entry):
+    # a third number, a boolean and a string were read as [re, im] before
+    word = orbit_files[3]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(matrix))
+    code = cli.main(["orbit", "--word", str(word), "--matrix", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"matrix entry {entry} must be an [re, im] pair of numbers" in captured.err
 
 
 def test_orbit_overflow_in_a_valid_word_is_numeric_error(capsys, tmp_path):

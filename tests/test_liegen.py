@@ -1,17 +1,22 @@
+import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from specball import liegen
+from specball import cli, liegen
 from specball.adjointfields import (
     Theta,
     VectorField,
     Xi,
     bracket,
+    commutator_field,
     generator_field,
     generator_ids,
+    generator_matrix,
     make_theta,
     make_xi,
     scale_field,
@@ -30,7 +35,7 @@ from specball.liegen import (
     verify_identity,
     _SlProjector,
 )
-from specball.polyring import Polynomial, parse_poly, slice_monomials, substitute_trace
+from specball.polyring import Monomial, Polynomial, parse_poly, slice_monomials, substitute_trace
 
 
 # matches_printed flags: the orientation-consistent evaluation reproduces
@@ -58,6 +63,27 @@ def in_span(fields, v, grade):
     for w in fields:
         space.insert(sl_vector_oracle(w, grade))
     return space.contains(sl_vector_oracle(v, grade))
+
+
+def traceless_field(vec, n, grade):
+    """The field whose traceless vector (`_SlProjector` layout) is `vec`:
+    components 0..n^2-2 read off the columns, and d/dx_nn minus the sum of
+    the other diagonal components, so the field is tangent to tr levels."""
+    nvars = n * n
+    ncomp = nvars - 1
+    monomials = list(slice_monomials(ncomp, grade + 1))
+    terms = {}
+    for col, c in vec.items():
+        terms.setdefault(col % ncomp, {})[monomials[col // ncomp]] = c
+    comps = {comp: Polynomial(nvars, t) for comp, t in terms.items()}
+    diagonal = [comps[a * (n + 1)] for a in range(n - 1) if a * (n + 1) in comps]
+    comps[nvars - 1] = -sum(diagonal, Polynomial.zero(nvars))
+    return VectorField(n, comps)
+
+
+def kept_fields(res, d):
+    """The kept vectors of grade d as fields."""
+    return [traceless_field(vec, res.n, d) for vec in res.spans[d]]
 
 
 def field_of(vec, n, m):
@@ -123,13 +149,13 @@ def test_closure_degree0_full_sl2():
 def test_closure_degree1_contains_x12_theta12():
     res = closure(build_seeds(2), 1)
     v = scale_field(Polynomial.x(1, 2, 2), make_theta(2, 1, 2))
-    assert in_span(res.spans[1], v, 1)
+    assert in_span(kept_fields(res, 1), v, 1)
     assert res.reports[1].certified
 
 
 def test_closure_contains_zero_field():
     res = closure(build_seeds(2), 1)
-    assert in_span(res.spans[1], VectorField.zero(2), 1)
+    assert in_span(kept_fields(res, 1), VectorField.zero(2), 1)
 
 
 def test_closure_n2_contains_x12_powers():
@@ -137,7 +163,7 @@ def test_closure_n2_contains_x12_powers():
     t12 = make_theta(2, 1, 2)
     x12 = Polynomial.x(1, 2, 2)
     for d in (1, 2, 3):
-        assert in_span(res.spans[d], scale_field(x12 ** d, t12), d)
+        assert in_span(kept_fields(res, d), scale_field(x12 ** d, t12), d)
     for d in (0, 1, 2, 3):
         assert res.reports[d].certified
 
@@ -145,13 +171,13 @@ def test_closure_n2_contains_x12_powers():
 def test_closure_n3_degree1_contains_x11_xi1():
     res = closure(build_seeds(3), 1)
     v = scale_field(Polynomial.x(1, 1, 3), make_xi(3, 1))
-    assert in_span(res.spans[1], v, 1)
+    assert in_span(kept_fields(res, 1), v, 1)
 
 
 def test_closure_n3_degree2_contains_x12sq_theta12():
     res = closure(build_seeds(3), 2)
     v = scale_field(parse_poly("x12^2", 3), make_theta(3, 1, 2))
-    assert in_span(res.spans[2], v, 2)
+    assert in_span(kept_fields(res, 2), v, 2)
     assert res.reports[2].certified
 
 
@@ -169,10 +195,10 @@ def test_closure_order_independent():
         assert r1.reports[d].sl_rank == r2.reports[d].sl_rank
         assert r1.reports[d].gl_rank == r2.reports[d].gl_rank
         # spans agree as subspaces: each basis field of one lies in the other
-        for v in r1.spans[d]:
-            assert in_span(r2.spans[d], v, d)
-        for v in r2.spans[d]:
-            assert in_span(r1.spans[d], v, d)
+        for v in kept_fields(r1, d):
+            assert in_span(kept_fields(r2, d), v, d)
+        for v in kept_fields(r2, d):
+            assert in_span(kept_fields(r1, d), v, d)
     e1 = closure(seeds, 2)
     e2 = closure(shuffled, 2)
     for d in range(3):
@@ -189,8 +215,8 @@ def test_closure_monotone_under_budget():
     for d, rep in res.reports.items():
         assert rep.achieved_rank <= rep.target_rank
         assert rep.achieved_rank <= full.reports[d].achieved_rank
-        for v in res.spans[d]:
-            assert in_span(full.spans[d], v, d)
+        for v in kept_fields(res, d):
+            assert in_span(kept_fields(full, d), v, d)
 
 
 def test_closure_stops_at_the_grade_that_ran_out():
@@ -299,7 +325,7 @@ def sl_vector_oracle(v, grade):
 def test_sl_projection_matches_per_component_oracle(closure_n3):
     for d in range(3):
         proj = _SlProjector(3, d)
-        fields = closure_n3.spans[d]
+        fields = kept_fields(closure_n3, d)
         for v in fields:
             assert proj.vector(v) == sl_vector_oracle(v, d)
         # rational coefficients take the Fraction path
@@ -329,29 +355,158 @@ def test_multiples_of_trace_form_an_ideal(n):
 
 @pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 2)])
 def test_kept_fields_are_traceless_independent(n, max_degree, closure_n3):
+    # the kept vectors were independent mod p; exact elimination over Q of
+    # the fields they stand for gives the same rank
     res = closure_n3 if n == 3 else closure(build_seeds(n), max_degree)
     for d in range(max_degree + 1):
         space = ExactRowSpace()
-        for v in res.spans[d]:
+        for vec, v in zip(res.spans[d], kept_fields(res, d)):
+            assert sl_vector_oracle(v, d) == clear_denominators(vec)
             assert space.insert(sl_vector_oracle(v, d))
         rep = res.reports[d]
         assert len(res.spans[d]) == space.rank == rep.sl_rank == rep.gl_rank
 
 
+def closed_form(n, d):
+    """(pair count, relation count) at grade d: the targets are f*V for the
+    degree-d monomials f in the n^2 - 1 traceless coordinates and the
+    n^2 - 1 generators V; their span loses, for each k = 1..n-1, the
+    relation among the generator fields with degree-k coefficients (a
+    generic matrix commutes with its k-th power) times each degree-(d-k)
+    monomial."""
+    target = (n * n - 1) * comb(n * n + d - 2, d)
+    relations = sum(comb(n * n + d - k - 2, d - k) for k in range(1, min(d, n - 1) + 1))
+    return target, relations
+
+
 @pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 2)])
 def test_closure_ranks_closed_form(n, max_degree, closure_n3):
-    # the targets are f*V for the degree-d monomials f in the n^2 - 1
-    # traceless coordinates and the n^2 - 1 generators V; their span loses,
-    # for each k = 1..n-1, the relation among the generator fields with
-    # degree-k coefficients (a generic matrix commutes with its k-th power)
-    # times each degree-(d-k) monomial
     res = closure_n3 if n == 3 else closure(build_seeds(n), max_degree)
     for d in range(max_degree + 1):
         rep = res.reports[d]
-        target = (n * n - 1) * comb(n * n + d - 2, d)
-        relations = sum(comb(n * n + d - k - 2, d - k) for k in range(1, min(d, n - 1) + 1))
+        target, relations = closed_form(n, d)
         assert rep.target_rank == target
         assert rep.sl_rank == rep.sl_target_component_rank == target - relations
+        assert rep.relation_rank == relations
         assert rep.certified
+        assert (rep.method, rep.prime) == ("one-prime", liegen.CLOSURE_PRIME)
     expected = {2: [3, 8, 15, 24, 35], 3: [8, 63, 279]}[n]
     assert [res.reports[d].sl_rank for d in range(max_degree + 1)] == expected
+
+
+def closure_pairs(res, ring):
+    """Every pair the closure brackets, grade by grade: each generator with
+    each kept field of the grade, and each kept field of grade a with each
+    of grade d - a (a <= d - a, distinct when a = d - a).  An operand is its
+    prepared packed field with the `VectorField` it stands for."""
+    keys = {d: {col: key for key, col in ring.columns(d).items()} for d in res.spans}
+    kept = {d: [(ring.prepare({keys[d][col]: c for col, c in vec.items()}),
+                 traceless_field(vec, res.n, d)) for vec in vecs]
+            for d, vecs in res.spans.items()}
+    gens = [(ring.prepare(ring.generator(g)), generator_field(res.n, g))
+            for g in generator_ids(res.n)]
+    pairs = []
+    for d in res.spans:
+        pairs += [(d, x, y) for x in gens for y in kept[d]]
+        for a in range(1, d // 2 + 1):
+            if a == d - a:
+                pairs += [(d, x, y) for x, y in itertools.combinations(kept[a], 2)]
+            else:
+                pairs += [(d, x, y) for x in kept[a] for y in kept[d - a]]
+    return pairs
+
+
+@pytest.mark.parametrize("n,max_degree,samples", [(2, 4, None), (3, 2, 300)])
+def test_vector_bracket_matches_polynomial_bracket(n, max_degree, samples, closure_n3):
+    # restriction to tr = 0 is a Lie algebra homomorphism, so the closure's
+    # integer bracket equals `bracket` on the whole fields, projected
+    res = closure_n3 if n == 3 else closure(build_seeds(n), max_degree)
+    ring = liegen._TracelessFields(n, max_degree)
+    pairs = closure_pairs(res, ring)
+    if samples is not None:
+        pairs = random.Random(3).sample(pairs, samples)
+    columns = {d: ring.columns(d) for d in res.spans}
+    projectors = {d: _SlProjector(n, d) for d in res.spans}
+    for d, (xv, xf), (yv, yf) in pairs:
+        vec = {columns[d][k]: c for k, c in liegen._bracket(xv, yv).items()}
+        assert clear_denominators(vec) == projectors[d].vector(bracket(xf, yf))
+
+
+@pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 3)])
+def test_relations_vanish_through_polynomials(n, max_degree):
+    # each relation r over the pairs (monomial index, generator index):
+    # sum_i r_i * f_i * V_i, built as polynomial fields, is nonzero but
+    # vanishes on tr = 0; the relations number as in the closed form and
+    # are independent over Q
+    ring = liegen._TracelessFields(n, max_degree)
+    nv = n * n - 1
+    gens = [generator_field(n, g) for g in generator_ids(n)]
+    for d in range(max_degree + 1):
+        monomials = [Polynomial.from_monomial(n * n, m) for m in slice_monomials(nv, d)]
+        projector = _SlProjector(n, d)
+        relations = ring.relations(d)
+        space = ExactRowSpace()
+        for r in relations:
+            image = sum((scale_field(c * monomials[i // nv], gens[i % nv]) for i, c in r.items()),
+                        VectorField.zero(n))
+            assert not image.is_zero() and projector.vector(image) == {}
+            assert space.insert(r)
+        assert len(relations) == closed_form(n, d)[1]
+
+
+def random_monomial(rng, n, max_degree):
+    powers = Counter(rng.randrange(n * n) for _ in range(rng.randrange(max_degree + 1)))
+    return Polynomial.from_monomial(n * n, Monomial(powers.items()))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_brackets_stay_in_the_module_of_the_generators(n):
+    # why the kept vectors lie in the pair span T: for monomials f, h and
+    # generators V, W, in this orientation (bracket(v, w) = w v - v w as
+    # operators), bracket(fV, hW) = h W(f) V - f V(h) W + fh bracket(V, W)
+    rng = random.Random(17)
+    gens = [generator_field(n, g) for g in generator_ids(n)]
+    for _ in range(40):
+        f, h = random_monomial(rng, n, 3), random_monomial(rng, n, 3)
+        V, W = rng.choice(gens), rng.choice(gens)
+        assert bracket(scale_field(f, V), scale_field(h, W)) == (
+            scale_field(h * W.apply(f), V) - scale_field(f * V.apply(h), W)
+            + scale_field(f * h, bracket(V, W)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_generator_brackets_are_commutator_fields(n):
+    # bracket(V_A, V_B) is the field of AB - BA, a combination of generators
+    for g1, g2 in itertools.product(generator_ids(n), repeat=2):
+        A, B = generator_matrix(n, g1), generator_matrix(n, g2)
+        C = [[sum(A[i][k] * B[k][j] - B[i][k] * A[k][j] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+        assert bracket(generator_field(n, g1), generator_field(n, g2)) == commutator_field(C)
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_small_primes_never_certify_a_wrong_rank(prime, monkeypatch, capsys):
+    # rank_p <= rank_Q at both ends of the certificate, so a prime that
+    # loses rank can only leave a grade uncertified, and `generate` exits 5.
+    # The relations carry a factor n: they vanish mod 2 at n = 2 and mod 3
+    # at n = 3, which leaves those closures uncertified.
+    monkeypatch.setattr(liegen, "CLOSURE_PRIME", prime)
+    uncertified = []
+    for n, max_degree in ((2, 4), (3, 2)):
+        code = cli.main(["generate", "--n", str(n), "--max-degree", str(max_degree)])
+        rows = json.loads(capsys.readouterr().out)["degrees"]
+        assert len(rows) == max_degree + 1
+        for d, row in enumerate(rows):
+            assert row["prime"] == prime and row["complete"]
+            if row["certified"]:
+                target, relations = closed_form(n, d)
+                assert row["achieved_rank"] == row["target_rank"] == target
+                assert row["sl_component_rank"] == row["sl_target_component_rank"] \
+                    == target - relations
+                assert row["relation_rank"] == relations and not row["missing_witnesses"]
+        if all(row["certified"] for row in rows):
+            assert code == 0
+        else:
+            assert code == 5
+            uncertified.append(n)
+    assert uncertified == {2: [2], 3: [3], 5: []}[prime]
