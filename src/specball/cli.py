@@ -263,22 +263,22 @@ def cmd_orbit(args) -> int:
         A = flows.matrix_from_json(json.load(fh))
     with open(args.word) as fh:
         word = flows.word_from_json(json.load(fh), A.shape[0])
-    if not flows.in_spectral_ball(A):
+    fc0 = flows.char_poly(A)
+    if not flows.in_symmetrized_polydisc(fc0):
         print("error: input matrix is not in the spectral ball", file=sys.stderr)
         return EXIT_PRECONDITION
     points = list(flows.word_trajectory(word, A))
     X = points[-1]
+    fc1 = flows.char_poly(X)
     non_moebius = all(not isinstance(a, flows.Moebius) for a in word)
     drift = None
     if args.check_fibre and non_moebius:
-        pi0 = np.array(flows.char_poly(A).pi)
-        pi1 = np.array(flows.char_poly(X).pi)
-        drift = float(np.max(np.abs(pi1 - pi0))) if len(pi0) else 0.0
+        drift = float(np.max(np.abs(np.array(fc1.pi) - np.array(fc0.pi)))) if len(fc0) else 0.0
     payload = _report(config, {
         "n": A.shape[0],
         "result": flows.matrix_to_json(X),
         "trajectory": [flows.matrix_to_json(P) for P in points],
-        "in_ball": bool(flows.in_spectral_ball(X)),
+        "in_ball": flows.in_symmetrized_polydisc(fc1),
         "fibre_drift": drift,
     })
     _write_output(json.dumps(payload, indent=2), args.out)

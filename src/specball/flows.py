@@ -1,16 +1,16 @@
 """Numeric engine for the spectral ball.
 
-Matrices are dense complex numpy arrays.  The fibration coordinates are
-the signed characteristic-polynomial coefficients pi_j (the elementary
-symmetric functions of the eigenvalues), computed by Faddeev-LeVerrier
-recursion; eigenvalue moduli come from an Aberth-Ehrlich simultaneous
-root finder on the characteristic polynomial, so no eigendecomposition
-is needed anywhere.
+Matrices are dense complex numpy arrays at the public boundary.  The
+fibration coordinates are the signed characteristic-polynomial
+coefficients pi_j (the elementary symmetric functions of the eigenvalues),
+computed from power traces by Newton's identities; eigenvalue moduli come
+from an Aberth-Ehrlich simultaneous root finder on the characteristic
+polynomial, so no eigendecomposition is needed anywhere.
 
-The matrices here are n x n with n of a few units, so the scalar kernels
-avoid numpy's per-call cost where it would dominate the arithmetic: the
-root finder iterates on a Python list of `complex`, and an overshear is
-applied as one row and one column update instead of two dense products.
+The matrices here are n x n with n of a few units, where numpy's per-call
+cost would exceed the arithmetic, so the numerics run on Python `complex`:
+`_rows` checks an input once and returns its rows for the characteristic
+polynomial and the overshear update, and Aberth iterates on a list.
 
 Automorphism atoms: overshear/shear conjugations exp(s E_ab) with the
 exact nilpotent exponential I + s E_ab, Moebius transformations
@@ -24,12 +24,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .adjointfields import GeneratorId, Theta, generator_field, generator_matrix
-from .polyring import Polynomial, PolyParseError, parse_poly, row_col
+from .polyring import Polynomial, PolyParseError, parse_poly
 
 
 class NumericsError(RuntimeError):
@@ -42,14 +44,26 @@ Matrix = np.ndarray
 Algorithm = Callable[[float, Matrix], Matrix]
 
 
-def as_matrix(data, n: int | None = None) -> Matrix:
+def _rows(data, n: int | None = None) -> list[list[complex]]:
+    """The entries of a square (n x n, if n is given) matrix of finite
+    numbers as rows of Python `complex`; anything else raises ValueError."""
     A = np.asarray(data, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
     if n is not None and A.shape[0] != n:
         raise ValueError(f"expected a {n}x{n} matrix")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix entries must be finite")
+    rows = A.tolist()
+    for row in rows:
+        for x in row:
+            if not cmath.isfinite(x):
+                raise ValueError("matrix entries must be finite")
+    return rows
+
+
+def as_matrix(data, n: int | None = None) -> Matrix:
+    """`data` as a complex ndarray, after the checks of `_rows`."""
+    A = np.asarray(data, dtype=complex)
+    _rows(A, n)
     return A
 
 
@@ -72,43 +86,48 @@ class FibreCoordinates:
 
 
 def char_poly(A: Matrix) -> FibreCoordinates:
-    """Faddeev-LeVerrier recursion; deterministic, no eigendecomposition.
+    """Newton's identities on power traces; no eigendecomposition.
 
-    M_k = A M_{k-1} + c_k I with c_k = -tr(A M_{k-1}) / k, starting from
-    M_0 = I; c_k is added on the diagonal of the fresh product in place.
+    With p_k = tr(A^k), k pi_k = sum_{i=1..k} (-1)^(i-1) pi_{k-i} p_i and
+    pi_0 = 1.  Only the powers up to A^h, h = ceil(n/2), are formed; for
+    k > h, p_k = tr(A^h A^(k-h)) is a sum of n^2 products, so n <= 4 needs
+    one matrix product (A^2) and n = 2 none.
     """
-    A = as_matrix(A)
-    n = A.shape[0]
-    M = np.eye(n, dtype=complex)
-    cs = []
+    rows = _rows(A)
+    n = len(rows)
+    h = (n + 1) // 2
+    powers = [rows]                        # powers[i] = A^(i+1)
+    cols = list(zip(*rows))
+    for _ in range(1, h):
+        powers.append([[sum(map(mul, r, c)) for c in cols] for r in powers[-1]])
+    p = [sum(P[i][i] for i in range(n)) for P in powers]
+    top = list(chain.from_iterable(powers[-1]))
+    p += [sum(map(mul, top, chain.from_iterable(zip(*powers[k - h - 1]))))
+          for k in range(h + 1, n + 1)]
+    pi = [1.0]
     for k in range(1, n + 1):
-        M = A @ M
-        c = -M.trace() / k
-        cs.append(c)
-        M.flat[:: n + 1] += c
-    pi = tuple((-1) ** j * cs[j - 1] for j in range(1, n + 1))
-    return FibreCoordinates(pi)
+        terms = [pi[k - i] * p[i - 1] for i in range(1, k + 1)]
+        pi.append((sum(terms[0::2]) - sum(terms[1::2])) / k)
+    return FibreCoordinates(tuple(pi[1:]))
 
 
-def _horner(coeffs: list[complex], x: complex) -> complex:
-    out = coeffs[0]
-    for a in coeffs[1:]:
-        out = out * x + a
-    return out
-
-
-def _aberth_sweep(coeffs: list[complex], dc: list[complex],
-                  z: list[complex]) -> tuple[list[complex], float]:
+def _aberth_sweep(coeffs: list[complex], z: list[complex]) -> tuple[list[complex], float]:
     """One simultaneous Aberth-Ehrlich update of all iterates and the
-    largest step taken; each update reads only the previous iterates."""
-    newton = []
-    for x in z:
-        dp = _horner(dc, x)
-        newton.append(_horner(coeffs, x) / dp if dp != 0 else 0j)
+    largest step taken; each update reads only the previous iterates.
+    One Horner pass gives p (v) and p' (dv); a plain loop sums over the
+    other iterates."""
     new_z = []
     max_step = 0.0
-    for i, (x, w) in enumerate(zip(z, newton)):
-        s = sum(1.0 / (x - y) for j, y in enumerate(z) if j != i)
+    for i, x in enumerate(z):
+        v = dv = 0j
+        for c in coeffs:
+            dv = dv * x + v
+            v = v * x + c
+        w = v / dv if dv != 0 else 0j
+        s = 0j
+        for j, y in enumerate(z):
+            if j != i:
+                s += 1.0 / (x - y)
         denom = 1.0 - w * s
         step = w / denom if denom != 0 else w
         new_z.append(x - step)
@@ -126,10 +145,7 @@ def poly_roots(monic: Sequence[complex]) -> np.ndarray:
 
     Roots at zero are split off exactly first (they are exact for nilpotent
     characteristic polynomials); the remaining roots start on a circle at
-    the Cauchy bound and are refined simultaneously.  The degrees met here
-    are a few units, so the iteration runs on a Python list of `complex`
-    (numpy's per-call cost on arrays this small would exceed the
-    arithmetic).
+    the Cauchy bound and are refined simultaneously.
     """
     coeffs = [complex(c) for c in monic]
     if not coeffs or coeffs[0] != 1:
@@ -150,11 +166,10 @@ def poly_roots(monic: Sequence[complex]) -> np.ndarray:
     radius = 1.0 + max(abs(x) for x in coeffs[1:])
     angles = [2 * math.pi * (k + 0.25) / d for k in range(d)]
     z = [radius * cmath.exp(1j * a) * (1 + 0.05 * math.cos(7 * a)) for a in angles]
-    dc = [c * (d - i) for i, c in enumerate(coeffs[:-1])]
 
     for iteration in range(ROOT_MAX_ITER):
         try:
-            z, max_step = _aberth_sweep(coeffs, dc, z)
+            z, max_step = _aberth_sweep(coeffs, z)
             converged = max_step <= ROOT_TOL * (1.0 + max(map(abs, z)))
         except (ZeroDivisionError, OverflowError):   # coincident or unbounded iterates
             z, converged = [complex(math.nan)], False
@@ -164,7 +179,7 @@ def poly_roots(monic: Sequence[complex]) -> np.ndarray:
         if converged:
             break
     else:
-        residual = float(np.max(np.abs([_horner(coeffs, x) for x in z])))
+        residual = float(np.abs(np.polyval(coeffs, z)).max())
         if residual > 1e-8 * (1.0 + radius) ** d:
             raise NumericsError("root finder did not converge",
                                 iterations=ROOT_MAX_ITER, residual=residual,
@@ -178,7 +193,7 @@ def spectral_radius(A: Matrix) -> float:
     roots = poly_roots(fc.monic_coefficients())
     if len(roots) == 0:
         return 0.0
-    return float(np.max(np.abs(roots)))
+    return float(np.abs(roots).max())
 
 
 def in_spectral_ball(A: Matrix) -> bool:
@@ -191,7 +206,7 @@ def in_symmetrized_polydisc(p: FibreCoordinates) -> bool:
     roots = poly_roots(p.monic_coefficients())
     if len(roots) == 0:
         return True
-    return bool(np.max(np.abs(roots)) < 1.0)
+    return bool(np.abs(roots).max() < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,37 +220,42 @@ _EPS_SERIES_RADIUS = 0.25
 def epsilon(z: complex) -> complex:
     """(e^z - 1)/z extended by 1 at 0; series below |z| = 0.25 to avoid the
     cancellation in the closed form (keeps relative error < 1e-14).
-    Overflow of e^z yields complex infinity rather than an exception so
+    Overflow of |z| or e^z, or a z infinite in both parts (where cmath.exp
+    raises ValueError), yields complex infinity rather than an exception so
     that flow evaluations surface it through their finiteness checks."""
     z = complex(z)
-    if abs(z) < _EPS_SERIES_RADIUS:
-        total = 0j
-        term = 1.0 + 0j
-        for k in range(1, _EPS_SERIES_TERMS + 1):
-            total += term
-            term = term * z / (k + 1)
-        return total
     try:
-        return (cmath.exp(z) - 1.0) / z
-    except OverflowError:
+        if abs(z) >= _EPS_SERIES_RADIUS:
+            return (cmath.exp(z) - 1.0) / z
+    except (OverflowError, ValueError):
         return complex(math.inf, math.inf)
+    total = 0j
+    term = 1.0 + 0j
+    for k in range(1, _EPS_SERIES_TERMS + 1):
+        total += term
+        term = term * z / (k + 1)
+    return total
 
 
 # ---------------------------------------------------------------------------
 # polynomial evaluation at a matrix point
 
 
-def eval_poly_at_matrix(f: Polynomial, A: Matrix) -> complex:
-    """Direct monomial evaluation in floats (coefficient degrees are tiny)."""
-    n = A.shape[0]
+def eval_poly_at_matrix(f: Polynomial, A: Matrix | list) -> complex:
+    """Direct monomial evaluation in Python `complex` at an ndarray or rows.
+    Powers are repeated products: an overflow gives inf or nan, as in
+    numpy, where `complex ** e` would raise OverflowError."""
+    rows = A.tolist() if isinstance(A, np.ndarray) else A
+    n = len(rows)
     if f.nvars != n * n:
         raise ValueError("polynomial ring does not match the matrix size")
     total = 0j
     for mono, c in f.terms.items():
         val = complex(c)
         for v, e in mono.powers:
-            r, col = row_col(v, n)
-            val *= A[r - 1, col - 1] ** e
+            x = rows[v // n][v % n]
+            for _ in range(e):
+                val *= x
         total += val
     return total
 
@@ -312,18 +332,18 @@ def overshear_flow(atom: Overshear, A: Matrix, t: complex | None = None) -> Matr
     form: left multiplication by I + s E_ab adds s times row b to row a,
     and right multiplication by I - s E_ab then subtracts s times column a
     of that product from column b.  Since a != b, E_ab^2 = 0 and this is
-    the whole product, with no dense matrix built.
+    the whole product.  For a shear (Theta_ab f = 0), s = t f(A) exactly.
     """
-    A = as_matrix(A, atom.n)
+    X = _rows(A, atom.n)
     tt = atom.t if t is None else t
-    fA = eval_poly_at_matrix(atom.f, A)
-    tfA = eval_poly_at_matrix(atom.theta_f, A)
-    s = epsilon(tt * tfA) * tt * fA
+    s = tt * eval_poly_at_matrix(atom.f, X)
+    if not atom.theta_f.is_zero():
+        s *= epsilon(tt * eval_poly_at_matrix(atom.theta_f, X))
     a, b = atom.a - 1, atom.b - 1
-    X = A.copy()
-    X[a] += s * X[b]
-    X[:, b] -= s * X[:, a]
-    return X
+    X[a] = [x + s * y for x, y in zip(X[a], X[b])]
+    for row in X:
+        row[b] -= s * row[a]
+    return np.array(X, dtype=complex)
 
 
 def moebius(atom: Moebius, A: Matrix) -> Matrix:
@@ -358,7 +378,7 @@ def word_trajectory(word: AutomorphismWord, A: Matrix) -> Iterator[Matrix]:
     yield A
     for i, atom in enumerate(word):
         A = apply_atom(atom, A)
-        if not np.all(np.isfinite(A)):
+        if not np.isfinite(A).all():
             raise NumericsError("word evaluation produced non-finite entries", atom=i)
         yield A
 
@@ -413,7 +433,7 @@ def iterate_algorithm(alg: Algorithm, t: float, n_steps: int, A: Matrix) -> Matr
     X = as_matrix(A)
     for _ in range(n_steps):
         X = alg(h, X)
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             raise NumericsError("iterate diverged", step=h, n_steps=n_steps)
     return X
 

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specball import cli
-from specball.flows import matrix_to_json
+from specball import cli, flows
+from specball.flows import matrix_from_json, matrix_to_json
 
 
 def run(capsys, argv):
@@ -287,6 +287,25 @@ def test_orbit_fibre_check(capsys, orbit_files):
     assert len(payload["trajectory"]) == 3
 
 
+def test_orbit_computes_each_fibre_once(capsys, orbit_files, monkeypatch):
+    mat, word, bad, empty = orbit_files
+    seen = []
+    real_char_poly = flows.char_poly
+
+    def counting(A):
+        seen.append(np.array(A))
+        return real_char_poly(A)
+
+    monkeypatch.setattr(flows, "char_poly", counting)
+    code, out = run(capsys, ["orbit", "--word", str(word), "--matrix", str(mat),
+                             "--check-fibre"])
+    assert code == 0
+    payload = json.loads(out)
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], matrix_from_json(payload["trajectory"][0]))
+    assert np.array_equal(seen[1], matrix_from_json(payload["result"]))
+
+
 def test_orbit_outside_ball_is_precondition_error(capsys, orbit_files):
     mat, word, bad, empty = orbit_files
     code, _ = run(capsys, ["orbit", "--word", str(word), "--matrix", str(bad)])
@@ -361,6 +380,24 @@ def test_orbit_overflow_in_a_valid_word_is_numeric_error(capsys, tmp_path):
     word.write_text(json.dumps([{"overshear": {"theta": [1, 2], "f": "x11", "t": [1e300, 0]}}]))
     with np.errstate(over="ignore", invalid="ignore"):
         code = cli.main(["orbit", "--word", str(word), "--matrix", str(mat)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("x21, f, t", [
+    # x21^2 overflows to inf + 0j and t = 1 + i makes t * Theta12(f)(A)
+    # infinite in both parts, where cmath.exp raises ValueError
+    (1e200, "x11*x21", [1, 1]),
+    # t * x21 is finite in both parts but its modulus is not
+    (1e8, "x11", [1.5e300, 1.5e300]),
+])
+def test_orbit_infinite_exponent_is_numeric_error(capsys, tmp_path, x21, f, t):
+    mat, word = tmp_path / "A.json", tmp_path / "w.json"
+    mat.write_text(json.dumps(matrix_to_json(np.array([[0, 0], [x21, 0]]))))
+    word.write_text(json.dumps([{"overshear": {"theta": [1, 2], "f": f, "t": t}}]))
+    code = cli.main(["orbit", "--word", str(word), "--matrix", str(mat)])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == ""

@@ -73,6 +73,32 @@ def test_char_poly_against_eigenvalue_oracle():
         assert np.allclose(char_poly(A).pi, sym_from_eigs(eigs), atol=1e-10)
 
 
+def test_char_poly_against_numpy_poly_of_eigvals():
+    # numpy.poly(eigvals) is independent of specball; the tolerance has the
+    # form of the benchmark's fibre check, relative to the coefficient scale
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        for _ in range(6):
+            for A in (sample_spectral_ball(rng, n),
+                      rng.uniform(-10, 10, (n, n)),
+                      rng.uniform(-10, 10, (n, n)) + 1j * rng.uniform(-10, 10, (n, n)),
+                      np.triu(rng.uniform(-10, 10, (n, n)), 1) + np.diag(rng.uniform(-1, 1, n))):
+                fc = char_poly(A)
+                want = np.poly(np.linalg.eigvals(A))
+                got = np.array(fc.monic_coefficients())
+                assert len(fc) == n
+                assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max()), (n, A)
+
+
+def test_char_poly_exact_cases():
+    for n in range(1, 9):
+        assert char_poly(np.zeros((n, n))).pi == (0,) * n
+        assert char_poly(np.eye(n)).pi == tuple(math.comb(n, j) for j in range(1, n + 1))
+        nilpotent = np.triu(np.arange(1.0, n * n + 1).reshape(n, n), 1)
+        assert char_poly(nilpotent).pi == (0,) * n
+    assert char_poly([[2.5 - 1j]]).pi == (2.5 - 1j,)
+
+
 def test_spectral_radius_examples():
     assert abs(spectral_radius(np.diag([0.5, -0.25])) - 0.5) < 1e-12
     assert spectral_radius(np.array([[0, 1], [0, 0]])) == 0.0
@@ -201,6 +227,24 @@ def test_eval_poly_at_matrix():
     assert abs(eval_poly_at_matrix(f, A) - ((1 + 1j) ** 2 * 4 - 1.5)) < 1e-14
 
 
+def same_complex(x, y) -> bool:
+    """Equal, with nan and signed zeros compared as they print."""
+    return repr(complex(x)) == repr(complex(y))
+
+
+def test_eval_poly_overflow_is_non_finite():
+    # powers are repeated products: Python's complex ** 3 would raise
+    f = parse_poly("x11^3", 2)
+    value = eval_poly_at_matrix(f, [[1e200, 0], [0, 0]])
+    assert not cmath.isfinite(value)
+    A = np.array([[1e200, 0], [0, 0]], dtype=complex)
+    assert not cmath.isfinite(eval_poly_at_matrix(f, A))
+    rng = np.random.default_rng(12)
+    for B in (A, sample_spectral_ball(rng, 2), 1e120 * sample_spectral_ball(rng, 2)):
+        for g in (f, parse_poly("x11^2*x22 - 1/2*x21 + 3", 2), parse_poly("x12^4*x21^3", 2)):
+            assert same_complex(eval_poly_at_matrix(g, B), eval_poly_at_matrix(g, B.tolist()))
+
+
 def test_overshear_atom_validation():
     with pytest.raises(ValueError):
         Overshear(n=2, a=1, b=2, f=parse_poly("x12", 2), t=1.0)   # fails Theta^2(f)=0
@@ -270,6 +314,34 @@ def test_shear_flow_explicit_matrix_form():
     s = t * A[1, 0]
     expected = (I + s * E) @ A @ (I - s * E)
     assert np.allclose(overshear_flow(atom, A), expected, atol=1e-14)
+
+
+def test_shear_shortcut(monkeypatch):
+    # Theta_12 f = 0: s = t f(A) exactly, and epsilon is not called
+    calls = []
+    real_epsilon = flows.epsilon
+
+    def counting(z):
+        calls.append(z)
+        return real_epsilon(z)
+
+    monkeypatch.setattr(flows, "epsilon", counting)
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 4):
+        A = sample_spectral_ball(rng, n)
+        t = 0.8 - 0.35j
+        shear = Overshear(n=n, a=1, b=2, f=parse_poly("x21^2 - 2*x21 + 3", n), t=t)
+        assert shear.theta_f.is_zero()
+        s = t * eval_poly_at_matrix(shear.f, A)
+        I, E = np.eye(n), matrix_unit(n, 1, 2)
+        dense = (I + s * E) @ A @ (I - s * E)
+        calls.clear()
+        got = overshear_flow(shear, A)
+        assert calls == []
+        assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
+        calls.clear()
+        overshear_flow(Overshear(n=n, a=1, b=2, f=parse_poly("x11", n), t=t), A)
+        assert len(calls) == 1
 
 
 def test_overshear_flow_exponential_form():
