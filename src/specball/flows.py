@@ -4,13 +4,18 @@ Matrices are dense complex numpy arrays at the public boundary.  The
 fibration coordinates are the signed characteristic-polynomial
 coefficients pi_j (the elementary symmetric functions of the eigenvalues),
 computed from power traces by Newton's identities; eigenvalue moduli come
-from an Aberth-Ehrlich simultaneous root finder on the characteristic
-polynomial, so no eigendecomposition is needed anywhere.
+from the roots of the characteristic polynomial (a closed form at degree
+2, Aberth-Ehrlich sweeps above), so no eigendecomposition is needed
+anywhere.
 
 The matrices here are n x n with n of a few units, where numpy's per-call
-cost would exceed the arithmetic, so the numerics run on Python `complex`:
-`_rows` checks an input once and returns its rows for the characteristic
-polynomial and the overshear update, and Aberth iterates on a list.
+cost would exceed the arithmetic, so the numerics run on rows of Python
+`complex`: `_rows` checks an input once, the steps of a word or of an
+iterate pass rows to each other, and an ndarray is built once, where a
+public function returns.  The atoms, `apply_atom` and the flows of
+`theta_flow` take rows and give rows, or take an ndarray and give one.
+Moebius maps and SL_n conjugations solve their linear systems by
+Gauss-Jordan elimination on the rows.
 
 Automorphism atoms: overshear/shear conjugations exp(s E_ab) with the
 exact nilpotent exponential I + s E_ab, Moebius transformations
@@ -41,10 +46,11 @@ class NumericsError(RuntimeError):
 
 
 Matrix = np.ndarray
-Algorithm = Callable[[float, Matrix], Matrix]
+Rows = list    # rows of Python complex, as `_rows` returns them
+Algorithm = Callable[[float, Matrix | Rows], Matrix | Rows]
 
 
-def _rows(data, n: int | None = None) -> list[list[complex]]:
+def _rows(data, n: int | None = None) -> Rows:
     """The entries of a square (n x n, if n is given) matrix of finite
     numbers as rows of Python `complex`; anything else raises ValueError."""
     A = np.asarray(data, dtype=complex)
@@ -65,6 +71,51 @@ def as_matrix(data, n: int | None = None) -> Matrix:
     A = np.asarray(data, dtype=complex)
     _rows(A, n)
     return A
+
+
+def _size(z: complex) -> float:
+    """|re| + |im|, BLAS izamax's measure of size, which cannot overflow."""
+    return abs(z.real) + abs(z.imag)
+
+
+def _finite(rows: Rows) -> bool:
+    return all(map(cmath.isfinite, chain.from_iterable(rows)))
+
+
+def _matmul(X: Rows, Y: Rows) -> Rows:
+    cols = list(zip(*Y))
+    return [[sum(map(mul, r, c)) for c in cols] for r in X]
+
+
+def _solve(B: Rows, C: Rows) -> tuple[Rows | None, complex]:
+    """(X, det B) with B X = C, for rows B (n x n) and C (n x m), by
+    Gauss-Jordan elimination with partial pivoting; (None, 0) when a pivot
+    is exactly zero.  Each row drops its entry in the pivot column as the
+    elimination passes it, so a row's first entry is in the current column
+    and, at the end, the rows are X."""
+    n = len(B)
+    M = [b + c for b, c in zip(B, C)]
+    det = 1.0 + 0j
+    for k in range(n):
+        p, largest = k, -1.0
+        for i in range(k, n):
+            size = _size(M[i][0])
+            if size > largest:
+                p, largest = i, size
+        pivot = M[p][0]
+        if pivot == 0:
+            return None, 0j
+        if p != k:
+            M[k], M[p] = M[p], M[k]
+            det = -det
+        det *= pivot
+        del M[k][0]
+        row = M[k] = [x / pivot for x in M[k]]
+        for i in range(n):
+            if i != k:
+                f = M[i].pop(0)
+                M[i] = [x - f * y for x, y in zip(M[i], row)]
+    return M, det
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +148,8 @@ def char_poly(A: Matrix) -> FibreCoordinates:
     n = len(rows)
     h = (n + 1) // 2
     powers = [rows]                        # powers[i] = A^(i+1)
-    cols = list(zip(*rows))
     for _ in range(1, h):
-        powers.append([[sum(map(mul, r, c)) for c in cols] for r in powers[-1]])
+        powers.append(_matmul(powers[-1], rows))
     p = [sum(P[i][i] for i in range(n)) for P in powers]
     top = list(chain.from_iterable(powers[-1]))
     p += [sum(map(mul, top, chain.from_iterable(zip(*powers[k - h - 1]))))
@@ -111,12 +161,11 @@ def char_poly(A: Matrix) -> FibreCoordinates:
     return FibreCoordinates(tuple(pi[1:]))
 
 
-def _aberth_sweep(coeffs: list[complex], z: list[complex]) -> tuple[list[complex], float]:
-    """One simultaneous Aberth-Ehrlich update of all iterates and the
-    largest step taken; each update reads only the previous iterates.
-    One Horner pass gives p (v) and p' (dv); a plain loop sums over the
-    other iterates."""
-    new_z = []
+def _aberth_sweep(coeffs: list[complex], z: list[complex]) -> float:
+    """One Aberth-Ehrlich sweep, updating the iterates in place
+    (Gauss-Seidel: each update reads the iterates already updated in this
+    sweep), and the largest step taken.  One Horner pass gives p (v) and
+    p' (dv); a plain loop sums over the other iterates."""
     max_step = 0.0
     for i, x in enumerate(z):
         v = dv = 0j
@@ -130,9 +179,21 @@ def _aberth_sweep(coeffs: list[complex], z: list[complex]) -> tuple[list[complex
                 s += 1.0 / (x - y)
         denom = 1.0 - w * s
         step = w / denom if denom != 0 else w
-        new_z.append(x - step)
-        max_step = max(max_step, abs(step))
-    return new_z, max_step
+        z[i] = x - step
+        size = abs(step)
+        if size > max_step:
+            max_step = size
+    return max_step
+
+
+def _quadratic_roots(b: complex, c: complex) -> list[complex]:
+    """The roots of t^2 + b t + c, c != 0: q = -(b +- sqrt(b^2 - 4c))/2 with
+    the sign that avoids cancellation (the larger of b +- sqrt by `_size`),
+    and c/q; q != 0 since c != 0."""
+    r = cmath.sqrt(b * b - 4.0 * c)
+    plus, minus = b + r, b - r
+    q = -0.5 * (plus if _size(plus) >= _size(minus) else minus)
+    return [q, c / q]
 
 
 # Aberth-Ehrlich stops at a step below ROOT_TOL (relative) or after ROOT_MAX_ITER sweeps
@@ -141,11 +202,12 @@ ROOT_MAX_ITER = 200
 
 
 def poly_roots(monic: Sequence[complex]) -> np.ndarray:
-    """All roots of a monic polynomial via Aberth-Ehrlich iteration.
+    """All roots of a monic polynomial.
 
     Roots at zero are split off exactly first (they are exact for nilpotent
-    characteristic polynomials); the remaining roots start on a circle at
-    the Cauchy bound and are refined simultaneously.
+    characteristic polynomials).  A quadratic remainder takes the closed
+    form of `_quadratic_roots`; a higher degree starts on a circle at the
+    Cauchy bound and is refined by in-place Aberth-Ehrlich sweeps.
     """
     coeffs = [complex(c) for c in monic]
     if not coeffs or coeffs[0] != 1:
@@ -162,6 +224,11 @@ def poly_roots(monic: Sequence[complex]) -> np.ndarray:
         return np.zeros(zeros_at_origin, dtype=complex)
     if d == 1:
         return np.array([-coeffs[1]] + [0j] * zeros_at_origin, dtype=complex)
+    if d == 2:
+        z = _quadratic_roots(coeffs[1], coeffs[2])
+        if not all(map(cmath.isfinite, z)):
+            raise NumericsError("root iteration diverged", iteration=0, coefficients=coeffs)
+        return np.array(z + [0j] * zeros_at_origin, dtype=complex)
 
     radius = 1.0 + max(abs(x) for x in coeffs[1:])
     angles = [2 * math.pi * (k + 0.25) / d for k in range(d)]
@@ -169,7 +236,7 @@ def poly_roots(monic: Sequence[complex]) -> np.ndarray:
 
     for iteration in range(ROOT_MAX_ITER):
         try:
-            z, max_step = _aberth_sweep(coeffs, z)
+            max_step = _aberth_sweep(coeffs, z)
             converged = max_step <= ROOT_TOL * (1.0 + max(map(abs, z)))
         except (ZeroDivisionError, OverflowError):   # coincident or unbounded iterates
             z, converged = [complex(math.nan)], False
@@ -310,31 +377,43 @@ class Transpose:
 
 
 class Conjugate:
-    """Conjugation by a fixed G with det G = 1."""
+    """Conjugation by a fixed G with det G = 1.  G is inverted once, here;
+    the det = 1 check takes det G from the same elimination."""
 
     def __init__(self, G):
-        self.G = as_matrix(G)
-        if abs(np.linalg.det(self.G) - 1.0) >= 1e-10:
+        self._g = _rows(G)
+        self.n = len(self._g)
+        eye = [[1.0 + 0j if i == j else 0j for j in range(self.n)] for i in range(self.n)]
+        self._inverse, det = _solve(self._g, eye)
+        if not cmath.isclose(det, 1.0, rel_tol=0.0, abs_tol=1e-10):
             raise ValueError("Conjugate atom needs det G = 1")
 
     def __repr__(self):
-        return f"Conjugate(n={self.G.shape[0]})"
+        return f"Conjugate(n={self.n})"
 
 
 AutomorphismAtom = Overshear | Moebius | Transpose | Conjugate
 AutomorphismWord = list
 
 
-def overshear_flow(atom: Overshear, A: Matrix, t: complex | None = None) -> Matrix:
+def overshear_flow(atom: Overshear, A: Matrix | Rows, t: complex | None = None) -> Matrix | Rows:
     """Evaluate the overshear/shear conjugation at the atom's time (or t).
 
+    A is an ndarray, checked by `_rows`, and an ndarray is returned; or rows
+    as `_rows` returns them, and new rows are returned.
     The conjugation (I + s E_ab) A (I - s E_ab) is applied in its rank-one
     form: left multiplication by I + s E_ab adds s times row b to row a,
     and right multiplication by I - s E_ab then subtracts s times column a
     of that product from column b.  Since a != b, E_ab^2 = 0 and this is
     the whole product.  For a shear (Theta_ab f = 0), s = t f(A) exactly.
     """
-    X = _rows(A, atom.n)
+    array = isinstance(A, np.ndarray)
+    if array:
+        X = _rows(A, atom.n)
+    elif len(A) != atom.n:
+        raise ValueError(f"expected a {atom.n}x{atom.n} matrix")
+    else:
+        X = [row[:] for row in A]
     tt = atom.t if t is None else t
     s = tt * eval_poly_at_matrix(atom.f, X)
     if not atom.theta_f.is_zero():
@@ -343,49 +422,71 @@ def overshear_flow(atom: Overshear, A: Matrix, t: complex | None = None) -> Matr
     X[a] = [x + s * y for x, y in zip(X[a], X[b])]
     for row in X:
         row[b] -= s * row[a]
-    return np.array(X, dtype=complex)
+    return np.array(X, dtype=complex) if array else X
 
 
-def moebius(atom: Moebius, A: Matrix) -> Matrix:
-    A = as_matrix(A)
-    n = A.shape[0]
-    I = np.eye(n, dtype=complex)
-    B = I - np.conj(atom.alpha) * A
-    try:
-        inv = np.linalg.solve(B, I)
-    except np.linalg.LinAlgError as exc:
+def moebius(atom: Moebius, A: Matrix | Rows) -> Matrix | Rows:
+    """gamma (I - conj(alpha) A)^{-1} (A - alpha I), which equals
+    gamma (A - alpha I)(I - conj(alpha) A)^{-1} since both factors are
+    polynomials in A, by one Gauss-Jordan solve.  A and the result are
+    an ndarray or rows, as in `overshear_flow`."""
+    array = isinstance(A, np.ndarray)
+    X = _rows(A) if array else A
+    alpha, gamma, beta = atom.alpha, atom.gamma, atom.alpha.conjugate()
+    B, C = [], []                          # I - beta A and gamma (A - alpha I)
+    for i, row in enumerate(X):
+        b = [-beta * x for x in row]
+        b[i] += 1.0
+        c = [gamma * x for x in row]
+        c[i] = gamma * (row[i] - alpha)
+        B.append(b)
+        C.append(c)
+    out, _ = _solve(B, C)
+    if out is None:
         raise NumericsError("I - conj(alpha) A is singular (point outside the ball?)",
-                            alpha=atom.alpha) from exc
-    return atom.gamma * ((A - atom.alpha * I) @ inv)
+                            alpha=atom.alpha)
+    return np.array(out, dtype=complex) if array else out
 
 
-def apply_atom(atom: AutomorphismAtom, A: Matrix) -> Matrix:
+def apply_atom(atom: AutomorphismAtom, A: Matrix | Rows) -> Matrix | Rows:
+    """The atom at A; A and the result are an ndarray or rows, as in
+    `overshear_flow`."""
+    if isinstance(A, np.ndarray):
+        return np.array(apply_atom(atom, _rows(A)), dtype=complex)
     if isinstance(atom, Overshear):
         return overshear_flow(atom, A)
     if isinstance(atom, Moebius):
         return moebius(atom, A)
     if isinstance(atom, Transpose):
-        return np.array(A.T)
+        return [list(col) for col in zip(*A)]
     if isinstance(atom, Conjugate):
-        return atom.G @ A @ np.linalg.solve(atom.G, np.eye(atom.G.shape[0], dtype=complex))
+        if len(A) != atom.n:
+            raise ValueError(f"conjugate G is {atom.n}x{atom.n}, the matrix {len(A)}x{len(A)}")
+        return _matmul(_matmul(atom._g, A), atom._inverse)
     raise TypeError(f"unknown atom {atom!r}")
+
+
+def _trajectory_rows(word: AutomorphismWord, X: Rows) -> Iterator[Rows]:
+    yield X
+    for i, atom in enumerate(word):
+        X = apply_atom(atom, X)
+        if not _finite(X):
+            raise NumericsError("word evaluation produced non-finite entries", atom=i)
+        yield X
 
 
 def word_trajectory(word: AutomorphismWord, A: Matrix) -> Iterator[Matrix]:
     """A, then the matrix after each atom in turn (the first atom acts
     first); an atom that yields a non-finite entry raises NumericsError."""
-    A = as_matrix(A)
-    yield A
-    for i, atom in enumerate(word):
-        A = apply_atom(atom, A)
-        if not np.isfinite(A).all():
-            raise NumericsError("word evaluation produced non-finite entries", atom=i)
-        yield A
+    for X in _trajectory_rows(word, _rows(A)):
+        yield np.array(X, dtype=complex)
 
 
 def apply_word(word: AutomorphismWord, A: Matrix) -> Matrix:
     """Left-to-right composition: the first atom acts first."""
-    return list(word_trajectory(word, A))[-1]
+    for X in _trajectory_rows(word, _rows(A)):
+        pass
+    return np.array(X, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +495,9 @@ def apply_word(word: AutomorphismWord, A: Matrix) -> Matrix:
 
 def theta_flow(n: int, a: int, b: int, f: Polynomial | None = None) -> Algorithm:
     """Flow family (t, A) -> overshear/shear conjugation of f * Theta_ab;
-    f defaults to the constant 1 (the plain one-parameter subgroup)."""
+    f defaults to the constant 1 (the plain one-parameter subgroup).  A
+    flow, and the sums and brackets built on flows, take and give rows or
+    an ndarray, as `overshear_flow` does."""
     if f is None:
         f = Polynomial.constant(n * n, 1)
     atom = Overshear(n=n, a=a, b=b, f=f, t=1.0)
@@ -426,16 +529,18 @@ def algorithm_bracket(flow_a: Algorithm, flow_b: Algorithm) -> Algorithm:
 
 
 def iterate_algorithm(alg: Algorithm, t: float, n_steps: int, A: Matrix) -> Matrix:
-    """The n-step iterate of the algorithm at step t/n_steps."""
+    """The n-step iterate of the algorithm at step t/n_steps.  The steps
+    pass rows to each other (the flows of `theta_flow` and their sums and
+    brackets take rows), each checked for finiteness."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     h = t / n_steps
-    X = as_matrix(A)
+    X = _rows(A)
     for _ in range(n_steps):
         X = alg(h, X)
-        if not np.isfinite(X).all():
+        if not _finite(X):
             raise NumericsError("iterate diverged", step=h, n_steps=n_steps)
-    return X
+    return np.array(X, dtype=complex)
 
 
 def field_at_point(f: Polynomial, gid: GeneratorId, A: Matrix) -> Matrix:

@@ -404,6 +404,21 @@ def test_orbit_infinite_exponent_is_numeric_error(capsys, tmp_path, x21, f, t):
     assert "non-finite" in captured.err
 
 
+def test_orbit_singular_moebius_is_numeric_error(capsys, tmp_path):
+    # The shear by s = 2^60 rounds [[0.5, 0], [1, -0.5]] to an exactly
+    # nilpotent matrix, so the input is in the ball and the word valid, yet
+    # the elimination of I - 0.5 X in floating point meets a zero pivot.
+    mat, word = tmp_path / "A.json", tmp_path / "w.json"
+    mat.write_text(json.dumps(matrix_to_json(np.array([[0.5, 0], [1, -0.5]]))))
+    word.write_text(json.dumps([{"overshear": {"theta": [1, 2], "f": "1", "t": 2.0 ** 60}},
+                                {"moebius": {"alpha": [0.5, 0], "gamma": [1, 0]}}]))
+    code = cli.main(["orbit", "--word", str(word), "--matrix", str(mat)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "I - conj(alpha) A is singular" in captured.err
+
+
 def test_cached_parser_is_reentrant(capsys, orbit_files):
     mat, word, bad, empty = orbit_files
     usage = ["generate", "--n", "2"]

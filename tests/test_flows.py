@@ -189,6 +189,36 @@ def test_poly_roots_validates_input():
         poly_roots([2.0, 1.0])
 
 
+def _by_size(z):
+    return np.array(sorted(z, key=abs))
+
+
+def test_poly_roots_quadratic_closed_form():
+    eps = np.finfo(float).eps
+    # |b|^2 >> |c|: the small root comes from c/q, not from b - sqrt(...)
+    for coeffs in ([1, 1e8, 1], [1, 1e8 + 1e8j, 2 - 1j], [1, -3e7, 0.5], [1, 1e150, 1]):
+        found = poly_roots(coeffs)
+        assert isinstance(found, np.ndarray) and found.dtype == complex and len(found) == 2
+        want = _by_size(np.roots(coeffs))
+        rel = np.abs(_by_size(found) - want) / np.abs(want)
+        assert rel.max() < 1e-14, (coeffs, found, want)
+    # a double root, split by about sqrt(eps) times the scale, as numpy does
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        r = complex(*(2 * rng.normal(size=2)))
+        coeffs = [1, -2 * r, r * r]
+        err = _match(poly_roots(coeffs), np.roots(coeffs))
+        assert err.max() <= 4 * np.sqrt(eps) * (1.0 + abs(r)), err
+    # zero roots are split off before the closed form
+    found = poly_roots([1, 1e8, 1, 0, 0])
+    assert np.count_nonzero(found == 0) == 2
+    want = _by_size(np.roots([1, 1e8, 1]))
+    assert (np.abs(_by_size(found[:2]) - want) / np.abs(want)).max() < 1e-14
+    for bad in ([1, complex(math.nan), 1], [1, 1, complex(math.inf)], [1, 1e200, 1]):
+        with pytest.raises(NumericsError, match="diverged"):
+            poly_roots(bad)
+
+
 def test_ball_membership():
     assert in_spectral_ball(np.zeros((2, 2)))
     assert not in_spectral_ball(np.diag([1.0, 0.0]))      # open ball
@@ -462,6 +492,85 @@ def test_conjugate_validation():
     assert drift < 1e-12
 
 
+def _conjugator(rng, n):
+    """A random G with det G = 1 that is far from unitary."""
+    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2 * np.eye(n)
+    return G / np.linalg.det(G) ** (1.0 / n)
+
+
+def _rel(X, ref):
+    return np.abs(np.asarray(X) - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_solve_against_numpy(n):
+    # Gauss-Jordan with partial pivoting: X and det against numpy, on
+    # matrices whose first pivots must be swapped in
+    rng = np.random.default_rng(60 + n)
+    for k in range(20):
+        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        B[0, 0] = 0 if k % 2 else 1e-12
+        C = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        X, det = flows._solve(B.tolist(), C.tolist())
+        assert _rel(X, np.linalg.solve(B, C)) < 1e-12
+        assert abs(det - np.linalg.det(B)) < 1e-12 * abs(np.linalg.det(B))
+    B = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=complex)
+    assert flows._solve(B.tolist(), np.eye(3).tolist()) == (None, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_moebius_and_conjugate_match_numpy_solve(n):
+    rng = np.random.default_rng(70 + n)
+    I = np.eye(n)
+    for _ in range(20):
+        A = sample_spectral_ball(rng, n)
+        alpha = 0.9 * rng.uniform() * cmath.exp(2j * np.pi * rng.uniform())
+        gamma = cmath.exp(2j * np.pi * rng.uniform())
+        ref = gamma * ((A - alpha * I) @ np.linalg.solve(I - np.conj(alpha) * A, I))
+        out = moebius(Moebius(alpha, gamma), A)
+        assert isinstance(out, np.ndarray) and out.dtype == complex
+        assert _rel(out, ref) < 1e-12
+        assert _rel(moebius(Moebius(alpha, gamma), A.tolist()), ref) < 1e-12
+        G = _conjugator(rng, n)
+        ref = G @ A @ np.linalg.solve(G, I)
+        assert _rel(apply_atom(Conjugate(G), A), ref) < 1e-12
+        assert _rel(apply_atom(Conjugate(G), A.tolist()), ref) < 1e-12
+
+
+def test_moebius_singular_point_raises_numerics_error():
+    with pytest.raises(NumericsError, match="singular"):
+        moebius(Moebius(0.5, 1), 2 * np.eye(3))
+    with pytest.raises(NumericsError, match="singular"):
+        apply_word([Moebius(0.5j, 1)], np.array([[0, 0], [0, 2j]]))
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (2, 3), (2, 4)])
+def test_conjugate_size_mismatch(m, n):
+    atom = Conjugate(np.eye(m))
+    A = sample_spectral_ball(np.random.default_rng(m + n), n)
+    for X in (A, A.tolist()):
+        with pytest.raises(ValueError, match=f"conjugate G is {m}x{m}"):
+            apply_atom(atom, X)
+    with pytest.raises(ValueError):
+        apply_word([Transpose(), atom], A)
+    with pytest.raises(ValueError, match="det G = 1"):
+        Conjugate(np.full((2, 2), 1e200))
+
+
+def test_atoms_on_rows_and_on_arrays():
+    rng = np.random.default_rng(23)
+    for n in (2, 3):
+        A = sample_spectral_ball(rng, n)
+        for atom in (random_overshear_atom(rng, n), Moebius(0.3 - 0.2j, 1j), Transpose(),
+                     Conjugate(_conjugator(rng, n))):
+            out = apply_atom(atom, A)
+            rows = apply_atom(atom, A.tolist())
+            assert isinstance(out, np.ndarray) and type(rows) is list
+            assert np.array_equal(out, np.array(rows))
+        with pytest.raises(ValueError, match=f"expected a {n + 1}x{n + 1} matrix"):
+            overshear_flow(random_overshear_atom(rng, n + 1), A.tolist())
+
+
 def test_apply_word():
     rng = np.random.default_rng(11)
     A = sample_spectral_ball(rng, 2)
@@ -504,6 +613,25 @@ def test_iterate_single_step():
     A = sample_spectral_ball(rng, 2)
     alg = algorithm_sum(theta_flow(2, 1, 2), theta_flow(2, 2, 1))
     assert np.allclose(iterate_algorithm(alg, 0.3, 1, A), alg(0.3, A))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("kind", ["sum", "bracket"])
+def test_iterate_on_rows_equals_array_steps(n, kind):
+    # the rows passed between the steps give exactly the ndarray steps
+    A = sample_spectral_ball(np.random.default_rng(50 + n), n)
+    a, b = theta_flow(n, 1, 2), theta_flow(n, 2, 1)
+    alg = algorithm_sum(a, b) if kind == "sum" else algorithm_bracket(a, b)
+    t, steps = 0.7, 128
+    X = A
+    for _ in range(steps):
+        X = alg(t / steps, X)
+        assert isinstance(X, np.ndarray)
+    out = iterate_algorithm(alg, t, steps, A)
+    assert isinstance(out, np.ndarray) and out.dtype == complex
+    assert np.array_equal(out, X)
+    rows = alg(t / steps, A.tolist())
+    assert type(rows) is list and np.array_equal(np.array(rows), alg(t / steps, A))
 
 
 def test_bracket_algorithm_commuting_flows():
