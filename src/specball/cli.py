@@ -167,6 +167,7 @@ def cmd_generate(args) -> int:
             "sl_target_component_rank": rep.sl_target_component_rank,
             "gl_component_rank": rep.gl_rank,
             "brackets_evaluated": rep.brackets_evaluated,
+            "brackets_skipped": rep.brackets_skipped,
             "prime": rep.prime, "relation_rank": rep.relation_rank,
             "certified": rep.certified, "complete": rep.complete,
         })

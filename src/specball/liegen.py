@@ -16,7 +16,7 @@ is a Lie algebra homomorphism whose kernel, the fields divisible by tr, is
 an ideal: [tr*A, Y] = tr*[A, Y].  A field whose restricted vector is
 already spanned therefore adds nothing to any later grade either.
 
-Kept vectors go into one echelon mod the prime `CLOSURE_PRIME`, and each
+Kept vectors go into echelons mod the prime `CLOSURE_PRIME`, and each
 grade is certified with that one prime (`_certify_degree`): rank_p of the
 kept vectors is at most their rank over Q, which is at most the pair
 span's rank |F_d| - dim ker Phi, which is at most |F_d| - rank_p(Rel) for
@@ -26,6 +26,13 @@ polynomial identities among the generator fields (e.g.
 2*x12*Theta12 + 2*x21*Theta21 + (x11-x22)*Xi1 = 0 on 2x2 matrices), so the
 component rank of the target space is lower than the pair count; reports
 carry both numbers.
+
+Every generator field, seed, bracket and pair is homogeneous for the
+weights of the diagonal torus of SL_n (x_ij has weight e_i - e_j), and so
+is every relation, because X^k commutes with X (Kostant 1963).  The
+echelons and the bound therefore split into weight blocks, and a bracket
+that lands in a block already at its bound is skipped, not computed
+(`closure`).
 """
 from __future__ import annotations
 
@@ -39,17 +46,15 @@ from fractions import Fraction
 
 from .adjointfields import (
     GeneratorId,
-    OvershearClass,
     Theta,
     VectorField,
     Xi,
     bracket,
     generator_field,
     generator_ids,
-    overshear_class,
     scale_field,
 )
-from .linalg import ExactRowSpace, ModularRowSpace, clear_denominators
+from .linalg import BlockedRowSpace, ExactRowSpace, clear_denominators
 from .polyring import (
     GradingError,
     HomSliceBasis,
@@ -87,18 +92,51 @@ class Seed:
 
 def build_seeds(n: int) -> list[Seed]:
     """All overshear pairs (monomial f of degree <= 2, basis generator g)
-    with g^2(f) = 0; the constant f = 1 gives the generators themselves."""
+    with g^2(f) = 0; the constant f = 1 gives the generators themselves.
+
+    Classified on exponent vectors (`adjointfields.overshear_class` is the
+    oracle the tests compare with): Xi_a scales x^e by the pairing of its
+    weight with H_a, so it shears x^e when that is 0 and is neither
+    otherwise; Theta_ab is applied twice through `_theta_exponents`."""
     if n < 2:
         raise PreconditionError("n must be at least 2")
     nvars = n * n
+    gens = generator_ids(n)
     seeds = []
     for d in (0, 1, 2):
         for mono in slice_monomials(nvars, d):
-            f = Polynomial.from_monomial(nvars, mono)
-            for g in generator_ids(n):
-                if overshear_class(f, g) is not OvershearClass.NEITHER:
-                    seeds.append(Seed(f, g, d))
+            e = mono.dense(nvars)
+            for g in gens:
+                if isinstance(g, Theta):
+                    image = _theta_exponents(n, g, {e: 1})
+                    keep = not image or not _theta_exponents(n, g, image)
+                else:   # coordinates a and a + 1 of the weight of x^e agree
+                    a = g.a - 1
+                    weight = [sum(e[i * n:(i + 1) * n]) - sum(e[i::n]) for i in (a, a + 1)]
+                    keep = weight[0] == weight[1]
+                if keep:
+                    seeds.append(Seed(Polynomial.from_monomial(nvars, mono), g, d))
     return seeds
+
+
+def _theta_exponents(n: int, g: Theta,
+                     poly: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """Theta_ab of a polynomial given as exponent tuple -> coefficient:
+    Theta_ab(x^e) = sum_j e_aj x^(e - u_aj + u_bj) - sum_i e_ib x^(e - u_ib + u_ia),
+    with u_ij the unit exponent of x_ij."""
+    a, b = g.a - 1, g.b - 1
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in poly.items():
+        for j in range(n):
+            for src, dst, coeff in ((a * n + j, b * n + j, c), (j * n + b, j * n + a, -c)):
+                k = e[src]
+                if k:
+                    f = list(e)
+                    f[src] -= 1
+                    f[dst] += 1
+                    f = tuple(f)
+                    out[f] = out.get(f, 0) + coeff * k
+    return {f: c for f, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +275,28 @@ class _TracelessFields:
         self.ebits = (max_degree + 1).bit_length()
         self.units = [1 << (self.cbits + self.ebits * j) for j in range(nv)]
         self.trace_form = {self.units[a * (n + 1)]: -1 for a in range(n - 1)}
+        # The sl_n weight e_i - e_j of x_ij, as the int B^i - B^j.  A term
+        # c * x^e d/dx_comp has weight weight(x^e) - weight(x_comp); brackets
+        # and products add weights, and substituting for x_nn (weight 0)
+        # keeps them.  A grade-d term's weight has coordinates of size at
+        # most d + 2 < B / 2, so the encoding is one-to-one on them.
+        base = 2 * max_degree + 5
+        self.var_weights = [base ** (v // n) - base ** (v % n) for v in range(nv)]
+        ids = generator_ids(n)
+        self.gens = [self.generator(g) for g in ids]
+        # Theta_ab = sum_j x_bj d/dx_aj - ..., of weight e_b - e_a; Xi_a: 0
+        self.gen_weights = [self.var_weights[(g.b - 1) * n + g.a - 1] if isinstance(g, Theta)
+                            else 0 for g in ids]
+
+    def _linear(self, values: list[int], degree: int) -> list[int]:
+        """sum_v e_v * values[v] for the exponent vector e of each
+        degree-`degree` monomial, in `slice_monomials` order."""
+        return [sum(values[v] for v in combo)
+                for combo in combinations_with_replacement(range(self.nv), degree)]
 
     def monomials(self, degree: int) -> list[int]:
         """Keys of the degree-`degree` monomials, in `slice_monomials` order."""
-        units = self.units
-        return [sum(units[v] for v in combo)
-                for combo in combinations_with_replacement(range(self.nv), degree)]
+        return self._linear(self.units, degree)
 
     def columns(self, grade: int) -> dict[int, int]:
         """Key -> column for the fields of a grade, in the `_SlProjector`
@@ -250,6 +304,19 @@ class _TracelessFields:
         nv = self.nv
         return {m + c: i * nv + c
                 for i, m in enumerate(self.monomials(grade + 1)) for c in range(nv)}
+
+    def column_weights(self, grade: int) -> list[int]:
+        """The weight of each column of `columns(grade)`: that of its
+        monomial minus that of its component's variable."""
+        return [w - cw for w in self._linear(self.var_weights, grade + 1)
+                for cw in self.var_weights]
+
+    def pairs(self, d: int) -> tuple[list[dict[int, int]], list[int]]:
+        """The grade-d target pairs f*V, indexed by monomial index * (n^2 - 1)
+        + generator index, and the weight of each."""
+        pairs = [{f + k: c for k, c in g.items()} for f in self.monomials(d) for g in self.gens]
+        weights = [fw + gw for fw in self._linear(self.var_weights, d) for gw in self.gen_weights]
+        return pairs, weights
 
     def restrict(self, p: Polynomial, comp: int = 0) -> dict[int, int]:
         """The field p * d/dx_comp on tr = 0; for comp = 0, also p itself."""
@@ -334,7 +401,8 @@ class DegreeReport:
     sl_target_component_rank: int    # target_rank - relation_rank: the pair span's rank
                                      # when certified, an upper bound on it otherwise
     gl_rank: int                     # kept fields; equal to sl_rank
-    brackets_evaluated: int
+    brackets_evaluated: int          # brackets computed
+    brackets_skipped: int            # queued brackets left out: their weight block was full
     complete: bool                   # fixed point or target reached within budget
     certified: bool                  # sl_rank == sl_target_component_rank
     prime: int                       # p of the kept-vector and relation echelons
@@ -367,9 +435,27 @@ def closure(seeds: list[Seed], max_degree: int,
     rank; the grade stops early once the kept rank reaches it, and
     `_certify_degree` certifies the grade when it does.
 
+    Weight blocks.  Every term, pair, relation and bracket is homogeneous
+    for the sl_n torus weight (`_TracelessFields.var_weights`), so the kept
+    vectors sit in one mod-p echelon per weight (`BlockedRowSpace`) and the
+    bound splits: the weight-w pairs span T_w of rank at most
+    bound_w = |F_d,w| - rank_p(Rel_w).  A queued bracket's weight, the sum
+    of its operands' weights, is known before it is taken; when its block
+    has rank_w >= bound_w the bracket is skipped (`brackets_skipped`).  The
+    skip is exact: a bracket y of weight w lies in T_w, so
+    rank_p(K_w + y) <= rank_Q(T_w) <= bound_w <= rank_p(K_w) and y would
+    have been rejected; the kept vectors, their order and the point where
+    the grade stops are those of the loop without skips.  Soundness does
+    not rest on the predicted weight: a kept vector goes to the block its
+    own columns name (across two blocks it raises `GradingError`), and the
+    certificate compares the total rank with the global bound, so a wrong
+    prediction could only skip a new vector and leave a grade uncertified.
+    A kept field is prepared for `_bracket` when it is first bracketed.
+
     When a budget runs out the closure stops after reporting that grade:
     later grades get no `spans` or `reports` entry, and `complete` is False.
     A grade that would start after `budget_ms` has passed is not started.
+    `budget_brackets` counts the brackets computed, not those skipped.
     """
     if not seeds:
         raise PreconditionError("empty seed set")
@@ -377,13 +463,20 @@ def closure(seeds: list[Seed], max_degree: int,
     deadline = time.monotonic() + budget_ms / 1000.0 if budget_ms is not None else None
 
     ring = _TracelessFields(n, max_degree)
-    gen_ids = generator_ids(n)
-    gen_fields = {g: ring.generator(g) for g in gen_ids}
-    gens = [ring.prepare(f) for f in gen_fields.values()]
+    gen_fields = dict(zip(generator_ids(n), ring.gens))
+    gens = [ring.prepare(f) for f in ring.gens]
     spans: dict[int, list[dict[int, int]]] = {}
-    prepared: dict[int, list[_Prepared]] = {}
+    fields: dict[int, list[dict[int, int]]] = {}        # grade -> kept packed fields
+    prepared: dict[int, list[_Prepared | None]] = {}    # None until first bracketed
+    weights: dict[int, list[int]] = {}                  # grade -> weights of the kept fields
     reports: dict[int, DegreeReport] = {}
     brackets_done = 0
+
+    def ready(a: int, i: int) -> _Prepared:
+        field = prepared[a][i]
+        if field is None:
+            field = prepared[a][i] = ring.prepare(fields[a][i])
+        return field
 
     grade_of_seed: dict[int, list[Seed]] = {}
     for s in seeds:
@@ -395,13 +488,15 @@ def closure(seeds: list[Seed], max_degree: int,
             complete = False
             break
         cols = ring.columns(d)
-        pairs = [{f + k: c for k, c in gen_fields[g].items()}
-                 for f in ring.monomials(d) for g in gen_ids]
-        kept_space = ModularRowSpace(CLOSURE_PRIME)
-        relation_rank = _relation_rank(ring.relations(d), pairs, kept_space.p)
-        bound = len(pairs) - relation_rank
+        pairs, pair_weights = ring.pairs(d)
+        relations = _relation_blocks(ring.relations(d), pairs, pair_weights)
+        bounds = Counter(pair_weights)
+        for w in bounds:
+            bounds[w] -= relations.block_rank(w)
+        bound = len(pairs) - relations.rank
+        kept_space = BlockedRowSpace(CLOSURE_PRIME, ring.column_weights(d))
         kept = spans[d] = []
-        ready = prepared[d] = []
+        fields[d], prepared[d], weights[d] = [], [], []
 
         # bracket queue: (a, index in grade a, index in grade d - a); a = 0
         # indexes the generators
@@ -413,10 +508,12 @@ def closure(seeds: list[Seed], max_degree: int,
             vec = {cols[k]: c for k, c in field.items()}
             if kept_space.insert(vec):
                 kept.append(vec)
-                ready.append(ring.prepare(field))
+                fields[d].append(field)
+                prepared[d].append(None)
+                weights[d].append(kept_space.block_of[next(iter(vec))])
                 queue.extend((0, gi, len(kept) - 1) for gi in range(len(gens)))
 
-        brackets_at_start = brackets_done
+        evaluated = skipped = 0
         for s in grade_of_seed.get(d, ()):
             keep(_mul(ring.restrict(s.coefficient), gen_fields[s.generator]))
         for a in range(1, d // 2 + 1):
@@ -428,39 +525,42 @@ def closure(seeds: list[Seed], max_degree: int,
                     queue.append((a, i, j))
 
         while queue and not (early_exit and kept_space.rank >= bound):
+            a, i, j = queue.popleft()
+            w = (ring.gen_weights[i] if a == 0 else weights[a][i]) + weights[d - a][j]
+            if kept_space.block_rank(w) >= bounds[w]:
+                skipped += 1
+                continue
             if ((deadline is not None and time.monotonic() > deadline)
                     or (budget_brackets is not None and brackets_done >= budget_brackets)):
                 complete = False
                 break
-            a, i, j = queue.popleft()
-            if a == 0:
-                keep(_bracket(gens[i], ready[j]))
-            else:
-                keep(_bracket(prepared[a][i], prepared[d - a][j]))
+            keep(_bracket(gens[i] if a == 0 else ready(a, i), ready(d - a, j)))
+            evaluated += 1
             brackets_done += 1
 
-        reports[d] = _certify_degree(n, d, kept_space, relation_rank, pairs, cols,
-                                     brackets_done - brackets_at_start, complete)
+        reports[d] = _certify_degree(n, d, kept_space, relations.rank, pairs, cols,
+                                     evaluated, skipped, complete)
         if not complete:
             break
 
     return ClosureResult(n, max_degree, spans, reports, complete)
 
 
-def _relation_rank(relations: list[dict[int, int]], pairs: list[dict[int, int]],
-                   prime: int) -> int:
-    """rank_p of the relations r whose image sum_i r_i * pairs[i] is exactly 0;
-    a relation that failed the check would not enter the rank."""
-    space = ModularRowSpace(prime)
+def _relation_blocks(relations: list[dict[int, int]], pairs: list[dict[int, int]],
+                     pair_weights: list[int]) -> BlockedRowSpace:
+    """The relations r whose image sum_i r_i * pairs[i] is exactly 0, in
+    mod-p echelons by the weight of their pairs; a relation that failed the
+    check would not enter the rank."""
+    space = BlockedRowSpace(CLOSURE_PRIME, pair_weights)
     for r in relations:
         if not _sum((pairs[i], c) for i, c in r.items()):
             space.insert(r)
-    return space.rank
+    return space
 
 
-def _certify_degree(n: int, d: int, kept_space: ModularRowSpace, relation_rank: int,
+def _certify_degree(n: int, d: int, kept_space: BlockedRowSpace, relation_rank: int,
                     pairs: list[dict[int, int]], cols: dict[int, int],
-                    brackets_done: int, complete: bool) -> DegreeReport:
+                    evaluated: int, skipped: int, complete: bool) -> DegreeReport:
     """The one-prime certificate of a grade.
 
     K are the kept vectors, T the span of the target pairs F_d and Phi the
@@ -476,7 +576,8 @@ def _certify_degree(n: int, d: int, kept_space: ModularRowSpace, relation_rank: 
     are equal every inequality is an equality, so span K = T over Q and
     every pair f*V is reached.  An unlucky prime can only leave the ends
     apart: the grade is then not certified, and the pairs outside K mod p
-    are listed as unproven in `missing_witnesses`.
+    are listed as unproven in `missing_witnesses`.  rank_p(K) is the sum of
+    the weight blocks' ranks, and a pair is looked up in its own block.
     """
     bound = len(pairs) - relation_rank
     certified = kept_space.rank == bound
@@ -495,7 +596,7 @@ def _certify_degree(n: int, d: int, kept_space: ModularRowSpace, relation_rank: 
         missing_witnesses=missing,
         sl_rank=kept_space.rank, sl_target_component_rank=bound,
         gl_rank=kept_space.rank,
-        brackets_evaluated=brackets_done,
+        brackets_evaluated=evaluated, brackets_skipped=skipped,
         complete=complete, certified=certified,
         prime=kept_space.p, relation_rank=relation_rank,
     )

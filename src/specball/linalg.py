@@ -7,7 +7,8 @@ cross-image check rank with them.  The modular variant keeps a reduced
 echelon over F_p.  The bracket closure keeps its vectors and relations in
 it, because its rank is the lower bound a one-prime certificate needs
 (integer vectors independent mod p are independent over Q, while a vector
-it rejects may still be new over Q).
+it rejects may still be new over Q).  `BlockedRowSpace` splits such an
+echelon by a grading of the columns, one `ModularRowSpace` per block.
 
 `SparseMatrix` is the kernel oracle's slice matrix: integer rows (a
 `Fraction` only where the derivation has a denominator), multiplied row by
@@ -16,10 +17,11 @@ row, with rank and nullity from the exact echelon.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .polyring import exact_coefficient
+from .polyring import GradingError, exact_coefficient
 
 
 def clear_denominators(vec: dict[int, int | Fraction]) -> dict[int, int]:
@@ -141,6 +143,47 @@ class ModularRowSpace:
 
     def contains(self, vec: dict[int, int]) -> bool:
         return not self.reduce(vec)
+
+
+class BlockedRowSpace:
+    """Reduced echelons over F_p, one `ModularRowSpace` per block of a
+    column grading: `block_of[col]` is the block of each column.  A vector
+    goes to the block of its columns, and one whose columns lie in two
+    blocks raises `GradingError`.  Vectors of different blocks share no
+    column, so an insert meets only rows of its own block, and `rank`, the
+    sum of the block ranks, is the rank of all the vectors inserted."""
+
+    def __init__(self, p: int, block_of: Sequence[int]):
+        self.p = p
+        self.block_of = block_of
+        self.blocks: dict[int, ModularRowSpace] = {}   # block -> its echelon
+        self.rank = 0
+
+    def block(self, vec: dict[int, int]) -> int | None:
+        """The block of vec's columns; None for the zero vector."""
+        blocks = {self.block_of[col] for col in vec}
+        if len(blocks) > 1:
+            raise GradingError(f"vector spans the blocks {sorted(blocks)}")
+        return blocks.pop() if blocks else None
+
+    def block_rank(self, block: int) -> int:
+        space = self.blocks.get(block)
+        return 0 if space is None else space.rank
+
+    def _space(self, vec: dict[int, int]) -> ModularRowSpace:
+        block = self.block(vec)
+        space = self.blocks.get(block)
+        if space is None:
+            space = self.blocks[block] = ModularRowSpace(self.p)
+        return space
+
+    def insert(self, vec: dict[int, int]) -> bool:
+        inserted = self._space(vec).insert(vec)
+        self.rank += inserted
+        return inserted
+
+    def contains(self, vec: dict[int, int]) -> bool:
+        return self._space(vec).contains(vec)
 
 
 class SparseMatrix:

@@ -124,23 +124,26 @@ def test_generate_method_flag_has_no_effect(capsys):
 
 
 @pytest.mark.parametrize("n,max_degree,rows", [
-    (2, 4, [(3, 3, 0, 0), (9, 8, 1, 8), (18, 15, 3, 25), (30, 24, 6, 40), (45, 35, 10, 63)]),
-    (3, 2, [(8, 8, 0, 0), (64, 63, 1, 246), (288, 279, 9, 1157)]),
+    (2, 4, [(3, 3, 0, 0, 0), (9, 8, 1, 8, 5), (18, 15, 3, 25, 14), (30, 24, 6, 40, 32),
+            (45, 35, 10, 63, 49)]),
+    (3, 2, [(8, 8, 0, 0, 0), (64, 63, 1, 246, 72), (288, 279, 9, 1157, 564)]),
 ])
 def test_generate_pinned_rows(capsys, n, max_degree, rows):
-    # (target rank, component rank, relation rank, brackets evaluated) per
-    # grade; the ranks and bracket counts are those the closure gave when it
-    # eliminated polynomial fields exactly over Q
+    # (target rank, component rank, relation rank, brackets, brackets
+    # evaluated) per grade; the ranks and bracket counts are those the
+    # closure gave when it eliminated polynomial fields exactly over Q, and
+    # the brackets in full weight blocks are skipped, not evaluated
     code, out = run(capsys, ["generate", "--n", str(n), "--max-degree", str(max_degree)])
     assert code == 0
     degrees = json.loads(out)["degrees"]
     assert len(degrees) == len(rows)
-    for d, (row, (target, rank, relations, brackets)) in enumerate(zip(degrees, rows)):
+    for d, (row, (target, rank, relations, brackets, evaluated)) in enumerate(zip(degrees, rows)):
         assert row == {
             "n": n, "degree": d, "method": "one-prime",
             "target_rank": target, "achieved_rank": target, "missing_witnesses": [],
             "sl_component_rank": rank, "sl_target_component_rank": rank,
-            "gl_component_rank": rank, "brackets_evaluated": brackets,
+            "gl_component_rank": rank, "brackets_evaluated": evaluated,
+            "brackets_skipped": brackets - evaluated,
             "prime": 2 ** 31 - 1, "relation_rank": relations,
             "certified": True, "complete": True,
         }

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -9,6 +10,7 @@ import pytest
 
 from specball import cli, liegen
 from specball.adjointfields import (
+    OvershearClass,
     Theta,
     VectorField,
     Xi,
@@ -19,9 +21,10 @@ from specball.adjointfields import (
     generator_matrix,
     make_theta,
     make_xi,
+    overshear_class,
     scale_field,
 )
-from specball.linalg import ExactRowSpace, clear_denominators
+from specball.linalg import BlockedRowSpace, ExactRowSpace, ModularRowSpace, clear_denominators
 from specball.liegen import (
     GradingError,
     PreconditionError,
@@ -110,6 +113,20 @@ def test_seed_example_n3_product_of_kernel_elements():
     seeds = build_seeds(3)
     labels = {(str(s.coefficient), s.generator.label()) for s in seeds}
     assert ("x21*x31", "theta12") in labels
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_seeds_match_the_overshear_class_oracle(n):
+    # build_seeds classifies on exponent vectors; `overshear_class` applies
+    # the generator fields to polynomials
+    nvars = n * n
+    oracle = []
+    for d in (0, 1, 2):
+        for mono in slice_monomials(nvars, d):
+            f = Polynomial.from_monomial(nvars, mono)
+            oracle += [Seed(f, g, d) for g in generator_ids(n)
+                       if overshear_class(f, g) is not OvershearClass.NEITHER]
+    assert build_seeds(n) == oracle
 
 
 def test_all_seeds_pass_overshear_test():
@@ -207,7 +224,7 @@ def test_closure_order_independent():
 
 def test_closure_monotone_under_budget():
     # a tiny bracket budget yields a flagged partial result, never a wrong one
-    res = closure(build_seeds(2), 2, budget_brackets=5)
+    res = closure(build_seeds(2), 2, budget_brackets=4)
     assert not res.complete
     assert 2 not in res.reports and 2 not in res.spans   # grade 1 ran out
     full = closure(build_seeds(2), 2)
@@ -510,3 +527,109 @@ def test_small_primes_never_certify_a_wrong_rank(prime, monkeypatch, capsys):
             assert code == 5
             uncertified.append(n)
     assert uncertified == {2: [2], 3: [3], 5: []}[prime]
+
+
+@pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 3), (4, 2)])
+def test_relation_ranks_split_by_weight(n, max_degree):
+    # every relation lies in one weight block of the pairs, so the block
+    # ranks add up to the rank of one echelon over all the relations
+    ring = liegen._TracelessFields(n, max_degree)
+    for d in range(max_degree + 1):
+        pairs, weights = ring.pairs(d)
+        relations = ring.relations(d)
+        blocks = liegen._relation_blocks(relations, pairs, weights)
+        whole = ModularRowSpace(liegen.CLOSURE_PRIME)
+        for r in relations:
+            whole.insert(r)
+        assert sum(s.rank for s in blocks.blocks.values()) == blocks.rank == whole.rank \
+            == closed_form(n, d)[1]
+
+
+def weight_oracle(ring, key):
+    """The sl_n weight of a packed term as a tuple: e_i - e_j for each
+    x_ij in the monomial, e_j - e_i for the component d/dx_ij."""
+    n, w = ring.n, [0] * ring.n
+    comp = key & ((1 << ring.cbits) - 1)
+    w[comp // n] -= 1
+    w[comp % n] += 1
+    exps = key >> ring.cbits
+    for j in range(ring.nv):
+        e = (exps >> (ring.ebits * j)) & ((1 << ring.ebits) - 1)
+        w[j // n] += e
+        w[j % n] -= e
+    return tuple(w)
+
+
+@pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 2)])
+def test_evaluated_brackets_lie_in_their_predicted_weight(n, max_degree, monkeypatch):
+    # the closure predicts a bracket's block as the sum of its operands'
+    # encoded weights; every term of every bracket it evaluates has that
+    # weight, and the encoding agrees with the weight tuples
+    ring = liegen._TracelessFields(n, max_degree)
+    grades = range(max_degree + 1)
+    encoded = {}
+    for d in grades:
+        for key, col in ring.columns(d).items():
+            encoded[key] = ring.column_weights(d)[col]
+    by_tuple = {}
+    for key, w in encoded.items():
+        assert by_tuple.setdefault(weight_oracle(ring, key), w) == w
+    assert len(set(by_tuple.values())) == len(by_tuple)
+    for g, w in zip(ring.gens, ring.gen_weights):
+        assert {encoded[k] for k in g} == {w}
+
+    def operand_weight(prepared):
+        _, comps = prepared
+        return {encoded[k + comp] for comp, terms in comps.items() for k, _ in terms}
+
+    calls = []
+    inner = liegen._bracket
+
+    def recording(v, w):
+        out = inner(v, w)
+        calls.append((operand_weight(v), operand_weight(w), out))
+        return out
+
+    monkeypatch.setattr(liegen, "_bracket", recording)
+    res = closure(build_seeds(n), max_degree)
+    assert len(calls) == sum(rep.brackets_evaluated for rep in res.reports.values())
+    nonzero = 0
+    for (wv,), (ww,), out in calls:
+        assert {encoded[k] for k in out} <= {wv + ww}
+        nonzero += bool(out)
+    assert nonzero > len(calls) // 2
+
+
+def add(u, v):
+    return {k: u.get(k, 0) + v.get(k, 0) for k in u.keys() | v.keys()}
+
+
+def test_vectors_across_weight_blocks_raise():
+    # a sum of two kept vectors of different weights, or of two relations of
+    # different weights, spans two blocks
+    res = closure(build_seeds(2), 1)
+    ring = liegen._TracelessFields(2, 1)
+    space = BlockedRowSpace(liegen.CLOSURE_PRIME, ring.column_weights(1))
+    u = res.spans[1][0]
+    v = next(vec for vec in res.spans[1] if space.block(vec) != space.block(u))
+    with pytest.raises(GradingError):
+        space.insert(add(u, v))
+    ring = liegen._TracelessFields(3, 2)
+    pairs, weights = ring.pairs(2)
+    relations = ring.relations(2)
+    blocks = liegen._relation_blocks(relations, pairs, weights)
+    r = relations[0]
+    s = next(s for s in relations if blocks.block(s) != blocks.block(r))
+    assert liegen._relation_blocks([r, s], pairs, weights).rank == 2
+    with pytest.raises(GradingError):
+        liegen._relation_blocks([add(r, s)], pairs, weights)
+
+
+@pytest.mark.parametrize("n,max_degree,digest", [
+    (2, 4, "6fef60d908f0c67c"), (3, 2, "c26b89b85ddcea41"), (3, 3, "02784258c4d9ef6a")])
+def test_kept_vectors_are_pinned(n, max_degree, digest, closure_n3):
+    # the kept vectors and their order, as the closure gave them before it
+    # skipped brackets in full weight blocks
+    res = closure_n3 if (n, max_degree) == (3, 2) else closure(build_seeds(n), max_degree)
+    spans = [[sorted(v.items()) for v in res.spans[d]] for d in range(max_degree + 1)]
+    assert hashlib.sha256(json.dumps(spans).encode()).hexdigest()[:16] == digest

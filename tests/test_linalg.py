@@ -1,6 +1,9 @@
 import random
 
-from specball.linalg import ExactRowSpace, ModularRowSpace
+import pytest
+
+from specball.linalg import BlockedRowSpace, ExactRowSpace, ModularRowSpace
+from specball.polyring import GradingError
 
 
 def random_rows(rng, nrows, ncols, bound=3):
@@ -47,3 +50,28 @@ def test_modular_contains_agrees_with_insert():
             assert space.insert(row) == expected_new
             assert space.rank == rank + expected_new
             assert space.contains(row)
+
+
+def test_blocked_rank_is_the_rank_of_all_rows():
+    # rows supported in one block each: the block ranks add up to the rank of
+    # one echelon over every row, and membership is decided in the row's block
+    rng = random.Random(7)
+    block_of = [j % 3 for j in range(12)]
+    blocked, whole = BlockedRowSpace(101, block_of), ModularRowSpace(101)
+    for _ in range(60):
+        b = rng.randrange(3)
+        row = {j: c for j in range(b, 12, 3) if (c := rng.randint(-2, 2))}
+        assert blocked.contains(row) == whole.contains(row)
+        assert blocked.insert(row) == whole.insert(row)
+        assert blocked.rank == whole.rank == sum(s.rank for s in blocked.blocks.values())
+    assert blocked.rank == 12
+    assert blocked.block_rank(0) == 4 and blocked.block_rank(5) == 0
+
+
+def test_blocked_row_across_two_blocks_raises():
+    space = BlockedRowSpace(101, [0, 0, 1])
+    assert space.insert({0: 1, 1: 2})
+    for op in (space.insert, space.contains):
+        with pytest.raises(GradingError):
+            op({1: 1, 2: 1})
+    assert space.rank == 1
