@@ -160,9 +160,9 @@ def cmd_generate(args) -> int:
     for d in sorted(result.reports):
         rep = result.reports[d]
         degrees.append({
-            "n": rep.n, "degree": rep.grade, "method": rep.method,
+            "n": rep.n, "degree": rep.grade, "method": rep.method, "operands": rep.operands,
             "target_rank": rep.target_rank, "achieved_rank": rep.achieved_rank,
-            "missing_witnesses": rep.missing_witnesses,
+            "missing_witnesses": rep.missing_witnesses, "span_rank": rep.span_rank,
             "sl_component_rank": rep.sl_rank,
             "sl_target_component_rank": rep.sl_target_component_rank,
             "gl_component_rank": rep.gl_rank,
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, n_default=2)
     p.add_argument("--max-degree", type=_bounded(int, 0), required=True)
     p.add_argument("--method", choices=["auto", "exact", "modular"], default="auto",
-                   help="no effect: every grade is certified by the one-prime certificate")
+                   help="no effect: every grade has the pair-coordinate certificate")
     p.add_argument("--budget-ms", type=_bounded(float, 0, strict=True), default=None)
     p.add_argument("--budget-brackets", type=_bounded(int, 0), default=None)
     p.set_defaults(func=cmd_generate)

@@ -208,6 +208,12 @@ def poly_roots(monic: Sequence[complex]) -> np.ndarray:
     characteristic polynomials).  A quadratic remainder takes the closed
     form of `_quadratic_roots`; a higher degree starts on a circle at the
     Cauchy bound and is refined by in-place Aberth-Ehrlich sweeps.
+
+    The sweeps stop when the largest step is below `ROOT_TOL` relative to
+    the largest root, so the small roots of a polynomial whose roots span
+    many orders of magnitude are not resolved, and no error is raised: for
+    x^3 + 1e10 x^2 + 1 they come out near 1e-4 where they are +-1e-5 i.
+    The largest root, the one `spectral_radius` reads, is resolved.
     """
     coeffs = [complex(c) for c in monic]
     if not coeffs or coeffs[0] != 1:

@@ -1,45 +1,43 @@
 """Degree-graded Lie-bracket generation for the adjoint fields.
 
 The engine starts from the shear and overshear fields f*V with monomial
-coefficients of degree at most two (V a basis generator, V^2(f) = 0) and
+coefficients of degree at most one (V a basis generator, V^2(f) = 0) and
 closes under brackets, grade by grade, where the grade of f*V is deg f.
-The verification target at grade d is containment of f*V for every
-degree-d monomial f in the traceless coordinates and every generator V.
+The verification target at grade d is containment of every pair f*V, for
+the degree-d monomials f in the traceless coordinates and the generators V,
+in the Lie algebra L the seeds generate.
 
 The closure works on the hyperplane tr = 0, where x_nn is
--(x_11 + ... + x_{n-1,n-1}).  A field there is its components
-0..n^2 - 2, each an integer polynomial in the first n^2 - 1 variables,
-stored as one packed integer vector (`_TracelessFields`); brackets are
-taken on these vectors, with no `Polynomial` in the loop.  Every field
-here is tangent to the trace levels (Y(tr) = 0), so restricting to tr = 0
-is a Lie algebra homomorphism whose kernel, the fields divisible by tr, is
-an ideal: [tr*A, Y] = tr*[A, Y].  A field whose restricted vector is
-already spanned therefore adds nothing to any later grade either.
+-(x_11 + ... + x_{n-1,n-1}).  Every field here is tangent to the trace
+levels (Y(tr) = 0), so restricting to tr = 0 is a Lie algebra
+homomorphism.  A vector is kept in pair coordinates (`_TracelessFields`):
+one integer per pair f*V, standing for the sum of c * f * V.  Two pairs
+bracket by a closed form (`_PairBrackets`), with no field in the loop.
+Grades 0 and 1 close the seeds under the kept generators; a grade d >= 2
+brackets every grade-1 pair with every grade-(d-1) pair, which lie in L
+once those grades are certified.
 
-Kept vectors go into echelons mod the prime `CLOSURE_PRIME`, and each
-grade is certified with that one prime (`_certify_degree`): rank_p of the
-kept vectors is at most their rank over Q, which is at most the pair
-span's rank |F_d| - dim ker Phi, which is at most |F_d| - rank_p(Rel) for
-explicit relations Rel checked exactly to lie in ker Phi.  Equal ends
-prove that the kept fields span every f*V.  The relations come from
-polynomial identities among the generator fields (e.g.
-2*x12*Theta12 + 2*x21*Theta21 + (x11-x22)*Xi1 = 0 on 2x2 matrices), so the
-component rank of the target space is lower than the pair count; reports
-carry both numbers.
+Each grade is certified with one prime `CLOSURE_PRIME` (`_certify_degree`):
+when the kept vectors B and the relations Rel (checked exactly to vanish as
+fields) span all pairs mod p, they span them over Q, so every pair is in L.
+The relations are those of Kostant (1963): n times the traceless part of
+X^k times a monomial, for k = 1..n-1.  They span the kernel of the map from
+pairs to fields (e.g. 2*x12*Theta12 + 2*x21*Theta21 + (x11-x22)*Xi1 = 0 on
+2x2 matrices), so, when none is lost mod p, the rank of the target fields
+is the pair count minus the relation rank; reports carry both numbers.
 
 Every generator field, seed, bracket and pair is homogeneous for the
 weights of the diagonal torus of SL_n (x_ij has weight e_i - e_j), and so
-is every relation, because X^k commutes with X (Kostant 1963).  The
-echelons and the bound therefore split into weight blocks, and a bracket
-that lands in a block already at its bound is skipped, not computed
-(`closure`).
+is every relation, because X^k commutes with X.  The echelon therefore
+splits into weight blocks, and a bracket that lands in a block already at
+full rank is skipped, not computed (`closure`).
 """
 from __future__ import annotations
 
 import random
 import time
-from collections import Counter, deque
-from itertools import combinations_with_replacement
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +50,7 @@ from .adjointfields import (
     bracket,
     generator_field,
     generator_ids,
+    generator_matrix,
     scale_field,
 )
 from .linalg import BlockedRowSpace, ExactRowSpace, clear_denominators
@@ -91,8 +90,9 @@ class Seed:
 
 
 def build_seeds(n: int) -> list[Seed]:
-    """All overshear pairs (monomial f of degree <= 2, basis generator g)
+    """All overshear pairs (monomial f of degree <= 1, basis generator g)
     with g^2(f) = 0; the constant f = 1 gives the generators themselves.
+    Grade 2 and above come from brackets of grade-1 pairs (`closure`).
 
     Classified on exponent vectors (`adjointfields.overshear_class` is the
     oracle the tests compare with): Xi_a scales x^e by the pairing of its
@@ -103,7 +103,7 @@ def build_seeds(n: int) -> list[Seed]:
     nvars = n * n
     gens = generator_ids(n)
     seeds = []
-    for d in (0, 1, 2):
+    for d in (0, 1):
         for mono in slice_monomials(nvars, d):
             e = mono.dense(nvars)
             for g in gens:
@@ -215,12 +215,9 @@ class _SlProjector:
 
 
 # ---------------------------------------------------------------------------
-# integer fields on tr = 0
+# pair coordinates on tr = 0
 
 CLOSURE_PRIME = 2 ** 31 - 1     # the prime of every closure echelon
-
-# a prepared field: (terms of d/dx_j of every component by j, terms by component)
-_Prepared = tuple[dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]
 
 
 def _sum(terms) -> dict[int, int]:
@@ -237,35 +234,27 @@ def _mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
     return _sum(({k1 + k2: c2 for k2, c2 in q.items()}, c1) for k1, c1 in p.items())
 
 
-def _bracket(v: _Prepared, w: _Prepared) -> dict[int, int]:
-    """[v, w]_c = w(v_c) - v(w_c) on the hyperplane, the restriction of
-    `adjointfields.bracket`: each term of d/dx_j v_c meets each term of w_j,
-    and each term of d/dx_j w_c each term of v_j."""
-    out: dict[int, int] = {}
-    get = out.get
-    for (grads, _), (_, comps), sign in ((v, w, 1), (w, v, -1)):
-        for j, lowered in grads.items():
-            terms = comps.get(j)
-            if terms is None:
-                continue
-            for low, a in lowered:
-                a *= sign
-                for m, b in terms:
-                    k = low + m
-                    out[k] = get(k, 0) + a * b
-    return {k: c for k, c in out.items() if c}
+def _sl_coordinates(ids: list[GeneratorId], C: list[list[int]]) -> list[tuple[int, int]]:
+    """(generator index, coefficient) of a traceless integer matrix C in the
+    basis of `generator_matrix`: C_ab at Theta_ab, C_11 + ... + C_aa at Xi_a."""
+    coords = [(gi, C[g.a - 1][g.b - 1] if isinstance(g, Theta)
+               else sum(C[i][i] for i in range(g.a))) for gi, g in enumerate(ids)]
+    return [(gi, c) for gi, c in coords if c]
 
 
 class _TracelessFields:
-    """Integer polynomials and fields on the hyperplane tr = 0, packed.
+    """Integer polynomials and fields on the hyperplane tr = 0, packed, and
+    the pair coordinates of a grade.
 
     The coordinates are the first n^2 - 1 variables; x_nn stands for
     -(x_11 + ... + x_{n-1,n-1}).  A field is a dict key -> int, one entry
     per term c * x^e d/dx_comp: the key holds comp in its low `cbits` bits
     and each exponent e_j in `ebits` bits above them.  A polynomial is a
     field whose terms all have comp 0, so multiplying by a monomial adds its
-    key and dividing by x_j subtracts `units[j]`.  Exponents in a grade-d
-    field are at most d + 1, which `ebits` holds up to `max_degree`.
+    key.  Exponents at grade d are at most d, which `ebits` holds up to
+    `max_degree`.  A pair vector of grade d is a dict over the pair index,
+    (index of the degree-d monomial f) * (n^2 - 1) + (index of the
+    generator V), and stands for the sum of c * f * V.
     """
 
     def __init__(self, n: int, max_degree: int):
@@ -273,20 +262,35 @@ class _TracelessFields:
         self.nv = nv = n * n - 1
         self.cbits = (nv - 1).bit_length()
         self.ebits = (max_degree + 1).bit_length()
-        self.units = [1 << (self.cbits + self.ebits * j) for j in range(nv)]
-        self.trace_form = {self.units[a * (n + 1)]: -1 for a in range(n - 1)}
-        # The sl_n weight e_i - e_j of x_ij, as the int B^i - B^j.  A term
-        # c * x^e d/dx_comp has weight weight(x^e) - weight(x_comp); brackets
-        # and products add weights, and substituting for x_nn (weight 0)
-        # keeps them.  A grade-d term's weight has coordinates of size at
-        # most d + 2 < B / 2, so the encoding is one-to-one on them.
+        self.units = units = [1 << (self.cbits + self.ebits * j) for j in range(nv)]
+        self.trace_form = {units[a * (n + 1)]: -1 for a in range(n - 1)}
+        # the matrix X on tr = 0, entries as packed polynomials
+        self.X = X = [[{units[i * n + j]: 1} if i * n + j < nv else self.trace_form
+                       for j in range(n)] for i in range(n)]
+        # The sl_n weight e_i - e_j of x_ij, as the int B^i - B^j.  A pair
+        # f * V has weight weight(f) + weight(V); brackets and products add
+        # weights, and substituting for x_nn (weight 0) keeps them.  A
+        # grade-d weight has coordinates of size at most d + 2 < B / 2, so
+        # the encoding is one-to-one on them.
         base = 2 * max_degree + 5
         self.var_weights = [base ** (v // n) - base ** (v % n) for v in range(nv)]
         ids = generator_ids(n)
-        self.gens = [self.generator(g) for g in ids]
         # Theta_ab = sum_j x_bj d/dx_aj - ..., of weight e_b - e_a; Xi_a: 0
         self.gen_weights = [self.var_weights[(g.b - 1) * n + g.a - 1] if isinstance(g, Theta)
                             else 0 for g in ids]
+        # V(x_ij) = (BX - XB)_ij on tr = 0 for the matrix B of each generator
+        # V, by the unit key of x_ij; the generator fields, components 0..nv-1
+        mats = [generator_matrix(n, g) for g in ids]
+        self.images = [{units[v]: _sum([(X[k][v % n], B[v // n][k]) for k in range(n)]
+                                       + [(X[v // n][k], -B[k][v % n]) for k in range(n)])
+                        for v in range(nv)} for B in mats]
+        self.gens = [{m + v: c for v in range(nv) for m, c in image[units[v]].items()}
+                     for image in self.images]
+        # [W, V] = sum c * U, from [A_W, A_V] in the basis of the matrices
+        self.structure = [[_sl_coordinates(ids, [[sum(A[i][k] * B[k][j] - B[i][k] * A[k][j]
+                                                      for k in range(n)) for j in range(n)]
+                                                 for i in range(n)])
+                           for B in mats] for A in mats]
 
     def _linear(self, values: list[int], degree: int) -> list[int]:
         """sum_v e_v * values[v] for the exponent vector e of each
@@ -298,74 +302,30 @@ class _TracelessFields:
         """Keys of the degree-`degree` monomials, in `slice_monomials` order."""
         return self._linear(self.units, degree)
 
-    def columns(self, grade: int) -> dict[int, int]:
-        """Key -> column for the fields of a grade, in the `_SlProjector`
-        layout: (index of the degree-(grade+1) monomial) * (n^2 - 1) + comp."""
-        nv = self.nv
-        return {m + c: i * nv + c
-                for i, m in enumerate(self.monomials(grade + 1)) for c in range(nv)}
-
-    def column_weights(self, grade: int) -> list[int]:
-        """The weight of each column of `columns(grade)`: that of its
-        monomial minus that of its component's variable."""
-        return [w - cw for w in self._linear(self.var_weights, grade + 1)
-                for cw in self.var_weights]
-
     def pairs(self, d: int) -> tuple[list[dict[int, int]], list[int]]:
-        """The grade-d target pairs f*V, indexed by monomial index * (n^2 - 1)
-        + generator index, and the weight of each."""
+        """The grade-d target pairs f*V as packed fields, in pair-index
+        order, and the weight of each."""
         pairs = [{f + k: c for k, c in g.items()} for f in self.monomials(d) for g in self.gens]
         weights = [fw + gw for fw in self._linear(self.var_weights, d) for gw in self.gen_weights]
         return pairs, weights
 
-    def restrict(self, p: Polynomial, comp: int = 0) -> dict[int, int]:
-        """The field p * d/dx_comp on tr = 0; for comp = 0, also p itself."""
+    def restrict(self, p: Polynomial) -> dict[int, int]:
+        """The polynomial p on tr = 0."""
         terms = []
         for mono, c in p.terms.items():
-            term = {comp + sum(e * self.units[v] for v, e in mono.powers if v < self.nv): c}
+            term = {sum(e * self.units[v] for v, e in mono.powers if v < self.nv): c}
             for _ in range(mono.exponent(self.nv)):
                 term = _mul(term, self.trace_form)
             terms.append((term, 1))
         return _sum(terms)
 
-    def generator(self, gid: GeneratorId) -> dict[int, int]:
-        """The generator field on tr = 0, components 0..n^2 - 2."""
-        out: dict[int, int] = {}
-        for comp, poly in generator_field(self.n, gid).components.items():
-            if comp < self.nv:
-                out.update(self.restrict(poly, comp))
-        return out
-
-    def prepare(self, field: dict[int, int]) -> _Prepared:
-        """The two views `_bracket` reads: for each variable x_j the terms
-        of d/dx_j of every component, and the terms of each component, keyed
-        without the component."""
-        cmask, ebits, units = (1 << self.cbits) - 1, self.ebits, self.units
-        emask = (1 << ebits) - 1
-        comps: dict[int, list[tuple[int, int]]] = {}
-        grads: dict[int, list[tuple[int, int]]] = {}
-        for key, c in field.items():
-            comp = key & cmask
-            comps.setdefault(comp, []).append((key - comp, c))
-            exps, j = key >> self.cbits, 0
-            while exps:
-                e = exps & emask
-                if e:
-                    grads.setdefault(j, []).append((key - units[j], c * e))
-                exps >>= ebits
-                j += 1
-        return grads, comps
-
     def relations(self, d: int) -> list[dict[int, int]]:
-        """Relations among the grade-d target pairs, as vectors over the pair
-        index (monomial index * (n^2 - 1) + generator index): for
+        """Relations among the grade-d target pairs, as pair vectors: for
         k = 1..min(d, n-1), n times the traceless part of X^k in generator
         coordinates, times each degree-(d-k) monomial.  X^k commutes with X,
         so the matching combination of the fields f*V vanishes."""
-        n, nv, units = self.n, self.nv, self.units
+        n, nv, X = self.n, self.nv, self.X
         index = {m: i for i, m in enumerate(self.monomials(d))}
-        X = [[{units[i * n + j]: 1} if i * n + j < nv else self.trace_form
-              for j in range(n)] for i in range(n)]
         power = X
         out = []
         for k in range(1, min(d, n - 1) + 1):
@@ -385,6 +345,47 @@ class _TracelessFields:
         return out
 
 
+class _PairBrackets:
+    """The bracket of a grade-e pair h*W with a grade-(d-e) pair f*V, for
+    e = 0 or 1, in the pair coordinates of grade d.  In the orientation of
+    `adjointfields.bracket`,
+
+        [h*W, f*V] = f*V(h)*W - h*W(f)*V + f*h*[W, V],
+
+    with V(h) and W(f) taken on tr = 0 (`_TracelessFields.images`) and
+    [W, V] from the structure constants of `generator_matrix`."""
+
+    def __init__(self, ring: _TracelessFields, e: int, d: int):
+        nv = self.nv = ring.nv
+        self.left = ring.monomials(e)
+        self.right = ring.monomials(d - e)
+        self.offset = {m: i * nv for i, m in enumerate(ring.monomials(d))}
+        self.images, self.structure, units = ring.images, ring.structure, ring.units
+        # W(f) for each right monomial f and generator W: (f / x_v) * W(x_v)
+        # summed over the factors x_v of f, repeated ones included
+        self.derivatives = [
+            [list(_sum(({f - units[v] + m: c for m, c in image[units[v]].items()}, 1)
+                       for v in combo).items()) for image in self.images]
+            for f, combo in zip(self.right, combinations_with_replacement(range(nv), d - e))]
+
+    def add(self, a: int, b: int, scale: int, out: dict[int, int]):
+        """out += scale * [pair a, pair b], for a left and b right pair index."""
+        nv, offset, get = self.nv, self.offset, out.get
+        i, W = divmod(a, nv)
+        j, V = divmod(b, nv)
+        h, f = self.left[i], self.right[j]
+        for m, c in self.images[V].get(h, {}).items():    # V(h), when h is a variable
+            k = offset[f + m] + W
+            out[k] = get(k, 0) + scale * c
+        for m, c in self.derivatives[j][W]:
+            k = offset[m + h] + V
+            out[k] = get(k, 0) - scale * c
+        base = offset[f + h]
+        for U, c in self.structure[W][V]:
+            k = base + U
+            out[k] = get(k, 0) + scale * c
+
+
 # ---------------------------------------------------------------------------
 # closure engine
 
@@ -393,19 +394,20 @@ class _TracelessFields:
 class DegreeReport:
     n: int
     grade: int
-    method: str                      # "one-prime": the certificate of `_certify_degree`
+    method: str                      # "pair-coordinate": the certificate of `_certify_degree`
+    operands: str                    # "seeds" (grades 0-1) or "T_1 x T_{d-1}"
     target_rank: int                 # |F_d|: monomial x generator pairs (traceless)
-    achieved_rank: int               # pairs reached: all when certified, else those reached mod p
-    missing_witnesses: list[str]     # pairs not reached mod p (unproven); [] when certified
-    sl_rank: int                     # rank_p of the kept vectors
-    sl_target_component_rank: int    # target_rank - relation_rank: the pair span's rank
-                                     # when certified, an upper bound on it otherwise
-    gl_rank: int                     # kept fields; equal to sl_rank
+    achieved_rank: int               # pairs in span(B + Rel) mod p: all when certified
+    missing_witnesses: list[str]     # pairs outside span(B + Rel) mod p (unproven)
+    span_rank: int                   # rank_p(B + Rel) in pair coordinates
+    sl_rank: int | None              # certified: rank T_d = span_rank - relation_rank
+    sl_target_component_rank: int    # target_rank - relation_rank: an upper bound on rank T_d
+    gl_rank: int                     # kept vectors B: span_rank - relation_rank
     brackets_evaluated: int          # brackets computed
-    brackets_skipped: int            # queued brackets left out: their weight block was full
-    complete: bool                   # fixed point or target reached within budget
-    certified: bool                  # sl_rank == sl_target_component_rank
-    prime: int                       # p of the kept-vector and relation echelons
+    brackets_skipped: int            # brackets left out: their weight block was full
+    complete: bool                   # fixed point, full rank or operands exhausted within budget
+    certified: bool                  # every pair in L and rank T_d proven (`_certify_degree`)
+    prime: int                       # p of the echelon of B and Rel
     relation_rank: int               # rank_p of the relations checked to vanish
 
 
@@ -413,44 +415,37 @@ class DegreeReport:
 class ClosureResult:
     n: int
     max_degree: int
-    spans: dict[int, list[dict[int, int]]]  # grade -> kept vectors, `_SlProjector` layout
+    spans: dict[int, list[dict[int, int]]]  # grade -> kept vectors B, in pair coordinates
     reports: dict[int, DegreeReport]
     complete: bool
 
 
 def closure(seeds: list[Seed], max_degree: int,
-            budget_brackets: int | None = None, budget_ms: float | None = None,
-            early_exit: bool = True) -> ClosureResult:
-    """Bracket-closure of the seed set, graded by coefficient degree.
+            budget_brackets: int | None = None, budget_ms: float | None = None) -> ClosureResult:
+    """Bracket-closure of the seed set, graded by coefficient degree, in pair
+    coordinates (`_TracelessFields`): a vector of grade d stands for the sum
+    of c * f * V over the degree-d monomials f and generators V, on tr = 0.
 
-    Fields are integer vectors on the hyperplane tr = 0 (`_TracelessFields`),
-    bracketed there by `_bracket`.  Each grade keeps a bracket exactly when
-    its vector is new mod `CLOSURE_PRIME`, and `spans[d]` lists the kept
-    vectors in the `_SlProjector` column layout.  A rejected bracket differs
-    from a combination of kept fields by a multiple of tr, or its vector is
-    new over Q but not mod p; the first loses nothing, because multiples of
-    tr form an ideal (module docstring), and the second can only leave
-    grades short of their bounds and so uncertified.  Before the brackets, the
-    grade's relations give the bound |F_d| - rank_p(Rel) on the pair span's
-    rank; the grade stops early once the kept rank reaches it, and
-    `_certify_degree` certifies the grade when it does.
+    Each grade puts its relations Rel (`_relation_blocks`) and then the
+    vectors B it keeps into one mod-p echelon over the pair coordinates, and
+    keeps a vector exactly when it is new there.  The seeds of a grade come
+    first.  Grades 0 and 1 then bracket each kept grade-0 vector with each
+    kept vector of the grade, through the closed form of `_PairBrackets`
+    with h = 1, which is linear in both operands.  A grade d >= 2 brackets
+    every grade-1 pair with every grade-(d-1) pair (a < b at d = 2, where
+    both have grade 1); it runs only when grades 1 and d - 1 are certified,
+    because only then are these pairs in the Lie algebra.  `spans[d]` lists
+    the kept vectors B: each is a pair-coordinate representative of a field
+    in the algebra, and a grade stops once B and Rel have full rank.
 
-    Weight blocks.  Every term, pair, relation and bracket is homogeneous
-    for the sl_n torus weight (`_TracelessFields.var_weights`), so the kept
-    vectors sit in one mod-p echelon per weight (`BlockedRowSpace`) and the
-    bound splits: the weight-w pairs span T_w of rank at most
-    bound_w = |F_d,w| - rank_p(Rel_w).  A queued bracket's weight, the sum
-    of its operands' weights, is known before it is taken; when its block
-    has rank_w >= bound_w the bracket is skipped (`brackets_skipped`).  The
-    skip is exact: a bracket y of weight w lies in T_w, so
-    rank_p(K_w + y) <= rank_Q(T_w) <= bound_w <= rank_p(K_w) and y would
-    have been rejected; the kept vectors, their order and the point where
-    the grade stops are those of the loop without skips.  Soundness does
-    not rest on the predicted weight: a kept vector goes to the block its
-    own columns name (across two blocks it raises `GradingError`), and the
-    certificate compares the total rank with the global bound, so a wrong
-    prediction could only skip a new vector and leave a grade uncertified.
-    A kept field is prepared for `_bracket` when it is first bracketed.
+    Weight blocks.  Every pair, relation and bracket is homogeneous for the
+    sl_n torus weight (`_TracelessFields.var_weights`), so the echelon is
+    one `BlockedRowSpace` keyed by pair weight.  A bracket's weight, the sum
+    of its operands' weights, is known before it is taken; when that block
+    already has the rank of its pair count, the bracket is skipped
+    (`brackets_skipped`), which loses nothing.  Soundness does not rest on
+    the prediction: a kept vector goes to the block its own coordinates
+    name (across two blocks it raises `GradingError`).
 
     When a budget runs out the closure stops after reporting that grade:
     later grades get no `spans` or `reports` entry, and `complete` is False.
@@ -463,85 +458,81 @@ def closure(seeds: list[Seed], max_degree: int,
     deadline = time.monotonic() + budget_ms / 1000.0 if budget_ms is not None else None
 
     ring = _TracelessFields(n, max_degree)
-    gen_fields = dict(zip(generator_ids(n), ring.gens))
-    gens = [ring.prepare(f) for f in ring.gens]
+    gen_index = {g: i for i, g in enumerate(generator_ids(n))}
     spans: dict[int, list[dict[int, int]]] = {}
-    fields: dict[int, list[dict[int, int]]] = {}        # grade -> kept packed fields
-    prepared: dict[int, list[_Prepared | None]] = {}    # None until first bracketed
-    weights: dict[int, list[int]] = {}                  # grade -> weights of the kept fields
     reports: dict[int, DegreeReport] = {}
+    units: dict[int, list[tuple[int, dict[int, int]]]] = {}  # grade -> (weight, unit vector)
     brackets_done = 0
-
-    def ready(a: int, i: int) -> _Prepared:
-        field = prepared[a][i]
-        if field is None:
-            field = prepared[a][i] = ring.prepare(fields[a][i])
-        return field
-
-    grade_of_seed: dict[int, list[Seed]] = {}
-    for s in seeds:
-        grade_of_seed.setdefault(s.grade, []).append(s)
 
     complete = True
     for d in range(max_degree + 1):
         if deadline is not None and time.monotonic() > deadline:
             complete = False
             break
-        cols = ring.columns(d)
-        pairs, pair_weights = ring.pairs(d)
-        relations = _relation_blocks(ring.relations(d), pairs, pair_weights)
-        bounds = Counter(pair_weights)
-        for w in bounds:
-            bounds[w] -= relations.block_rank(w)
-        bound = len(pairs) - relations.rank
-        kept_space = BlockedRowSpace(CLOSURE_PRIME, ring.column_weights(d))
+        pairs, weights = ring.pairs(d)
+        units[d] = [(w, {i: 1}) for i, w in enumerate(weights)]
+        relations = ring.relations(d)
+        space = _relation_blocks(relations, pairs, weights)
+        relation_rank = space.rank
+        sizes = Counter(weights)
+        open_blocks = {w for w, size in sizes.items() if space.block_rank(w) < size}
         kept = spans[d] = []
-        fields[d], prepared[d], weights[d] = [], [], []
+        weighted: list[tuple[int, dict[int, int]]] = []     # (weight, vector) of each kept
+        queue: list = []     # grades 0-1: iterated while it grows
 
-        # bracket queue: (a, index in grade a, index in grade d - a); a = 0
-        # indexes the generators
-        queue: deque[tuple[int, int, int]] = deque()
+        def keep(vec: dict[int, int]):
+            """Keep a vector if it is new mod p; at grades 0 and 1, queue its
+            brackets with the kept grade-0 vectors."""
+            vec = {k: c for k, c in vec.items() if c}
+            if not vec or not space.insert(vec):
+                return
+            kept.append(vec)
+            w = weights[next(iter(vec))]
+            if space.block_rank(w) == sizes[w]:
+                open_blocks.discard(w)
+            if d <= 1:
+                queue.extend((u, (w, vec)) for u in (grade0 if d else weighted))
+                weighted.append((w, vec))
 
-        def keep(field: dict[int, int]):
-            """Keep a field if its vector is new mod p, and queue its
-            brackets with the generators."""
-            vec = {cols[k]: c for k, c in field.items()}
-            if kept_space.insert(vec):
-                kept.append(vec)
-                fields[d].append(field)
-                prepared[d].append(None)
-                weights[d].append(kept_space.block_of[next(iter(vec))])
-                queue.extend((0, gi, len(kept) - 1) for gi in range(len(gens)))
+        if d <= 1:
+            brackets, operands_ok, candidates = _PairBrackets(ring, 0, d), True, queue
+        else:
+            brackets = _PairBrackets(ring, 1, d)
+            operands_ok = reports[1].certified and reports[d - 1].certified
+            candidates = (() if not operands_ok
+                          else combinations(units[1], 2) if d == 2
+                          else product(units[1], units[d - 1]))
+        for s in seeds:
+            if s.grade == d:
+                gi = gen_index[s.generator]
+                keep({brackets.offset[m] + gi: c for m, c in ring.restrict(s.coefficient).items()})
 
         evaluated = skipped = 0
-        for s in grade_of_seed.get(d, ()):
-            keep(_mul(ring.restrict(s.coefficient), gen_fields[s.generator]))
-        for a in range(1, d // 2 + 1):
-            b = d - a
-            for i in range(len(spans[a])):
-                for j in range(len(spans[b])):
-                    if a == b and j <= i:
-                        continue
-                    queue.append((a, i, j))
-
-        while queue and not (early_exit and kept_space.rank >= bound):
-            a, i, j = queue.popleft()
-            w = (ring.gen_weights[i] if a == 0 else weights[a][i]) + weights[d - a][j]
-            if kept_space.block_rank(w) >= bounds[w]:
+        target = len(pairs)
+        for (wu, u), (wx, x) in candidates:
+            if space.rank == target:
+                break
+            if wu + wx not in open_blocks:
                 skipped += 1
                 continue
             if ((deadline is not None and time.monotonic() > deadline)
                     or (budget_brackets is not None and brackets_done >= budget_brackets)):
                 complete = False
                 break
-            keep(_bracket(gens[i] if a == 0 else ready(a, i), ready(d - a, j)))
+            out: dict[int, int] = {}
+            for a, ua in u.items():
+                for b, xb in x.items():
+                    brackets.add(a, b, ua * xb, out)
+            keep(out)
             evaluated += 1
             brackets_done += 1
 
-        reports[d] = _certify_degree(n, d, kept_space, relations.rank, pairs, cols,
+        reports[d] = _certify_degree(n, d, space, relation_rank, len(relations), operands_ok,
                                      evaluated, skipped, complete)
         if not complete:
             break
+        if d == 0:
+            grade0 = weighted
 
     return ClosureResult(n, max_degree, spans, reports, complete)
 
@@ -558,47 +549,50 @@ def _relation_blocks(relations: list[dict[int, int]], pairs: list[dict[int, int]
     return space
 
 
-def _certify_degree(n: int, d: int, kept_space: BlockedRowSpace, relation_rank: int,
-                    pairs: list[dict[int, int]], cols: dict[int, int],
-                    evaluated: int, skipped: int, complete: bool) -> DegreeReport:
-    """The one-prime certificate of a grade.
+def _certify_degree(n: int, d: int, space: BlockedRowSpace, relation_rank: int,
+                    relation_count: int, operands_ok: bool, evaluated: int, skipped: int,
+                    complete: bool) -> DegreeReport:
+    """The pair-coordinate certificate of a grade.
 
-    K are the kept vectors, T the span of the target pairs F_d and Phi the
-    map from pair coordinates to vectors; the relations Rel lie in ker Phi
-    (checked exactly).  Then
+    F_d are the grade-d pairs f*V, Phi the map from pair coordinates to
+    fields on tr = 0, T_d = Phi(Q^{F_d}) and L the Lie algebra the seeds
+    generate.  B are the kept vectors: seeds, or brackets of two elements of
+    L, so Phi(B) lies in L; at grades d >= 2 this needs grades 1 and d - 1
+    certified.  The relations Rel lie in ker Phi (checked exactly).  If
 
-        rank_p(K) <= rank_Q(K) <= rank_Q(T) = |F_d| - dim ker Phi
-                  <= |F_d| - rank_p(Rel).
+        rank_p(B + Rel) = |F_d|,
 
-    K lies in T because the C[x]-span of the generators is closed under
-    brackets: in the orientation of `bracket`,
-    [fV, hW] = h W(f) V - f V(h) W + fh [V, W].  When the two ends
-    are equal every inequality is an equality, so span K = T over Q and
-    every pair f*V is reached.  An unlucky prime can only leave the ends
-    apart: the grade is then not certified, and the pairs outside K mod p
-    are listed as unproven in `missing_witnesses`.  rank_p(K) is the sum of
-    the weight blocks' ranks, and a pair is looked up in its own block.
+    then B + Rel spans F_p^{F_d}, hence Q^{F_d} (integer vectors independent
+    mod p are independent over Q), so Phi(span B) = T_d: every pair is in L.
+    The rank of T_d is |F_d| - dim ker Phi.  By Kostant (1963), a
+    polynomial map commuting with X is a combination of I, X, ..., X^(n-1),
+    so the relations span ker Phi and are independent over Q; when none is
+    lost mod p (rank_p(Rel) = |Rel|), rank T_d = |F_d| - rank_p(Rel)
+    (`sl_rank`).  The grade is certified when both hold.  Otherwise
+    rank_p(B + Rel) bounds nothing, and the pair unit vectors outside
+    span(B + Rel) mod p are listed as unproven in `missing_witnesses`.
     """
-    bound = len(pairs) - relation_rank
-    certified = kept_space.rank == bound
+    target = len(space.block_of)
+    certified = operands_ok and space.rank == target and relation_rank == relation_count
     missing = []
-    if not certified:
+    if space.rank < target:
         nv = n * n - 1
         gens = generator_ids(n)
         monos = list(slice_monomials(nv, d))
         missing = [f"{format_poly(Polynomial.from_monomial(n * n, monos[i // nv]))} * "
                    f"{gens[i % nv].label()}"
-                   for i, pair in enumerate(pairs)
-                   if not kept_space.contains({cols[k]: c for k, c in pair.items()})]
+                   for i in range(target) if not space.contains({i: 1})]
     return DegreeReport(
-        n=n, grade=d, method="one-prime",
-        target_rank=len(pairs), achieved_rank=len(pairs) - len(missing),
-        missing_witnesses=missing,
-        sl_rank=kept_space.rank, sl_target_component_rank=bound,
-        gl_rank=kept_space.rank,
+        n=n, grade=d, method="pair-coordinate",
+        operands="seeds" if d <= 1 else "T_1 x T_{d-1}",
+        target_rank=target, achieved_rank=target - len(missing),
+        missing_witnesses=missing, span_rank=space.rank,
+        sl_rank=space.rank - relation_rank if certified else None,
+        sl_target_component_rank=target - relation_rank,
+        gl_rank=space.rank - relation_rank,
         brackets_evaluated=evaluated, brackets_skipped=skipped,
         complete=complete, certified=certified,
-        prime=kept_space.p, relation_rank=relation_rank,
+        prime=space.p, relation_rank=relation_rank,
     )
 
 

@@ -40,7 +40,7 @@ def test_closure_counters_are_fed(monkeypatch):
     assert calls["liegen.closure"] == 1 and calls["liegen.certify"] == 3
     for layer in ("liegen.closure", "liegen.certify"):
         assert metrics[f"{layer}.self_s"]["value"] > 0, layer
-    assert metrics["liegen.brackets"]["value"] == 5 + 14
+    assert metrics["liegen.brackets"]["value"] == 5 + 17
     assert metrics["liegen.accepted"]["value"] == 3 + 8 + 15
     # the closure brackets integer vectors: no polynomial field is bracketed,
     # scaled or projected

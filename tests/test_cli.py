@@ -112,7 +112,7 @@ def test_generate_budget_exhaustion(capsys):
 
 
 def test_generate_method_flag_has_no_effect(capsys):
-    # every grade is certified by the one-prime certificate whatever --method says
+    # every grade has the pair-coordinate certificate whatever --method says
     degrees = []
     for method in ("auto", "exact", "modular"):
         code, out = run(capsys, ["generate", "--n", "2", "--max-degree", "3",
@@ -120,27 +120,31 @@ def test_generate_method_flag_has_no_effect(capsys):
         assert code == 0
         degrees.append(json.loads(out)["degrees"])
     assert degrees[0] == degrees[1] == degrees[2]
-    assert [d["method"] for d in degrees[0]] == ["one-prime"] * 4
+    assert [d["method"] for d in degrees[0]] == ["pair-coordinate"] * 4
 
 
 @pytest.mark.parametrize("n,max_degree,rows", [
-    (2, 4, [(3, 3, 0, 0, 0), (9, 8, 1, 8, 5), (18, 15, 3, 25, 14), (30, 24, 6, 40, 32),
-            (45, 35, 10, 63, 49)]),
-    (3, 2, [(8, 8, 0, 0, 0), (64, 63, 1, 246, 72), (288, 279, 9, 1157, 564)]),
+    (2, 4, [(3, 3, 0, 0, 0), (9, 8, 1, 8, 5), (18, 15, 3, 19, 17), (30, 24, 6, 52, 37),
+            (45, 35, 10, 88, 62)]),
+    (3, 2, [(8, 8, 0, 0, 0), (64, 63, 1, 246, 72), (288, 279, 9, 1213, 696)]),
 ])
 def test_generate_pinned_rows(capsys, n, max_degree, rows):
     # (target rank, component rank, relation rank, brackets, brackets
-    # evaluated) per grade; the ranks and bracket counts are those the
-    # closure gave when it eliminated polynomial fields exactly over Q, and
-    # the brackets in full weight blocks are skipped, not evaluated
+    # evaluated) per grade; the ranks are those the closure gave when it
+    # eliminated polynomial fields exactly over Q.  Grades 0-1 bracket the
+    # generators with the kept vectors, grades 2 and up grade-1 pairs with
+    # grade-(d-1) pairs; brackets in full weight blocks are skipped, not
+    # evaluated
     code, out = run(capsys, ["generate", "--n", str(n), "--max-degree", str(max_degree)])
     assert code == 0
     degrees = json.loads(out)["degrees"]
     assert len(degrees) == len(rows)
     for d, (row, (target, rank, relations, brackets, evaluated)) in enumerate(zip(degrees, rows)):
         assert row == {
-            "n": n, "degree": d, "method": "one-prime",
+            "n": n, "degree": d, "method": "pair-coordinate",
+            "operands": "seeds" if d <= 1 else "T_1 x T_{d-1}",
             "target_rank": target, "achieved_rank": target, "missing_witnesses": [],
+            "span_rank": target,
             "sl_component_rank": rank, "sl_target_component_rank": rank,
             "gl_component_rank": rank, "brackets_evaluated": evaluated,
             "brackets_skipped": brackets - evaluated,

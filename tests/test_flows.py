@@ -114,6 +114,18 @@ def test_spectral_radius_against_eigvals():
         assert abs(spectral_radius(A) - rho) < 1e-9
 
 
+@pytest.mark.parametrize("coeffs", [[1, 1e10, 0, 1], [1, 1e20, 1, 1]])
+def test_spectral_radius_of_widely_spread_roots(coeffs):
+    # the stop test is relative to the largest root, so the small roots are
+    # not resolved; the largest modulus is, through the companion matrix too
+    rho = np.max(np.abs(np.roots(coeffs)))
+    C = np.zeros((3, 3))
+    C[0] = [-c for c in coeffs[1:]]
+    C[1, 0] = C[2, 1] = 1
+    assert abs(spectral_radius(C) - rho) <= 1e-12 * rho
+    assert abs(np.max(np.abs(flows.poly_roots(coeffs))) - rho) <= 1e-12 * rho
+
+
 def test_poly_roots_known_roots():
     rng = np.random.default_rng(2)
     for _ in range(20):

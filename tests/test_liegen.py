@@ -68,25 +68,20 @@ def in_span(fields, v, grade):
     return space.contains(sl_vector_oracle(v, grade))
 
 
-def traceless_field(vec, n, grade):
-    """The field whose traceless vector (`_SlProjector` layout) is `vec`:
-    components 0..n^2-2 read off the columns, and d/dx_nn minus the sum of
-    the other diagonal components, so the field is tangent to tr levels."""
-    nvars = n * n
-    ncomp = nvars - 1
-    monomials = list(slice_monomials(ncomp, grade + 1))
-    terms = {}
-    for col, c in vec.items():
-        terms.setdefault(col % ncomp, {})[monomials[col // ncomp]] = c
-    comps = {comp: Polynomial(nvars, t) for comp, t in terms.items()}
-    diagonal = [comps[a * (n + 1)] for a in range(n - 1) if a * (n + 1) in comps]
-    comps[nvars - 1] = -sum(diagonal, Polynomial.zero(nvars))
-    return VectorField(n, comps)
+def pair_field(vec, n, grade):
+    """The field a pair vector stands for: the sum of c * f * V over its
+    entries, f the degree-`grade` monomial in the first n^2 - 1 variables
+    and V the generator that the pair index names."""
+    nv = n * n - 1
+    monomials = [Polynomial.from_monomial(n * n, m) for m in slice_monomials(nv, grade)]
+    gens = [generator_field(n, g) for g in generator_ids(n)]
+    return sum((scale_field(c * monomials[i // nv], gens[i % nv]) for i, c in vec.items()),
+               VectorField.zero(n))
 
 
 def kept_fields(res, d):
     """The kept vectors of grade d as fields."""
-    return [traceless_field(vec, res.n, d) for vec in res.spans[d]]
+    return [pair_field(vec, res.n, d) for vec in res.spans[d]]
 
 
 def field_of(vec, n, m):
@@ -110,9 +105,16 @@ def test_seed_examples_n2():
 
 
 def test_seed_example_n3_product_of_kernel_elements():
+    # x21 and x31 are in the kernel of Theta12; their product times Theta12
+    # is no seed (seeds stop at degree 1), and the closure reaches it at
+    # grade 2 from brackets of grade-1 pairs
     seeds = build_seeds(3)
     labels = {(str(s.coefficient), s.generator.label()) for s in seeds}
-    assert ("x21*x31", "theta12") in labels
+    assert ("x21", "theta12") in labels and ("x31", "theta12") in labels
+    assert {s.grade for s in seeds} == {0, 1}
+    res = closure(seeds, 2)
+    v = scale_field(parse_poly("x21*x31", 3), make_theta(3, 1, 2))
+    assert in_span(kept_fields(res, 2), v, 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -121,7 +123,7 @@ def test_seeds_match_the_overshear_class_oracle(n):
     # the generator fields to polynomials
     nvars = n * n
     oracle = []
-    for d in (0, 1, 2):
+    for d in (0, 1):
         for mono in slice_monomials(nvars, d):
             f = Polynomial.from_monomial(nvars, mono)
             oracle += [Seed(f, g, d) for g in generator_ids(n)
@@ -199,16 +201,15 @@ def test_closure_n3_degree2_contains_x12sq_theta12():
 
 
 def test_closure_order_independent():
-    # the fixed-point span is a well-defined subspace, so running the closure
-    # to completion (no early exit) from a shuffled seed list gives the same
-    # span; with early exit only the certified verdicts are order-independent
+    # a certified grade spans the whole pair span T_d, so a shuffled seed
+    # list keeps other vectors but reaches the same span, ranks and verdicts
     seeds = build_seeds(2)
     shuffled = list(seeds)
     random.Random(42).shuffle(shuffled)
-    r1 = closure(seeds, 2, early_exit=False)
-    r2 = closure(shuffled, 2, early_exit=False)
+    r1 = closure(seeds, 2)
+    r2 = closure(shuffled, 2)
     for d in range(3):
-        assert r1.reports[d].certified == r2.reports[d].certified
+        assert r1.reports[d].certified and r2.reports[d].certified
         assert r1.reports[d].sl_rank == r2.reports[d].sl_rank
         assert r1.reports[d].gl_rank == r2.reports[d].gl_rank
         # spans agree as subspaces: each basis field of one lies in the other
@@ -216,10 +217,6 @@ def test_closure_order_independent():
             assert in_span(kept_fields(r2, d), v, d)
         for v in kept_fields(r2, d):
             assert in_span(kept_fields(r1, d), v, d)
-    e1 = closure(seeds, 2)
-    e2 = closure(shuffled, 2)
-    for d in range(3):
-        assert e1.reports[d].certified == e2.reports[d].certified == r1.reports[d].certified
 
 
 def test_closure_monotone_under_budget():
@@ -275,7 +272,8 @@ def test_generators_alone_do_not_certify_grade1():
     seeds = [s for s in build_seeds(2) if s.grade == 0]
     rep = closure(seeds, 1).reports[1]
     assert rep.complete and not rep.certified
-    assert rep.sl_rank == rep.achieved_rank == 0
+    assert rep.achieved_rank == rep.gl_rank == 0 and rep.sl_rank is None
+    assert rep.span_rank == rep.relation_rank == 1
     assert len(rep.missing_witnesses) == rep.target_rank == 9
     assert "x12 * theta12" in rep.missing_witnesses
 
@@ -372,13 +370,14 @@ def test_multiples_of_trace_form_an_ideal(n):
 
 @pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 2)])
 def test_kept_fields_are_traceless_independent(n, max_degree, closure_n3):
-    # the kept vectors were independent mod p; exact elimination over Q of
-    # the fields they stand for gives the same rank
+    # on a certified grade the kept vectors and the relations span every
+    # pair mod p, and the relations span ker Phi, so the fields the kept
+    # vectors stand for are independent over Q: exact elimination of their
+    # traceless vectors gives rank |B| = sl_rank
     res = closure_n3 if n == 3 else closure(build_seeds(n), max_degree)
     for d in range(max_degree + 1):
         space = ExactRowSpace()
-        for vec, v in zip(res.spans[d], kept_fields(res, d)):
-            assert sl_vector_oracle(v, d) == clear_denominators(vec)
+        for v in kept_fields(res, d):
             assert space.insert(sl_vector_oracle(v, d))
         rep = res.reports[d]
         assert len(res.spans[d]) == space.rank == rep.sl_rank == rep.gl_rank
@@ -396,57 +395,58 @@ def closed_form(n, d):
     return target, relations
 
 
-@pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 2)])
+@pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 2), (3, 3), (4, 2), (3, 4), (4, 3)])
 def test_closure_ranks_closed_form(n, max_degree, closure_n3):
-    res = closure_n3 if n == 3 else closure(build_seeds(n), max_degree)
+    # up to (3,3) and (4,2), the ranks, relation ranks, prime and verdicts are
+    # those of the closure that bracketed field vectors in column coordinates
+    # (one-prime certificate); (3,4) and (4,3) come from [T_1, T_{d-1}] alone
+    res = closure_n3 if (n, max_degree) == (3, 2) else closure(build_seeds(n), max_degree)
     for d in range(max_degree + 1):
         rep = res.reports[d]
         target, relations = closed_form(n, d)
         assert rep.target_rank == target
         assert rep.sl_rank == rep.sl_target_component_rank == target - relations
-        assert rep.relation_rank == relations
+        assert rep.relation_rank == relations and rep.span_rank == target
         assert rep.certified
-        assert (rep.method, rep.prime) == ("one-prime", liegen.CLOSURE_PRIME)
-    expected = {2: [3, 8, 15, 24, 35], 3: [8, 63, 279]}[n]
-    assert [res.reports[d].sl_rank for d in range(max_degree + 1)] == expected
+        assert (rep.method, rep.prime) == ("pair-coordinate", liegen.CLOSURE_PRIME)
+        assert rep.operands == ("seeds" if d <= 1 else "T_1 x T_{d-1}")
+    expected = {2: [3, 8, 15, 24, 35], 3: [8, 63, 279, 916, 2484], 4: [15, 224, 1784, 10064]}[n]
+    assert [res.reports[d].sl_rank for d in range(max_degree + 1)] == expected[:max_degree + 1]
 
 
-def closure_pairs(res, ring):
-    """Every pair the closure brackets, grade by grade: each generator with
-    each kept field of the grade, and each kept field of grade a with each
-    of grade d - a (a <= d - a, distinct when a = d - a).  An operand is its
-    prepared packed field with the `VectorField` it stands for."""
-    keys = {d: {col: key for key, col in ring.columns(d).items()} for d in res.spans}
-    kept = {d: [(ring.prepare({keys[d][col]: c for col, c in vec.items()}),
-                 traceless_field(vec, res.n, d)) for vec in vecs]
-            for d, vecs in res.spans.items()}
-    gens = [(ring.prepare(ring.generator(g)), generator_field(res.n, g))
-            for g in generator_ids(res.n)]
-    pairs = []
-    for d in res.spans:
-        pairs += [(d, x, y) for x in gens for y in kept[d]]
-        for a in range(1, d // 2 + 1):
-            if a == d - a:
-                pairs += [(d, x, y) for x, y in itertools.combinations(kept[a], 2)]
-            else:
-                pairs += [(d, x, y) for x in kept[a] for y in kept[d - a]]
-    return pairs
+def pair_brackets(n, max_degree):
+    """Every bracket the closure may take up to `max_degree`, as (d, e, a,
+    b): at grades d = 0 and 1 the grade-0 pair a (a generator) with each
+    grade-d pair b; at d >= 2 each grade-1 pair a with each grade-(d-1)
+    pair b."""
+    nv = n * n - 1
+
+    def size(d):
+        return nv * comb(nv + d - 1, d)
+    out = [(d, 0, a, b) for d in range(min(max_degree, 1) + 1)
+           for a in range(nv) for b in range(size(d))]
+    return out + [(d, 1, a, b) for d in range(2, max_degree + 1)
+                  for a in range(size(1)) for b in range(size(d - 1))]
 
 
-@pytest.mark.parametrize("n,max_degree,samples", [(2, 4, None), (3, 2, 300)])
-def test_vector_bracket_matches_polynomial_bracket(n, max_degree, samples, closure_n3):
-    # restriction to tr = 0 is a Lie algebra homomorphism, so the closure's
-    # integer bracket equals `bracket` on the whole fields, projected
-    res = closure_n3 if n == 3 else closure(build_seeds(n), max_degree)
+@pytest.mark.parametrize("n,max_degree,samples", [(2, 4, None), (3, 2, 300), (3, 3, 300)])
+def test_vector_bracket_matches_polynomial_bracket(n, max_degree, samples):
+    # Phi of the closed form in pair coordinates,
+    # [h*W, f*V] = f*V(h)*W - h*W(f)*V + f*h*[W, V], equals `bracket` of the
+    # two pair fields, both projected to tr = 0
     ring = liegen._TracelessFields(n, max_degree)
-    pairs = closure_pairs(res, ring)
+    todo = pair_brackets(n, max_degree)
     if samples is not None:
-        pairs = random.Random(3).sample(pairs, samples)
-    columns = {d: ring.columns(d) for d in res.spans}
-    projectors = {d: _SlProjector(n, d) for d in res.spans}
-    for d, (xv, xf), (yv, yf) in pairs:
-        vec = {columns[d][k]: c for k, c in liegen._bracket(xv, yv).items()}
-        assert clear_denominators(vec) == projectors[d].vector(bracket(xf, yf))
+        todo = random.Random(3).sample(todo, samples)
+    tables, projectors = {}, {}
+    for d, e, a, b in todo:
+        if (e, d) not in tables:
+            tables[e, d] = liegen._PairBrackets(ring, e, d)
+            projectors[d] = _SlProjector(n, d)
+        out = {}
+        tables[e, d].add(a, b, 1, out)
+        want = bracket(pair_field({a: 1}, n, e), pair_field({b: 1}, n, d - e))
+        assert projectors[d].vector(pair_field(out, n, d)) == projectors[d].vector(want)
 
 
 @pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 3)])
@@ -563,40 +563,37 @@ def weight_oracle(ring, key):
 @pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 2)])
 def test_evaluated_brackets_lie_in_their_predicted_weight(n, max_degree, monkeypatch):
     # the closure predicts a bracket's block as the sum of its operands'
-    # encoded weights; every term of every bracket it evaluates has that
+    # pair weights; every term of every pair bracket it takes has that
     # weight, and the encoding agrees with the weight tuples
     ring = liegen._TracelessFields(n, max_degree)
     grades = range(max_degree + 1)
-    encoded = {}
-    for d in grades:
-        for key, col in ring.columns(d).items():
-            encoded[key] = ring.column_weights(d)[col]
+    weights = {d: ring.pairs(d)[1] for d in grades}
     by_tuple = {}
-    for key, w in encoded.items():
-        assert by_tuple.setdefault(weight_oracle(ring, key), w) == w
+    for d in grades:
+        for field, w in zip(ring.pairs(d)[0], weights[d]):
+            for key in field:
+                assert by_tuple.setdefault(weight_oracle(ring, key), w) == w
     assert len(set(by_tuple.values())) == len(by_tuple)
-    for g, w in zip(ring.gens, ring.gen_weights):
-        assert {encoded[k] for k in g} == {w}
-
-    def operand_weight(prepared):
-        _, comps = prepared
-        return {encoded[k + comp] for comp, terms in comps.items() for k, _ in terms}
+    grade_of = {len(ring.monomials(d)): d for d in grades}
 
     calls = []
-    inner = liegen._bracket
+    inner = liegen._PairBrackets.add
 
-    def recording(v, w):
-        out = inner(v, w)
-        calls.append((operand_weight(v), operand_weight(w), out))
-        return out
+    def recording(self, a, b, scale, out):
+        term = {}
+        inner(self, a, b, scale, term)
+        e, d = grade_of[len(self.left)], grade_of[len(self.offset)]
+        calls.append((weights[e][a] + weights[d - e][b], d, term))
+        for k, c in term.items():
+            out[k] = out.get(k, 0) + c
 
-    monkeypatch.setattr(liegen, "_bracket", recording)
+    monkeypatch.setattr(liegen._PairBrackets, "add", recording)
     res = closure(build_seeds(n), max_degree)
-    assert len(calls) == sum(rep.brackets_evaluated for rep in res.reports.values())
+    assert len(calls) >= sum(rep.brackets_evaluated for rep in res.reports.values())
     nonzero = 0
-    for (wv,), (ww,), out in calls:
-        assert {encoded[k] for k in out} <= {wv + ww}
-        nonzero += bool(out)
+    for w, d, term in calls:
+        assert {weights[d][k] for k, c in term.items() if c} <= {w}
+        nonzero += any(term.values())
     assert nonzero > len(calls) // 2
 
 
@@ -609,7 +606,7 @@ def test_vectors_across_weight_blocks_raise():
     # different weights, spans two blocks
     res = closure(build_seeds(2), 1)
     ring = liegen._TracelessFields(2, 1)
-    space = BlockedRowSpace(liegen.CLOSURE_PRIME, ring.column_weights(1))
+    space = BlockedRowSpace(liegen.CLOSURE_PRIME, ring.pairs(1)[1])
     u = res.spans[1][0]
     v = next(vec for vec in res.spans[1] if space.block(vec) != space.block(u))
     with pytest.raises(GradingError):
@@ -626,10 +623,33 @@ def test_vectors_across_weight_blocks_raise():
 
 
 @pytest.mark.parametrize("n,max_degree,digest", [
-    (2, 4, "6fef60d908f0c67c"), (3, 2, "c26b89b85ddcea41"), (3, 3, "02784258c4d9ef6a")])
+    (2, 4, "f949f3f07cad82d2"), (3, 2, "30f1d75e4bbb2a1c"), (3, 3, "fd70eb31f38a94e1")])
 def test_kept_vectors_are_pinned(n, max_degree, digest, closure_n3):
-    # the kept vectors and their order, as the closure gave them before it
-    # skipped brackets in full weight blocks
+    # the kept vectors B in pair coordinates and their order: seeds and
+    # generator brackets at grades 0-1, [T_1, T_{d-1}] brackets above
     res = closure_n3 if (n, max_degree) == (3, 2) else closure(build_seeds(n), max_degree)
     spans = [[sorted(v.items()) for v in res.spans[d]] for d in range(max_degree + 1)]
     assert hashlib.sha256(json.dumps(spans).encode()).hexdigest()[:16] == digest
+
+
+def test_uncertified_operands_leave_later_grades_unproven():
+    # a grade-1 seed set that leaves grade 1 short: the brackets of grade 2
+    # would need every grade-1 pair in the algebra, so grade 2 runs none and
+    # is not certified either
+    seeds = [s for s in build_seeds(2) if s.grade == 0]
+    res = closure(seeds, 2)
+    assert not res.reports[1].certified
+    rep = res.reports[2]
+    assert rep.complete and not rep.certified and rep.sl_rank is None
+    assert rep.brackets_evaluated == rep.brackets_skipped == 0
+    assert rep.achieved_rank == rep.target_rank - len(rep.missing_witnesses)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("deg", [6, 7, 8])
+def test_general_step_beyond_the_catalog(n, deg):
+    # the x12^d general step d[x12*Xi1, x12^d*Theta12] - [x12^d*Xi1,
+    # x12*Theta12] = -2d(d-1)*x12^(d+1)*Theta12 past the catalog's d = 2..5
+    lhs, verified, printed = liegen._general_step(deg)(n, random.Random(0))
+    assert (lhs - verified).is_zero()
+    assert not (lhs - printed).is_zero()
