@@ -82,61 +82,33 @@ class Seed:
     generator: GeneratorId
     grade: int
 
-    def field(self, n: int) -> VectorField:
-        base = generator_field(n, self.generator)
-        if self.grade == 0:
-            return base
-        return scale_field(self.coefficient, base)
-
 
 def build_seeds(n: int) -> list[Seed]:
     """All overshear pairs (monomial f of degree <= 1, basis generator g)
-    with g^2(f) = 0; the constant f = 1 gives the generators themselves.
-    Grade 2 and above come from brackets of grade-1 pairs (`closure`).
+    with g^2(f) = 0: the constant f = 1, giving the generators themselves,
+    then each variable in flat order with each generator.  Grade 2 and
+    above come from brackets of grade-1 pairs (`closure`).
 
-    Classified on exponent vectors (`adjointfields.overshear_class` is the
-    oracle the tests compare with): Xi_a scales x^e by the pairing of its
-    weight with H_a, so it shears x^e when that is 0 and is neither
-    otherwise; Theta_ab is applied twice through `_theta_exponents`."""
+    Read off the matrix B = `generator_matrix(n, g)`: g acts on the matrix
+    X of coordinates as ad_B(X) = BX - XB, so g^2(x_ij) is the (i, j) entry
+    of ad_B^2(X) = B^2 X - 2 BXB + X B^2, and x_ij is a seed for g iff
+    each coefficient of x_kl there, S_ik [l = j] - 2 B_ik B_lj + [k = i] S_lj
+    with S = B^2, is 0.  `adjointfields.overshear_class` is the oracle the
+    tests compare with."""
     if n < 2:
         raise PreconditionError("n must be at least 2")
     nvars = n * n
     gens = generator_ids(n)
-    seeds = []
-    for d in (0, 1):
-        for mono in slice_monomials(nvars, d):
-            e = mono.dense(nvars)
-            for g in gens:
-                if isinstance(g, Theta):
-                    image = _theta_exponents(n, g, {e: 1})
-                    keep = not image or not _theta_exponents(n, g, image)
-                else:   # coordinates a and a + 1 of the weight of x^e agree
-                    a = g.a - 1
-                    weight = [sum(e[i * n:(i + 1) * n]) - sum(e[i::n]) for i in (a, a + 1)]
-                    keep = weight[0] == weight[1]
-                if keep:
-                    seeds.append(Seed(Polynomial.from_monomial(nvars, mono), g, d))
+    seeds = [Seed(Polynomial.constant(nvars, 1), g, 0) for g in gens]
+    mats = [generator_matrix(n, g) for g in gens]
+    squares = [[[sum(B[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+               for B in mats]
+    for i, j in product(range(n), repeat=2):
+        for g, B, S in zip(gens, mats, squares):
+            if not any(S[i][k] * (l == j) - 2 * B[i][k] * B[l][j] + (k == i) * S[l][j]
+                       for k in range(n) for l in range(n)):
+                seeds.append(Seed(Polynomial.variable(nvars, i * n + j), g, 1))
     return seeds
-
-
-def _theta_exponents(n: int, g: Theta,
-                     poly: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """Theta_ab of a polynomial given as exponent tuple -> coefficient:
-    Theta_ab(x^e) = sum_j e_aj x^(e - u_aj + u_bj) - sum_i e_ib x^(e - u_ib + u_ia),
-    with u_ij the unit exponent of x_ij."""
-    a, b = g.a - 1, g.b - 1
-    out: dict[tuple[int, ...], int] = {}
-    for e, c in poly.items():
-        for j in range(n):
-            for src, dst, coeff in ((a * n + j, b * n + j, c), (j * n + b, j * n + a, -c)):
-                k = e[src]
-                if k:
-                    f = list(e)
-                    f[src] -= 1
-                    f[dst] += 1
-                    f = tuple(f)
-                    out[f] = out.get(f, 0) + coeff * k
-    return {f: c for f, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +118,8 @@ def vectorize(v: VectorField, m: int) -> dict[int, Fraction]:
     """Flat sparse vector of a field whose components are homogeneous of
     degree m, over the basis (degree-m monomials) x (component index).
 
-    Raw coordinates: `closure` uses the traceless ones (`_SlProjector`)."""
+    Raw coordinates, for the tests; `_SlProjector` gives traceless ones.
+    `closure` uses neither: it works in pair coordinates (`_TracelessFields`)."""
     n = v.n
     nvars = n * n
     basis = HomSliceBasis(nvars, m)

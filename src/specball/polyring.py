@@ -449,7 +449,7 @@ def parse_poly(text: str, n: int) -> Polynomial:
     nvars = n * n
     s = text
     pos = 0
-    result = Polynomial.zero(nvars)
+    terms: dict[Monomial, int | Fraction] = {}
 
     def skip_ws(i):
         while i < len(s) and s[i].isspace():
@@ -463,17 +463,15 @@ def parse_poly(text: str, n: int) -> Polynomial:
     first = True
     while pos < len(s):
         pos = skip_ws(pos)
-        sign = 1
+        coeff: int | Fraction = 1
         if pos < len(s) and s[pos] in "+-":
-            sign = -1 if s[pos] == "-" else 1
+            coeff = -1 if s[pos] == "-" else 1
             pos = skip_ws(pos + 1)
         elif not first:
             raise PolyParseError("expected '+' or '-' between terms", pos)
         first = False
 
-        coeff = Fraction(1)
         powers: dict[int, int] = {}
-        saw_factor = False
         while True:
             pos = skip_ws(pos)
             if pos < len(s) and s[pos] == "x":
@@ -503,26 +501,23 @@ def parse_poly(text: str, n: int) -> Polynomial:
                     pos = mnum.end()
                 v = flat_index(r, c, n)
                 powers[v] = powers.get(v, 0) + e
-                saw_factor = True
             else:
                 mnum = _TOKEN_NUMBER.match(s, pos)
                 if not mnum:
                     raise PolyParseError("expected coefficient or variable", pos)
-                num = int(mnum.group(1))
-                den = int(mnum.group(2)) if mnum.group(2) else 1
-                if den == 0:
-                    raise PolyParseError("zero denominator", pos)
-                coeff *= Fraction(num, den)
+                coeff *= int(mnum.group(1))
+                if mnum.group(2):
+                    den = int(mnum.group(2))
+                    if den == 0:
+                        raise PolyParseError("zero denominator", pos)
+                    coeff = Fraction(coeff, den)
                 pos = mnum.end()
-                saw_factor = True
             pos = skip_ws(pos)
             if pos < len(s) and s[pos] == "*":
                 pos += 1
                 continue
             break
-        if not saw_factor:
-            raise PolyParseError("empty term", pos)
         mono = Monomial(powers.items())
-        result = result + Polynomial(nvars, {mono: sign * coeff})
+        terms[mono] = terms.get(mono, 0) + coeff
         pos = skip_ws(pos)
-    return result
+    return Polynomial(nvars, terms)

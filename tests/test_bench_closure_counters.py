@@ -42,8 +42,13 @@ def test_closure_counters_are_fed(monkeypatch):
         assert metrics[f"{layer}.self_s"]["value"] > 0, layer
     assert metrics["liegen.brackets"]["value"] == 5 + 17
     assert metrics["liegen.accepted"]["value"] == 3 + 8 + 15
-    # the closure brackets integer vectors: no polynomial field is bracketed,
-    # scaled or projected
-    for layer in ("adjointfields.bracket", "adjointfields.scale_field", "liegen.vectorize",
-                  "polyring.substitute_trace", "linalg.exact_reduce"):
+    # the seeds are read off the generator matrices and the closure brackets
+    # integer vectors: no polynomial or field is built, bracketed, scaled or
+    # projected, at n = 2 or n = 3
+    assert cli.main(["generate", "--n", "3", "--max-degree", "2", "--out", os.devnull]) == 0
+    metrics = tracer.metrics()
+    idle = [name[:-len(".calls")] for name in metrics
+            if name.startswith(("polyring.", "adjointfields.")) and name.endswith(".calls")]
+    assert len(idle) == 9
+    for layer in idle + ["liegen.vectorize", "linalg.exact_reduce"]:
         assert metrics[f"{layer}.calls"]["value"] == 0, layer

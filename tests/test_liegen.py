@@ -117,10 +117,11 @@ def test_seed_example_n3_product_of_kernel_elements():
     assert in_span(kept_fields(res, 2), v, 2)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_seeds_match_the_overshear_class_oracle(n):
-    # build_seeds classifies on exponent vectors; `overshear_class` applies
-    # the generator fields to polynomials
+    # build_seeds reads ad_B^2 off the generator matrices; `overshear_class`
+    # applies the generator fields to polynomials.  n = 5 and 6 put Xi_a
+    # away from the corners of the matrix
     nvars = n * n
     oracle = []
     for d in (0, 1):
@@ -362,7 +363,7 @@ def test_multiples_of_trace_form_an_ideal(n):
         tv = scale_field(tr, generator_field(n, g))
         assert not tv.is_zero() and sl_vector_oracle(tv, 1) == {}
         for s in seeds:
-            w = bracket(tv, s.field(n))
+            w = bracket(tv, scale_field(s.coefficient, generator_field(n, s.generator)))
             nonzero += not w.is_zero()
             assert sl_vector_oracle(w, 1 + s.grade) == {}
     assert nonzero > len(seeds)

@@ -138,6 +138,53 @@ def test_parse_errors():
     assert err is not None and err.position == 4
 
 
+@pytest.mark.parametrize("text,n,message,position", [
+    ("", 2, "empty input", 0),
+    ("   ", 2, "empty input", 3),
+    ("x12 x21", 2, "expected '+' or '-' between terms", 4),
+    ("3x12", 2, "expected '+' or '-' between terms", 1),
+    ("x12 +", 2, "expected coefficient or variable", 5),
+    ("+", 2, "expected coefficient or variable", 1),
+    ("x12*", 2, "expected coefficient or variable", 4),
+    ("*x12", 2, "expected coefficient or variable", 0),
+    ("x12 - - x21", 2, "expected coefficient or variable", 6),
+    ("y12", 2, "expected coefficient or variable", 0),
+    ("x1", 2, "malformed variable", 0),
+    ("x33", 2, "variable index x[3,3] out of 1..2", 3),
+    ("x[3,1]", 2, "variable index x[3,1] out of 1..2", 6),
+    ("x[11,1]", 10, "variable index x[11,1] out of 1..10", 7),
+    ("x11", 10, "compact xKL form is ambiguous for n >= 10; use x[k,l]", 0),
+    ("x12^", 2, "expected integer exponent", 4),
+    ("x12^1/2", 2, "expected integer exponent", 4),
+    ("x12^-1", 2, "expected integer exponent", 4),
+    ("1/0*x12", 2, "zero denominator", 0),
+    ("2*1/ 0", 2, "zero denominator", 2),
+])
+def test_parse_error_messages_and_positions(text, n, message, position):
+    with pytest.raises(PolyParseError) as info:
+        parse_poly(text, n)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+def test_parse_integral_input_builds_no_fraction(monkeypatch):
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    p = parse_poly("3*x12^2*x21 - x11 + 2*x11", 3)
+    assert not built
+    assert parse_poly("-1/3*x12", 3).terms
+    assert built
+    monkeypatch.undo()
+    assert p == parse_poly("3*x12^2*x21", 3) + parse_poly("x11", 3)
+    assert all(type(c) is int for c in p.terms.values())
+
+
 def test_bracketed_form_for_large_n():
     p = parse_poly("x[10,3]^2 - 2*x[1,12]", 12)
     assert format_poly(p) == "x[10,3]^2 - 2*x[1,12]"
@@ -198,7 +245,7 @@ def test_fraction_coefficient_kept_and_roundtrips():
 
 
 def test_bracket_keeps_integer_coefficients():
-    from specball.adjointfields import bracket, generator_field, generator_ids
+    from specball.adjointfields import bracket, generator_field, generator_ids, scale_field
     from specball.liegen import build_seeds
 
     def int_coefficients(v):
@@ -210,7 +257,8 @@ def test_bracket_keeps_integer_coefficients():
         for x, y in itertools.product(fields, repeat=2):
             assert int_coefficients(bracket(x, y))
     # every seed field, each bracketed with the next one in the seed list
-    seed_fields = [s.field(3) for s in build_seeds(3)]
+    seed_fields = [scale_field(s.coefficient, generator_field(3, s.generator))
+                   for s in build_seeds(3)]
     products = [bracket(x, y) for x, y in itertools.pairwise(seed_fields)]
     assert sum(not w.is_zero() for w in products) > len(products) // 2
     assert all(int_coefficients(w) for w in products)
