@@ -5,8 +5,9 @@ fibration coordinates are the signed characteristic-polynomial
 coefficients pi_j (the elementary symmetric functions of the eigenvalues),
 computed from power traces by Newton's identities; eigenvalue moduli come
 from the roots of the characteristic polynomial (a closed form at degree
-2, Aberth-Ehrlich sweeps above), so no eigendecomposition is needed
-anywhere.
+2; above it Aberth-Ehrlich sweeps, started at Cardano's or Ferrari's roots
+at degree 3 or 4 and on a circle otherwise, each root stopping on its own
+step), so no eigendecomposition is needed anywhere.
 
 The matrices here are n x n with n of a few units, where numpy's per-call
 cost would exceed the arithmetic, so the numerics run on rows of Python
@@ -18,7 +19,9 @@ Moebius maps and SL_n conjugations solve their linear systems by
 Gauss-Jordan elimination on the rows.
 
 Automorphism atoms: overshear/shear conjugations exp(s E_ab) with the
-exact nilpotent exponential I + s E_ab, Moebius transformations
+exact nilpotent exponential I + s E_ab (Theta_ab f and the test
+Theta_ab^2 f = 0 exact on exponent tuples, f and Theta_ab f compiled once
+for evaluation), Moebius transformations
 A -> gamma (A - alpha I)(I - conj(alpha) A)^{-1}, transposition, and
 explicit SL_n conjugations.  `word_trajectory` evaluates a word atom by
 atom.  A field value B A - A B takes B from `generator_matrix`.
@@ -27,7 +30,9 @@ atom.  A field value B A - A B takes B from `generator_matrix`.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import mul
@@ -35,8 +40,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .adjointfields import GeneratorId, Theta, generator_field, generator_matrix
-from .polyring import Polynomial, PolyParseError, parse_poly
+from .adjointfields import GeneratorId, Theta, generator_matrix
+from .polyring import DimensionMismatch, Monomial, Polynomial, PolyParseError, parse_poly
 
 
 class NumericsError(RuntimeError):
@@ -161,13 +166,22 @@ def char_poly(A: Matrix) -> FibreCoordinates:
     return FibreCoordinates(tuple(pi[1:]))
 
 
-def _aberth_sweep(coeffs: list[complex], z: list[complex]) -> float:
-    """One Aberth-Ehrlich sweep, updating the iterates in place
-    (Gauss-Seidel: each update reads the iterates already updated in this
-    sweep), and the largest step taken.  One Horner pass gives p (v) and
-    p' (dv); a plain loop sums over the other iterates."""
-    max_step = 0.0
-    for i, x in enumerate(z):
+def _aberth_sweep(coeffs: list[complex], z: list[complex], live: list[int]) -> list[int]:
+    """One Aberth-Ehrlich sweep over the iterates z[i], i in `live`,
+    updating them in place (Gauss-Seidel: each update reads the iterates
+    already updated in this sweep), and the indices still moving.
+
+    One Horner pass gives p (v) and p' (dv); a plain loop sums over the
+    other iterates.  An iterate stops when its step is below `ROOT_TOL`
+    relative to its new value.  It also stops, without taking the step,
+    when |v| is within 2 d eps sum |c_k| |x|^k, the bound on the rounding
+    error of v (Higham 2002, section 5.1): at a tight cluster of roots,
+    whose attainable accuracy is worse than `ROOT_TOL`, such a step is
+    rounding noise, and it can throw x out of the cluster."""
+    rounding = 2 * (len(coeffs) - 1) * sys.float_info.epsilon
+    moving = []
+    for i in live:
+        x = z[i]
         v = dv = 0j
         for c in coeffs:
             dv = dv * x + v
@@ -179,11 +193,16 @@ def _aberth_sweep(coeffs: list[complex], z: list[complex]) -> float:
                 s += 1.0 / (x - y)
         denom = 1.0 - w * s
         step = w / denom if denom != 0 else w
-        z[i] = x - step
-        size = abs(step)
-        if size > max_step:
-            max_step = size
-    return max_step
+        new = x - step
+        if abs(step) > ROOT_TOL * abs(new):
+            ax, size = abs(x), 0.0
+            for c in coeffs:
+                size = size * ax + abs(c)
+            if abs(v) <= rounding * size:
+                continue
+            moving.append(i)
+        z[i] = new
+    return moving
 
 
 def _quadratic_roots(b: complex, c: complex) -> list[complex]:
@@ -196,7 +215,68 @@ def _quadratic_roots(b: complex, c: complex) -> list[complex]:
     return [q, c / q]
 
 
-# Aberth-Ehrlich stops at a step below ROOT_TOL (relative) or after ROOT_MAX_ITER sweeps
+_CUBE_ROOTS_OF_ONE = (1.0, complex(-0.5, 0.5 * math.sqrt(3.0)),
+                      complex(-0.5, -0.5 * math.sqrt(3.0)))
+
+
+def _cubic_roots(b: complex, c: complex, d: complex) -> list[complex]:
+    """The roots of t^3 + b t^2 + c t + d by Cardano: with t = y - b/3,
+    y^3 + p y + q = 0 and y = C - p/(3C) over the three cube roots C of
+    -q/2 +- sqrt(q^2/4 + p^3/27), the sign taken that makes |C| larger.
+    C = 0 (a triple root) raises ZeroDivisionError."""
+    s = b / 3.0
+    p = c - 3.0 * s * s
+    q = (2.0 * s * s - c) * s + d
+    r = cmath.sqrt(0.25 * q * q + p * p * p / 27.0)
+    plus, minus = r - 0.5 * q, -r - 0.5 * q
+    C = (plus if _size(plus) >= _size(minus) else minus) ** (1.0 / 3.0)
+    return [k * C - p / (3.0 * k * C) - s for k in _CUBE_ROOTS_OF_ONE]
+
+
+def _quartic_roots(b: complex, c: complex, d: complex, e: complex) -> list[complex]:
+    """The roots of t^4 + b t^3 + c t^2 + d t + e by Ferrari: with
+    t = y - b/4, y^4 + p y^2 + q y + r = 0.  For a root m != 0 of the
+    resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8 (the largest by modulus)
+    and u = sqrt(2m), the quartic is (y^2 + p/2 + m)^2 - (u y - q/(2u))^2,
+    the product of two quadratics.  m = 0 (every resolvent root vanishes:
+    p = q = r = 0, a quadruple root) raises ZeroDivisionError."""
+    s = b / 4.0
+    p = c - 6.0 * s * s
+    q = d - (2.0 * c - 8.0 * s * s) * s
+    r = e - (d - (c - 3.0 * s * s) * s) * s
+    m = max(_cubic_roots(p, 0.25 * p * p - r, -0.125 * q * q), key=abs)
+    u = cmath.sqrt(2.0 * m)
+    h, g = 0.5 * p + m, 0.5 * q / u
+    return [y - s for y in _quadratic_roots(-u, h + g) + _quadratic_roots(u, h - g)]
+
+
+def _closed_form_starts(coeffs: list[complex]) -> list[complex] | None:
+    """Cardano's roots of a cubic and Ferrari's of a quartic, as starting
+    points for the sweeps; None at any other degree, or when the closed form
+    raises, gives a non-finite value or two equal values."""
+    try:
+        if len(coeffs) == 4:
+            z = _cubic_roots(*coeffs[1:])
+        elif len(coeffs) == 5:
+            z = _quartic_roots(*coeffs[1:])
+        else:
+            return None
+    except (ZeroDivisionError, OverflowError):
+        return None
+    if not all(map(cmath.isfinite, z)) or len(set(z)) < len(z):
+        return None
+    return z
+
+
+def _circle_starts(coeffs: list[complex], radius: float) -> list[complex]:
+    """d points on a slightly perturbed circle of the given radius."""
+    d = len(coeffs) - 1
+    angles = [2 * math.pi * (k + 0.25) / d for k in range(d)]
+    return [radius * cmath.exp(1j * a) * (1 + 0.05 * math.cos(7 * a)) for a in angles]
+
+
+# Aberth-Ehrlich stops a root at a step below ROOT_TOL relative to it, and
+# gives up after ROOT_MAX_ITER sweeps
 ROOT_TOL = 1e-13
 ROOT_MAX_ITER = 200
 
@@ -206,14 +286,14 @@ def poly_roots(monic: Sequence[complex]) -> np.ndarray:
 
     Roots at zero are split off exactly first (they are exact for nilpotent
     characteristic polynomials).  A quadratic remainder takes the closed
-    form of `_quadratic_roots`; a higher degree starts on a circle at the
-    Cauchy bound and is refined by in-place Aberth-Ehrlich sweeps.
-
-    The sweeps stop when the largest step is below `ROOT_TOL` relative to
-    the largest root, so the small roots of a polynomial whose roots span
-    many orders of magnitude are not resolved, and no error is raised: for
-    x^3 + 1e10 x^2 + 1 they come out near 1e-4 where they are +-1e-5 i.
-    The largest root, the one `spectral_radius` reads, is resolved.
+    form of `_quadratic_roots`.  A cubic or quartic remainder starts at
+    Cardano's or Ferrari's roots (`_closed_form_starts`), a higher degree,
+    or a closed form that fails, on a circle at the Cauchy bound; in-place
+    Aberth-Ehrlich sweeps then refine the starts.  Each root stops moving
+    once its own step is below `ROOT_TOL` relative to it, or once p at it
+    is rounding error (`_aberth_sweep`), and the sweeps end when every root
+    has stopped, so the starts decide only how many sweeps are needed, and
+    small roots are resolved next to large ones.
     """
     coeffs = [complex(c) for c in monic]
     if not coeffs or coeffs[0] != 1:
@@ -237,19 +317,17 @@ def poly_roots(monic: Sequence[complex]) -> np.ndarray:
         return np.array(z + [0j] * zeros_at_origin, dtype=complex)
 
     radius = 1.0 + max(abs(x) for x in coeffs[1:])
-    angles = [2 * math.pi * (k + 0.25) / d for k in range(d)]
-    z = [radius * cmath.exp(1j * a) * (1 + 0.05 * math.cos(7 * a)) for a in angles]
-
+    z = _closed_form_starts(coeffs) or _circle_starts(coeffs, radius)
+    live = list(range(d))
     for iteration in range(ROOT_MAX_ITER):
         try:
-            max_step = _aberth_sweep(coeffs, z)
-            converged = max_step <= ROOT_TOL * (1.0 + max(map(abs, z)))
+            live = _aberth_sweep(coeffs, z, live)
         except (ZeroDivisionError, OverflowError):   # coincident or unbounded iterates
-            z, converged = [complex(math.nan)], False
+            z = [complex(math.nan)]
         if not all(map(cmath.isfinite, z)):
             raise NumericsError("root iteration diverged",
                                 iteration=iteration, coefficients=coeffs)
-        if converged:
+        if not live:
             break
     else:
         residual = float(np.abs(np.polyval(coeffs, z)).max())
@@ -314,19 +392,39 @@ def epsilon(z: complex) -> complex:
 # polynomial evaluation at a matrix point
 
 
-def eval_poly_at_matrix(f: Polynomial, A: Matrix | list) -> complex:
-    """Direct monomial evaluation in Python `complex` at an ndarray or rows.
-    Powers are repeated products: an overflow gives inf or nan, as in
-    numpy, where `complex ** e` would raise OverflowError."""
+# a polynomial compiled for evaluation: (complex coefficient,
+# ((row, col, exponent), ...)) per term, 0-based, variables in flat order
+Compiled = tuple
+
+
+def _exponents(f: Polynomial) -> dict:
+    """f as {exponent tuple over its variables: coefficient}, in term order."""
+    return {m.dense(f.nvars): c for m, c in f.terms.items()}
+
+
+def _compiled(terms: dict, n: int) -> Compiled:
+    """Exponent-tuple terms of a polynomial on n x n matrices, compiled."""
+    return tuple([(complex(c), tuple([(v // n, v % n, e) for v, e in enumerate(mono) if e]))
+                  for mono, c in terms.items()])
+
+
+def eval_poly_at_matrix(f: Polynomial | Compiled, A: Matrix | list) -> complex:
+    """Direct monomial evaluation in Python `complex` at an ndarray or rows,
+    of a Polynomial or of terms compiled once for an n x n matrix (as an
+    `Overshear` holds them).  Powers are repeated products: an overflow
+    gives inf or nan, as in numpy, where `complex ** e` would raise
+    OverflowError."""
     rows = A.tolist() if isinstance(A, np.ndarray) else A
-    n = len(rows)
-    if f.nvars != n * n:
-        raise ValueError("polynomial ring does not match the matrix size")
+    if isinstance(f, Polynomial):
+        n = len(rows)
+        if f.nvars != n * n:
+            raise ValueError("polynomial ring does not match the matrix size")
+        f = _compiled(_exponents(f), n)
     total = 0j
-    for mono, c in f.terms.items():
-        val = complex(c)
-        for v, e in mono.powers:
-            x = rows[v // n][v % n]
+    for c, factors in f:
+        val = c
+        for i, j, e in factors:
+            x = rows[i][j]
             for _ in range(e):
                 val *= x
         total += val
@@ -337,29 +435,75 @@ def eval_poly_at_matrix(f: Polynomial, A: Matrix | list) -> complex:
 # automorphism atoms
 
 
+@functools.cache
+def _theta_moves(n: int, a: int, b: int) -> tuple[tuple[int, int, int], ...]:
+    """Theta_ab as moves (v, w, k), each the term k x_w d/dx_v, read off
+    B = `generator_matrix(n, Theta(a, b))`: the d/dx_ij coefficient of the
+    field is sum_p (B_ip x_pj - x_ip B_pj).  An invalid id raises
+    InvalidGenerator, as `generator_matrix` does."""
+    B = generator_matrix(n, Theta(a, b))
+    moves = []
+    for p in range(n):
+        for q in range(n):
+            if B[p][q]:
+                moves += [(p * n + j, q * n + j, B[p][q]) for j in range(n)]
+                moves += [(i * n + q, i * n + p, -B[p][q]) for i in range(n)]
+    return tuple(moves)
+
+
+def _theta(terms: dict, moves: tuple) -> dict:
+    """Theta f, exactly, for f given as {exponent tuple: coefficient} and
+    Theta as `_theta_moves`; terms that cancel are dropped."""
+    out = {}
+    for mono, c in terms.items():
+        for v, w, k in moves:
+            e = mono[v]
+            if e:
+                m = list(mono)
+                m[v] = e - 1
+                m[w] += 1
+                m = tuple(m)
+                out[m] = out.get(m, 0) + k * e * c
+    return {m: c for m, c in out.items() if c}
+
+
 @dataclass(frozen=True)
 class Overshear:
     """Time-t map of the field f * Theta_ab, where Theta_ab^2(f) = 0.
 
     The flow is the conjugation by exp(s E_ab) = I + s E_ab with
     s = epsilon(t * (Theta_ab f)(A)) * t * f(A); for shears (Theta_ab f = 0)
-    this collapses to s = t f(A).
+    this collapses to s = t f(A).  Theta_ab f and the test Theta_ab^2 f = 0
+    are exact, by `_theta` on exponent tuples, and f and Theta_ab f are
+    compiled once for `eval_poly_at_matrix`.
     """
     n: int
     a: int
     b: int
     f: Polynomial
     t: complex
-    theta_f: Polynomial = field(init=False, compare=False, repr=False)
+    _f_terms: Compiled = field(init=False, compare=False, repr=False)
+    _theta_terms: Compiled = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not cmath.isfinite(self.t):
             raise ValueError("overshear 't' must be finite")
-        theta = generator_field(self.n, Theta(self.a, self.b))
-        tf = theta.apply(self.f)
-        if not theta.apply(tf).is_zero():
+        moves = _theta_moves(self.n, self.a, self.b)
+        if self.f.nvars != self.n * self.n:
+            raise DimensionMismatch("polynomial ring does not match field dimension")
+        f = _exponents(self.f)
+        tf = _theta(f, moves)
+        if _theta(tf, moves):
             raise ValueError("coefficient fails the overshear test Theta^2(f) = 0")
-        object.__setattr__(self, "theta_f", tf)
+        object.__setattr__(self, "_f_terms", _compiled(f, self.n))
+        object.__setattr__(self, "_theta_terms", _compiled(tf, self.n))
+
+    @property
+    def theta_f(self) -> Polynomial:
+        """Theta_ab f as a Polynomial, recomputed; the flow reads the
+        compiled terms."""
+        tf = _theta(_exponents(self.f), _theta_moves(self.n, self.a, self.b))
+        return Polynomial(self.f.nvars, {Monomial(enumerate(m)): c for m, c in tf.items()})
 
 
 @dataclass(frozen=True)
@@ -421,9 +565,9 @@ def overshear_flow(atom: Overshear, A: Matrix | Rows, t: complex | None = None) 
     else:
         X = [row[:] for row in A]
     tt = atom.t if t is None else t
-    s = tt * eval_poly_at_matrix(atom.f, X)
-    if not atom.theta_f.is_zero():
-        s *= epsilon(tt * eval_poly_at_matrix(atom.theta_f, X))
+    s = tt * eval_poly_at_matrix(atom._f_terms, X)
+    if atom._theta_terms:
+        s *= epsilon(tt * eval_poly_at_matrix(atom._theta_terms, X))
     a, b = atom.a - 1, atom.b - 1
     X[a] = [x + s * y for x, y in zip(X[a], X[b])]
     for row in X:
@@ -591,14 +735,23 @@ def matrix_to_json(A: Matrix) -> list:
 
 def matrix_from_json(data) -> Matrix:
     """A matrix from a JSON array of rows of [re, im] pairs of numbers; a
-    cell of any other form is refused, named by its row and column."""
+    cell of any other form is refused, named by its row and column.  Each
+    cell is checked and converted once; a matrix that is not square or not
+    finite is refused as `as_matrix` refuses it."""
     if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
         raise ValueError("matrix JSON must be an array of arrays of [re, im] pairs")
+    rows = []
     for i, row in enumerate(data, 1):
+        out = []
         for j, cell in enumerate(row, 1):
             if not _is_pair(cell):
                 raise ValueError(f"matrix entry ({i}, {j}) must be an [re, im] pair of numbers")
-    return as_matrix([[complex(re, im) for re, im in row] for row in data])
+            out.append(complex(cell[0], cell[1]))
+        rows.append(out)
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows) or not _finite(rows):
+        as_matrix(rows)     # raises the ValueError that names the fault
+    return np.array(rows, dtype=complex)
 
 
 def _is_number(x) -> bool:

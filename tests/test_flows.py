@@ -114,16 +114,28 @@ def test_spectral_radius_against_eigvals():
         assert abs(spectral_radius(A) - rho) < 1e-9
 
 
-@pytest.mark.parametrize("coeffs", [[1, 1e10, 0, 1], [1, 1e20, 1, 1]])
+@pytest.mark.parametrize("coeffs", [[1, 1e10, 0, 1], [1, 1e20, 1, 1], [1, 1e10, 0, 0, 1]])
 def test_spectral_radius_of_widely_spread_roots(coeffs):
-    # the stop test is relative to the largest root, so the small roots are
-    # not resolved; the largest modulus is, through the companion matrix too
+    # the largest modulus, through the companion matrix too
     rho = np.max(np.abs(np.roots(coeffs)))
-    C = np.zeros((3, 3))
+    d = len(coeffs) - 1
+    C = np.zeros((d, d))
     C[0] = [-c for c in coeffs[1:]]
-    C[1, 0] = C[2, 1] = 1
+    C[np.arange(1, d), np.arange(d - 1)] = 1
     assert abs(spectral_radius(C) - rho) <= 1e-12 * rho
     assert abs(np.max(np.abs(flows.poly_roots(coeffs))) - rho) <= 1e-12 * rho
+
+
+@pytest.mark.parametrize("coeffs", [[1, 1e10, 0, 1], [1, 1e20, 1, 1], [1, 1e10, 0, 0, 1]])
+def test_poly_roots_resolves_small_roots_next_to_large_ones(coeffs):
+    # each root stops on its own step, relative to itself: the small roots
+    # (+-1e-5 i; -5e-21 +- 1e-10 i; the cube roots of -1e-10) are resolved
+    # as well as the one near -1e10 or -1e20.  np.roots is good to about
+    # 6e-9 relative on these; a stop relative to the largest root left the
+    # small ones wrong in their leading digit
+    want = np.roots(coeffs)
+    err = _match(flows.poly_roots(coeffs), want)
+    assert (err / np.sort(np.abs(want))).max() <= 1e-7, err
 
 
 def test_poly_roots_known_roots():
@@ -184,14 +196,16 @@ def test_poly_roots_exact_zeros():
 
 
 def test_poly_roots_reports_non_convergence(monkeypatch):
-    # roots 10, 10.5, 11 lie far inside the start circle of radius 1 + 1155.5
-    coeffs = list(np.poly([10, 10.5, 11]))
-    assert np.allclose(np.sort(poly_roots(coeffs).real), [10, 10.5, 11])
+    # a quintic starts on the circle at the Cauchy bound, 1 + 159390, far
+    # outside its roots 10, ..., 12, so one sweep cannot converge
+    coeffs = list(np.poly([10, 10.5, 11, 11.5, 12]))
+    radius = 1 + max(abs(c) for c in coeffs[1:])
+    assert np.allclose(np.sort(poly_roots(coeffs).real), [10, 10.5, 11, 11.5, 12])
     monkeypatch.setattr(flows, "ROOT_MAX_ITER", 1)
     with pytest.raises(NumericsError, match="did not converge") as exc:
         poly_roots(coeffs)
     assert exc.value.diagnostics["iterations"] == 1
-    assert exc.value.diagnostics["residual"] > 1e-8 * (1 + 1155.5) ** 3
+    assert exc.value.diagnostics["residual"] > 1e-8 * radius ** 5
     with pytest.raises(NumericsError, match="diverged"):
         poly_roots([1, complex(math.nan), 1])
 
@@ -229,6 +243,87 @@ def test_poly_roots_quadratic_closed_form():
     for bad in ([1, complex(math.nan), 1], [1, 1, complex(math.inf)], [1, 1e200, 1]):
         with pytest.raises(NumericsError, match="diverged"):
             poly_roots(bad)
+
+
+def _first_sweep_starts(monkeypatch, coeffs):
+    """The roots of `poly_roots(coeffs)`, the iterates its first Aberth
+    sweep started from (None when no sweep ran), and the number of sweeps."""
+    starts, sweeps = [], [0]
+    real = flows._aberth_sweep
+
+    def recording(c, z, live):
+        if not starts:
+            starts.append(list(z))
+        sweeps[0] += 1
+        return real(c, z, live)
+
+    monkeypatch.setattr(flows, "_aberth_sweep", recording)
+    roots = poly_roots(coeffs)
+    return roots, (starts[0] if starts else None), sweeps[0]
+
+
+def _circle(coeffs):
+    c = [complex(x) for x in coeffs]
+    return flows._circle_starts(c, 1.0 + max(abs(x) for x in c[1:]))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_closed_form_start_against_eigvals(monkeypatch, n):
+    # Cardano (n = 3) and Ferrari (n = 4) starts on random ball matrices:
+    # the radius matches eigvals, and one sweep confirms the starts
+    rng = np.random.default_rng(40 + n)
+    most = 0
+    for _ in range(150):
+        A = sample_spectral_ball(rng, n)
+        coeffs = char_poly(A).monic_coefficients()
+        roots, starts, sweeps = _first_sweep_starts(monkeypatch, coeffs)
+        assert starts == flows._closed_form_starts(coeffs) is not None
+        assert abs(np.abs(roots).max() - np.abs(np.linalg.eigvals(A)).max()) <= 1e-12
+        most = max(most, sweeps)
+    assert most == 1
+
+
+def test_closed_form_start_cases(monkeypatch):
+    eps = np.finfo(float).eps
+    cases = [   # (matrix, largest eigenvalue modulus, multiplicity of that root)
+        (0.5 * np.eye(3), 0.5, 3), (0.5 * np.eye(4), 0.5, 4),
+        (np.zeros((3, 3)), 0.0, 3), (np.zeros((4, 4)), 0.0, 4),
+        (np.diag([0.3, 0.3, -0.6]), 0.6, 1), (np.diag([0.3, -0.6, -0.6]), 0.6, 2),
+        (np.diag([0.5, 0.5, -0.5, -0.5]), 0.5, 2), (np.diag([0.5, -0.5, 0.2j, -0.2j]), 0.5, 1),
+        (np.diag([0.7, 0.1, 0.1, 0.1]), 0.7, 1)]
+    for lam in (0.5, 0.3 - 0.4j):
+        J = lam * np.eye(4) + np.diag(np.ones(3), 1)
+        # Jordan blocks: one of size 3 or 4, and two of size 2 (a 4-fold root
+        # of the characteristic polynomial all the same)
+        cases += [(J[:3, :3], abs(lam), 3), (J, abs(lam), 4),
+                  (np.kron(np.eye(2), J[:2, :2]), abs(lam), 4)]
+    for A, rho, mult in cases:
+        n = len(A)
+        coeffs = char_poly(A).monic_coefficients()
+        roots, starts, _ = _first_sweep_starts(monkeypatch, coeffs)
+        # a root of multiplicity m is resolved to about (2 n eps)^(1/m)
+        assert abs(np.abs(roots).max() - rho) <= 2 * (2 * n * eps) ** (1 / mult), (A, roots)
+        if rho == 0:
+            assert starts is None   # every root split off exactly
+        else:
+            assert starts == (flows._closed_form_starts(coeffs) or _circle(coeffs))
+
+
+def test_closed_form_start_falls_back_to_the_circle(monkeypatch):
+    # a triple root (Cardano's C = 0) and a quadruple one raise inside the
+    # closed form; (t^2 - 1/4)^2 gives two pairs of equal starts; a quintic
+    # has no closed form; each starts on the circle and still converges
+    for roots in ([0.5, 0.5, 0.5], [0.5j] * 4, [0.5, 0.5, -0.5, -0.5], [0.5, 0.5, 0.5, -0.5],
+                  [0.1, -0.2, 0.3j, 0.4, -0.5j], [0.5] * 5):
+        coeffs = list(np.poly(roots))
+        assert flows._closed_form_starts([complex(c) for c in coeffs]) is None, roots
+        found, starts, _ = _first_sweep_starts(monkeypatch, coeffs)
+        assert starts == _circle(coeffs)
+        assert abs(np.abs(found).max() - max(map(abs, roots))) <= 1e-3
+    # a closed form that overflows gives no starts (the circle at the Cauchy
+    # bound overflows too for such coefficients, so poly_roots raises)
+    assert flows._closed_form_starts([1, 1e200, 1e200, 1]) is None
+    assert flows._closed_form_starts([1, 0, 1e200, 0, 1]) is None
 
 
 def test_ball_membership():
@@ -294,24 +389,97 @@ def test_overshear_atom_validation():
     assert atom.theta_f.is_zero()
 
 
-def test_overshear_builds_its_field_once(monkeypatch):
-    from specball import adjointfields, flows
+def test_overshear_builds_no_field(monkeypatch):
+    # Theta_ab f and Theta_ab^2 f = 0 are computed on exponent tuples: no
+    # generator field is built and no field is applied, for a valid
+    # coefficient or for one that fails the test
+    from specball import adjointfields
     calls = []
 
-    def counting(n, gid):
-        calls.append(gid)
-        return adjointfields.make_theta(n, gid.a, gid.b)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(adjointfields, "generator_field", counting)
-    monkeypatch.setattr(flows, "generator_field", counting)
-    for f in ("x11", "x21", "x11*x21 + 2*x21^2"):
-        calls.clear()
-        Overshear(n=2, a=1, b=2, f=parse_poly(f, 2), t=0.5)
-        assert calls == [Theta(1, 2)], f
-    calls.clear()
-    with pytest.raises(ValueError, match="Theta\\^2"):
-        Overshear(n=2, a=1, b=2, f=parse_poly("x12", 2), t=0.5)
-    assert len(calls) == 1
+    for name in ("generator_field", "commutator_field", "make_theta"):
+        monkeypatch.setattr(adjointfields, name, counting(name, getattr(adjointfields, name)))
+    monkeypatch.setattr(adjointfields.VectorField, "apply",
+                        counting("apply", adjointfields.VectorField.apply))
+    for n in (2, 3, 4):
+        for f in ("x11", "x21", "x11*x21 + 2*x21^2", "1"):
+            Overshear(n=n, a=1, b=2, f=parse_poly(f, n), t=0.5)
+        with pytest.raises(ValueError, match="Theta\\^2"):
+            Overshear(n=n, a=1, b=2, f=parse_poly("x12", n), t=0.5)
+    assert calls == []
+
+
+def _random_poly(rng, n, terms=4, degree=3):
+    from specball.polyring import Monomial
+    out = Polynomial.zero(n * n)
+    for _ in range(terms):
+        powers = {}
+        for _ in range(int(rng.integers(0, degree + 1))):
+            v = int(rng.integers(0, n * n))
+            powers[v] = powers.get(v, 0) + 1
+        out = out + Polynomial.from_monomial(n * n, Monomial(powers.items()),
+                                             int(rng.integers(-3, 4)) or 1)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_theta_on_exponent_tuples_matches_the_generator_field(n):
+    # the exponent-tuple Theta_ab, the flow's own, against the Polynomial
+    # field of adjointfields, on random f (most fail Theta^2 f = 0) and on
+    # every coefficient that passes, through Overshear.theta_f
+    rng = np.random.default_rng(50 + n)
+    for _ in range(60):
+        a, b = (int(x) for x in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        field = generator_field(n, Theta(a, b))
+        f = _random_poly(rng, n)
+        moves = flows._theta_moves(n, a, b)
+        tf = flows._theta(flows._exponents(f), moves)
+        want = field.apply(f)
+        assert tf == flows._exponents(want)
+        assert (flows._theta(tf, moves) == {}) == field.apply(want).is_zero()
+        if field.apply(want).is_zero():
+            assert Overshear(n=n, a=a, b=b, f=f, t=0.5).theta_f == want
+        # an overshear coefficient x_aa (Theta_ab x_aa = x_ba, then 0)
+        g = Polynomial.x(a, a, n) * Polynomial.x(b, a, n) + Polynomial.x(a, a, n)
+        assert Overshear(n=n, a=a, b=b, f=g, t=0.5).theta_f == field.apply(g)
+
+
+def test_overshear_rejects_what_the_field_rejected():
+    from specball.adjointfields import InvalidGenerator
+    from specball.polyring import DimensionMismatch
+    for a, b in ((1, 1), (0, 2), (1, 3)):
+        with pytest.raises(InvalidGenerator, match="is not a generator id for n=2"):
+            Overshear(n=2, a=a, b=b, f=parse_poly("x11", 2), t=0.5)
+    with pytest.raises(DimensionMismatch, match="polynomial ring does not match field dimension"):
+        Overshear(n=2, a=1, b=2, f=parse_poly("x11", 3), t=0.5)
+
+
+def test_compiled_terms_evaluate_as_the_polynomial():
+    # the overshear flow evaluates compiled terms: bit for bit the values of
+    # a plain loop over the Polynomial's terms, overflow to inf included
+    def direct(f, rows):
+        n, total = len(rows), 0j
+        for mono, c in f.terms.items():
+            val = complex(c)
+            for v, e in mono.powers:
+                for _ in range(e):
+                    val *= rows[v // n][v % n]
+            total += val
+        return total
+
+    rng = np.random.default_rng(52)
+    for n in (2, 3, 4):
+        for scale in (1.0, 1e120):
+            A = (scale * sample_spectral_ball(rng, n)).tolist()
+            f = _random_poly(rng, n)
+            compiled = flows._compiled(flows._exponents(f), n)
+            assert same_complex(eval_poly_at_matrix(compiled, A), direct(f, A))
+            assert same_complex(eval_poly_at_matrix(f, A), direct(f, A))
 
 
 def test_overshear_flow_matches_dense_product():
@@ -721,6 +889,30 @@ def test_matrix_json_roundtrip():
     assert np.allclose(matrix_from_json(matrix_to_json(A)), A)
     with pytest.raises(ValueError):
         matrix_from_json([[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("data,message", [
+    (5, "matrix JSON must be an array of arrays of \\[re, im\\] pairs"),
+    ([[[1, 0, 3]]], "matrix entry \\(1, 1\\) must be an \\[re, im\\] pair of numbers"),
+    ([[[1, 0], [0, 0]], [[0, 0], [False, 0]]], "matrix entry \\(2, 2\\)"),
+    ([], "expected a square matrix"),
+    ([[]], "expected a square matrix"),
+    ([[[1, 0], [2, 0]]], "expected a square matrix"),
+    ([[[1, 0]], [[1, 0], [2, 0]]], "inhomogeneous"),           # ragged: numpy's message
+    ([[[math.inf, 0]]], "matrix entries must be finite"),
+    ([[[math.inf, 0]], [[1, 0]]], "expected a square matrix"),  # the shape is checked first
+])
+def test_matrix_from_json_errors(data, message):
+    # one pass over the cells, with the messages of the two-pass version
+    with pytest.raises(ValueError, match=message):
+        matrix_from_json(data)
+
+
+def test_matrix_from_json_values():
+    data = [[[0.5, -1], [2, 0]], [[-3, 0.25], [0, 1e-300]]]
+    A = matrix_from_json(data)
+    assert A.dtype == complex and A.shape == (2, 2)
+    assert A.tolist() == [[0.5 - 1j, 2 + 0j], [-3 + 0.25j, 1e-300j]]
 
 
 def test_word_json():
