@@ -164,14 +164,46 @@ def commutator_field(B: list[list[int]]) -> VectorField:
     return VectorField(n, comps)
 
 
+@functools.cache
+def generator_moves(n: int, gid: GeneratorId) -> tuple[tuple[int, int, int], ...]:
+    """The one table of a generator's action: moves (v, w, k), each the term
+    k x_w d/dx_v, read off B = `generator_matrix(n, gid)` (an invalid id
+    raises InvalidGenerator), Xi_a's x_pp d/dx_pp as cancelling pairs.  Its
+    oracle is `commutator_field`, which builds the field by its own formula."""
+    B = generator_matrix(n, gid)
+    moves = []
+    for p in range(n):
+        for q in range(n):
+            if B[p][q]:
+                moves += [(p * n + j, q * n + j, B[p][q]) for j in range(n)]
+                moves += [(i * n + q, i * n + p, -B[p][q]) for i in range(n)]
+    return tuple(moves)
+
+
+def apply_moves(terms: dict, moves: tuple) -> dict:
+    """The derivation `moves` applied exactly to a polynomial given as
+    {exponent tuple: coefficient}; terms that cancel are dropped."""
+    out = {}
+    for mono, c in terms.items():
+        for v, w, k in moves:
+            e = mono[v]
+            if e:
+                m = list(mono)
+                m[v] = e - 1
+                m[w] += 1
+                m = tuple(m)
+                out[m] = out.get(m, 0) + k * e * c
+    return {m: c for m, c in out.items() if c}
+
+
 def make_theta(n: int, a: int, b: int) -> VectorField:
-    """Theta_ab, the commutator field of E_ab."""
-    return commutator_field(generator_matrix(n, Theta(a, b)))
+    """Theta_ab, the commutator field of E_ab (`generator_field`)."""
+    return generator_field(n, Theta(a, b))
 
 
 def make_xi(n: int, a: int) -> VectorField:
-    """Xi_a, the commutator field of H_a = E_aa - E_{a+1,a+1}."""
-    return commutator_field(generator_matrix(n, Xi(a)))
+    """Xi_a, the commutator field of H_a = E_aa - E_{a+1,a+1} (`generator_field`)."""
+    return generator_field(n, Xi(a))
 
 
 @functools.cache

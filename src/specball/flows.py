@@ -18,10 +18,10 @@ public function returns.  The atoms, `apply_atom` and the flows of
 Moebius maps and SL_n conjugations solve their linear systems by
 Gauss-Jordan elimination on the rows.
 
-Automorphism atoms: overshear/shear conjugations exp(s E_ab) with the
-exact nilpotent exponential I + s E_ab (Theta_ab f and the test
-Theta_ab^2 f = 0 exact on exponent tuples, f and Theta_ab f compiled once
-for evaluation), Moebius transformations
+Automorphism atoms: overshear/shear conjugations exp(s E_ab) with the exact
+nilpotent exponential I + s E_ab (Theta_ab f and the test Theta_ab^2 f = 0
+exact on exponent tuples, by `adjointfields.generator_moves`; f and
+Theta_ab f compiled once for evaluation), Moebius transformations
 A -> gamma (A - alpha I)(I - conj(alpha) A)^{-1}, transposition, and
 explicit SL_n conjugations.  `word_trajectory` evaluates a word atom by
 atom.  A field value B A - A B takes B from `generator_matrix`.
@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .adjointfields import GeneratorId, Theta, generator_matrix
+from .adjointfields import GeneratorId, Theta, apply_moves, generator_matrix, generator_moves
 from .polyring import DimensionMismatch, Monomial, Polynomial, PolyParseError, parse_poly
 
 
@@ -436,35 +436,10 @@ def eval_poly_at_matrix(f: Polynomial | Compiled, A: Matrix | list) -> complex:
 
 
 @functools.cache
-def _theta_moves(n: int, a: int, b: int) -> tuple[tuple[int, int, int], ...]:
-    """Theta_ab as moves (v, w, k), each the term k x_w d/dx_v, read off
-    B = `generator_matrix(n, Theta(a, b))`: the d/dx_ij coefficient of the
-    field is sum_p (B_ip x_pj - x_ip B_pj).  An invalid id raises
-    InvalidGenerator, as `generator_matrix` does."""
-    B = generator_matrix(n, Theta(a, b))
-    moves = []
-    for p in range(n):
-        for q in range(n):
-            if B[p][q]:
-                moves += [(p * n + j, q * n + j, B[p][q]) for j in range(n)]
-                moves += [(i * n + q, i * n + p, -B[p][q]) for i in range(n)]
-    return tuple(moves)
-
-
-def _theta(terms: dict, moves: tuple) -> dict:
-    """Theta f, exactly, for f given as {exponent tuple: coefficient} and
-    Theta as `_theta_moves`; terms that cancel are dropped."""
-    out = {}
-    for mono, c in terms.items():
-        for v, w, k in moves:
-            e = mono[v]
-            if e:
-                m = list(mono)
-                m[v] = e - 1
-                m[w] += 1
-                m = tuple(m)
-                out[m] = out.get(m, 0) + k * e * c
-    return {m: c for m, c in out.items() if c}
+def _overshear_moves(n: int, a: int, b: int) -> tuple[tuple[int, int, int], ...]:
+    """`generator_moves(n, Theta(a, b))`, cached by plain ints: keying by
+    the Theta id builds and hashes a dataclass per atom, 7-10x the cost."""
+    return generator_moves(n, Theta(a, b))
 
 
 @dataclass(frozen=True)
@@ -474,7 +449,7 @@ class Overshear:
     The flow is the conjugation by exp(s E_ab) = I + s E_ab with
     s = epsilon(t * (Theta_ab f)(A)) * t * f(A); for shears (Theta_ab f = 0)
     this collapses to s = t f(A).  Theta_ab f and the test Theta_ab^2 f = 0
-    are exact, by `_theta` on exponent tuples, and f and Theta_ab f are
+    are exact, by `apply_moves` on exponent tuples, and f and Theta_ab f are
     compiled once for `eval_poly_at_matrix`.
     """
     n: int
@@ -488,12 +463,12 @@ class Overshear:
     def __post_init__(self):
         if not cmath.isfinite(self.t):
             raise ValueError("overshear 't' must be finite")
-        moves = _theta_moves(self.n, self.a, self.b)
+        moves = _overshear_moves(self.n, self.a, self.b)
         if self.f.nvars != self.n * self.n:
             raise DimensionMismatch("polynomial ring does not match field dimension")
         f = _exponents(self.f)
-        tf = _theta(f, moves)
-        if _theta(tf, moves):
+        tf = apply_moves(f, moves)
+        if apply_moves(tf, moves):
             raise ValueError("coefficient fails the overshear test Theta^2(f) = 0")
         object.__setattr__(self, "_f_terms", _compiled(f, self.n))
         object.__setattr__(self, "_theta_terms", _compiled(tf, self.n))
@@ -502,7 +477,7 @@ class Overshear:
     def theta_f(self) -> Polynomial:
         """Theta_ab f as a Polynomial, recomputed; the flow reads the
         compiled terms."""
-        tf = _theta(_exponents(self.f), _theta_moves(self.n, self.a, self.b))
+        tf = apply_moves(_exponents(self.f), _overshear_moves(self.n, self.a, self.b))
         return Polynomial(self.f.nvars, {Monomial(enumerate(m)): c for m, c in tf.items()})
 
 

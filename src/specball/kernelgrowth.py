@@ -4,8 +4,8 @@ A degree-preserving derivation is determined by a linear action on the
 variables, so it is stored as the entries of a matrix A with
 D(x_j) = sum_i A[i,j] x_i, each an `int` when integral and a `Fraction` only
 when a denominator remains (the polyring convention).  Restriction to the
-degree-m slice is the induced Leibniz action on monomials, a
-`linalg.SparseMatrix` whose rows are integer for every integral derivation.
+degree-m slice is the induced Leibniz action (`adjointfields.apply_moves`),
+a `linalg.SparseMatrix` whose rows are integer for every integral derivation.
 
 `kernel_dim_with_method` gives dim ker D and dim ker D^2 on every slice of
 degree 0..m_max from weight counts, once the linear matrix is verified to be
@@ -31,9 +31,9 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from .adjointfields import VectorField, make_theta, make_xi
+from .adjointfields import VectorField, apply_moves, make_theta, make_xi
 from .linalg import SparseMatrix
-from .polyring import GradingError, HomSliceBasis, Monomial, exact_coefficient
+from .polyring import GradingError, HomSliceBasis, exact_coefficient
 
 
 class LinearDerivation:
@@ -94,18 +94,12 @@ class LinearDerivation:
         """Matrix of the induced action on the degree-m slice, indexed by
         `HomSliceBasis(nvars, m)`."""
         basis = HomSliceBasis(self.nvars, m)
-        by_col: dict[int, list[tuple[int, int | Fraction]]] = {}
-        for (i, j), c in self.entries.items():
-            by_col.setdefault(j, []).append((i, c))
+        moves = tuple((j, i, c) for (i, j), c in self.entries.items())
+        index = {mono.dense(self.nvars): i for i, mono in enumerate(basis.monomials)}
         rows: dict[int, dict[int, int | Fraction]] = {}
-        for col, mono in enumerate(basis.monomials):
-            for j, e in mono.powers:
-                for i, c in by_col.get(j, ()):
-                    shifted = dict(mono.powers)
-                    shifted[j] = shifted[j] - 1
-                    shifted[i] = shifted.get(i, 0) + 1
-                    row = rows.setdefault(basis.index[Monomial(shifted.items())], {})
-                    row[col] = row.get(col, 0) + e * c
+        for mono, col in index.items():
+            for image, c in apply_moves({mono: 1}, moves).items():
+                rows.setdefault(index[image], {})[col] = c
         return SparseMatrix(len(basis), len(basis), rows)
 
 

@@ -47,10 +47,12 @@ from .adjointfields import (
     Theta,
     VectorField,
     Xi,
+    apply_moves,
     bracket,
     generator_field,
     generator_ids,
     generator_matrix,
+    generator_moves,
     scale_field,
 )
 from .linalg import BlockedRowSpace, ExactRowSpace, clear_denominators
@@ -89,25 +91,19 @@ def build_seeds(n: int) -> list[Seed]:
     then each variable in flat order with each generator.  Grade 2 and
     above come from brackets of grade-1 pairs (`closure`).
 
-    Read off the matrix B = `generator_matrix(n, g)`: g acts on the matrix
-    X of coordinates as ad_B(X) = BX - XB, so g^2(x_ij) is the (i, j) entry
-    of ad_B^2(X) = B^2 X - 2 BXB + X B^2, and x_ij is a seed for g iff
-    each coefficient of x_kl there, S_ik [l = j] - 2 B_ik B_lj + [k = i] S_lj
-    with S = B^2, is 0.  `adjointfields.overshear_class` is the oracle the
-    tests compare with."""
+    x_v is a seed for g iff g's moves (`generator_moves`) applied twice to x_v
+    leave nothing; `adjointfields.overshear_class` is the oracle of the tests."""
     if n < 2:
         raise PreconditionError("n must be at least 2")
     nvars = n * n
     gens = generator_ids(n)
     seeds = [Seed(Polynomial.constant(nvars, 1), g, 0) for g in gens]
-    mats = [generator_matrix(n, g) for g in gens]
-    squares = [[[sum(B[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-               for B in mats]
-    for i, j in product(range(n), repeat=2):
-        for g, B, S in zip(gens, mats, squares):
-            if not any(S[i][k] * (l == j) - 2 * B[i][k] * B[l][j] + (k == i) * S[l][j]
-                       for k in range(n) for l in range(n)):
-                seeds.append(Seed(Polynomial.variable(nvars, i * n + j), g, 1))
+    for v in range(nvars):
+        xv = {tuple(int(u == v) for u in range(nvars)): 1}
+        for g in gens:
+            moves = generator_moves(n, g)
+            if not apply_moves(apply_moves(xv, moves), moves):
+                seeds.append(Seed(Polynomial.variable(nvars, v), g, 1))
     return seeds
 
 
@@ -251,15 +247,15 @@ class _TracelessFields:
         # Theta_ab = sum_j x_bj d/dx_aj - ..., of weight e_b - e_a; Xi_a: 0
         self.gen_weights = [self.var_weights[(g.b - 1) * n + g.a - 1] if isinstance(g, Theta)
                             else 0 for g in ids]
-        # V(x_ij) = (BX - XB)_ij on tr = 0 for the matrix B of each generator
-        # V, by the unit key of x_ij; the generator fields, components 0..nv-1
-        mats = [generator_matrix(n, g) for g in ids]
-        self.images = [{units[v]: _sum([(X[k][v % n], B[v // n][k]) for k in range(n)]
-                                       + [(X[v // n][k], -B[k][v % n]) for k in range(n)])
-                        for v in range(nv)} for B in mats]
+        # V(x_v) on tr = 0, the sum of k * x_w over the moves (v, w, k) of each
+        # generator V, by the unit key of x_v; the generator fields, components 0..nv-1
+        moves = [generator_moves(n, g) for g in ids]
+        self.images = [{units[v]: _sum((X[w // n][w % n], k) for u, w, k in mv if u == v)
+                        for v in range(nv)} for mv in moves]
         self.gens = [{m + v: c for v in range(nv) for m, c in image[units[v]].items()}
                      for image in self.images]
         # [W, V] = sum c * U, from [A_W, A_V] in the basis of the matrices
+        mats = [generator_matrix(n, g) for g in ids]
         self.structure = [[_sl_coordinates(ids, [[sum(A[i][k] * B[k][j] - B[i][k] * A[k][j]
                                                       for k in range(n)) for j in range(n)]
                                                  for i in range(n)])
@@ -706,6 +702,8 @@ def verify_identity(name: str, n: int, seed: int = 0) -> IdentityResult:
     """
     if name not in _CATALOG:
         raise KeyError(f"unknown identity {name!r}")
+    if n < 2:
+        raise ValueError(f"identity verification needs n >= 2, got n={n}")
     entry = _CATALOG[name]
     rng = random.Random(seed)
     holds = matches_printed = True

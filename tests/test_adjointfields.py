@@ -8,12 +8,15 @@ from specball.adjointfields import (
     OvershearClass,
     Theta,
     Xi,
+    VectorField,
     bracket,
+    commutator_field,
     divergence,
     emit_tables,
     generator_field,
     generator_ids,
     generator_matrix,
+    generator_moves,
     make_theta,
     make_xi,
     overshear_class,
@@ -88,6 +91,22 @@ def test_generator_matrix():
     for bad in (Theta(2, 2), Theta(0, 1), Theta(1, 4), Xi(0), Xi(3), "theta12"):
         with pytest.raises(InvalidGenerator):
             generator_matrix(3, bad)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_generator_moves_read_as_a_field_are_the_commutator_field(n):
+    # the one table of the action, each move (v, w, k) the term k x_w d/dx_v,
+    # against the independent Polynomial formula of commutator_field
+    for g in generator_ids(n):
+        moves = generator_moves(n, g)
+        comps = {}
+        for v, w, k in moves:
+            term = Polynomial.variable(n * n, w).scale(k)
+            comps[v] = comps[v] + term if v in comps else term
+        assert VectorField(n, comps) == commutator_field(generator_matrix(n, g))
+    for bad in (Theta(2, 2), Xi(n)):
+        with pytest.raises(InvalidGenerator):
+            generator_moves(n, bad)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

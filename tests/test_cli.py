@@ -89,6 +89,20 @@ def test_verify_unknown_id_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-1"])
+def test_verify_small_n_is_usage_error(capsys, n):
+    # every identity needs a Theta generator: each id, and --all, stops
+    # before any instance is built, naming n
+    from specball.liegen import identity_names
+    for selector in [["--all"]] + [["--id", name] for name in identity_names()]:
+        code = cli.main(["verify", *selector, "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2, selector
+        assert captured.out == ""
+        assert f"needs n >= 2, got n={n}" in captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 2
 

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from specball import flows
-from specball.adjointfields import Theta, Xi, generator_field, generator_ids
+from specball.adjointfields import (
+    Theta,
+    Xi,
+    apply_moves,
+    generator_field,
+    generator_ids,
+    generator_moves,
+)
 from specball.flows import (
     Conjugate,
     FibreCoordinates,
@@ -429,24 +436,30 @@ def _random_poly(rng, n, terms=4, degree=3):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_theta_on_exponent_tuples_matches_the_generator_field(n):
-    # the exponent-tuple Theta_ab, the flow's own, against the Polynomial
-    # field of adjointfields, on random f (most fail Theta^2 f = 0) and on
-    # every coefficient that passes, through Overshear.theta_f
+    # the exponent-tuple action (apply_moves on generator_moves), shared by
+    # the flow's atoms and the seeds, against the Polynomial field of
+    # adjointfields, for every generator, Xi_a included, on random f (most
+    # fail g^2 f = 0); for Theta_ab, on every coefficient that passes,
+    # through Overshear.theta_f
     rng = np.random.default_rng(50 + n)
+    gens = generator_ids(n)
     for _ in range(60):
-        a, b = (int(x) for x in rng.choice(np.arange(1, n + 1), size=2, replace=False))
-        field = generator_field(n, Theta(a, b))
+        g = gens[int(rng.integers(len(gens)))]
+        field = generator_field(n, g)
         f = _random_poly(rng, n)
-        moves = flows._theta_moves(n, a, b)
-        tf = flows._theta(flows._exponents(f), moves)
+        moves = generator_moves(n, g)
+        tf = apply_moves(flows._exponents(f), moves)
         want = field.apply(f)
         assert tf == flows._exponents(want)
-        assert (flows._theta(tf, moves) == {}) == field.apply(want).is_zero()
+        assert (apply_moves(tf, moves) == {}) == field.apply(want).is_zero()
+        if not isinstance(g, Theta):
+            continue
+        a, b = g.a, g.b
         if field.apply(want).is_zero():
             assert Overshear(n=n, a=a, b=b, f=f, t=0.5).theta_f == want
         # an overshear coefficient x_aa (Theta_ab x_aa = x_ba, then 0)
-        g = Polynomial.x(a, a, n) * Polynomial.x(b, a, n) + Polynomial.x(a, a, n)
-        assert Overshear(n=n, a=a, b=b, f=g, t=0.5).theta_f == field.apply(g)
+        h = Polynomial.x(a, a, n) * Polynomial.x(b, a, n) + Polynomial.x(a, a, n)
+        assert Overshear(n=n, a=a, b=b, f=h, t=0.5).theta_f == field.apply(h)
 
 
 def test_overshear_rejects_what_the_field_rejected():

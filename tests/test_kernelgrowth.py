@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from specball.adjointfields import make_theta, make_xi
+from specball.adjointfields import Theta, Xi, generator_field, generator_ids, make_theta, make_xi
 from specball.kernelgrowth import (
     GradingError,
     GrowthRecord,
@@ -25,7 +25,7 @@ from specball.kernelgrowth import (
     weight_kernel_table,
     xi1_weight_system,
 )
-from specball.polyring import Polynomial
+from specball.polyring import HomSliceBasis, Polynomial
 
 
 def test_restrict_theta12_n2_m1_nilpotent():
@@ -292,3 +292,49 @@ def test_rational_derivation_matches_its_double():
     assert how == "exact"
     assert rows == kernel_dim_with_method(double, 6)[0]
     assert rows == [(1, 1) if m % 2 == 0 else (0, 0) for m in range(7)]
+
+
+def _slice_matrix_by_images(apply, nvars, m):
+    """The degree-m slice matrix built column by column: the image of each
+    basis monomial under `apply`, a Polynomial derivation, read off in the
+    basis."""
+    basis = HomSliceBasis(nvars, m)
+    rows = {}
+    for col, mono in enumerate(basis.monomials):
+        for image, c in apply(Polynomial.from_monomial(nvars, mono)).terms.items():
+            rows.setdefault(basis.index[image], {})[col] = c
+    return rows
+
+
+def _linear_apply(der):
+    """D(p) = sum over the entries (i, j) of c * x_i * dp/dx_j, on Polynomials."""
+    def apply(p):
+        out = Polynomial.zero(der.nvars)
+        for (i, j), c in der.entries.items():
+            out = out + Polynomial.variable(der.nvars, i).scale(c) * p.partial(j)
+        return out
+    return apply
+
+
+@pytest.mark.parametrize("n,gids,m_max", [
+    (2, generator_ids(2), 4),
+    (3, [Theta(1, 2), Theta(1, 3), Xi(1), Xi(2)], 3),
+], ids=["n2-all", "n3"])
+def test_restrict_matches_the_field_applied_to_each_monomial(n, gids, m_max):
+    # restrict builds each column with apply_moves; the oracle applies the
+    # Polynomial field of adjointfields to each basis monomial
+    for g in gids:
+        field = generator_field(n, g)
+        for m in range(m_max + 1):
+            op = restrict(field, m)
+            assert op.nrows == op.ncols == len(HomSliceBasis(n * n, m))
+            assert op.rows == _slice_matrix_by_images(field.apply, n * n, m), (g, m)
+
+
+@pytest.mark.parametrize("der", [
+    LinearDerivation.chain(3),
+    LinearDerivation(2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(-1, 2), (1, 0): 1}),
+], ids=["chain", "rational"])
+def test_restrict_matches_the_leibniz_rule_on_each_monomial(der):
+    for m in range(5):
+        assert der.restrict(m).rows == _slice_matrix_by_images(_linear_apply(der), der.nvars, m)
