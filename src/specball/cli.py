@@ -53,6 +53,15 @@ def _report(config: dict, payload: dict) -> dict:
     return {"schema_version": SCHEMA_VERSION, "config": config, **payload}
 
 
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _report_text(report: dict) -> str:
+    """A JSON report with one top-level key per line and each value written
+    compactly.  Without `indent` json encodes in C; with it, in Python."""
+    return "{\n" + ",\n".join(f"  {_compact(k)}: {_compact(v)}" for k, v in report.items()) + "\n}"
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -113,7 +122,7 @@ def cmd_tables(args) -> int:
             text += f"\n\ngolden_match: {matched}"
         _write_output(text, args.out)
     else:
-        _write_output(json.dumps(payload, indent=2), args.out)
+        _write_output(_report_text(payload), args.out)
     if matched is False:
         return EXIT_VERIFICATION
     return EXIT_OK
@@ -141,7 +150,7 @@ def cmd_verify(args) -> int:
                  f" (matches_printed={r.matches_printed})" for r in results]
         _write_output("\n".join(lines), args.out)
     else:
-        _write_output(json.dumps(payload, indent=2), args.out)
+        _write_output(_report_text(payload), args.out)
     return EXIT_OK if all(r.holds for r in results) else EXIT_VERIFICATION
 
 
@@ -172,7 +181,7 @@ def cmd_generate(args) -> int:
             "certified": rep.certified, "complete": rep.complete,
         })
     payload = _report(config, {"degrees": degrees, "complete": result.complete})
-    _write_output(json.dumps(payload, indent=2), args.out)
+    _write_output(_report_text(payload), args.out)
     if not result.complete:
         return EXIT_RESOURCE
     if not all(d["certified"] for d in degrees):
@@ -282,7 +291,7 @@ def cmd_orbit(args) -> int:
         "in_ball": flows.in_symmetrized_polydisc(fc1),
         "fibre_drift": drift,
     })
-    _write_output(json.dumps(payload, indent=2), args.out)
+    _write_output(_report_text(payload), args.out)
     if args.check_fibre and non_moebius and drift is not None and drift >= 1e-8:
         return EXIT_VERIFICATION
     return EXIT_OK

@@ -402,9 +402,20 @@ def _exponents(f: Polynomial) -> dict:
     return {m.dense(f.nvars): c for m, c in f.terms.items()}
 
 
-def _compiled(terms: dict, n: int) -> Compiled:
-    """Exponent-tuple terms of a polynomial on n x n matrices, compiled."""
-    return tuple([(complex(c), tuple([(v // n, v % n, e) for v, e in enumerate(mono) if e]))
+def _integral(f: Polynomial) -> tuple[dict, int]:
+    """(L f as {exponent tuple: int}, L), L the least common denominator
+    of f's coefficients."""
+    L = math.lcm(*[c.denominator for c in f.terms.values()])
+    return {m.dense(f.nvars): c.numerator * (L // c.denominator)
+            for m, c in f.terms.items()}, L
+
+
+def _compiled(terms: dict, n: int, L: int = 1) -> Compiled:
+    """Exponent-tuple terms of L times a polynomial on n x n matrices,
+    compiled.  Each coefficient is c / L: for integer terms int / int is
+    correctly rounded, so it is the float of the rational coefficient, bit
+    for bit."""
+    return tuple([(complex(c / L), tuple([(v // n, v % n, e) for v, e in enumerate(mono) if e]))
                   for mono, c in terms.items()])
 
 
@@ -449,8 +460,9 @@ class Overshear:
     The flow is the conjugation by exp(s E_ab) = I + s E_ab with
     s = epsilon(t * (Theta_ab f)(A)) * t * f(A); for shears (Theta_ab f = 0)
     this collapses to s = t f(A).  Theta_ab f and the test Theta_ab^2 f = 0
-    are exact, by `apply_moves` on exponent tuples, and f and Theta_ab f are
-    compiled once for `eval_poly_at_matrix`.
+    are exact, by `apply_moves` on the integer exponent-tuple terms of L f
+    (`_integral`), and f and Theta_ab f are compiled once for
+    `eval_poly_at_matrix`.
     """
     n: int
     a: int
@@ -466,12 +478,12 @@ class Overshear:
         moves = _overshear_moves(self.n, self.a, self.b)
         if self.f.nvars != self.n * self.n:
             raise DimensionMismatch("polynomial ring does not match field dimension")
-        f = _exponents(self.f)
+        f, L = _integral(self.f)
         tf = apply_moves(f, moves)
         if apply_moves(tf, moves):
             raise ValueError("coefficient fails the overshear test Theta^2(f) = 0")
-        object.__setattr__(self, "_f_terms", _compiled(f, self.n))
-        object.__setattr__(self, "_theta_terms", _compiled(tf, self.n))
+        object.__setattr__(self, "_f_terms", _compiled(f, self.n, L))
+        object.__setattr__(self, "_theta_terms", _compiled(tf, self.n, L))
 
     @property
     def theta_f(self) -> Polynomial:
@@ -530,24 +542,24 @@ def overshear_flow(atom: Overshear, A: Matrix | Rows, t: complex | None = None) 
     form: left multiplication by I + s E_ab adds s times row b to row a,
     and right multiplication by I - s E_ab then subtracts s times column a
     of that product from column b.  Since a != b, E_ab^2 = 0 and this is
-    the whole product.  For a shear (Theta_ab f = 0), s = t f(A) exactly.
+    the whole product.  Each output row is built once: row a new, the
+    others copied.  For a shear (Theta_ab f = 0), s = t f(A) exactly.
     """
     array = isinstance(A, np.ndarray)
-    if array:
-        X = _rows(A, atom.n)
-    elif len(A) != atom.n:
+    X = _rows(A, atom.n) if array else A
+    if len(X) != atom.n:
         raise ValueError(f"expected a {atom.n}x{atom.n} matrix")
-    else:
-        X = [row[:] for row in A]
     tt = atom.t if t is None else t
     s = tt * eval_poly_at_matrix(atom._f_terms, X)
     if atom._theta_terms:
         s *= epsilon(tt * eval_poly_at_matrix(atom._theta_terms, X))
     a, b = atom.a - 1, atom.b - 1
-    X[a] = [x + s * y for x, y in zip(X[a], X[b])]
-    for row in X:
+    out = []
+    for i, row in enumerate(X):
+        row = [x + s * y for x, y in zip(row, X[b])] if i == a else row[:]
         row[b] -= s * row[a]
-    return np.array(X, dtype=complex) if array else X
+        out.append(row)
+    return np.array(out, dtype=complex) if array else out
 
 
 def moebius(atom: Moebius, A: Matrix | Rows) -> Matrix | Rows:
@@ -705,14 +717,18 @@ def sample_spectral_ball(rng: np.random.Generator, n: int) -> Matrix:
 
 
 def matrix_to_json(A: Matrix) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(A, dtype=complex)]
+    """Rows of [re, im] pairs of floats, read off a C-ordered complex copy
+    viewed as floats, not entry by entry."""
+    A = np.ascontiguousarray(A, dtype=complex)
+    return A.view(float).reshape(*A.shape, 2).tolist()
 
 
 def matrix_from_json(data) -> Matrix:
     """A matrix from a JSON array of rows of [re, im] pairs of numbers; a
     cell of any other form is refused, named by its row and column.  Each
-    cell is checked and converted once; a matrix that is not square or not
-    finite is refused as `as_matrix` refuses it."""
+    cell is checked and converted once; then a matrix that is not square
+    (also one with rows of different lengths) or not finite is refused,
+    with the messages of `_rows`."""
     if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
         raise ValueError("matrix JSON must be an array of arrays of [re, im] pairs")
     rows = []
@@ -724,8 +740,10 @@ def matrix_from_json(data) -> Matrix:
             out.append(complex(cell[0], cell[1]))
         rows.append(out)
     n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows) or not _finite(rows):
-        as_matrix(rows)     # raises the ValueError that names the fault
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("expected a square matrix")
+    if not _finite(rows):
+        raise ValueError("matrix entries must be finite")
     return np.array(rows, dtype=complex)
 
 
@@ -787,7 +805,9 @@ def atom_from_json(obj: dict, n: int) -> AutomorphismAtom:
     if kind == "transpose":
         return Transpose()
     try:
-        G = as_matrix(matrix_from_json(body["G"]), n)
+        G = matrix_from_json(body["G"])
+        if len(G) != n:
+            raise ValueError(f"expected a {n}x{n} matrix")
     except ValueError as exc:
         raise ValueError(f"conjugate 'G': {exc}") from exc
     return Conjugate(G)

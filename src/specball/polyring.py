@@ -518,6 +518,6 @@ def parse_poly(text: str, n: int) -> Polynomial:
                 continue
             break
         mono = Monomial(powers.items())
-        terms[mono] = terms.get(mono, 0) + coeff
+        terms[mono] = terms[mono] + coeff if mono in terms else coeff
         pos = skip_ws(pos)
-    return Polynomial(nvars, terms)
+    return Polynomial._of(nvars, {m: c for m, c in terms.items() if c})

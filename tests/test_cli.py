@@ -364,6 +364,8 @@ def test_orbit_outside_ball_is_precondition_error(capsys, orbit_files):
      "conjugate 'G': matrix entry (2, 2)"),
     ([{"conjugate": {"G": [[[1, 0], ["0", 0]], [[0, 0], [1, 0]]]}}],
      "conjugate 'G': matrix entry (1, 2)"),
+    # rows of different lengths
+    ([{"conjugate": {"G": [[[1, 0], [0, 0]], [[0, 0]]]}}], "conjugate 'G': expected a square matrix"),
 ])
 def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word, field):
     mat = orbit_files[0]
@@ -391,6 +393,17 @@ def test_orbit_malformed_matrix_cell_is_usage_error(capsys, orbit_files, tmp_pat
     assert code == 2
     assert captured.out == ""
     assert f"matrix entry {entry} must be an [re, im] pair of numbers" in captured.err
+
+
+def test_orbit_ragged_matrix_is_usage_error(capsys, orbit_files, tmp_path):
+    # rows of different lengths are refused as not square, not with numpy's message
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0]]]))
+    code = cli.main(["orbit", "--word", str(orbit_files[3]), "--matrix", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip() == "error: expected a square matrix"
 
 
 def test_orbit_overflow_in_a_valid_word_is_numeric_error(capsys, tmp_path):
@@ -476,3 +489,39 @@ def test_reports_carry_config_echo(capsys):
     payload = json.loads(out)
     assert payload["schema_version"] == 1
     assert payload["config"]["n"] == 2 and payload["config"]["max_degree"] == 1
+
+
+def test_reports_use_the_c_encoder(capsys, orbit_files, monkeypatch):
+    # json's pure-Python encoder, which `indent` selects, is never reached;
+    # each report puts one top-level key per line, and an orbit report
+    # parses to the values of the flows API for the same word
+    def python_encoder(*args, **kwargs):
+        raise AssertionError("report written by json's pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+    mat, word, bad, empty = orbit_files
+    orbit = ["orbit", "--word", str(word), "--matrix", str(mat), "--check-fibre"]
+    reports = {}
+    for argv in (["generate", "--n", "2", "--max-degree", "1"], ["tables", "--n", "3"],
+                 ["verify", "--n", "2", "--all"], orbit):
+        code, out = run(capsys, argv)
+        assert code == 0, argv
+        assert out.startswith('{\n  "schema_version": 1,\n  "config": {'), argv
+        lines = out.splitlines()
+        report = json.loads(out)
+        assert len(lines) == len(report) + 2 and lines[-1] == "}"
+        reports[argv[0]] = report
+
+    A = matrix_from_json(json.loads(mat.read_text()))
+    points = list(flows.word_trajectory(flows.word_from_json(json.loads(word.read_text()), 2), A))
+    pi0, pi1 = flows.char_poly(A).pi, flows.char_poly(points[-1]).pi
+    assert reports["orbit"] == {
+        "schema_version": 1,
+        "config": {"command": "orbit", "word": str(word), "matrix": str(mat),
+                   "check_fibre": True},
+        "n": 2,
+        "result": matrix_to_json(points[-1]),
+        "trajectory": [matrix_to_json(P) for P in points],
+        "in_ball": True,
+        "fibre_drift": float(np.max(np.abs(np.array(pi1) - np.array(pi0)))),
+    }

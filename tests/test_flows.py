@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -495,6 +496,36 @@ def test_compiled_terms_evaluate_as_the_polynomial():
             assert same_complex(eval_poly_at_matrix(f, A), direct(f, A))
 
 
+@pytest.mark.parametrize("n,a,b,text", [
+    (3, 1, 2, "1/2*x21 - 2/3*x21*x13 + 3*x23"),
+    (3, 1, 2, "1/3*x11 - 5/6*x21*x22 + 7/4"),
+    # L = 63 and a numerator above 2^53, where float(L c) / L rounds twice
+    # and misses the nearest float by one ulp
+    (3, 1, 2, "1152921504606846985/9*x23 - 1/7*x11*x21 + 5/9*x21"),
+    (4, 2, 3, "1/10*x32*x22 - 3/7*x33 + 1/3"),
+])
+def test_overshear_compiles_rational_coefficients_on_integers(n, a, b, text):
+    # f and Theta_ab f run on integer terms of L f; each compiled coefficient
+    # is the float of the rational coefficient, bit for bit, and theta_f is
+    # the field's value
+    f = parse_poly(text, n)
+    atom = Overshear(n=n, a=a, b=b, f=f, t=0.5)
+    tf = generator_field(n, Theta(a, b)).apply(f)
+    assert atom.theta_f == tf
+    for g, compiled in ((f, atom._f_terms), (tf, atom._theta_terms)):
+        want = {tuple((v // n, v % n, e) for v, e in mono.powers): complex(c)
+                for mono, c in g.terms.items()}
+        assert any(type(c) is Fraction for c in g.terms.values())
+        assert {factors: repr(c) for c, factors in compiled} == \
+            {factors: repr(c) for factors, c in want.items()}
+
+
+def test_overshear_rational_coefficient_failing_the_test_is_refused():
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="coefficient fails the overshear test Theta\\^2\\(f\\) = 0"):
+            Overshear(n=n, a=1, b=2, f=parse_poly("1/3*x12 - 2/5*x21 + 1/2", n), t=0.5)
+
+
 def test_overshear_flow_matches_dense_product():
     # rank-one row/column update against (I + s E_ab) A (I - s E_ab)
     rng = np.random.default_rng(30)
@@ -904,6 +935,22 @@ def test_matrix_json_roundtrip():
         matrix_from_json([[1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize("make", [
+    lambda A: A, lambda A: A.T, lambda A: A[::2, ::2], lambda A: A.real.copy(),
+    lambda A: np.arange(-8, 8).reshape(4, 4),
+], ids=["c-ordered", "transposed", "strided", "real", "int"])
+def test_matrix_to_json_matches_per_entry_conversion(make):
+    # the whole-array conversion against the per-entry one, bit for bit
+    # (floats compared by repr, so -0.0 and 0.0 differ)
+    A = np.array([[-0.0, 5e-324, 1e300, 0.5], [1 - 0.0j, -5e-324j, -1e300 + 2j, 3],
+                  [7j, -0.0 - 0.0j, 2.5, 1e-300], [4, 5, 6, -7]], dtype=complex)
+    A = make(A)
+    want = [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(A, dtype=complex)]
+    got = matrix_to_json(A)
+    assert repr(got) == repr(want)
+    assert all(type(x) is float for row in got for cell in row for x in cell)
+
+
 @pytest.mark.parametrize("data,message", [
     (5, "matrix JSON must be an array of arrays of \\[re, im\\] pairs"),
     ([[[1, 0, 3]]], "matrix entry \\(1, 1\\) must be an \\[re, im\\] pair of numbers"),
@@ -911,7 +958,7 @@ def test_matrix_json_roundtrip():
     ([], "expected a square matrix"),
     ([[]], "expected a square matrix"),
     ([[[1, 0], [2, 0]]], "expected a square matrix"),
-    ([[[1, 0]], [[1, 0], [2, 0]]], "inhomogeneous"),           # ragged: numpy's message
+    ([[[1, 0]], [[1, 0], [2, 0]]], "expected a square matrix"),  # ragged
     ([[[math.inf, 0]]], "matrix entries must be finite"),
     ([[[math.inf, 0]], [[1, 0]]], "expected a square matrix"),  # the shape is checked first
 ])
