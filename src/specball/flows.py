@@ -338,13 +338,15 @@ def poly_roots(monic: Sequence[complex]) -> np.ndarray:
     return np.array(z + [0j] * zeros_at_origin, dtype=complex)
 
 
+def _root_radius(monic: Sequence[complex]) -> float:
+    """The largest modulus of a root of a monic polynomial; 0.0 without roots."""
+    roots = poly_roots(monic)
+    return float(np.abs(roots).max()) if len(roots) else 0.0
+
+
 def spectral_radius(A: Matrix) -> float:
     """Modulus of the largest eigenvalue, via characteristic-polynomial roots."""
-    fc = char_poly(A)
-    roots = poly_roots(fc.monic_coefficients())
-    if len(roots) == 0:
-        return 0.0
-    return float(np.abs(roots).max())
+    return _root_radius(char_poly(A).monic_coefficients())
 
 
 def in_spectral_ball(A: Matrix) -> bool:
@@ -354,10 +356,7 @@ def in_spectral_ball(A: Matrix) -> bool:
 def in_symmetrized_polydisc(p: FibreCoordinates) -> bool:
     """True when all roots of the associated monic polynomial lie in the
     open unit disc."""
-    roots = poly_roots(p.monic_coefficients())
-    if len(roots) == 0:
-        return True
-    return bool(np.abs(roots).max() < 1.0)
+    return _root_radius(p.monic_coefficients()) < 1.0
 
 
 # ---------------------------------------------------------------------------

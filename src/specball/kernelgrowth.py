@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from math import comb
 
 from .adjointfields import VectorField, apply_moves, make_theta, make_xi
 from .linalg import SparseMatrix
-from .polyring import GradingError, HomSliceBasis, exact_coefficient
+from .polyring import GradingError, exact_coefficient
 
 
 class LinearDerivation:
@@ -83,24 +83,18 @@ class LinearDerivation:
             entries[(i + 2, j + 2)] = c
         return LinearDerivation(self.nvars + 2, entries)
 
-    def matrix(self) -> SparseMatrix:
-        """The linear matrix A, with D(x_j) = sum_i A[i,j] x_i."""
-        rows: dict[int, dict[int, int | Fraction]] = {}
-        for (i, j), c in self.entries.items():
-            rows.setdefault(i, {})[j] = c
-        return SparseMatrix(self.nvars, self.nvars, rows)
-
     def restrict(self, m: int) -> SparseMatrix:
-        """Matrix of the induced action on the degree-m slice, indexed by
-        `HomSliceBasis(nvars, m)`."""
-        basis = HomSliceBasis(self.nvars, m)
+        """Matrix of the induced action on the degree-m slice, indexed in the
+        order of `HomSliceBasis(nvars, m)`, by degree-m exponent tuples."""
+        nvars = self.nvars
         moves = tuple((j, i, c) for (i, j), c in self.entries.items())
-        index = {mono.dense(self.nvars): i for i, mono in enumerate(basis.monomials)}
+        index = {tuple(map(combo.count, range(nvars))): i
+                 for i, combo in enumerate(combinations_with_replacement(range(nvars), m))}
         rows: dict[int, dict[int, int | Fraction]] = {}
         for mono, col in index.items():
             for image, c in apply_moves({mono: 1}, moves).items():
                 rows.setdefault(index[image], {})[col] = c
-        return SparseMatrix(len(basis), len(basis), rows)
+        return SparseMatrix(len(index), len(index), rows)
 
 
 def restrict(v: VectorField, m: int) -> SparseMatrix:
@@ -143,8 +137,9 @@ def kernel_dim_with_method(der: LinearDerivation,
 
 def jordan_type(der: LinearDerivation) -> list[int] | None:
     """Jordan block sizes (descending) of the linear matrix when it is
-    nilpotent, from the ranks of its powers; None when it is not nilpotent."""
-    mat = der.matrix()
+    nilpotent, from the ranks of its powers; None when it is not nilpotent.
+    The linear matrix is the degree-1 slice matrix, the variables in order."""
+    mat = der.restrict(1)
     ranks = [der.nvars]
     power = mat
     while ranks[-1] > 0:
@@ -399,8 +394,6 @@ def jet_inequality(n: int, k: int, m_max: int, cumulative: bool = False) -> JetR
             crossover = m
         else:
             break
-    if crossover is not None and not rows[crossover].holds:
-        crossover = None
     return JetReport(n=n, k=k, cumulative=cumulative, rows=rows, crossover_m=crossover)
 
 

@@ -28,9 +28,11 @@ is the pair count minus the relation rank; reports carry both numbers.
 
 Every generator field, seed, bracket and pair is homogeneous for the
 weights of the diagonal torus of SL_n (x_ij has weight e_i - e_j), and so
-is every relation, because X^k commutes with X.  The echelon therefore
-splits into weight blocks, and a bracket that lands in a block already at
-full rank is skipped, not computed (`closure`).
+is every relation, because X^k commutes with X.  The echelon is therefore
+one `linalg.ModularRowSpace` graded by weight: a bracket that lands in a
+block already at full rank is skipped, not computed, a grade stops once no
+block is open, and only the open blocks are scanned for missing witnesses
+(`closure`, `_certify_degree`).
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ from .adjointfields import (
     generator_moves,
     scale_field,
 )
-from .linalg import BlockedRowSpace, ExactRowSpace, clear_denominators
+from .linalg import ExactRowSpace, ModularRowSpace, clear_denominators
 from .polyring import (
     GradingError,
     HomSliceBasis,
@@ -322,7 +324,14 @@ class _PairBrackets:
         [h*W, f*V] = f*V(h)*W - h*W(f)*V + f*h*[W, V],
 
     with V(h) and W(f) taken on tr = 0 (`_TracelessFields.images`) and
-    [W, V] from the structure constants of `generator_matrix`."""
+    [W, V] from the structure constants of `generator_matrix`.
+
+    W(f) is summed here by the Leibniz rule on packed keys, not through
+    `adjointfields.apply_moves`: that works on exponent tuples over all n^2
+    variables, so W(f) would keep its x_nn terms, while the substitution
+    x_nn = -(x_11 + ... + x_{n-1,n-1}) of tr = 0 lives in `ring.images`.
+    `test_vector_bracket_matches_polynomial_bracket` checks the closed form
+    against `adjointfields.bracket` of the two pair fields."""
 
     def __init__(self, ring: _TracelessFields, e: int, d: int):
         nv = self.nv = ring.nv
@@ -405,13 +414,15 @@ def closure(seeds: list[Seed], max_degree: int,
     both have grade 1); it runs only when grades 1 and d - 1 are certified,
     because only then are these pairs in the Lie algebra.  `spans[d]` lists
     the kept vectors B: each is a pair-coordinate representative of a field
-    in the algebra, and a grade stops once B and Rel have full rank.
+    in the algebra, and a grade stops once B and Rel have full rank, that is
+    once no weight block is open.
 
     Weight blocks.  Every pair, relation and bracket is homogeneous for the
     sl_n torus weight (`_TracelessFields.var_weights`), so the echelon is
-    one `BlockedRowSpace` keyed by pair weight.  A bracket's weight, the sum
-    of its operands' weights, is known before it is taken; when that block
-    already has the rank of its pair count, the bracket is skipped
+    one `ModularRowSpace` graded by pair weight, and its `open_blocks` are
+    the weights still below the rank of their pair count.  A bracket's
+    weight, the sum of its operands' weights, is known before it is taken;
+    when that block is not open, the bracket is skipped
     (`brackets_skipped`), which loses nothing.  Soundness does not rest on
     the prediction: a kept vector goes to the block its own coordinates
     name (across two blocks it raises `GradingError`).
@@ -443,8 +454,6 @@ def closure(seeds: list[Seed], max_degree: int,
         relations = ring.relations(d)
         space = _relation_blocks(relations, pairs, weights)
         relation_rank = space.rank
-        sizes = Counter(weights)
-        open_blocks = {w for w, size in sizes.items() if space.block_rank(w) < size}
         kept = spans[d] = []
         weighted: list[tuple[int, dict[int, int]]] = []     # (weight, vector) of each kept
         queue: list = []     # grades 0-1: iterated while it grows
@@ -456,10 +465,8 @@ def closure(seeds: list[Seed], max_degree: int,
             if not vec or not space.insert(vec):
                 return
             kept.append(vec)
-            w = weights[next(iter(vec))]
-            if space.block_rank(w) == sizes[w]:
-                open_blocks.discard(w)
             if d <= 1:
+                w = weights[next(iter(vec))]
                 queue.extend((u, (w, vec)) for u in (grade0 if d else weighted))
                 weighted.append((w, vec))
 
@@ -477,9 +484,9 @@ def closure(seeds: list[Seed], max_degree: int,
                 keep({brackets.offset[m] + gi: c for m, c in ring.restrict(s.coefficient).items()})
 
         evaluated = skipped = 0
-        target = len(pairs)
+        open_blocks = space.open_blocks
         for (wu, u), (wx, x) in candidates:
-            if space.rank == target:
+            if not open_blocks:
                 break
             if wu + wx not in open_blocks:
                 skipped += 1
@@ -507,18 +514,18 @@ def closure(seeds: list[Seed], max_degree: int,
 
 
 def _relation_blocks(relations: list[dict[int, int]], pairs: list[dict[int, int]],
-                     pair_weights: list[int]) -> BlockedRowSpace:
-    """The relations r whose image sum_i r_i * pairs[i] is exactly 0, in
-    mod-p echelons by the weight of their pairs; a relation that failed the
-    check would not enter the rank."""
-    space = BlockedRowSpace(CLOSURE_PRIME, pair_weights)
+                     pair_weights: list[int]) -> ModularRowSpace:
+    """The relations r whose image sum_i r_i * pairs[i] is exactly 0, in a
+    mod-p echelon graded by the weight of their pairs; a relation that
+    failed the check would not enter the rank."""
+    space = ModularRowSpace(CLOSURE_PRIME, pair_weights)
     for r in relations:
         if not _sum((pairs[i], c) for i, c in r.items()):
             space.insert(r)
     return space
 
 
-def _certify_degree(n: int, d: int, space: BlockedRowSpace, relation_rank: int,
+def _certify_degree(n: int, d: int, space: ModularRowSpace, relation_rank: int,
                     relation_count: int, operands_ok: bool, evaluated: int, skipped: int,
                     complete: bool) -> DegreeReport:
     """The pair-coordinate certificate of a grade.
@@ -539,18 +546,21 @@ def _certify_degree(n: int, d: int, space: BlockedRowSpace, relation_rank: int,
     lost mod p (rank_p(Rel) = |Rel|), rank T_d = |F_d| - rank_p(Rel)
     (`sl_rank`).  The grade is certified when both hold.  Otherwise
     rank_p(B + Rel) bounds nothing, and the pair unit vectors outside
-    span(B + Rel) mod p are listed as unproven in `missing_witnesses`.
+    span(B + Rel) mod p are listed as unproven in `missing_witnesses`; only
+    the blocks still open can hold one.
     """
-    target = len(space.block_of)
-    certified = operands_ok and space.rank == target and relation_rank == relation_count
+    block_of, open_blocks = space.block_of, space.open_blocks
+    target = len(block_of)
+    certified = operands_ok and not open_blocks and relation_rank == relation_count
     missing = []
-    if space.rank < target:
+    if open_blocks:
         nv = n * n - 1
         gens = generator_ids(n)
         monos = list(slice_monomials(nv, d))
         missing = [f"{format_poly(Polynomial.from_monomial(n * n, monos[i // nv]))} * "
                    f"{gens[i % nv].label()}"
-                   for i in range(target) if not space.contains({i: 1})]
+                   for i in range(target)
+                   if block_of[i] in open_blocks and not space.contains({i: 1})]
     return DegreeReport(
         n=n, grade=d, method="pair-coordinate",
         operands="seeds" if d <= 1 else "T_1 x T_{d-1}",

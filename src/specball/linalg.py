@@ -4,11 +4,12 @@ Row spaces are kept in echelon form keyed by pivot column.  Exact rows are
 primitive integer vectors (denominators cleared, gcd divided out), so all
 reductions stay in arbitrary-precision integers; the kernel oracle and the
 cross-image check rank with them.  The modular variant keeps a reduced
-echelon over F_p.  The bracket closure keeps its vectors and relations in
-it, because its rank is the lower bound a one-prime certificate needs
-(integer vectors independent mod p are independent over Q, while a vector
-it rejects may still be new over Q).  `BlockedRowSpace` splits such an
-echelon by a grading of the columns, one `ModularRowSpace` per block.
+echelon over F_p, split by a grading of the columns into blocks that share
+no column, and tracks which blocks are below full rank.  The bracket closure
+keeps its vectors and relations in it, graded by sl_n weight, because its
+rank is the lower bound a one-prime certificate needs (integer vectors
+independent mod p are independent over Q, while a vector it rejects may
+still be new over Q).
 
 `SparseMatrix` is the kernel oracle's slice matrix: integer rows (a
 `Fraction` only where the derivation has a denominator), multiplied row by
@@ -17,6 +18,7 @@ row, with rank and nullity from the exact echelon.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
@@ -96,18 +98,38 @@ class ExactRowSpace:
 
 
 class ModularRowSpace:
-    """Reduced row echelon over F_p: each row has a unit pivot at its first
-    column and is zero at every other row's pivot.  Reducing a vector is
-    then one pass over its pivot columns, with no fill-in at other pivots;
-    an insert clears its pivot column from the rows already kept."""
+    """Reduced row echelon over F_p, split by a grading of the columns:
+    `block_of[col]` is the block of each column (`[0] * ncols` is one block).
 
-    def __init__(self, p: int):
+    Each row has a unit pivot at its first column and is zero at every other
+    row's pivot, so reducing a vector is one pass over its pivot columns,
+    with no fill-in at other pivots.  A vector goes to the block of its
+    columns, and one whose columns lie in two blocks raises `GradingError`.
+    Rows of different blocks share no column, so an insert clears its pivot
+    column only from the rows of its own block.  `open_blocks`, the blocks
+    whose rank is below their column count, is kept up to date on insert."""
+
+    def __init__(self, p: int, block_of: Sequence[int]):
         self.p = p
-        self.rows: dict[int, dict[int, int]] = {}   # pivot column -> row
+        self.block_of = block_of
+        self.rows: dict[int, dict[int, int]] = {}          # pivot column -> row
+        self.blocks: dict[int, list[dict[int, int]]] = {}  # block -> its rows
+        self.sizes = Counter(block_of)                     # block -> column count
+        self.open_blocks = set(self.sizes)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def block_rank(self, block: int) -> int:
+        return len(self.blocks.get(block, ()))
+
+    def block(self, vec: dict[int, int]) -> int | None:
+        """The block of vec's columns; None for the zero vector."""
+        blocks = {self.block_of[col] for col in vec}
+        if len(blocks) > 1:
+            raise GradingError(f"vector spans the blocks {sorted(blocks)}")
+        return blocks.pop() if blocks else None
 
     def reduce(self, vec: dict[int, int]) -> dict[int, int]:
         """vec minus its pivot entries times their rows, mod p."""
@@ -122,6 +144,7 @@ class ModularRowSpace:
         return {k: r for k, c in out.items() if (r := c % p)}
 
     def insert(self, vec: dict[int, int]) -> bool:
+        block = self.block(vec)
         rem = self.reduce(vec)
         if not rem:
             return False
@@ -129,7 +152,8 @@ class ModularRowSpace:
         col = min(rem)
         inv = pow(rem[col], -1, p)
         new = {k: c * inv % p for k, c in rem.items()}
-        for row in self.rows.values():
+        rows = self.blocks.setdefault(block, [])
+        for row in rows:
             b = row.get(col)
             if b:
                 for k, c in new.items():
@@ -138,52 +162,15 @@ class ModularRowSpace:
                         row[k] = s
                     else:
                         del row[k]
+        rows.append(new)
         self.rows[col] = new
+        if len(rows) == self.sizes[block]:
+            self.open_blocks.discard(block)
         return True
 
     def contains(self, vec: dict[int, int]) -> bool:
+        self.block(vec)
         return not self.reduce(vec)
-
-
-class BlockedRowSpace:
-    """Reduced echelons over F_p, one `ModularRowSpace` per block of a
-    column grading: `block_of[col]` is the block of each column.  A vector
-    goes to the block of its columns, and one whose columns lie in two
-    blocks raises `GradingError`.  Vectors of different blocks share no
-    column, so an insert meets only rows of its own block, and `rank`, the
-    sum of the block ranks, is the rank of all the vectors inserted."""
-
-    def __init__(self, p: int, block_of: Sequence[int]):
-        self.p = p
-        self.block_of = block_of
-        self.blocks: dict[int, ModularRowSpace] = {}   # block -> its echelon
-        self.rank = 0
-
-    def block(self, vec: dict[int, int]) -> int | None:
-        """The block of vec's columns; None for the zero vector."""
-        blocks = {self.block_of[col] for col in vec}
-        if len(blocks) > 1:
-            raise GradingError(f"vector spans the blocks {sorted(blocks)}")
-        return blocks.pop() if blocks else None
-
-    def block_rank(self, block: int) -> int:
-        space = self.blocks.get(block)
-        return 0 if space is None else space.rank
-
-    def _space(self, vec: dict[int, int]) -> ModularRowSpace:
-        block = self.block(vec)
-        space = self.blocks.get(block)
-        if space is None:
-            space = self.blocks[block] = ModularRowSpace(self.p)
-        return space
-
-    def insert(self, vec: dict[int, int]) -> bool:
-        inserted = self._space(vec).insert(vec)
-        self.rank += inserted
-        return inserted
-
-    def contains(self, vec: dict[int, int]) -> bool:
-        return self._space(vec).contains(vec)
 
 
 class SparseMatrix:

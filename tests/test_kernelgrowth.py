@@ -272,9 +272,9 @@ def test_kernel_table_agrees_with_elimination(der, m_max, method):
     LinearDerivation.chain(3),
 ], ids=["theta12-n2", "theta12-n3", "xi1-n2", "xi1-n3", "chain"])
 def test_integral_derivations_have_int_entries(der):
-    # an integral derivation builds no Fraction, in the linear matrix, the
-    # slice matrices or their squares
-    mats = [der.matrix()]
+    # an integral derivation builds no Fraction, in the slice matrices or
+    # their squares; the linear matrix is the slice matrix at m = 1
+    mats = []
     for m in range(4):
         mat = der.restrict(m)
         mats += [mat, mat @ mat]
