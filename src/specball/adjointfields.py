@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .polyring import (
     DimensionMismatch,
@@ -34,8 +34,7 @@ class InvalidGenerator(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Theta:
+class Theta(NamedTuple):
     """Generator id for the field attached to the elementary matrix E_ab."""
     a: int
     b: int
@@ -44,8 +43,7 @@ class Theta:
         return f"theta{self.a}{self.b}" if max(self.a, self.b) <= 9 else f"theta[{self.a},{self.b}]"
 
 
-@dataclass(frozen=True)
-class Xi:
+class Xi(NamedTuple):
     """Generator id for the hyperbolic (diagonal) field attached to H_a."""
     a: int
 
@@ -164,7 +162,8 @@ def commutator_field(B: list[list[int]]) -> VectorField:
     return VectorField(n, comps)
 
 
-@functools.cache
+# typed: a plain tuple equals an id of the same fields but is no id
+@functools.lru_cache(maxsize=None, typed=True)
 def generator_moves(n: int, gid: GeneratorId) -> tuple[tuple[int, int, int], ...]:
     """The one table of a generator's action: moves (v, w, k), each the term
     k x_w d/dx_v, read off B = `generator_matrix(n, gid)` (an invalid id
@@ -206,7 +205,7 @@ def make_xi(n: int, a: int) -> VectorField:
     return generator_field(n, Xi(a))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def generator_field(n: int, gid: GeneratorId) -> VectorField:
     """The field of a generator id, built once per (n, gid): fields are
     immutable, and there are n^2 - 1 ids for each n."""

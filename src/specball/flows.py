@@ -30,7 +30,6 @@ atom.  A field value B A - A B takes B from `generator_matrix`.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -421,9 +420,9 @@ def _compiled(terms: dict, n: int, L: int = 1) -> Compiled:
 def eval_poly_at_matrix(f: Polynomial | Compiled, A: Matrix | list) -> complex:
     """Direct monomial evaluation in Python `complex` at an ndarray or rows,
     of a Polynomial or of terms compiled once for an n x n matrix (as an
-    `Overshear` holds them).  Powers are repeated products: an overflow
-    gives inf or nan, as in numpy, where `complex ** e` would raise
-    OverflowError."""
+    `Overshear` holds them).  A power x^e takes O(log e) products
+    (`_power`); an overflow gives inf or nan, as in numpy, where
+    `complex ** e` would raise OverflowError."""
     rows = A.tolist() if isinstance(A, np.ndarray) else A
     if isinstance(f, Polynomial):
         n = len(rows)
@@ -434,22 +433,24 @@ def eval_poly_at_matrix(f: Polynomial | Compiled, A: Matrix | list) -> complex:
     for c, factors in f:
         val = c
         for i, j, e in factors:
-            x = rows[i][j]
-            for _ in range(e):
-                val *= x
+            val *= rows[i][j] if e == 1 else _power(rows[i][j], e)
         total += val
     return total
 
 
+def _power(x: complex, e: int) -> complex:
+    """x^e, e >= 1: the squares x^(2^k) at the set bits of e, lowest first."""
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else result * x
+        if e := e >> 1:
+            x *= x
+    return result
+
+
 # ---------------------------------------------------------------------------
 # automorphism atoms
-
-
-@functools.cache
-def _overshear_moves(n: int, a: int, b: int) -> tuple[tuple[int, int, int], ...]:
-    """`generator_moves(n, Theta(a, b))`, cached by plain ints: keying by
-    the Theta id builds and hashes a dataclass per atom, 7-10x the cost."""
-    return generator_moves(n, Theta(a, b))
 
 
 @dataclass(frozen=True)
@@ -459,9 +460,10 @@ class Overshear:
     The flow is the conjugation by exp(s E_ab) = I + s E_ab with
     s = epsilon(t * (Theta_ab f)(A)) * t * f(A); for shears (Theta_ab f = 0)
     this collapses to s = t f(A).  Theta_ab f and the test Theta_ab^2 f = 0
-    are exact, by `apply_moves` on the integer exponent-tuple terms of L f
-    (`_integral`), and f and Theta_ab f are compiled once for
-    `eval_poly_at_matrix`.
+    are exact, by `apply_moves` with `generator_moves(n, Theta(a, b))` on the
+    integer exponent-tuple terms of L f (`_integral`), and f and Theta_ab f
+    are compiled once for `eval_poly_at_matrix`; a coefficient too large for
+    a double is refused.
     """
     n: int
     a: int
@@ -474,21 +476,24 @@ class Overshear:
     def __post_init__(self):
         if not cmath.isfinite(self.t):
             raise ValueError("overshear 't' must be finite")
-        moves = _overshear_moves(self.n, self.a, self.b)
+        moves = generator_moves(self.n, Theta(self.a, self.b))
         if self.f.nvars != self.n * self.n:
             raise DimensionMismatch("polynomial ring does not match field dimension")
         f, L = _integral(self.f)
         tf = apply_moves(f, moves)
         if apply_moves(tf, moves):
             raise ValueError("coefficient fails the overshear test Theta^2(f) = 0")
-        object.__setattr__(self, "_f_terms", _compiled(f, self.n, L))
-        object.__setattr__(self, "_theta_terms", _compiled(tf, self.n, L))
+        try:
+            object.__setattr__(self, "_f_terms", _compiled(f, self.n, L))
+            object.__setattr__(self, "_theta_terms", _compiled(tf, self.n, L))
+        except OverflowError:   # c / L too large for a double
+            raise ValueError("overshear 'f' has a coefficient too large for a double") from None
 
     @property
     def theta_f(self) -> Polynomial:
         """Theta_ab f as a Polynomial, recomputed; the flow reads the
         compiled terms."""
-        tf = apply_moves(_exponents(self.f), _overshear_moves(self.n, self.a, self.b))
+        tf = apply_moves(_exponents(self.f), generator_moves(self.n, Theta(self.a, self.b)))
         return Polynomial(self.f.nvars, {Monomial(enumerate(m)): c for m, c in tf.items()})
 
 
@@ -727,17 +732,21 @@ def matrix_from_json(data) -> Matrix:
     cell of any other form is refused, named by its row and column.  Each
     cell is checked and converted once; then a matrix that is not square
     (also one with rows of different lengths) or not finite is refused,
-    with the messages of `_rows`."""
+    with the messages of `_rows`, and a cell too large for a double as not
+    finite as soon as it is read."""
     if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
         raise ValueError("matrix JSON must be an array of arrays of [re, im] pairs")
     rows = []
-    for i, row in enumerate(data, 1):
-        out = []
-        for j, cell in enumerate(row, 1):
-            if not _is_pair(cell):
-                raise ValueError(f"matrix entry ({i}, {j}) must be an [re, im] pair of numbers")
-            out.append(complex(cell[0], cell[1]))
-        rows.append(out)
+    try:
+        for i, row in enumerate(data, 1):
+            out = []
+            for j, cell in enumerate(row, 1):
+                if not _is_pair(cell):
+                    raise ValueError(f"matrix entry ({i}, {j}) must be an [re, im] pair of numbers")
+                out.append(complex(cell[0], cell[1]))
+            rows.append(out)
+    except OverflowError:       # an integer too large for a double
+        raise ValueError("matrix entries must be finite") from None
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("expected a square matrix")
@@ -759,7 +768,10 @@ def _is_pair(x) -> bool:
 def _complex_from_json(pair, name: str) -> complex:
     if not _is_pair(pair):
         raise ValueError(f"{name} must be an [re, im] pair of numbers")
-    z = complex(pair[0], pair[1])
+    try:
+        z = complex(pair[0], pair[1])
+    except OverflowError:       # an integer too large for a double
+        z = cmath.inf
     if not cmath.isfinite(z):
         raise ValueError(f"{name} must be finite")
     return z
@@ -793,11 +805,11 @@ def atom_from_json(obj: dict, n: int) -> AutomorphismAtom:
             f = parse_poly(f, n)
         except PolyParseError as exc:
             raise ValueError(f"overshear 'f': {exc}") from exc
-        if isinstance(t, list):
-            t = _complex_from_json(t, "overshear 't'")
-        elif not _is_number(t):
+        if _is_number(t):
+            t = [t, 0]
+        elif not isinstance(t, list):
             raise ValueError("overshear 't' must be a number or an [re, im] pair")
-        return Overshear(n=n, a=theta[0], b=theta[1], f=f, t=complex(t))
+        return Overshear(n=n, a=theta[0], b=theta[1], f=f, t=_complex_from_json(t, "overshear 't'"))
     if kind == "moebius":
         return Moebius(alpha=_complex_from_json(body["alpha"], "moebius 'alpha'"),
                        gamma=_complex_from_json(body["gamma"], "moebius 'gamma'"))

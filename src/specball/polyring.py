@@ -6,8 +6,9 @@ pairs or as flat indices (row-1)*n + (col-1).  All arithmetic is exact:
 a coefficient is stored as an `int` when it is integral and as a
 `fractions.Fraction` only when a denominator remains, so fields with
 integer coefficients never build a `Fraction`.  The two types compare and
-hash equal, so equality does not depend on which one a term holds.  Values
-are immutable after construction and safe to share.
+hash equal, so equality does not depend on which one a term holds.  A term
+is keyed by its `Monomial`, a tuple subclass hashed and compared by
+`tuple`.  Values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -67,32 +68,29 @@ def matrix_dim(nvars: int) -> int:
     return n
 
 
-class Monomial:
-    """A power product, stored sparsely as sorted (variable, exponent) pairs."""
+class Monomial(tuple):
+    """A power product: the tuple of its (variable, exponent) pairs, sorted,
+    exponents positive.  `Monomial(pairs)` sorts, drops zero exponents and
+    refuses a negative one; products and derivatives wrap their canonical
+    pairs with `tuple.__new__`."""
 
-    __slots__ = ("powers", "degree", "_hash")
+    __slots__ = ()
 
-    def __init__(self, powers: Iterable[tuple[int, int]] = ()):
-        items = tuple(sorted((v, e) for v, e in powers if e != 0))
+    def __new__(cls, powers: Iterable[tuple[int, int]] = ()):
+        items = sorted((v, e) for v, e in powers if e != 0)
         for v, e in items:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
-        object.__setattr__(self, "powers", items)
-        object.__setattr__(self, "degree", sum(e for _, e in items))
-        object.__setattr__(self, "_hash", hash(items))
+        return tuple.__new__(cls, items)
 
-    def __setattr__(self, *args):
-        raise AttributeError("Monomial is immutable")
+    @property
+    def powers(self) -> tuple[tuple[int, int], ...]:
+        """The sorted (variable, exponent) pairs: the monomial itself."""
+        return self
 
-    @classmethod
-    def _of(cls, powers: tuple[tuple[int, int], ...], degree: int) -> "Monomial":
-        """Wrap sorted (variable, exponent) pairs with positive exponents
-        summing to degree, skipping the checks of __init__."""
-        mono = object.__new__(cls)
-        _SET_POWERS(mono, powers)
-        _SET_DEGREE(mono, degree)
-        _SET_HASH(mono, hash(powers))
-        return mono
+    @property
+    def degree(self) -> int:
+        return sum(e for _, e in self)
 
     @staticmethod
     def one() -> "Monomial":
@@ -103,24 +101,24 @@ class Monomial:
         return Monomial(((flat, 1),))
 
     def exponent(self, flat: int) -> int:
-        for v, e in self.powers:
+        for v, e in self:
             if v == flat:
                 return e
         return 0
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if not other.powers:
+        if not other:
             return self
-        if not self.powers:
+        if not self:
             return other
-        d = dict(self.powers)
-        for v, e in other.powers:
+        d = dict(self)
+        for v, e in other:
             d[v] = d.get(v, 0) + e
-        return Monomial._of(tuple(sorted(d.items())), self.degree + other.degree)
+        return tuple.__new__(Monomial, sorted(d.items()))
 
     def dense(self, nvars: int) -> tuple[int, ...]:
         out = [0] * nvars
-        for v, e in self.powers:
+        for v, e in self:
             out[v] = e
         return tuple(out)
 
@@ -128,19 +126,10 @@ class Monomial:
         # graded lexicographic on flat variable index
         return (self.degree, self.dense(nvars))
 
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.powers == other.powers
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
-        return f"Monomial({self.powers!r})"
+        return f"Monomial({tuple(self)!r})"
 
 
-_SET_POWERS = Monomial.powers.__set__
-_SET_DEGREE = Monomial.degree.__set__
-_SET_HASH = Monomial._hash.__set__
 _MONOMIAL_ONE = Monomial()
 
 
@@ -313,7 +302,7 @@ class Polynomial:
                     lowered = powers[:i] + ((v, e - 1),) + powers[i + 1:]
                 else:
                     lowered = powers[:i] + powers[i + 1:]
-                grads.setdefault(v, {})[Monomial._of(lowered, mono.degree - 1)] = c * e
+                grads.setdefault(v, {})[tuple.__new__(Monomial, lowered)] = c * e
         return {v: Polynomial._of(self.nvars, terms) for v, terms in grads.items()}
 
     def substitute(self, flat: int, replacement: "Polynomial") -> "Polynomial":
@@ -353,10 +342,8 @@ _SET_TERMS = Polynomial.terms.__set__
 def slice_monomials(nvars: int, m: int) -> Iterator[Monomial]:
     """All degree-m monomials in nvars variables, graded-lex order."""
     for combo in itertools.combinations_with_replacement(range(nvars), m):
-        counts: dict[int, int] = {}
-        for v in combo:
-            counts[v] = counts.get(v, 0) + 1
-        yield Monomial(counts.items())
+        # combo is sorted, so its runs are the canonical pairs
+        yield tuple.__new__(Monomial, [(v, len(list(run))) for v, run in itertools.groupby(combo)])
 
 
 class HomSliceBasis:

@@ -303,3 +303,61 @@ def test_emit_tables_bracketed_variables_for_large_n():
     assert rep["variables"][0] == "x[1,1]"
     assert len(rep["generators"]) == 99
     assert any("x[" in c["poly"] for c in rep["generators"][0]["components"])
+
+
+def test_generator_ids_are_their_field_tuples():
+    # equal ids are equal and hash as the tuple of their fields, so dicts
+    # and sets keyed by ids keep the order they had
+    for n in (2, 3, 4):
+        for g, h in itertools.product(generator_ids(n), repeat=2):
+            assert (g == h) == (tuple(g) == tuple(h) and type(g) is type(h))
+        for g in generator_ids(n):
+            assert hash(g) == hash(tuple(g))
+            assert type(g)(*g) == g and hash(type(g)(*g)) == hash(g)
+    assert Theta(1, 2) == (1, 2) and Xi(1) == (1,) and Theta(1, 2) != Theta(2, 1)
+    assert (Theta(1, 2).a, Theta(1, 2).b, Xi(3).a) == (1, 2, 3)
+    assert (Theta(1, 2).label(), Theta(3, 10).label(), Xi(2).label()) == \
+        ("theta12", "theta[3,10]", "xi2")
+
+
+def test_generator_id_repr_and_immutability():
+    with pytest.raises(InvalidGenerator) as exc:
+        generator_matrix(3, Theta(2, 2))
+    assert str(exc.value) == "Theta(a=2, b=2) is not a generator id for n=3"
+    with pytest.raises(InvalidGenerator) as exc:
+        generator_matrix(3, Xi(3))
+    assert str(exc.value) == "Xi(a=3) is not a generator id for n=3"
+    for g in (Theta(1, 2), Xi(1)):
+        with pytest.raises(AttributeError):
+            g.a = 2
+        with pytest.raises(AttributeError):
+            g.c = 0
+
+
+def test_plain_tuple_is_no_generator_id():
+    # a tuple equal to a cached id must not be answered from the id's entry
+    for g in (Theta(1, 2), Xi(1)):
+        generator_moves(2, g)
+        generator_field(2, g)
+        with pytest.raises(InvalidGenerator):
+            generator_moves(2, tuple(g))
+        with pytest.raises(InvalidGenerator):
+            generator_field(2, tuple(g))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_overshear_moves_are_the_generator_moves(n):
+    # each Theta_ab builds an Overshear of f = x_aa + 3 x_ba^2 (Theta_ab f =
+    # x_ba, Theta_ab^2 f = 0) whose Theta_ab f is that of generator_moves and
+    # of the commutator field
+    from specball import flows
+    from specball.adjointfields import apply_moves
+
+    for g in generator_ids(n):
+        if not isinstance(g, Theta):
+            continue
+        f = x(g.a, g.a, n) + x(g.b, g.a, n) * x(g.b, g.a, n) * 3
+        atom = flows.Overshear(n=n, a=g.a, b=g.b, f=f, t=0.5)
+        tf = apply_moves(flows._exponents(f), generator_moves(n, g))
+        assert atom._theta_terms == flows._compiled(tf, n)
+        assert atom.theta_f == generator_field(n, g).apply(f) == x(g.b, g.a, n)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,16 @@ def test_orbit_outside_ball_is_precondition_error(capsys, orbit_files):
      "conjugate 'G': matrix entry (1, 2)"),
     # rows of different lengths
     ([{"conjugate": {"G": [[[1, 0], [0, 0]], [[0, 0]]]}}], "conjugate 'G': expected a square matrix"),
+    # an integer too large for a double reads as a non-finite value
+    ([{"conjugate": {"G": [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]}}],
+     "conjugate 'G': matrix entries must be finite"),
+    ([{"overshear": {"theta": [1, 2], "f": "x11", "t": 10 ** 400}}],
+     "overshear 't' must be finite"),
+    ([{"overshear": {"theta": [1, 2], "f": "x11", "t": [0.3, -10 ** 400]}}],
+     "overshear 't' must be finite"),
+    ([{"moebius": {"alpha": [10 ** 400, 0], "gamma": [1, 0]}}], "moebius 'alpha' must be finite"),
+    ([{"overshear": {"theta": [1, 2], "f": f"{10 ** 400}*x21", "t": 1}}],
+     "overshear 'f' has a coefficient too large for a double"),
 ])
 def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word, field):
     mat = orbit_files[0]
@@ -404,6 +415,33 @@ def test_orbit_ragged_matrix_is_usage_error(capsys, orbit_files, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert captured.err.strip() == "error: expected a square matrix"
+
+
+def test_orbit_matrix_too_large_for_a_double_is_usage_error(capsys, orbit_files, tmp_path):
+    # a 401-digit JSON integer cannot become a double: refused as not finite
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps([[[10 ** 400, 0], [0, 0]], [[0.2, 0], [0.1, 0]]]))
+    code = cli.main(["orbit", "--word", str(orbit_files[3]), "--matrix", str(path),
+                     "--check-fibre"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip() == "error: matrix entries must be finite"
+
+
+def test_orbit_huge_exponent_is_evaluated_at_once(capsys, tmp_path):
+    # x21 is killed by Theta12, so x21^999999999 is a shear; its powers take
+    # O(log e) products, and entries below 1 in modulus power to 0
+    mat, word = tmp_path / "A.json", tmp_path / "w.json"
+    mat.write_text(json.dumps([[[0.1, 0], [0, 0]], [[0.2, 0], [0.1, 0]]]))
+    word.write_text(json.dumps([{"overshear": {"theta": [1, 2], "f": "x21^999999999", "t": 1}}]))
+    start = time.perf_counter()
+    code = cli.main(["orbit", "--word", str(word), "--matrix", str(mat), "--check-fibre"])
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    result = json.loads(captured.out)["result"]
+    assert result == [[[0.1, 0.0], [0.0, 0.0]], [[0.2, 0.0], [0.1, 0.0]]]
 
 
 def test_orbit_overflow_in_a_valid_word_is_numeric_error(capsys, tmp_path):

@@ -422,14 +422,16 @@ def test_overshear_builds_no_field(monkeypatch):
     assert calls == []
 
 
-def _random_poly(rng, n, terms=4, degree=3):
+def _random_poly(rng, n, terms=4, degree=3, min_exp=1, max_exp=1):
+    """Each of up to `degree` factors of a term draws a variable and an
+    exponent in min_exp..max_exp."""
     from specball.polyring import Monomial
     out = Polynomial.zero(n * n)
     for _ in range(terms):
         powers = {}
         for _ in range(int(rng.integers(0, degree + 1))):
             v = int(rng.integers(0, n * n))
-            powers[v] = powers.get(v, 0) + 1
+            powers[v] = powers.get(v, 0) + int(rng.integers(min_exp, max_exp + 1))
         out = out + Polynomial.from_monomial(n * n, Monomial(powers.items()),
                                              int(rng.integers(-3, 4)) or 1)
     return out
@@ -475,25 +477,56 @@ def test_overshear_rejects_what_the_field_rejected():
 
 def test_compiled_terms_evaluate_as_the_polynomial():
     # the overshear flow evaluates compiled terms: bit for bit the values of
-    # a plain loop over the Polynomial's terms, overflow to inf included
+    # a plain loop over the Polynomial's terms, overflow to inf included.
+    # Each power x^e is formed first, by squaring x^(2^k) and multiplying
+    # in the set bits of e from the lowest, then multiplies the term.
+    def power(x, e):
+        squares = [x]
+        while 2 ** len(squares) <= e:
+            squares.append(squares[-1] * squares[-1])
+        bits = [squares[k] for k in range(len(squares)) if e >> k & 1]
+        out = bits[0]
+        for b in bits[1:]:
+            out *= b
+        return out
+
     def direct(f, rows):
         n, total = len(rows), 0j
         for mono, c in f.terms.items():
             val = complex(c)
             for v, e in mono.powers:
-                for _ in range(e):
-                    val *= rows[v // n][v % n]
+                val *= power(rows[v // n][v % n], e)
             total += val
         return total
 
     rng = np.random.default_rng(52)
     for n in (2, 3, 4):
-        for scale in (1.0, 1e120):
+        for scale in (1.0, 1e120, 1e30):
             A = (scale * sample_spectral_ball(rng, n)).tolist()
-            f = _random_poly(rng, n)
-            compiled = flows._compiled(flows._exponents(f), n)
-            assert same_complex(eval_poly_at_matrix(compiled, A), direct(f, A))
-            assert same_complex(eval_poly_at_matrix(f, A), direct(f, A))
+            for f in (_random_poly(rng, n), _random_poly(rng, n, min_exp=2, max_exp=13)):
+                compiled = flows._compiled(flows._exponents(f), n)
+                assert same_complex(eval_poly_at_matrix(compiled, A), direct(f, A))
+                assert same_complex(eval_poly_at_matrix(f, A), direct(f, A))
+    # against e - 1 repeated products, within the rounding of e products
+    for _ in range(200):
+        x = complex(*rng.normal(size=2))
+        e = int(rng.integers(2, 40))
+        repeated = x
+        for _ in range(e - 1):
+            repeated *= x
+        assert cmath.isclose(flows._power(x, e), repeated, rel_tol=4 * e * 2.0 ** -52)
+
+
+@pytest.mark.parametrize("x", [0.999, -0.5 + 0.8j, 1e-200j, 1.001, -3 + 0.1j, 1e200])
+def test_huge_exponent_is_evaluated_by_squaring(x):
+    # x21^(2^62) takes 62 squarings: 0 inside the unit circle, not finite
+    # outside it, and no OverflowError
+    f = parse_poly(f"x21^{2 ** 62}", 2)
+    value = eval_poly_at_matrix(f, [[0j, 0j], [complex(x), 0j]])
+    if abs(x) < 1:
+        assert value == 0
+    else:
+        assert not cmath.isfinite(value)
 
 
 @pytest.mark.parametrize("n,a,b,text", [
@@ -961,6 +994,9 @@ def test_matrix_to_json_matches_per_entry_conversion(make):
     ([[[1, 0]], [[1, 0], [2, 0]]], "expected a square matrix"),  # ragged
     ([[[math.inf, 0]]], "matrix entries must be finite"),
     ([[[math.inf, 0]], [[1, 0]]], "expected a square matrix"),  # the shape is checked first
+    # an integer too large for a double, refused where its cell is read
+    ([[[10 ** 400, 0]]], "matrix entries must be finite"),
+    ([[[0, 0], [0, -10 ** 400]], [[1, 0], [2, 0]]], "matrix entries must be finite"),
 ])
 def test_matrix_from_json_errors(data, message):
     # one pass over the cells, with the messages of the two-pass version

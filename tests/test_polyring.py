@@ -262,3 +262,67 @@ def test_bracket_keeps_integer_coefficients():
     products = [bracket(x, y) for x, y in itertools.pairwise(seed_fields)]
     assert sum(not w.is_zero() for w in products) > len(products) // 2
     assert all(int_coefficients(w) for w in products)
+
+
+def _random_pairs(rng, nvars, max_vars=4, max_exp=5):
+    """Unsorted (variable, exponent) pairs with distinct variables, zeros included."""
+    variables = rng.sample(range(nvars), rng.randrange(max_vars + 1))
+    return [(v, rng.randrange(max_exp + 1)) for v in variables]
+
+
+def test_monomial_is_its_sorted_pair_tuple():
+    # a monomial equals and hashes as the tuple of its sorted pairs with
+    # positive exponents; the accessors read the same pairs
+    rng = random.Random(11)
+    nvars = 9
+    for _ in range(300):
+        pairs = _random_pairs(rng, nvars)
+        ref = tuple(sorted((v, e) for v, e in pairs if e))
+        mono = Monomial(pairs)
+        assert isinstance(mono, tuple)
+        assert mono == ref and hash(mono) == hash(ref)
+        assert mono == Monomial(reversed(pairs)) and hash(mono) == hash(Monomial(reversed(pairs)))
+        assert mono.powers == ref
+        assert mono.degree == sum(e for _, e in ref)
+        dense = [0] * nvars
+        for v, e in ref:
+            dense[v] = e
+        assert mono.dense(nvars) == tuple(dense)
+        assert all(mono.exponent(v) == dense[v] for v in range(nvars))
+        assert mono.sort_key(nvars) == (sum(dense), tuple(dense))
+        assert repr(mono) == f"Monomial({ref!r})"
+    assert Monomial() == Monomial.one() == () and Monomial.one().degree == 0
+    assert Monomial.variable(4) == ((4, 1),)
+
+
+def test_unchecked_monomials_equal_the_checked_constructor():
+    # products and gradients wrap their pairs without the checks of
+    # Monomial(): each must be exactly what the checked constructor builds
+    rng = random.Random(12)
+    nvars = 9
+    for _ in range(200):
+        m1, m2 = Monomial(_random_pairs(rng, nvars)), Monomial(_random_pairs(rng, nvars))
+        product = m1 * m2
+        dense = [a + b for a, b in zip(m1.dense(nvars), m2.dense(nvars))]
+        checked = Monomial(enumerate(dense))
+        assert type(product) is Monomial
+        assert product == checked and tuple(product) == tuple(checked)
+        assert product.degree == m1.degree + m2.degree
+    for _ in range(40):
+        p = random_poly(rng, 3, max_degree=6)
+        for v, dp in p.gradient().items():
+            for mono in dp.terms:
+                assert type(mono) is Monomial
+                assert tuple(mono) == tuple(Monomial(mono.powers))
+                assert all(e > 0 for _, e in mono.powers)
+
+
+def test_monomial_is_immutable_and_checked():
+    mono = Monomial([(2, 1), (0, 3)])
+    for name in ("powers", "degree", "other"):
+        with pytest.raises(AttributeError):
+            setattr(mono, name, ())
+    with pytest.raises(ValueError, match="negative exponent"):
+        Monomial([(1, 2), (3, -1)])
+    assert Monomial([(1, 0), (3, 2), (0, 0)]) == ((3, 2),)
+    assert Monomial([(0, 0)]) == Monomial.one()
