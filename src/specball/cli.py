@@ -177,6 +177,7 @@ def cmd_generate(args) -> int:
             "gl_component_rank": rep.gl_rank,
             "brackets_evaluated": rep.brackets_evaluated,
             "brackets_skipped": rep.brackets_skipped,
+            "blocks": rep.blocks, "blocks_computed": rep.blocks_computed,
             "prime": rep.prime, "relation_rank": rep.relation_rank,
             "certified": rep.certified, "complete": rep.complete,
         })

@@ -14,8 +14,8 @@ homomorphism.  A vector is kept in pair coordinates (`_TracelessFields`):
 one integer per pair f*V, standing for the sum of c * f * V.  Two pairs
 bracket by a closed form (`_PairBrackets`), with no field in the loop.
 Grades 0 and 1 close the seeds under the kept generators; a grade d >= 2
-brackets every grade-1 pair with every grade-(d-1) pair, which lie in L
-once those grades are certified.
+brackets grade-1 pairs with grade-(d-1) pairs, which lie in L once those
+grades are certified.
 
 Each grade is certified with one prime `CLOSURE_PRIME` (`_certify_degree`):
 when the kept vectors B and the relations Rel (checked exactly to vanish as
@@ -29,20 +29,24 @@ is the pair count minus the relation rank; reports carry both numbers.
 Every generator field, seed, bracket and pair is homogeneous for the
 weights of the diagonal torus of SL_n (x_ij has weight e_i - e_j), and so
 is every relation, because X^k commutes with X.  The echelon is therefore
-one `linalg.ModularRowSpace` graded by weight: a bracket that lands in a
-block already at full rank is skipped, not computed, a grade stops once no
-block is open, and only the open blocks are scanned for missing witnesses
-(`closure`, `_certify_degree`).
+one `linalg.ModularRowSpace` graded by weight, and the certificate holds
+block by block.  Conjugation by permutation matrices (S_n) and the
+transpose tau permute the blocks and are Lie algebra automorphisms that
+keep each grade and the relations, so a grade d >= 2 brackets only in the
+block of one representative weight per orbit of S_n x <tau>, block by
+block, and a full representative proves its whole orbit (`closure`,
+`_certify_degree`).
 """
 from __future__ import annotations
 
 import random
 import time
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .adjointfields import (
     GeneratorId,
@@ -205,12 +209,37 @@ def _mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
     return _sum(({k1 + k2: c2 for k2, c2 in q.items()}, c1) for k1, c1 in p.items())
 
 
-def _sl_coordinates(ids: list[GeneratorId], C: list[list[int]]) -> list[tuple[int, int]]:
-    """(generator index, coefficient) of a traceless integer matrix C in the
-    basis of `generator_matrix`: C_ab at Theta_ab, C_11 + ... + C_aa at Xi_a."""
-    coords = [(gi, C[g.a - 1][g.b - 1] if isinstance(g, Theta)
-               else sum(C[i][i] for i in range(g.a))) for gi, g in enumerate(ids)]
-    return [(gi, c) for gi, c in coords if c]
+def _sl_coordinates(n: int, C: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
+    """(generator index, coefficient) of a traceless integer n x n matrix,
+    given by its entries C {(i, j): C_ij} (0-based, zeros may be left out),
+    in the basis of `generator_matrix`: C_ab at Theta_ab, C_11 + ... + C_aa
+    at Xi_a.  The index is that of `generator_ids`."""
+    index = _generator_index(n)
+    coords = [(index[Theta(i + 1, j + 1)], c) for (i, j), c in C.items() if i != j and c]
+    diagonal = 0
+    for a in range(1, n):
+        diagonal += C.get((a - 1, a - 1), 0)
+        if diagonal:
+            coords.append((index[Xi(a)], diagonal))
+    return sorted(coords)
+
+
+@cache
+def _generator_index(n: int) -> dict[GeneratorId, int]:
+    return {g: gi for gi, g in enumerate(generator_ids(n))}
+
+
+def _commutator_entries(A: list[tuple[int, int, int]],
+                        B: list[tuple[int, int, int]]) -> dict[tuple[int, int], int]:
+    """The entries of AB - BA, for matrices given by their nonzero entries
+    (i, j, A_ij)."""
+    C: dict[tuple[int, int], int] = {}
+    for X, Y, sign in ((A, B, 1), (B, A, -1)):
+        for i, k, x in X:
+            for l, j, y in Y:
+                if k == l:
+                    C[i, j] = C.get((i, j), 0) + sign * x * y
+    return C
 
 
 class _TracelessFields:
@@ -243,7 +272,7 @@ class _TracelessFields:
         # weights, and substituting for x_nn (weight 0) keeps them.  A
         # grade-d weight has coordinates of size at most d + 2 < B / 2, so
         # the encoding is one-to-one on them.
-        base = 2 * max_degree + 5
+        self.base = base = 2 * max_degree + 5
         self.var_weights = [base ** (v // n) - base ** (v % n) for v in range(nv)]
         ids = generator_ids(n)
         # Theta_ab = sum_j x_bj d/dx_aj - ..., of weight e_b - e_a; Xi_a: 0
@@ -256,12 +285,12 @@ class _TracelessFields:
                         for v in range(nv)} for mv in moves]
         self.gens = [{m + v: c for v in range(nv) for m, c in image[units[v]].items()}
                      for image in self.images]
-        # [W, V] = sum c * U, from [A_W, A_V] in the basis of the matrices
-        mats = [generator_matrix(n, g) for g in ids]
-        self.structure = [[_sl_coordinates(ids, [[sum(A[i][k] * B[k][j] - B[i][k] * A[k][j]
-                                                      for k in range(n)) for j in range(n)]
-                                                 for i in range(n)])
-                           for B in mats] for A in mats]
+        # [W, V] = sum c * U, from [A_W, A_V] in the basis of the matrices,
+        # each given by its at most two nonzero entries
+        entries = [[(i, j, c) for i, row in enumerate(generator_matrix(n, g))
+                    for j, c in enumerate(row) if c] for g in ids]
+        self.structure = [[_sl_coordinates(n, _commutator_entries(A, B)) for B in entries]
+                          for A in entries]
 
     def _linear(self, values: list[int], degree: int) -> list[int]:
         """sum_v e_v * values[v] for the exponent vector e of each
@@ -279,6 +308,30 @@ class _TracelessFields:
         pairs = [{f + k: c for k, c in g.items()} for f in self.monomials(d) for g in self.gens]
         weights = [fw + gw for fw in self._linear(self.var_weights, d) for gw in self.gen_weights]
         return pairs, weights
+
+    def weight_vector(self, w: int) -> tuple[int, ...]:
+        """The weight encoded as the int w, as its coordinates in Z^n: the
+        balanced base-B digits of w."""
+        base, out = self.base, []
+        for _ in range(self.n):
+            r = w % base
+            if r > base // 2:
+                r -= base
+            out.append(r)
+            w = (w - r) // base
+        return tuple(out)
+
+    def orbits(self, weights: list[int]) -> dict[int, list[int]]:
+        """The distinct weights grouped by orbit of S_n x <tau>, keyed by the
+        orbit's representative.  S_n permutes the coordinates of a weight
+        and tau negates it, so the representative is the sorted weight
+        vector, or the sorted vector of its negation if that is smaller."""
+        out: dict[int, list[int]] = {}
+        for w in dict.fromkeys(weights):
+            v = self.weight_vector(w)
+            rep = min(sorted(v), sorted(-c for c in v))
+            out.setdefault(sum(c * self.base ** i for i, c in enumerate(rep)), []).append(w)
+        return out
 
     def restrict(self, p: Polynomial) -> dict[int, int]:
         """The polynomial p on tr = 0."""
@@ -372,17 +425,19 @@ class _PairBrackets:
 class DegreeReport:
     n: int
     grade: int
-    method: str                      # "pair-coordinate": the certificate of `_certify_degree`
+    method: str                      # "pair-coordinate", or "pair-coordinate/weyl-orbit" (d >= 2)
     operands: str                    # "seeds" (grades 0-1) or "T_1 x T_{d-1}"
     target_rank: int                 # |F_d|: monomial x generator pairs (traceless)
-    achieved_rank: int               # pairs in span(B + Rel) mod p: all when certified
-    missing_witnesses: list[str]     # pairs outside span(B + Rel) mod p (unproven)
+    achieved_rank: int               # pairs proved in L: all when certified
+    missing_witnesses: list[str]     # pairs of open representatives outside span(B + Rel) mod p
     span_rank: int                   # rank_p(B + Rel) in pair coordinates
-    sl_rank: int | None              # certified: rank T_d = span_rank - relation_rank
+    sl_rank: int | None              # certified: rank T_d = target_rank - relation_rank
     sl_target_component_rank: int    # target_rank - relation_rank: an upper bound on rank T_d
     gl_rank: int                     # kept vectors B: span_rank - relation_rank
     brackets_evaluated: int          # brackets computed
-    brackets_skipped: int            # brackets left out: their weight block was full
+    brackets_skipped: int            # brackets of the step not computed (`closure`)
+    blocks: int                      # weight blocks of the grade
+    blocks_computed: int             # blocks the brackets were computed for
     complete: bool                   # fixed point, full rank or operands exhausted within budget
     certified: bool                  # every pair in L and rank T_d proven (`_certify_degree`)
     prime: int                       # p of the echelon of B and Rel
@@ -398,8 +453,8 @@ class ClosureResult:
     complete: bool
 
 
-def closure(seeds: list[Seed], max_degree: int,
-            budget_brackets: int | None = None, budget_ms: float | None = None) -> ClosureResult:
+def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = None,
+            budget_ms: float | None = None, all_blocks: bool = False) -> ClosureResult:
     """Bracket-closure of the seed set, graded by coefficient degree, in pair
     coordinates (`_TracelessFields`): a vector of grade d stands for the sum
     of c * f * V over the degree-d monomials f and generators V, on tr = 0.
@@ -409,23 +464,31 @@ def closure(seeds: list[Seed], max_degree: int,
     keeps a vector exactly when it is new there.  The seeds of a grade come
     first.  Grades 0 and 1 then bracket each kept grade-0 vector with each
     kept vector of the grade, through the closed form of `_PairBrackets`
-    with h = 1, which is linear in both operands.  A grade d >= 2 brackets
-    every grade-1 pair with every grade-(d-1) pair (a < b at d = 2, where
-    both have grade 1); it runs only when grades 1 and d - 1 are certified,
-    because only then are these pairs in the Lie algebra.  `spans[d]` lists
-    the kept vectors B: each is a pair-coordinate representative of a field
-    in the algebra, and a grade stops once B and Rel have full rank, that is
-    once no weight block is open.
+    with h = 1, which is linear in both operands.  A grade d >= 2 is the
+    step [T_1, T_{d-1}]: it brackets grade-1 pairs with grade-(d-1) pairs
+    (a < b at d = 2, where both have grade 1), and runs only when grades 1
+    and d - 1 are certified, because only then are these pairs in the Lie
+    algebra.  `spans[d]` lists the kept vectors B: each is a pair-coordinate
+    representative of a field in the algebra.
 
     Weight blocks.  Every pair, relation and bracket is homogeneous for the
     sl_n torus weight (`_TracelessFields.var_weights`), so the echelon is
     one `ModularRowSpace` graded by pair weight, and its `open_blocks` are
     the weights still below the rank of their pair count.  A bracket's
-    weight, the sum of its operands' weights, is known before it is taken;
-    when that block is not open, the bracket is skipped
-    (`brackets_skipped`), which loses nothing.  Soundness does not rest on
-    the prediction: a kept vector goes to the block its own coordinates
-    name (across two blocks it raises `GradingError`).
+    weight, the sum of its operands' weights, is known before it is taken.
+    At grades 0-1 a queued bracket whose block is not open is skipped
+    (`brackets_skipped`), and the grade stops once no block is open.  At
+    d >= 2 the step runs block by block, only for the representative w of
+    each orbit of S_n x <tau> (`_TracelessFields.orbits`; the lemma of
+    `_certify_degree` proves the rest of the orbit): it brackets the
+    grade-1 pairs of weight u with the grade-(d-1) pairs of weight w - u
+    until block w is full, and `brackets_skipped` counts the rest of the
+    step.  `all_blocks=True` computes every block, the tests' reference,
+    and so does a grade d >= 2 that keeps seeds of its own, which the
+    symmetry need not map into the algebra.
+    Soundness does not rest on the prediction: a kept vector goes to the
+    block its own coordinates name (across two blocks it raises
+    `GradingError`).
 
     When a budget runs out the closure stops after reporting that grade:
     later grades get no `spans` or `reports` entry, and `complete` is False.
@@ -437,11 +500,15 @@ def closure(seeds: list[Seed], max_degree: int,
     n = matrix_dim(seeds[0].coefficient.nvars)
     deadline = time.monotonic() + budget_ms / 1000.0 if budget_ms is not None else None
 
+    def out_of_budget() -> bool:
+        return ((deadline is not None and time.monotonic() > deadline)
+                or (budget_brackets is not None and brackets_done >= budget_brackets))
+
     ring = _TracelessFields(n, max_degree)
-    gen_index = {g: i for i, g in enumerate(generator_ids(n))}
+    gen_index = _generator_index(n)
     spans: dict[int, list[dict[int, int]]] = {}
     reports: dict[int, DegreeReport] = {}
-    units: dict[int, list[tuple[int, dict[int, int]]]] = {}  # grade -> (weight, unit vector)
+    by_weight: dict[int, dict[int, list[int]]] = {}     # grade -> weight -> its pair indices
     brackets_done = 0
 
     complete = True
@@ -450,10 +517,13 @@ def closure(seeds: list[Seed], max_degree: int,
             complete = False
             break
         pairs, weights = ring.pairs(d)
-        units[d] = [(w, {i: 1}) for i, w in enumerate(weights)]
+        groups = by_weight[d] = {}
+        for i, w in enumerate(weights):
+            groups.setdefault(w, []).append(i)
         relations = ring.relations(d)
         space = _relation_blocks(relations, pairs, weights)
         relation_rank = space.rank
+        open_blocks = space.open_blocks
         kept = spans[d] = []
         weighted: list[tuple[int, dict[int, int]]] = []     # (weight, vector) of each kept
         queue: list = []     # grades 0-1: iterated while it grows
@@ -470,47 +540,77 @@ def closure(seeds: list[Seed], max_degree: int,
                 queue.extend((u, (w, vec)) for u in (grade0 if d else weighted))
                 weighted.append((w, vec))
 
-        if d <= 1:
-            brackets, operands_ok, candidates = _PairBrackets(ring, 0, d), True, queue
-        else:
-            brackets = _PairBrackets(ring, 1, d)
-            operands_ok = reports[1].certified and reports[d - 1].certified
-            candidates = (() if not operands_ok
-                          else combinations(units[1], 2) if d == 2
-                          else product(units[1], units[d - 1]))
+        brackets = _PairBrackets(ring, 0 if d <= 1 else 1, d)
         for s in seeds:
             if s.grade == d:
                 gi = gen_index[s.generator]
                 keep({brackets.offset[m] + gi: c for m, c in ring.restrict(s.coefficient).items()})
 
         evaluated = skipped = 0
-        open_blocks = space.open_blocks
-        for (wu, u), (wx, x) in candidates:
-            if not open_blocks:
-                break
-            if wu + wx not in open_blocks:
-                skipped += 1
-                continue
-            if ((deadline is not None and time.monotonic() > deadline)
-                    or (budget_brackets is not None and brackets_done >= budget_brackets)):
-                complete = False
-                break
-            out: dict[int, int] = {}
-            for a, ua in u.items():
-                for b, xb in x.items():
-                    brackets.add(a, b, ua * xb, out)
-            keep(out)
-            evaluated += 1
-            brackets_done += 1
-
-        reports[d] = _certify_degree(n, d, space, relation_rank, len(relations), operands_ok,
-                                     evaluated, skipped, complete)
+        # the orbit lemma needs every kept vector to be a [T_1, T_{d-1}] bracket
+        orbits = ({w: [w] for w in groups} if d <= 1 or all_blocks or kept
+                  else ring.orbits(weights))
+        if d <= 1:
+            operands_ok, computed = True, len(groups)
+            for (wu, u), (wx, x) in queue:
+                if not open_blocks:
+                    break
+                if wu + wx not in open_blocks:
+                    skipped += 1
+                    continue
+                if out_of_budget():
+                    complete = False
+                    break
+                out: dict[int, int] = {}
+                for a, ua in u.items():
+                    for b, xb in x.items():
+                        brackets.add(a, b, ua * xb, out)
+                keep(out)
+                evaluated += 1
+                brackets_done += 1
+        else:
+            operands_ok = reports[1].certified and reports[d - 1].certified
+            computed = 0
+            for w in sorted(orbits) if operands_ok else ():
+                computed += 1
+                for a, b in _block_operands(by_weight[1], by_weight[d - 1], w, d == 2):
+                    if w not in open_blocks:
+                        break
+                    if out_of_budget():
+                        complete = False
+                        break
+                    out = {}
+                    brackets.add(a, b, 1, out)
+                    keep(out)
+                    evaluated += 1
+                    brackets_done += 1
+                if not complete:
+                    break
+            if operands_ok:
+                k, m = len(brackets.left) * ring.nv, len(brackets.right) * ring.nv
+                skipped = (k * (k - 1) // 2 if d == 2 else k * m) - evaluated
+        reports[d] = _certify_degree(ring, d, space, groups, orbits, relation_rank,
+                                     len(relations), operands_ok, evaluated, skipped,
+                                     computed, complete)
         if not complete:
             break
         if d == 0:
             grade0 = weighted
 
     return ClosureResult(n, max_degree, spans, reports, complete)
+
+
+def _block_operands(ones: dict[int, list[int]], rest: dict[int, list[int]], w: int,
+                    distinct: bool):
+    """The brackets of weight w of the [T_1, T_{d-1}] step: (a, b) for the
+    grade-1 pairs a of each weight u and the grade-(d-1) pairs b of weight
+    w - u, b in the outer loop; only a < b when both grades are 1
+    (`distinct`)."""
+    for u, left in ones.items():
+        for b in rest.get(w - u, ()):
+            for a in left:
+                if not distinct or a < b:
+                    yield a, b
 
 
 def _relation_blocks(relations: list[dict[int, int]], pairs: list[dict[int, int]],
@@ -525,8 +625,10 @@ def _relation_blocks(relations: list[dict[int, int]], pairs: list[dict[int, int]
     return space
 
 
-def _certify_degree(n: int, d: int, space: ModularRowSpace, relation_rank: int,
-                    relation_count: int, operands_ok: bool, evaluated: int, skipped: int,
+def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
+                    groups: dict[int, list[int]], orbits: dict[int, list[int]],
+                    relation_rank: int, relation_count: int, operands_ok: bool,
+                    evaluated: int, skipped: int, computed: int,
                     complete: bool) -> DegreeReport:
     """The pair-coordinate certificate of a grade.
 
@@ -540,36 +642,65 @@ def _certify_degree(n: int, d: int, space: ModularRowSpace, relation_rank: int,
 
     then B + Rel spans F_p^{F_d}, hence Q^{F_d} (integer vectors independent
     mod p are independent over Q), so Phi(span B) = T_d: every pair is in L.
+    Everything is graded by weight, so this holds block by block:
+    rank_p(B_w + Rel_w) = |F_w| puts every pair of weight w in L.
+
+    One block per orbit (d >= 2).  A permutation matrix P acts by
+    X -> P X P^-1 and the transpose tau by X -> X^T; each pushes fields
+    forward by a linear automorphism of tr = 0, so it is a Lie algebra
+    automorphism sigma that maps T_k onto T_k, ker Phi onto ker Phi, and
+    Q^{F_w} onto Q^{F_sigma(w)} (P permutes the coordinates of w, tau
+    negates it).  Let grades 1 and d - 1 be certified and rank_p(B_w +
+    Rel_w) = |F_w|.  Each b in B_w is a bracket [u, x] with u in T_1 and x
+    in T_{d-1}, so sigma(b) = [sigma(u), sigma(x)] lies in L, and
+    sigma(Rel_w) lies in ker Phi; their span is Q^{F_sigma(w)}, so every
+    pair of weight sigma(w) is in L with nothing computed.  A grade needs
+    only its orbit representatives full (`orbits`; at grades 0-1 and under
+    `closure(all_blocks=True)` every block is its own).
+
     The rank of T_d is |F_d| - dim ker Phi.  By Kostant (1963), a
     polynomial map commuting with X is a combination of I, X, ..., X^(n-1),
     so the relations span ker Phi and are independent over Q; when none is
     lost mod p (rank_p(Rel) = |Rel|), rank T_d = |F_d| - rank_p(Rel)
-    (`sl_rank`).  The grade is certified when both hold.  Otherwise
-    rank_p(B + Rel) bounds nothing, and the pair unit vectors outside
-    span(B + Rel) mod p are listed as unproven in `missing_witnesses`; only
-    the blocks still open can hold one.
+    (`sl_rank`).  Every relation of every block is inserted and checked.
+    The grade is certified when all representatives are full and no
+    relation is lost.  Otherwise `missing_witnesses` lists, for each open
+    representative, its pairs outside span(B + Rel) mod p as unproven,
+    then a line for the other blocks of its orbit, which follow it and are
+    unproven too; `achieved_rank` counts the rest.
     """
-    block_of, open_blocks = space.block_of, space.open_blocks
-    target = len(block_of)
-    certified = operands_ok and not open_blocks and relation_rank == relation_count
-    missing = []
-    if open_blocks:
-        nv = n * n - 1
+    n, open_blocks = ring.n, space.open_blocks
+    target = len(space.block_of)
+    open_reps = sorted(w for w in orbits if w in open_blocks)
+    certified = operands_ok and not open_reps and relation_rank == relation_count
+    missing, follow = [], []
+    unproven = 0
+    if open_reps:
+        nv = ring.nv
         gens = generator_ids(n)
         monos = list(slice_monomials(nv, d))
         missing = [f"{format_poly(Polynomial.from_monomial(n * n, monos[i // nv]))} * "
                    f"{gens[i % nv].label()}"
-                   for i in range(target)
-                   if block_of[i] in open_blocks and not space.contains({i: 1})]
+                   for i in sorted(i for w in open_reps for i in groups[w])
+                   if not space.contains({i: 1})]
+        for w in open_reps:
+            others = [v for v in orbits[w] if v != w]
+            if others:
+                count = sum(len(groups[v]) for v in others)
+                unproven += count
+                follow.append(f"weight {ring.weight_vector(w)} is open: {len(others)} more "
+                              f"block(s) of its orbit ({count} pairs) follow it")
     return DegreeReport(
-        n=n, grade=d, method="pair-coordinate",
+        n=n, grade=d,
+        method="pair-coordinate" if len(orbits) == len(groups) else "pair-coordinate/weyl-orbit",
         operands="seeds" if d <= 1 else "T_1 x T_{d-1}",
-        target_rank=target, achieved_rank=target - len(missing),
-        missing_witnesses=missing, span_rank=space.rank,
-        sl_rank=space.rank - relation_rank if certified else None,
+        target_rank=target, achieved_rank=target - len(missing) - unproven,
+        missing_witnesses=missing + follow, span_rank=space.rank,
+        sl_rank=target - relation_rank if certified else None,
         sl_target_component_rank=target - relation_rank,
         gl_rank=space.rank - relation_rank,
         brackets_evaluated=evaluated, brackets_skipped=skipped,
+        blocks=len(groups), blocks_computed=computed,
         complete=complete, certified=certified,
         prime=space.p, relation_rank=relation_rank,
     )

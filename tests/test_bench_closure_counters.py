@@ -40,8 +40,9 @@ def test_closure_counters_are_fed(monkeypatch):
     assert calls["liegen.closure"] == 1 and calls["liegen.certify"] == 3
     for layer in ("liegen.closure", "liegen.certify"):
         assert metrics[f"{layer}.self_s"]["value"] > 0, layer
-    assert metrics["liegen.brackets"]["value"] == 5 + 17
-    assert metrics["liegen.accepted"]["value"] == 3 + 8 + 15
+    # grade 2 brackets only in the blocks of its Weyl orbit representatives
+    assert metrics["liegen.brackets"]["value"] == 5 + 11
+    assert metrics["liegen.accepted"]["value"] == 3 + 8 + 9
     # the seeds are read off the generator matrices and the closure brackets
     # integer vectors: no polynomial or field is built, bracketed, scaled or
     # projected, at n = 2 or n = 3

@@ -127,7 +127,8 @@ def test_generate_budget_exhaustion(capsys):
 
 
 def test_generate_method_flag_has_no_effect(capsys):
-    # every grade has the pair-coordinate certificate whatever --method says
+    # every grade has the pair-coordinate certificate whatever --method says,
+    # with one block per Weyl orbit from grade 2 on
     degrees = []
     for method in ("auto", "exact", "modular"):
         code, out = run(capsys, ["generate", "--n", "2", "--max-degree", "3",
@@ -135,37 +136,45 @@ def test_generate_method_flag_has_no_effect(capsys):
         assert code == 0
         degrees.append(json.loads(out)["degrees"])
     assert degrees[0] == degrees[1] == degrees[2]
-    assert [d["method"] for d in degrees[0]] == ["pair-coordinate"] * 4
+    assert [d["method"] for d in degrees[0]] == ["pair-coordinate"] * 2 \
+        + ["pair-coordinate/weyl-orbit"] * 2
 
 
 @pytest.mark.parametrize("n,max_degree,rows", [
-    (2, 4, [(3, 3, 0, 0, 0), (9, 8, 1, 8, 5), (18, 15, 3, 19, 17), (30, 24, 6, 52, 37),
-            (45, 35, 10, 88, 62)]),
-    (3, 2, [(8, 8, 0, 0, 0), (64, 63, 1, 246, 72), (288, 279, 9, 1213, 696)]),
+    (2, 4, [(3, 3, 0, 3, 3, 0, 0, 3, 3), (9, 8, 1, 9, 8, 8, 5, 5, 5),
+            (18, 15, 3, 12, 9, 36, 11, 7, 4), (30, 24, 6, 20, 14, 162, 23, 9, 5),
+            (45, 35, 10, 30, 20, 270, 43, 11, 6)]),
+    (3, 2, [(8, 8, 0, 8, 8, 0, 0, 7, 7), (64, 63, 1, 64, 63, 246, 72, 19, 19),
+            (288, 279, 9, 76, 67, 2016, 115, 37, 6)]),
 ])
 def test_generate_pinned_rows(capsys, n, max_degree, rows):
-    # (target rank, component rank, relation rank, brackets, brackets
-    # evaluated) per grade; the ranks are those the closure gave when it
-    # eliminated polynomial fields exactly over Q.  Grades 0-1 bracket the
-    # generators with the kept vectors, grades 2 and up grade-1 pairs with
-    # grade-(d-1) pairs; brackets in full weight blocks are skipped, not
-    # evaluated
+    # (target rank, component rank, relation rank, span rank, kept vectors,
+    # brackets, brackets evaluated, blocks, blocks computed) per grade; the
+    # ranks are those the closure gave when it eliminated polynomial fields
+    # exactly over Q.  Grades 0-1 bracket the generators with the kept
+    # vectors and skip brackets in full blocks; grades 2 and up bracket
+    # grade-1 pairs with grade-(d-1) pairs in one block per Weyl orbit, and
+    # count every other bracket of the step as skipped
     code, out = run(capsys, ["generate", "--n", str(n), "--max-degree", str(max_degree)])
     assert code == 0
     degrees = json.loads(out)["degrees"]
     assert len(degrees) == len(rows)
-    for d, (row, (target, rank, relations, brackets, evaluated)) in enumerate(zip(degrees, rows)):
+    for d, (row, values) in enumerate(zip(degrees, rows)):
+        target, rank, relations, span, kept, brackets, evaluated, blocks, computed = values
         assert row == {
-            "n": n, "degree": d, "method": "pair-coordinate",
+            "n": n, "degree": d,
+            "method": "pair-coordinate" if d <= 1 else "pair-coordinate/weyl-orbit",
             "operands": "seeds" if d <= 1 else "T_1 x T_{d-1}",
             "target_rank": target, "achieved_rank": target, "missing_witnesses": [],
-            "span_rank": target,
+            "span_rank": span,
             "sl_component_rank": rank, "sl_target_component_rank": rank,
-            "gl_component_rank": rank, "brackets_evaluated": evaluated,
+            "gl_component_rank": kept, "brackets_evaluated": evaluated,
             "brackets_skipped": brackets - evaluated,
+            "blocks": blocks, "blocks_computed": computed,
             "prime": 2 ** 31 - 1, "relation_rank": relations,
             "certified": True, "complete": True,
         }
+        assert span == relations + kept
 
 
 @pytest.mark.parametrize("flags", [

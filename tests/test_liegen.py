@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -84,6 +86,66 @@ def kept_fields(res, d):
     return [pair_field(vec, res.n, d) for vec in res.spans[d]]
 
 
+def weyl_tau(n):
+    """The elements of S_n x <tau> as (permutation, transpose): X -> P X P^-1
+    with P e_j = e_perm[j], then X -> X^T when `transpose`."""
+    return [(perm, t) for perm in itertools.permutations(range(n)) for t in (False, True)]
+
+
+class PairAction:
+    """An element sigma of S_n x <tau> on the grade-d pair vectors:
+    f*V -> sigma(f) * sigma(V), with x_ij -> x_sigma(i,j) in f (restricted
+    to tr = 0, so x_nn becomes -(x_11 + ... + x_{n-1,n-1})) and V the field
+    of a matrix B sent to that of P B P^-1, or of -B^T after the transpose.
+    Each is the push-forward of fields by a linear automorphism of tr = 0."""
+
+    def __init__(self, ring, d, perm, transpose):
+        n, nv = ring.n, ring.nv
+        self.nv = nv
+
+        def move(v):
+            i, j = perm[v // n], perm[v % n]
+            return j * n + i if transpose else i * n + j
+        self.gens = [liegen._sl_coordinates(n, {divmod(move(i * n + j), n): -c if transpose else c
+                                                for i, row in enumerate(generator_matrix(n, g))
+                                                for j, c in enumerate(row) if c})
+                     for g in generator_ids(n)]
+        index = {m: i for i, m in enumerate(ring.monomials(d))}
+        self.monos = [{index[k]: c for k, c in ring.restrict(Polynomial.from_monomial(
+                          n * n, Monomial((move(v), e) for v, e in m))).items()}
+                      for m in slice_monomials(nv, d)]
+
+    def __call__(self, vec):
+        out, nv = {}, self.nv
+        for p, c in vec.items():
+            i, V = divmod(p, nv)
+            for mi, mc in self.monos[i].items():
+                for U, gc in self.gens[V]:
+                    k = mi * nv + U
+                    out[k] = out.get(k, 0) + c * mc * gc
+        return {k: c for k, c in out.items() if c}
+
+    def moves_n(self):
+        """Whether sigma sends some monomial through x_nn."""
+        return any(len(m) > 1 for m in self.monos)
+
+
+def proved_fields(res, d):
+    """The fields the certificate of grade d puts in L: the kept vectors,
+    and at d >= 2 their images under every element of S_n x <tau>, which
+    the lemma of `_certify_degree` puts in L as well."""
+    if d <= 1:
+        return kept_fields(res, d)
+    ring = liegen._TracelessFields(res.n, d)
+    images = {}
+    for perm, t in weyl_tau(res.n):
+        act = PairAction(ring, d, perm, t)
+        for vec in res.spans[d]:
+            image = act(vec)
+            images[tuple(sorted(image.items()))] = image
+    return [pair_field(vec, res.n, d) for vec in images.values()]
+
+
 def field_of(vec, n, m):
     """The field whose flat vector over (degree-m monomials) x (component)
     is `vec`: the inverse of `vectorize`."""
@@ -114,7 +176,7 @@ def test_seed_example_n3_product_of_kernel_elements():
     assert {s.grade for s in seeds} == {0, 1}
     res = closure(seeds, 2)
     v = scale_field(parse_poly("x21*x31", 3), make_theta(3, 1, 2))
-    assert in_span(kept_fields(res, 2), v, 2)
+    assert in_span(proved_fields(res, 2), v, 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -183,7 +245,7 @@ def test_closure_n2_contains_x12_powers():
     t12 = make_theta(2, 1, 2)
     x12 = Polynomial.x(1, 2, 2)
     for d in (1, 2, 3):
-        assert in_span(kept_fields(res, d), scale_field(x12 ** d, t12), d)
+        assert in_span(proved_fields(res, d), scale_field(x12 ** d, t12), d)
     for d in (0, 1, 2, 3):
         assert res.reports[d].certified
 
@@ -197,7 +259,7 @@ def test_closure_n3_degree1_contains_x11_xi1():
 def test_closure_n3_degree2_contains_x12sq_theta12():
     res = closure(build_seeds(3), 2)
     v = scale_field(parse_poly("x12^2", 3), make_theta(3, 1, 2))
-    assert in_span(kept_fields(res, 2), v, 2)
+    assert in_span(proved_fields(res, 2), v, 2)
     assert res.reports[2].certified
 
 
@@ -221,17 +283,24 @@ def test_closure_order_independent():
 
 
 def test_closure_monotone_under_budget():
-    # a tiny bracket budget yields a flagged partial result, never a wrong one
-    res = closure(build_seeds(2), 2, budget_brackets=4)
-    assert not res.complete
-    assert 2 not in res.reports and 2 not in res.spans   # grade 1 ran out
+    # a tiny bracket budget yields a flagged partial result, never a wrong
+    # one: 4 brackets run out in grade 1 (it needs 5), 8 in the orbit step
+    # of grade 2, which leaves an open representative and its orbit unproven
     full = closure(build_seeds(2), 2)
     assert full.complete
-    for d, rep in res.reports.items():
-        assert rep.achieved_rank <= rep.target_rank
-        assert rep.achieved_rank <= full.reports[d].achieved_rank
-        for v in kept_fields(res, d):
-            assert in_span(kept_fields(full, d), v, d)
+    for budget, last in ((4, 1), (8, 2)):
+        res = closure(build_seeds(2), 2, budget_brackets=budget)
+        assert not res.complete
+        assert max(res.reports) == max(res.spans) == last
+        for d, rep in res.reports.items():
+            assert rep.achieved_rank <= rep.target_rank
+            assert rep.achieved_rank <= full.reports[d].achieved_rank
+            for v in kept_fields(res, d):
+                assert in_span(kept_fields(full, d), v, d)
+        rep = res.reports[last]
+        assert not rep.complete and not rep.certified and rep.missing_witnesses
+        assert rep.achieved_rank < rep.target_rank
+        assert sum(r.brackets_evaluated for r in res.reports.values()) == budget
 
 
 def test_closure_stops_at_the_grade_that_ran_out():
@@ -371,17 +440,25 @@ def test_multiples_of_trace_form_an_ideal(n):
 
 @pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 2)])
 def test_kept_fields_are_traceless_independent(n, max_degree, closure_n3):
-    # on a certified grade the kept vectors and the relations span every
-    # pair mod p, and the relations span ker Phi, so the fields the kept
-    # vectors stand for are independent over Q: exact elimination of their
-    # traceless vectors gives rank |B| = sl_rank
-    res = closure_n3 if n == 3 else closure(build_seeds(n), max_degree)
-    for d in range(max_degree + 1):
-        space = ExactRowSpace()
-        for v in kept_fields(res, d):
-            assert space.insert(sl_vector_oracle(v, d))
-        rep = res.reports[d]
-        assert len(res.spans[d]) == space.rank == rep.sl_rank == rep.gl_rank
+    # the kept vectors are new mod p beside the relations, and the
+    # relations span ker Phi, so the fields they stand for are independent
+    # over Q: exact elimination of their traceless vectors gives rank |B|.
+    # When every block is computed, B and the relations span every pair mod
+    # p, so |B| = sl_rank; in the orbit step B fills the representatives,
+    # and B with its images under S_n x <tau> has rank sl_rank
+    for all_blocks in (True, False):
+        res = (closure_n3 if n == 3 and not all_blocks
+               else closure(build_seeds(n), max_degree, all_blocks=all_blocks))
+        for d in range(max_degree + 1):
+            space = ExactRowSpace()
+            for v in kept_fields(res, d):
+                assert space.insert(sl_vector_oracle(v, d))
+            rep = res.reports[d]
+            assert len(res.spans[d]) == space.rank == rep.gl_rank
+            if not all_blocks and d >= 2:
+                for v in proved_fields(res, d):
+                    space.insert(sl_vector_oracle(v, d))
+            assert space.rank == rep.sl_rank
 
 
 def closed_form(n, d):
@@ -396,23 +473,93 @@ def closed_form(n, d):
     return target, relations
 
 
+@functools.cache
+def closure_of(n, max_degree, all_blocks=False):
+    return closure(build_seeds(n), max_degree, all_blocks=all_blocks)
+
+
 @pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 2), (3, 3), (4, 2), (3, 4), (4, 3)])
 def test_closure_ranks_closed_form(n, max_degree, closure_n3):
     # up to (3,3) and (4,2), the ranks, relation ranks, prime and verdicts are
     # those of the closure that bracketed field vectors in column coordinates
-    # (one-prime certificate); (3,4) and (4,3) come from [T_1, T_{d-1}] alone
-    res = closure_n3 if (n, max_degree) == (3, 2) else closure(build_seeds(n), max_degree)
+    # (one-prime certificate); (3,4) and (4,3) come from [T_1, T_{d-1}] alone.
+    # Grades 0-1 fill every block; a grade d >= 2 fills one block per orbit
+    # of S_n x <tau>, and its echelon holds the kept vectors and every relation
+    res = closure_n3 if (n, max_degree) == (3, 2) else closure_of(n, max_degree)
+    ring = liegen._TracelessFields(n, max_degree)
     for d in range(max_degree + 1):
         rep = res.reports[d]
         target, relations = closed_form(n, d)
+        weights = ring.pairs(d)[1]
         assert rep.target_rank == target
         assert rep.sl_rank == rep.sl_target_component_rank == target - relations
-        assert rep.relation_rank == relations and rep.span_rank == target
+        assert rep.relation_rank == relations
+        assert rep.span_rank == relations + rep.gl_rank == relations + len(res.spans[d])
         assert rep.certified
-        assert (rep.method, rep.prime) == ("pair-coordinate", liegen.CLOSURE_PRIME)
-        assert rep.operands == ("seeds" if d <= 1 else "T_1 x T_{d-1}")
+        assert rep.prime == liegen.CLOSURE_PRIME
+        assert rep.blocks == len(set(weights))
+        if d <= 1:
+            assert rep.method == "pair-coordinate" and rep.operands == "seeds"
+            assert rep.span_rank == target and rep.blocks_computed == rep.blocks
+        else:
+            assert rep.method == "pair-coordinate/weyl-orbit" and rep.operands == "T_1 x T_{d-1}"
+            assert rep.blocks_computed == len(ring.orbits(weights)) < rep.blocks
     expected = {2: [3, 8, 15, 24, 35], 3: [8, 63, 279, 916, 2484], 4: [15, 224, 1784, 10064]}[n]
     assert [res.reports[d].sl_rank for d in range(max_degree + 1)] == expected[:max_degree + 1]
+
+
+@pytest.mark.parametrize("n,max_degree", [(2, 6), (3, 4), (4, 3)])
+def test_orbit_step_matches_every_block(n, max_degree):
+    # the reference computes every weight block of the [T_1, T_{d-1}] step:
+    # each block is full, and the certificates and ranks are those of the
+    # orbit step, which computes one block per orbit of S_n x <tau>
+    every = closure_of(n, max_degree, all_blocks=True)
+    orbit = closure_of(n, max_degree)
+    assert every.complete and orbit.complete
+    for d in range(max_degree + 1):
+        ref, rep = every.reports[d], orbit.reports[d]
+        assert ref.certified and rep.certified
+        assert ref.span_rank == ref.target_rank and ref.blocks_computed == ref.blocks
+        assert ref.method == "pair-coordinate"
+        for key in ("certified", "sl_rank", "relation_rank", "target_rank", "achieved_rank",
+                    "sl_target_component_rank", "blocks"):
+            assert getattr(ref, key) == getattr(rep, key), (d, key)
+        if d >= 2:
+            assert rep.blocks_computed < rep.blocks
+            assert rep.brackets_evaluated < ref.brackets_evaluated
+
+
+def test_grade_with_its_own_seeds_computes_every_block():
+    # a seed of grade 2 lies in L, but its images under S_n x <tau> need
+    # not, so that grade drops the orbit rule and fills every block
+    extra = Seed(parse_poly("x12*x21", 3), Theta(1, 2), 2)
+    rep = closure(build_seeds(3) + [extra], 3).reports
+    assert rep[2].method == "pair-coordinate" and rep[2].blocks_computed == rep[2].blocks
+    assert rep[3].method == "pair-coordinate/weyl-orbit" and rep[3].blocks_computed < rep[3].blocks
+    assert all(r.certified for r in rep.values())
+    assert rep[2].sl_rank == closed_form(3, 2)[0] - closed_form(3, 2)[1]
+
+
+@pytest.mark.parametrize("n,max_degree", [(2, 5), (3, 4), (4, 3), (5, 2)])
+def test_orbit_representatives(n, max_degree):
+    # weights decode to integer vectors summing to 0; each orbit is the set
+    # of permutations of its representative and their negations, the
+    # representative is the least sorted form, and the orbits partition the
+    # blocks into sets of equal pair count
+    ring = liegen._TracelessFields(n, max_degree)
+    weights = ring.pairs(max_degree)[1]
+    sizes = Counter(weights)
+    orbits = ring.orbits(weights)
+    assert sorted(w for ws in orbits.values() for w in ws) == sorted(sizes)
+    for rep, ws in orbits.items():
+        v = ring.weight_vector(rep)
+        assert sum(v) == 0 and list(v) == sorted(v) <= sorted(-c for c in v)
+        images = {tuple(c * s for c in p) for p in itertools.permutations(v) for s in (1, -1)}
+        assert {ring.weight_vector(w) for w in ws} == images
+        assert {sizes[w] for w in ws} == {sizes[rep]}
+    for v, w in zip(range(ring.nv), ring.var_weights):
+        i, j = divmod(v, n)
+        assert ring.weight_vector(w) == tuple((k == i) - (k == j) for k in range(n))
 
 
 def pair_brackets(n, max_degree):
@@ -500,6 +647,52 @@ def test_generator_brackets_are_commutator_fields(n):
         C = [[sum(A[i][k] * B[k][j] - B[i][k] * A[k][j] for k in range(n)) for j in range(n)]
              for i in range(n)]
         assert bracket(generator_field(n, g1), generator_field(n, g2)) == commutator_field(C)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_structure_constants_are_the_dense_commutators(n):
+    # the ring reads [W, V] off the at most two entries of each generator
+    # matrix; the dense product AB - BA gives the same coordinates
+    ring = liegen._TracelessFields(n, 1)
+    mats = [generator_matrix(n, g) for g in generator_ids(n)]
+    for A, row in zip(mats, ring.structure):
+        for B, coords in zip(mats, row):
+            C = {(i, j): sum(A[i][k] * B[k][j] - B[i][k] * A[k][j] for k in range(n))
+                 for i in range(n) for j in range(n)}
+            assert coords == liegen._sl_coordinates(n, C)
+
+
+def equivariance_group(n):
+    """(1 2), tau, and the n-cycle i -> i + 1, which moves n."""
+    ident = list(range(n))
+    swap = [1, 0] + ident[2:]
+    return {"(12)": (swap, False), "tau": (ident, True),
+            "cycle": ([(i + 1) % n for i in range(n)], False)}
+
+
+@pytest.mark.parametrize("sigma", ["(12)", "tau", "cycle"])
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_pair_brackets_commute_with_weyl_and_transpose(n, d, sigma):
+    # the lemma of `_certify_degree`: sigma [a, b] = [sigma a, sigma b] for
+    # every grade-1 pair a and grade-(d-1) pair b, in pair coordinates, for
+    # generators of S_n x <tau>; the cycle sends x_{n-1,n-1} to x_nn, which
+    # is -(x_11 + ... + x_{n-1,n-1}) on tr = 0
+    perm, t = equivariance_group(n)[sigma]
+    ring = liegen._TracelessFields(n, d)
+    table = liegen._PairBrackets(ring, 1, d)
+    left, right, out = (PairAction(ring, e, perm, t) for e in (1, d - 1, d))
+    nv = ring.nv
+    assert left.moves_n() == (sigma == "cycle")
+    lefts = [left({a: 1}) for a in range(len(table.left) * nv)]
+    for b in range(len(table.right) * nv):
+        sb = right({b: 1})
+        for a, sa in enumerate(lefts):
+            lhs, rhs = {}, {}
+            table.add(a, b, 1, lhs)
+            for i, ci in sa.items():
+                for j, cj in sb.items():
+                    table.add(i, j, ci * cj, rhs)
+            assert out(lhs) == {k: c for k, c in rhs.items() if c}
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5])
@@ -591,9 +784,14 @@ def test_evaluated_brackets_lie_in_their_predicted_weight(n, max_degree, monkeyp
     monkeypatch.setattr(liegen._PairBrackets, "add", recording)
     res = closure(build_seeds(n), max_degree)
     assert len(calls) >= sum(rep.brackets_evaluated for rep in res.reports.values())
+    assert sum(d >= 2 for _, d, _ in calls) == sum(
+        rep.brackets_evaluated for d, rep in res.reports.items() if d >= 2)
+    representatives = {d: ring.orbits(weights[d]) for d in grades}
     nonzero = 0
     for w, d, term in calls:
         assert {weights[d][k] for k, c in term.items() if c} <= {w}
+        # the [T_1, T_{d-1}] step computes only the orbit representatives
+        assert d <= 1 or w in representatives[d]
         nonzero += any(term.values())
     assert nonzero > len(calls) // 2
 
@@ -624,11 +822,14 @@ def test_vectors_across_weight_blocks_raise():
 
 
 @pytest.mark.parametrize("n,max_degree,digest", [
-    (2, 4, "f949f3f07cad82d2"), (3, 2, "30f1d75e4bbb2a1c"), (3, 3, "fd70eb31f38a94e1")])
+    pytest.param(2, 4, "a32552f46d89c624", id="2-4"),
+    pytest.param(3, 2, "47161823dbb939ce", id="3-2"),
+    pytest.param(3, 3, "863154751ea66491", id="3-3")])
 def test_kept_vectors_are_pinned(n, max_degree, digest, closure_n3):
     # the kept vectors B in pair coordinates and their order: seeds and
-    # generator brackets at grades 0-1, [T_1, T_{d-1}] brackets above
-    res = closure_n3 if (n, max_degree) == (3, 2) else closure(build_seeds(n), max_degree)
+    # generator brackets at grades 0-1, [T_1, T_{d-1}] brackets of the orbit
+    # representatives' blocks above
+    res = closure_n3 if (n, max_degree) == (3, 2) else closure_of(n, max_degree)
     spans = [[sorted(v.items()) for v in res.spans[d]] for d in range(max_degree + 1)]
     assert hashlib.sha256(json.dumps(spans).encode()).hexdigest()[:16] == digest
 
@@ -636,14 +837,25 @@ def test_kept_vectors_are_pinned(n, max_degree, digest, closure_n3):
 def test_uncertified_operands_leave_later_grades_unproven():
     # a grade-1 seed set that leaves grade 1 short: the brackets of grade 2
     # would need every grade-1 pair in the algebra, so grade 2 runs none and
-    # is not certified either
+    # is not certified either.  Its witnesses are the pairs of the orbit
+    # representatives, each open orbit followed by a line for its other
+    # blocks, and no pair of the grade counts as achieved
     seeds = [s for s in build_seeds(2) if s.grade == 0]
     res = closure(seeds, 2)
     assert not res.reports[1].certified
     rep = res.reports[2]
     assert rep.complete and not rep.certified and rep.sl_rank is None
-    assert rep.brackets_evaluated == rep.brackets_skipped == 0
-    assert rep.achieved_rank == rep.target_rank - len(rep.missing_witnesses)
+    assert rep.brackets_evaluated == rep.brackets_skipped == rep.blocks_computed == 0
+    ring = liegen._TracelessFields(2, 2)
+    weights = ring.pairs(2)[1]
+    orbits = ring.orbits(weights)
+    pairs = [w for w in rep.missing_witnesses if " * " in w]
+    follow = [w for w in rep.missing_witnesses if " * " not in w]
+    assert len(pairs) == sum(map(weights.count, orbits)) == 11
+    assert len(follow) == sum(len(ws) > 1 for ws in orbits.values()) == 3
+    assert follow[0] == "weight (-1, 1) is open: 1 more block(s) of its orbit (4 pairs) follow it"
+    followers = sum(int(re.search(r"\((\d+) pairs\)", w).group(1)) for w in follow)
+    assert rep.achieved_rank == rep.target_rank - len(pairs) - followers == 0
 
 
 @pytest.mark.parametrize("n", [2, 3])
