@@ -302,12 +302,9 @@ class _TracelessFields:
         """Keys of the degree-`degree` monomials, in `slice_monomials` order."""
         return self._linear(self.units, degree)
 
-    def pairs(self, d: int) -> tuple[list[dict[int, int]], list[int]]:
-        """The grade-d target pairs f*V as packed fields, in pair-index
-        order, and the weight of each."""
-        pairs = [{f + k: c for k, c in g.items()} for f in self.monomials(d) for g in self.gens]
-        weights = [fw + gw for fw in self._linear(self.var_weights, d) for gw in self.gen_weights]
-        return pairs, weights
+    def weights(self, d: int) -> list[int]:
+        """The weight of each grade-d target pair f*V, in pair-index order."""
+        return [fw + gw for fw in self._linear(self.var_weights, d) for gw in self.gen_weights]
 
     def weight_vector(self, w: int) -> tuple[int, ...]:
         """The weight encoded as the int w, as its coordinates in Z^n: the
@@ -345,9 +342,10 @@ class _TracelessFields:
 
     def relations(self, d: int) -> list[dict[int, int]]:
         """Relations among the grade-d target pairs, as pair vectors: for
-        k = 1..min(d, n-1), n times the traceless part of X^k in generator
-        coordinates, times each degree-(d-k) monomial.  X^k commutes with X,
-        so the matching combination of the fields f*V vanishes."""
+        k = 1..min(d, n-1), the generator coordinates (`_sl_coordinates`) of
+        n X^k - tr(X^k) I, one integer matrix per monomial key, times each
+        degree-(d-k) monomial.  X^k commutes with X, so the matching
+        combination of the fields f*V vanishes."""
         n, nv, X = self.n, self.nv, self.X
         index = {m: i for i, m in enumerate(self.monomials(d))}
         power = X
@@ -355,15 +353,12 @@ class _TracelessFields:
         for k in range(1, min(d, n - 1) + 1):
             trace = _sum((power[i][i], 1) for i in range(n))
             coords = []
-            for gid in generator_ids(n):
-                if isinstance(gid, Theta):
-                    coords.append(_sum([(power[gid.a - 1][gid.b - 1], n)]))
-                else:
-                    coords.append(_sum([(power[i][i], n) for i in range(gid.a)]
-                                       + [(trace, -gid.a)]))
+            for m in dict.fromkeys(m for row in power for p in row for m in p):
+                C = {(i, j): n * p.get(m, 0) - (trace.get(m, 0) if i == j else 0)
+                     for i, row in enumerate(power) for j, p in enumerate(row)}
+                coords.append((m, _sl_coordinates(n, C)))
             for mu in self.monomials(d - k):
-                out.append({index[mu + m] * nv + gi: c
-                            for gi, coord in enumerate(coords) for m, c in coord.items()})
+                out.append({index[mu + m] * nv + gi: c for m, cs in coords for gi, c in cs})
             power = [[_sum((_mul(power[i][l], X[l][j]), 1) for l in range(n))
                       for j in range(n)] for i in range(n)]
         return out
@@ -462,21 +457,23 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
     Each grade puts its relations Rel (`_relation_blocks`) and then the
     vectors B it keeps into one mod-p echelon over the pair coordinates, and
     keeps a vector exactly when it is new there.  The seeds of a grade come
-    first.  Grades 0 and 1 then bracket each kept grade-0 vector with each
-    kept vector of the grade, through the closed form of `_PairBrackets`
-    with h = 1, which is linear in both operands.  A grade d >= 2 is the
-    step [T_1, T_{d-1}]: it brackets grade-1 pairs with grade-(d-1) pairs
-    (a < b at d = 2, where both have grade 1), and runs only when grades 1
-    and d - 1 are certified, because only then are these pairs in the Lie
-    algebra.  `spans[d]` lists the kept vectors B: each is a pair-coordinate
-    representative of a field in the algebra.
+    first.  Grades 0 and 1 then walk the growing list of kept vectors,
+    bracketing each with each kept grade-0 vector (at grade 0, each one kept
+    before it) through the closed form of `_PairBrackets` with h = 1, which
+    is linear in both operands.  A grade d >= 2 is the step [T_1, T_{d-1}]:
+    it brackets grade-1 pairs with grade-(d-1) pairs (a < b at d = 2, where
+    both have grade 1), and runs only when grades 1 and d - 1 are
+    certified, because only then are these pairs in the Lie algebra.  Both
+    share one bracket, keep and budget loop.  `spans[d]` lists the kept
+    vectors B: each is a pair-coordinate representative of a field in the
+    algebra.
 
     Weight blocks.  Every pair, relation and bracket is homogeneous for the
     sl_n torus weight (`_TracelessFields.var_weights`), so the echelon is
     one `ModularRowSpace` graded by pair weight, and its `open_blocks` are
     the weights still below the rank of their pair count.  A bracket's
     weight, the sum of its operands' weights, is known before it is taken.
-    At grades 0-1 a queued bracket whose block is not open is skipped
+    At grades 0-1 a bracket whose block is not open is skipped
     (`brackets_skipped`), and the grade stops once no block is open.  At
     d >= 2 the step runs block by block, only for the representative w of
     each orbit of S_n x <tau> (`_TracelessFields.orbits`; the lemma of
@@ -516,29 +513,20 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
         if deadline is not None and time.monotonic() > deadline:
             complete = False
             break
-        pairs, weights = ring.pairs(d)
+        weights = ring.weights(d)
         groups = by_weight[d] = {}
         for i, w in enumerate(weights):
             groups.setdefault(w, []).append(i)
         relations = ring.relations(d)
-        space = _relation_blocks(relations, pairs, weights)
-        relation_rank = space.rank
-        open_blocks = space.open_blocks
+        space = _relation_blocks(ring, d, relations, weights)
+        relation_rank, open_blocks = space.rank, space.open_blocks
         kept = spans[d] = []
-        weighted: list[tuple[int, dict[int, int]]] = []     # (weight, vector) of each kept
-        queue: list = []     # grades 0-1: iterated while it grows
 
         def keep(vec: dict[int, int]):
-            """Keep a vector if it is new mod p; at grades 0 and 1, queue its
-            brackets with the kept grade-0 vectors."""
+            """Keep a vector if it is new mod p."""
             vec = {k: c for k, c in vec.items() if c}
-            if not vec or not space.insert(vec):
-                return
-            kept.append(vec)
-            if d <= 1:
-                w = weights[next(iter(vec))]
-                queue.extend((u, (w, vec)) for u in (grade0 if d else weighted))
-                weighted.append((w, vec))
+            if vec and space.insert(vec):
+                kept.append(vec)
 
         brackets = _PairBrackets(ring, 0 if d <= 1 else 1, d)
         for s in seeds:
@@ -546,56 +534,54 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
                 gi = gen_index[s.generator]
                 keep({brackets.offset[m] + gi: c for m, c in ring.restrict(s.coefficient).items()})
 
-        evaluated = skipped = 0
         # the orbit lemma needs every kept vector to be a [T_1, T_{d-1}] bracket
         orbits = ({w: [w] for w in groups} if d <= 1 or all_blocks or kept
                   else ring.orbits(weights))
         if d <= 1:
             operands_ok, computed = True, len(groups)
-            for (wu, u), (wx, x) in queue:
-                if not open_blocks:
-                    break
-                if wu + wx not in open_blocks:
-                    skipped += 1
-                    continue
-                if out_of_budget():
-                    complete = False
-                    break
-                out: dict[int, int] = {}
-                for a, ua in u.items():
-                    for b, xb in x.items():
-                        brackets.add(a, b, ua * xb, out)
-                keep(out)
-                evaluated += 1
-                brackets_done += 1
+            # a grade-0 pair's index is its generator's; `kept` grows as it is walked
+            operands = ((ring.gen_weights[next(iter(u))] + weights[next(iter(x))], u, x)
+                        for j, x in enumerate(kept) for u in (spans[0] if d else kept[:j]))
         else:
             operands_ok = reports[1].certified and reports[d - 1].certified
             computed = 0
-            for w in sorted(orbits) if operands_ok else ():
-                computed += 1
-                for a, b in _block_operands(by_weight[1], by_weight[d - 1], w, d == 2):
-                    if w not in open_blocks:
-                        break
-                    if out_of_budget():
-                        complete = False
-                        break
-                    out = {}
-                    brackets.add(a, b, 1, out)
-                    keep(out)
-                    evaluated += 1
-                    brackets_done += 1
-                if not complete:
+
+            def step():
+                """Each representative's block of [T_1, T_{d-1}], until it is full."""
+                nonlocal computed
+                for w in sorted(orbits) if operands_ok else ():
+                    computed += 1
+                    for a, b in _block_operands(by_weight[1], by_weight[d - 1], w, d == 2):
+                        if w not in open_blocks:
+                            break
+                        yield w, {a: 1}, {b: 1}
+            operands = step()
+
+        evaluated = skipped = 0
+        for w, u, x in operands:
+            if w not in open_blocks:
+                if not open_blocks:
                     break
-            if operands_ok:
-                k, m = len(brackets.left) * ring.nv, len(brackets.right) * ring.nv
-                skipped = (k * (k - 1) // 2 if d == 2 else k * m) - evaluated
+                skipped += 1
+                continue
+            if out_of_budget():
+                complete = False
+                break
+            out: dict[int, int] = {}
+            for a, ua in u.items():
+                for b, xb in x.items():
+                    brackets.add(a, b, ua * xb, out)
+            keep(out)
+            evaluated += 1
+            brackets_done += 1
+        if d >= 2 and operands_ok:
+            k, m = len(brackets.left) * ring.nv, len(brackets.right) * ring.nv
+            skipped = (k * (k - 1) // 2 if d == 2 else k * m) - evaluated
         reports[d] = _certify_degree(ring, d, space, groups, orbits, relation_rank,
                                      len(relations), operands_ok, evaluated, skipped,
                                      computed, complete)
         if not complete:
             break
-        if d == 0:
-            grade0 = weighted
 
     return ClosureResult(n, max_degree, spans, reports, complete)
 
@@ -613,14 +599,16 @@ def _block_operands(ones: dict[int, list[int]], rest: dict[int, list[int]], w: i
                     yield a, b
 
 
-def _relation_blocks(relations: list[dict[int, int]], pairs: list[dict[int, int]],
-                     pair_weights: list[int]) -> ModularRowSpace:
-    """The relations r whose image sum_i r_i * pairs[i] is exactly 0, in a
-    mod-p echelon graded by the weight of their pairs; a relation that
-    failed the check would not enter the rank."""
-    space = ModularRowSpace(CLOSURE_PRIME, pair_weights)
+def _relation_blocks(ring: _TracelessFields, d: int, relations: list[dict[int, int]],
+                     weights: list[int]) -> ModularRowSpace:
+    """The relations r among the grade-d pairs whose field sum_i r_i * f_i *
+    V_i on tr = 0 is exactly 0, in a mod-p echelon graded by the weight of
+    their pairs; a relation that fails the check does not enter the rank."""
+    nv, monomials, gens = ring.nv, ring.monomials(d), ring.gens
+    space = ModularRowSpace(CLOSURE_PRIME, weights)
     for r in relations:
-        if not _sum((pairs[i], c) for i, c in r.items()):
+        if not _sum(({monomials[i // nv] + k: v for k, v in gens[i % nv].items()}, c)
+                    for i, c in r.items()):
             space.insert(r)
     return space
 

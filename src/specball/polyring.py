@@ -308,15 +308,15 @@ class Polynomial:
     def substitute(self, flat: int, replacement: "Polynomial") -> "Polynomial":
         """Replace one variable by a polynomial, exactly."""
         self._check(replacement)
-        result = Polynomial.zero(self.nvars)
-        powers_cache: dict[int, Polynomial] = {0: Polynomial.constant(self.nvars, 1)}
+        powers: dict[int, Polynomial] = {}
+        products = []
         for mono, c in self.terms.items():
             e = mono.exponent(flat)
+            if e not in powers:
+                powers[e] = replacement ** e
             rest = Monomial([(v, ex) for v, ex in mono.powers if v != flat])
-            if e not in powers_cache:
-                powers_cache[e] = replacement ** e
-            result = result + powers_cache[e] * Polynomial(self.nvars, {rest: c})
-        return result
+            products.append((powers[e], Polynomial(self.nvars, {rest: c})))
+        return Polynomial.sum_of_products(self.nvars, products)
 
     # -- printing ------------------------------------------------------
 

@@ -104,6 +104,21 @@ def test_verify_small_n_is_usage_error(capsys, n):
         assert "Traceback" not in captured.err
 
 
+def test_verify_text_format(capsys):
+    code, out = run(capsys, ["verify", "--id", "d2-hyperbolic", "--n", "2", "--format", "text"])
+    assert code == 0
+    assert out == "d2-hyperbolic: pass (matches_printed=False)\n"
+
+
+def test_tables_golden_mismatch_is_verification_failure(capsys, monkeypatch):
+    golden = cli._golden_tables()
+    golden["action"][0][0] = "x11"
+    monkeypatch.setattr(cli, "_golden_tables", lambda: golden)
+    code, out = run(capsys, ["tables", "--n", "3"])
+    assert code == 5
+    assert json.loads(out)["golden_match"] is False
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 2
 
@@ -116,6 +131,14 @@ def test_generate_small(capsys):
         assert entry["certified"]
         assert entry["achieved_rank"] == entry["target_rank"]
         assert not entry["missing_witnesses"]
+
+
+def test_generate_n1_is_precondition_error(capsys):
+    code = cli.main(["generate", "--n", "1", "--max-degree", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: n must be at least 2\n"
 
 
 def test_generate_budget_exhaustion(capsys):
@@ -267,6 +290,22 @@ def test_kernels_range_not_from_zero(capsys):
     rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
     got = [(r["m"], r["slice_dim"], r["dim_ker"], r["dim_ker_sq"], r["method"]) for r in rows]
     assert got == [("2", "45", "19", "33", "sl2"), ("3", "165", "57", "103", "sl2")]
+
+
+def test_kernels_single_degree(capsys):
+    # --m 5 is the range 5..5: one row, the xi1 kernel of the degree-5 slice
+    code, out = run(capsys, ["kernels", "--n", "2", "--field", "xi1", "--m", "5"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
+    assert [(r["m"], r["slice_dim"], r["dim_ker"]) for r in rows] == [("5", "56", "12")]
+
+
+def test_kernels_empty_range_is_usage_error(capsys):
+    code = cli.main(["kernels", "--n", "2", "--field", "xi1", "--m", "3..1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "empty range '3..1'" in captured.err
 
 
 def test_jets(capsys):

@@ -891,6 +891,17 @@ def test_iterate_on_rows_equals_array_steps(n, kind):
     assert type(rows) is list and np.array_equal(np.array(rows), alg(t / steps, A))
 
 
+def test_iterate_and_bracket_refuse_their_domain_errors():
+    # an iterate needs at least one step, and the commutator word takes
+    # sqrt(t), so it is defined for t >= 0 only
+    A = sample_spectral_ball(np.random.default_rng(17), 2)
+    fl = theta_flow(2, 1, 2)
+    with pytest.raises(ValueError, match="n_steps must be at least 1"):
+        iterate_algorithm(fl, 0.5, 0, A)
+    with pytest.raises(ValueError, match="t >= 0"):
+        algorithm_bracket(fl, theta_flow(2, 2, 1))(-0.1, A)
+
+
 def test_bracket_algorithm_commuting_flows():
     rng = np.random.default_rng(16)
     A = sample_spectral_ball(rng, 3)

@@ -490,7 +490,7 @@ def test_closure_ranks_closed_form(n, max_degree, closure_n3):
     for d in range(max_degree + 1):
         rep = res.reports[d]
         target, relations = closed_form(n, d)
-        weights = ring.pairs(d)[1]
+        weights = ring.weights(d)
         assert rep.target_rank == target
         assert rep.sl_rank == rep.sl_target_component_rank == target - relations
         assert rep.relation_rank == relations
@@ -547,7 +547,7 @@ def test_orbit_representatives(n, max_degree):
     # representative is the least sorted form, and the orbits partition the
     # blocks into sets of equal pair count
     ring = liegen._TracelessFields(n, max_degree)
-    weights = ring.pairs(max_degree)[1]
+    weights = ring.weights(max_degree)
     sizes = Counter(weights)
     orbits = ring.orbits(weights)
     assert sorted(w for ws in orbits.values() for w in ws) == sorted(sizes)
@@ -729,14 +729,42 @@ def test_relation_ranks_split_by_weight(n, max_degree):
     # ranks add up to the rank of one echelon over all the relations
     ring = liegen._TracelessFields(n, max_degree)
     for d in range(max_degree + 1):
-        pairs, weights = ring.pairs(d)
+        weights = ring.weights(d)
         relations = ring.relations(d)
-        blocks = liegen._relation_blocks(relations, pairs, weights)
-        whole = ModularRowSpace(liegen.CLOSURE_PRIME, [0] * len(pairs))
+        blocks = liegen._relation_blocks(ring, d, relations, weights)
+        whole = ModularRowSpace(liegen.CLOSURE_PRIME, [0] * len(weights))
         for r in relations:
             whole.insert(r)
         assert sum(map(blocks.block_rank, set(weights))) == blocks.rank == whole.rank \
             == closed_form(n, d)[1]
+
+
+def test_a_relation_that_does_not_vanish_stays_out_of_the_rank(monkeypatch):
+    # the relation check is exact: with one coefficient changed, a relation
+    # leaves a nonzero field, so it does not enter the rank, and a closure
+    # fed such a relation falls short of its relation count and does not
+    # certify that grade
+    ring = liegen._TracelessFields(3, 2)
+    weights = ring.weights(2)
+    good = ring.relations(2)[0]
+    bad = dict(good)
+    bad[next(iter(bad))] += 1
+    assert liegen._relation_blocks(ring, 2, [good], weights).rank == 1
+    assert liegen._relation_blocks(ring, 2, [bad], weights).rank == 0
+    relations = liegen._TracelessFields.relations
+
+    def with_one_bad(self, d):
+        out = relations(self, d)
+        if d == 2:
+            out[0] = bad
+        return out
+
+    monkeypatch.setattr(liegen._TracelessFields, "relations", with_one_bad)
+    res = closure(build_seeds(3), 2)
+    assert res.reports[1].certified
+    rep = res.reports[2]
+    assert rep.relation_rank == closed_form(3, 2)[1] - 1
+    assert rep.complete and not rep.certified and rep.sl_rank is None
 
 
 def weight_oracle(ring, key):
@@ -761,10 +789,11 @@ def test_evaluated_brackets_lie_in_their_predicted_weight(n, max_degree, monkeyp
     # weight, and the encoding agrees with the weight tuples
     ring = liegen._TracelessFields(n, max_degree)
     grades = range(max_degree + 1)
-    weights = {d: ring.pairs(d)[1] for d in grades}
+    weights = {d: ring.weights(d) for d in grades}
     by_tuple = {}
     for d in grades:
-        for field, w in zip(ring.pairs(d)[0], weights[d]):
+        pairs = [{f + k: c for k, c in g.items()} for f in ring.monomials(d) for g in ring.gens]
+        for field, w in zip(pairs, weights[d]):
             for key in field:
                 assert by_tuple.setdefault(weight_oracle(ring, key), w) == w
     assert len(set(by_tuple.values())) == len(by_tuple)
@@ -805,20 +834,20 @@ def test_vectors_across_weight_blocks_raise():
     # different weights, spans two blocks
     res = closure(build_seeds(2), 1)
     ring = liegen._TracelessFields(2, 1)
-    space = ModularRowSpace(liegen.CLOSURE_PRIME, ring.pairs(1)[1])
+    space = ModularRowSpace(liegen.CLOSURE_PRIME, ring.weights(1))
     u = res.spans[1][0]
     v = next(vec for vec in res.spans[1] if space.block(vec) != space.block(u))
     with pytest.raises(GradingError):
         space.insert(add(u, v))
     ring = liegen._TracelessFields(3, 2)
-    pairs, weights = ring.pairs(2)
+    weights = ring.weights(2)
     relations = ring.relations(2)
-    blocks = liegen._relation_blocks(relations, pairs, weights)
+    blocks = liegen._relation_blocks(ring, 2, relations, weights)
     r = relations[0]
     s = next(s for s in relations if blocks.block(s) != blocks.block(r))
-    assert liegen._relation_blocks([r, s], pairs, weights).rank == 2
+    assert liegen._relation_blocks(ring, 2, [r, s], weights).rank == 2
     with pytest.raises(GradingError):
-        liegen._relation_blocks([add(r, s)], pairs, weights)
+        liegen._relation_blocks(ring, 2, [add(r, s)], weights)
 
 
 @pytest.mark.parametrize("n,max_degree,digest", [
@@ -847,7 +876,7 @@ def test_uncertified_operands_leave_later_grades_unproven():
     assert rep.complete and not rep.certified and rep.sl_rank is None
     assert rep.brackets_evaluated == rep.brackets_skipped == rep.blocks_computed == 0
     ring = liegen._TracelessFields(2, 2)
-    weights = ring.pairs(2)[1]
+    weights = ring.weights(2)
     orbits = ring.orbits(weights)
     pairs = [w for w in rep.missing_witnesses if " * " in w]
     follow = [w for w in rep.missing_witnesses if " * " not in w]

@@ -108,6 +108,20 @@ def test_substitute_trace_is_ring_hom_and_idempotent():
         assert substitute_trace(sp) == sp
 
 
+def test_substitute_expands_term_by_term():
+    # p(x_v = r) is the sum over the terms c * x^e of c * (x^e / x_v^e_v) * r^e_v
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.choice([2, 3])
+        p, r = random_poly(rng, n), random_poly(rng, n)
+        v = rng.randrange(n * n)
+        expected = Polynomial.zero(n * n)
+        for mono, c in p.terms.items():
+            rest = Monomial((u, e) for u, e in mono.powers if u != v)
+            expected = expected + c * Polynomial.from_monomial(n * n, rest) * r ** mono.exponent(v)
+        assert p.substitute(v, r) == expected
+
+
 def test_parse_examples():
     p = parse_poly("3*x12^2*x21 - x11", 3)
     assert len(p.terms) == 2
