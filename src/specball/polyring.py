@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 from typing import Iterable, Iterator
 
 
@@ -71,16 +71,18 @@ def matrix_dim(nvars: int) -> int:
 class Monomial(tuple):
     """A power product: the tuple of its (variable, exponent) pairs, sorted,
     exponents positive.  `Monomial(pairs)` sorts, drops zero exponents and
-    refuses a negative one; products and derivatives wrap their canonical
-    pairs with `tuple.__new__`."""
+    refuses a negative exponent or a repeated variable; products and
+    derivatives wrap their canonical pairs with `tuple.__new__`."""
 
     __slots__ = ()
 
     def __new__(cls, powers: Iterable[tuple[int, int]] = ()):
         items = sorted((v, e) for v, e in powers if e != 0)
-        for v, e in items:
+        for i, (v, e) in enumerate(items):
             if e < 0:
                 raise ValueError("negative exponent in monomial")
+            if i and v == items[i - 1][0]:
+                raise ValueError(f"variable {v} repeated in monomial")
         return tuple.__new__(cls, items)
 
     @property
@@ -360,9 +362,6 @@ class HomSliceBasis:
     def __len__(self):
         return len(self.monomials)
 
-    def size(self) -> int:
-        return comb(self.nvars + self.m - 1, self.m) if self.m >= 0 else 0
-
 
 def enumerate_slice(n: int, m: int) -> HomSliceBasis:
     """Basis of degree-m homogeneous polynomials in the n x n matrix entries."""
@@ -393,9 +392,16 @@ def substitute_trace(p: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 # text format
 
-_TOKEN_VAR_COMPACT = re.compile(r"x(\d)(\d)")
-_TOKEN_VAR_BRACKET = re.compile(r"x\[\s*(\d+)\s*,\s*(\d+)\s*\]")
-_TOKEN_NUMBER = re.compile(r"(\d+)(?:\s*/\s*(\d+))?")
+# One token after optional whitespace; `lastgroup` names its kind.  `bad`
+# matches the empty string, so every position yields a token.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<number>(?P<numerator>\d+)(?:\s*/\s*(?P<denominator>\d+))?)
+  | (?P<bracket>x\[\s*(?P<row>\d+)\s*,\s*(?P<col>\d+)\s*\])
+  | (?P<compact>x(?P<crow>\d)(?P<ccol>\d))
+  | (?P<bare>x)
+  | (?P<sign>[-+]) | (?P<times>\*) | (?P<caret>\^)
+  | (?P<end>\Z)
+  | (?P<bad>))""", re.VERBOSE)
 
 
 def format_poly(p: Polynomial) -> str:
@@ -433,78 +439,56 @@ def parse_poly(text: str, n: int) -> Polynomial:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    nvars = n * n
-    s = text
-    pos = 0
+    match = _TOKEN.match
+    tok = match(text)
+    if tok.lastgroup == "end":
+        raise PolyParseError("empty input", tok.end())
     terms: dict[Monomial, int | Fraction] = {}
-
-    def skip_ws(i):
-        while i < len(s) and s[i].isspace():
-            i += 1
-        return i
-
-    pos = skip_ws(pos)
-    if pos == len(s):
-        raise PolyParseError("empty input", pos)
-
-    first = True
-    while pos < len(s):
-        pos = skip_ws(pos)
+    while tok.lastgroup != "end":
         coeff: int | Fraction = 1
-        if pos < len(s) and s[pos] in "+-":
-            coeff = -1 if s[pos] == "-" else 1
-            pos = skip_ws(pos + 1)
-        elif not first:
-            raise PolyParseError("expected '+' or '-' between terms", pos)
-        first = False
-
+        if tok.lastgroup == "sign":
+            coeff = -1 if tok["sign"] == "-" else 1
+            tok = match(text, tok.end())
+        elif terms:  # only the first term may omit its sign
+            raise PolyParseError("expected '+' or '-' between terms", tok.start(tok.lastgroup))
         powers: dict[int, int] = {}
         while True:
-            pos = skip_ws(pos)
-            if pos < len(s) and s[pos] == "x":
-                mb = _TOKEN_VAR_BRACKET.match(s, pos)
-                if mb:
-                    r, c = int(mb.group(1)), int(mb.group(2))
-                    pos = mb.end()
-                else:
-                    if n >= 10:
-                        raise PolyParseError(
-                            "compact xKL form is ambiguous for n >= 10; use x[k,l]", pos)
-                    mc = _TOKEN_VAR_COMPACT.match(s, pos)
-                    if not mc:
-                        raise PolyParseError("malformed variable", pos)
-                    r, c = int(mc.group(1)), int(mc.group(2))
-                    pos = mc.end()
-                if not (1 <= r <= n and 1 <= c <= n):
-                    raise PolyParseError(f"variable index x[{r},{c}] out of 1..{n}", pos)
-                e = 1
-                pos = skip_ws(pos)
-                if pos < len(s) and s[pos] == "^":
-                    pos = skip_ws(pos + 1)
-                    mnum = _TOKEN_NUMBER.match(s, pos)
-                    if not mnum or mnum.group(2):
-                        raise PolyParseError("expected integer exponent", pos)
-                    e = int(mnum.group(1))
-                    pos = mnum.end()
-                v = flat_index(r, c, n)
-                powers[v] = powers.get(v, 0) + e
-            else:
-                mnum = _TOKEN_NUMBER.match(s, pos)
-                if not mnum:
-                    raise PolyParseError("expected coefficient or variable", pos)
-                coeff *= int(mnum.group(1))
-                if mnum.group(2):
-                    den = int(mnum.group(2))
+            kind = tok.lastgroup
+            if kind == "number":
+                coeff *= int(tok["numerator"])
+                if tok["denominator"]:
+                    den = int(tok["denominator"])
                     if den == 0:
-                        raise PolyParseError("zero denominator", pos)
+                        raise PolyParseError("zero denominator", tok.start(kind))
                     coeff = Fraction(coeff, den)
-                pos = mnum.end()
-            pos = skip_ws(pos)
-            if pos < len(s) and s[pos] == "*":
-                pos += 1
-                continue
-            break
+                tok = match(text, tok.end())
+            else:
+                if kind == "bracket":
+                    r, c = int(tok["row"]), int(tok["col"])
+                elif kind in ("compact", "bare") and n >= 10:
+                    raise PolyParseError(
+                        "compact xKL form is ambiguous for n >= 10; use x[k,l]", tok.start(kind))
+                elif kind == "compact":
+                    r, c = int(tok["crow"]), int(tok["ccol"])
+                elif kind == "bare":
+                    raise PolyParseError("malformed variable", tok.start(kind))
+                else:
+                    raise PolyParseError("expected coefficient or variable", tok.start(kind))
+                if not (1 <= r <= n and 1 <= c <= n):
+                    raise PolyParseError(f"variable index x[{r},{c}] out of 1..{n}", tok.end())
+                v = flat_index(r, c, n)
+                tok = match(text, tok.end())
+                e = 1
+                if tok.lastgroup == "caret":
+                    tok = match(text, tok.end())
+                    if tok.lastgroup != "number" or tok["denominator"]:
+                        raise PolyParseError("expected integer exponent", tok.start(tok.lastgroup))
+                    e = int(tok["numerator"])
+                    tok = match(text, tok.end())
+                powers[v] = powers.get(v, 0) + e
+            if tok.lastgroup != "times":
+                break
+            tok = match(text, tok.end())
         mono = Monomial(powers.items())
         terms[mono] = terms[mono] + coeff if mono in terms else coeff
-        pos = skip_ws(pos)
-    return Polynomial._of(nvars, {m: c for m, c in terms.items() if c})
+    return Polynomial._of(n * n, {m: c for m, c in terms.items() if c})

@@ -357,6 +357,22 @@ def test_orbit_fibre_check(capsys, orbit_files):
     assert len(payload["trajectory"]) == 3
 
 
+def test_orbit_fibre_drift_is_verification_error(capsys, orbit_files, tmp_path):
+    # two shears by 1e8 around a transpose: rounding moves the fibre by ~0.1,
+    # so the check fails (exit 5) and the report is still written
+    mat = orbit_files[0]
+    shear = {"overshear": {"theta": [1, 2], "f": "1", "t": [1e8, 0]}}
+    word = tmp_path / "drift.json"
+    word.write_text(json.dumps([shear, {"transpose": {}}, shear]))
+    code, out = run(capsys, ["orbit", "--word", str(word), "--matrix", str(mat),
+                             "--check-fibre"])
+    assert code == 5
+    payload = json.loads(out)
+    assert 1e-8 <= payload["fibre_drift"] < 1
+    assert payload["in_ball"] is True
+    assert len(payload["trajectory"]) == 4
+
+
 def test_orbit_computes_each_fibre_once(capsys, orbit_files, monkeypatch):
     mat, word, bad, empty = orbit_files
     seen = []
@@ -425,6 +441,7 @@ def test_orbit_outside_ball_is_precondition_error(capsys, orbit_files):
     ([{"moebius": {"alpha": [10 ** 400, 0], "gamma": [1, 0]}}], "moebius 'alpha' must be finite"),
     ([{"overshear": {"theta": [1, 2], "f": f"{10 ** 400}*x21", "t": 1}}],
      "overshear 'f' has a coefficient too large for a double"),
+    ([{"moebius": 3}], "moebius atom: its value must be an object"),
 ])
 def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word, field):
     mat = orbit_files[0]
@@ -568,6 +585,12 @@ def test_out_file_atomic_write(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["golden_match"] is True
     assert not list(tmp_path.glob(".specball-*"))
+    # a directory cannot be replaced by the report: usage error, and the
+    # temporary file is removed
+    code = cli.main(["tables", "--n", "3", "--out", str(tmp_path)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.parent.glob(".specball-*"))
 
 
 def test_reports_carry_config_echo(capsys):

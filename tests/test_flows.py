@@ -824,8 +824,11 @@ def test_atoms_on_rows_and_on_arrays():
             rows = apply_atom(atom, A.tolist())
             assert isinstance(out, np.ndarray) and type(rows) is list
             assert np.array_equal(out, np.array(rows))
-        with pytest.raises(ValueError, match=f"expected a {n + 1}x{n + 1} matrix"):
-            overshear_flow(random_overshear_atom(rng, n + 1), A.tolist())
+        for X in (A.tolist(), A):
+            with pytest.raises(ValueError, match=f"expected a {n + 1}x{n + 1} matrix"):
+                overshear_flow(random_overshear_atom(rng, n + 1), X)
+        with pytest.raises(TypeError, match="unknown atom"):
+            apply_atom(object(), A.tolist())
 
 
 def test_apply_word():

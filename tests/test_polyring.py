@@ -70,8 +70,7 @@ def test_ring_axioms_randomized():
 @pytest.mark.parametrize("n,m,expected", [(2, 1, 4), (2, 2, 10), (3, 2, 45)])
 def test_slice_sizes(n, m, expected):
     basis = enumerate_slice(n, m)
-    assert len(basis) == expected
-    assert basis.size() == comb(n * n + m - 1, m)
+    assert len(basis) == expected == comb(n * n + m - 1, m)
 
 
 def test_slice_against_stars_and_bars_oracle():
@@ -197,6 +196,33 @@ def test_parse_integral_input_builds_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert p == parse_poly("3*x12^2*x21", 3) + parse_poly("x11", 3)
     assert all(type(c) is int for c in p.terms.values())
+
+
+@pytest.mark.parametrize("text,n,expected", [
+    ("x[ 1 , 2 ]", 2, "x12"),
+    ("x12 ^ 3", 2, "x12^3"),
+    ("1 / 2 * x11", 2, "1/2*x11"),
+    ("x11*x11", 2, "x11^2"),
+    ("x11^0", 2, "1"),
+    ("x11*3", 2, "3*x11"),
+    ("2*x11*1/2", 2, "x11"),
+    ("x11 - x11", 2, "0"),
+    ("-0", 2, "0"),
+    ("007*x11", 2, "7*x11"),
+    ("x11^007", 2, "x11^7"),
+    ("\tx11\n+\nx22", 2, "x11 + x22"),
+    ("x11", 1, "x11"),
+    ("x[1,1]", 1, "x11"),
+    ("x[1, 12]^2 - 3", 12, "x[1,12]^2 - 3"),
+])
+def test_parse_grammar_corners(text, n, expected):
+    # spacing inside tokens, repeated and zero powers, factors in any order,
+    # leading zeros and cancellation, each read as one canonical polynomial;
+    # a coefficient is a Fraction exactly when a denominator remains
+    p = parse_poly(text, n)
+    assert format_poly(p) == expected
+    assert parse_poly(expected, n) == p
+    assert all((type(c) is Fraction) == ("/" in expected) for c in p.terms.values())
 
 
 def test_bracketed_form_for_large_n():
@@ -338,5 +364,9 @@ def test_monomial_is_immutable_and_checked():
             setattr(mono, name, ())
     with pytest.raises(ValueError, match="negative exponent"):
         Monomial([(1, 2), (3, -1)])
+    # a repeated variable would read degree 3 but exponent 1, and print as
+    # x11*x11^2, which parses back to another polynomial
+    with pytest.raises(ValueError, match="variable 0 repeated"):
+        Monomial([(0, 1), (0, 2)])
     assert Monomial([(1, 0), (3, 2), (0, 0)]) == ((3, 2),)
     assert Monomial([(0, 0)]) == Monomial.one()
