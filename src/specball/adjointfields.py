@@ -24,8 +24,10 @@ from .polyring import (
     DimensionMismatch,
     Monomial,
     Polynomial,
+    add_products,
     flat_index,
     format_poly,
+    merge_terms,
     var_name,
 )
 
@@ -76,6 +78,15 @@ class VectorField:
                     clean[v] = p
         object.__setattr__(self, "components", clean)
 
+    @classmethod
+    def _of(cls, n: int, components: dict[int, Polynomial]) -> "VectorField":
+        """Wrap nonzero components on the field's ring, built by the field
+        arithmetic below, without checking or copying them."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "components", components)
+        return f
+
     def __setattr__(self, *args):
         raise AttributeError("VectorField is immutable")
 
@@ -94,19 +105,27 @@ class VectorField:
         if self.n != other.n:
             raise DimensionMismatch(f"fields on different rings: n={self.n} vs n={other.n}")
 
-    def __add__(self, other: "VectorField") -> "VectorField":
+    def _merge(self, other: "VectorField", sign: int) -> "VectorField":
+        """self + sign * other, each shared component merged in one pass."""
         self._check(other)
+        nvars = self.n * self.n
         out = dict(self.components)
         for v, p in other.components.items():
             q = out.get(v)
-            out[v] = p if q is None else q + p
-        return VectorField(self.n, out)
+            if terms := merge_terms(dict(q.terms) if q else {}, p.terms, sign):
+                out[v] = Polynomial._of(nvars, terms)
+            else:
+                del out[v]
+        return VectorField._of(self.n, out)
+
+    def __add__(self, other: "VectorField") -> "VectorField":
+        return self._merge(other, 1)
 
     def __neg__(self) -> "VectorField":
-        return VectorField(self.n, {v: -p for v, p in self.components.items()})
+        return VectorField._of(self.n, {v: -p for v, p in self.components.items()})
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __rmul__(self, c) -> "VectorField":
         return VectorField(self.n, {v: p.scale(c) for v, p in self.components.items()})
@@ -119,18 +138,35 @@ class VectorField:
         return hash((self.n, frozenset(self.components.items())))
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """Derivation action: sum of component * dp/dx over all coordinates."""
+        """Derivation action: sum of component * dp/dx over all coordinates,
+        one call of `_add_derivation`, the kernel `bracket` shares."""
         if p.nvars != self.n * self.n:
             raise DimensionMismatch("polynomial ring does not match field dimension")
-        comps = self.components
-        return Polynomial.sum_of_products(
-            p.nvars, ((comps[v], dp) for v, dp in p.gradient().items() if v in comps))
+        return Polynomial._of(p.nvars, _add_derivation({}, self.components, p))
 
     def __repr__(self):
         inner = ", ".join(
             f"{var_name(v, self.n)}: {format_poly(p)}"
             for v, p in sorted(self.components.items()))
         return f"VectorField(n={self.n}, {{{inner}}})"
+
+
+def _add_derivation(out: dict, comps: dict[int, Polynomial], p: Polynomial,
+                    sign: int = 1) -> dict:
+    """Add sign * sum_u comps[u] * dp/dx_u into the term dict `out` in place
+    and return it, differentiating each term of p only by the u in comps and
+    building no Polynomial on the way."""
+    # dividing by x_u is injective on the monomials it divides, so no two
+    # terms of one derivative share a monomial
+    lowered: dict[int, dict] = {}
+    for mono, c in p.terms.items():
+        for i, (u, e) in enumerate(mono):
+            if u in comps:
+                rest = mono[:i] + ((u, e - 1),) * (e > 1) + mono[i + 1:]
+                lowered.setdefault(u, {})[tuple.__new__(Monomial, rest)] = sign * e * c
+    for u, terms in lowered.items():
+        add_products(out, terms, comps[u].terms)
+    return out
 
 
 def generator_matrix(n: int, gid: GeneratorId) -> list[list[int]]:
@@ -215,28 +251,34 @@ def generator_field(n: int, gid: GeneratorId) -> VectorField:
 def bracket(v: VectorField, w: VectorField) -> VectorField:
     """Lie bracket, oriented so bracket(Theta_{a,a+1}, Theta_{a+1,a}) = Xi_a.
 
-    Componentwise: bracket(v, w)(x_kl) = w(v(x_kl)) - v(w(x_kl)).  Bilinear,
-    antisymmetric, satisfies Jacobi.
+    Componentwise: bracket(v, w)(x_kl) = w(v(x_kl)) - v(w(x_kl)), both halves
+    added by `_add_derivation`, the kernel of `VectorField.apply`, into one
+    term dict per component.  Bilinear, antisymmetric, satisfies Jacobi.  It
+    must stay this derivation arithmetic and never use the Leibniz rule
+    [fV, gW] = f V(g) W - g W(f) V + fg [V, W] or the structure constants:
+    it is the independent check of `liegen._PairBrackets` and of the
+    catalog's Leibniz identities.
     """
     v._check(w)
-    comps: dict[int, Polynomial] = {}
+    sums: dict[int, dict] = {}
     for var, p in v.components.items():
-        q = w.apply(p)
-        if not q.is_zero():
-            comps[var] = q
+        _add_derivation(sums.setdefault(var, {}), w.components, p)
     for var, p in w.components.items():
-        q = v.apply(p)
-        if not q.is_zero():
-            prev = comps.get(var)
-            comps[var] = -q if prev is None else prev - q
-    return VectorField(v.n, comps)
+        _add_derivation(sums.setdefault(var, {}), v.components, p, -1)
+    nvars = v.n * v.n
+    return VectorField._of(
+        v.n, {var: Polynomial._of(nvars, terms) for var, terms in sums.items() if terms})
 
 
 def scale_field(p: Polynomial, v: VectorField) -> VectorField:
     """The field p * v (componentwise product)."""
     if p.nvars != v.n * v.n:
         raise DimensionMismatch("polynomial ring does not match field dimension")
-    return VectorField(v.n, {var: p * comp for var, comp in v.components.items()})
+    comps = {}
+    for var, comp in v.components.items():
+        if terms := add_products({}, p.terms, comp.terms):
+            comps[var] = Polynomial._of(p.nvars, terms)
+    return VectorField._of(v.n, comps)
 
 
 class OvershearClass(Enum):
@@ -258,11 +300,14 @@ def overshear_class(f: Polynomial, g: GeneratorId) -> OvershearClass:
 
 
 def divergence(v: VectorField) -> Polynomial:
-    """Sum over coordinates of d(component)/d(coordinate)."""
-    out = Polynomial.zero(v.n * v.n)
+    """Sum over coordinates of d(component)/d(coordinate), each component's
+    own partial added into one term dict by `_add_derivation`."""
+    nvars = v.n * v.n
+    one = Polynomial.constant(nvars, 1)
+    out: dict = {}
     for var, p in v.components.items():
-        out = out + p.partial(var)
-    return out
+        _add_derivation(out, {var: one}, p)
+    return Polynomial._of(nvars, out)
 
 
 # ---------------------------------------------------------------------------

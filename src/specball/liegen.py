@@ -838,8 +838,9 @@ def verify_identity(name: str, n: int, seed: int = 0) -> IdentityResult:
     holds = matches_printed = True
     for _ in range(_DRAWS if entry.randomized else 1):
         lhs, verified, printed = entry.build(n, rng)
-        holds = holds and (lhs - verified).is_zero()
-        matches_printed = matches_printed and (lhs - printed).is_zero()
+        # fields are canonical (no zero term or component), so == is exact
+        holds = holds and lhs == verified
+        matches_printed = matches_printed and lhs == printed
     return IdentityResult(
         identity=name, n=n, holds=holds, matches_printed=matches_printed,
         verified_form=entry.verified_form,

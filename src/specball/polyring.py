@@ -193,25 +193,6 @@ class Polynomial:
     def from_monomial(nvars: int, mono: Monomial, coeff=1) -> "Polynomial":
         return Polynomial(nvars, {mono: coeff})
 
-    @staticmethod
-    def sum_of_products(nvars: int, pairs: Iterable[tuple["Polynomial", "Polynomial"]]
-                        ) -> "Polynomial":
-        """The sum of p * q over the (p, q) pairs, accumulated in one term dict."""
-        out: dict[Monomial, int | Fraction] = {}
-        for p, q in pairs:
-            if p.nvars != nvars or q.nvars != nvars:
-                raise DimensionMismatch(
-                    f"rings differ: {p.nvars} and {q.nvars} vs {nvars} variables")
-            for m1, c1 in p.terms.items():
-                for m2, c2 in q.terms.items():
-                    m = m1 * m2
-                    s = out.get(m, 0) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return Polynomial._of(nvars, out)
-
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -238,24 +219,19 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return Polynomial._of(self.nvars, out)
+        return Polynomial._of(self.nvars, merge_terms(dict(self.terms), other.terms))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        self._check(other)
+        return Polynomial._of(self.nvars, merge_terms(dict(self.terms), other.terms, -1))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            return Polynomial.sum_of_products(self.nvars, ((self, other),))
+            self._check(other)
+            return Polynomial._of(self.nvars, add_products({}, self.terms, other.terms))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -310,15 +286,15 @@ class Polynomial:
     def substitute(self, flat: int, replacement: "Polynomial") -> "Polynomial":
         """Replace one variable by a polynomial, exactly."""
         self._check(replacement)
-        powers: dict[int, Polynomial] = {}
-        products = []
+        powers: dict[int, dict] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for mono, c in self.terms.items():
             e = mono.exponent(flat)
             if e not in powers:
-                powers[e] = replacement ** e
+                powers[e] = (replacement ** e).terms
             rest = Monomial([(v, ex) for v, ex in mono.powers if v != flat])
-            products.append((powers[e], Polynomial(self.nvars, {rest: c})))
-        return Polynomial.sum_of_products(self.nvars, products)
+            add_products(out, {rest: c}, powers[e])
+        return Polynomial._of(self.nvars, out)
 
     # -- printing ------------------------------------------------------
 
@@ -335,6 +311,34 @@ class Polynomial:
 
 _SET_NVARS = Polynomial.nvars.__set__
 _SET_TERMS = Polynomial.terms.__set__
+
+
+def add_products(out: dict, terms: dict, other: dict) -> dict:
+    """Add the product of the term dicts `terms` and `other` into the term
+    dict `out` in place, dropping every monomial that cancels; returns `out`."""
+    get = out.get
+    for m1, c1 in terms.items():
+        for m2, c2 in other.items():
+            m = m1 * m2
+            s = get(m, 0) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def merge_terms(out: dict, terms: dict, sign: int = 1) -> dict:
+    """Add sign * `terms` (sign +1 or -1) into the term dict `out` in place,
+    dropping every monomial that cancels; returns `out`."""
+    get = out.get
+    for m, c in terms.items():
+        s = get(m, 0) + c if sign > 0 else get(m, 0) - c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +397,8 @@ def substitute_trace(p: Polynomial) -> Polynomial:
 # text format
 
 # One token after optional whitespace; `lastgroup` names its kind.  `bad`
-# matches the empty string, so every position yields a token.
+# matches the empty string, so every position yields a token.  ASCII: \d and
+# \s take no other script's digits or spaces.
 _TOKEN = re.compile(r"""\s*(?:
     (?P<number>(?P<numerator>\d+)(?:\s*/\s*(?P<denominator>\d+))?)
   | (?P<bracket>x\[\s*(?P<row>\d+)\s*,\s*(?P<col>\d+)\s*\])
@@ -401,7 +406,7 @@ _TOKEN = re.compile(r"""\s*(?:
   | (?P<bare>x)
   | (?P<sign>[-+]) | (?P<times>\*) | (?P<caret>\^)
   | (?P<end>\Z)
-  | (?P<bad>))""", re.VERBOSE)
+  | (?P<bad>))""", re.VERBOSE | re.ASCII)
 
 
 def format_poly(p: Polynomial) -> str:
@@ -430,12 +435,24 @@ def format_poly(p: Polynomial) -> str:
     return out
 
 
+def _int(tok: re.Match, group: str) -> int:
+    """One digit group of a token as an int, or a PolyParseError at the group
+    when it has more digits than `int` converts."""
+    try:
+        return int(tok[group])
+    except ValueError:
+        raise PolyParseError(f"number of {len(tok[group])} digits is too long",
+                             tok.start(group)) from None
+
+
 def parse_poly(text: str, n: int) -> Polynomial:
     """Parse the external polynomial grammar into an exact polynomial.
 
     Terms are joined by + or -; a term is an optional rational coefficient
     and *-separated variable powers xKL^e (compact, n <= 9) or x[k,l]^e
-    (required once n >= 10).  Whitespace is insignificant.
+    (required once n >= 10).  Whitespace is insignificant.  The grammar is
+    ASCII: digits are 0-9 and whitespace is ASCII whitespace.  A number longer
+    than `int` converts (sys.get_int_max_str_digits) is refused at its token.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -455,16 +472,16 @@ def parse_poly(text: str, n: int) -> Polynomial:
         while True:
             kind = tok.lastgroup
             if kind == "number":
-                coeff *= int(tok["numerator"])
+                coeff *= _int(tok, "numerator")
                 if tok["denominator"]:
-                    den = int(tok["denominator"])
+                    den = _int(tok, "denominator")
                     if den == 0:
                         raise PolyParseError("zero denominator", tok.start(kind))
                     coeff = Fraction(coeff, den)
                 tok = match(text, tok.end())
             else:
                 if kind == "bracket":
-                    r, c = int(tok["row"]), int(tok["col"])
+                    r, c = _int(tok, "row"), _int(tok, "col")
                 elif kind in ("compact", "bare") and n >= 10:
                     raise PolyParseError(
                         "compact xKL form is ambiguous for n >= 10; use x[k,l]", tok.start(kind))
@@ -483,7 +500,7 @@ def parse_poly(text: str, n: int) -> Polynomial:
                     tok = match(text, tok.end())
                     if tok.lastgroup != "number" or tok["denominator"]:
                         raise PolyParseError("expected integer exponent", tok.start(tok.lastgroup))
-                    e = int(tok["numerator"])
+                    e = _int(tok, "numerator")
                     tok = match(text, tok.end())
                 powers[v] = powers.get(v, 0) + e
             if tok.lastgroup != "times":

@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +25,7 @@ from specball.adjointfields import (
     render_tables_text,
     scale_field,
 )
-from specball.polyring import Polynomial, parse_poly
+from specball.polyring import Monomial, Polynomial, parse_poly
 
 from test_polyring import random_poly
 
@@ -361,3 +363,85 @@ def test_overshear_moves_are_the_generator_moves(n):
         tf = apply_moves(flows._exponents(f), generator_moves(n, g))
         assert atom._theta_terms == flows._compiled(tf, n)
         assert atom.theta_f == generator_field(n, g).apply(f) == x(g.b, g.a, n)
+
+
+# -- the field arithmetic against the derivation formula, term by term
+
+_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(-1, 2))
+
+
+def _random_field(rng, n):
+    nvars = n * n
+    comps = {}
+    for var in rng.sample(range(nvars), rng.randrange(1, nvars + 1)):
+        terms = {}
+        for _ in range(rng.randrange(1, 4)):
+            powers = Counter(rng.randrange(nvars) for _ in range(rng.randrange(0, 3)))
+            terms[Monomial(powers.items())] = rng.choice(_COEFFS)
+        comps[var] = Polynomial(nvars, terms)
+    return VectorField(n, comps)
+
+
+def _oracle_apply(v, p):
+    out = Polynomial.zero(p.nvars)
+    for var, comp in v.components.items():
+        out = out + comp * p.partial(var)
+    return out
+
+
+def _oracle_bracket(v, w):
+    zero = Polynomial.zero(v.n * v.n)
+    return VectorField(v.n, {
+        var: _oracle_apply(w, v.components.get(var, zero))
+        - _oracle_apply(v, w.components.get(var, zero))
+        for var in set(v.components) | set(w.components)})
+
+
+def _oracle_combine(v, w, sign):
+    zero = Polynomial.zero(v.n * v.n)
+    return VectorField(v.n, {
+        var: v.components.get(var, zero) + w.components.get(var, zero).scale(sign)
+        for var in set(v.components) | set(w.components)})
+
+
+def _assert_canonical(result):
+    if isinstance(result, VectorField):
+        polys = result.components.values()
+        assert not any(p.is_zero() for p in polys)
+    else:
+        polys = [result]
+    for p in polys:
+        for c in p.terms.values():
+            assert c != 0
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_field_arithmetic_matches_derivation_formula(n):
+    # bracket, apply, scale_field, + and - against the formula built from
+    # Polynomial.partial and products; Fraction, negative and cancelling
+    # coefficients, and canonical results (no zero term or component, and
+    # an int wherever the value is integral)
+    rng = random.Random(31 + n)
+    for _ in range(60):
+        v, w = _random_field(rng, n), _random_field(rng, n)
+        f = random_poly(rng, n, max_terms=3, max_degree=2).scale(rng.choice(_COEFFS))
+        # w_neg cancels some of v's components exactly
+        dropped = rng.sample(sorted(v.components), rng.randrange(len(v.components) + 1))
+        w_neg = VectorField(n, {**w.components, **{var: -v.components[var] for var in dropped}})
+        half = Polynomial.constant(n * n, Fraction(1, 2))
+        cases = [
+            (bracket(v, w), _oracle_bracket(v, w)),
+            (bracket(v, w_neg), _oracle_bracket(v, w_neg)),
+            (bracket(v, v), VectorField.zero(n)),
+            (v.apply(f), _oracle_apply(v, f)),
+            (w_neg.apply(f * f), _oracle_apply(w_neg, f * f)),
+            (scale_field(f, v), VectorField(n, {var: f * p for var, p in v.components.items()})),
+            (scale_field(half, 2 * v), v),
+            (v + w_neg, _oracle_combine(v, w_neg, 1)),
+            (v - w_neg, _oracle_combine(v, w_neg, -1)),
+            (v - v, VectorField.zero(n)),
+        ]
+        for got, want in cases:
+            assert got == want
+            _assert_canonical(got)

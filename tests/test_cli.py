@@ -454,6 +454,22 @@ def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word
     assert field in captured.err
 
 
+@pytest.mark.parametrize("f,message", [
+    ("1" * 5000 + "*x21", "number of 5000 digits is too long (at position 0)"),
+    ("x21^" + "7" * 5000, "number of 5000 digits is too long (at position 4)"),
+    ("x\u0662\u0661", "malformed variable (at position 0)"),
+    ("x21\u00a0+ x11", "expected '+' or '-' between terms (at position 3)"),
+], ids=["long-coefficient", "long-exponent", "unicode-digits", "no-break-space"])
+def test_orbit_unparsable_polynomial_names_its_position(capsys, orbit_files, tmp_path, f, message):
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps([{"overshear": {"theta": [1, 2], "f": f, "t": 1}}]))
+    code = cli.main(["orbit", "--word", str(path), "--matrix", str(orbit_files[0])])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: overshear 'f': {message}"
+
+
 @pytest.mark.parametrize("matrix,entry", [
     ([[[0.1, 0, 99], [0, 0]], [[0, 0], [0.2, 0]]], "(1, 1)"),
     ([[[0.1, 0], [True, False]], [[0, 0], [0.2, 0]]], "(1, 2)"),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -356,6 +357,40 @@ def test_identities_hold_exactly(n):
         assert r.holds, r.identity
         assert r.residual_is_zero
         assert r.matches_printed == EXPECTED_PRINTED_MATCH[r.identity], r.identity
+
+
+def _scaled_by_two(instance):
+    lhs, verified, printed = instance
+    return lhs, 2 * verified, 2 * printed
+
+
+def _one_term_dropped(instance):
+    def drop(field):
+        if field.is_zero():     # some random draws of cross-term are 0 = 0
+            return field
+        var = min(field.components)
+        p = field.components[var]
+        top = p.sorted_terms()[0][0]
+        comps = dict(field.components)
+        comps[var] = Polynomial(p.nvars, {m: c for m, c in p.terms.items() if m != top})
+        return VectorField(field.n, comps)
+    lhs, verified, printed = instance
+    return lhs, drop(verified), drop(printed)
+
+
+@pytest.mark.parametrize("wrong", [_scaled_by_two, _one_term_dropped])
+@pytest.mark.parametrize("name", ["d1-linear", "d2-hyperbolic", "cross-term"])
+def test_verify_refutes_a_wrong_right_side(monkeypatch, capsys, name, wrong):
+    # verify compares the two sides with ==; a right side scaled by 2 or
+    # short of one term must still fail, in the library and as exit code 5
+    entry = liegen._CATALOG[name]
+    monkeypatch.setitem(liegen._CATALOG, name, dataclasses.replace(
+        entry, build=lambda n, rng: wrong(entry.build(n, rng))))
+    result = verify_identity(name, 3)
+    assert not result.holds and not result.residual_is_zero
+    assert not result.matches_printed
+    assert cli.main(["verify", "--id", name, "--n", "3"]) == 5
+    assert '"holds":false' in capsys.readouterr().out.replace(" ", "")
 
 
 def test_verify_identity_unknown_name():

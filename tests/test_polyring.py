@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -177,6 +178,36 @@ def test_parse_error_messages_and_positions(text, n, message, position):
     with pytest.raises(PolyParseError) as info:
         parse_poly(text, n)
     assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize("text,message,position", [
+    ("x\u0661\u0662 + \u0663", "malformed variable", 0),        # Arabic-Indic digits
+    ("x12 + \u0663", "expected coefficient or variable", 6),
+    ("x12^\u0662", "expected integer exponent", 4),
+    ("x11\u00a0+ x12", "expected '+' or '-' between terms", 3),   # no-break space
+    ("\u00a0x11", "expected coefficient or variable", 0),
+    ("2\u2003*x11", "expected '+' or '-' between terms", 1),      # em space
+], ids=["digits", "digit-coefficient", "digit-exponent", "nbsp", "leading-nbsp", "em-space"])
+def test_parse_grammar_is_ascii(text, message, position):
+    # \d and \s of a str pattern would read other scripts' digits and spaces
+    with pytest.raises(PolyParseError) as info:
+        parse_poly(text, 2)
+    assert str(info.value) == f"{message} (at position {position})"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+@pytest.mark.parametrize("text,position", [
+    ("1" * 5000 + "*x11", 0),
+    ("x11 + 1/" + "3" * 5000, 8),
+    ("x11^" + "2" * 5000, 4),
+    ("x[" + "1" * 5000 + ",1]", 2),
+], ids=["numerator", "denominator", "exponent", "row"])
+def test_parse_refuses_numbers_longer_than_int_converts(text, position):
+    # int() raises a bare ValueError past its digit limit (4300 by default)
+    with pytest.raises(PolyParseError) as info:
+        parse_poly(text, 2)
+    assert str(info.value) == f"number of 5000 digits is too long (at position {position})"
     assert info.value.position == position
 
 
