@@ -139,10 +139,10 @@ class VectorField:
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Derivation action: sum of component * dp/dx over all coordinates,
-        one call of `_add_derivation`, the kernel `bracket` shares."""
+        one call of `add_derivation`, the kernel `bracket` shares."""
         if p.nvars != self.n * self.n:
             raise DimensionMismatch("polynomial ring does not match field dimension")
-        return Polynomial._of(p.nvars, _add_derivation({}, self.components, p))
+        return Polynomial._of(p.nvars, add_derivation({}, self.components, p.terms))
 
     def __repr__(self):
         inner = ", ".join(
@@ -151,21 +151,19 @@ class VectorField:
         return f"VectorField(n={self.n}, {{{inner}}})"
 
 
-def _add_derivation(out: dict, comps: dict[int, Polynomial], p: Polynomial,
-                    sign: int = 1) -> dict:
-    """Add sign * sum_u comps[u] * dp/dx_u into the term dict `out` in place
-    and return it, differentiating each term of p only by the u in comps and
-    building no Polynomial on the way."""
-    # dividing by x_u is injective on the monomials it divides, so no two
-    # terms of one derivative share a monomial
-    lowered: dict[int, dict] = {}
-    for mono, c in p.terms.items():
+def add_derivation(out: dict, comps: dict[int, Polynomial], terms: dict,
+                   sign: int = 1) -> dict:
+    """Add sign * sum_u comps[u] * dp/dx_u, p the polynomial of the term dict
+    `terms`, into the term dict `out` in place, dropping every monomial that
+    cancels, and return it.  Term by term, each lowered only by the u in
+    comps, with no Polynomial built on the way.  The one derivation kernel:
+    the field arithmetic, the seeds and the overshear atoms apply a field
+    through it."""
+    for mono, c in terms.items():
         for i, (u, e) in enumerate(mono):
             if u in comps:
-                rest = mono[:i] + ((u, e - 1),) * (e > 1) + mono[i + 1:]
-                lowered.setdefault(u, {})[tuple.__new__(Monomial, rest)] = sign * e * c
-    for u, terms in lowered.items():
-        add_products(out, terms, comps[u].terms)
+                rest = tuple.__new__(Monomial, mono[:i] + ((u, e - 1),) * (e > 1) + mono[i + 1:])
+                add_products(out, {rest: sign * e * c}, comps[u].terms)
     return out
 
 
@@ -200,35 +198,22 @@ def commutator_field(B: list[list[int]]) -> VectorField:
 
 # typed: a plain tuple equals an id of the same fields but is no id
 @functools.lru_cache(maxsize=None, typed=True)
-def generator_moves(n: int, gid: GeneratorId) -> tuple[tuple[int, int, int], ...]:
-    """The one table of a generator's action: moves (v, w, k), each the term
-    k x_w d/dx_v, read off B = `generator_matrix(n, gid)` (an invalid id
-    raises InvalidGenerator), Xi_a's x_pp d/dx_pp as cancelling pairs.  Its
-    oracle is `commutator_field`, which builds the field by its own formula."""
+def generator_components(n: int, gid: GeneratorId) -> dict[int, Polynomial]:
+    """The one table of a generator's action: its components {v: sum_w k x_w},
+    the coefficient of d/dx_v, in flat order of v, read off
+    B = `generator_matrix(n, gid)` (an invalid id raises InvalidGenerator):
+    each entry B_pq gives B_pq x_qj d/dx_pj and -B_pq x_jp d/dx_jq, and
+    Xi_a's x_pp d/dx_pp cancel.  Shared, so never mutated.  Its oracle is
+    `commutator_field`, which builds the field by its own formula."""
     B = generator_matrix(n, gid)
-    moves = []
+    comps: dict[int, dict] = {}
     for p in range(n):
         for q in range(n):
-            if B[p][q]:
-                moves += [(p * n + j, q * n + j, B[p][q]) for j in range(n)]
-                moves += [(i * n + q, i * n + p, -B[p][q]) for i in range(n)]
-    return tuple(moves)
-
-
-def apply_moves(terms: dict, moves: tuple) -> dict:
-    """The derivation `moves` applied exactly to a polynomial given as
-    {exponent tuple: coefficient}; terms that cancel are dropped."""
-    out = {}
-    for mono, c in terms.items():
-        for v, w, k in moves:
-            e = mono[v]
-            if e:
-                m = list(mono)
-                m[v] = e - 1
-                m[w] += 1
-                m = tuple(m)
-                out[m] = out.get(m, 0) + k * e * c
-    return {m: c for m, c in out.items() if c}
+            if k := B[p][q]:
+                for j in range(n):
+                    for v, w, c in ((p * n + j, q * n + j, k), (j * n + q, j * n + p, -k)):
+                        merge_terms(comps.setdefault(v, {}), {Monomial.variable(w): c})
+    return {v: Polynomial._of(n * n, comps[v]) for v in sorted(comps) if comps[v]}
 
 
 def make_theta(n: int, a: int, b: int) -> VectorField:
@@ -241,18 +226,17 @@ def make_xi(n: int, a: int) -> VectorField:
     return generator_field(n, Xi(a))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def generator_field(n: int, gid: GeneratorId) -> VectorField:
-    """The field of a generator id, built once per (n, gid): fields are
-    immutable, and there are n^2 - 1 ids for each n."""
-    return commutator_field(generator_matrix(n, gid))
+    """The field of a generator id: its table (`generator_components`,
+    cached per (n, gid)) wrapped as an immutable field."""
+    return VectorField._of(n, generator_components(n, gid))
 
 
 def bracket(v: VectorField, w: VectorField) -> VectorField:
     """Lie bracket, oriented so bracket(Theta_{a,a+1}, Theta_{a+1,a}) = Xi_a.
 
     Componentwise: bracket(v, w)(x_kl) = w(v(x_kl)) - v(w(x_kl)), both halves
-    added by `_add_derivation`, the kernel of `VectorField.apply`, into one
+    added by `add_derivation`, the kernel of `VectorField.apply`, into one
     term dict per component.  Bilinear, antisymmetric, satisfies Jacobi.  It
     must stay this derivation arithmetic and never use the Leibniz rule
     [fV, gW] = f V(g) W - g W(f) V + fg [V, W] or the structure constants:
@@ -262,9 +246,9 @@ def bracket(v: VectorField, w: VectorField) -> VectorField:
     v._check(w)
     sums: dict[int, dict] = {}
     for var, p in v.components.items():
-        _add_derivation(sums.setdefault(var, {}), w.components, p)
+        add_derivation(sums.setdefault(var, {}), w.components, p.terms)
     for var, p in w.components.items():
-        _add_derivation(sums.setdefault(var, {}), v.components, p, -1)
+        add_derivation(sums.setdefault(var, {}), v.components, p.terms, -1)
     nvars = v.n * v.n
     return VectorField._of(
         v.n, {var: Polynomial._of(nvars, terms) for var, terms in sums.items() if terms})
@@ -301,12 +285,12 @@ def overshear_class(f: Polynomial, g: GeneratorId) -> OvershearClass:
 
 def divergence(v: VectorField) -> Polynomial:
     """Sum over coordinates of d(component)/d(coordinate), each component's
-    own partial added into one term dict by `_add_derivation`."""
+    own partial added into one term dict by `add_derivation`."""
     nvars = v.n * v.n
     one = Polynomial.constant(nvars, 1)
     out: dict = {}
     for var, p in v.components.items():
-        _add_derivation(out, {var: one}, p)
+        add_derivation(out, {var: one}, p.terms)
     return Polynomial._of(nvars, out)
 
 

@@ -20,8 +20,9 @@ Gauss-Jordan elimination on the rows.
 
 Automorphism atoms: overshear/shear conjugations exp(s E_ab) with the exact
 nilpotent exponential I + s E_ab (Theta_ab f and the test Theta_ab^2 f = 0
-exact on exponent tuples, by `adjointfields.generator_moves`; f and
-Theta_ab f compiled once for evaluation), Moebius transformations
+exact, by the generator table `adjointfields.generator_components` and the
+kernel `adjointfields.add_derivation`; f and Theta_ab f compiled once for
+evaluation), Moebius transformations
 A -> gamma (A - alpha I)(I - conj(alpha) A)^{-1}, transposition, and
 explicit SL_n conjugations.  `word_trajectory` evaluates a word atom by
 atom.  A field value B A - A B takes B from `generator_matrix`.
@@ -39,8 +40,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .adjointfields import GeneratorId, Theta, apply_moves, generator_matrix, generator_moves
-from .polyring import DimensionMismatch, Monomial, Polynomial, PolyParseError, parse_poly
+from .adjointfields import (
+    GeneratorId, Theta, add_derivation, generator_components, generator_matrix)
+from .polyring import DimensionMismatch, Polynomial, PolyParseError, parse_poly
 
 
 class NumericsError(RuntimeError):
@@ -395,25 +397,11 @@ def epsilon(z: complex) -> complex:
 Compiled = tuple
 
 
-def _exponents(f: Polynomial) -> dict:
-    """f as {exponent tuple over its variables: coefficient}, in term order."""
-    return {m.dense(f.nvars): c for m, c in f.terms.items()}
-
-
-def _integral(f: Polynomial) -> tuple[dict, int]:
-    """(L f as {exponent tuple: int}, L), L the least common denominator
-    of f's coefficients."""
-    L = math.lcm(*[c.denominator for c in f.terms.values()])
-    return {m.dense(f.nvars): c.numerator * (L // c.denominator)
-            for m, c in f.terms.items()}, L
-
-
 def _compiled(terms: dict, n: int, L: int = 1) -> Compiled:
-    """Exponent-tuple terms of L times a polynomial on n x n matrices,
-    compiled.  Each coefficient is c / L: for integer terms int / int is
-    correctly rounded, so it is the float of the rational coefficient, bit
-    for bit."""
-    return tuple([(complex(c / L), tuple([(v // n, v % n, e) for v, e in enumerate(mono) if e]))
+    """The term dict of L times a polynomial on n x n matrices, compiled.
+    Each coefficient is c / L: for integer terms int / int is correctly
+    rounded, so it is the float of the rational coefficient, bit for bit."""
+    return tuple([(complex(c / L), tuple([(v // n, v % n, e) for v, e in mono]))
                   for mono, c in terms.items()])
 
 
@@ -428,7 +416,7 @@ def eval_poly_at_matrix(f: Polynomial | Compiled, A: Matrix | list) -> complex:
         n = len(rows)
         if f.nvars != n * n:
             raise ValueError("polynomial ring does not match the matrix size")
-        f = _compiled(_exponents(f), n)
+        f = _compiled(f.terms, n)
     total = 0j
     for c, factors in f:
         val = c
@@ -460,10 +448,10 @@ class Overshear:
     The flow is the conjugation by exp(s E_ab) = I + s E_ab with
     s = epsilon(t * (Theta_ab f)(A)) * t * f(A); for shears (Theta_ab f = 0)
     this collapses to s = t f(A).  Theta_ab f and the test Theta_ab^2 f = 0
-    are exact, by `apply_moves` with `generator_moves(n, Theta(a, b))` on the
-    integer exponent-tuple terms of L f (`_integral`), and f and Theta_ab f
-    are compiled once for `eval_poly_at_matrix`; a coefficient too large for
-    a double is refused.
+    are exact: the table `generator_components(n, Theta(a, b))` applied by
+    `add_derivation` to the integer terms of L f, L the least common
+    denominator of f's coefficients.  f and Theta_ab f are compiled once for
+    `eval_poly_at_matrix`; a coefficient too large for a double is refused.
     """
     n: int
     a: int
@@ -476,12 +464,13 @@ class Overshear:
     def __post_init__(self):
         if not cmath.isfinite(self.t):
             raise ValueError("overshear 't' must be finite")
-        moves = generator_moves(self.n, Theta(self.a, self.b))
+        theta = generator_components(self.n, Theta(self.a, self.b))
         if self.f.nvars != self.n * self.n:
             raise DimensionMismatch("polynomial ring does not match field dimension")
-        f, L = _integral(self.f)
-        tf = apply_moves(f, moves)
-        if apply_moves(tf, moves):
+        L = math.lcm(*[c.denominator for c in self.f.terms.values()])
+        f = {m: c.numerator * (L // c.denominator) for m, c in self.f.terms.items()}
+        tf = add_derivation({}, theta, f)
+        if add_derivation({}, theta, tf):
             raise ValueError("coefficient fails the overshear test Theta^2(f) = 0")
         try:
             object.__setattr__(self, "_f_terms", _compiled(f, self.n, L))
@@ -493,8 +482,8 @@ class Overshear:
     def theta_f(self) -> Polynomial:
         """Theta_ab f as a Polynomial, recomputed; the flow reads the
         compiled terms."""
-        tf = apply_moves(_exponents(self.f), generator_moves(self.n, Theta(self.a, self.b)))
-        return Polynomial(self.f.nvars, {Monomial(enumerate(m)): c for m, c in tf.items()})
+        theta = generator_components(self.n, Theta(self.a, self.b))
+        return Polynomial._of(self.f.nvars, add_derivation({}, theta, self.f.terms))
 
 
 @dataclass(frozen=True)

@@ -53,12 +53,12 @@ from .adjointfields import (
     Theta,
     VectorField,
     Xi,
-    apply_moves,
+    add_derivation,
     bracket,
+    generator_components,
     generator_field,
     generator_ids,
     generator_matrix,
-    generator_moves,
     scale_field,
 )
 from .linalg import ExactRowSpace, ModularRowSpace, clear_denominators
@@ -97,18 +97,19 @@ def build_seeds(n: int) -> list[Seed]:
     then each variable in flat order with each generator.  Grade 2 and
     above come from brackets of grade-1 pairs (`closure`).
 
-    x_v is a seed for g iff g's moves (`generator_moves`) applied twice to x_v
-    leave nothing; `adjointfields.overshear_class` is the oracle of the tests."""
+    g(x_v) is the component v of g's table (`generator_components`), so x_v
+    is a seed for g iff g, applied to that component by `add_derivation`,
+    leaves nothing.  The tests check the seeds against the matrix rule: the
+    (i, j) entry of B^2 X - 2 B X B + X B^2 vanishes."""
     if n < 2:
         raise PreconditionError("n must be at least 2")
     nvars = n * n
     gens = generator_ids(n)
+    tables = [(g, generator_components(n, g)) for g in gens]
     seeds = [Seed(Polynomial.constant(nvars, 1), g, 0) for g in gens]
     for v in range(nvars):
-        xv = {tuple(int(u == v) for u in range(nvars)): 1}
-        for g in gens:
-            moves = generator_moves(n, g)
-            if not apply_moves(apply_moves(xv, moves), moves):
+        for g, comps in tables:
+            if v not in comps or not add_derivation({}, comps, comps[v].terms):
                 seeds.append(Seed(Polynomial.variable(nvars, v), g, 1))
     return seeds
 
@@ -278,11 +279,11 @@ class _TracelessFields:
         # Theta_ab = sum_j x_bj d/dx_aj - ..., of weight e_b - e_a; Xi_a: 0
         self.gen_weights = [self.var_weights[(g.b - 1) * n + g.a - 1] if isinstance(g, Theta)
                             else 0 for g in ids]
-        # V(x_v) on tr = 0, the sum of k * x_w over the moves (v, w, k) of each
-        # generator V, by the unit key of x_v; the generator fields, components 0..nv-1
-        moves = [generator_moves(n, g) for g in ids]
-        self.images = [{units[v]: _sum((X[w // n][w % n], k) for u, w, k in mv if u == v)
-                        for v in range(nv)} for mv in moves]
+        # V(x_v) on tr = 0, the component v of each generator's table, by the
+        # unit key of x_v; the generator fields, components 0..nv-1
+        tables = [generator_components(n, g) for g in ids]
+        self.images = [{units[v]: self.restrict(t[v]) if v in t else {} for v in range(nv)}
+                       for t in tables]
         self.gens = [{m + v: c for v in range(nv) for m, c in image[units[v]].items()}
                      for image in self.images]
         # [W, V] = sum c * U, from [A_W, A_V] in the basis of the matrices,
@@ -375,8 +376,8 @@ class _PairBrackets:
     [W, V] from the structure constants of `generator_matrix`.
 
     W(f) is summed here by the Leibniz rule on packed keys, not through
-    `adjointfields.apply_moves`: that works on exponent tuples over all n^2
-    variables, so W(f) would keep its x_nn terms, while the substitution
+    `adjointfields.add_derivation`: that works on `Monomial` terms over all
+    n^2 variables, so W(f) would keep its x_nn terms, while the substitution
     x_nn = -(x_11 + ... + x_{n-1,n-1}) of tr = 0 lives in `ring.images`.
     `test_vector_bracket_matches_polynomial_bracket` checks the closed form
     against `adjointfields.bracket` of the two pair fields."""

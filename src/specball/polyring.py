@@ -265,23 +265,18 @@ class Polynomial:
     # -- calculus ------------------------------------------------------
 
     def partial(self, flat: int) -> "Polynomial":
-        """Exact partial derivative with respect to one variable."""
-        return self.gradient().get(flat) or Polynomial.zero(self.nvars)
-
-    def gradient(self) -> dict[int, "Polynomial"]:
-        """The nonzero partial derivatives by variable, in one pass over the terms."""
-        # dividing by x_v is injective on the monomials it divides, so no two
-        # terms of one derivative share a monomial
-        grads: dict[int, dict[Monomial, int | Fraction]] = {}
+        """Exact partial derivative with respect to one variable: each term
+        that holds x_flat, lowered by one in it."""
+        # dividing by x_flat is injective on the monomials it divides, so no
+        # two terms of the derivative share a monomial
+        out: dict[Monomial, int | Fraction] = {}
         for mono, c in self.terms.items():
-            powers = mono.powers
-            for i, (v, e) in enumerate(powers):
-                if e > 1:
-                    lowered = powers[:i] + ((v, e - 1),) + powers[i + 1:]
-                else:
-                    lowered = powers[:i] + powers[i + 1:]
-                grads.setdefault(v, {})[tuple.__new__(Monomial, lowered)] = c * e
-        return {v: Polynomial._of(self.nvars, terms) for v, terms in grads.items()}
+            for i, (v, e) in enumerate(mono):
+                if v == flat:
+                    rest = mono[:i] + ((v, e - 1),) * (e > 1) + mono[i + 1:]
+                    out[tuple.__new__(Monomial, rest)] = c * e
+                    break
+        return Polynomial._of(self.nvars, out)
 
     def substitute(self, flat: int, replacement: "Polynomial") -> "Polynomial":
         """Replace one variable by a polynomial, exactly."""

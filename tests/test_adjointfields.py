@@ -15,10 +15,10 @@ from specball.adjointfields import (
     commutator_field,
     divergence,
     emit_tables,
+    generator_components,
     generator_field,
     generator_ids,
     generator_matrix,
-    generator_moves,
     make_theta,
     make_xi,
     overshear_class,
@@ -97,18 +97,17 @@ def test_generator_matrix():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_generator_moves_read_as_a_field_are_the_commutator_field(n):
-    # the one table of the action, each move (v, w, k) the term k x_w d/dx_v,
-    # against the independent Polynomial formula of commutator_field
+    # the one table of the action, {v: sum_w k x_w} in flat order of v with
+    # no zero component, against the independent Polynomial formula of
+    # commutator_field; generator_field wraps it
     for g in generator_ids(n):
-        moves = generator_moves(n, g)
-        comps = {}
-        for v, w, k in moves:
-            term = Polynomial.variable(n * n, w).scale(k)
-            comps[v] = comps[v] + term if v in comps else term
+        comps = generator_components(n, g)
+        assert list(comps) == sorted(comps) and all(not p.is_zero() for p in comps.values())
         assert VectorField(n, comps) == commutator_field(generator_matrix(n, g))
+        assert generator_field(n, g).components is comps
     for bad in (Theta(2, 2), Xi(n)):
         with pytest.raises(InvalidGenerator):
-            generator_moves(n, bad)
+            generator_components(n, bad)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -339,10 +338,10 @@ def test_generator_id_repr_and_immutability():
 def test_plain_tuple_is_no_generator_id():
     # a tuple equal to a cached id must not be answered from the id's entry
     for g in (Theta(1, 2), Xi(1)):
-        generator_moves(2, g)
+        generator_components(2, g)
         generator_field(2, g)
         with pytest.raises(InvalidGenerator):
-            generator_moves(2, tuple(g))
+            generator_components(2, tuple(g))
         with pytest.raises(InvalidGenerator):
             generator_field(2, tuple(g))
 
@@ -350,19 +349,18 @@ def test_plain_tuple_is_no_generator_id():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_overshear_moves_are_the_generator_moves(n):
     # each Theta_ab builds an Overshear of f = x_aa + 3 x_ba^2 (Theta_ab f =
-    # x_ba, Theta_ab^2 f = 0) whose Theta_ab f is that of generator_moves and
-    # of the commutator field
+    # x_ba, Theta_ab^2 f = 0) whose Theta_ab f, as a Polynomial and compiled,
+    # is sum_v c_v df/dx_v, c_v the components of the commutator field
     from specball import flows
-    from specball.adjointfields import apply_moves
 
     for g in generator_ids(n):
         if not isinstance(g, Theta):
             continue
         f = x(g.a, g.a, n) + x(g.b, g.a, n) * x(g.b, g.a, n) * 3
         atom = flows.Overshear(n=n, a=g.a, b=g.b, f=f, t=0.5)
-        tf = apply_moves(flows._exponents(f), generator_moves(n, g))
-        assert atom._theta_terms == flows._compiled(tf, n)
-        assert atom.theta_f == generator_field(n, g).apply(f) == x(g.b, g.a, n)
+        want = _oracle_apply(commutator_field(generator_matrix(n, g)), f)
+        assert atom.theta_f == want == x(g.b, g.a, n)
+        assert atom._theta_terms == flows._compiled(want.terms, n)
 
 
 # -- the field arithmetic against the derivation formula, term by term

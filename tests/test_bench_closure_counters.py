@@ -43,7 +43,7 @@ def test_closure_counters_are_fed(monkeypatch):
     # grade 2 brackets only in the blocks of its Weyl orbit representatives
     assert metrics["liegen.brackets"]["value"] == 5 + 11
     assert metrics["liegen.accepted"]["value"] == 3 + 8 + 9
-    # the seeds are read off the generator matrices and the closure brackets
+    # the seeds are read off the generator tables and the closure brackets
     # integer vectors: no polynomial or field is built, bracketed, scaled or
     # projected, at n = 2 or n = 3
     assert cli.main(["generate", "--n", "3", "--max-degree", "2", "--out", os.devnull]) == 0

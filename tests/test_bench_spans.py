@@ -71,7 +71,7 @@ def test_flows_counters_are_fed(monkeypatch, tmp_path):
     for layer in ("flows.char_poly", "flows.poly_roots", "flows.overshear_flow",
                   "flows.eval_poly", "flows.atom_build", "cli.main"):
         assert metrics[f"{layer}.calls"]["value"] > 0, layer
-    # an overshear atom takes Theta f on exponent tuples: no field is built
-    # or applied while the word is built and applied
+    # an overshear atom takes Theta f from the generator table: no field is
+    # built or applied while the word is built and applied
     for layer in ("adjointfields.apply", "adjointfields.generator_field"):
         assert metrics[f"{layer}.calls"]["value"] == 0, layer

@@ -10,10 +10,10 @@ from specball import flows
 from specball.adjointfields import (
     Theta,
     Xi,
-    apply_moves,
+    commutator_field,
     generator_field,
     generator_ids,
-    generator_moves,
+    generator_matrix,
 )
 from specball.flows import (
     Conjugate,
@@ -45,6 +45,8 @@ from specball.flows import (
     word_from_json,
 )
 from specball.polyring import Polynomial, parse_poly
+
+from test_adjointfields import _oracle_apply
 
 
 def matrix_unit(n, a, b):
@@ -398,9 +400,9 @@ def test_overshear_atom_validation():
 
 
 def test_overshear_builds_no_field(monkeypatch):
-    # Theta_ab f and Theta_ab^2 f = 0 are computed on exponent tuples: no
-    # generator field is built and no field is applied, for a valid
-    # coefficient or for one that fails the test
+    # Theta_ab f and Theta_ab^2 f = 0 are computed from the generator table
+    # by the term-dict kernel: no generator field is built and no field is
+    # applied, for a valid coefficient or for one that fails the test
     from specball import adjointfields
     calls = []
 
@@ -439,30 +441,35 @@ def _random_poly(rng, n, terms=4, degree=3, min_exp=1, max_exp=1):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_theta_on_exponent_tuples_matches_the_generator_field(n):
-    # the exponent-tuple action (apply_moves on generator_moves), shared by
-    # the flow's atoms and the seeds, against the Polynomial field of
-    # adjointfields, for every generator, Xi_a included, on random f (most
-    # fail g^2 f = 0); for Theta_ab, on every coefficient that passes,
-    # through Overshear.theta_f
+    # the generator table applied by the term-dict kernel, shared by the
+    # flow's atoms and the seeds, against sum_v c_v df/dx_v, c_v the
+    # components of commutator_field and df/dx_v by Polynomial.partial, on
+    # random f with integer or rational coefficients: for every generator,
+    # Xi_a included, through generator_field; for Theta_ab, through
+    # Overshear.theta_f when Theta_ab^2 f = 0 and its refusal otherwise
     rng = np.random.default_rng(50 + n)
     gens = generator_ids(n)
+    outcomes = set()
     for _ in range(60):
         g = gens[int(rng.integers(len(gens)))]
-        field = generator_field(n, g)
-        f = _random_poly(rng, n)
-        moves = generator_moves(n, g)
-        tf = apply_moves(flows._exponents(f), moves)
-        want = field.apply(f)
-        assert tf == flows._exponents(want)
-        assert (apply_moves(tf, moves) == {}) == field.apply(want).is_zero()
+        field = commutator_field(generator_matrix(n, g))
+        f = _random_poly(rng, n).scale(Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 5))))
+        want = _oracle_apply(field, f)
+        assert generator_field(n, g).apply(f) == want
         if not isinstance(g, Theta):
             continue
         a, b = g.a, g.b
-        if field.apply(want).is_zero():
+        if _oracle_apply(field, want).is_zero():
             assert Overshear(n=n, a=a, b=b, f=f, t=0.5).theta_f == want
+            outcomes.add("accepted")
+        else:
+            with pytest.raises(ValueError, match="Theta\\^2"):
+                Overshear(n=n, a=a, b=b, f=f, t=0.5)
+            outcomes.add("refused")
         # an overshear coefficient x_aa (Theta_ab x_aa = x_ba, then 0)
-        h = Polynomial.x(a, a, n) * Polynomial.x(b, a, n) + Polynomial.x(a, a, n)
-        assert Overshear(n=n, a=a, b=b, f=h, t=0.5).theta_f == field.apply(h)
+        h = Polynomial.x(a, a, n) * Polynomial.x(b, a, n) * Fraction(1, 2) + Polynomial.x(a, a, n)
+        assert Overshear(n=n, a=a, b=b, f=h, t=0.5).theta_f == _oracle_apply(field, h)
+    assert outcomes == {"accepted", "refused"}
 
 
 def test_overshear_rejects_what_the_field_rejected():
@@ -504,7 +511,7 @@ def test_compiled_terms_evaluate_as_the_polynomial():
         for scale in (1.0, 1e120, 1e30):
             A = (scale * sample_spectral_ball(rng, n)).tolist()
             for f in (_random_poly(rng, n), _random_poly(rng, n, min_exp=2, max_exp=13)):
-                compiled = flows._compiled(flows._exponents(f), n)
+                compiled = flows._compiled(f.terms, n)
                 assert same_complex(eval_poly_at_matrix(compiled, A), direct(f, A))
                 assert same_complex(eval_poly_at_matrix(f, A), direct(f, A))
     # against e - 1 repeated products, within the rounding of e products

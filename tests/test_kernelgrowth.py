@@ -321,8 +321,9 @@ def _linear_apply(der):
     (3, [Theta(1, 2), Theta(1, 3), Xi(1), Xi(2)], 3),
 ], ids=["n2-all", "n3"])
 def test_restrict_matches_the_field_applied_to_each_monomial(n, gids, m_max):
-    # restrict builds each column with apply_moves; the oracle applies the
-    # Polynomial field of adjointfields to each basis monomial
+    # restrict builds each column by its own loop on exponent tuples; the
+    # oracle applies the Polynomial field of adjointfields to each basis
+    # monomial
     for g in gids:
         field = generator_field(n, g)
         for m in range(m_max + 1):

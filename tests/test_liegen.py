@@ -13,7 +13,6 @@ import pytest
 
 from specball import cli, liegen
 from specball.adjointfields import (
-    OvershearClass,
     Theta,
     VectorField,
     Xi,
@@ -24,7 +23,6 @@ from specball.adjointfields import (
     generator_matrix,
     make_theta,
     make_xi,
-    overshear_class,
     scale_field,
 )
 from specball.linalg import ExactRowSpace, ModularRowSpace, clear_denominators
@@ -182,16 +180,28 @@ def test_seed_example_n3_product_of_kernel_elements():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_seeds_match_the_overshear_class_oracle(n):
-    # build_seeds reads ad_B^2 off the generator matrices; `overshear_class`
-    # applies the generator fields to polynomials.  n = 5 and 6 put Xi_a
-    # away from the corners of the matrix
+    # the matrix rule, with no table, kernel or field: the field of B is
+    # X -> BX - XB, so g^2(x_ij) is the (i, j) entry of B^2 X - 2 B X B + X B^2,
+    # linear in X, and x_ij is a seed of B iff that entry vanishes at every
+    # unit matrix E_kl.  The constant 1 is a seed of every generator.  n = 5
+    # and 6 put Xi_a away from the corners of the matrix
+    def mul(P, Q):
+        return [[sum(P[i][k] * Q[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
     nvars = n * n
-    oracle = []
-    for d in (0, 1):
-        for mono in slice_monomials(nvars, d):
-            f = Polynomial.from_monomial(nvars, mono)
-            oracle += [Seed(f, g, d) for g in generator_ids(n)
-                       if overshear_class(f, g) is not OvershearClass.NEITHER]
+    units = [[[int((i, j) == (k, l)) for j in range(n)] for i in range(n)]
+             for k in range(n) for l in range(n)]
+    vanishing = {}
+    for g in generator_ids(n):
+        B = generator_matrix(n, g)
+        B2 = mul(B, B)
+        images = [[[p - 2 * q + r for p, q, r in zip(*rows)]
+                   for rows in zip(mul(B2, E), mul(mul(B, E), B), mul(E, B2))] for E in units]
+        vanishing[g] = {i * n + j for i in range(n) for j in range(n)
+                        if all(M[i][j] == 0 for M in images)}
+    oracle = [Seed(Polynomial.constant(nvars, 1), g, 0) for g in generator_ids(n)]
+    oracle += [Seed(Polynomial.variable(nvars, v), g, 1)
+               for v in range(nvars) for g in generator_ids(n) if v in vanishing[g]]
     assert build_seeds(n) == oracle
 
 
