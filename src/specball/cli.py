@@ -196,6 +196,8 @@ def cmd_generate(args) -> int:
 
 def _field_by_name(name: str, n: int):
     """The generator field labelled name (xi1, theta12, theta[10,2], ...)."""
+    if n < 2:
+        raise ValueError(f"a generator field needs n >= 2, got n={n}")
     gens = {g.label(): g for g in generator_ids(n)}
     name = name.lower()
     if name not in gens:

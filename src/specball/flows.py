@@ -3,7 +3,8 @@
 Matrices are dense complex numpy arrays at the public boundary.  The
 fibration coordinates are the signed characteristic-polynomial
 coefficients pi_j (the elementary symmetric functions of the eigenvalues),
-computed from power traces by Newton's identities; eigenvalue moduli come
+for n <= 4 written out as sums of principal minors, above it computed from
+power traces by Newton's identities; eigenvalue moduli come
 from the roots of the characteristic polynomial (a closed form at degree
 2; above it Aberth-Ehrlich sweeps, started at Cardano's or Ferrari's roots
 at degree 3 or 4 and on a circle otherwise, each root stopping on its own
@@ -143,14 +144,52 @@ class FibreCoordinates:
 
 
 def char_poly(A: Matrix) -> FibreCoordinates:
-    """Newton's identities on power traces; no eigendecomposition.
+    """The fibre coordinates of A, with no eigendecomposition: at n <= 4
+    written-out sums of principal minors (`_minor_sums`), above it
+    Newton's identities on power traces (`_newton_sums`)."""
+    rows = _rows(A)
+    return FibreCoordinates(_minor_sums(rows) if len(rows) <= 4 else _newton_sums(rows))
+
+
+def _minor_sums(rows: Rows) -> tuple:
+    """(pi_1, ..., pi_n) for n <= 4: pi_j is the sum of the j x j principal
+    minors.  At n = 4 the 2 x 2 minors of rows 1-2 (ab..) and of rows 3-4
+    (cd..) serve pi_2, the 3 x 3 minors (each expanded along the row outside
+    its pair) and det, by Laplace expansion along rows 1-2."""
+    n = len(rows)
+    if n <= 1:
+        return tuple(row[0] for row in rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a + d, a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        ei = e * i - f * h
+        return (a + e + i,
+                (a * e - b * d) + (a * i - c * g) + ei,
+                a * ei - b * (d * i - f * g) + c * (d * h - e * g))
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    ab01, ab02, ab03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    ab12, ab13, ab23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    cd01, cd02, cd03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+    cd12, cd13, cd23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+    return (a0 + b1 + c2 + d3,
+            ab01 + cd23 + (a0 * c2 - a2 * c0) + (a0 * d3 - a3 * d0)
+            + (b1 * c2 - b2 * c1) + (b1 * d3 - b3 * d1),
+            (c0 * ab12 - c1 * ab02 + c2 * ab01) + (d0 * ab13 - d1 * ab03 + d3 * ab01)
+            + (a0 * cd23 - a2 * cd03 + a3 * cd02) + (b1 * cd23 - b2 * cd13 + b3 * cd12),
+            ab01 * cd23 - ab02 * cd13 + ab03 * cd12
+            + ab12 * cd03 - ab13 * cd02 + ab23 * cd01)
+
+
+def _newton_sums(rows: Rows) -> tuple:
+    """(pi_1, ..., pi_n) by Newton's identities on power traces, exact on
+    `Fraction` entries.
 
     With p_k = tr(A^k), k pi_k = sum_{i=1..k} (-1)^(i-1) pi_{k-i} p_i and
     pi_0 = 1.  Only the powers up to A^h, h = ceil(n/2), are formed; for
-    k > h, p_k = tr(A^h A^(k-h)) is a sum of n^2 products, so n <= 4 needs
-    one matrix product (A^2) and n = 2 none.
+    k > h, p_k = tr(A^h A^(k-h)) is a sum of n^2 products.
     """
-    rows = _rows(A)
     n = len(rows)
     h = (n + 1) // 2
     powers = [rows]                        # powers[i] = A^(i+1)
@@ -160,11 +199,11 @@ def char_poly(A: Matrix) -> FibreCoordinates:
     top = list(chain.from_iterable(powers[-1]))
     p += [sum(map(mul, top, chain.from_iterable(zip(*powers[k - h - 1]))))
           for k in range(h + 1, n + 1)]
-    pi = [1.0]
+    pi = [1]
     for k in range(1, n + 1):
         terms = [pi[k - i] * p[i - 1] for i in range(1, k + 1)]
         pi.append((sum(terms[0::2]) - sum(terms[1::2])) / k)
-    return FibreCoordinates(tuple(pi[1:]))
+    return tuple(pi[1:])
 
 
 def _aberth_sweep(coeffs: list[complex], z: list[complex], live: list[int]) -> list[int]:

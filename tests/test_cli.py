@@ -104,6 +104,18 @@ def test_verify_small_n_is_usage_error(capsys, n):
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-1"])
+@pytest.mark.parametrize("command", [["kernels", "--m", "0..2"], ["growth", "--m", "0..2"]])
+def test_field_small_n_is_usage_error(capsys, command, n):
+    # a field needs a generator: the message names n, not an empty list
+    code = cli.main([*command, "--field", "xi1", "--n", n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"needs n >= 2, got n={n}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_text_format(capsys):
     code, out = run(capsys, ["verify", "--id", "d2-hyperbolic", "--n", "2", "--format", "text"])
     assert code == 0

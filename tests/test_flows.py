@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -107,6 +108,57 @@ def test_char_poly_exact_cases():
         nilpotent = np.triu(np.arange(1.0, n * n + 1).reshape(n, n), 1)
         assert char_poly(nilpotent).pi == (0,) * n
     assert char_poly([[2.5 - 1j]]).pi == (2.5 - 1j,)
+    assert char_poly(np.zeros((0, 0))).pi == ()
+    assert spectral_radius(np.zeros((0, 0))) == 0.0
+
+
+def test_minor_sums_equal_newton_sums_on_rationals():
+    # the written-out minor sums serve n <= 4; Newton's identities, run on
+    # Fraction entries, are their exact oracle
+    rng = np.random.default_rng(5)
+    for n in range(1, 5):
+        for _ in range(60):
+            rows = [[Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 13)))
+                     for _ in range(n)] for _ in range(n)]
+            assert flows._minor_sums(rows) == flows._newton_sums(rows), rows
+
+
+def _fibre_stress_set(rng, n):
+    """Complex normal matrices at scales 10^-3 and 10^3, 0.5 I + c N with
+    N the nilpotent shift, and non-normal S D S^-1."""
+    def normal():
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for scale in (1e-3, 1e3):
+        yield scale * normal()
+    for c in (1.0, 1e3):
+        yield 0.5 * np.eye(n) + c * complex(*rng.normal(size=2)) * np.eye(n, k=1)
+    lam = 0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    S = np.eye(n) + 10.0 ** rng.uniform(0, 3) * normal()
+    yield S @ np.diag(lam) @ np.linalg.inv(S)
+
+
+def test_char_poly_accuracy_against_50_digit_minors():
+    # error in pi_j relative to the sum of the moduli of the terms of the j x j
+    # principal minors' expansions, the scale that rounding acts on.  On these
+    # 405 matrices the worst was 1.6e-16 for the minor sums (2.4e-16 over ten
+    # more seeds) and 8.5e-16 for Newton's identities; the bound is 4 eps
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    for _ in range(27):
+        for n in (2, 3, 4):
+            for A in _fibre_stress_set(rng, n):
+                got = char_poly(A).pi
+                B = np.abs(A)
+                for j in range(1, n + 1):
+                    subsets = list(itertools.combinations(range(n), j))
+                    scale = sum(math.prod(B[S[i], S[p[i]]] for i in range(j))
+                                for S in subsets for p in itertools.permutations(range(j)))
+                    with mpmath.workdps(50):
+                        want = sum(mpmath.det(mpmath.matrix([[complex(A[r, c]) for c in S]
+                                                             for r in S]))
+                                   for S in subsets)
+                        error = float(abs(mpmath.mpc(got[j - 1]) - want))
+                    assert error <= 4 * np.finfo(float).eps * scale, (A, j, error, scale)
 
 
 def test_spectral_radius_examples():
