@@ -16,8 +16,11 @@ cost would exceed the arithmetic, so the numerics run on rows of Python
 iterate pass rows to each other, and an ndarray is built once, where a
 public function returns.  The atoms, `apply_atom` and the flows of
 `theta_flow` take rows and give rows, or take an ndarray and give one.
-Moebius maps and SL_n conjugations solve their linear systems by
-Gauss-Jordan elimination on the rows.
+Every overshear runs on one in-place kernel, `_shear`.  Flows, their sums
+and brackets are `Schedule`s, step lists of atoms with time factors, which
+a call compiles at its t and `iterate_algorithm` once per call.  Moebius
+maps and SL_n conjugations solve their linear systems by Gauss-Jordan
+elimination.
 
 Automorphism atoms: overshear/shear conjugations exp(s E_ab) with the exact
 nilpotent exponential I + s E_ab (Theta_ab f and the test Theta_ab^2 f = 0
@@ -42,7 +45,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .adjointfields import (
-    GeneratorId, Theta, add_derivation, generator_components, generator_matrix)
+    GeneratorId, InvalidGenerator, Theta, add_derivation, generator_components,
+    generator_matrix)
 from .polyring import DimensionMismatch, Polynomial, PolyParseError, parse_poly
 
 
@@ -66,10 +70,8 @@ def _rows(data, n: int | None = None) -> Rows:
     if n is not None and A.shape[0] != n:
         raise ValueError(f"expected a {n}x{n} matrix")
     rows = A.tolist()
-    for row in rows:
-        for x in row:
-            if not cmath.isfinite(x):
-                raise ValueError("matrix entries must be finite")
+    if not _finite(rows):
+        raise ValueError("matrix entries must be finite")
     return rows
 
 
@@ -86,7 +88,11 @@ def _size(z: complex) -> float:
 
 
 def _finite(rows: Rows) -> bool:
-    return all(map(cmath.isfinite, chain.from_iterable(rows)))
+    for row in rows:
+        for x in row:
+            if not cmath.isfinite(x):
+                return False
+    return True
 
 
 def _matmul(X: Rows, Y: Rows) -> Rows:
@@ -565,33 +571,38 @@ AutomorphismAtom = Overshear | Moebius | Transpose | Conjugate
 AutomorphismWord = list
 
 
+def _shear_s(atom: Overshear, tt: complex, X: Rows) -> complex:
+    """s = epsilon(tt (Theta_ab f)(X)) tt f(X), the parameter of the
+    conjugation; for a shear (Theta_ab f = 0), s = tt f(X) exactly."""
+    s = tt * eval_poly_at_matrix(atom._f_terms, X)
+    if atom._theta_terms:
+        s *= epsilon(tt * eval_poly_at_matrix(atom._theta_terms, X))
+    return s
+
+
+def _shear(X: Rows, a: int, b: int, s: complex) -> None:
+    """X <- (I + s E_ab) X (I - s E_ab) in place, 0-based a != b: row a +=
+    s row b, then column b -= s column a; E_ab^2 = 0, so that is all."""
+    row_a = X[a]
+    for j, y in enumerate(X[b]):
+        row_a[j] += s * y
+    for row in X:
+        row[b] -= s * row[a]
+
+
 def overshear_flow(atom: Overshear, A: Matrix | Rows, t: complex | None = None) -> Matrix | Rows:
     """Evaluate the overshear/shear conjugation at the atom's time (or t).
 
     A is an ndarray, checked by `_rows`, and an ndarray is returned; or rows
-    as `_rows` returns them, and new rows are returned.
-    The conjugation (I + s E_ab) A (I - s E_ab) is applied in its rank-one
-    form: left multiplication by I + s E_ab adds s times row b to row a,
-    and right multiplication by I - s E_ab then subtracts s times column a
-    of that product from column b.  Since a != b, E_ab^2 = 0 and this is
-    the whole product.  Each output row is built once: row a new, the
-    others copied.  For a shear (Theta_ab f = 0), s = t f(A) exactly.
+    as `_rows` returns them, and new rows are returned.  `_shear` applies
+    the conjugation to one copy of A; A itself is left as it is.
     """
     array = isinstance(A, np.ndarray)
-    X = _rows(A, atom.n) if array else A
+    X = _rows(A, atom.n) if array else [row[:] for row in A]
     if len(X) != atom.n:
         raise ValueError(f"expected a {atom.n}x{atom.n} matrix")
-    tt = atom.t if t is None else t
-    s = tt * eval_poly_at_matrix(atom._f_terms, X)
-    if atom._theta_terms:
-        s *= epsilon(tt * eval_poly_at_matrix(atom._theta_terms, X))
-    a, b = atom.a - 1, atom.b - 1
-    out = []
-    for i, row in enumerate(X):
-        row = [x + s * y for x, y in zip(row, X[b])] if i == a else row[:]
-        row[b] -= s * row[a]
-        out.append(row)
-    return np.array(out, dtype=complex) if array else out
+    _shear(X, atom.a - 1, atom.b - 1, _shear_s(atom, atom.t if t is None else t, X))
+    return np.array(X, dtype=complex) if array else X
 
 
 def moebius(atom: Moebius, A: Matrix | Rows) -> Matrix | Rows:
@@ -662,51 +673,109 @@ def apply_word(word: AutomorphismWord, A: Matrix) -> Matrix:
 # algorithm combinators (Euler-style approximants of flows)
 
 
-def theta_flow(n: int, a: int, b: int, f: Polynomial | None = None) -> Algorithm:
-    """Flow family (t, A) -> overshear/shear conjugation of f * Theta_ab;
-    f defaults to the constant 1 (the plain one-parameter subgroup).  A
-    flow, and the sums and brackets built on flows, take and give rows or
-    an ndarray, as `overshear_flow` does."""
+@dataclass(frozen=True)
+class Schedule:
+    """A flow family as steps, the first applied first: each an `Overshear`
+    or another flow family, run at k t for its factor k (at k sqrt(t), t >= 0,
+    when `root` marks a bracket).  A call compiles the steps at t and runs
+    them once on a copy of A, rows or an ndarray in and out as in
+    `overshear_flow`; a flow family that is not a schedule is called on rows."""
+    steps: tuple        # (Overshear | Algorithm, k) pairs
+    root: bool = False
+
+    def timed(self, t: float) -> list:
+        """(step, its time) for each step at time t."""
+        if self.root:
+            if t < 0:
+                raise ValueError("bracket algorithm is defined for t >= 0")
+            t = math.sqrt(t)
+        return [(step, k * t) for step, k in self.steps]
+
+    def __call__(self, t: float, A: Matrix | Rows) -> Matrix | Rows:
+        array = isinstance(A, np.ndarray)
+        X = _rows(A) if array else [row[:] for row in A]
+        X = _run(_compile(self, t, X), X)
+        return np.array(X, dtype=complex) if array else X
+
+
+def theta_flow(n: int, a: int, b: int, f: Polynomial | None = None) -> Schedule:
+    """Flow family (t, A) -> overshear/shear conjugation of f * Theta_ab,
+    the schedule of one atom; f defaults to the constant 1 (the plain
+    one-parameter subgroup)."""
     if f is None:
         f = Polynomial.constant(n * n, 1)
-    atom = Overshear(n=n, a=a, b=b, f=f, t=1.0)
-    return lambda t, A: overshear_flow(atom, A, t=t)
+    return Schedule(((Overshear(n=n, a=a, b=b, f=f, t=1.0), 1),))
 
 
-def algorithm_sum(flow_a: Algorithm, flow_b: Algorithm) -> Algorithm:
-    """phi_t o psi_t, an algorithm for the sum of the two fields."""
-    return lambda t, A: flow_a(t, flow_b(t, A))
+def algorithm_sum(flow_a: Algorithm, flow_b: Algorithm) -> Schedule:
+    """phi_t o psi_t, an algorithm for the sum of the two fields: the
+    schedule psi at t, then phi at t."""
+    return Schedule(((flow_b, 1), (flow_a, 1)))
 
 
-def algorithm_bracket(flow_a: Algorithm, flow_b: Algorithm) -> Algorithm:
-    """Commutator word of the two flows, an algorithm for their bracket.
+def algorithm_symmetric_sum(flow_a: Algorithm, flow_b: Algorithm) -> Schedule:
+    """psi_{t/2} o phi_t o psi_{t/2} (Strang 1968), a second-order
+    algorithm for the sum of the two fields."""
+    return Schedule(((flow_b, 0.5), (flow_a, 1), (flow_b, 0.5)))
+
+
+def algorithm_bracket(flow_a: Algorithm, flow_b: Algorithm) -> Schedule:
+    """Commutator word of the two flows, an algorithm for their bracket:
+    with s = sqrt(t), psi at s, phi at s, psi at -s, then phi at -s.
 
     Orientation: the second flow is applied first, so the t-derivative at 0
     matches `adjointfields.bracket(field_a, field_b)` (for the generator
     flows, bracket(Theta12, Theta21) = Xi1).  Defined for t >= 0.
     """
-    def alg(t: float, A: Matrix) -> Matrix:
-        if t < 0:
-            raise ValueError("bracket algorithm is defined for t >= 0")
-        s = math.sqrt(t)
-        X = flow_b(s, A)
-        X = flow_a(s, X)
-        X = flow_b(-s, X)
-        X = flow_a(-s, X)
-        return X
-    return alg
+    return Schedule(((flow_b, 1), (flow_a, 1), (flow_b, -1), (flow_a, -1)), root=True)
+
+
+def _compile(alg: Algorithm, t: float, X: Rows) -> list:
+    """The steps of `alg` at time t on rows X, flat, as (kind, a, b, value):
+    (None, a, b, s) for a constant f (so Theta_ab f = 0), s = t f worked out
+    once; (atom, a, b, time) for another atom; a call (alg, 0, 0, t) for a
+    flow family that is not a schedule."""
+    if not isinstance(alg, Schedule):
+        return [(alg, 0, 0, t)]
+    ops = []
+    for step, time in alg.timed(t):
+        if not isinstance(step, Overshear):
+            ops += _compile(step, time, X)
+            continue
+        if len(X) != step.n:
+            raise ValueError(f"expected a {step.n}x{step.n} matrix")
+        if any(factors for _, factors in step._f_terms):
+            ops.append((step, step.a - 1, step.b - 1, time))
+        else:
+            ops.append((None, step.a - 1, step.b - 1, _shear_s(step, time, X)))
+    return ops
+
+
+def _run(ops: list, X: Rows) -> Rows:
+    """The compiled steps once on rows X: each shear through `_shear` in
+    place, a call's result copied into new rows, which are returned."""
+    for kind, a, b, s in ops:
+        if kind is None:
+            _shear(X, a, b, s)
+        elif isinstance(kind, Overshear):
+            _shear(X, a, b, _shear_s(kind, s, X))
+        else:
+            X = kind(s, X)
+            X = X.tolist() if isinstance(X, np.ndarray) else [list(row) for row in X]
+    return X
 
 
 def iterate_algorithm(alg: Algorithm, t: float, n_steps: int, A: Matrix) -> Matrix:
-    """The n-step iterate of the algorithm at step t/n_steps.  The steps
-    pass rows to each other (the flows of `theta_flow` and their sums and
-    brackets take rows), each checked for finiteness."""
+    """The n-step iterate of the algorithm at step h = t/n_steps.  A
+    schedule is compiled once at h (`_compile`); every step then runs it
+    (`_run`) on one copy of A's rows.  Each step is checked for finiteness."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     h = t / n_steps
     X = _rows(A)
+    ops = _compile(alg, h, X)
     for _ in range(n_steps):
-        X = alg(h, X)
+        X = _run(ops, X)
         if not _finite(X):
             raise NumericsError("iterate diverged", step=h, n_steps=n_steps)
     return np.array(X, dtype=complex)
@@ -784,8 +853,9 @@ def matrix_from_json(data) -> Matrix:
 
 
 def _is_number(x) -> bool:
-    """A JSON number: json reads true and false as bool, a subclass of int."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number: json reads true and false as bool, a subclass of int.
+    The exact types json gives are taken first, subclasses after."""
+    return type(x) in (int, float) or isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _is_pair(x) -> bool:
@@ -837,7 +907,11 @@ def atom_from_json(obj: dict, n: int) -> AutomorphismAtom:
             t = [t, 0]
         elif not isinstance(t, list):
             raise ValueError("overshear 't' must be a number or an [re, im] pair")
-        return Overshear(n=n, a=theta[0], b=theta[1], f=f, t=_complex_from_json(t, "overshear 't'"))
+        t = _complex_from_json(t, "overshear 't'")
+        try:
+            return Overshear(n=n, a=theta[0], b=theta[1], f=f, t=t)
+        except InvalidGenerator as exc:
+            raise ValueError(f"overshear 'theta': {exc}") from exc
     if kind == "moebius":
         return Moebius(alpha=_complex_from_json(body["alpha"], "moebius 'alpha'"),
                        gamma=_complex_from_json(body["gamma"], "moebius 'gamma'"))

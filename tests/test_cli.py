@@ -454,6 +454,11 @@ def test_orbit_outside_ball_is_precondition_error(capsys, orbit_files):
     ([{"overshear": {"theta": [1, 2], "f": f"{10 ** 400}*x21", "t": 1}}],
      "overshear 'f' has a coefficient too large for a double"),
     ([{"moebius": 3}], "moebius atom: its value must be an object"),
+    # a theta that is no generator id is named as the field
+    ([{"overshear": {"theta": [1, 1], "f": "x11", "t": 0.3}}],
+     "overshear 'theta': Theta(a=1, b=1) is not a generator id for n=2"),
+    ([{"overshear": {"theta": [0, 2], "f": "x11", "t": 0.3}}],
+     "overshear 'theta': Theta(a=0, b=2) is not a generator id for n=2"),
 ])
 def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word, field):
     mat = orbit_files[0]

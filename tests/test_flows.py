@@ -22,9 +22,11 @@ from specball.flows import (
     Moebius,
     NumericsError,
     Overshear,
+    Schedule,
     Transpose,
     algorithm_bracket,
     algorithm_sum,
+    algorithm_symmetric_sum,
     apply_atom,
     apply_word,
     as_matrix,
@@ -964,6 +966,101 @@ def test_iterate_and_bracket_refuse_their_domain_errors():
         algorithm_bracket(fl, theta_flow(2, 2, 1))(-0.1, A)
 
 
+def _iterate_cases(n):
+    """Schedules of every kind of step: a shear with a constant f, a shear
+    with f = x21, an overshear with Theta_12 f != 0 (f = x11), a sum inside
+    a bracket, and a call that is not a schedule inside a sum."""
+    t12, t21 = theta_flow(n, 1, 2), theta_flow(n, 2, 1)
+    shear = theta_flow(n, 1, 2, f=parse_poly("x21", n))
+    over = theta_flow(n, 1, 2, f=parse_poly("x11", n))
+    opaque = lambda t, X: apply_atom(Transpose(), shear(2 * t, X))
+    return {"shear": shear, "overshear": over,
+            "sum in bracket": algorithm_bracket(algorithm_sum(t12, over), t21),
+            "call in sum": algorithm_sum(opaque, over)}
+
+
+def _atom_by_atom(alg, t, X):
+    """One step of a schedule walked recursively, each atom through
+    `overshear_flow` on an ndarray: a reference that shares no compiled step."""
+    if not isinstance(alg, Schedule):
+        return alg(t, X)
+    for step, time in alg.timed(t):
+        if isinstance(step, Overshear):
+            X = overshear_flow(step, X, t=time)
+        else:
+            X = _atom_by_atom(step, time, X)
+    return X
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("steps", [1, 128])
+def test_compiled_iterate_equals_array_steps(n, steps):
+    # the compiled iterate, and the schedule called step by step, give bit
+    # for bit the result of stepping atom by atom on ndarrays
+    A = sample_spectral_ball(np.random.default_rng(60 + n), n)
+    t = 0.7
+    for name, alg in _iterate_cases(n).items():
+        X = Y = A
+        for _ in range(steps):
+            X = _atom_by_atom(alg, t / steps, X)
+            Y = alg(t / steps, Y)
+        assert isinstance(X, np.ndarray) and np.array_equal(Y, X), name
+        assert np.array_equal(iterate_algorithm(alg, t, steps, A), X), name
+
+
+def test_compiled_iterate_raises_the_bracket_error():
+    # a negative time reaches a bracket at the top, and a bracket inside a
+    # bracket at -sqrt(t); both raise as the schedule called step by step
+    A = sample_spectral_ball(np.random.default_rng(63), 3)
+    t12, t21 = theta_flow(3, 1, 2), theta_flow(3, 2, 1)
+    top = algorithm_bracket(t12, algorithm_sum(t21, t12))
+    nested = algorithm_bracket(t12, algorithm_bracket(t21, t12))
+    for alg, t in ((top, -0.1), (nested, 0.1)):
+        for steps in (1, 128):
+            with pytest.raises(ValueError, match="bracket algorithm is defined for t >= 0"):
+                alg(t / steps, A)
+            with pytest.raises(ValueError, match="bracket algorithm is defined for t >= 0"):
+                iterate_algorithm(alg, t, steps, A)
+
+
+def test_flows_leave_their_input_unchanged():
+    # the shear kernel works in place, on a copy: the caller's rows and
+    # ndarray keep their values, through an atom, a word, a schedule's call
+    # and an iterate
+    n = 3
+    A = sample_spectral_ball(np.random.default_rng(64), n)
+    rows = A.tolist()
+    saved_rows, saved_A = [row[:] for row in rows], A.copy()
+    atom = Overshear(n=n, a=1, b=2, f=parse_poly("x11", n), t=0.3)
+    assert overshear_flow(atom, rows) != saved_rows
+    overshear_flow(atom, A)
+    apply_word([atom, Transpose(), atom], rows)
+    apply_word([atom, Transpose(), atom], A)
+    for alg in _iterate_cases(n).values():
+        alg(0.3, rows)
+        alg(0.3, A)
+        iterate_algorithm(alg, 0.7, 4, rows)
+        iterate_algorithm(alg, 0.7, 4, A)
+    assert rows == saved_rows and np.array_equal(A, saved_A)
+
+
+def test_symmetric_sum_has_order_two():
+    # criterion 11's setting: the Theta_12 and Theta_21 flows at t = 0.1,
+    # against the exact flow of E12 + E21; the error of the symmetric sum
+    # falls as n_steps^-2
+    rng = np.random.default_rng(2)
+    alg = algorithm_symmetric_sum(theta_flow(2, 1, 2), theta_flow(2, 2, 1))
+    t = 0.1
+    G = np.cosh(t) * np.eye(2) + np.sinh(t) * np.array([[0, 1], [1, 0]])
+    for _ in range(20):
+        A = sample_spectral_ball(rng, 2)
+        ref = G @ A @ np.linalg.inv(G)
+        errs = [float(np.abs(iterate_algorithm(alg, t, ns, A) - ref).max())
+                for ns in (8, 16, 32, 64, 128)]
+        orders = [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
+        assert all(1.9 < p < 2.1 for p in orders), orders
+
+
 def test_bracket_algorithm_commuting_flows():
     rng = np.random.default_rng(16)
     A = sample_spectral_ball(rng, 3)
@@ -1109,6 +1206,14 @@ def test_word_json_rejects_non_finite_parameters(atom, field):
     parsed = json.loads(json.dumps([atom]))
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         word_from_json(parsed, 2)
+
+
+@pytest.mark.parametrize("theta", [[1, 1], [0, 2]])
+def test_word_json_names_a_theta_that_is_no_generator(theta):
+    atom = {"overshear": {"theta": theta, "f": "x11", "t": 0.3}}
+    with pytest.raises(ValueError, match=f"^overshear 'theta': Theta\\(a={theta[0]}, b={theta[1]}\\) "
+                                         "is not a generator id for n=2$"):
+        word_from_json([atom], 2)
 
 
 def test_as_matrix_validation():
