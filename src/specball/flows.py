@@ -38,7 +38,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
@@ -189,22 +188,14 @@ def _minor_sums(rows: Rows) -> tuple:
 
 
 def _newton_sums(rows: Rows) -> tuple:
-    """(pi_1, ..., pi_n) by Newton's identities on power traces, exact on
-    `Fraction` entries.
-
-    With p_k = tr(A^k), k pi_k = sum_{i=1..k} (-1)^(i-1) pi_{k-i} p_i and
-    pi_0 = 1.  Only the powers up to A^h, h = ceil(n/2), are formed; for
-    k > h, p_k = tr(A^h A^(k-h)) is a sum of n^2 products.
-    """
+    """(pi_1, ..., pi_n) by Newton's identities on the power traces
+    p_k = tr(A^k), k = 1..n, of one running product, exact on `Fraction`
+    entries: k pi_k = sum_{i=1..k} (-1)^(i-1) pi_{k-i} p_i, pi_0 = 1."""
     n = len(rows)
-    h = (n + 1) // 2
-    powers = [rows]                        # powers[i] = A^(i+1)
-    for _ in range(1, h):
-        powers.append(_matmul(powers[-1], rows))
-    p = [sum(P[i][i] for i in range(n)) for P in powers]
-    top = list(chain.from_iterable(powers[-1]))
-    p += [sum(map(mul, top, chain.from_iterable(zip(*powers[k - h - 1]))))
-          for k in range(h + 1, n + 1)]
+    P, p = rows, [sum(rows[i][i] for i in range(n))]
+    for _ in range(1, n):
+        P = _matmul(P, rows)
+        p.append(sum(P[i][i] for i in range(n)))
     pi = [1]
     for k in range(1, n + 1):
         terms = [pi[k - i] * p[i - 1] for i in range(1, k + 1)]
@@ -409,28 +400,24 @@ def in_symmetrized_polydisc(p: FibreCoordinates) -> bool:
 # the entire function (e^z - 1)/z
 
 
-_EPS_SERIES_TERMS = 16
-_EPS_SERIES_RADIUS = 0.25
-
-
 def epsilon(z: complex) -> complex:
-    """(e^z - 1)/z extended by 1 at 0; series below |z| = 0.25 to avoid the
-    cancellation in the closed form (keeps relative error < 1e-14).
-    Overflow of |z| or e^z, or a z infinite in both parts (where cmath.exp
-    raises ValueError), yields complex infinity rather than an exception so
-    that flow evaluations surface it through their finiteness checks."""
+    """(e^z - 1)/z extended by 1 at 0, by one formula for every z = a + ib:
+    e^z - 1 = expm1(a) cos b - 2 sin^2(b/2) + i e^a sin b, whose expm1 and
+    sin^2 terms keep the small values that exp(z) - 1 loses to cancellation
+    near 0.  An overflow of e^a or a z with an infinite part yields complex
+    infinity rather than an exception, so that flow evaluations surface it
+    through their finiteness checks; a nan propagates."""
     z = complex(z)
-    try:
-        if abs(z) >= _EPS_SERIES_RADIUS:
-            return (cmath.exp(z) - 1.0) / z
-    except (OverflowError, ValueError):
+    if cmath.isinf(z):
         return complex(math.inf, math.inf)
-    total = 0j
-    term = 1.0 + 0j
-    for k in range(1, _EPS_SERIES_TERMS + 1):
-        total += term
-        term = term * z / (k + 1)
-    return total
+    if not z:
+        return 1 + 0j
+    a, b = z.real, z.imag
+    try:
+        return complex(math.expm1(a) * math.cos(b) - 2 * math.sin(b / 2) ** 2,
+                       math.exp(a) * math.sin(b)) / z
+    except OverflowError:
+        return complex(math.inf, math.inf)
 
 
 # ---------------------------------------------------------------------------

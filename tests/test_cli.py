@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specball import cli, flows
+from specball import cli, flows, kernelgrowth
 from specball.flows import matrix_from_json, matrix_to_json
 
 
@@ -318,6 +318,32 @@ def test_kernels_empty_range_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert "empty range '3..1'" in captured.err
+
+
+@pytest.mark.parametrize("hi", [cli.MAX_DEGREE + 1, 10 ** 20])
+@pytest.mark.parametrize("argv", [
+    ["kernels", "--n", "2", "--field", "theta12"],
+    ["growth", "--chain"],
+    ["growth", "--n", "2", "--field", "theta12"],
+    ["jets", "--n", "2", "--k", "5"],
+])
+def test_upper_degree_above_maximum_is_usage_error(capsys, monkeypatch, argv, hi):
+    # a table to degree m costs time and memory growing as m^2, so an upper
+    # end above the documented maximum is refused before any table is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(kernelgrowth, "kernel_dim_with_method", refuse)
+    code = cli.main(argv + ["--m", f"1..{hi}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"maximum --m of {cli.MAX_DEGREE}" in captured.err
+
+
+def test_upper_degree_at_maximum_is_accepted(capsys):
+    code, out = run(capsys, ["growth", "--chain", "--m", str(cli.MAX_DEGREE)])
+    assert code == 0
+    assert out.splitlines()[-1].split(",")[2] == str(cli.MAX_DEGREE)
 
 
 def test_jets(capsys):

@@ -125,6 +125,32 @@ def test_minor_sums_equal_newton_sums_on_rationals():
             assert flows._minor_sums(rows) == flows._newton_sums(rows), rows
 
 
+def _pi_by_definition(rows):
+    """pi_j as the sum of the j x j principal minors, each expanded over
+    permutations with the sign of their inversion count."""
+    n = len(rows)
+    pi = []
+    for j in range(1, n + 1):
+        total = 0
+        for S in itertools.combinations(range(n), j):
+            for p in itertools.permutations(range(j)):
+                inversions = sum(p[a] > p[b] for a, b in itertools.combinations(range(j), 2))
+                total += (-1) ** inversions * math.prod(rows[S[i]][S[p[i]]] for i in range(j))
+        pi.append(total)
+    return tuple(pi)
+
+
+def test_newton_sums_equal_minor_definition_on_rationals():
+    # above n = 4 char_poly runs Newton's identities on power traces; on
+    # Fraction entries they equal the definition exactly
+    rng = np.random.default_rng(6)
+    for n in (5, 6):
+        for _ in range(6):
+            rows = [[Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 13)))
+                     for _ in range(n)] for _ in range(n)]
+            assert flows._newton_sums(rows) == _pi_by_definition(rows), rows
+
+
 def _fibre_stress_set(rng, n):
     """Complex normal matrices at scales 10^-3 and 10^3, 0.5 I + c N with
     N the nilpotent shift, and non-normal S D S^-1."""
@@ -420,6 +446,32 @@ def test_epsilon_series_closed_form_seam():
             z = r * cmath.exp(1j * ang)
             exact = (cmath.exp(z) - 1) / z
             assert abs(epsilon(z) - exact) < 1e-13
+
+
+def test_epsilon_accuracy_against_40_digits():
+    # relative error on 2000 z with |z| log-uniform in [1e-9, 16] at uniform
+    # arguments, and on both axes.  Over ten seeds of 2000 random z the
+    # worst was 5.4e-16 (2.4 eps), and 5.5e-16 on 20 000; the former
+    # series-or-closed-form evaluation reached 8.6e-16 (3.9 eps) on seed 0.
+    # The bound is 3 eps
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    radii = 10.0 ** rng.uniform(-9, math.log10(16), 2000)
+    zs = list(radii * np.exp(2j * np.pi * rng.uniform(size=2000)))
+    zs += [r * u for r in (1e-9, 1e-5, 0.01, 0.25, 1.0, 7.5, 16.0) for u in (1, 1j, -1, -1j)]
+    with mpmath.workdps(40):
+        for z in map(complex, zs):
+            want = mpmath.expm1(mpmath.mpc(z)) / z
+            error = float(abs(mpmath.mpc(epsilon(z)) - want) / abs(want))
+            assert error <= 3 * np.finfo(float).eps, (z, error)
+
+
+def test_epsilon_contract_values():
+    assert epsilon(0) == 1
+    for z in (800, complex(0, math.inf), complex(math.inf, 0), complex(-math.inf, 1)):
+        assert epsilon(z) == complex(math.inf, math.inf), z
+    assert not cmath.isfinite(epsilon(math.nan))
+    assert not cmath.isfinite(epsilon(complex(0, math.nan)))
 
 
 def test_eval_poly_at_matrix():
