@@ -216,15 +216,13 @@ def cmd_kernels(args) -> int:
     field, fname = _field_by_name(args.field, args.n)
     config = {"command": "kernels", "n": args.n, "field": fname, "m": args.m}
     der = kernelgrowth.LinearDerivation.from_vector_field(field)
-    table, method = kernelgrowth.kernel_dim_with_method(der, hi)
-    table = table[lo:]
-    deg, _ = kernelgrowth.strided_degree([k1 for k1, _ in table])
+    table, method, degree = kernelgrowth.kernel_dim_with_method(der, hi)
     # weight_dp: the weight-zero count, which is dim_ker itself for diagonal fields
     rows = [[args.n, fname, m, kernelgrowth.slice_dim(der.nvars, m), k1, k2, method,
-             k1 if method == "weights" else "", "" if deg is None else deg]
-            for m, (k1, k2) in enumerate(table, start=lo)]
+             k1 if method == "weights" else "", degree]
+            for m, (k1, k2) in enumerate(table[lo:], start=lo)]
     header = ["n", "field", "m", "slice_dim", "dim_ker", "dim_ker_sq",
-              "method", "weight_dp", "empirical_degree"]
+              "method", "weight_dp", "degree"]
     _write_output(_csv_text(header, rows, config), args.out)
     return EXIT_OK
 
@@ -246,13 +244,12 @@ def cmd_growth(args) -> int:
         return EXIT_VERIFICATION if violated else EXIT_OK
     field, fname = _field_by_name(args.field, args.n)
     config = {"command": "growth", "n": args.n, "field": fname, "m": args.m}
-    records, summary = kernelgrowth.growth_table(field, hi)
+    records, degree = kernelgrowth.growth_table(field, hi)
     records = [r for r in records if lo <= r.m <= hi]
-    rows = [[args.n, fname, r.m, r.slice_dim, r.dim_ker, r.dim_ker_sq, r.method,
-             "" if summary.empirical_degree is None else summary.empirical_degree]
+    rows = [[args.n, fname, r.m, r.slice_dim, r.dim_ker, r.dim_ker_sq, r.method, degree]
             for r in records]
     header = ["n", "field", "m", "slice_dim", "dim_ker", "dim_ker_sq",
-              "method", "empirical_degree"]
+              "method", "degree"]
     _write_output(_csv_text(header, rows, config), args.out)
     ok = all(r.dim_ker_sq <= r.slice_dim for r in records)
     return EXIT_OK if ok else EXIT_VERIFICATION

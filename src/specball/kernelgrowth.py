@@ -10,19 +10,19 @@ integer for every integral derivation.
 
 `kernel_dim_with_method` gives dim ker D and dim ker D^2 on every slice of
 degree 0..m_max from weight counts, once the linear matrix is verified to be
-of the right kind:
+of the right kind, and the growth degree of both in m:
 
 * diagonal with integer weights ("weights"): ker = ker^2 = W_0;
 * nilpotent ("sl2"): the Jordan type, from ranks of powers of A, fixes the
   Jacobson-Morozov grading h, block k carrying h-weights k-1, k-3, ..., 1-k,
   and the sl2 decomposition of the slice gives ker = W_0 + W_1 and
-  ker^2 = W_0 + 2 W_1 + W_2;
-* anything else ("exact"): elimination of the slice matrices.
+  ker^2 = W_0 + 2 W_1 + W_2.
 
-W_j counts the degree-m monomials of total weight j.  Elimination of the
-slice matrices (`kernel_dim`: the rows of D, or of D^2 multiplied row by row,
-inserted into `linalg.ExactRowSpace` with denominators cleared) is the one
-kernel oracle; it serves the "exact" method and checks the other two.
+Any other D is refused.  W_j counts the degree-m monomials of total weight
+j.  Elimination of the slice matrices (`kernel_dim`: the rows of D, or of
+D^2 multiplied row by row, inserted into `linalg.ExactRowSpace` with
+denominators cleared) is the one kernel oracle; the tests check both
+methods against it.
 """
 
 from __future__ import annotations
@@ -122,37 +122,63 @@ def kernel_dim(mat: SparseMatrix, power: int = 1) -> int:
     return (mat if power == 1 else mat @ mat).nullity()
 
 
-def kernel_dim_with_method(der: LinearDerivation,
-                           m_max: int) -> tuple[list[tuple[int, int]], str]:
-    """(dim ker D, dim ker D^2) on the slices of degree 0..m_max, and the
-    method that produced them: "weights", "sl2" or "exact" (module docstring).
+def kernel_dim_with_method(der: LinearDerivation, m_max: int
+                           ) -> tuple[list[tuple[int, int]], str, int | None]:
+    """(dim ker D, dim ker D^2) on the slices of degree 0..m_max, the method
+    that produced them, "weights" or "sl2" (module docstring), and the
+    growth degree of both in m: N - 2 when the weights w (the integer
+    weights, or the Jacobson-Morozov weights h) take both signs, with
+    N = nvars, and None otherwise.  Every generator field and the chain take
+    both signs; a D that is neither diagonal with integer weights nor
+    nilpotent raises ValueError.
+
+    The degree is N - 2 for every m, not on a window:
+
+    * upper bound: two variables have different weights.  Fixing the
+      exponents of the other N - 2 variables, the degree m and the weight j
+      fix the remaining two, so W_j(m) <= C(m + N - 2, N - 2) =: C for every
+      j; hence dim ker D <= 2 C and dim ker D^2 <= 4 C;
+    * lower bound: dim ker D^2 >= dim ker D >= W_0(m), the number of lattice
+      points of m P, P = {e >= 0, sum(e) = 1, w.e = 0}.  The weights take
+      both signs, so w.e = 0 meets the relative interior of the simplex and
+      P is a rational polytope of dimension N - 2.  With q a common
+      denominator of its vertices, qP is a lattice polytope, and by
+      Ehrhart's theorem (Ehrhart 1962; McMullen 1978 for rational P)
+      W_0(qt) is a polynomial in t of degree N - 2: W_0(m) >= c m^(N-2),
+      c > 0, on the multiples of q.
     """
     if m_max < 0:
         raise ValueError("degree must be non-negative")
     weights = der.integer_weights()
     if weights is not None:
-        return [(w0, w0) for w0 in weight_kernel_table(WeightSystem(weights), m_max)], "weights"
-    blocks = jordan_type(der)
-    if blocks is not None:
-        h = [k - 1 - 2 * i for k in blocks for i in range(k)]
-        counts = _weight_counts(h, m_max)
+        rows = [(w0, w0) for w0 in weight_kernel_table(WeightSystem(weights), m_max)]
+        method = "weights"
+    else:
+        blocks = jordan_type(der)
+        if blocks is None:
+            raise ValueError("derivation is neither diagonal with integer weights nor "
+                             "nilpotent; eliminate its slice matrices (kernel_dim)")
+        weights = [k - 1 - 2 * i for k in blocks for i in range(k)]
+        # lowering maps weight 2 injectively into weight 0 in an sl2-module,
+        # so W_2 <= W_0 and dim ker D^2 <= 2 dim ker D at every m
         rows = []
-        for by_weight in counts:
+        for by_weight in _weight_counts(weights, m_max):
             w0, w1, w2 = (by_weight.get(j, 0) for j in (0, 1, 2))
             rows.append((w0 + w1, w0 + 2 * w1 + w2))
-        return rows, "sl2"
-    rows = []
-    for m in range(m_max + 1):
-        mat = der.restrict(m)
-        rows.append((kernel_dim(mat, 1), kernel_dim(mat, 2)))
-    return rows, "exact"
+        method = "sl2"
+    both_signs = any(w < 0 for w in weights) and any(w > 0 for w in weights)
+    return rows, method, der.nvars - 2 if both_signs else None
 
 
 def jordan_type(der: LinearDerivation) -> list[int] | None:
     """Jordan block sizes (descending) of the linear matrix when it is
     nilpotent, from the ranks of its powers; None when it is not nilpotent.
-    The linear matrix is the degree-1 slice matrix, the variables in order."""
-    mat = der.restrict(1)
+    The linear matrix is A itself, read off `entries`, the variables in
+    order (the degree-1 slice matrix)."""
+    rows: dict[int, dict[int, int | Fraction]] = {}
+    for (i, j), c in der.entries.items():
+        rows.setdefault(i, {})[j] = c
+    mat = SparseMatrix(der.nvars, der.nvars, rows)
     ranks = [der.nvars]
     power = mat
     while ranks[-1] > 0:
@@ -264,25 +290,10 @@ class GrowthRecord:
     slice_dim: int
     dim_ker: int
     dim_ker_sq: int
-    method: str = "exact"
+    method: str
 
     def __post_init__(self):
         assert 0 <= self.dim_ker <= self.dim_ker_sq <= self.slice_dim
-
-
-def finite_difference_degree(values: list[int]) -> int | None:
-    """Least k with vanishing (k+1)-th finite differences on the window.
-
-    Returns None when no such k is detectable (window too small, or the
-    sequence is not polynomial on the window).
-    """
-    seq = values
-    for k in range(len(values) - 1):
-        diff = [seq[i + 1] - seq[i] for i in range(len(seq) - 1)]
-        if all(x == 0 for x in diff):
-            return k
-        seq = diff
-    return None
 
 
 def slice_dim(nvars: int, m: int) -> int:
@@ -290,18 +301,23 @@ def slice_dim(nvars: int, m: int) -> int:
     return comb(nvars + m - 1, m)
 
 
-def _growth_records(der: LinearDerivation, m_min: int, m_max: int) -> list[GrowthRecord]:
-    rows, method = kernel_dim_with_method(der, m_max)
+def _growth_records(der: LinearDerivation, m_min: int,
+                    m_max: int) -> tuple[list[GrowthRecord], int | None]:
+    rows, method, degree = kernel_dim_with_method(der, m_max)
     return [GrowthRecord(m=m, slice_dim=slice_dim(der.nvars, m), dim_ker=k1,
                          dim_ker_sq=k2, method=method)
-            for m, (k1, k2) in enumerate(rows) if m >= m_min]
+            for m, (k1, k2) in enumerate(rows) if m >= m_min], degree
 
 
 def chain_kernel_dims(m_max: int) -> list[GrowthRecord]:
-    """Kernel dimensions of the length-3 chain derivation per degree 1..m_max."""
+    """Kernel dimensions of the length-3 chain derivation per degree 1..m_max.
+
+    The chain is one Jordan block of size 3, with sl2 weights 2, 0, -2, so at
+    every m dim ker = W_0 = floor(m/2) + 1 (the exponents of the weight +-2
+    variables are equal), which is at most 3m for m >= 1."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    return _growth_records(LinearDerivation.chain(3), 1, m_max)
+    return _growth_records(LinearDerivation.chain(3), 1, m_max)[0]
 
 
 def jordan_blocks_theta12(n: int) -> list[int]:
@@ -320,41 +336,10 @@ def adjoin_bound_check(psi_dims: list[int], m: int) -> int:
     return sum((1 + k) * psi_dims[m - k] for k in range(m + 1))
 
 
-# the longest quasi-polynomial period the degree estimates look for
-MAX_STRIDE = 6
-
-
-def strided_degree(values: list[int]) -> tuple[int | None, int]:
-    """Empirical polynomial degree allowing a quasi-polynomial period.
-
-    Tries strides 1..MAX_STRIDE; returns (degree, stride) for the smallest
-    stride whose residue subsequences all show the same finite-difference
-    degree, or (None, 0) when nothing is detectable on the window.
-    """
-    for stride in range(1, MAX_STRIDE + 1):
-        degs = [finite_difference_degree(values[r::stride]) for r in range(stride)]
-        if all(d is not None for d in degs):
-            return max(degs), stride
-    return None, 0
-
-
-@dataclass
-class GrowthSummary:
-    empirical_degree: int | None     # of dim_ker_sq, allowing a quasi-period
-    period: int                      # detected quasi-period (0 if undetermined)
-    bound_degree: int                # n^2 - 1
-    within_bound: bool | None
-
-
-def growth_table(v: VectorField, m_max: int) -> tuple[list[GrowthRecord], GrowthSummary]:
-    """Kernel dimensions for m = 0..m_max plus an empirical polynomial-degree
-    estimate of the square-kernel sequence via exact finite differences."""
-    records = _growth_records(LinearDerivation.from_vector_field(v), 0, m_max)
-    deg, period = strided_degree([r.dim_ker_sq for r in records])
-    bound = v.n * v.n - 1
-    return records, GrowthSummary(
-        empirical_degree=deg, period=period, bound_degree=bound,
-        within_bound=(deg <= bound) if deg is not None else None)
+def growth_table(v: VectorField, m_max: int) -> tuple[list[GrowthRecord], int | None]:
+    """Kernel dimensions for m = 0..m_max and their growth degree, n^2 - 2
+    for every generator field (`kernel_dim_with_method`)."""
+    return _growth_records(LinearDerivation.from_vector_field(v), 0, m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +363,29 @@ class JetReport:
     k: int
     cumulative: bool
     rows: list[JetRow]
-    crossover_m: int | None   # smallest m with the inequality holding onward
+    crossover_m: int | None   # smallest m from which it holds on the window m <= m_max
 
 
 def jet_inequality(n: int, k: int, m_max: int, cumulative: bool = False) -> JetReport:
     """Table of binom(m + n^2, n^2) against k * max of the two square-kernel
     dimensions.  cumulative=True sums the homogeneous kernels over degrees
     <= m (the all-degrees-at-most-m reading); the default compares the
-    degree-m slices."""
+    degree-m slices.
+
+    The crossover is read off the window m <= m_max: the smallest m from
+    which the inequality holds up to m_max.  Holding for every m is left to
+    the (k - 1) N threshold lemma, the proof still to come: with N = n^2,
+    dim ker D^2 is at most the slice size C(m + N - 1, N - 1), and
+    C(m + N, N) / C(m + N - 1, N - 1) = (m + N)/N, so the degree-m
+    inequality holds for every m >= (k - 1) N.  The crossover is proved for
+    every m once the table reaches that threshold (16 at n = 2 and 36 at
+    n = 3, for k = 5); a window need not reach it."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    theta_rows, _ = kernel_dim_with_method(
+    theta_rows, _, _ = kernel_dim_with_method(
         LinearDerivation.from_vector_field(make_theta(n, 1, 2)), m_max)
-    xi_rows, _ = kernel_dim_with_method(LinearDerivation.from_vector_field(make_xi(n, 1)), m_max)
+    xi_rows, _, _ = kernel_dim_with_method(
+        LinearDerivation.from_vector_field(make_xi(n, 1)), m_max)
     theta_sq = [k2 for _, k2 in theta_rows]
     xi_sq = [k2 for _, k2 in xi_rows]
     if cumulative:
@@ -408,34 +403,3 @@ def jet_inequality(n: int, k: int, m_max: int, cumulative: bool = False) -> JetR
         else:
             break
     return JetReport(n=n, k=k, cumulative=cumulative, rows=rows, crossover_m=crossover)
-
-
-# ---------------------------------------------------------------------------
-# conjecture probe
-
-
-@dataclass
-class ProbeReport:
-    nvars: int
-    dims: list[int]                  # kernel dims for m = 0..m_max
-    empirical_degree: int | None     # max over quasi-period residue classes
-    period: int                      # detected quasi-period (0 if undetermined)
-    bound_degree: int                # N - 2
-    consistent: bool | None          # None when the degree is undetermined
-
-
-def conjecture_probe(der: LinearDerivation, m_max: int) -> ProbeReport:
-    """Kernel-dimension window for a degree-preserving derivation plus an
-    empirical polynomial-degree estimate.  Reports consistency with the
-    degree bound N-2 on the window only; never a proof.
-
-    Diagonal and nilpotent derivations are counted by weights, which reaches
-    far larger degrees than the slice matrices; the growth sequences are often
-    quasi-polynomial, so the degree search allows a small period.
-    """
-    dims = [k1 for k1, _ in kernel_dim_with_method(der, m_max)[0]]
-    deg, period = strided_degree(dims)
-    bound = der.nvars - 2
-    consistent = (deg <= bound) if deg is not None else None
-    return ProbeReport(nvars=der.nvars, dims=dims, empirical_degree=deg,
-                       period=period, bound_degree=bound, consistent=consistent)

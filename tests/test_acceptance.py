@@ -33,11 +33,13 @@ from specball.flows import (
     theta_flow,
 )
 from specball.kernelgrowth import (
+    LinearDerivation,
     adjoin_bound_check,
     chain_kernel_dims,
     jet_inequality,
     jordan_blocks_theta12,
     kernel_dim,
+    kernel_dim_with_method,
     restrict,
     weight_kernel_dim,
     xi1_weight_system,
@@ -172,7 +174,8 @@ CHAIN_DIMS_EXPECTED = [1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7]   # floor(m/2)+1
 
 def test_criterion_06_chain_bound(capsys):
     """Chain-derivation kernel dims satisfy dim <= 3m for m <= 12, exact
-    values archived.  < 1 min."""
+    values archived.  For every m: the chain is one Jordan block of size 3,
+    so dim ker = floor(m/2) + 1 <= 3m (`chain_kernel_dims`).  < 1 min."""
     t0 = time.time()
     records = chain_kernel_dims(12)
     dims = [r.dim_ker for r in records]
@@ -199,13 +202,26 @@ def test_criterion_07_jordan_structure(capsys):
 
 def test_criterion_08_square_kernel_bound(capsys):
     """dim ker(Theta12^2) <= 2 dim ker(Theta12) on every slice m <= 8 for
-    n=2.  Exact; < 5 min."""
+    n=2 by elimination, and from the sl2 weight counts for n = 2, 3 up to
+    m = 150 and n = 4 up to m = 60, together with the lemma's bound
+    dim ker(Theta12^2) <= 4 C(m + N - 2, N - 2), N = n^2.
+
+    For every m: Theta12 is nilpotent, so dim ker = W_0 + W_1 and
+    dim ker^2 = W_0 + 2 W_1 + W_2 in its Jacobson-Morozov weights, and the
+    inequality is W_2 <= W_0, which holds because lowering maps weight 2
+    injectively into weight 0 in an sl2-module.  Exact; < 5 min."""
     t0 = time.time()
     ok = True
     th = make_theta(2, 1, 2)
     for m in range(9):
         op = restrict(th, m)
         ok = ok and kernel_dim(op, 2) <= 2 * kernel_dim(op, 1)
+    for n, m_max in ((2, 150), (3, 150), (4, 60)):
+        der = LinearDerivation.from_vector_field(make_theta(n, 1, 2))
+        rows, method, _ = kernel_dim_with_method(der, m_max)
+        ok = ok and method == "sl2" and all(
+            k2 <= 2 * k1 and k2 <= 4 * comb(m + n * n - 2, n * n - 2)
+            for m, (k1, k2) in enumerate(rows))
     elapsed = time.time() - t0
     with capsys.disabled():
         assert report("08 square-kernel", ok and elapsed < 300.0, f"({elapsed:.1f}s)")

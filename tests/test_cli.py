@@ -243,6 +243,8 @@ def test_kernels_csv(capsys):
     assert [int(r[4]) for r in data] == [1, 2, 4, 6, 9]
     # diagonal field: counted by weights, and the weight DP column repeats dim_ker
     assert all(r[6] == "weights" and r[7] == r[4] for r in data)
+    # the growth degree n^2 - 2, proved from the weights, on every row
+    assert rows[0][8] == "degree" and all(r[8] == "2" for r in data)
 
 
 def test_growth_chain(capsys):
@@ -256,7 +258,7 @@ def test_growth_field(capsys):
     code, out = run(capsys, ["growth", "--field", "theta12", "--n", "2", "--m", "0..6"])
     assert code == 0
     rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
-    assert all(r["method"] == "sl2" for r in rows)
+    assert all(r["method"] == "sl2" and r["degree"] == "2" for r in rows)
 
 
 def test_growth_needs_field_or_chain(capsys):
@@ -302,6 +304,16 @@ def test_kernels_range_not_from_zero(capsys):
     rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
     got = [(r["m"], r["slice_dim"], r["dim_ker"], r["dim_ker_sq"], r["method"]) for r in rows]
     assert got == [("2", "45", "19", "33", "sl2"), ("3", "165", "57", "103", "sl2")]
+
+
+@pytest.mark.parametrize("field", ["theta12", "xi1"])
+def test_kernels_degree_at_n3(capsys, field):
+    # the bench window m <= 7, too short for any estimate on the window, still
+    # carries the degree n^2 - 2 = 7 on every row
+    code, out = run(capsys, ["kernels", "--n", "3", "--field", field, "--m", "0..7"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
+    assert len(rows) == 8 and all(r["degree"] == "7" for r in rows)
 
 
 def test_kernels_single_degree(capsys):

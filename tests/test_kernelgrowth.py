@@ -11,16 +11,13 @@ from specball.kernelgrowth import (
     WeightSystem,
     adjoin_bound_check,
     chain_kernel_dims,
-    conjecture_probe,
     diagonal_kernel_series_formula,
-    finite_difference_degree,
     growth_table,
     jet_inequality,
     jordan_blocks_theta12,
     kernel_dim,
     kernel_dim_with_method,
     restrict,
-    strided_degree,
     weight_kernel_dim,
     weight_kernel_table,
     xi1_weight_system,
@@ -110,11 +107,11 @@ def test_closed_form_matches_dp_and_printed_variant_does_not(n):
 
 
 def test_chain_kernel_dims():
-    records = chain_kernel_dims(12)
+    records = chain_kernel_dims(200)
     dims = [r.dim_ker for r in records]
     # representation-theory oracle: the m-th symmetric power of a single
     # 3-dimensional Jordan block splits into floor(m/2)+1 blocks
-    assert dims == [m // 2 + 1 for m in range(1, 13)]
+    assert dims == [m // 2 + 1 for m in range(1, 201)]
     assert all(r.dim_ker <= 3 * r.m for r in records)
     assert dims[0] == 1        # kernel at m=1 is spanned by the last variable
 
@@ -160,33 +157,24 @@ def test_adjoin_bound_dominates_bruteforce():
 
 def test_growth_record_invariant():
     with pytest.raises(AssertionError):
-        GrowthRecord(m=1, slice_dim=4, dim_ker=3, dim_ker_sq=2)
+        GrowthRecord(m=1, slice_dim=4, dim_ker=3, dim_ker_sq=2, method="sl2")
 
 
 def test_growth_table_xi1_n2():
-    records, summary = growth_table(make_xi(2, 1), 8)
+    records, degree = growth_table(make_xi(2, 1), 8)
     ws = xi1_weight_system(2)
     assert [r.dim_ker for r in records] == [weight_kernel_dim(ws, m) for m in range(9)]
     assert all(r.dim_ker_sq == r.dim_ker for r in records)   # diagonal action
-    assert summary.empirical_degree == 2 and summary.period == 2
-    assert summary.within_bound
+    assert degree == 2
 
 
 def test_growth_table_theta12_sq_n2():
-    records, summary = growth_table(make_theta(2, 1, 2), 200)
+    records, degree = growth_table(make_theta(2, 1, 2), 200)
     # closed form derived from the sl2 decomposition: C(m+2, 2)
     assert [r.dim_ker_sq for r in records] == [comb(m + 2, 2) for m in range(201)]
     assert all(r.dim_ker_sq <= 2 * r.dim_ker for r in records)
     assert all(r.dim_ker_sq <= r.slice_dim for r in records)
-    assert summary.within_bound
-
-
-def test_finite_differences():
-    assert finite_difference_degree([5, 5, 5, 5]) == 0
-    assert finite_difference_degree([comb(m + 4, 4) for m in range(10)]) == 4
-    assert finite_difference_degree([1, 2, 4, 8, 16, 32]) is None
-    assert finite_difference_degree([1]) is None
-    assert strided_degree([1, 0, 1, 0, 1, 0, 1, 0, 1]) == (0, 2)
+    assert degree == 2
 
 
 def test_jet_inequality_n2_k5():
@@ -205,7 +193,12 @@ def test_jet_inequality_n2_k5():
 
 def test_jet_lhs_is_degree_n2_polynomial():
     rep = jet_inequality(2, 1, 12)
-    assert finite_difference_degree([r.lhs for r in rep.rows]) == 4
+    # C(m + 4, 4) has degree 4 in m: its fifth differences vanish, its fourth
+    # are the constant 1
+    diffs = [r.lhs for r in rep.rows]
+    for _ in range(4):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    assert diffs == [1] * 9
 
 
 def test_jet_inequality_cumulative_variant():
@@ -215,24 +208,24 @@ def test_jet_inequality_cumulative_variant():
     assert rep.crossover_m is None
 
 
-def test_conjecture_probe_chain():
-    rep = conjecture_probe(LinearDerivation.chain(3), 12)
-    assert rep.bound_degree == 1
-    assert rep.empirical_degree == 1 and rep.period == 2
-    assert rep.consistent
-
-
-def test_conjecture_probe_balanced_pair():
-    rep = conjecture_probe(LinearDerivation.diagonal([1, -1]), 12)
-    assert rep.dims == [1 if m % 2 == 0 else 0 for m in range(13)]
-    assert rep.empirical_degree == 0 and rep.period == 2
-
-
-def test_conjecture_probe_xi1_n3():
-    rep = conjecture_probe(LinearDerivation.diagonal(xi1_weight_system(3).weights), 72)
-    assert rep.bound_degree == 7
-    assert rep.empirical_degree == 7 and rep.period == 6
-    assert rep.consistent
+@pytest.mark.parametrize("der,degree", [
+    (LinearDerivation.chain(3), 1),
+    (LinearDerivation.diagonal([1, -1]), 0),
+    (LinearDerivation.diagonal(xi1_weight_system(3).weights), 7),
+    (LinearDerivation.from_vector_field(make_theta(3, 1, 2)), 7),
+    (LinearDerivation.from_vector_field(make_theta(4, 1, 2)), 14),
+    (LinearDerivation.diagonal([0, 1, 2]), None),      # one-signed
+    (LinearDerivation.diagonal([-1, -1]), None),       # one-signed
+    (LinearDerivation(3, {}), None),                   # D = 0: all weights 0
+], ids=["chain", "balanced-pair", "xi1-n3", "theta12-n3", "theta12-n4",
+        "nonnegative", "negative", "zero"])
+def test_growth_degree_from_the_weights(der, degree):
+    rows, _, got = kernel_dim_with_method(der, 40)
+    assert got == degree
+    if degree is not None:
+        # the upper bounds of the lemma, with C = C(m + N - 2, N - 2)
+        assert all(k1 <= 2 * comb(m + degree, degree) and k2 <= 4 * comb(m + degree, degree)
+                   for m, (k1, k2) in enumerate(rows))
 
 
 def test_linear_derivation_from_field_roundtrip():
@@ -251,12 +244,18 @@ def test_linear_derivation_from_field_roundtrip():
     (LinearDerivation.from_vector_field(make_xi(3, 1)), 5, "weights"),
     (LinearDerivation.chain(3), 8, "sl2"),
     (LinearDerivation.chain(3).adjoin_nilpotent_pair(), 4, "sl2"),
-    (LinearDerivation(2, {(0, 0): 1, (1, 0): 1}), 4, "exact"),   # neither kind
-    (LinearDerivation(2, {(0, 1): 1, (1, 0): 1}), 4, "exact"),   # invertible
+    (LinearDerivation.diagonal([1, -1]), 12, "weights"),
+    (LinearDerivation(2, {(0, 0): 1, (1, 0): 1}), 4, None),   # neither kind
+    (LinearDerivation(2, {(0, 1): 1, (1, 0): 1}), 4, None),   # invertible
 ], ids=["theta12-n2", "theta12-n3", "theta21-n3", "theta13-n3", "xi1-n2", "xi1-n3",
-        "chain", "chain-adjoined", "non-nilpotent", "invertible"])
+        "chain", "chain-adjoined", "balanced-pair", "non-nilpotent", "invertible"])
 def test_kernel_table_agrees_with_elimination(der, m_max, method):
-    rows, how = kernel_dim_with_method(der, m_max)
+    if method is None:
+        # a D of neither kind gets no table: elimination is its only oracle
+        with pytest.raises(ValueError, match="neither diagonal"):
+            kernel_dim_with_method(der, m_max)
+        return
+    rows, how, _ = kernel_dim_with_method(der, m_max)
     assert how == method
     assert len(rows) == m_max + 1
     for m, (k1, k2) in enumerate(rows):
@@ -288,10 +287,11 @@ def test_rational_derivation_matches_its_double():
     # x0^k x1^k, so ker = ker^2 has dimension 1 on even degrees, 0 on odd ones
     half = LinearDerivation(2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(-1, 2), (1, 0): 1})
     double = LinearDerivation(2, {(0, 0): 1, (1, 1): -1, (1, 0): 2})
-    rows, how = kernel_dim_with_method(half, 6)
-    assert how == "exact"
-    assert rows == kernel_dim_with_method(double, 6)[0]
-    assert rows == [(1, 1) if m % 2 == 0 else (0, 0) for m in range(7)]
+    # neither diagonal nor nilpotent, so elimination is the only method
+    def eliminated(der):
+        return [(kernel_dim(op, 1), kernel_dim(op, 2)) for op in map(der.restrict, range(7))]
+    assert eliminated(half) == eliminated(double)
+    assert eliminated(half) == [(1, 1) if m % 2 == 0 else (0, 0) for m in range(7)]
 
 
 def _slice_matrix_by_images(apply, nvars, m):
