@@ -24,7 +24,7 @@ from .polyring import (
     DimensionMismatch,
     Monomial,
     Polynomial,
-    add_products,
+    add_multiples,
     flat_index,
     format_poly,
     merge_terms,
@@ -159,12 +159,18 @@ def add_derivation(out: dict, comps: dict[int, Polynomial], terms: dict,
     comps, with no Polynomial built on the way.  The one derivation kernel:
     the field arithmetic, the seeds and the overshear atoms apply a field
     through it."""
+    multiples = []
     for mono, c in terms.items():
-        for i, (u, e) in enumerate(mono):
-            if u in comps:
-                rest = tuple.__new__(Monomial, mono[:i] + ((u, e - 1),) * (e > 1) + mono[i + 1:])
-                add_products(out, {rest: sign * e * c}, comps[u].terms)
-    return out
+        # the variables of mono from the last one, each inserted before the
+        # ones after it, so the multiples go in increasing variable order
+        k, m = len(multiples), mono
+        while m:
+            shift = (m.bit_length() - 1) & -64
+            e = m >> shift
+            m ^= e << shift
+            if (u := shift >> 6) in comps:
+                multiples.insert(k, (mono - (1 << shift), sign * e * c, comps[u].terms))
+    return add_multiples(out, multiples) if multiples else out
 
 
 def generator_matrix(n: int, gid: GeneratorId) -> list[list[int]]:
@@ -258,9 +264,9 @@ def scale_field(p: Polynomial, v: VectorField) -> VectorField:
     """The field p * v (componentwise product)."""
     if p.nvars != v.n * v.n:
         raise DimensionMismatch("polynomial ring does not match field dimension")
-    comps = {}
+    comps, items = {}, p.terms.items()
     for var, comp in v.components.items():
-        if terms := add_products({}, p.terms, comp.terms):
+        if terms := add_multiples({}, [(m, c, comp.terms) for m, c in items]):
             comps[var] = Polynomial._of(p.nvars, terms)
     return VectorField._of(v.n, comps)
 

@@ -433,7 +433,7 @@ def _compiled(terms: dict, n: int, L: int = 1) -> Compiled:
     """The term dict of L times a polynomial on n x n matrices, compiled.
     Each coefficient is c / L: for integer terms int / int is correctly
     rounded, so it is the float of the rational coefficient, bit for bit."""
-    return tuple([(complex(c / L), tuple([(v // n, v % n, e) for v, e in mono]))
+    return tuple([(complex(c / L), tuple([(v // n, v % n, e) for v, e in mono.powers]))
                   for mono, c in terms.items()])
 
 

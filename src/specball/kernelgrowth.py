@@ -284,6 +284,10 @@ def diagonal_kernel_series_formula(n: int, m: int, printed: bool = False) -> int
 # growth records and tables
 
 
+class KernelCountError(ArithmeticError):
+    """A kernel table row breaks 0 <= dim ker D <= dim ker D^2 <= slice size."""
+
+
 @dataclass
 class GrowthRecord:
     m: int
@@ -293,7 +297,11 @@ class GrowthRecord:
     method: str
 
     def __post_init__(self):
-        assert 0 <= self.dim_ker <= self.dim_ker_sq <= self.slice_dim
+        if not 0 <= self.dim_ker <= self.dim_ker_sq <= self.slice_dim:
+            raise KernelCountError(
+                f"degree {self.m}: dim ker {self.dim_ker}, dim ker^2 {self.dim_ker_sq} and "
+                f"slice size {self.slice_dim} break 0 <= dim ker <= dim ker^2 <= slice size "
+                f"({self.method})")
 
 
 def slice_dim(nvars: int, m: int) -> int:

@@ -375,10 +375,11 @@ class _PairBrackets:
     with V(h) and W(f) taken on tr = 0 (`_TracelessFields.images`) and
     [W, V] from the structure constants of `generator_matrix`.
 
-    W(f) is summed here by the Leibniz rule on packed keys, not through
-    `adjointfields.add_derivation`: that works on `Monomial` terms over all
-    n^2 variables, so W(f) would keep its x_nn terms, while the substitution
-    x_nn = -(x_11 + ... + x_{n-1,n-1}) of tr = 0 lives in `ring.images`.
+    W(f) is summed here by the Leibniz rule on the ring's packed keys, not
+    through `adjointfields.add_derivation`: that works on `Monomial` keys,
+    one field per variable of all n^2, so W(f) would keep its x_nn terms,
+    while the substitution x_nn = -(x_11 + ... + x_{n-1,n-1}) of tr = 0
+    lives in `ring.images`.
     `test_vector_bracket_matches_polynomial_bracket` checks the closed form
     against `adjointfields.bracket` of the two pair fields."""
 

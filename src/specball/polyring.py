@@ -7,14 +7,16 @@ a coefficient is stored as an `int` when it is integral and as a
 `fractions.Fraction` only when a denominator remains, so fields with
 integer coefficients never build a `Fraction`.  The two types compare and
 hash equal, so equality does not depend on which one a term holds.  A term
-is keyed by its `Monomial`, a tuple subclass hashed and compared by
-`tuple`.  Values are immutable after construction and safe to share.
+is keyed by its `Monomial`, an int that packs the exponent of x_v into
+bits [64v, 64v + 64), so a product of monomials is one integer addition.
+Values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import threading
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Iterator
@@ -68,31 +70,86 @@ def matrix_dim(nvars: int) -> int:
     return n
 
 
-class Monomial(tuple):
-    """A power product: the tuple of its (variable, exponent) pairs, sorted,
-    exponents positive.  `Monomial(pairs)` sorts, drops zero exponents and
-    refuses a negative exponent or a repeated variable; products and
-    derivatives wrap their canonical pairs with `tuple.__new__`."""
+class ExponentOverflow(ValueError):
+    """An exponent of a monomial reached 2^63, the limit of its packed field."""
+
+
+# A monomial's exponent of x_v fills bits [64v, 64v + 64) of one int.  Bit 63
+# of each field is a guard that stays 0, so an exponent is at most
+# MAX_EXPONENT and the sum of two fields never carries into the next one: a
+# product is one addition, and a guard bit set in the sum is an overflow.
+MAX_EXPONENT = (1 << 63) - 1
+_FIELD = (1 << 64) - 1
+# the guard bits of the fields of every variable a monomial was built on;
+# products and derivatives never set a field outside them
+_GUARD = 0
+_GUARD_LOCK = threading.Lock()
+
+
+def _cover(nvars: int):
+    """Widen `_GUARD` to the fields of the variables 0..nvars-1.  It only
+    ever widens, under a lock, so every guard a kernel has read covers each
+    monomial that existed when it read it."""
+    global _GUARD
+    if _GUARD.bit_length() < 64 * nvars:
+        with _GUARD_LOCK:
+            if _GUARD.bit_length() < 64 * nvars:
+                _GUARD = (1 << 64 * nvars) // _FIELD << 63
+
+
+def _overflow(m: int) -> ExponentOverflow:
+    v = ((m & _GUARD).bit_length() - 1) >> 6
+    return ExponentOverflow(f"exponent of variable {v} reaches 2^63 in a product "
+                            f"(the limit is 2^63 - 1)")
+
+
+class Monomial(int):
+    """A power product, packed: the exponent of x_v in bits [64v, 64v + 64)
+    of a non-negative int, each exponent at most MAX_EXPONENT.  It hashes
+    and compares as that int.  `Monomial(pairs)` takes (variable, exponent)
+    pairs in any order, drops zero exponents and refuses a negative variable
+    or exponent, a repeated variable and an exponent above MAX_EXPONENT
+    (`ExponentOverflow`); the kernels below wrap sums and differences of
+    monomials with `int.__new__`."""
 
     __slots__ = ()
 
     def __new__(cls, powers: Iterable[tuple[int, int]] = ()):
-        items = sorted((v, e) for v, e in powers if e != 0)
-        for i, (v, e) in enumerate(items):
+        m = top = 0
+        for v, e in powers:
+            if not e:
+                continue
             if e < 0:
                 raise ValueError("negative exponent in monomial")
-            if i and v == items[i - 1][0]:
+            if v < 0:
+                raise ValueError(f"negative variable {v} in monomial")
+            if e > MAX_EXPONENT:
+                raise ExponentOverflow(f"exponent {e} of variable {v} is above the limit 2^63 - 1")
+            if m >> (v << 6) & _FIELD:
                 raise ValueError(f"variable {v} repeated in monomial")
-        return tuple.__new__(cls, items)
+            m |= e << (v << 6)
+            top = max(top, v + 1)
+        _cover(top)
+        return int.__new__(cls, m)
+
+    def __getnewargs__(self):
+        return (self.powers,)
 
     @property
     def powers(self) -> tuple[tuple[int, int], ...]:
-        """The sorted (variable, exponent) pairs: the monomial itself."""
-        return self
+        """The (variable, exponent) pairs with positive exponents, sorted,
+        read off the set fields only, from the highest."""
+        out, m = (), self
+        while m:
+            shift = (m.bit_length() - 1) & -64
+            e = m >> shift
+            out = ((shift >> 6, e),) + out
+            m ^= e << shift
+        return out
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self)
+        return sum(e for _, e in self.powers)
 
     @staticmethod
     def one() -> "Monomial":
@@ -103,33 +160,26 @@ class Monomial(tuple):
         return Monomial(((flat, 1),))
 
     def exponent(self, flat: int) -> int:
-        for v, e in self:
-            if v == flat:
-                return e
-        return 0
+        return self >> (flat << 6) & _FIELD
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if not other:
-            return self
-        if not self:
-            return other
-        d = dict(self)
-        for v, e in other:
-            d[v] = d.get(v, 0) + e
-        return tuple.__new__(Monomial, sorted(d.items()))
+        m = self + other
+        if m & _GUARD:
+            raise _overflow(m)
+        return int.__new__(Monomial, m)
 
     def dense(self, nvars: int) -> tuple[int, ...]:
-        out = [0] * nvars
-        for v, e in self:
-            out[v] = e
-        return tuple(out)
+        if self >> (nvars << 6):
+            raise IndexError(f"monomial has a variable outside 0..{nvars - 1}")
+        return tuple([self >> (v << 6) & _FIELD for v in range(nvars)])
 
     def sort_key(self, nvars: int) -> tuple:
         # graded lexicographic on flat variable index
-        return (self.degree, self.dense(nvars))
+        dense = self.dense(nvars)
+        return (sum(dense), dense)
 
     def __repr__(self):
-        return f"Monomial({tuple(self)!r})"
+        return f"Monomial({self.powers!r})"
 
 
 _MONOMIAL_ONE = Monomial()
@@ -231,7 +281,8 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check(other)
-            return Polynomial._of(self.nvars, add_products({}, self.terms, other.terms))
+            return Polynomial._of(self.nvars, add_multiples(
+                {}, [(m, c, other.terms) for m, c in self.terms.items()]))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -269,27 +320,26 @@ class Polynomial:
         that holds x_flat, lowered by one in it."""
         # dividing by x_flat is injective on the monomials it divides, so no
         # two terms of the derivative share a monomial
+        shift = flat << 6
+        unit = 1 << shift
         out: dict[Monomial, int | Fraction] = {}
         for mono, c in self.terms.items():
-            for i, (v, e) in enumerate(mono):
-                if v == flat:
-                    rest = mono[:i] + ((v, e - 1),) * (e > 1) + mono[i + 1:]
-                    out[tuple.__new__(Monomial, rest)] = c * e
-                    break
+            if e := mono >> shift & _FIELD:
+                out[int.__new__(Monomial, mono - unit)] = c * e
         return Polynomial._of(self.nvars, out)
 
     def substitute(self, flat: int, replacement: "Polynomial") -> "Polynomial":
         """Replace one variable by a polynomial, exactly."""
         self._check(replacement)
+        shift = flat << 6
         powers: dict[int, dict] = {}
-        out: dict[Monomial, int | Fraction] = {}
+        multiples = []
         for mono, c in self.terms.items():
-            e = mono.exponent(flat)
+            e = mono >> shift & _FIELD
             if e not in powers:
                 powers[e] = (replacement ** e).terms
-            rest = Monomial([(v, ex) for v, ex in mono.powers if v != flat])
-            add_products(out, {rest: c}, powers[e])
-        return Polynomial._of(self.nvars, out)
+            multiples.append((mono - (e << shift), c, powers[e]))
+        return Polynomial._of(self.nvars, add_multiples({}, multiples))
 
     # -- printing ------------------------------------------------------
 
@@ -308,15 +358,23 @@ _SET_NVARS = Polynomial.nvars.__set__
 _SET_TERMS = Polynomial.terms.__set__
 
 
-def add_products(out: dict, terms: dict, other: dict) -> dict:
-    """Add the product of the term dicts `terms` and `other` into the term
-    dict `out` in place, dropping every monomial that cancels; returns `out`."""
-    get = out.get
-    for m1, c1 in terms.items():
+def add_multiples(out: dict, multiples: Iterable[tuple[int, int | Fraction, dict]]) -> dict:
+    """Add c * x^m * q, for each (m, c, q) in `multiples`, c != 0 and q a
+    zero-free term dict, into the term dict `out` in place, dropping every
+    monomial that cancels; returns `out`.  The one product kernel: a product
+    of monomials is the sum of their keys (m may be a plain int), one guard
+    test, and a `Monomial` built only when a new key enters `out` (q's own
+    key when m is 1)."""
+    get, guard, new = out.get, _GUARD, int.__new__
+    for m1, c1, other in multiples:
         for m2, c2 in other.items():
-            m = m1 * m2
-            s = get(m, 0) + c1 * c2
-            if s:
+            m = m1 + m2
+            if m & guard:
+                raise _overflow(m)
+            c = get(m)
+            if c is None:
+                out[new(Monomial, m) if m1 else m2] = c1 * c2
+            elif s := c + c1 * c2:
                 out[m] = s
             else:
                 del out[m]
@@ -342,9 +400,10 @@ def merge_terms(out: dict, terms: dict, sign: int = 1) -> dict:
 
 def slice_monomials(nvars: int, m: int) -> Iterator[Monomial]:
     """All degree-m monomials in nvars variables, graded-lex order."""
-    for combo in itertools.combinations_with_replacement(range(nvars), m):
-        # combo is sorted, so its runs are the canonical pairs
-        yield tuple.__new__(Monomial, [(v, len(list(run))) for v, run in itertools.groupby(combo)])
+    _cover(nvars)
+    units = [1 << (v << 6) for v in range(nvars)]
+    for combo in itertools.combinations_with_replacement(units, m):
+        yield int.__new__(Monomial, sum(combo))
 
 
 class HomSliceBasis:
@@ -412,7 +471,7 @@ def format_poly(p: Polynomial) -> str:
     pieces = []
     for mono, coeff in p.sorted_terms():
         factors = []
-        for v, e in sorted(mono.powers):
+        for v, e in mono.powers:
             name = var_name(v, n)
             factors.append(name if e == 1 else f"{name}^{e}")
         mag = abs(coeff)
@@ -447,7 +506,9 @@ def parse_poly(text: str, n: int) -> Polynomial:
     and *-separated variable powers xKL^e (compact, n <= 9) or x[k,l]^e
     (required once n >= 10).  Whitespace is insignificant.  The grammar is
     ASCII: digits are 0-9 and whitespace is ASCII whitespace.  A number longer
-    than `int` converts (sys.get_int_max_str_digits) is refused at its token.
+    than `int` converts (sys.get_int_max_str_digits) is refused at its token,
+    and so is an exponent that makes a variable's power in its term exceed
+    MAX_EXPONENT = 2^63 - 1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -489,15 +550,19 @@ def parse_poly(text: str, n: int) -> Polynomial:
                 if not (1 <= r <= n and 1 <= c <= n):
                     raise PolyParseError(f"variable index x[{r},{c}] out of 1..{n}", tok.end())
                 v = flat_index(r, c, n)
+                at = tok.start(kind)
                 tok = match(text, tok.end())
                 e = 1
                 if tok.lastgroup == "caret":
                     tok = match(text, tok.end())
                     if tok.lastgroup != "number" or tok["denominator"]:
                         raise PolyParseError("expected integer exponent", tok.start(tok.lastgroup))
-                    e = _int(tok, "numerator")
+                    e, at = _int(tok, "numerator"), tok.start("number")
                     tok = match(text, tok.end())
-                powers[v] = powers.get(v, 0) + e
+                e += powers.get(v, 0)
+                if e > MAX_EXPONENT:
+                    raise PolyParseError(f"exponent {e} of {var_name(v, n)} is above 2^63 - 1", at)
+                powers[v] = e
             if tok.lastgroup != "times":
                 break
             tok = match(text, tok.end())

@@ -261,6 +261,26 @@ def test_growth_field(capsys):
     assert all(r["method"] == "sl2" and r["degree"] == "2" for r in rows)
 
 
+@pytest.mark.parametrize("argv", [["growth", "--field", "theta12", "--n", "2", "--m", "0..3"],
+                                  ["growth", "--chain", "--m", "1..3"]], ids=["field", "chain"])
+@pytest.mark.parametrize("rows", [[(1, 1), (2, 3), (4, 3), (5, 6)],     # dim ker > dim ker^2
+                                  [(1, 1), (2, 3), (3, 99), (4, 5)],    # dim ker^2 > slice size
+                                  [(1, 1), (2, 3), (-1, 4), (4, 5)]],   # dim ker < 0
+                         ids=["ker-above-ker2", "ker2-above-slice", "negative"])
+def test_growth_count_violation_is_verification_failure(capsys, monkeypatch, argv, rows):
+    # a kernel table that breaks 0 <= dim ker <= dim ker^2 <= slice size ends
+    # `growth` with exit 5 and a message at degree 2, not a traceback, also
+    # under python -O
+    monkeypatch.setattr(kernelgrowth, "kernel_dim_with_method",
+                        lambda der, m_max: (rows[:m_max + 1], "weights", None))
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: degree 2: ")
+    assert "Traceback" not in captured.err
+
+
 def test_growth_needs_field_or_chain(capsys):
     assert cli.main(["growth", "--m", "0..3"]) == 2
     assert cli.main(["growth", "--chain", "--field", "theta12", "--m", "0..3"]) == 2
@@ -497,6 +517,9 @@ def test_orbit_outside_ball_is_precondition_error(capsys, orbit_files):
      "overshear 'theta': Theta(a=1, b=1) is not a generator id for n=2"),
     ([{"overshear": {"theta": [0, 2], "f": "x11", "t": 0.3}}],
      "overshear 'theta': Theta(a=0, b=2) is not a generator id for n=2"),
+    # Theta12 f multiplies x11^(2^63 - 1) by x21: a product past the exponent limit
+    ([{"overshear": {"theta": [1, 2], "f": f"x11^{2 ** 63 - 1}*x21^{2 ** 63 - 1}", "t": 1}}],
+     "exponent of variable 2 reaches 2^63 in a product"),
 ])
 def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word, field):
     mat = orbit_files[0]
@@ -514,7 +537,9 @@ def test_orbit_malformed_word_is_usage_error(capsys, orbit_files, tmp_path, word
     ("x21^" + "7" * 5000, "number of 5000 digits is too long (at position 4)"),
     ("x\u0662\u0661", "malformed variable (at position 0)"),
     ("x21\u00a0+ x11", "expected '+' or '-' between terms (at position 3)"),
-], ids=["long-coefficient", "long-exponent", "unicode-digits", "no-break-space"])
+    (f"x21^{2 ** 63}", f"exponent {2 ** 63} of x21 is above 2^63 - 1 (at position 4)"),
+], ids=["long-coefficient", "long-exponent", "unicode-digits", "no-break-space",
+        "exponent-above-limit"])
 def test_orbit_unparsable_polynomial_names_its_position(capsys, orbit_files, tmp_path, f, message):
     path = tmp_path / "word.json"
     path.write_text(json.dumps([{"overshear": {"theta": [1, 2], "f": f, "t": 1}}]))

@@ -7,6 +7,7 @@ from specball.adjointfields import Theta, Xi, generator_field, generator_ids, ma
 from specball.kernelgrowth import (
     GradingError,
     GrowthRecord,
+    KernelCountError,
     LinearDerivation,
     WeightSystem,
     adjoin_bound_check,
@@ -156,7 +157,7 @@ def test_adjoin_bound_dominates_bruteforce():
 
 
 def test_growth_record_invariant():
-    with pytest.raises(AssertionError):
+    with pytest.raises(KernelCountError, match="degree 1: dim ker 3, dim ker\\^2 2"):
         GrowthRecord(m=1, slice_dim=4, dim_ker=3, dim_ker_sq=2, method="sl2")
 
 

@@ -111,7 +111,7 @@ class PairAction:
                      for g in generator_ids(n)]
         index = {m: i for i, m in enumerate(ring.monomials(d))}
         self.monos = [{index[k]: c for k, c in ring.restrict(Polynomial.from_monomial(
-                          n * n, Monomial((move(v), e) for v, e in m))).items()}
+                          n * n, Monomial((move(v), e) for v, e in m.powers))).items()}
                       for m in slice_monomials(nv, d)]
 
     def __call__(self, vec):

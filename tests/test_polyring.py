@@ -8,6 +8,7 @@ import pytest
 
 from specball.polyring import (
     DimensionMismatch,
+    ExponentOverflow,
     HomSliceBasis,
     Monomial,
     Polynomial,
@@ -342,16 +343,14 @@ def _random_pairs(rng, nvars, max_vars=4, max_exp=5):
 
 
 def test_monomial_is_its_sorted_pair_tuple():
-    # a monomial equals and hashes as the tuple of its sorted pairs with
-    # positive exponents; the accessors read the same pairs
+    # a monomial's pairs are its sorted pairs with positive exponents, in any
+    # input order; the accessors read the same pairs
     rng = random.Random(11)
     nvars = 9
     for _ in range(300):
         pairs = _random_pairs(rng, nvars)
         ref = tuple(sorted((v, e) for v, e in pairs if e))
         mono = Monomial(pairs)
-        assert isinstance(mono, tuple)
-        assert mono == ref and hash(mono) == hash(ref)
         assert mono == Monomial(reversed(pairs)) and hash(mono) == hash(Monomial(reversed(pairs)))
         assert mono.powers == ref
         assert mono.degree == sum(e for _, e in ref)
@@ -362,8 +361,9 @@ def test_monomial_is_its_sorted_pair_tuple():
         assert all(mono.exponent(v) == dense[v] for v in range(nvars))
         assert mono.sort_key(nvars) == (sum(dense), tuple(dense))
         assert repr(mono) == f"Monomial({ref!r})"
-    assert Monomial() == Monomial.one() == () and Monomial.one().degree == 0
-    assert Monomial.variable(4) == ((4, 1),)
+    assert Monomial() == Monomial.one() and Monomial.one().powers == ()
+    assert Monomial.one().degree == 0
+    assert Monomial.variable(4).powers == ((4, 1),)
 
 
 def test_unchecked_monomials_equal_the_checked_constructor():
@@ -377,14 +377,15 @@ def test_unchecked_monomials_equal_the_checked_constructor():
         dense = [a + b for a, b in zip(m1.dense(nvars), m2.dense(nvars))]
         checked = Monomial(enumerate(dense))
         assert type(product) is Monomial
-        assert product == checked and tuple(product) == tuple(checked)
+        assert product == checked and hash(product) == hash(checked)
+        assert product.powers == checked.powers
         assert product.degree == m1.degree + m2.degree
     for _ in range(40):
         p = random_poly(rng, 3, max_degree=6)
         for dp in (p.partial(v) for v in range(p.nvars)):
             for mono in dp.terms:
                 assert type(mono) is Monomial
-                assert tuple(mono) == tuple(Monomial(mono.powers))
+                assert mono == Monomial(mono.powers) and hash(mono) == hash(Monomial(mono.powers))
                 assert all(e > 0 for _, e in mono.powers)
 
 
@@ -399,5 +400,32 @@ def test_monomial_is_immutable_and_checked():
     # x11*x11^2, which parses back to another polynomial
     with pytest.raises(ValueError, match="variable 0 repeated"):
         Monomial([(0, 1), (0, 2)])
-    assert Monomial([(1, 0), (3, 2), (0, 0)]) == ((3, 2),)
+    assert Monomial([(1, 0), (3, 2), (0, 0)]).powers == ((3, 2),)
     assert Monomial([(0, 0)]) == Monomial.one()
+
+
+def test_exponent_limit_is_two_to_the_63_minus_one():
+    top = 2 ** 63 - 1
+    assert parse_poly(f"x21^{2 ** 62}", 2).terms == {Monomial([(2, 2 ** 62)]): 1}
+    assert Monomial([(2, top)]).powers == ((2, top),)
+    assert format_poly(parse_poly(f"x21^{top}*x12", 2)) == f"x12*x21^{top}"
+    # a power at or above 2^63 is a parse error at its exponent
+    for head, tail, n in [("x21^", f"{2 ** 63}", 2), ("x11 + 3*x21^", f"{2 ** 70}", 2),
+                          (f"x21^{2 ** 62}*x11*x21^", f"{2 ** 62}", 2),
+                          (f"x21^{top}*", "x21", 2), (f"x[2,1]^{top} * ", "x[2,1]", 10)]:
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(head + tail, n)
+        assert info.value.position == len(head)
+        assert "above 2^63 - 1" in str(info.value)
+    # the constructor and products refuse it with a ValueError, never a bare
+    # OverflowError
+    with pytest.raises(ExponentOverflow):
+        Monomial([(0, 2 ** 63)])
+    half = parse_poly(f"x11*x21^{2 ** 62} + x12", 2)
+    for product in (lambda: half * half, lambda: half ** 2,
+                    lambda: Monomial([(2, top)]) * Monomial.variable(2)):
+        with pytest.raises(ExponentOverflow, match="variable 2 reaches 2\\^63") as info:
+            product()
+        assert isinstance(info.value, ValueError) and not isinstance(info.value, OverflowError)
+    assert (half * parse_poly(f"x21^{2 ** 62 - 1}", 2)).terms[
+        Monomial([(0, 1), (2, top)])] == 1
