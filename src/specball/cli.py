@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from importlib import resources
 
 import numpy as np
@@ -41,8 +40,11 @@ def _write_output(text: str, out_path: str | None):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    d = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".specball-")
+    # created with mode 0o666 less the umask, as open() would create the
+    # report itself; mkstemp's 0o600 would outlive the rename
+    tmp = os.path.join(os.path.dirname(os.path.abspath(out_path)),
+                       f".specball-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -120,7 +122,10 @@ def cmd_tables(args) -> int:
     report = emit_tables(args.n)
     matched = None
     if args.n == 3:
-        matched = _table_structure(report) == _table_structure(_golden_tables())
+        # the emitted tables are the reference, key for key, so the parsed
+        # structures are compared only when the JSON differs
+        golden = _golden_tables()
+        matched = report == golden or _table_structure(report) == _table_structure(golden)
     payload = _report(config, {"tables": report, "golden_match": matched})
     if args.format == "text":
         text = render_tables_text(report)

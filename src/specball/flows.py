@@ -46,7 +46,7 @@ import numpy as np
 from .adjointfields import (
     GeneratorId, InvalidGenerator, Theta, add_derivation, generator_components,
     generator_matrix)
-from .polyring import DimensionMismatch, Polynomial, PolyParseError, parse_poly
+from .polyring import MAX_EXPONENT, DimensionMismatch, Polynomial, PolyParseError, parse_poly
 
 
 class NumericsError(RuntimeError):
@@ -376,9 +376,10 @@ def poly_roots(monic: Sequence[complex]) -> np.ndarray:
 
 
 def _root_radius(monic: Sequence[complex]) -> float:
-    """The largest modulus of a root of a monic polynomial; 0.0 without roots."""
-    roots = poly_roots(monic)
-    return float(np.abs(roots).max()) if len(roots) else 0.0
+    """The largest modulus of a root of a monic polynomial; 0.0 without roots.
+    The moduli are numpy's, which Python's `abs` does not round alike; the
+    largest is picked from their list, without a numpy reduction."""
+    return max(np.abs(poly_roots(monic)).tolist(), default=0.0)
 
 
 def spectral_radius(A: Matrix) -> float:
@@ -432,9 +433,20 @@ Compiled = tuple
 def _compiled(terms: dict, n: int, L: int = 1) -> Compiled:
     """The term dict of L times a polynomial on n x n matrices, compiled.
     Each coefficient is c / L: for integer terms int / int is correctly
-    rounded, so it is the float of the rational coefficient, bit for bit."""
-    return tuple([(complex(c / L), tuple([(v // n, v % n, e) for v, e in mono.powers]))
-                  for mono, c in terms.items()])
+    rounded, so it is the float of the rational coefficient, bit for bit.
+    A packed key is read once, from its lowest set field up; no field is
+    above MAX_EXPONENT, so that mask reads one whole."""
+    out = []
+    for mono, c in terms.items():
+        factors = []
+        while mono:
+            shift = ((mono & -mono).bit_length() - 1) & -64
+            e = mono >> shift & MAX_EXPONENT
+            mono -= e << shift
+            v = shift >> 6
+            factors.append((v // n, v % n, e))
+        out.append((complex(c / L), tuple(factors)))
+    return tuple(out)
 
 
 def eval_poly_at_matrix(f: Polynomial | Compiled, A: Matrix | list) -> complex:
@@ -500,7 +512,8 @@ class Overshear:
         if self.f.nvars != self.n * self.n:
             raise DimensionMismatch("polynomial ring does not match field dimension")
         L = math.lcm(*[c.denominator for c in self.f.terms.values()])
-        f = {m: c.numerator * (L // c.denominator) for m, c in self.f.terms.items()}
+        f = self.f.terms if L == 1 else {
+            m: c.numerator * (L // c.denominator) for m, c in self.f.terms.items()}
         tf = add_derivation({}, theta, f)
         if add_derivation({}, theta, tf):
             raise ValueError("coefficient fails the overshear test Theta^2(f) = 0")
@@ -543,8 +556,19 @@ class Conjugate:
     the det = 1 check takes det G from the same elimination."""
 
     def __init__(self, G):
-        self._g = _rows(G)
-        self.n = len(self._g)
+        self._set(_rows(G))
+
+    @classmethod
+    def _of(cls, rows: Rows) -> "Conjugate":
+        """The atom of rows already checked as `_rows` checks them, which it
+        keeps."""
+        atom = object.__new__(cls)
+        atom._set(rows)
+        return atom
+
+    def _set(self, rows: Rows):
+        self._g = rows
+        self.n = len(rows)
         eye = [[1.0 + 0j if i == j else 0j for j in range(self.n)] for i in range(self.n)]
         self._inverse, det = _solve(self._g, eye)
         if not cmath.isclose(det, 1.0, rel_tol=0.0, abs_tol=1e-10):
@@ -813,20 +837,35 @@ def matrix_to_json(A: Matrix) -> list:
 
 def matrix_from_json(data) -> Matrix:
     """A matrix from a JSON array of rows of [re, im] pairs of numbers; a
-    cell of any other form is refused, named by its row and column.  Each
-    cell is checked and converted once; then a matrix that is not square
-    (also one with rows of different lengths) or not finite is refused,
-    with the messages of `_rows`, and a cell too large for a double as not
-    finite as soon as it is read."""
+    cell of any other form is refused, named by its row and column.  Then a
+    matrix that is not square (also one with rows of different lengths) or
+    not finite is refused, with the messages of `_rows`, and a cell too
+    large for a double as not finite as soon as it is read."""
+    return np.array(_json_rows(data), dtype=complex)
+
+
+def _json_rows(data) -> Rows:
+    """The rows of Python `complex` of `matrix_from_json`, after its checks,
+    each cell read once: a pair of exact JSON `int`s and `float`s passes an
+    inline type test, and only another cell goes through `_is_pair`, which
+    admits a subclass or words the refusal.  A conjugate atom's `Conjugate`
+    takes these rows as they are."""
     if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
         raise ValueError("matrix JSON must be an array of arrays of [re, im] pairs")
     rows = []
     try:
-        for i, row in enumerate(data, 1):
+        for row in data:
             out = []
-            for j, cell in enumerate(row, 1):
+            for cell in row:
+                if type(cell) is list and len(cell) == 2:
+                    x, y = cell
+                    tx, ty = type(x), type(y)
+                    if (tx is float or tx is int) and (ty is float or ty is int):
+                        out.append(complex(x, y))
+                        continue
                 if not _is_pair(cell):
-                    raise ValueError(f"matrix entry ({i}, {j}) must be an [re, im] pair of numbers")
+                    raise ValueError(f"matrix entry ({len(rows) + 1}, {len(out) + 1}) "
+                                     f"must be an [re, im] pair of numbers")
                 out.append(complex(cell[0], cell[1]))
             rows.append(out)
     except OverflowError:       # an integer too large for a double
@@ -836,7 +875,7 @@ def matrix_from_json(data) -> Matrix:
         raise ValueError("expected a square matrix")
     if not _finite(rows):
         raise ValueError("matrix entries must be finite")
-    return np.array(rows, dtype=complex)
+    return rows
 
 
 def _is_number(x) -> bool:
@@ -876,9 +915,9 @@ def atom_from_json(obj: dict, n: int) -> AutomorphismAtom:
         raise ValueError(f"unknown atom kind {kind!r}")
     if not isinstance(body, dict):
         raise ValueError(f"{kind} atom: its value must be an object")
-    missing = [key for key in _ATOM_KEYS[kind] if key not in body]
-    if missing:
-        raise ValueError(f"{kind} atom: missing {missing[0]!r}")
+    for key in _ATOM_KEYS[kind]:
+        if key not in body:
+            raise ValueError(f"{kind} atom: missing {key!r}")
     if kind == "overshear":
         theta, f, t = body["theta"], body["f"], body["t"]
         if not (isinstance(theta, list) and len(theta) == 2
@@ -905,12 +944,12 @@ def atom_from_json(obj: dict, n: int) -> AutomorphismAtom:
     if kind == "transpose":
         return Transpose()
     try:
-        G = matrix_from_json(body["G"])
+        G = _json_rows(body["G"])
         if len(G) != n:
             raise ValueError(f"expected a {n}x{n} matrix")
     except ValueError as exc:
         raise ValueError(f"conjugate 'G': {exc}") from exc
-    return Conjugate(G)
+    return Conjugate._of(G)
 
 
 def word_from_json(data: list, n: int) -> AutomorphismWord:

@@ -456,7 +456,7 @@ def substitute_trace(p: Polynomial) -> Polynomial:
 _TOKEN = re.compile(r"""\s*(?:
     (?P<number>(?P<numerator>\d+)(?:\s*/\s*(?P<denominator>\d+))?)
   | (?P<bracket>x\[\s*(?P<row>\d+)\s*,\s*(?P<col>\d+)\s*\])
-  | (?P<compact>x(?P<crow>\d)(?P<ccol>\d))
+  | (?P<compact>x(?P<digits>\d\d))
   | (?P<bare>x)
   | (?P<sign>[-+]) | (?P<times>\*) | (?P<caret>\^)
   | (?P<end>\Z)
@@ -508,7 +508,8 @@ def parse_poly(text: str, n: int) -> Polynomial:
     ASCII: digits are 0-9 and whitespace is ASCII whitespace.  A number longer
     than `int` converts (sys.get_int_max_str_digits) is refused at its token,
     and so is an exponent that makes a variable's power in its term exceed
-    MAX_EXPONENT = 2^63 - 1.
+    MAX_EXPONENT = 2^63 - 1.  Each term's packed `Monomial` is built as its
+    variables are read: a power adds its exponent into the variable's field.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -517,6 +518,7 @@ def parse_poly(text: str, n: int) -> Polynomial:
     if tok.lastgroup == "end":
         raise PolyParseError("empty input", tok.end())
     terms: dict[Monomial, int | Fraction] = {}
+    used = 0    # the fields set in any term
     while tok.lastgroup != "end":
         coeff: int | Fraction = 1
         if tok.lastgroup == "sign":
@@ -524,7 +526,7 @@ def parse_poly(text: str, n: int) -> Polynomial:
             tok = match(text, tok.end())
         elif terms:  # only the first term may omit its sign
             raise PolyParseError("expected '+' or '-' between terms", tok.start(tok.lastgroup))
-        powers: dict[int, int] = {}
+        mono = 0
         while True:
             kind = tok.lastgroup
             if kind == "number":
@@ -542,14 +544,14 @@ def parse_poly(text: str, n: int) -> Polynomial:
                     raise PolyParseError(
                         "compact xKL form is ambiguous for n >= 10; use x[k,l]", tok.start(kind))
                 elif kind == "compact":
-                    r, c = int(tok["crow"]), int(tok["ccol"])
+                    r, c = divmod(int(tok["digits"]), 10)
                 elif kind == "bare":
                     raise PolyParseError("malformed variable", tok.start(kind))
                 else:
                     raise PolyParseError("expected coefficient or variable", tok.start(kind))
                 if not (1 <= r <= n and 1 <= c <= n):
                     raise PolyParseError(f"variable index x[{r},{c}] out of 1..{n}", tok.end())
-                v = flat_index(r, c, n)
+                shift = ((r - 1) * n + c - 1) << 6
                 at = tok.start(kind)
                 tok = match(text, tok.end())
                 e = 1
@@ -559,13 +561,23 @@ def parse_poly(text: str, n: int) -> Polynomial:
                         raise PolyParseError("expected integer exponent", tok.start(tok.lastgroup))
                     e, at = _int(tok, "numerator"), tok.start("number")
                     tok = match(text, tok.end())
-                e += powers.get(v, 0)
-                if e > MAX_EXPONENT:
-                    raise PolyParseError(f"exponent {e} of {var_name(v, n)} is above 2^63 - 1", at)
-                powers[v] = e
+                total = e + (mono >> shift & _FIELD)
+                if total > MAX_EXPONENT:
+                    raise PolyParseError(f"exponent {total} of {var_name(shift >> 6, n)} "
+                                         f"is above 2^63 - 1", at)
+                mono += e << shift
             if tok.lastgroup != "times":
                 break
             tok = match(text, tok.end())
-        mono = Monomial(powers.items())
-        terms[mono] = terms[mono] + coeff if mono in terms else coeff
-    return Polynomial._of(n * n, {m: c for m, c in terms.items() if c})
+        prev = terms.get(mono)
+        if prev is None:
+            terms[int.__new__(Monomial, mono)] = coeff
+            used |= mono
+        else:
+            terms[mono] = prev + coeff
+    # the guard widens to the fields the terms use, not to all n*n of them,
+    # which would be an int of 64 n^2 bits for a large n
+    _cover((used.bit_length() + 63) >> 6)
+    if not all(terms.values()):
+        terms = {m: c for m, c in terms.items() if c}
+    return Polynomial._of(n * n, terms)

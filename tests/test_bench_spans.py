@@ -69,7 +69,7 @@ def test_flows_counters_are_fed(monkeypatch, tmp_path):
 
     metrics = tracer.metrics()
     for layer in ("flows.char_poly", "flows.poly_roots", "flows.overshear_flow",
-                  "flows.eval_poly", "flows.atom_build", "cli.main"):
+                  "flows.eval_poly", "flows.atom_build", "polyring.parse_poly", "cli.main"):
         assert metrics[f"{layer}.calls"]["value"] > 0, layer
     # an overshear atom takes Theta f from the generator table: no field is
     # built or applied while the word is built and applied

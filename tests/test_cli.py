@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import stat
 import time
 from pathlib import Path
 
@@ -129,6 +131,19 @@ def test_tables_golden_mismatch_is_verification_failure(capsys, monkeypatch):
     code, out = run(capsys, ["tables", "--n", "3"])
     assert code == 5
     assert json.loads(out)["golden_match"] is False
+
+
+def test_tables_golden_match_is_structural(capsys, monkeypatch):
+    # a reference that differs from the report only in order still matches:
+    # the parsed structures are compared once the JSON differs
+    golden = cli._golden_tables()
+    for entry in golden["generators"]:
+        entry["components"].reverse()
+    assert golden != cli.emit_tables(3)
+    monkeypatch.setattr(cli, "_golden_tables", lambda: golden)
+    code, out = run(capsys, ["tables", "--n", "3"])
+    assert code == 0
+    assert json.loads(out)["golden_match"] is True
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -462,6 +477,32 @@ def test_orbit_computes_each_fibre_once(capsys, orbit_files, monkeypatch):
     assert np.array_equal(seen[1], matrix_from_json(payload["result"]))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_orbit_report_at_root_finder_sizes(capsys, tmp_path, n):
+    # n = 3 and 4 take the Aberth-Ehrlich root finder; the report holds
+    # plain JSON values, and its result decodes back to itself
+    A = np.diag([0.3, -0.2, 0.1j, 0.25][:n]) + 0.1 * np.triu(np.ones((n, n)), 1)
+    G = np.eye(n)
+    G[0, n - 1] = 0.5
+    mat, word = tmp_path / "A.json", tmp_path / "w.json"
+    mat.write_text(json.dumps(matrix_to_json(A)))
+    word.write_text(json.dumps([
+        {"overshear": {"theta": [1, 2], "f": "x31", "t": [0.3, 0.1]}},
+        {"overshear": {"theta": [2, 3], "f": "-1/2*x21", "t": 0.2}},
+        {"transpose": {}},
+        {"conjugate": {"G": matrix_to_json(G)}},
+    ]))
+    code, out = run(capsys, ["orbit", "--word", str(word), "--matrix", str(mat),
+                             "--check-fibre"])
+    assert code == 0
+    assert '\n  "in_ball": true,\n' in out
+    payload = json.loads(out)
+    assert payload["n"] == n and payload["in_ball"] is True
+    assert type(payload["fibre_drift"]) is float and payload["fibre_drift"] < 1e-8
+    assert matrix_to_json(matrix_from_json(payload["result"])) == payload["result"]
+    assert len(payload["trajectory"]) == 5
+
+
 def test_orbit_outside_ball_is_precondition_error(capsys, orbit_files):
     mat, word, bad, empty = orbit_files
     code, _ = run(capsys, ["orbit", "--word", str(word), "--matrix", str(bad)])
@@ -687,6 +728,19 @@ def test_out_file_atomic_write(tmp_path, capsys):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.parent.glob(".specball-*"))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_out_file_mode_follows_the_umask(tmp_path, umask):
+    # the report is created as open() would create it: 0o666 less the umask
+    out_path = tmp_path / "perm.json"
+    previous = os.umask(umask)
+    try:
+        assert cli.main(["tables", "--n", "2", "--out", str(out_path)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out_path.stat().st_mode) == 0o666 & ~umask
+    assert not list(tmp_path.glob(".specball-*"))
 
 
 def test_reports_carry_config_echo(capsys):

@@ -47,7 +47,7 @@ from specball.flows import (
     theta_flow,
     word_from_json,
 )
-from specball.polyring import Polynomial, parse_poly
+from specball.polyring import Monomial, Polynomial, parse_poly
 
 from test_adjointfields import _oracle_apply
 
@@ -1231,6 +1231,106 @@ def test_matrix_from_json_values():
     A = matrix_from_json(data)
     assert A.dtype == complex and A.shape == (2, 2)
     assert A.tolist() == [[0.5 - 1j, 2 + 0j], [-3 + 0.25j, 1e-300j]]
+
+
+class _Float(float):
+    pass
+
+
+def test_matrix_from_json_matches_per_cell_conversion():
+    # the one-pass decoder against np.array of complex(re, im) per cell, bit
+    # for bit (-0.0 and subnormals included); a float subclass takes the
+    # `_is_pair` path and converts alike
+    rng = np.random.default_rng(20)
+    special = [0, -0.0, 5e-324, -1e300, 3, -7, 0.5]
+    for k in range(300):
+        n = 2 + k % 3
+        cells = []
+        for _ in range(n * n):
+            pair = []
+            for _ in range(2):
+                kind = rng.integers(0, 4)
+                if kind == 0:
+                    x = special[int(rng.integers(0, len(special)))]
+                elif kind == 1:
+                    x = int(rng.integers(-10 ** 6, 10 ** 6))
+                else:
+                    x = float(rng.normal() * 10.0 ** int(rng.integers(-20, 20)))
+                pair.append(x)
+            cells.append(pair)
+        if k % 10 == 0:
+            cells[0] = [_Float(cells[0][0]), cells[0][1]]
+        data = [cells[i * n:(i + 1) * n] for i in range(n)]
+        want = np.array([[complex(re, im) for re, im in row] for row in data])
+        got = matrix_from_json(data)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _powers_compiled(terms, n, L=1):
+    """The compile of terms through `Monomial.powers`, as `_compiled` did
+    before it read packed keys itself."""
+    return tuple([(complex(c / L), tuple([(v // n, v % n, e) for v, e in mono.powers]))
+                  for mono, c in terms.items()])
+
+
+def _overshear_text(rng, n, a, b):
+    """A coefficient for Theta_ab with Theta_ab^2 f = 0, and its expected
+    term dict: each term a product of variables outside row a and column b
+    (Theta_ab kills them) and at most one x_aj with j != b (Theta_ab sends it
+    to one of them), as repeated factors x21*x21^2, with exponents up to
+    2^62 and Fraction coefficients."""
+    killed = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1) if r != a and c != b]
+    movers = [(a, c) for c in range(1, n + 1) if c != b]
+    pieces, want = [], {}
+    for _ in range(int(rng.integers(1, 4))):
+        factors = [killed[int(i)] for i in rng.integers(0, len(killed), size=int(rng.integers(0, 4)))]
+        if rng.integers(0, 2):
+            factors.insert(int(rng.integers(0, len(factors) + 1)), movers[int(rng.integers(0, len(movers)))])
+        exps = [1 << int(rng.integers(0, 63)) if rng.integers(0, 4) == 0 else int(rng.integers(1, 4))
+                for _ in factors]
+        coeff = Fraction(int(rng.integers(-5, 6)) or 1, int(rng.integers(1, 4)))
+        head = [f"{coeff.numerator}/{coeff.denominator}" if rng.integers(0, 2) or coeff.denominator > 1
+                else str(coeff.numerator)]
+        text = "*".join(head + [f"x{r}{c}" + (f"^{e}" if e != 1 else "")
+                                for (r, c), e in zip(factors, exps)])
+        powers = {}
+        for (r, c), e in zip(factors, exps):
+            v = (r - 1) * n + c - 1
+            powers[v] = powers.get(v, 0) + e
+        if sum(powers.get((a - 1) * n + c - 1, 0) for c in range(1, n + 1)) > 1:
+            continue        # a power of row a above 1: Theta^2 would not vanish
+        if max(powers.values(), default=0) > 1 << 62:
+            continue        # Theta_ab f could raise it past the limit
+        mono = Monomial(powers.items())
+        want[mono] = want[mono] + coeff if mono in want else coeff
+        pieces.append(text)
+    if not pieces:
+        return _overshear_text(rng, n, a, b)
+    want = {m: c.numerator if c.denominator == 1 else c for m, c in want.items() if c}
+    return " + ".join(pieces).replace("+ -", "- "), want
+
+
+def test_overshear_compile_matches_the_powers_compile():
+    rng = np.random.default_rng(21)
+    for k in range(300):
+        n = 2 + k % 3
+        a, b = (int(x) for x in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        text, want = _overshear_text(rng, n, a, b)
+        f = parse_poly(text, n)
+        # the parsed term dict: keys in first-appearance order, int
+        # coefficients where integral
+        assert list(f.terms.items()) == list(want.items()), text
+        assert [type(c) for c in f.terms.values()] == [type(c) for c in want.values()], text
+        if not want:
+            continue
+        atom = Overshear(n=n, a=a, b=b, f=f, t=0.5)
+        L = math.lcm(*[c.denominator for c in f.terms.values()])
+        ints = {m: c.numerator * (L // c.denominator) for m, c in f.terms.items()}
+        theta = {m: (c * L).numerator for m, c in atom.theta_f.terms.items()}
+        assert atom._f_terms == _powers_compiled(ints, n, L), text
+        assert atom._theta_terms == _powers_compiled(theta, n, L), text
+        assert repr(atom._f_terms) == repr(_powers_compiled(ints, n, L))
 
 
 def test_word_json():
