@@ -47,6 +47,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 
 from .adjointfields import (
     GeneratorId,
@@ -69,7 +70,6 @@ from .polyring import (
     Polynomial,
     flat_index,
     format_poly,
-    matrix_dim,
     slice_monomials,
     substitute_trace,
     var_name,
@@ -456,47 +456,44 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
     coordinates (`_TracelessFields`): a vector of grade d stands for the sum
     of c * f * V over the degree-d monomials f and generators V, on tr = 0.
 
-    Each grade puts its relations Rel (`_relation_blocks`) and then the
-    vectors B it keeps into one mod-p echelon over the pair coordinates, and
-    keeps a vector exactly when it is new there.  The seeds of a grade come
-    first.  Grades 0 and 1 then walk the growing list of kept vectors,
-    bracketing each with each kept grade-0 vector (at grade 0, each one kept
-    before it) through the closed form of `_PairBrackets` with h = 1, which
-    is linear in both operands.  A grade d >= 2 is the step [T_1, T_{d-1}]:
-    it brackets grade-1 pairs with grade-(d-1) pairs (a < b at d = 2, where
-    both have grade 1), and runs only when grades 1 and d - 1 are
-    certified, because only then are these pairs in the Lie algebra.  Both
-    share one bracket, keep and budget loop.  `spans[d]` lists the kept
-    vectors B: each is a pair-coordinate representative of a field in the
-    algebra.
+    Each grade puts its relations Rel (`_relation_blocks`), its seeds
+    (checked by `_seed_ring`) and then brackets into one mod-p echelon over
+    the pair coordinates, and keeps a vector exactly when it is new there:
+    `spans[d]` lists the kept vectors B, each a pair-coordinate
+    representative of a field in the algebra.  One helper takes every
+    bracket: it charges the budget, sums the bracket through
+    `_PairBrackets.add` and keeps it.  Every pair, relation and bracket is
+    homogeneous for the sl_n torus weight (`_TracelessFields.var_weights`),
+    so the echelon is one `ModularRowSpace` graded by pair weight, whose
+    `open_blocks` are the weights still below the rank of their pair count;
+    a bracket's weight, the sum of its operands', is known before it is
+    taken.  Two plain loops feed the helper.
 
-    Weight blocks.  Every pair, relation and bracket is homogeneous for the
-    sl_n torus weight (`_TracelessFields.var_weights`), so the echelon is
-    one `ModularRowSpace` graded by pair weight, and its `open_blocks` are
-    the weights still below the rank of their pair count.  A bracket's
-    weight, the sum of its operands' weights, is known before it is taken.
-    At grades 0-1 a bracket whose block is not open is skipped
-    (`brackets_skipped`), and the grade stops once no block is open.  At
-    d >= 2 the step runs block by block, only for the representative w of
-    each orbit of S_n x <tau> (`_TracelessFields.orbits`; the lemma of
-    `_certify_degree` proves the rest of the orbit): it brackets the
-    grade-1 pairs of weight u with the grade-(d-1) pairs of weight w - u
-    until block w is full, and `brackets_skipped` counts the rest of the
-    step.  `all_blocks=True` computes every block, the tests' reference,
-    and so does a grade d >= 2 that keeps seeds of its own, which the
-    symmetry need not map into the algebra.
-    Soundness does not rest on the prediction: a kept vector goes to the
-    block its own coordinates name (across two blocks it raises
-    `GradingError`).
+    The walk (grades 0 and 1) goes over the growing list of kept vectors and
+    brackets each with each kept grade-0 vector (at grade 0, each one kept
+    before it), by the closed form with h = 1, linear in both operands.  It
+    skips a bracket whose block is not open (`brackets_skipped`) and stops
+    once no block is open.
 
-    When a budget runs out the closure stops after reporting that grade:
-    later grades get no `spans` or `reports` entry, and `complete` is False.
-    A grade that would start after `budget_ms` has passed is not started.
-    `budget_brackets` counts the brackets computed, not those skipped.
+    The step (grades d >= 2) is [T_1, T_{d-1}], which runs only when grades 1
+    and d - 1 are certified, because only then are its operands in the Lie
+    algebra.  For the representative w of each orbit of S_n x <tau>
+    (`_TracelessFields.orbits`; the lemma of `_certify_degree` proves the
+    rest of the orbit) it brackets the grade-1 pairs of weight u with the
+    grade-(d-1) pairs of weight w - u (a < b at d = 2) until block w is
+    full; `brackets_skipped` counts the rest of the step.  `all_blocks=True`
+    computes every block, the tests' reference, and so does a grade that
+    keeps seeds of its own, which the symmetry need not map into L.
+
+    Soundness does not rest on the weight prediction: a kept vector goes to
+    the block its own coordinates name (across two blocks it raises
+    `GradingError`).  When a budget runs out the closure stops after
+    reporting that grade: later grades get no `spans` or `reports` entry,
+    and `complete` is False.  A grade that would start after `budget_ms` has
+    passed is not started.  `budget_brackets` counts the brackets computed,
+    not those skipped.
     """
-    if not seeds:
-        raise PreconditionError("empty seed set")
-    n = matrix_dim(seeds[0].coefficient.nvars)
+    n = _seed_ring(seeds)
     deadline = time.monotonic() + budget_ms / 1000.0 if budget_ms is not None else None
 
     def out_of_budget() -> bool:
@@ -504,7 +501,6 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
                 or (budget_brackets is not None and brackets_done >= budget_brackets))
 
     ring = _TracelessFields(n, max_degree)
-    gen_index = _generator_index(n)
     spans: dict[int, list[dict[int, int]]] = {}
     reports: dict[int, DegreeReport] = {}
     by_weight: dict[int, dict[int, list[int]]] = {}     # grade -> weight -> its pair indices
@@ -523,69 +519,94 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
         space = _relation_blocks(ring, d, relations, weights)
         relation_rank, open_blocks = space.rank, space.open_blocks
         kept = spans[d] = []
-
-        def keep(vec: dict[int, int]):
-            """Keep a vector if it is new mod p."""
-            vec = {k: c for k, c in vec.items() if c}
-            if vec and space.insert(vec):
-                kept.append(vec)
-
         brackets = _PairBrackets(ring, 0 if d <= 1 else 1, d)
         for s in seeds:
             if s.grade == d:
-                gi = gen_index[s.generator]
-                keep({brackets.offset[m] + gi: c for m, c in ring.restrict(s.coefficient).items()})
+                gi = _generator_index(n)[s.generator]
+                vec = {brackets.offset[m] + gi: c for m, c in ring.restrict(s.coefficient).items()}
+                if space.insert(vec):
+                    kept.append(vec)
+        begun = brackets_done
 
-        # the orbit lemma needs every kept vector to be a [T_1, T_{d-1}] bracket
-        orbits = ({w: [w] for w in groups} if d <= 1 or all_blocks or kept
-                  else ring.orbits(weights))
-        if d <= 1:
-            operands_ok, computed = True, len(groups)
-            # a grade-0 pair's index is its generator's; `kept` grows as it is walked
-            operands = ((ring.gen_weights[next(iter(u))] + weights[next(iter(x))], u, x)
-                        for j, x in enumerate(kept) for u in (spans[0] if d else kept[:j]))
-        else:
-            operands_ok = reports[1].certified and reports[d - 1].certified
-            computed = 0
-
-            def step():
-                """Each representative's block of [T_1, T_{d-1}], until it is full."""
-                nonlocal computed
-                for w in sorted(orbits) if operands_ok else ():
-                    computed += 1
-                    for a, b in _block_operands(by_weight[1], by_weight[d - 1], w, d == 2):
-                        if w not in open_blocks:
-                            break
-                        yield w, {a: 1}, {b: 1}
-            operands = step()
-
-        evaluated = skipped = 0
-        for w, u, x in operands:
-            if w not in open_blocks:
-                if not open_blocks:
-                    break
-                skipped += 1
-                continue
+        def bracket_and_keep(terms) -> bool:
+            """Charge the budget, sum c * [pair a, pair b] over the terms (a, b, c)
+            and keep the sum if it is new mod p; False once the budget is out."""
+            nonlocal brackets_done, complete
             if out_of_budget():
                 complete = False
-                break
-            out: dict[int, int] = {}
-            for a, ua in u.items():
-                for b, xb in x.items():
-                    brackets.add(a, b, ua * xb, out)
-            keep(out)
-            evaluated += 1
+                return False
             brackets_done += 1
-        if d >= 2 and operands_ok:
+            out: dict[int, int] = {}
+            for a, b, c in terms:
+                brackets.add(a, b, c, out)
+            out = {k: c for k, c in out.items() if c}
+            if space.insert(out):
+                kept.append(out)
+            return True
+
+        orbits = {w: [w] for w in groups}
+        if d <= 1:
+            # the walk: `kept` grows as it is walked; a grade-0 pair's index is its generator's
+            operands_ok, computed, skipped = True, len(groups), 0
+            for j, x in enumerate(kept):
+                for u in spans[0] if d else kept[:j]:
+                    if not open_blocks:
+                        break
+                    if ring.gen_weights[next(iter(u))] + weights[next(iter(x))] not in open_blocks:
+                        skipped += 1
+                    elif not bracket_and_keep((a, b, ua * xb) for a, ua in u.items()
+                                              for b, xb in x.items()):
+                        break
+                if not (complete and open_blocks):
+                    break
+        else:
+            # the step, each representative's block until it is full; the
+            # orbit lemma needs every kept vector to be a [T_1, T_{d-1}] bracket
+            if not (all_blocks or kept):
+                orbits = ring.orbits(weights)
+            operands_ok = reports[1].certified and reports[d - 1].certified
+            computed = 0
+            for computed, w in enumerate(sorted(orbits) if operands_ok else (), 1):
+                for a, b in _block_operands(by_weight[1], by_weight[d - 1], w, d == 2):
+                    if w not in open_blocks or not bracket_and_keep(((a, b, 1),)):
+                        break
+                if not complete:
+                    break
             k, m = len(brackets.left) * ring.nv, len(brackets.right) * ring.nv
-            skipped = (k * (k - 1) // 2 if d == 2 else k * m) - evaluated
+            skipped = ((k * (k - 1) // 2 if d == 2 else k * m) - brackets_done + begun
+                       if operands_ok else 0)
         reports[d] = _certify_degree(ring, d, space, groups, orbits, relation_rank,
-                                     len(relations), operands_ok, evaluated, skipped,
-                                     computed, complete)
+                                     len(relations), operands_ok, brackets_done - begun,
+                                     skipped, computed, complete)
         if not complete:
             break
 
     return ClosureResult(n, max_degree, spans, reports, complete)
+
+
+def _seed_ring(seeds: list[Seed]) -> int:
+    """The n of the seeds' n x n matrices, read off the first seed.  Raises
+    `PreconditionError`, naming the seed, unless every seed is a pair f*V on
+    n x n matrices with V one of n's generators and f homogeneous of its
+    grade, which is not negative."""
+    if not seeds:
+        raise PreconditionError("empty seed set")
+    n = isqrt(seeds[0].coefficient.nvars)
+    gens = _generator_index(n)
+    for i, s in enumerate(seeds):
+        f = s.coefficient
+        if f.nvars != n * n:
+            problem = f"its coefficient has {f.nvars} variables, not {n * n}"
+        elif s.generator not in gens:
+            problem = f"{s.generator} is not a generator for n = {n}"
+        elif s.grade < 0:
+            problem = "its grade is negative"
+        elif not f.is_homogeneous(s.grade):
+            problem = f"{format_poly(f)} is not homogeneous of degree {s.grade}"
+        else:
+            continue
+        raise PreconditionError(f"seed {i} ({s.generator}, grade {s.grade}): {problem}")
+    return n
 
 
 def _block_operands(ones: dict[int, list[int]], rest: dict[int, list[int]], w: int,

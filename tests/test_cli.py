@@ -176,6 +176,25 @@ def test_generate_budget_exhaustion(capsys):
     assert not payload["complete"]
 
 
+@pytest.mark.parametrize("budget,code,last", [(30, 3, 1), (100, 3, 2), (400, 3, 3), (None, 0, 3)])
+def test_generate_report_matches_recorded(capsys, budget, code, last):
+    # the stdout of generate at n = 3 to grade 3, byte for byte: bracket
+    # budgets that stop in grades 1, 2 and 3 pin the counters of a grade cut
+    # short (brackets evaluated and skipped, blocks computed, missing
+    # witnesses), and the full run pins every certified grade
+    argv = ["generate", "--n", "3", "--max-degree", "3"]
+    name = "generate_n3_d3"
+    if budget is not None:
+        argv += ["--budget-brackets", str(budget)]
+        name += f"_budget{budget}"
+    got, out = run(capsys, argv)
+    assert got == code
+    assert out == (Path(__file__).parent / "data" / f"{name}.json").read_text(encoding="utf-8")
+    payload = json.loads(out)
+    assert payload["degrees"][-1]["degree"] == last
+    assert payload["complete"] == (budget is None)
+
+
 def test_generate_method_flag_has_no_effect(capsys):
     # every grade has the pair-coordinate certificate whatever --method says,
     # with one block per Weyl orbit from grade 2 on

@@ -342,9 +342,72 @@ def test_closure_starts_no_grade_after_the_deadline(monkeypatch):
     assert not res.complete
 
 
+@pytest.mark.parametrize("grade,begun", [(1, 3), (2, 2)])
+def test_closure_stops_inside_the_grade_the_deadline_passes(monkeypatch, grade, begun):
+    # the clock jumps past the deadline while the grade's `begun`-th bracket
+    # is summed: that bracket is finished and counted, the next one is not
+    # begun, and no later grade is reported.  A bracket is the one `out`
+    # dict its `_PairBrackets.add` calls sum into
+    clock = [0.0]
+    monkeypatch.setattr(liegen.time, "monotonic", lambda: clock[0])
+    ring = liegen._TracelessFields(2, 3)
+    grade_of = {len(ring.monomials(d)): d for d in range(4)}
+    outs = {d: [] for d in range(4)}
+    inner = liegen._PairBrackets.add
+
+    def ticking(self, a, b, scale, out):
+        started = outs[grade_of[len(self.offset)]]
+        if not started or started[-1] is not out:
+            started.append(out)
+            if len(outs[grade]) == begun:
+                clock[0] = 1e9
+        inner(self, a, b, scale, out)
+
+    monkeypatch.setattr(liegen._PairBrackets, "add", ticking)
+    res = closure(build_seeds(2), 3, budget_ms=1)
+    assert [len(outs[d]) for d in res.reports] == [
+        rep.brackets_evaluated for rep in res.reports.values()]
+    rep = res.reports[grade]
+    assert rep.brackets_evaluated == len(outs[grade]) == begun
+    assert not rep.complete and not rep.certified
+    assert max(res.reports) == max(res.spans) == grade and not res.complete
+    assert not any(outs[d] for d in range(grade + 1, 4))
+
+
 def test_empty_seed_set_rejected():
     with pytest.raises(PreconditionError):
         closure([], 1)
+
+
+def test_seed_on_other_matrices_is_rejected():
+    # an n = 2 seed in an n = 3 set would be read in the wrong ring
+    seeds = build_seeds(3)
+    stray = Seed(parse_poly("x12", 2), Theta(1, 2), 1)
+    with pytest.raises(PreconditionError, match=rf"^seed {len(seeds)} \(Theta\(a=1, b=2\), "
+                       r"grade 1\): its coefficient has 4 variables, not 9$"):
+        closure(seeds + [stray], 1)
+
+
+def test_seed_with_a_generator_of_another_n_is_rejected():
+    # placed first, an n = 2 seed sets n = 2, which has no theta13
+    first = Seed(Polynomial.constant(4, 1), Theta(1, 3), 0)
+    with pytest.raises(PreconditionError,
+                       match=r"^seed 0 .*: Theta\(a=1, b=3\) is not a generator for n = 2$"):
+        closure([first] + build_seeds(2), 1)
+
+
+def test_seed_of_negative_grade_is_rejected():
+    bad = Seed(Polynomial.constant(4, 1), Xi(1), -1)
+    with pytest.raises(PreconditionError, match=r"\(Xi\(a=1\), grade -1\): its grade is negative$"):
+        closure(build_seeds(2) + [bad], 1)
+
+
+@pytest.mark.parametrize("text,grade", [("x12", 2), ("x12 + x12*x21", 1), ("x12*x21", 1)])
+def test_seed_not_homogeneous_of_its_grade_is_rejected(text, grade):
+    # a coefficient of another degree would be read at the wrong grade
+    bad = Seed(parse_poly(text, 2), Theta(1, 2), grade)
+    with pytest.raises(PreconditionError, match=f"is not homogeneous of degree {grade}$"):
+        closure(build_seeds(2) + [bad], 2)
 
 
 def test_generators_alone_do_not_certify_grade1():
