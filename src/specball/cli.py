@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+import time
 from importlib import resources
 
 import numpy as np
@@ -173,8 +174,12 @@ def cmd_generate(args) -> int:
     config = {"command": "generate", "n": args.n, "max_degree": args.max_degree,
               "method": args.method, "budget_ms": args.budget_ms,
               "budget_brackets": args.budget_brackets}
+    # building the seeds is charged to --budget-ms: the closure gets what remains
+    start = time.monotonic()
     seeds = liegen.build_seeds(args.n)
-    result = liegen.closure(seeds, args.max_degree, budget_ms=args.budget_ms,
+    budget_ms = (None if args.budget_ms is None
+                 else args.budget_ms - (time.monotonic() - start) * 1000.0)
+    result = liegen.closure(seeds, args.max_degree, budget_ms=budget_ms,
                             budget_brackets=args.budget_brackets)
     degrees = []
     for d in sorted(result.reports):

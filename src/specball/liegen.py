@@ -34,7 +34,9 @@ block by block.  Conjugation by permutation matrices (S_n) and the
 transpose tau permute the blocks and are Lie algebra automorphisms that
 keep each grade and the relations, so a grade d >= 2 brackets only in the
 block of one representative weight per orbit of S_n x <tau>, block by
-block, and a full representative proves its whole orbit (`closure`,
+block, and a full representative proves its whole orbit.  Only the
+representatives' relations are checked and inserted there; each one's
+relation rank counts once per block of its orbit (`closure`,
 `_certify_degree`).
 """
 from __future__ import annotations
@@ -264,10 +266,15 @@ class _TracelessFields:
         self.cbits = (nv - 1).bit_length()
         self.ebits = (max_degree + 1).bit_length()
         self.units = units = [1 << (self.cbits + self.ebits * j) for j in range(nv)]
+        self._slices: dict[int, tuple[list[int], dict[int, int], list[int]]] = {}
+        self._restricted: dict[Monomial, dict[int, int]] = {}
         self.trace_form = {units[a * (n + 1)]: -1 for a in range(n - 1)}
         # the matrix X on tr = 0, entries as packed polynomials
         self.X = X = [[{units[i * n + j]: 1} if i * n + j < nv else self.trace_form
                        for j in range(n)] for i in range(n)]
+        # R_1, R_2, ... so far, and X^k for the last of them (X before R_1)
+        self._kostant: list[list[tuple[int, list[tuple[int, int]]]]] = []
+        self._power = X
         # The sl_n weight e_i - e_j of x_ij, as the int B^i - B^j.  A pair
         # f * V has weight weight(f) + weight(V); brackets and products add
         # weights, and substituting for x_nn (weight 0) keeps them.  A
@@ -293,19 +300,31 @@ class _TracelessFields:
         self.structure = [[_sl_coordinates(n, _commutator_entries(A, B)) for B in entries]
                           for A in entries]
 
-    def _linear(self, values: list[int], degree: int) -> list[int]:
-        """sum_v e_v * values[v] for the exponent vector e of each
-        degree-`degree` monomial, in `slice_monomials` order."""
-        return [sum(values[v] for v in combo)
-                for combo in combinations_with_replacement(range(self.nv), degree)]
+    def _slice(self, degree: int) -> tuple[list[int], dict[int, int], list[int]]:
+        """The keys of the degree-`degree` monomials in `slice_monomials`
+        order, the index of each key and the weight of each monomial, built
+        once per degree."""
+        got = self._slices.get(degree)
+        if got is None:
+            units, var_weights = self.units, self.var_weights
+            combos = list(combinations_with_replacement(range(self.nv), degree))
+            keys = [sum(units[v] for v in combo) for combo in combos]
+            got = self._slices[degree] = (keys, {m: i for i, m in enumerate(keys)},
+                                          [sum(var_weights[v] for v in combo) for combo in combos])
+        return got
 
     def monomials(self, degree: int) -> list[int]:
         """Keys of the degree-`degree` monomials, in `slice_monomials` order."""
-        return self._linear(self.units, degree)
+        return self._slice(degree)[0]
 
     def weights(self, d: int) -> list[int]:
         """The weight of each grade-d target pair f*V, in pair-index order."""
-        return [fw + gw for fw in self._linear(self.var_weights, d) for gw in self.gen_weights]
+        return [fw + gw for fw in self._slice(d)[2] for gw in self.gen_weights]
+
+    def factors(self, key: int) -> list[tuple[int, int]]:
+        """(v, e_v) for the variables x_v of a packed monomial, e_v > 0."""
+        mask, shift = (1 << self.ebits) - 1, self.cbits
+        return [(v, e) for v in range(self.nv) if (e := key >> (shift + self.ebits * v) & mask)]
 
     def weight_vector(self, w: int) -> tuple[int, ...]:
         """The weight encoded as the int w, as its coordinates in Z^n: the
@@ -332,36 +351,54 @@ class _TracelessFields:
         return out
 
     def restrict(self, p: Polynomial) -> dict[int, int]:
-        """The polynomial p on tr = 0."""
+        """The polynomial p on tr = 0; each monomial's image is computed once."""
+        images = self._restricted
         terms = []
         for mono, c in p.terms.items():
-            term = {sum(e * self.units[v] for v, e in mono.powers if v < self.nv): c}
-            for _ in range(mono.exponent(self.nv)):
-                term = _mul(term, self.trace_form)
-            terms.append((term, 1))
+            image = images.get(mono)
+            if image is None:
+                image = {sum(e * self.units[v] for v, e in mono.powers if v < self.nv): 1}
+                for _ in range(mono.exponent(self.nv)):
+                    image = _mul(image, self.trace_form)
+                images[mono] = image
+            terms.append((image, c))
         return _sum(terms)
+
+    def kostant(self, k: int) -> list[tuple[int, list[tuple[int, int]]]]:
+        """R_k: (monomial key m, generator coordinates (`_sl_coordinates`) of
+        the coefficient of m in n X^k - tr(X^k) I), for k = 1..n-1.  The
+        powers X^k come from one running product, each read in one pass
+        over its entries, and each R_k is computed once per ring."""
+        n, X, out = self.n, self.X, self._kostant
+        while len(out) < k:
+            if out:
+                P = self._power
+                self._power = [[_sum((_mul(P[i][l], X[l][j]), 1) for l in range(n))
+                                for j in range(n)] for i in range(n)]
+            entries: dict[int, dict[tuple[int, int], int]] = {}
+            for i, row in enumerate(self._power):
+                for j, p in enumerate(row):
+                    for m, c in p.items():
+                        entries.setdefault(m, {})[i, j] = n * c
+            for m, C in entries.items():
+                trace = sum(C.get((i, i), 0) for i in range(n)) // n
+                for i in range(n):
+                    C[i, i] = C.get((i, i), 0) - trace
+                entries[m] = _sl_coordinates(n, C)
+            out.append(list(entries.items()))
+        return out[k - 1]
 
     def relations(self, d: int) -> list[dict[int, int]]:
         """Relations among the grade-d target pairs, as pair vectors: for
-        k = 1..min(d, n-1), the generator coordinates (`_sl_coordinates`) of
-        n X^k - tr(X^k) I, one integer matrix per monomial key, times each
-        degree-(d-k) monomial.  X^k commutes with X, so the matching
-        combination of the fields f*V vanishes."""
-        n, nv, X = self.n, self.nv, self.X
-        index = {m: i for i, m in enumerate(self.monomials(d))}
-        power = X
+        k = 1..min(d, n-1), R_k (`kostant`) times each degree-(d-k)
+        monomial.  X^k commutes with X, so the matching combination of the
+        fields f*V vanishes."""
+        nv, index = self.nv, self._slice(d)[1]
         out = []
-        for k in range(1, min(d, n - 1) + 1):
-            trace = _sum((power[i][i], 1) for i in range(n))
-            coords = []
-            for m in dict.fromkeys(m for row in power for p in row for m in p):
-                C = {(i, j): n * p.get(m, 0) - (trace.get(m, 0) if i == j else 0)
-                     for i, row in enumerate(power) for j, p in enumerate(row)}
-                coords.append((m, _sl_coordinates(n, C)))
+        for k in range(1, min(d, self.n - 1) + 1):
+            coords = self.kostant(k)
             for mu in self.monomials(d - k):
                 out.append({index[mu + m] * nv + gi: c for m, cs in coords for gi, c in cs})
-            power = [[_sum((_mul(power[i][l], X[l][j]), 1) for l in range(n))
-                      for j in range(n)] for i in range(n)]
         return out
 
 
@@ -384,17 +421,28 @@ class _PairBrackets:
     against `adjointfields.bracket` of the two pair fields."""
 
     def __init__(self, ring: _TracelessFields, e: int, d: int):
-        nv = self.nv = ring.nv
+        self.ring, self.nv = ring, ring.nv
         self.left = ring.monomials(e)
         self.right = ring.monomials(d - e)
-        self.offset = {m: i * nv for i, m in enumerate(ring.monomials(d))}
-        self.images, self.structure, units = ring.images, ring.structure, ring.units
-        # W(f) for each right monomial f and generator W: (f / x_v) * W(x_v)
-        # summed over the factors x_v of f, repeated ones included
-        self.derivatives = [
-            [list(_sum(({f - units[v] + m: c for m, c in image[units[v]].items()}, 1)
-                       for v in combo).items()) for image in self.images]
-            for f, combo in zip(self.right, combinations_with_replacement(range(nv), d - e))]
+        self.offset = {m: i * ring.nv for i, m in enumerate(ring.monomials(d))}
+        self.images, self.structure = ring.images, ring.structure
+        # right monomial index j -> W(f) for each generator W, built when
+        # a bracket first uses f = right[j]
+        self.derivatives: dict[int, list[list[tuple[int, int]]]] = {}
+
+    def _derive(self, j: int) -> list[list[tuple[int, int]]]:
+        """W(f) for f = right[j] and each generator W: e_v (f / x_v) W(x_v)
+        summed over the factors x_v^e_v of f."""
+        f, units = self.right[j], self.ring.units
+        factors = [(f - units[v], units[v], e) for v, e in self.ring.factors(f)]
+        rows = self.derivatives[j] = []
+        for image in self.images:
+            row: dict[int, int] = {}
+            for shift, unit, e in factors:
+                for m, c in image[unit].items():
+                    row[shift + m] = row.get(shift + m, 0) + e * c
+            rows.append([(m, c) for m, c in row.items() if c])
+        return rows
 
     def add(self, a: int, b: int, scale: int, out: dict[int, int]):
         """out += scale * [pair a, pair b], for a left and b right pair index."""
@@ -405,7 +453,10 @@ class _PairBrackets:
         for m, c in self.images[V].get(h, {}).items():    # V(h), when h is a variable
             k = offset[f + m] + W
             out[k] = get(k, 0) + scale * c
-        for m, c in self.derivatives[j][W]:
+        rows = self.derivatives.get(j)
+        if rows is None:
+            rows = self._derive(j)
+        for m, c in rows[W]:
             k = offset[m + h] + V
             out[k] = get(k, 0) - scale * c
         base = offset[f + h]
@@ -427,10 +478,10 @@ class DegreeReport:
     target_rank: int                 # |F_d|: monomial x generator pairs (traceless)
     achieved_rank: int               # pairs proved in L: all when certified
     missing_witnesses: list[str]     # pairs of open representatives outside span(B + Rel) mod p
-    span_rank: int                   # rank_p(B + Rel) in pair coordinates
+    span_rank: int                   # rank_p(B + Rel) in pair coordinates: relation_rank + gl_rank
     sl_rank: int | None              # certified: rank T_d = target_rank - relation_rank
     sl_target_component_rank: int    # target_rank - relation_rank: an upper bound on rank T_d
-    gl_rank: int                     # kept vectors B: span_rank - relation_rank
+    gl_rank: int                     # kept vectors B
     brackets_evaluated: int          # brackets computed
     brackets_skipped: int            # brackets of the step not computed (`closure`)
     blocks: int                      # weight blocks of the grade
@@ -438,7 +489,8 @@ class DegreeReport:
     complete: bool                   # fixed point, full rank or operands exhausted within budget
     certified: bool                  # every pair in L and rank T_d proven (`_certify_degree`)
     prime: int                       # p of the echelon of B and Rel
-    relation_rank: int               # rank_p of the relations checked to vanish
+    relation_rank: int               # rank_p of the relations checked to vanish, each block's
+                                     # times its orbit's size (`_certify_degree`)
 
 
 @dataclass
@@ -456,9 +508,10 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
     coordinates (`_TracelessFields`): a vector of grade d stands for the sum
     of c * f * V over the degree-d monomials f and generators V, on tr = 0.
 
-    Each grade puts its relations Rel (`_relation_blocks`), its seeds
-    (checked by `_seed_ring`) and then brackets into one mod-p echelon over
-    the pair coordinates, and keeps a vector exactly when it is new there:
+    Each grade puts its relations Rel (`_relation_blocks`, for the blocks
+    it fills), its seeds (checked by `_seed_ring`) and then brackets into
+    one mod-p echelon over the pair coordinates, and keeps a vector exactly
+    when it is new there:
     `spans[d]` lists the kept vectors B, each a pair-coordinate
     representative of a field in the algebra.  One helper takes every
     bracket: it charges the budget, sums the bracket through
@@ -481,9 +534,13 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
     (`_TracelessFields.orbits`; the lemma of `_certify_degree` proves the
     rest of the orbit) it brackets the grade-1 pairs of weight u with the
     grade-(d-1) pairs of weight w - u (a < b at d = 2) until block w is
-    full; `brackets_skipped` counts the rest of the step.  `all_blocks=True`
-    computes every block, the tests' reference, and so does a grade that
-    keeps seeds of its own, which the symmetry need not map into L.
+    full; `brackets_skipped` counts the rest of the step.  The orbits are
+    decided before any relation goes in: only the representatives'
+    relations are checked and inserted, and `relation_rank` is the sum over
+    representatives w of |orbit(w)| * rank_p(Rel_w), from which `span_rank`
+    and `gl_rank` follow.  `all_blocks=True` computes every block and
+    checks every relation, the tests' reference, and so does a grade that
+    has seeds of its own, which the symmetry need not map into L.
 
     Soundness does not rest on the weight prediction: a kept vector goes to
     the block its own coordinates name (across two blocks it raises
@@ -515,9 +572,18 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
         groups = by_weight[d] = {}
         for i, w in enumerate(weights):
             groups.setdefault(w, []).append(i)
+        # the step fills one block per orbit, unless every block is asked
+        # for or the grade has seeds of its own; only those blocks' relations
+        # are checked and inserted, and each counts for its whole orbit
+        if d >= 2 and not (all_blocks or any(s.grade == d for s in seeds)):
+            orbits = ring.orbits(weights)
+        else:
+            orbits = {w: [w] for w in groups}
         relations = ring.relations(d)
-        space = _relation_blocks(ring, d, relations, weights)
-        relation_rank, open_blocks = space.rank, space.open_blocks
+        filled = [r for r in relations if weights[next(iter(r))] in orbits]
+        space = _relation_blocks(ring, d, filled, weights)
+        relation_rank = sum(len(ws) * space.block_rank(w) for w, ws in orbits.items())
+        open_blocks = space.open_blocks
         kept = spans[d] = []
         brackets = _PairBrackets(ring, 0 if d <= 1 else 1, d)
         for s in seeds:
@@ -544,7 +610,6 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
                 kept.append(out)
             return True
 
-        orbits = {w: [w] for w in groups}
         if d <= 1:
             # the walk: `kept` grows as it is walked; a grade-0 pair's index is its generator's
             operands_ok, computed, skipped = True, len(groups), 0
@@ -560,10 +625,7 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
                 if not (complete and open_blocks):
                     break
         else:
-            # the step, each representative's block until it is full; the
-            # orbit lemma needs every kept vector to be a [T_1, T_{d-1}] bracket
-            if not (all_blocks or kept):
-                orbits = ring.orbits(weights)
+            # the step, each representative's block until it is full
             operands_ok = reports[1].certified and reports[d - 1].certified
             computed = 0
             for computed, w in enumerate(sorted(orbits) if operands_ok else (), 1):
@@ -576,8 +638,8 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
             skipped = ((k * (k - 1) // 2 if d == 2 else k * m) - brackets_done + begun
                        if operands_ok else 0)
         reports[d] = _certify_degree(ring, d, space, groups, orbits, relation_rank,
-                                     len(relations), operands_ok, brackets_done - begun,
-                                     skipped, computed, complete)
+                                     len(relations), len(kept), operands_ok,
+                                     brackets_done - begun, skipped, computed, complete)
         if not complete:
             break
 
@@ -630,16 +692,20 @@ def _relation_blocks(ring: _TracelessFields, d: int, relations: list[dict[int, i
     nv, monomials, gens = ring.nv, ring.monomials(d), ring.gens
     space = ModularRowSpace(CLOSURE_PRIME, weights)
     for r in relations:
-        if not _sum(({monomials[i // nv] + k: v for k, v in gens[i % nv].items()}, c)
-                    for i, c in r.items()):
+        field: dict[int, int] = {}
+        for i, c in r.items():
+            f = monomials[i // nv]
+            for k, v in gens[i % nv].items():
+                field[f + k] = field.get(f + k, 0) + c * v
+        if not any(field.values()):
             space.insert(r)
     return space
 
 
 def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
                     groups: dict[int, list[int]], orbits: dict[int, list[int]],
-                    relation_rank: int, relation_count: int, operands_ok: bool,
-                    evaluated: int, skipped: int, computed: int,
+                    relation_rank: int, relation_count: int, gl_rank: int,
+                    operands_ok: bool, evaluated: int, skipped: int, computed: int,
                     complete: bool) -> DegreeReport:
     """The pair-coordinate certificate of a grade.
 
@@ -669,14 +735,25 @@ def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
     only its orbit representatives full (`orbits`; at grades 0-1 and under
     `closure(all_blocks=True)` every block is its own).
 
+    The relations follow the same orbits.  Each sigma acts on the pair
+    coordinates by an integer matrix whose inverse is integral too (Theta_ab
+    goes to +-Theta_sigma(a)sigma(b), the Xi_a by the Weyl action on the
+    coroots, monomials by an integer substitution), and it maps each mu * R_k
+    to an integer combination of the mu' * R_k.  So sigma maps the span of
+    Rel_w onto that of Rel_sigma(w), mod p as well, and rank_p(Rel_sigma(w))
+    = rank_p(Rel_w).  Only the representatives' relations are checked and
+    inserted, and `relation_rank` = sum over representatives of |orbit(w)|
+    * rank_p(Rel_w), which is rank_p(Rel) since the blocks share no column.
+    A representative's relation that fails its exact check is left out, so
+    its whole orbit falls short and the grade is not certified.
+
     The rank of T_d is |F_d| - dim ker Phi.  By Kostant (1963), a
     polynomial map commuting with X is a combination of I, X, ..., X^(n-1),
     so the relations span ker Phi and are independent over Q; when none is
     lost mod p (rank_p(Rel) = |Rel|), rank T_d = |F_d| - rank_p(Rel)
-    (`sl_rank`).  Every relation of every block is inserted and checked.
-    The grade is certified when all representatives are full and no
-    relation is lost.  Otherwise `missing_witnesses` lists, for each open
-    representative, its pairs outside span(B + Rel) mod p as unproven,
+    (`sl_rank`).  The grade is certified when all representatives are full
+    and no relation is lost.  Otherwise `missing_witnesses` lists, for each
+    open representative, its pairs outside span(B + Rel) mod p as unproven,
     then a line for the other blocks of its orbit, which follow it and are
     unproven too; `achieved_rank` counts the rest.
     """
@@ -706,10 +783,10 @@ def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
         method="pair-coordinate" if len(orbits) == len(groups) else "pair-coordinate/weyl-orbit",
         operands="seeds" if d <= 1 else "T_1 x T_{d-1}",
         target_rank=target, achieved_rank=target - len(missing) - unproven,
-        missing_witnesses=missing + follow, span_rank=space.rank,
+        missing_witnesses=missing + follow, span_rank=relation_rank + gl_rank,
         sl_rank=target - relation_rank if certified else None,
         sl_target_component_rank=target - relation_rank,
-        gl_rank=space.rank - relation_rank,
+        gl_rank=gl_rank,
         brackets_evaluated=evaluated, brackets_skipped=skipped,
         blocks=len(groups), blocks_computed=computed,
         complete=complete, certified=certified,

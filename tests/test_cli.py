@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specball import cli, flows, kernelgrowth
+from specball import cli, flows, kernelgrowth, liegen
 from specball.flows import matrix_from_json, matrix_to_json
 
 
@@ -195,6 +195,17 @@ def test_generate_report_matches_recorded(capsys, budget, code, last):
     assert payload["complete"] == (budget is None)
 
 
+@pytest.mark.parametrize("n,max_degree", [(4, 3), (2, 6)])
+def test_generate_report_matches_recorded_at_other_sizes(capsys, n, max_degree):
+    # the same byte-for-byte check where the orbit step leaves most blocks
+    # to their representatives: (4,3), whose grade 3 fills 16 of its 309
+    # blocks, and n = 2 up to grade 6
+    code, out = run(capsys, ["generate", "--n", str(n), "--max-degree", str(max_degree)])
+    assert code == 0
+    name = f"generate_n{n}_d{max_degree}.json"
+    assert out == (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+
+
 def test_generate_method_flag_has_no_effect(capsys):
     # every grade has the pair-coordinate certificate whatever --method says,
     # with one block per Weyl orbit from grade 2 on
@@ -256,6 +267,26 @@ def test_generate_rejects_out_of_range_bounds(capsys, flags):
     code, out = run(capsys, ["generate", "--n", "2"] + flags)
     assert code == 2
     assert out == ""
+
+
+def test_generate_budget_ms_counts_seed_building(capsys, monkeypatch):
+    # the clock stands still except while the seeds are built, which takes
+    # the whole --budget-ms and more: no grade is started, and generate
+    # exits 3 with no grade reported
+    clock = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+    build = liegen.build_seeds
+
+    def slow_build(n):
+        seeds = build(n)
+        clock[0] += 1.0
+        return seeds
+
+    monkeypatch.setattr(liegen, "build_seeds", slow_build)
+    code, out = run(capsys, ["generate", "--n", "2", "--max-degree", "2", "--budget-ms", "500"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["degrees"] == [] and not payload["complete"]
 
 
 def test_generate_zero_bracket_budget(capsys):

@@ -592,7 +592,8 @@ def test_closure_ranks_closed_form(n, max_degree, closure_n3):
     # those of the closure that bracketed field vectors in column coordinates
     # (one-prime certificate); (3,4) and (4,3) come from [T_1, T_{d-1}] alone.
     # Grades 0-1 fill every block; a grade d >= 2 fills one block per orbit
-    # of S_n x <tau>, and its echelon holds the kept vectors and every relation
+    # of S_n x <tau>, its echelon holds the kept vectors and the relations of
+    # those blocks, and each block's relation rank counts for its whole orbit
     res = closure_n3 if (n, max_degree) == (3, 2) else closure_of(n, max_degree)
     ring = liegen._TracelessFields(n, max_degree)
     for d in range(max_degree + 1):
@@ -873,6 +874,78 @@ def test_a_relation_that_does_not_vanish_stays_out_of_the_rank(monkeypatch):
     rep = res.reports[2]
     assert rep.relation_rank == closed_form(3, 2)[1] - 1
     assert rep.complete and not rep.certified and rep.sl_rank is None
+
+
+def test_a_relation_that_does_not_vanish_counts_for_its_whole_orbit(monkeypatch):
+    # a representative's relation rank stands for every block of its orbit:
+    # one bad relation in a representative block whose orbit has several
+    # blocks lowers the relation rank by the orbit's size, and the grade is
+    # not certified
+    ring = liegen._TracelessFields(3, 2)
+    weights = ring.weights(2)
+    orbits = ring.orbits(weights)
+    relations = liegen._TracelessFields.relations
+    at = next(i for i, r in enumerate(ring.relations(2))
+              if len(orbits.get(weights[next(iter(r))], ())) >= 2)
+    size = len(orbits[weights[next(iter(ring.relations(2)[at]))]])
+
+    def with_one_bad(self, d):
+        out = relations(self, d)
+        if d == 2:
+            out[at] = bad = dict(out[at])
+            bad[next(iter(bad))] += 1
+        return out
+
+    monkeypatch.setattr(liegen._TracelessFields, "relations", with_one_bad)
+    res = closure(build_seeds(3), 2)
+    assert res.reports[1].certified
+    rep = res.reports[2]
+    assert size >= 2 and rep.relation_rank == closed_form(3, 2)[1] - size
+    assert rep.complete and not rep.certified and rep.sl_rank is None
+
+
+@pytest.mark.parametrize("n,max_degree", [(3, 3), (4, 2)])
+def test_closure_sets_up_only_what_the_representatives_use(n, max_degree, monkeypatch):
+    # the orbit step checks exactly, and inserts, only the relations of the
+    # representative blocks, and `closure(all_blocks=True)` all of them;
+    # a pair-bracket table derives W(f) only for the right monomials f of
+    # the brackets it takes
+    checked = {}
+    relation_blocks = liegen._relation_blocks
+
+    def recording_blocks(ring, d, relations, weights):
+        space = relation_blocks(ring, d, relations, weights)
+        checked[d] = (relations, space)
+        return space
+
+    used = {}
+    add_bracket = liegen._PairBrackets.add
+
+    def recording_add(self, a, b, scale, out):
+        used.setdefault(self, set()).add(b // self.nv)
+        add_bracket(self, a, b, scale, out)
+
+    monkeypatch.setattr(liegen, "_relation_blocks", recording_blocks)
+    monkeypatch.setattr(liegen._PairBrackets, "add", recording_add)
+    ring = liegen._TracelessFields(n, max_degree)
+    for all_blocks in (False, True):
+        checked.clear()
+        used.clear()
+        res = closure(build_seeds(n), max_degree, all_blocks=all_blocks)
+        for d in range(max_degree + 1):
+            weights, every = ring.weights(d), ring.relations(d)
+            blocks = ring.orbits(weights) if d >= 2 and not all_blocks else set(weights)
+            relations, space = checked[d]
+            assert relations == [r for r in every if weights[next(iter(r))] in blocks]
+            assert (len(relations) < len(every)) == (d >= 2 and not all_blocks)
+            # each one vanished and went into the echelon before the kept vectors
+            assert space.rank == len(relations) + len(res.spans[d])
+        for table, js in used.items():
+            assert set(table.derivatives) == js
+        # at (4,2) the representatives use every variable; at (3,3) they
+        # leave some degree-2 right monomials unused
+        top = next(t for t in used if len(t.offset) == len(ring.monomials(max_degree)))
+        assert (len(top.derivatives) < len(top.right)) == (max_degree == 3 and not all_blocks)
 
 
 def weight_oracle(ring, key):
