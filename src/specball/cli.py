@@ -187,7 +187,7 @@ def cmd_generate(args) -> int:
         degrees.append({
             "n": rep.n, "degree": rep.grade, "method": rep.method, "operands": rep.operands,
             "target_rank": rep.target_rank, "achieved_rank": rep.achieved_rank,
-            "missing_witnesses": rep.missing_witnesses, "span_rank": rep.span_rank,
+            "missing_witnesses": rep.missing_witnesses,
             "sl_component_rank": rep.sl_rank,
             "sl_target_component_rank": rep.sl_target_component_rank,
             "gl_component_rank": rep.gl_rank,

@@ -17,27 +17,25 @@ Grades 0 and 1 close the seeds under the kept generators; a grade d >= 2
 brackets grade-1 pairs with grade-(d-1) pairs, which lie in L once those
 grades are certified.
 
-Each grade is certified with one prime `CLOSURE_PRIME` (`_certify_degree`):
-when the kept vectors B and the relations Rel (checked exactly to vanish as
-fields) span all pairs mod p, they span them over Q, so every pair is in L.
-The relations are those of Kostant (1963): n times the traceless part of
-X^k times a monomial, for k = 1..n-1.  They span the kernel of the map from
-pairs to fields (e.g. 2*x12*Theta12 + 2*x21*Theta21 + (x11-x22)*Xi1 = 0 on
-2x2 matrices), so, when none is lost mod p, the rank of the target fields
-is the pair count minus the relation rank; reports carry both numbers.
+The pair vectors with that closed form are the sections of the action Lie
+algebroid C[sl_n] (x) sl_n of sl_n acting on itself (Mackenzie, 2005), and
+its anchor Phi, from pair vectors to fields, is a Lie algebra
+homomorphism.  So a formal bracket of pair vectors whose fields lie in L
+stands for a field in L, and each grade is certified from the kept
+brackets and seeds B alone, with one prime `CLOSURE_PRIME`
+(`_certify_degree`): when B spans all pairs mod p, it spans them over Q,
+so every pair is in L.  The rank of the target fields is the pair count
+minus the dimension of ker Phi, which Kostant (1963) gives in closed form
+(`relation_rank`); reports carry both numbers.
 
 Every generator field, seed, bracket and pair is homogeneous for the
-weights of the diagonal torus of SL_n (x_ij has weight e_i - e_j), and so
-is every relation, because X^k commutes with X.  The echelon is therefore
-one `linalg.ModularRowSpace` graded by weight, and the certificate holds
-block by block.  Conjugation by permutation matrices (S_n) and the
-transpose tau permute the blocks and are Lie algebra automorphisms that
-keep each grade and the relations, so a grade d >= 2 brackets only in the
-block of one representative weight per orbit of S_n x <tau>, block by
-block, and a full representative proves its whole orbit.  Only the
-representatives' relations are checked and inserted there; each one's
-relation rank counts once per block of its orbit (`closure`,
-`_certify_degree`).
+weights of the diagonal torus of SL_n (x_ij has weight e_i - e_j).  The
+echelon is therefore one `linalg.ModularRowSpace` graded by weight, and the
+certificate holds block by block.  Conjugation by permutation matrices
+(S_n) and the transpose tau permute the blocks and are Lie algebra
+automorphisms that keep each grade, so a grade d >= 2 brackets only in the
+block of one representative weight per orbit of S_n x <tau>, and a full
+representative proves its whole orbit (`closure`, `_certify_degree`).
 """
 from __future__ import annotations
 
@@ -49,7 +47,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import comb, isqrt
 
 from .adjointfields import (
     GeneratorId,
@@ -269,12 +267,6 @@ class _TracelessFields:
         self._slices: dict[int, tuple[list[int], dict[int, int], list[int]]] = {}
         self._restricted: dict[Monomial, dict[int, int]] = {}
         self.trace_form = {units[a * (n + 1)]: -1 for a in range(n - 1)}
-        # the matrix X on tr = 0, entries as packed polynomials
-        self.X = X = [[{units[i * n + j]: 1} if i * n + j < nv else self.trace_form
-                       for j in range(n)] for i in range(n)]
-        # R_1, R_2, ... so far, and X^k for the last of them (X before R_1)
-        self._kostant: list[list[tuple[int, list[tuple[int, int]]]]] = []
-        self._power = X
         # The sl_n weight e_i - e_j of x_ij, as the int B^i - B^j.  A pair
         # f * V has weight weight(f) + weight(V); brackets and products add
         # weights, and substituting for x_nn (weight 0) keeps them.  A
@@ -287,12 +279,10 @@ class _TracelessFields:
         self.gen_weights = [self.var_weights[(g.b - 1) * n + g.a - 1] if isinstance(g, Theta)
                             else 0 for g in ids]
         # V(x_v) on tr = 0, the component v of each generator's table, by the
-        # unit key of x_v; the generator fields, components 0..nv-1
+        # unit key of x_v
         tables = [generator_components(n, g) for g in ids]
         self.images = [{units[v]: self.restrict(t[v]) if v in t else {} for v in range(nv)}
                        for t in tables]
-        self.gens = [{m + v: c for v in range(nv) for m, c in image[units[v]].items()}
-                     for image in self.images]
         # [W, V] = sum c * U, from [A_W, A_V] in the basis of the matrices,
         # each given by its at most two nonzero entries
         entries = [[(i, j, c) for i, row in enumerate(generator_matrix(n, g))
@@ -363,43 +353,6 @@ class _TracelessFields:
                 images[mono] = image
             terms.append((image, c))
         return _sum(terms)
-
-    def kostant(self, k: int) -> list[tuple[int, list[tuple[int, int]]]]:
-        """R_k: (monomial key m, generator coordinates (`_sl_coordinates`) of
-        the coefficient of m in n X^k - tr(X^k) I), for k = 1..n-1.  The
-        powers X^k come from one running product, each read in one pass
-        over its entries, and each R_k is computed once per ring."""
-        n, X, out = self.n, self.X, self._kostant
-        while len(out) < k:
-            if out:
-                P = self._power
-                self._power = [[_sum((_mul(P[i][l], X[l][j]), 1) for l in range(n))
-                                for j in range(n)] for i in range(n)]
-            entries: dict[int, dict[tuple[int, int], int]] = {}
-            for i, row in enumerate(self._power):
-                for j, p in enumerate(row):
-                    for m, c in p.items():
-                        entries.setdefault(m, {})[i, j] = n * c
-            for m, C in entries.items():
-                trace = sum(C.get((i, i), 0) for i in range(n)) // n
-                for i in range(n):
-                    C[i, i] = C.get((i, i), 0) - trace
-                entries[m] = _sl_coordinates(n, C)
-            out.append(list(entries.items()))
-        return out[k - 1]
-
-    def relations(self, d: int) -> list[dict[int, int]]:
-        """Relations among the grade-d target pairs, as pair vectors: for
-        k = 1..min(d, n-1), R_k (`kostant`) times each degree-(d-k)
-        monomial.  X^k commutes with X, so the matching combination of the
-        fields f*V vanishes."""
-        nv, index = self.nv, self._slice(d)[1]
-        out = []
-        for k in range(1, min(d, self.n - 1) + 1):
-            coords = self.kostant(k)
-            for mu in self.monomials(d - k):
-                out.append({index[mu + m] * nv + gi: c for m, cs in coords for gi, c in cs})
-        return out
 
 
 class _PairBrackets:
@@ -477,20 +430,18 @@ class DegreeReport:
     operands: str                    # "seeds" (grades 0-1) or "T_1 x T_{d-1}"
     target_rank: int                 # |F_d|: monomial x generator pairs (traceless)
     achieved_rank: int               # pairs proved in L: all when certified
-    missing_witnesses: list[str]     # pairs of open representatives outside span(B + Rel) mod p
-    span_rank: int                   # rank_p(B + Rel) in pair coordinates: relation_rank + gl_rank
+    missing_witnesses: list[str]     # pairs of open representatives outside span(B) mod p
     sl_rank: int | None              # certified: rank T_d = target_rank - relation_rank
-    sl_target_component_rank: int    # target_rank - relation_rank: an upper bound on rank T_d
-    gl_rank: int                     # kept vectors B
+    sl_target_component_rank: int    # target_rank - relation_rank: rank T_d by Kostant's count
+    gl_rank: int                     # kept vectors B: rank_p(B) in pair coordinates
     brackets_evaluated: int          # brackets computed
     brackets_skipped: int            # brackets of the step not computed (`closure`)
     blocks: int                      # weight blocks of the grade
     blocks_computed: int             # blocks the brackets were computed for
     complete: bool                   # fixed point, full rank or operands exhausted within budget
     certified: bool                  # every pair in L and rank T_d proven (`_certify_degree`)
-    prime: int                       # p of the echelon of B and Rel
-    relation_rank: int               # rank_p of the relations checked to vanish, each block's
-                                     # times its orbit's size (`_certify_degree`)
+    prime: int                       # p of the echelon of B
+    relation_rank: int               # dim ker Phi at grade d, Kostant's count (`_certify_degree`)
 
 
 @dataclass
@@ -508,19 +459,20 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
     coordinates (`_TracelessFields`): a vector of grade d stands for the sum
     of c * f * V over the degree-d monomials f and generators V, on tr = 0.
 
-    Each grade puts its relations Rel (`_relation_blocks`, for the blocks
-    it fills), its seeds (checked by `_seed_ring`) and then brackets into
-    one mod-p echelon over the pair coordinates, and keeps a vector exactly
-    when it is new there:
-    `spans[d]` lists the kept vectors B, each a pair-coordinate
-    representative of a field in the algebra.  One helper takes every
-    bracket: it charges the budget, sums the bracket through
-    `_PairBrackets.add` and keeps it.  Every pair, relation and bracket is
-    homogeneous for the sl_n torus weight (`_TracelessFields.var_weights`),
-    so the echelon is one `ModularRowSpace` graded by pair weight, whose
-    `open_blocks` are the weights still below the rank of their pair count;
-    a bracket's weight, the sum of its operands', is known before it is
-    taken.  Two plain loops feed the helper.
+    Each grade puts its seeds (checked by `_seed_ring`) and then brackets
+    into one mod-p echelon over the pair coordinates, and keeps a vector
+    exactly when it is new there: `spans[d]` lists the kept vectors B, each
+    a seed or a formal bracket of pair vectors whose fields lie in the
+    algebra (a section of the action Lie algebroid, see `_certify_degree`),
+    so its own field does too.  Nothing else goes in: a block is full when
+    B alone has rank |F_w| there.  One helper takes every bracket: it
+    charges the budget, sums the bracket through `_PairBrackets.add` and
+    keeps it.  Every pair and bracket is homogeneous for the sl_n torus
+    weight (`_TracelessFields.var_weights`), so the echelon is one
+    `ModularRowSpace` graded by pair weight, whose `open_blocks` are the
+    weights still below the rank of their pair count; a bracket's weight,
+    the sum of its operands', is known before it is taken.  Two plain loops
+    feed the helper.
 
     The walk (grades 0 and 1) goes over the growing list of kept vectors and
     brackets each with each kept grade-0 vector (at grade 0, each one kept
@@ -534,13 +486,10 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
     (`_TracelessFields.orbits`; the lemma of `_certify_degree` proves the
     rest of the orbit) it brackets the grade-1 pairs of weight u with the
     grade-(d-1) pairs of weight w - u (a < b at d = 2) until block w is
-    full; `brackets_skipped` counts the rest of the step.  The orbits are
-    decided before any relation goes in: only the representatives'
-    relations are checked and inserted, and `relation_rank` is the sum over
-    representatives w of |orbit(w)| * rank_p(Rel_w), from which `span_rank`
-    and `gl_rank` follow.  `all_blocks=True` computes every block and
-    checks every relation, the tests' reference, and so does a grade that
-    has seeds of its own, which the symmetry need not map into L.
+    full; `brackets_skipped` counts the rest of the step.
+    `all_blocks=True` computes every block, the tests' reference, and so
+    does a grade that has seeds of its own, which the symmetry need not map
+    into L.
 
     Soundness does not rest on the weight prediction: a kept vector goes to
     the block its own coordinates name (across two blocks it raises
@@ -573,16 +522,12 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
         for i, w in enumerate(weights):
             groups.setdefault(w, []).append(i)
         # the step fills one block per orbit, unless every block is asked
-        # for or the grade has seeds of its own; only those blocks' relations
-        # are checked and inserted, and each counts for its whole orbit
+        # for or the grade has seeds of its own
         if d >= 2 and not (all_blocks or any(s.grade == d for s in seeds)):
             orbits = ring.orbits(weights)
         else:
             orbits = {w: [w] for w in groups}
-        relations = ring.relations(d)
-        filled = [r for r in relations if weights[next(iter(r))] in orbits]
-        space = _relation_blocks(ring, d, filled, weights)
-        relation_rank = sum(len(ws) * space.block_rank(w) for w, ws in orbits.items())
+        space = ModularRowSpace(CLOSURE_PRIME, weights)
         open_blocks = space.open_blocks
         kept = spans[d] = []
         brackets = _PairBrackets(ring, 0 if d <= 1 else 1, d)
@@ -637,8 +582,7 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
             k, m = len(brackets.left) * ring.nv, len(brackets.right) * ring.nv
             skipped = ((k * (k - 1) // 2 if d == 2 else k * m) - brackets_done + begun
                        if operands_ok else 0)
-        reports[d] = _certify_degree(ring, d, space, groups, orbits, relation_rank,
-                                     len(relations), len(kept), operands_ok,
+        reports[d] = _certify_degree(ring, d, space, groups, orbits, len(kept), operands_ok,
                                      brackets_done - begun, skipped, computed, complete)
         if not complete:
             break
@@ -684,83 +628,72 @@ def _block_operands(ones: dict[int, list[int]], rest: dict[int, list[int]], w: i
                     yield a, b
 
 
-def _relation_blocks(ring: _TracelessFields, d: int, relations: list[dict[int, int]],
-                     weights: list[int]) -> ModularRowSpace:
-    """The relations r among the grade-d pairs whose field sum_i r_i * f_i *
-    V_i on tr = 0 is exactly 0, in a mod-p echelon graded by the weight of
-    their pairs; a relation that fails the check does not enter the rank."""
-    nv, monomials, gens = ring.nv, ring.monomials(d), ring.gens
-    space = ModularRowSpace(CLOSURE_PRIME, weights)
-    for r in relations:
-        field: dict[int, int] = {}
-        for i, c in r.items():
-            f = monomials[i // nv]
-            for k, v in gens[i % nv].items():
-                field[f + k] = field.get(f + k, 0) + c * v
-        if not any(field.values()):
-            space.insert(r)
-    return space
-
-
 def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
                     groups: dict[int, list[int]], orbits: dict[int, list[int]],
-                    relation_rank: int, relation_count: int, gl_rank: int,
-                    operands_ok: bool, evaluated: int, skipped: int, computed: int,
-                    complete: bool) -> DegreeReport:
+                    gl_rank: int, operands_ok: bool, evaluated: int, skipped: int,
+                    computed: int, complete: bool) -> DegreeReport:
     """The pair-coordinate certificate of a grade.
 
     F_d are the grade-d pairs f*V, Phi the map from pair coordinates to
     fields on tr = 0, T_d = Phi(Q^{F_d}) and L the Lie algebra the seeds
-    generate.  B are the kept vectors: seeds, or brackets of two elements of
+    generate.  The pair vectors, with the closed-form bracket of
+    `_PairBrackets`, are the sections of the action Lie algebroid
+    C[sl_n] (x) sl_n, and its anchor Phi is a Lie algebra homomorphism
+    (`test_vector_bracket_matches_polynomial_bracket` checks the closed form
+    against the bracket of fields).  B are the kept vectors: seeds, whose
+    fields are in L, or formal brackets of two vectors whose fields are in
     L, so Phi(B) lies in L; at grades d >= 2 this needs grades 1 and d - 1
-    certified.  The relations Rel lie in ker Phi (checked exactly).  If
+    certified.  If
 
-        rank_p(B + Rel) = |F_d|,
+        rank_p(B) = |F_d|,
 
-    then B + Rel spans F_p^{F_d}, hence Q^{F_d} (integer vectors independent
-    mod p are independent over Q), so Phi(span B) = T_d: every pair is in L.
-    Everything is graded by weight, so this holds block by block:
-    rank_p(B_w + Rel_w) = |F_w| puts every pair of weight w in L.
+    then B spans F_p^{F_d}, hence Q^{F_d} (integer vectors independent mod p
+    are independent over Q), so Phi(span B) = T_d lies in L: every pair is
+    in L.  Everything is graded by weight, so this holds block by block:
+    rank_p(B_w) = |F_w| gives Phi(span B_w) = T_{d,w}, and every pair of
+    weight w is in L.  The converse fails: a seed set whose brackets reach
+    T_{d,w} only modulo ker Phi (the Theta seeds alone, at grade 1) leaves
+    the block open, unproven rather than disproved.
 
     One block per orbit (d >= 2).  A permutation matrix P acts by
     X -> P X P^-1 and the transpose tau by X -> X^T; each pushes fields
     forward by a linear automorphism of tr = 0, so it is a Lie algebra
-    automorphism sigma that maps T_k onto T_k, ker Phi onto ker Phi, and
-    Q^{F_w} onto Q^{F_sigma(w)} (P permutes the coordinates of w, tau
-    negates it).  Let grades 1 and d - 1 be certified and rank_p(B_w +
-    Rel_w) = |F_w|.  Each b in B_w is a bracket [u, x] with u in T_1 and x
-    in T_{d-1}, so sigma(b) = [sigma(u), sigma(x)] lies in L, and
-    sigma(Rel_w) lies in ker Phi; their span is Q^{F_sigma(w)}, so every
-    pair of weight sigma(w) is in L with nothing computed.  A grade needs
-    only its orbit representatives full (`orbits`; at grades 0-1 and under
-    `closure(all_blocks=True)` every block is its own).
+    automorphism sigma that maps T_k onto T_k and Q^{F_w} onto
+    Q^{F_sigma(w)} (P permutes the coordinates of w, tau negates it).  On
+    pair coordinates sigma is an integer matrix with an integer inverse
+    (Theta_ab goes to +-Theta_sigma(a)sigma(b), the Xi_a by the Weyl action
+    on the coroots, monomials by an integer substitution) that commutes
+    with the closed-form bracket.  Let grades 1 and d - 1 be certified and
+    rank_p(B_w) = |F_w|.  Each b in B_w is a bracket [u, x] of pair vectors
+    of grades 1 and d - 1, and so is sigma(b) = [sigma(u), sigma(x)]; every
+    pair vector of those grades stands for a field in L, so Phi(sigma(b))
+    lies in L.  sigma(B_w) spans Q^{F_sigma(w)}, so every pair of weight
+    sigma(w) is in L with nothing computed.  A grade needs only its orbit representatives
+    full (`orbits`; at grades 0-1 and under `closure(all_blocks=True)`
+    every block is its own).
 
-    The relations follow the same orbits.  Each sigma acts on the pair
-    coordinates by an integer matrix whose inverse is integral too (Theta_ab
-    goes to +-Theta_sigma(a)sigma(b), the Xi_a by the Weyl action on the
-    coroots, monomials by an integer substitution), and it maps each mu * R_k
-    to an integer combination of the mu' * R_k.  So sigma maps the span of
-    Rel_w onto that of Rel_sigma(w), mod p as well, and rank_p(Rel_sigma(w))
-    = rank_p(Rel_w).  Only the representatives' relations are checked and
-    inserted, and `relation_rank` = sum over representatives of |orbit(w)|
-    * rank_p(Rel_w), which is rank_p(Rel) since the blocks share no column.
-    A representative's relation that fails its exact check is left out, so
-    its whole orbit falls short and the grade is not certified.
+    The rank of T_d is |F_d| - dim ker Phi_d, and dim ker Phi_d is
+    `relation_rank` = sum over k = 1..min(d, n-1) of C(n^2 + d - k - 2,
+    d - k), the number of relations mu * R_k, R_k the generator coordinates
+    of n X^k - tr(X^k) I and mu a degree-(d-k) monomial.  Spanning: by
+    Kostant (1963), a polynomial map commuting with X is a combination of
+    I, X, ..., X^(n-1) with polynomial coefficients, so these relations
+    span ker Phi.  Independence: at a regular semisimple X the matrices
+    I, X, ..., X^(n-1) are independent, so sum_k c_k(X) * (n X^k -
+    tr(X^k) I) = 0 forces every c_k to vanish on a dense set, hence to be
+    0.  So a certified grade has `sl_rank` = |F_d| - `relation_rank`.
 
-    The rank of T_d is |F_d| - dim ker Phi.  By Kostant (1963), a
-    polynomial map commuting with X is a combination of I, X, ..., X^(n-1),
-    so the relations span ker Phi and are independent over Q; when none is
-    lost mod p (rank_p(Rel) = |Rel|), rank T_d = |F_d| - rank_p(Rel)
-    (`sl_rank`).  The grade is certified when all representatives are full
-    and no relation is lost.  Otherwise `missing_witnesses` lists, for each
-    open representative, its pairs outside span(B + Rel) mod p as unproven,
-    then a line for the other blocks of its orbit, which follow it and are
+    The grade is certified when its operands are and all representatives
+    are full.  Otherwise `missing_witnesses` lists, for each open
+    representative, its pairs outside span(B) mod p as unproven, then a
+    line for the other blocks of its orbit, which follow it and are
     unproven too; `achieved_rank` counts the rest.
     """
     n, open_blocks = ring.n, space.open_blocks
     target = len(space.block_of)
     open_reps = sorted(w for w in orbits if w in open_blocks)
-    certified = operands_ok and not open_reps and relation_rank == relation_count
+    certified = operands_ok and not open_reps
+    relation_rank = sum(comb(n * n + d - k - 2, d - k) for k in range(1, min(d, n - 1) + 1))
     missing, follow = [], []
     unproven = 0
     if open_reps:
@@ -783,7 +716,7 @@ def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
         method="pair-coordinate" if len(orbits) == len(groups) else "pair-coordinate/weyl-orbit",
         operands="seeds" if d <= 1 else "T_1 x T_{d-1}",
         target_rank=target, achieved_rank=target - len(missing) - unproven,
-        missing_witnesses=missing + follow, span_rank=relation_rank + gl_rank,
+        missing_witnesses=missing + follow,
         sl_rank=target - relation_rank if certified else None,
         sl_target_component_rank=target - relation_rank,
         gl_rank=gl_rank,

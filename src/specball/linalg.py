@@ -6,7 +6,7 @@ reductions stay in arbitrary-precision integers; the kernel oracle and the
 cross-image check rank with them.  The modular variant keeps a reduced
 echelon over F_p, split by a grading of the columns into blocks that share
 no column, and tracks which blocks are below full rank.  The bracket closure
-keeps its vectors and relations in it, graded by sl_n weight, because its
+keeps its vectors in it, graded by sl_n weight, because its
 rank is the lower bound a one-prime certificate needs (integer vectors
 independent mod p are independent over Q, while a vector it rejects may
 still be new over Q).
@@ -120,9 +120,6 @@ class ModularRowSpace:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def block_rank(self, block: int) -> int:
-        return len(self.blocks.get(block, ()))
 
     def block(self, vec: dict[int, int]) -> int | None:
         """The block of vec's columns; None for the zero vector."""

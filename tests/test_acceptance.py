@@ -114,8 +114,8 @@ def test_criterion_02_identity_catalog(capsys):
 def test_criterion_03_generation_closure(capsys):
     """Bracket closure of the overshear seeds reaches every monomial
     coefficient in traceless coordinates: n=2 through degree 4 and n=3
-    through degree 3, every grade certified in pair coordinates (brackets
-    and exactly checked relations span every pair mod p, hence over Q).
+    through degree 3, every grade certified in pair coordinates (the kept
+    brackets and seeds alone span every pair mod p, hence over Q).
     < 10 min."""
     t0 = time.time()
     ok = True

@@ -41,8 +41,8 @@ def test_closure_counters_are_fed(monkeypatch):
     for layer in ("liegen.closure", "liegen.certify"):
         assert metrics[f"{layer}.self_s"]["value"] > 0, layer
     # grade 2 brackets only in the blocks of its Weyl orbit representatives
-    assert metrics["liegen.brackets"]["value"] == 5 + 11
-    assert metrics["liegen.accepted"]["value"] == 3 + 8 + 9
+    assert metrics["liegen.brackets"]["value"] == 6 + 12
+    assert metrics["liegen.accepted"]["value"] == 3 + 9 + 11
     # the seeds are read off the generator tables and the closure brackets
     # integer vectors: no polynomial or field is built, bracketed, scaled or
     # projected, at n = 2 or n = 3

@@ -221,32 +221,32 @@ def test_generate_method_flag_has_no_effect(capsys):
 
 
 @pytest.mark.parametrize("n,max_degree,rows", [
-    (2, 4, [(3, 3, 0, 3, 3, 0, 0, 3, 3), (9, 8, 1, 9, 8, 8, 5, 5, 5),
-            (18, 15, 3, 12, 9, 36, 11, 7, 4), (30, 24, 6, 20, 14, 162, 23, 9, 5),
-            (45, 35, 10, 30, 20, 270, 43, 11, 6)]),
-    (3, 2, [(8, 8, 0, 8, 8, 0, 0, 7, 7), (64, 63, 1, 64, 63, 246, 72, 19, 19),
-            (288, 279, 9, 76, 67, 2016, 115, 37, 6)]),
+    (2, 4, [(3, 3, 0, 3, 0, 0, 3, 3), (9, 8, 1, 9, 8, 6, 5, 5),
+            (18, 15, 3, 11, 36, 12, 7, 4), (30, 24, 6, 18, 162, 29, 9, 5),
+            (45, 35, 10, 26, 270, 54, 11, 6)]),
+    (3, 2, [(8, 8, 0, 8, 0, 0, 7, 7), (64, 63, 1, 64, 246, 74, 19, 19),
+            (288, 279, 9, 71, 2016, 158, 37, 6)]),
 ])
 def test_generate_pinned_rows(capsys, n, max_degree, rows):
-    # (target rank, component rank, relation rank, span rank, kept vectors,
-    # brackets, brackets evaluated, blocks, blocks computed) per grade; the
+    # (target rank, component rank, relation rank, kept vectors, brackets,
+    # brackets evaluated, blocks, blocks computed) per grade; the
     # ranks are those the closure gave when it eliminated polynomial fields
     # exactly over Q.  Grades 0-1 bracket the generators with the kept
     # vectors and skip brackets in full blocks; grades 2 and up bracket
     # grade-1 pairs with grade-(d-1) pairs in one block per Weyl orbit, and
-    # count every other bracket of the step as skipped
+    # count every other bracket of the step as skipped.  Grades 0-1 keep one
+    # vector per pair, as every block is full from brackets and seeds alone
     code, out = run(capsys, ["generate", "--n", str(n), "--max-degree", str(max_degree)])
     assert code == 0
     degrees = json.loads(out)["degrees"]
     assert len(degrees) == len(rows)
     for d, (row, values) in enumerate(zip(degrees, rows)):
-        target, rank, relations, span, kept, brackets, evaluated, blocks, computed = values
+        target, rank, relations, kept, brackets, evaluated, blocks, computed = values
         assert row == {
             "n": n, "degree": d,
             "method": "pair-coordinate" if d <= 1 else "pair-coordinate/weyl-orbit",
             "operands": "seeds" if d <= 1 else "T_1 x T_{d-1}",
             "target_rank": target, "achieved_rank": target, "missing_witnesses": [],
-            "span_rank": span,
             "sl_component_rank": rank, "sl_target_component_rank": rank,
             "gl_component_rank": kept, "brackets_evaluated": evaluated,
             "brackets_skipped": brackets - evaluated,
@@ -254,7 +254,7 @@ def test_generate_pinned_rows(capsys, n, max_degree, rows):
             "prime": 2 ** 31 - 1, "relation_rank": relations,
             "certified": True, "complete": True,
         }
-        assert span == relations + kept
+        assert kept == target if d <= 1 else kept < target
 
 
 @pytest.mark.parametrize("flags", [
