@@ -11,6 +11,12 @@ E_ab -> Theta_ab, H_a -> Xi_a is a Lie algebra homomorphism, i.e.
 bracket(Theta_{a,a+1}, Theta_{a+1,a}) == Xi_a and, on coordinates,
 bracket(v, w)(x) = w(v(x)) - v(w(x)).  This is the negative of the
 operator-commutator orientation; spans and kernels are unaffected.
+
+Storage: a field is one flat term dict, `VectorField.flat`, the term
+c * x^m d/dx_v keyed by the packed `Monomial` m with the variable v packed
+above its n^2 fields.  Scaling, sums and `bracket` are each one pass of the
+polyring kernels over it; `components`, {v: Polynomial}, is a view built
+on first use.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .polyring import (
     Monomial,
     Polynomial,
     add_multiples,
+    exact_coefficient,
     flat_index,
     format_poly,
     merge_terms,
@@ -63,39 +70,80 @@ def generator_ids(n: int) -> list[GeneratorId]:
 
 
 class VectorField:
-    """Polynomial derivation, stored componentwise: var -> coefficient of d/dx."""
+    """Polynomial derivation sum_v p_v d/dx_v, stored as one flat term dict:
+    the term c * x^m d/dx_v is `flat[m + (v << 64 n^2)] = c`, the variable
+    tag v packed above the n^2 exponent fields of the `Monomial` m.  No term
+    is zero, and each coefficient is an int when integral (the polyring
+    convention).  `components`, {v: p_v} in increasing v with `Monomial`
+    keys, is the public view, built from `flat` on first use."""
 
-    __slots__ = ("n", "components")
+    __slots__ = ("n", "flat", "_components")
 
     def __init__(self, n: int, components: dict[int, Polynomial] | None = None):
-        object.__setattr__(self, "n", n)
-        clean = {}
-        if components:
-            for v, p in components.items():
-                if p.nvars != n * n:
-                    raise DimensionMismatch("component ring does not match field dimension")
-                if not p.is_zero():
-                    clean[v] = p
-        object.__setattr__(self, "components", clean)
+        nvars = n * n
+        flat, clean = {}, {}
+        for v in sorted(components or ()):
+            p = components[v]
+            if p.nvars != nvars:
+                raise DimensionMismatch("component ring does not match field dimension")
+            if not 0 <= v < nvars:
+                raise IndexError(f"component variable {v} out of range for n={n}")
+            if p.terms:
+                clean[v] = p
+                tag = v << (nvars << 6)
+                for m, c in p.terms.items():
+                    flat[m + tag] = c
+        _SET_N(self, n)
+        _SET_FLAT(self, flat)
+        _SET_COMPONENTS(self, clean)
 
     @classmethod
-    def _of(cls, n: int, components: dict[int, Polynomial]) -> "VectorField":
-        """Wrap nonzero components on the field's ring, built by the field
-        arithmetic below, without checking or copying them."""
+    def _of(cls, n: int, flat: dict) -> "VectorField":
+        """Wrap a zero-free flat term dict built by the field arithmetic
+        below, without copying it.  Only a Fraction can have become
+        integral; it is lowered to an int here."""
+        for k, c in flat.items():
+            if type(c) is not int and c.denominator == 1:
+                flat[k] = c.numerator
         f = object.__new__(cls)
-        object.__setattr__(f, "n", n)
-        object.__setattr__(f, "components", components)
+        _SET_N(f, n)
+        _SET_FLAT(f, flat)
+        _SET_COMPONENTS(f, None)
         return f
 
     def __setattr__(self, *args):
         raise AttributeError("VectorField is immutable")
+
+    @property
+    def components(self) -> dict[int, Polynomial]:
+        """{v: coefficient of d/dx_v}, nonzero ones in increasing v, read off
+        `flat` in one pass the first time it is asked for.  Shared, so never
+        mutated."""
+        comps = self._components
+        if comps is None:
+            nvars = self.n * self.n
+            shift = nvars << 6
+            mask, new = (1 << shift) - 1, int.__new__
+            groups: dict[int, dict] = {}
+            for k, c in self.flat.items():
+                terms = groups.get(v := k >> shift)
+                if terms is None:
+                    terms = groups[v] = {}
+                terms[new(Monomial, k & mask)] = c
+            comps = {}
+            for v in sorted(groups):    # flat is canonical: wrapped as it is
+                p = comps[v] = object.__new__(Polynomial)
+                _SET_POLY_NVARS(p, nvars)
+                _SET_POLY_TERMS(p, groups[v])
+            _SET_COMPONENTS(self, comps)
+        return comps
 
     @staticmethod
     def zero(n: int) -> "VectorField":
         return VectorField(n)
 
     def is_zero(self) -> bool:
-        return not self.components
+        return not self.flat
 
     def component(self, row: int, col: int) -> Polynomial:
         return self.components.get(flat_index(row, col, self.n),
@@ -105,37 +153,26 @@ class VectorField:
         if self.n != other.n:
             raise DimensionMismatch(f"fields on different rings: n={self.n} vs n={other.n}")
 
-    def _merge(self, other: "VectorField", sign: int) -> "VectorField":
-        """self + sign * other, each shared component merged in one pass."""
-        self._check(other)
-        nvars = self.n * self.n
-        out = dict(self.components)
-        for v, p in other.components.items():
-            q = out.get(v)
-            if terms := merge_terms(dict(q.terms) if q else {}, p.terms, sign):
-                out[v] = Polynomial._of(nvars, terms)
-            else:
-                del out[v]
-        return VectorField._of(self.n, out)
-
     def __add__(self, other: "VectorField") -> "VectorField":
-        return self._merge(other, 1)
+        self._check(other)
+        return VectorField._of(self.n, merge_terms(dict(self.flat), other.flat))
 
     def __neg__(self) -> "VectorField":
-        return VectorField._of(self.n, {v: -p for v, p in self.components.items()})
+        return VectorField._of(self.n, {k: -c for k, c in self.flat.items()})
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return self._merge(other, -1)
+        self._check(other)
+        return VectorField._of(self.n, merge_terms(dict(self.flat), other.flat, -1))
 
     def __rmul__(self, c) -> "VectorField":
-        return VectorField(self.n, {v: p.scale(c) for v, p in self.components.items()})
+        c = exact_coefficient(c)
+        return VectorField._of(self.n, {k: c * co for k, co in self.flat.items()} if c else {})
 
     def __eq__(self, other):
-        return (isinstance(other, VectorField)
-                and self.n == other.n and self.components == other.components)
+        return isinstance(other, VectorField) and self.n == other.n and self.flat == other.flat
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.components.items())))
+        return hash((self.n, frozenset(self.flat.items())))
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Derivation action: sum of component * dp/dx over all coordinates,
@@ -146,30 +183,39 @@ class VectorField:
 
     def __repr__(self):
         inner = ", ".join(
-            f"{var_name(v, self.n)}: {format_poly(p)}"
-            for v, p in sorted(self.components.items()))
+            f"{var_name(v, self.n)}: {format_poly(p)}" for v, p in self.components.items())
         return f"VectorField(n={self.n}, {{{inner}}})"
 
 
+_SET_N = VectorField.n.__set__
+_SET_FLAT = VectorField.flat.__set__
+_SET_COMPONENTS = VectorField._components.__set__
+_SET_POLY_NVARS = Polynomial.nvars.__set__
+_SET_POLY_TERMS = Polynomial.terms.__set__
+
+
 def add_derivation(out: dict, comps: dict[int, Polynomial], terms: dict,
-                   sign: int = 1) -> dict:
+                   sign: int = 1, mask: int = -1) -> dict:
     """Add sign * sum_u comps[u] * dp/dx_u, p the polynomial of the term dict
     `terms`, into the term dict `out` in place, dropping every monomial that
     cancels, and return it.  Term by term, each lowered only by the u in
-    comps, with no Polynomial built on the way.  The one derivation kernel:
-    the field arithmetic, the seeds and the overshear atoms apply a field
-    through it."""
+    comps, with no Polynomial built on the way.  A key's bits above `mask`
+    are a tag, not exponents: a field's `flat` keys carry their variable
+    there, and each multiple keeps it, so a whole field is derived in one
+    pass.  The one derivation kernel: the field arithmetic, the seeds and the
+    overshear atoms apply a field through it."""
     multiples = []
-    for mono, c in terms.items():
-        # the variables of mono from the last one, each inserted before the
-        # ones after it, so the multiples go in increasing variable order
-        k, m = len(multiples), mono
+    for key, c in terms.items():
+        # the variables of the key's monomial from the last one, each
+        # inserted before the ones after it, so the multiples of a term go in
+        # increasing variable order
+        k, m = len(multiples), key & mask
         while m:
             shift = (m.bit_length() - 1) & -64
             e = m >> shift
             m ^= e << shift
             if (u := shift >> 6) in comps:
-                multiples.insert(k, (mono - (1 << shift), sign * e * c, comps[u].terms))
+                multiples.insert(k, (key - (1 << shift), sign * e * c, comps[u].terms))
     return add_multiples(out, multiples) if multiples else out
 
 
@@ -232,43 +278,43 @@ def make_xi(n: int, a: int) -> VectorField:
     return generator_field(n, Xi(a))
 
 
+# typed, as `generator_components`
+@functools.lru_cache(maxsize=None, typed=True)
 def generator_field(n: int, gid: GeneratorId) -> VectorField:
-    """The field of a generator id: its table (`generator_components`,
-    cached per (n, gid)) wrapped as an immutable field."""
-    return VectorField._of(n, generator_components(n, gid))
+    """The field of a generator id, built once per (n, gid): its flat terms
+    read off its table (`generator_components`), which is also its
+    `components` view."""
+    comps = generator_components(n, gid)
+    field = VectorField(n, comps)
+    _SET_COMPONENTS(field, comps)
+    return field
 
 
 def bracket(v: VectorField, w: VectorField) -> VectorField:
     """Lie bracket, oriented so bracket(Theta_{a,a+1}, Theta_{a+1,a}) = Xi_a.
 
-    Componentwise: bracket(v, w)(x_kl) = w(v(x_kl)) - v(w(x_kl)), both halves
-    added by `add_derivation`, the kernel of `VectorField.apply`, into one
-    term dict per component.  Bilinear, antisymmetric, satisfies Jacobi.  It
-    must stay this derivation arithmetic and never use the Leibniz rule
-    [fV, gW] = f V(g) W - g W(f) V + fg [V, W] or the structure constants:
-    it is the independent check of `liegen._PairBrackets` and of the
-    catalog's Leibniz identities.
+    Componentwise: bracket(v, w)(x_kl) = w(v(x_kl)) - v(w(x_kl)).  Both
+    halves are derived by `add_derivation`, the kernel of `VectorField.apply`,
+    over the flat terms of one field with the other's components, keeping
+    each term's variable tag, into one flat term dict: first w(v_x) over
+    v.flat, then -v(w_x) over w.flat.  Bilinear, antisymmetric, satisfies
+    Jacobi.  It must stay this derivation arithmetic and never use the
+    Leibniz rule [fV, gW] = f V(g) W - g W(f) V + fg [V, W] or the structure
+    constants: it is the independent check of `liegen._PairBrackets` and of
+    the catalog's Leibniz identities.
     """
     v._check(w)
-    sums: dict[int, dict] = {}
-    for var, p in v.components.items():
-        add_derivation(sums.setdefault(var, {}), w.components, p.terms)
-    for var, p in w.components.items():
-        add_derivation(sums.setdefault(var, {}), v.components, p.terms, -1)
-    nvars = v.n * v.n
-    return VectorField._of(
-        v.n, {var: Polynomial._of(nvars, terms) for var, terms in sums.items() if terms})
+    mask = (1 << (v.n * v.n << 6)) - 1
+    out = add_derivation({}, w.components, v.flat, 1, mask)
+    return VectorField._of(v.n, add_derivation(out, v.components, w.flat, -1, mask))
 
 
 def scale_field(p: Polynomial, v: VectorField) -> VectorField:
-    """The field p * v (componentwise product)."""
+    """The field p * v: p times each component, all in one product pass over
+    v's flat terms."""
     if p.nvars != v.n * v.n:
         raise DimensionMismatch("polynomial ring does not match field dimension")
-    comps, items = {}, p.terms.items()
-    for var, comp in v.components.items():
-        if terms := add_multiples({}, [(m, c, comp.terms) for m, c in items]):
-            comps[var] = Polynomial._of(p.nvars, terms)
-    return VectorField._of(v.n, comps)
+    return VectorField._of(v.n, add_multiples({}, [(m, c, v.flat) for m, c in p.terms.items()]))
 
 
 class OvershearClass(Enum):

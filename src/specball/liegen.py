@@ -804,16 +804,25 @@ def _random_monomial(rng: random.Random, n: int, max_degree: int) -> Polynomial:
     return Polynomial.from_monomial(n * n, Monomial(powers.items()))
 
 
+@cache
+def _draw_ids(n: int) -> tuple[tuple[GeneratorId, ...], tuple[Theta, ...]]:
+    """The generator ids and the Theta ids among them, the lists a
+    cross-term draw chooses from."""
+    gens = tuple(generator_ids(n))
+    return gens, tuple(g for g in gens if isinstance(g, Theta))
+
+
 def _cross_term(n: int, rng: random.Random) -> _Instance:
     a = _random_monomial(rng, n, 1)
     f = _random_monomial(rng, n, 2)
     g = _random_monomial(rng, n, 2)
-    gens = generator_ids(n)
-    T = generator_field(n, rng.choice([gg for gg in gens if isinstance(gg, Theta)]))
+    gens, thetas = _draw_ids(n)
+    T = generator_field(n, rng.choice(thetas))
     L = generator_field(n, rng.choice(gens))
     lhs = bracket(scale_field(a * f, T), scale_field(g, L)) \
         - bracket(scale_field(f, T), scale_field(a * g, L))
-    rhs = scale_field(f * g * T.apply(a), L) + scale_field(f * g * L.apply(a), T)
+    fg = f * g
+    rhs = scale_field(fg * T.apply(a), L) + scale_field(fg * L.apply(a), T)
     return lhs, rhs, -rhs
 
 

@@ -150,15 +150,15 @@ class ModularRowSpace:
         inv = pow(rem[col], -1, p)
         new = {k: c * inv % p for k, c in rem.items()}
         rows = self.blocks.setdefault(block, [])
-        for row in rows:
-            b = row.get(col)
-            if b:
-                for k, c in new.items():
-                    s = (row.get(k, 0) - b * c) % p
-                    if s:
-                        row[k] = s
-                    else:
-                        del row[k]
+        # only the rows holding the new pivot column change
+        for row in [r for r in rows if col in r]:
+            b = row[col]
+            for k, c in new.items():
+                s = (row.get(k, 0) - b * c) % p
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
         rows.append(new)
         self.rows[col] = new
         if len(rows) == self.sizes[block]:

@@ -11,6 +11,7 @@ from specball.adjointfields import (
     Theta,
     Xi,
     VectorField,
+    add_derivation,
     bracket,
     commutator_field,
     divergence,
@@ -443,3 +444,69 @@ def test_field_arithmetic_matches_derivation_formula(n):
         for got, want in cases:
             assert got == want
             _assert_canonical(got)
+
+
+# -- the field contract that the bench and `kernelgrowth` read
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_components_view_keeps_its_shape(n):
+    # components: {var: Polynomial} in increasing var, `Monomial` keys that
+    # hold no variable tag; each coefficient an int exactly when integral
+    nvars = n * n
+    F = scale_field(x(1, 1, n) + x(1, 2, n).scale(2), make_theta(n, 1, 2)) \
+        + scale_field(x(2, 1, n), make_xi(n, 1))
+    G = bracket(F, make_theta(n, 2, 1))
+    half = Fraction(1, 2) * G
+    for field in (F, G, half, 2 * half):
+        assert list(field.components) == sorted(field.components)
+        for var, p in field.components.items():
+            assert 0 <= var < nvars and p.nvars == nvars and not p.is_zero()
+            for mono, c in p.terms.items():
+                assert type(mono) is Monomial
+                assert all(0 <= v < nvars for v, _ in mono.powers)
+                assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+    assert any(type(c) is Fraction for p in half.components.values() for c in p.terms.values())
+    assert 2 * half == G and (2 * half).components == G.components
+    for g in generator_ids(n):
+        assert generator_field(n, g).components is generator_components(n, g)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fields_round_trip_through_their_components(n):
+    # a field rebuilt from its view is equal, and an equal field built from
+    # Fraction(c, 1) coefficients stores ints and hashes the same
+    F = bracket(scale_field(x(1, 2, n) * x(2, 1, n), make_theta(n, 2, 1)), make_xi(n, 1))
+    assert not F.is_zero()
+    assert VectorField(n, F.components) == F
+    frac = VectorField(n, {var: Polynomial(n * n, {m: Fraction(c) for m, c in p.terms.items()})
+                           for var, p in reversed(F.components.items())})
+    assert frac == F and hash(frac) == hash(F)
+    assert all(type(c) is int for p in frac.components.values() for c in p.terms.values())
+    with pytest.raises(IndexError):
+        VectorField(n, {n * n: x(1, 1, n)})
+
+
+def test_zero_field_and_cancelled_components():
+    n, zero = 3, VectorField.zero(3)
+    F = scale_field(x(1, 1, n), make_theta(n, 1, 2))
+    assert zero.is_zero() and zero.flat == {} and zero.components == {}
+    assert (F - F).is_zero() and (F - F).components == {}
+    assert F + zero == F and bracket(F, zero).is_zero() and scale_field(x(1, 2, n), zero).is_zero()
+    assert zero.apply(x(2, 1, n)).is_zero()
+    # one component of F cancels entirely, the others stay as they were
+    var = min(F.components)
+    rest = F - VectorField(n, {var: F.components[var]})
+    assert var not in rest.components
+    assert rest.components == {v: p for v, p in F.components.items() if v != var}
+
+
+def test_derivation_keeps_the_tag_above_its_mask():
+    # the bits above `mask` are a tag the multiples keep, never exponents:
+    # x11 tagged 3, derived by d/dx11 with a component at every field,
+    # gives 5 * tag alone, also where comps has an entry at the tag's field
+    nvars, shift = 4, 4 * 64
+    one = Polynomial.constant(nvars, 5)
+    tagged = {Monomial.variable(0) + (3 << shift): 1}
+    assert add_derivation({}, {0: one, nvars: one}, tagged, 1, (1 << shift) - 1) == {3 << shift: 5}
+    assert add_derivation({}, {0: one}, {Monomial.variable(0): 1}) == {Monomial.one(): 5}

@@ -466,6 +466,50 @@ def test_verify_refutes_a_wrong_right_side(monkeypatch, capsys, name, wrong):
     assert '"holds":false' in capsys.readouterr().out.replace(" ", "")
 
 
+# the (a, f, g, T, L) of each cross-term draw for seed 0, recorded before
+# the draw's id lists were hoisted out of it
+CROSS_TERM_DRAWS = {
+    2: [("x22", "x21", "x21*x22", "theta21", "theta21"),
+        ("x12", "x11*x12", "x12*x21", "theta12", "xi1"),
+        ("x21", "x11*x21", "x12*x21", "theta21", "theta21"),
+        ("x11", "x11", "x11*x22", "theta21", "theta12"),
+        ("x11", "x12", "x12", "theta21", "theta12"),
+        ("x21", "x11*x21", "x11*x21", "theta12", "xi1"),
+        ("x22", "x22", "x12*x21", "theta12", "theta12"),
+        ("x11", "x11*x22", "x12", "theta12", "theta12"),
+        ("x22", "x12^2", "x21*x22", "theta21", "xi1"),
+        ("x11", "x11*x22", "x12^2", "theta12", "xi1"),
+        ("x11", "x21", "x21", "theta21", "theta12"),
+        ("x12", "x11", "x11", "theta12", "xi1")],
+    3: [("x31", "x22", "x22*x31", "theta23", "theta32"),
+        ("x33", "x22", "x12", "theta31", "theta31"),
+        ("x22", "x12", "x32*x33", "theta12", "theta32"),
+        ("x23", "x33", "x32*x33", "theta21", "theta12"),
+        ("x12", "x11*x32", "x21*x23", "theta32", "theta13"),
+        ("x21", "x13", "x12^2", "theta21", "xi2"),
+        ("x22", "x12*x33", "x21*x33", "theta31", "theta31"),
+        ("x12", "x21*x23", "x13*x21", "theta13", "theta12"),
+        ("x32", "x12", "x13", "theta12", "theta13"),
+        ("x33", "x21*x33", "x31", "theta31", "theta31"),
+        ("x32", "x12*x23", "x32", "theta31", "theta32"),
+        ("x21", "x22", "x21", "theta21", "theta21")],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cross_term_draws_are_pinned(n, monkeypatch):
+    # the instances verify checks for a seed are fixed: the same rng calls
+    # in the same order draw the same monomials and generators
+    drawn = []
+    random_monomial, field = liegen._random_monomial, liegen.generator_field
+    monkeypatch.setattr(liegen, "_random_monomial", lambda *args: drawn.append(
+        str(p := random_monomial(*args))) or p)
+    monkeypatch.setattr(liegen, "generator_field", lambda n, g: drawn.append(g.label())
+                        or field(n, g))
+    assert verify_identity("cross-term", n, seed=0).holds
+    assert [tuple(drawn[i:i + 5]) for i in range(0, len(drawn), 5)] == CROSS_TERM_DRAWS[n]
+
+
 def test_verify_identity_unknown_name():
     with pytest.raises(KeyError):
         verify_identity("nonsense", 2)

@@ -5,7 +5,8 @@ operation follows its definition term by term in the order the kernels
 document.  The packed results must equal the reference in value, in the
 type of each stored coefficient (int exactly when integral) and in the
 order of their term dicts, and every packed key must be the documented
-layout: the exponent of x_v in bits [64v, 64v + 64)."""
+layout: the exponent of x_v in bits [64v, 64v + 64).  A field's components
+come in increasing variable order."""
 
 import random
 from fractions import Fraction
@@ -97,11 +98,11 @@ def ref_bracket(v, w):
         ref_derive(sums.setdefault(var, {}), w, p, 1)
     for var, p in w.items():
         ref_derive(sums.setdefault(var, {}), v, p, -1)
-    return {var: t for var, t in sums.items() if t}
+    return {var: sums[var] for var in sorted(sums) if sums[var]}
 
 
 def ref_scale_field(p, v):
-    return {var: t for var, comp in v.items() if (t := ref_mul(p, comp))}
+    return {var: t for var, comp in sorted(v.items()) if (t := ref_mul(p, comp))}
 
 
 def ref_sorted(p):
