@@ -19,18 +19,21 @@ of the right kind, and the growth degree of both in m:
   ker^2 = W_0 + 2 W_1 + W_2.
 
 Any other D is refused.  W_j counts the degree-m monomials of total weight
-j.  Elimination of the slice matrices (`kernel_dim`: the rows of D, or of
-D^2 multiplied row by row, inserted into `linalg.ExactRowSpace` with
-denominators cleared) is the one kernel oracle; the tests check both
-methods against it.
+j (`_weight_counts`).  The counts of one degree are one packed `int`, a
+fixed-width field per weight, so a variable updates each degree with one
+shift-and-add and no field ever carries into the next; weights spread wider
+than the number of variables keep one dict per degree.  Elimination of the
+slice matrices (`kernel_dim`: the rows of D, or of D^2 multiplied row by
+row, inserted into `linalg.ExactRowSpace` with denominators cleared) is the
+one kernel oracle; the tests check both methods against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
-from math import comb
+from itertools import accumulate, combinations_with_replacement, count
+from math import comb, gcd
 
 from .adjointfields import VectorField, make_theta, make_xi
 from .linalg import SparseMatrix
@@ -162,8 +165,7 @@ def kernel_dim_with_method(der: LinearDerivation, m_max: int
         # lowering maps weight 2 injectively into weight 0 in an sl2-module,
         # so W_2 <= W_0 and dim ker D^2 <= 2 dim ker D at every m
         rows = []
-        for by_weight in _weight_counts(weights, m_max):
-            w0, w1, w2 = (by_weight.get(j, 0) for j in (0, 1, 2))
+        for w0, w1, w2 in _weight_counts(weights, m_max):
             rows.append((w0 + w1, w0 + 2 * w1 + w2))
         method = "sl2"
     both_signs = any(w < 0 for w in weights) and any(w > 0 for w in weights)
@@ -213,18 +215,49 @@ class WeightSystem:
         return WeightSystem(weights)
 
 
-def _weight_counts(weights: list[int], m_max: int) -> list[dict[int, int]]:
-    """For each degree m = 0..m_max, the number of degree-m monomials of each
-    total weight, in one pass over the variables."""
-    counts: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(m_max)]
+def _weight_counts(weights: list[int], m_max: int) -> list[tuple[int, int, int]]:
+    """(W_0, W_1, W_2) for each degree m = 0..m_max: the numbers of degree-m
+    monomials of total weight 0, 1 and 2, in one pass over the variables.
+
+    Each variable adds the degree-d monomials divisible by it: it times each
+    degree-(d-1) monomial, whose counts already include it.  With g the gcd
+    of the weights and lo = min w/g, the degree-d counts are packed into one
+    int: the field at index s/g - d lo, `width` bits wide, holds the number
+    of monomials of weight s, so a variable of weight w adds to every degree
+    with one shift-and-add by (w/g - lo) fields.  No field carries into the
+    next: only non-negative counts are added, and every field counts
+    degree-d monomials, at most C(m_max + N - 1, m_max) < 2^width.  W_j is 0
+    when g does not divide j or its index falls outside the row.
+
+    A degree-d row has d (max w - min w)/g + 1 fields, so rows are packed
+    only when that spread is at most N = len(weights); weights spread far
+    wider than the variables (`[1, 10**6]`) leave most fields empty, and
+    their counts stay in one dict per degree."""
+    nvars = len(weights)
+    g = gcd(*weights) or 1
+    lo = min(weights, default=0) // g
+    if not weights or max(weights) // g - lo > nvars:
+        counts: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(m_max)]
+        for w in weights:
+            for d in range(1, m_max + 1):
+                cur = counts[d]
+                for wt, c in counts[d - 1].items():
+                    cur[wt + w] = cur.get(wt + w, 0) + c
+        return [(c.get(0, 0), c.get(1, 0), c.get(2, 0)) for c in counts]
+    width = comb(m_max + nvars - 1, m_max).bit_length()
+    rows = [1] + [0] * m_max
     for w in weights:
-        # add the degree-d monomials divisible by the new variable: it times
-        # each degree-(d-1) monomial, whose counts already include it
+        shift = (w // g - lo) * width
         for d in range(1, m_max + 1):
-            cur = counts[d]
-            for wt, c in counts[d - 1].items():
-                cur[wt + w] = cur.get(wt + w, 0) + c
-    return counts
+            rows[d] += rows[d - 1] << shift
+    mask = (1 << width) - 1
+
+    def column(j):   # W_j of every degree: field j/g - d lo of row d
+        if j % g:
+            return [0] * (m_max + 1)
+        return [row >> at & mask if at >= 0 else 0
+                for row, at in zip(rows, count(j // g * width, -lo * width))]
+    return list(zip(column(0), column(1), column(2)))
 
 
 def weight_kernel_table(ws: WeightSystem, m_max: int) -> list[int]:
@@ -235,7 +268,7 @@ def weight_kernel_table(ws: WeightSystem, m_max: int) -> list[int]:
     """
     if m_max < 0:
         raise ValueError("degree must be non-negative")
-    return [by_weight.get(0, 0) for by_weight in _weight_counts(ws.weights, m_max)]
+    return [w0 for w0, _, _ in _weight_counts(ws.weights, m_max)]
 
 
 def weight_kernel_dim(ws: WeightSystem, m: int) -> int:

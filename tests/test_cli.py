@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -441,6 +442,18 @@ def test_upper_degree_at_maximum_is_accepted(capsys):
     code, out = run(capsys, ["growth", "--chain", "--m", str(cli.MAX_DEGREE)])
     assert code == 0
     assert out.splitlines()[-1].split(",")[2] == str(cli.MAX_DEGREE)
+
+
+def test_largest_kernel_table_matches_recorded_digest(tmp_path):
+    # the CSV of the largest table the CLI accepts, byte for byte: its sha256
+    # was recorded when the weight counts were kept in one dict per degree,
+    # before they were packed into integers
+    out = tmp_path / "kernels.csv"
+    code = cli.main(["kernels", "--n", "3", "--field", "theta12",
+                     "--m", f"0..{cli.MAX_DEGREE}", "--out", str(out)])
+    assert code == 0
+    recorded = (Path(__file__).parent / "data" / "kernels_n3_theta12_m1000.sha256").read_text()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == recorded.split()[0]
 
 
 def test_jets(capsys):

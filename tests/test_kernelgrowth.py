@@ -1,4 +1,7 @@
+import random
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -10,6 +13,7 @@ from specball.kernelgrowth import (
     KernelCountError,
     LinearDerivation,
     WeightSystem,
+    _weight_counts,
     adjoin_bound_check,
     chain_kernel_dims,
     diagonal_kernel_series_formula,
@@ -98,10 +102,66 @@ def test_weight_table_consistent_with_single_calls():
     assert table == [weight_kernel_dim(ws, m) for m in range(7)]
 
 
+def _enumerated_counts(weights, m_max):
+    # (W_0, W_1, W_2) per degree by listing every monomial as a multiset of
+    # variables
+    rows = []
+    for d in range(m_max + 1):
+        row = [0, 0, 0]
+        for combo in combinations_with_replacement(weights, d):
+            if 0 <= (s := sum(combo)) <= 2:
+                row[s] += 1
+        rows.append(tuple(row))
+    return rows
+
+
+def _random_weight_lists():
+    rng = random.Random(38)
+    lists = [[], [0], [3], [-4], [0, 0, 0], [2, 2, -2], [4, -6, 2, 0], [1, 1, -1, -1, 0, 0]]
+    for _ in range(150):
+        weights = [rng.randint(-6, 4) for _ in range(rng.randint(1, 6))]
+        lists.append(weights)
+        lists.append([2 * (w // 2) for w in weights])     # every weight even
+    return lists
+
+
+def test_weight_counts_match_enumeration_on_random_weights():
+    rng = random.Random(7)
+    for weights in _random_weight_lists():
+        m_max = rng.randint(0, 7)
+        assert _weight_counts(weights, m_max) == _enumerated_counts(weights, m_max), weights
+
+
+@pytest.mark.parametrize("weights", [
+    [5, -7], [1, 10**6], [-10**6, 1, 10**6],              # spread above N: one dict per degree
+    [1, -1], [2, -2], [2, 0, -1], [6, -2, 0, 2],          # spread/g = N: packed rows
+    [2, -1], [3, 0, -1], [3, 1, -2, 0],                   # spread/g = N + 1
+])
+def test_weight_counts_match_enumeration_on_both_sides_of_the_packing_rule(weights):
+    assert _weight_counts(weights, 12) == _enumerated_counts(weights, 12)
+
+
+def test_widely_spread_weights_are_not_packed():
+    # packed rows for [1, 10**6] would hold about 10**6 fields per degree
+    tracemalloc.start()
+    try:
+        _weight_counts([1, 10**6], 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_weight_count_field_holds_the_whole_slice():
+    # nine zero weights put every monomial in one field, which must hold the
+    # slice size C(1008, 8) at m = 1000
+    assert _weight_counts([0] * 9, 1000)[1000] == (comb(1008, 8), 0, 0)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_closed_form_matches_dp_and_printed_variant_does_not(n):
     ws = xi1_weight_system(n)
-    for m in range(5):
+    for m in range(31):
         assert diagonal_kernel_series_formula(n, m) == weight_kernel_dim(ws, m)
     # the variant with multiplicity 4n-4 and a repeated k index overcounts
     assert diagonal_kernel_series_formula(n, 2, printed=True) != weight_kernel_dim(ws, 2)
