@@ -13,9 +13,10 @@ bracket(v, w)(x) = w(v(x)) - v(w(x)).  This is the negative of the
 operator-commutator orientation; spans and kernels are unaffected.
 
 Storage: a field is one flat term dict, `VectorField.flat`, the term
-c * x^m d/dx_v keyed by the packed `Monomial` m with the variable v packed
-above its n^2 fields.  Scaling, sums and `bracket` are each one pass of the
-polyring kernels over it; `components`, {v: Polynomial}, is a view built
+c * x^m d/dx_v keyed by the plain int m + (v << 64 n^2): the packed
+monomial m with the variable v above its n^2 fields.  Scaling, sums and
+`bracket` are each one pass of the polyring kernels over it, and none of
+them builds a `Monomial`; `components`, {v: Polynomial}, is a view built
 on first use.
 """
 
@@ -71,11 +72,12 @@ def generator_ids(n: int) -> list[GeneratorId]:
 
 class VectorField:
     """Polynomial derivation sum_v p_v d/dx_v, stored as one flat term dict:
-    the term c * x^m d/dx_v is `flat[m + (v << 64 n^2)] = c`, the variable
-    tag v packed above the n^2 exponent fields of the `Monomial` m.  No term
-    is zero, and each coefficient is an int when integral (the polyring
-    convention).  `components`, {v: p_v} in increasing v with `Monomial`
-    keys, is the public view, built from `flat` on first use."""
+    the term c * x^m d/dx_v is `flat[m + (v << 64 n^2)] = c`, a plain int
+    key, the variable tag v packed above the n^2 exponent fields of the
+    monomial m.  No term is zero, and each coefficient is an int when
+    integral (the polyring convention).  `components`, {v: p_v} in
+    increasing v with `Monomial` keys, is the public view, built from `flat`
+    on first use."""
 
     __slots__ = ("n", "flat", "_components")
 
@@ -121,22 +123,32 @@ class VectorField:
         mutated."""
         comps = self._components
         if comps is None:
-            nvars = self.n * self.n
-            shift = nvars << 6
-            mask, new = (1 << shift) - 1, int.__new__
-            groups: dict[int, dict] = {}
-            for k, c in self.flat.items():
-                terms = groups.get(v := k >> shift)
-                if terms is None:
-                    terms = groups[v] = {}
-                terms[new(Monomial, k & mask)] = c
-            comps = {}
-            for v in sorted(groups):    # flat is canonical: wrapped as it is
-                p = comps[v] = object.__new__(Polynomial)
-                _SET_POLY_NVARS(p, nvars)
-                _SET_POLY_TERMS(p, groups[v])
+            new = int.__new__
+            comps = dict(sorted(self._grouped().items()))
+            for p in comps.values():
+                _SET_POLY_TERMS(p, {new(Monomial, m): c for m, c in p.terms.items()})
             _SET_COMPONENTS(self, comps)
         return comps
+
+    def _grouped(self) -> dict[int, Polynomial]:
+        """{v: p_v}: `flat` grouped by variable tag in one pass into term
+        dicts keyed by the plain int monomial, each held as it is (`flat` is
+        canonical) in a `Polynomial` for `add_derivation`, which reads only
+        its terms; never handed out with these keys."""
+        nvars = self.n * self.n
+        shift = nvars << 6
+        mask, new = (1 << shift) - 1, object.__new__
+        groups: dict[int, dict] = {}
+        for k, c in self.flat.items():
+            terms = groups.get(v := k >> shift)
+            if terms is None:
+                terms = groups[v] = {}
+            terms[k & mask] = c
+        for v, terms in groups.items():
+            p = groups[v] = new(Polynomial)
+            _SET_POLY_NVARS(p, nvars)
+            _SET_POLY_TERMS(p, terms)
+        return groups
 
     @staticmethod
     def zero(n: int) -> "VectorField":
@@ -199,11 +211,13 @@ def add_derivation(out: dict, comps: dict[int, Polynomial], terms: dict,
     """Add sign * sum_u comps[u] * dp/dx_u, p the polynomial of the term dict
     `terms`, into the term dict `out` in place, dropping every monomial that
     cancels, and return it.  Term by term, each lowered only by the u in
-    comps, with no Polynomial built on the way.  A key's bits above `mask`
+    comps, with no Polynomial built on the way; only the terms of comps[u]
+    are read, and their keys may be plain ints.  A key's bits above `mask`
     are a tag, not exponents: a field's `flat` keys carry their variable
     there, and each multiple keeps it, so a whole field is derived in one
-    pass.  The one derivation kernel: the field arithmetic, the seeds and the
-    overshear atoms apply a field through it."""
+    pass, into plain int keys; with no tag (`mask` -1) the new keys are
+    `Monomial`s.  The one derivation kernel: the field arithmetic, the seeds
+    and the overshear atoms apply a field through it."""
     multiples = []
     for key, c in terms.items():
         # the variables of the key's monomial from the last one, each
@@ -216,7 +230,7 @@ def add_derivation(out: dict, comps: dict[int, Polynomial], terms: dict,
             m ^= e << shift
             if (u := shift >> 6) in comps:
                 multiples.insert(k, (key - (1 << shift), sign * e * c, comps[u].terms))
-    return add_multiples(out, multiples) if multiples else out
+    return add_multiples(out, multiples, mask < 0) if multiples else out
 
 
 def generator_matrix(n: int, gid: GeneratorId) -> list[list[int]]:
@@ -297,7 +311,10 @@ def bracket(v: VectorField, w: VectorField) -> VectorField:
     halves are derived by `add_derivation`, the kernel of `VectorField.apply`,
     over the flat terms of one field with the other's components, keeping
     each term's variable tag, into one flat term dict: first w(v_x) over
-    v.flat, then -v(w_x) over w.flat.  Bilinear, antisymmetric, satisfies
+    v.flat, then -v(w_x) over w.flat.  An operand's components are its
+    `components` view when that exists (generator fields), and otherwise its
+    flat terms grouped by tag with plain int keys, so no view is built and no
+    key becomes a `Monomial`.  Bilinear, antisymmetric, satisfies
     Jacobi.  It must stay this derivation arithmetic and never use the
     Leibniz rule [fV, gW] = f V(g) W - g W(f) V + fg [V, W] or the structure
     constants: it is the independent check of `liegen._PairBrackets` and of
@@ -305,8 +322,9 @@ def bracket(v: VectorField, w: VectorField) -> VectorField:
     """
     v._check(w)
     mask = (1 << (v.n * v.n << 6)) - 1
-    out = add_derivation({}, w.components, v.flat, 1, mask)
-    return VectorField._of(v.n, add_derivation(out, v.components, w.flat, -1, mask))
+    out = add_derivation({}, w._components or w._grouped(), v.flat, 1, mask)
+    return VectorField._of(v.n, add_derivation(out, v._components or v._grouped(),
+                                               w.flat, -1, mask))
 
 
 def scale_field(p: Polynomial, v: VectorField) -> VectorField:
@@ -314,7 +332,8 @@ def scale_field(p: Polynomial, v: VectorField) -> VectorField:
     v's flat terms."""
     if p.nvars != v.n * v.n:
         raise DimensionMismatch("polynomial ring does not match field dimension")
-    return VectorField._of(v.n, add_multiples({}, [(m, c, v.flat) for m, c in p.terms.items()]))
+    return VectorField._of(v.n, add_multiples({}, [(m, c, v.flat) for m, c in p.terms.items()],
+                                              False))
 
 
 class OvershearClass(Enum):

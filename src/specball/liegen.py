@@ -284,11 +284,15 @@ class _TracelessFields:
         self.images = [{units[v]: self.restrict(t[v]) if v in t else {} for v in range(nv)}
                        for t in tables]
         # [W, V] = sum c * U, from [A_W, A_V] in the basis of the matrices,
-        # each given by its at most two nonzero entries
+        # each given by its at most two nonzero entries; once per unordered
+        # pair, as [V, W] = -[W, V] and [V, V] = 0
         entries = [[(i, j, c) for i, row in enumerate(generator_matrix(n, g))
                     for j, c in enumerate(row) if c] for g in ids]
-        self.structure = [[_sl_coordinates(n, _commutator_entries(A, B)) for B in entries]
-                          for A in entries]
+        self.structure = structure = [[[] for _ in ids] for _ in ids]
+        for a, A in enumerate(entries):
+            for b in range(a + 1, len(ids)):
+                structure[a][b] = _sl_coordinates(n, _commutator_entries(A, entries[b]))
+                structure[b][a] = [(u, -c) for u, c in structure[a][b]]
 
     def _slice(self, degree: int) -> tuple[list[int], dict[int, int], list[int]]:
         """The keys of the degree-`degree` monomials in `slice_monomials`
@@ -366,8 +370,8 @@ class _PairBrackets:
     [W, V] from the structure constants of `generator_matrix`.
 
     W(f) is summed here by the Leibniz rule on the ring's packed keys, not
-    through `adjointfields.add_derivation`: that works on `Monomial` keys,
-    one field per variable of all n^2, so W(f) would keep its x_nn terms,
+    through `adjointfields.add_derivation`: that works in all n^2 variables,
+    one key field each, so W(f) would keep its x_nn terms,
     while the substitution x_nn = -(x_11 + ... + x_{n-1,n-1}) of tr = 0
     lives in `ring.images`.
     `test_vector_bracket_matches_polynomial_bracket` checks the closed form
@@ -556,13 +560,19 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
             return True
 
         if d <= 1:
-            # the walk: `kept` grows as it is walked; a grade-0 pair's index is its generator's
+            # the walk: `kept` grows as it is walked; a grade-0 pair's index is its
+            # generator's.  Each weight is read once: the grade-0 operands' in
+            # `zero_weights` (grown with `kept` at grade 0), the walked vector's in wx
             operands_ok, computed, skipped = True, len(groups), 0
+            zero_weights = [ring.gen_weights[next(iter(u))] for u in spans[0]] if d else []
             for j, x in enumerate(kept):
-                for u in spans[0] if d else kept[:j]:
+                wx = weights[next(iter(x))]
+                if not d:
+                    zero_weights.append(wx)
+                for u, wu in zip(spans[0] if d else kept[:j], zero_weights):
                     if not open_blocks:
                         break
-                    if ring.gen_weights[next(iter(u))] + weights[next(iter(x))] not in open_blocks:
+                    if wu + wx not in open_blocks:
                         skipped += 1
                     elif not bracket_and_keep((a, b, ua * xb) for a, ua in u.items()
                                               for b, xb in x.items()):

@@ -105,15 +105,23 @@ class ModularRowSpace:
     row's pivot, so reducing a vector is one pass over its pivot columns,
     with no fill-in at other pivots.  A vector goes to the block of its
     columns, and one whose columns lie in two blocks raises `GradingError`.
-    Rows of different blocks share no column, so an insert clears its pivot
-    column only from the rows of its own block.  `open_blocks`, the blocks
-    whose rank is below their column count, is kept up to date on insert."""
+    An insert clears its pivot column from the rows that hold it, found
+    through the column index `holders`: for each non-pivot column, the
+    pivots of the rows that gained it, as a new row's column or as fill-in.
+    An entry goes stale when its row loses the column, and a row that
+    regains it is listed twice; the insert skips a row that no longer holds
+    the column, so its work is the arithmetic alone (Gilbert and Peierls,
+    SIAM J. Sci. Stat. Comput. 9, 1988).  Each row is updated from the new
+    row alone, so the order of the visits does not matter.  `open_blocks`,
+    the blocks whose rank is below their column count, is kept up to date
+    on insert."""
 
     def __init__(self, p: int, block_of: Sequence[int]):
         self.p = p
         self.block_of = block_of
         self.rows: dict[int, dict[int, int]] = {}          # pivot column -> row
         self.blocks: dict[int, list[dict[int, int]]] = {}  # block -> its rows
+        self.holders: dict[int, list[int]] = {}            # column -> pivots of its rows
         self.sizes = Counter(block_of)                     # block -> column count
         self.open_blocks = set(self.sizes)
 
@@ -149,18 +157,28 @@ class ModularRowSpace:
         col = min(rem)
         inv = pow(rem[col], -1, p)
         new = {k: c * inv % p for k, c in rem.items()}
-        rows = self.blocks.setdefault(block, [])
+        by_pivot, holders = self.rows, self.holders
+        for k in new:
+            if k != col:
+                holders.setdefault(k, []).append(col)
         # only the rows holding the new pivot column change
-        for row in [r for r in rows if col in r]:
-            b = row[col]
+        for pivot in holders.pop(col, ()):
+            row = by_pivot[pivot]
+            b = row.get(col)
+            if b is None:
+                continue
             for k, c in new.items():
-                s = (row.get(k, 0) - b * c) % p
-                if s:
+                s = row.get(k)
+                if s is None:
+                    row[k] = -b * c % p
+                    holders[k].append(pivot)
+                elif s := (s - b * c) % p:
                     row[k] = s
                 else:
                     del row[k]
+        rows = self.blocks.setdefault(block, [])
         rows.append(new)
-        self.rows[col] = new
+        by_pivot[col] = new
         if len(rows) == self.sizes[block]:
             self.open_blocks.discard(block)
         return True

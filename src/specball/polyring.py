@@ -358,13 +358,15 @@ _SET_NVARS = Polynomial.nvars.__set__
 _SET_TERMS = Polynomial.terms.__set__
 
 
-def add_multiples(out: dict, multiples: Iterable[tuple[int, int | Fraction, dict]]) -> dict:
+def add_multiples(out: dict, multiples: Iterable[tuple[int, int | Fraction, dict]],
+                  monomials: bool = True) -> dict:
     """Add c * x^m * q, for each (m, c, q) in `multiples`, c != 0 and q a
     zero-free term dict, into the term dict `out` in place, dropping every
     monomial that cancels; returns `out`.  The one product kernel: a product
     of monomials is the sum of their keys (m may be a plain int), one guard
-    test, and a `Monomial` built only when a new key enters `out` (q's own
-    key when m is 1)."""
+    test, and a new key enters `out` as a `Monomial` when the caller builds
+    a polynomial (`monomials`; q's own key when m is 1) and as that plain
+    int sum otherwise (a vector field's flat keys)."""
     get, guard, new = out.get, _GUARD, int.__new__
     for m1, c1, other in multiples:
         for m2, c2 in other.items():
@@ -373,7 +375,7 @@ def add_multiples(out: dict, multiples: Iterable[tuple[int, int | Fraction, dict
                 raise _overflow(m)
             c = get(m)
             if c is None:
-                out[new(Monomial, m) if m1 else m2] = c1 * c2
+                out[(new(Monomial, m) if m1 else m2) if monomials else m] = c1 * c2
             elif s := c + c1 * c2:
                 out[m] = s
             else:

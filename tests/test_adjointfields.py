@@ -26,6 +26,7 @@ from specball.adjointfields import (
     render_tables_text,
     scale_field,
 )
+from specball.flows import Overshear
 from specball.polyring import Monomial, Polynomial, parse_poly
 
 from test_polyring import random_poly
@@ -470,6 +471,53 @@ def test_components_view_keeps_its_shape(n):
     assert 2 * half == G and (2 * half).components == G.components
     for g in generator_ids(n):
         assert generator_field(n, g).components is generator_components(n, g)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_field_arithmetic_keeps_plain_int_flat_keys(n):
+    # bracket, scale_field, + and - of scaled fields key `flat` by plain
+    # ints; the components view still has `Monomial` keys with no tag
+    rng = random.Random(7 + n)
+    nvars = n * n
+    gens = [generator_field(n, g) for g in generator_ids(n)]
+    for _ in range(20):
+        V, W = rng.sample(gens, 2)
+        f = random_poly(rng, n, max_terms=3, max_degree=2).scale(rng.choice(_COEFFS))
+        g = random_poly(rng, n, max_terms=3, max_degree=2)
+        fV, gW = scale_field(f, V), scale_field(g, W)
+        for field in (fV, gW, fV + gW, fV - gW, bracket(fV, gW), bracket(V, gW),
+                      bracket(V, W), scale_field(g, bracket(fV, W))):
+            assert all(type(k) is int for k in field.flat)
+            for p in field.components.values():
+                for mono in p.terms:
+                    assert type(mono) is Monomial
+                    assert all(0 <= v < nvars for v, _ in mono.powers)
+
+
+def test_bracket_builds_no_view_of_scaled_operands():
+    # the components of a scaled field are read off its flat terms by the
+    # bracket, which leaves the view unbuilt; a generator's view is its table
+    n = 3
+    fV = scale_field(x(1, 2, n) * x(2, 1, n), make_theta(n, 1, 2))
+    gW = scale_field(x(2, 3, n) + x(1, 1, n), make_xi(n, 2))
+    assert fV._components is None and gW._components is None
+    assert not bracket(fV, gW).is_zero()
+    assert fV._components is None and gW._components is None
+    assert bracket(fV, gW) == _oracle_bracket(fV, gW)
+    assert make_theta(n, 1, 2)._components is generator_components(n, Theta(1, 2))
+
+
+def test_polynomial_results_keep_monomial_keys():
+    # products, derivation action and an overshear's Theta f are polynomials
+    n = 2
+    f = parse_poly("x21^2 + 3*x21*x22", n)
+    t12 = make_theta(n, 1, 2)
+    results = [f * f, f * parse_poly("x12 - 2", n), t12.apply(f), t12.apply(x(2, 2, n)),
+               make_xi(n, 1).apply(f * f),
+               Overshear(n=n, a=1, b=2, f=parse_poly("x21*x22", n), t=0.5).theta_f]
+    assert all(not p.is_zero() for p in results)
+    for p in results:
+        assert all(type(mono) is Monomial for mono in p.terms)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1119,3 +1119,14 @@ def test_general_step_beyond_the_catalog(n, deg):
     lhs, verified, printed = liegen._general_step(deg)(n, random.Random(0))
     assert (lhs - verified).is_zero()
     assert not (lhs - printed).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_structure_constants_match_the_double_loop(n):
+    # the table is computed once per unordered pair and filled in by
+    # antisymmetry; the direct double loop over ordered pairs is the oracle
+    entries = [[(i, j, c) for i, row in enumerate(generator_matrix(n, g))
+                for j, c in enumerate(row) if c] for g in generator_ids(n)]
+    direct = [[liegen._sl_coordinates(n, liegen._commutator_entries(A, B)) for B in entries]
+              for A in entries]
+    assert liegen._TracelessFields(n, 1).structure == direct

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from specball import liegen
+from specball.liegen import CLOSURE_PRIME, build_seeds, closure
 from specball.linalg import ExactRowSpace, ModularRowSpace
 from specball.polyring import GradingError
 
@@ -86,3 +88,102 @@ def test_blocked_row_across_two_blocks_raises():
         with pytest.raises(GradingError):
             op({1: 1, 2: 1})
     assert space.rank == 1
+
+
+class ScanRowSpace(ModularRowSpace):
+    """The oracle: the echelon's insert before its column index, which scans
+    every row of the block for the new pivot column."""
+
+    def insert(self, vec):
+        block = self.block(vec)
+        rem = self.reduce(vec)
+        if not rem:
+            return False
+        p = self.p
+        col = min(rem)
+        inv = pow(rem[col], -1, p)
+        new = {k: c * inv % p for k, c in rem.items()}
+        rows = self.blocks.setdefault(block, [])
+        for row in [r for r in rows if col in r]:
+            b = row[col]
+            for k, c in new.items():
+                s = (row.get(k, 0) - b * c) % p
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+        rows.append(new)
+        self.rows[col] = new
+        if len(rows) == self.sizes[block]:
+            self.open_blocks.discard(block)
+        return True
+
+
+def _state(space):
+    # rows with their key order, the row order of each block, open blocks, rank
+    return ([(col, list(row.items())) for col, row in space.rows.items()],
+            {b: [list(row.items()) for row in rows] for b, rows in space.blocks.items()},
+            set(space.open_blocks), space.rank)
+
+
+def _insert_both(indexed, scan, vec):
+    """Insert vec into both echelons: the same return value or the same
+    GradingError."""
+    try:
+        got = indexed.insert(dict(vec))
+    except GradingError:
+        with pytest.raises(GradingError):
+            scan.insert(dict(vec))
+        return
+    assert got == scan.insert(dict(vec))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, CLOSURE_PRIME])
+def test_column_index_insert_matches_the_scan(p):
+    # graded vectors, mostly in one block, some across two (GradingError),
+    # zero vectors and repeats; the small primes cancel entries of a row
+    # and fill them in again, which leaves stale and repeated index entries
+    rng = random.Random(p)
+    for trial in range(40):
+        ncols, nblocks = rng.randint(4, 24), rng.randint(1, 3)
+        block_of = [rng.randrange(nblocks) for _ in range(ncols)]
+        indexed, scan = ModularRowSpace(p, block_of), ScanRowSpace(p, block_of)
+        seen = []
+        for _ in range(rng.randint(5, 2 * ncols)):
+            roll = rng.random()
+            if roll < 0.05:
+                vec = {}
+            elif roll < 0.15 and seen:
+                vec = rng.choice(seen)
+            else:
+                b = rng.randrange(nblocks)
+                cols = [j for j in range(ncols) if block_of[j] == b or roll < 0.2]
+                vec = {j: c for j in cols if rng.random() < 0.6 and (c := rng.randint(-4, 4))}
+                if roll > 0.9 and vec:
+                    vec[min(vec)] += p      # zero mod p only at p = 3, 5, 7
+            seen.append(vec)
+            _insert_both(indexed, scan, vec)
+            assert _state(indexed) == _state(scan)
+
+
+def test_column_index_replays_a_closure(monkeypatch):
+    # every insert of closure(build_seeds(4), 3), one echelon per grade,
+    # replayed through both
+    inserts = []
+
+    class Recording(ModularRowSpace):
+        def insert(self, vec):
+            inserts.append((self.block_of, dict(vec)))
+            return super().insert(vec)
+
+    monkeypatch.setattr(liegen, "ModularRowSpace", Recording)
+    closure(build_seeds(4), 3)
+    spaces = {}
+    for block_of, vec in inserts:
+        if id(block_of) not in spaces:
+            spaces[id(block_of)] = (ModularRowSpace(CLOSURE_PRIME, block_of),
+                                    ScanRowSpace(CLOSURE_PRIME, block_of))
+        _insert_both(*spaces[id(block_of)], vec)
+    assert len(spaces) == 4 and len(inserts) > 1000
+    for indexed, scan in spaces.values():
+        assert _state(indexed) == _state(scan)
