@@ -380,21 +380,16 @@ def emit_tables(n: int) -> dict:
     if n < 2:
         raise ValueError("table emission needs n >= 2")
     gens = generator_ids(n)
-    fields = [(g, generator_field(n, g)) for g in gens]
-
-    generators = []
-    for g, field in fields:
-        comps = []
-        for var in sorted(field.components):
-            comps.append({"var": var_name(var, n),
-                          "poly": format_poly(field.components[var])})
-        generators.append({"generator": g.label(), "components": comps})
+    # a field's action on x_v is its component v, so each component is
+    # formatted once, for both sections
+    texts = [{v: format_poly(p) for v, p in sorted(generator_components(n, g).items())}
+             for g in gens]
+    generators = [{"generator": g.label(),
+                   "components": [{"var": var_name(var, n), "poly": t} for var, t in text.items()]}
+                  for g, text in zip(gens, texts)]
 
     variables = [var_name(v, n) for v in range(n * n)]
-    action = []
-    for v in range(n * n):
-        xv = Polynomial.variable(n * n, v)
-        action.append([format_poly(field.apply(xv)) for _, field in fields])
+    action = [[text.get(v, "0") for text in texts] for v in range(n * n)]
 
     return {
         "n": n,

@@ -31,17 +31,14 @@ minus the dimension of ker Phi, which Kostant (1963) gives in closed form
 Every generator field, seed, bracket and pair is homogeneous for the
 weights of the diagonal torus of SL_n (x_ij has weight e_i - e_j).  The
 echelon is therefore one `linalg.ModularRowSpace` graded by weight, and the
-certificate holds block by block.  Conjugation by permutation matrices
-(S_n) and the transpose tau permute the blocks and are Lie algebra
-automorphisms that keep each grade, so a grade d >= 2 brackets only in the
-block of one representative weight per orbit of S_n x <tau>, and a full
-representative proves its whole orbit (`closure`, `_certify_degree`).
+certificate holds block by block.  At a grade d >= 2 a weight lemma proves
+every block of nonzero weight from certified grades 1 and d - 1, so the
+brackets fill the weight-0 block alone (`closure`, `_certify_degree`).
 """
 from __future__ import annotations
 
 import random
 import time
-from collections import Counter
 from itertools import combinations_with_replacement
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -68,6 +65,7 @@ from .polyring import (
     HomSliceBasis,
     Monomial,
     Polynomial,
+    _cover,
     flat_index,
     format_poly,
     slice_monomials,
@@ -272,7 +270,7 @@ class _TracelessFields:
         # weights, and substituting for x_nn (weight 0) keeps them.  A
         # grade-d weight has coordinates of size at most d + 2 < B / 2, so
         # the encoding is one-to-one on them.
-        self.base = base = 2 * max_degree + 5
+        base = 2 * max_degree + 5
         self.var_weights = [base ** (v // n) - base ** (v % n) for v in range(nv)]
         ids = generator_ids(n)
         # Theta_ab = sum_j x_bj d/dx_aj - ..., of weight e_b - e_a; Xi_a: 0
@@ -319,30 +317,6 @@ class _TracelessFields:
         """(v, e_v) for the variables x_v of a packed monomial, e_v > 0."""
         mask, shift = (1 << self.ebits) - 1, self.cbits
         return [(v, e) for v in range(self.nv) if (e := key >> (shift + self.ebits * v) & mask)]
-
-    def weight_vector(self, w: int) -> tuple[int, ...]:
-        """The weight encoded as the int w, as its coordinates in Z^n: the
-        balanced base-B digits of w."""
-        base, out = self.base, []
-        for _ in range(self.n):
-            r = w % base
-            if r > base // 2:
-                r -= base
-            out.append(r)
-            w = (w - r) // base
-        return tuple(out)
-
-    def orbits(self, weights: list[int]) -> dict[int, list[int]]:
-        """The distinct weights grouped by orbit of S_n x <tau>, keyed by the
-        orbit's representative.  S_n permutes the coordinates of a weight
-        and tau negates it, so the representative is the sorted weight
-        vector, or the sorted vector of its negation if that is smaller."""
-        out: dict[int, list[int]] = {}
-        for w in dict.fromkeys(weights):
-            v = self.weight_vector(w)
-            rep = min(sorted(v), sorted(-c for c in v))
-            out.setdefault(sum(c * self.base ** i for i, c in enumerate(rep)), []).append(w)
-        return out
 
     def restrict(self, p: Polynomial) -> dict[int, int]:
         """The polynomial p on tr = 0; each monomial's image is computed once."""
@@ -430,18 +404,18 @@ class _PairBrackets:
 class DegreeReport:
     n: int
     grade: int
-    method: str                      # "pair-coordinate", or "pair-coordinate/weyl-orbit" (d >= 2)
+    method: str                      # "pair-coordinate", or "pair-coordinate/weight-lemma" (d >= 2)
     operands: str                    # "seeds" (grades 0-1) or "T_1 x T_{d-1}"
     target_rank: int                 # |F_d|: monomial x generator pairs (traceless)
     achieved_rank: int               # pairs proved in L: all when certified
-    missing_witnesses: list[str]     # pairs of open representatives outside span(B) mod p
+    missing_witnesses: list[str]     # open computed blocks' pairs outside span(B); lemma count
     sl_rank: int | None              # certified: rank T_d = target_rank - relation_rank
     sl_target_component_rank: int    # target_rank - relation_rank: rank T_d by Kostant's count
-    gl_rank: int                     # kept vectors B: rank_p(B) in pair coordinates
+    gl_rank: int                     # kept vectors B: rank_p(B) (d >= 2: block 0's, and seeds)
     brackets_evaluated: int          # brackets computed
     brackets_skipped: int            # brackets of the step not computed (`closure`)
     blocks: int                      # weight blocks of the grade
-    blocks_computed: int             # blocks the brackets were computed for
+    blocks_computed: int             # blocks the brackets were computed for (d >= 2: block 0)
     complete: bool                   # fixed point, full rank or operands exhausted within budget
     certified: bool                  # every pair in L and rank T_d proven (`_certify_degree`)
     prime: int                       # p of the echelon of B
@@ -486,14 +460,12 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
 
     The step (grades d >= 2) is [T_1, T_{d-1}], which runs only when grades 1
     and d - 1 are certified, because only then are its operands in the Lie
-    algebra.  For the representative w of each orbit of S_n x <tau>
-    (`_TracelessFields.orbits`; the lemma of `_certify_degree` proves the
-    rest of the orbit) it brackets the grade-1 pairs of weight u with the
-    grade-(d-1) pairs of weight w - u (a < b at d = 2) until block w is
+    algebra.  The weight lemma of `_certify_degree` then proves every block
+    of nonzero weight, so the step fills the weight-0 block alone, seeds of
+    the grade or not: it brackets the grade-1 pairs of weight u with the
+    grade-(d-1) pairs of weight -u (a < b at d = 2) until that block is
     full; `brackets_skipped` counts the rest of the step.
-    `all_blocks=True` computes every block, the tests' reference, and so
-    does a grade that has seeds of its own, which the symmetry need not map
-    into L.
+    `all_blocks=True` fills every block the same way, the tests' reference.
 
     Soundness does not rest on the weight prediction: a kept vector goes to
     the block its own coordinates name (across two blocks it raises
@@ -525,12 +497,9 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
         groups = by_weight[d] = {}
         for i, w in enumerate(weights):
             groups.setdefault(w, []).append(i)
-        # the step fills one block per orbit, unless every block is asked
-        # for or the grade has seeds of its own
-        if d >= 2 and not (all_blocks or any(s.grade == d for s in seeds)):
-            orbits = ring.orbits(weights)
-        else:
-            orbits = {w: [w] for w in groups}
+        # at d >= 2 the weight lemma proves every block but weight 0,
+        # unless every block is asked for
+        lemma = d >= 2 and not all_blocks
         space = ModularRowSpace(CLOSURE_PRIME, weights)
         open_blocks = space.open_blocks
         kept = spans[d] = []
@@ -580,10 +549,11 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
                 if not (complete and open_blocks):
                     break
         else:
-            # the step, each representative's block until it is full
+            # the step, each block it must fill until that is full
             operands_ok = reports[1].certified and reports[d - 1].certified
             computed = 0
-            for computed, w in enumerate(sorted(orbits) if operands_ok else (), 1):
+            blocks = [0] if lemma else sorted(groups)
+            for computed, w in enumerate(blocks if operands_ok else (), 1):
                 for a, b in _block_operands(by_weight[1], by_weight[d - 1], w, d == 2):
                     if w not in open_blocks or not bracket_and_keep(((a, b, 1),)):
                         break
@@ -592,7 +562,7 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
             k, m = len(brackets.left) * ring.nv, len(brackets.right) * ring.nv
             skipped = ((k * (k - 1) // 2 if d == 2 else k * m) - brackets_done + begun
                        if operands_ok else 0)
-        reports[d] = _certify_degree(ring, d, space, groups, orbits, len(kept), operands_ok,
+        reports[d] = _certify_degree(ring, d, space, groups, lemma, len(kept), operands_ok,
                                      brackets_done - begun, skipped, computed, complete)
         if not complete:
             break
@@ -639,9 +609,9 @@ def _block_operands(ones: dict[int, list[int]], rest: dict[int, list[int]], w: i
 
 
 def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
-                    groups: dict[int, list[int]], orbits: dict[int, list[int]],
-                    gl_rank: int, operands_ok: bool, evaluated: int, skipped: int,
-                    computed: int, complete: bool) -> DegreeReport:
+                    groups: dict[int, list[int]], lemma: bool, gl_rank: int,
+                    operands_ok: bool, evaluated: int, skipped: int, computed: int,
+                    complete: bool) -> DegreeReport:
     """The pair-coordinate certificate of a grade.
 
     F_d are the grade-d pairs f*V, Phi the map from pair coordinates to
@@ -665,22 +635,55 @@ def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
     T_{d,w} only modulo ker Phi (the Theta seeds alone, at grade 1) leaves
     the block open, unproven rather than disproved.
 
-    One block per orbit (d >= 2).  A permutation matrix P acts by
-    X -> P X P^-1 and the transpose tau by X -> X^T; each pushes fields
-    forward by a linear automorphism of tr = 0, so it is a Lie algebra
-    automorphism sigma that maps T_k onto T_k and Q^{F_w} onto
-    Q^{F_sigma(w)} (P permutes the coordinates of w, tau negates it).  On
-    pair coordinates sigma is an integer matrix with an integer inverse
-    (Theta_ab goes to +-Theta_sigma(a)sigma(b), the Xi_a by the Weyl action
-    on the coroots, monomials by an integer substitution) that commutes
-    with the closed-form bracket.  Let grades 1 and d - 1 be certified and
-    rank_p(B_w) = |F_w|.  Each b in B_w is a bracket [u, x] of pair vectors
-    of grades 1 and d - 1, and so is sigma(b) = [sigma(u), sigma(x)]; every
-    pair vector of those grades stands for a field in L, so Phi(sigma(b))
-    lies in L.  sigma(B_w) spans Q^{F_sigma(w)}, so every pair of weight
-    sigma(w) is in L with nothing computed.  A grade needs only its orbit representatives
-    full (`orbits`; at grades 0-1 and under `closure(all_blocks=True)`
-    every block is its own).
+    The weight lemma: for d >= 2, if grades 1 and d - 1 are certified,
+    every grade-d pair of nonzero weight lies in L (`lemma`; the closure
+    then computes block 0 alone).  Notation: Xi_a(f) = lambda_f(a) * f for
+    a monomial f on tr = 0 and [Xi_a, V] = mu_V(a) * V, in the orientation
+    of `adjointfields.bracket`.  Diagonal coordinates have lambda = 0; each
+    off-diagonal x_ab has its own root weight lambda_ab = mu_{Theta_ab}, and
+    no root is a multiple of another.  A pair f*V has block weight
+    lambda_f - mu_V.  S_d is the span of the brackets of grade-1 pairs with
+    grade-(d-1) pairs; every pair of those grades is in L, so Phi(S_d) lies
+    in L, and the lemma follows from Q^{F_{d,w}} in S_d for w != 0.  By the
+    closed form, whose terms all have the weight of the bracket,
+
+        [x_u*Xi_a, f*V] = (mu_V - lambda_f)(a) * x_u f*V + f*V(x_u)*Xi_a.
+
+    1. Root pairs g*Theta of weight w != 0.  Choose x_u | g with
+       lambda_{g/x_u} != mu_Theta, and an a where the coefficient
+       (mu_Theta - lambda_{g/x_u})(a) is nonzero.  The bracket
+       [x_u*Xi_a, (g/x_u)*Theta] is a nonzero multiple of g*Theta plus
+       Cartan-valued pairs h*Xi_c of weight w, so g*Theta is in S_d once
+       they are.  No x_u works only when every x_u | g has lambda_u =
+       lambda_g - mu_Theta = w: then g = x_ab^d with lambda_ab = w and
+       mu_Theta = (d - 1) w, a root only for d = 2: the pair x_ab^2*Theta_ab.
+    2. Cartan pairs h*Xi_b with lambda_h != 0.  Write f = h/x_u.  Then
+       [x_u*Xi_a, f*Xi_b] = lambda_u(b) * h*Xi_a - lambda_f(a) * h*Xi_b.
+       - A diagonal x_u | h gives -lambda_h(a) * h*Xi_b; take a with
+         lambda_h(a) != 0.
+       - Otherwise, a u with lambda_u != lambda_f makes these brackets span
+         h (x) h: for c with lambda_u(c) != lambda_f(c), the (c, c) bracket
+         gives h*Xi_c, and for a != c the (a, c) or the (c, a) bracket
+         gives h*Xi_a modulo h*Xi_c, as lambda_u(c) and lambda_f(c) are not
+         both 0.
+       - This fails only when every x_u | h has 2 lambda_u = lambda_h != 0:
+         h = x_ab^d with d lambda_ab = 2 lambda_ab, so d = 2 and h = x_ab^2.
+    3. The d = 2 exceptions, for a != b.  Let x_dd = x_aa, or x_bb when
+       a = n.  Theta_ba(x_ab) has weight 2 lambda_ab, no coordinate's, so it
+       is 0; Theta_ba(x_dd) = +-x_ab; Theta_ab(x_ab) is diagonal.
+       - [x_ab*Xi_c, x_dd*Theta_ba] = lambda_ba(c) * x_dd x_ab*Theta_ba, a
+         single nonzero multiple for some c, because its Cartan term
+         vanishes.
+       - [x_dd*Xi_c, x_ab*Theta_ba] is +-x_ab^2*Xi_c plus a multiple of
+         x_dd x_ab*Theta_ba, so it gives x_ab^2*Xi_c for every c.
+       - [x_dd*Theta_ab, x_ab*Theta_ba] is +-x_ab^2*Theta_ab, plus root
+         pairs x_dd x_ee*Theta_ba and Cartan pairs x_dd x_ab*Xi_c of weight
+         lambda_ab, which steps 1-2 cover.
+    Steps 2 and 3 put every Cartan pair of nonzero weight in S_d, step 1
+    then every root pair but x_ab^2*Theta_ab, and step 3 those.  Checked
+    against `_PairBrackets.add` up to n = 5 (`test_weight_lemma_family`).
+    The weight-0 block holds the diagonal h (x) h, h in the diagonal
+    coordinates, where all three steps fail, so the closure computes it.
 
     The rank of T_d is |F_d| - dim ker Phi_d, and dim ker Phi_d is
     `relation_rank` = sum over k = 1..min(d, n-1) of C(n^2 + d - k - 2,
@@ -693,40 +696,38 @@ def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
     tr(X^k) I) = 0 forces every c_k to vanish on a dense set, hence to be
     0.  So a certified grade has `sl_rank` = |F_d| - `relation_rank`.
 
-    The grade is certified when its operands are and all representatives
-    are full.  Otherwise `missing_witnesses` lists, for each open
-    representative, its pairs outside span(B) mod p as unproven, then a
-    line for the other blocks of its orbit, which follow it and are
-    unproven too; `achieved_rank` counts the rest.
+    The grade is certified when its operands are and every block the
+    brackets must fill (block 0 alone under the lemma) is full.  Otherwise
+    `missing_witnesses` lists the pairs of those blocks outside span(B)
+    mod p as unproven, and, when the lemma's operands are not certified, a
+    line counting the pairs of nonzero weight, unproven too;
+    `achieved_rank` counts the rest.
     """
     n, open_blocks = ring.n, space.open_blocks
     target = len(space.block_of)
-    open_reps = sorted(w for w in orbits if w in open_blocks)
-    certified = operands_ok and not open_reps
+    open_computed = [w for w in ([0] if lemma else groups) if w in open_blocks]
+    certified = operands_ok and not open_computed
     relation_rank = sum(comb(n * n + d - k - 2, d - k) for k in range(1, min(d, n - 1) + 1))
-    missing, follow = [], []
-    unproven = 0
-    if open_reps:
+    missing = []
+    if open_computed:
         nv = ring.nv
         gens = generator_ids(n)
         monos = list(slice_monomials(nv, d))
         missing = [f"{format_poly(Polynomial.from_monomial(n * n, monos[i // nv]))} * "
                    f"{gens[i % nv].label()}"
-                   for i in sorted(i for w in open_reps for i in groups[w])
+                   for i in sorted(i for w in open_computed for i in groups[w])
                    if not space.contains({i: 1})]
-        for w in open_reps:
-            others = [v for v in orbits[w] if v != w]
-            if others:
-                count = sum(len(groups[v]) for v in others)
-                unproven += count
-                follow.append(f"weight {ring.weight_vector(w)} is open: {len(others)} more "
-                              f"block(s) of its orbit ({count} pairs) follow it")
+    unproven = target - len(groups[0]) if lemma and not operands_ok else 0
+    achieved = target - len(missing) - unproven
+    if unproven:
+        missing.append(f"{unproven} pairs of nonzero weight are unproven: the weight lemma "
+                       "needs grades 1 and d - 1 certified")
     return DegreeReport(
         n=n, grade=d,
-        method="pair-coordinate" if len(orbits) == len(groups) else "pair-coordinate/weyl-orbit",
+        method="pair-coordinate/weight-lemma" if lemma else "pair-coordinate",
         operands="seeds" if d <= 1 else "T_1 x T_{d-1}",
-        target_rank=target, achieved_rank=target - len(missing) - unproven,
-        missing_witnesses=missing + follow,
+        target_rank=target, achieved_rank=achieved,
+        missing_witnesses=missing,
         sl_rank=target - relation_rank if certified else None,
         sl_target_component_rank=target - relation_rank,
         gl_rank=gl_rank,
@@ -809,9 +810,11 @@ def _general_step(deg: int) -> Callable[[int, random.Random], _Instance]:
 
 
 def _random_monomial(rng: random.Random, n: int, max_degree: int) -> Polynomial:
+    """x_v1 * ... * x_vk, k and each v drawn from rng, as one packed key."""
     deg = rng.randrange(1, max_degree + 1)
-    powers = Counter(rng.randrange(n * n) for _ in range(deg))
-    return Polynomial.from_monomial(n * n, Monomial(powers.items()))
+    key = sum(1 << (rng.randrange(n * n) << 6) for _ in range(deg))
+    _cover(n * n)
+    return Polynomial.from_monomial(n * n, int.__new__(Monomial, key))
 
 
 @cache

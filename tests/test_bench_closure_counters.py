@@ -40,9 +40,9 @@ def test_closure_counters_are_fed(monkeypatch):
     assert calls["liegen.closure"] == 1 and calls["liegen.certify"] == 3
     for layer in ("liegen.closure", "liegen.certify"):
         assert metrics[f"{layer}.self_s"]["value"] > 0, layer
-    # grade 2 brackets only in the blocks of its Weyl orbit representatives
-    assert metrics["liegen.brackets"]["value"] == 6 + 12
-    assert metrics["liegen.accepted"]["value"] == 3 + 9 + 11
+    # grade 2 brackets only in its weight-0 block
+    assert metrics["liegen.brackets"]["value"] == 6 + 4
+    assert metrics["liegen.accepted"]["value"] == 3 + 9 + 4
     # the seeds are read off the generator tables and the closure brackets
     # integer vectors: no polynomial or field is built, bracketed, scaled or
     # projected, at n = 2 or n = 3

@@ -177,7 +177,7 @@ def test_generate_budget_exhaustion(capsys):
     assert not payload["complete"]
 
 
-@pytest.mark.parametrize("budget,code,last", [(30, 3, 1), (100, 3, 2), (400, 3, 3), (None, 0, 3)])
+@pytest.mark.parametrize("budget,code,last", [(30, 3, 1), (100, 3, 2), (200, 3, 3), (None, 0, 3)])
 def test_generate_report_matches_recorded(capsys, budget, code, last):
     # the stdout of generate at n = 3 to grade 3, byte for byte: bracket
     # budgets that stop in grades 1, 2 and 3 pin the counters of a grade cut
@@ -198,9 +198,9 @@ def test_generate_report_matches_recorded(capsys, budget, code, last):
 
 @pytest.mark.parametrize("n,max_degree", [(4, 3), (2, 6)])
 def test_generate_report_matches_recorded_at_other_sizes(capsys, n, max_degree):
-    # the same byte-for-byte check where the orbit step leaves most blocks
-    # to their representatives: (4,3), whose grade 3 fills 16 of its 309
-    # blocks, and n = 2 up to grade 6
+    # the same byte-for-byte check where the weight lemma proves most
+    # blocks: (4,3), whose grade 3 fills block 0 of its 309 blocks, and
+    # n = 2 up to grade 6
     code, out = run(capsys, ["generate", "--n", str(n), "--max-degree", str(max_degree)])
     assert code == 0
     name = f"generate_n{n}_d{max_degree}.json"
@@ -209,7 +209,7 @@ def test_generate_report_matches_recorded_at_other_sizes(capsys, n, max_degree):
 
 def test_generate_method_flag_has_no_effect(capsys):
     # every grade has the pair-coordinate certificate whatever --method says,
-    # with one block per Weyl orbit from grade 2 on
+    # with block 0 alone computed and the weight lemma from grade 2 on
     degrees = []
     for method in ("auto", "exact", "modular"):
         code, out = run(capsys, ["generate", "--n", "2", "--max-degree", "3",
@@ -218,15 +218,15 @@ def test_generate_method_flag_has_no_effect(capsys):
         degrees.append(json.loads(out)["degrees"])
     assert degrees[0] == degrees[1] == degrees[2]
     assert [d["method"] for d in degrees[0]] == ["pair-coordinate"] * 2 \
-        + ["pair-coordinate/weyl-orbit"] * 2
+        + ["pair-coordinate/weight-lemma"] * 2
 
 
 @pytest.mark.parametrize("n,max_degree,rows", [
     (2, 4, [(3, 3, 0, 3, 0, 0, 3, 3), (9, 8, 1, 9, 8, 6, 5, 5),
-            (18, 15, 3, 11, 36, 12, 7, 4), (30, 24, 6, 18, 162, 29, 9, 5),
-            (45, 35, 10, 26, 270, 54, 11, 6)]),
+            (18, 15, 3, 4, 36, 4, 7, 1), (30, 24, 6, 6, 162, 8, 9, 1),
+            (45, 35, 10, 7, 270, 10, 11, 1)]),
     (3, 2, [(8, 8, 0, 8, 0, 0, 7, 7), (64, 63, 1, 64, 246, 74, 19, 19),
-            (288, 279, 9, 71, 2016, 158, 37, 6)]),
+            (288, 279, 9, 30, 2016, 45, 37, 1)]),
 ])
 def test_generate_pinned_rows(capsys, n, max_degree, rows):
     # (target rank, component rank, relation rank, kept vectors, brackets,
@@ -234,8 +234,9 @@ def test_generate_pinned_rows(capsys, n, max_degree, rows):
     # ranks are those the closure gave when it eliminated polynomial fields
     # exactly over Q.  Grades 0-1 bracket the generators with the kept
     # vectors and skip brackets in full blocks; grades 2 and up bracket
-    # grade-1 pairs with grade-(d-1) pairs in one block per Weyl orbit, and
-    # count every other bracket of the step as skipped.  Grades 0-1 keep one
+    # grade-1 pairs with grade-(d-1) pairs in block 0, leave the other
+    # blocks to the weight lemma, and count every other bracket of the step
+    # as skipped.  Grades 0-1 keep one
     # vector per pair, as every block is full from brackets and seeds alone
     code, out = run(capsys, ["generate", "--n", str(n), "--max-degree", str(max_degree)])
     assert code == 0
@@ -245,7 +246,7 @@ def test_generate_pinned_rows(capsys, n, max_degree, rows):
         target, rank, relations, kept, brackets, evaluated, blocks, computed = values
         assert row == {
             "n": n, "degree": d,
-            "method": "pair-coordinate" if d <= 1 else "pair-coordinate/weyl-orbit",
+            "method": "pair-coordinate" if d <= 1 else "pair-coordinate/weight-lemma",
             "operands": "seeds" if d <= 1 else "T_1 x T_{d-1}",
             "target_rank": target, "achieved_rank": target, "missing_witnesses": [],
             "sl_component_rank": rank, "sl_target_component_rank": rank,

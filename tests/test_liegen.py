@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import json
 import random
-import re
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -85,12 +84,6 @@ def kept_fields(res, d):
     return [pair_field(vec, res.n, d) for vec in res.spans[d]]
 
 
-def weyl_tau(n):
-    """The elements of S_n x <tau> as (permutation, transpose): X -> P X P^-1
-    with P e_j = e_perm[j], then X -> X^T when `transpose`."""
-    return [(perm, t) for perm in itertools.permutations(range(n)) for t in (False, True)]
-
-
 class PairAction:
     """An element sigma of S_n x <tau> on the grade-d pair vectors:
     f*V -> sigma(f) * sigma(V), with x_ij -> x_sigma(i,j) in f (restricted
@@ -131,18 +124,13 @@ class PairAction:
 
 def proved_fields(res, d):
     """The fields the certificate of grade d puts in L: the kept vectors,
-    and at d >= 2 their images under every element of S_n x <tau>, which
-    the lemma of `_certify_degree` puts in L as well."""
+    and at d >= 2 every pair of nonzero weight, which the weight lemma of
+    `_certify_degree` puts in L."""
     if d <= 1:
         return kept_fields(res, d)
-    ring = liegen._TracelessFields(res.n, d)
-    images = {}
-    for perm, t in weyl_tau(res.n):
-        act = PairAction(ring, d, perm, t)
-        for vec in res.spans[d]:
-            image = act(vec)
-            images[tuple(sorted(image.items()))] = image
-    return [pair_field(vec, res.n, d) for vec in images.values()]
+    weights = liegen._TracelessFields(res.n, d).weights(d)
+    return kept_fields(res, d) + [pair_field({i: 1}, res.n, d)
+                                  for i, w in enumerate(weights) if w]
 
 
 def field_of(vec, n, m):
@@ -173,9 +161,9 @@ def test_seed_example_n3_product_of_kernel_elements():
     labels = {(str(s.coefficient), s.generator.label()) for s in seeds}
     assert ("x21", "theta12") in labels and ("x31", "theta12") in labels
     assert {s.grade for s in seeds} == {0, 1}
-    res = closure(seeds, 2)
+    res = closure(seeds, 2, all_blocks=True)
     v = scale_field(parse_poly("x21*x31", 3), make_theta(3, 1, 2))
-    assert in_span(proved_fields(res, 2), v, 2)
+    assert in_span(kept_fields(res, 2), v, 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -252,11 +240,11 @@ def test_closure_contains_zero_field():
 
 
 def test_closure_n2_contains_x12_powers():
-    res = closure(build_seeds(2), 3)
+    res = closure(build_seeds(2), 3, all_blocks=True)
     t12 = make_theta(2, 1, 2)
     x12 = Polynomial.x(1, 2, 2)
     for d in (1, 2, 3):
-        assert in_span(proved_fields(res, d), scale_field(x12 ** d, t12), d)
+        assert in_span(kept_fields(res, d), scale_field(x12 ** d, t12), d)
     for d in (0, 1, 2, 3):
         assert res.reports[d].certified
 
@@ -268,9 +256,9 @@ def test_closure_n3_degree1_contains_x11_xi1():
 
 
 def test_closure_n3_degree2_contains_x12sq_theta12():
-    res = closure(build_seeds(3), 2)
+    res = closure(build_seeds(3), 2, all_blocks=True)
     v = scale_field(parse_poly("x12^2", 3), make_theta(3, 1, 2))
-    assert in_span(proved_fields(res, 2), v, 2)
+    assert in_span(kept_fields(res, 2), v, 2)
     assert res.reports[2].certified
 
 
@@ -295,8 +283,8 @@ def test_closure_order_independent():
 
 def test_closure_monotone_under_budget():
     # a tiny bracket budget yields a flagged partial result, never a wrong
-    # one: 4 brackets run out in grade 1 (it needs 5), 8 in the orbit step
-    # of grade 2, which leaves an open representative and its orbit unproven
+    # one: 4 brackets run out in grade 1 (it needs 6), 8 in block 0 of
+    # grade 2 (it needs 4 more), which leaves some of its pairs unproven
     full = closure(build_seeds(2), 2)
     assert full.complete
     for budget, last in ((4, 1), (8, 2)):
@@ -310,8 +298,12 @@ def test_closure_monotone_under_budget():
                 assert in_span(kept_fields(full, d), v, d)
         rep = res.reports[last]
         assert not rep.complete and not rep.certified and rep.missing_witnesses
-        assert rep.achieved_rank < rep.target_rank
+        assert rep.achieved_rank == rep.target_rank - len(rep.missing_witnesses)
         assert sum(r.brackets_evaluated for r in res.reports.values()) == budget
+    # cut inside block 0 of grade 2, the lemma still proves the other blocks:
+    # the witnesses are block 0's pairs outside the span
+    assert set(rep.missing_witnesses) < {"x11^2 * xi1", "x11*x12 * theta12", "x11*x21 * theta21",
+                                         "x12*x21 * xi1"}
 
 
 def test_closure_stops_at_the_grade_that_ran_out():
@@ -596,8 +588,8 @@ def test_kept_fields_are_traceless_independent(n, max_degree, closure_n3):
     # are independent as formal pair vectors (exact rank gl_rank), and the
     # fields they stand for, projected to tr = 0, have exact rank sl_rank,
     # the pair count minus Kostant's count.  When every block is computed,
-    # B spans every pair; in the orbit step B fills the representatives,
-    # and B with its images under S_n x <tau> stands for all of T_d
+    # B spans every pair; under the weight lemma B fills block 0, and B with
+    # the pairs of nonzero weight stands for all of T_d
     for all_blocks in (True, False):
         res = (closure_n3 if n == 3 and not all_blocks
                else closure(build_seeds(n), max_degree, all_blocks=all_blocks))
@@ -639,9 +631,9 @@ def test_closure_ranks_closed_form(n, max_degree, closure_n3):
     # up to (3,3) and (4,2), the ranks, relation ranks, prime and verdicts are
     # those of the closure that bracketed field vectors in column coordinates
     # (one-prime certificate); (3,4) and (4,3) come from [T_1, T_{d-1}] alone.
-    # Grades 0-1 fill every block; a grade d >= 2 fills one block per orbit
-    # of S_n x <tau>.  Its echelon holds the kept vectors alone, and the
-    # relation rank is Kostant's count
+    # Grades 0-1 fill every block; a grade d >= 2 fills block 0, and the
+    # weight lemma proves the others.  Its echelon holds the kept vectors
+    # alone, and the relation rank is Kostant's count
     res = closure_n3 if (n, max_degree) == (3, 2) else closure_of(n, max_degree)
     ring = liegen._TracelessFields(n, max_degree)
     for d in range(max_degree + 1):
@@ -659,8 +651,13 @@ def test_closure_ranks_closed_form(n, max_degree, closure_n3):
             assert rep.method == "pair-coordinate" and rep.operands == "seeds"
             assert rep.gl_rank == target and rep.blocks_computed == rep.blocks
         else:
-            assert rep.method == "pair-coordinate/weyl-orbit" and rep.operands == "T_1 x T_{d-1}"
-            assert rep.blocks_computed == len(ring.orbits(weights)) < rep.blocks
+            assert rep.method == "pair-coordinate/weight-lemma" and rep.operands == "T_1 x T_{d-1}"
+            assert rep.blocks_computed == 1 < rep.blocks
+            # the kept vectors fill block 0 and no other block
+            kept = ModularRowSpace(liegen.CLOSURE_PRIME, weights)
+            for vec in res.spans[d]:
+                assert kept.insert(vec) and kept.block(vec) == 0
+            assert 0 not in kept.open_blocks and len(kept.open_blocks) == rep.blocks - 1
     expected = {2: [3, 8, 15, 24, 35], 3: [8, 63, 279, 916, 2484], 4: [15, 224, 1784, 10064]}[n]
     assert [res.reports[d].sl_rank for d in range(max_degree + 1)] == expected[:max_degree + 1]
 
@@ -668,8 +665,9 @@ def test_closure_ranks_closed_form(n, max_degree, closure_n3):
 @pytest.mark.parametrize("n,max_degree", [(2, 6), (3, 4), (4, 3)])
 def test_orbit_step_matches_every_block(n, max_degree):
     # the reference computes every weight block of the [T_1, T_{d-1}] step:
-    # each block is full, and the certificates and ranks are those of the
-    # orbit step, which computes one block per orbit of S_n x <tau>
+    # each block is full, and the certificates and ranks, at every grade up
+    # to max_degree, are those of the step that computes block 0 and leaves
+    # the other blocks to the weight lemma
     every = closure_of(n, max_degree, all_blocks=True)
     orbit = closure_of(n, max_degree)
     assert every.complete and orbit.complete
@@ -682,41 +680,27 @@ def test_orbit_step_matches_every_block(n, max_degree):
                     "sl_target_component_rank", "blocks"):
             assert getattr(ref, key) == getattr(rep, key), (d, key)
         if d >= 2:
-            assert rep.blocks_computed < rep.blocks
+            assert rep.blocks_computed == 1 < rep.blocks
             assert rep.brackets_evaluated < ref.brackets_evaluated
 
 
-def test_grade_with_its_own_seeds_computes_every_block():
-    # a seed of grade 2 lies in L, but its images under S_n x <tau> need
-    # not, so that grade drops the orbit rule and fills every block
-    extra = Seed(parse_poly("x12*x21", 3), Theta(1, 2), 2)
-    rep = closure(build_seeds(3) + [extra], 3).reports
-    assert rep[2].method == "pair-coordinate" and rep[2].blocks_computed == rep[2].blocks
-    assert rep[3].method == "pair-coordinate/weyl-orbit" and rep[3].blocks_computed < rep[3].blocks
+def test_grade_with_its_own_seeds_fills_block_zero():
+    # seeds of grade 2, one of nonzero weight and one in block 0, go into
+    # the echelon and are kept; the weight lemma needs no symmetry of L, so
+    # that grade still brackets in block 0 alone
+    extra = [Seed(parse_poly("x12*x21", 3), Theta(1, 2), 2),
+             Seed(parse_poly("x11*x22", 3), Xi(1), 2)]
+    res = closure(build_seeds(3) + extra, 3)
+    rep = res.reports
+    for r in (rep[2], rep[3]):
+        assert r.method == "pair-coordinate/weight-lemma" and r.blocks_computed == 1 < r.blocks
     assert all(r.certified for r in rep.values())
     assert rep[2].sl_rank == closed_form(3, 2)[0] - closed_form(3, 2)[1]
-
-
-@pytest.mark.parametrize("n,max_degree", [(2, 5), (3, 4), (4, 3), (5, 2)])
-def test_orbit_representatives(n, max_degree):
-    # weights decode to integer vectors summing to 0; each orbit is the set
-    # of permutations of its representative and their negations, the
-    # representative is the least sorted form, and the orbits partition the
-    # blocks into sets of equal pair count
-    ring = liegen._TracelessFields(n, max_degree)
-    weights = ring.weights(max_degree)
-    sizes = Counter(weights)
-    orbits = ring.orbits(weights)
-    assert sorted(w for ws in orbits.values() for w in ws) == sorted(sizes)
-    for rep, ws in orbits.items():
-        v = ring.weight_vector(rep)
-        assert sum(v) == 0 and list(v) == sorted(v) <= sorted(-c for c in v)
-        images = {tuple(c * s for c in p) for p in itertools.permutations(v) for s in (1, -1)}
-        assert {ring.weight_vector(w) for w in ws} == images
-        assert {sizes[w] for w in ws} == {sizes[rep]}
-    for v, w in zip(range(ring.nv), ring.var_weights):
-        i, j = divmod(v, n)
-        assert ring.weight_vector(w) == tuple((k == i) - (k == j) for k in range(n))
+    ring = liegen._TracelessFields(3, 2)
+    weights = ring.weights(2)
+    seeded = res.spans[2][:2]
+    assert [{weights[i] for i in vec} for vec in seeded] == [{ring.gen_weights[0]}, {0}]
+    assert rep[2].gl_rank == len(closure_of(3, 2).spans[2]) + 1
 
 
 def pair_brackets(n, max_degree):
@@ -877,7 +861,7 @@ def equivariance_group(n):
 @pytest.mark.parametrize("sigma", ["(12)", "tau", "cycle"])
 @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 2), (4, 3)])
 def test_pair_brackets_commute_with_weyl_and_transpose(n, d, sigma):
-    # the lemma of `_certify_degree`: sigma [a, b] = [sigma a, sigma b] for
+    # the closed form is equivariant: sigma [a, b] = [sigma a, sigma b] for
     # every grade-1 pair a and grade-(d-1) pair b, in pair coordinates, for
     # generators of S_n x <tau>; the cycle sends x_{n-1,n-1} to x_nn, which
     # is -(x_11 + ... + x_{n-1,n-1}) on tr = 0
@@ -1001,12 +985,11 @@ def test_evaluated_brackets_lie_in_their_predicted_weight(n, max_degree, monkeyp
     assert len(calls) >= sum(rep.brackets_evaluated for rep in res.reports.values())
     assert sum(d >= 2 for _, d, _ in calls) == sum(
         rep.brackets_evaluated for d, rep in res.reports.items() if d >= 2)
-    representatives = {d: ring.orbits(weights[d]) for d in grades}
     nonzero = 0
     for w, d, term in calls:
         assert {weights[d][k] for k, c in term.items() if c} <= {w}
-        # the [T_1, T_{d-1}] step computes only the orbit representatives
-        assert d <= 1 or w in representatives[d]
+        # the [T_1, T_{d-1}] step computes block 0 alone
+        assert d <= 1 or w == 0
         nonzero += any(term.values())
     assert nonzero > len(calls) // 2
 
@@ -1037,14 +1020,13 @@ def test_vectors_across_weight_blocks_raise():
 
 
 def test_a_block_without_brackets_stays_open(monkeypatch, capsys):
-    # with nothing written into one representative block of grade 2, whose
-    # orbit has other blocks, only brackets could fill it: the grade is not
-    # certified, its witnesses are that block's pairs and a line for the
-    # rest of its orbit, and generate exits 5
+    # with nothing written into block 0 of grade 2, the one block the
+    # weight lemma leaves to brackets: the grade is not certified, its
+    # witnesses are that block's pairs, the lemma proves every other pair,
+    # and generate exits 5
     ring = liegen._TracelessFields(3, 2)
     weights = ring.weights(2)
-    orbits = ring.orbits(weights)
-    w = next(w for w in sorted(orbits) if len(orbits[w]) >= 2)
+    w = 0
     top = len(ring.monomials(2))
     inner = liegen._PairBrackets.add
 
@@ -1066,49 +1048,157 @@ def test_a_block_without_brackets_stays_open(monkeypatch, capsys):
     monos = list(slice_monomials(ring.nv, 2))
     pairs = [f"{Polynomial.from_monomial(9, monos[i // ring.nv])} * {gens[i % ring.nv].label()}"
              for i, v in enumerate(weights) if v == w]
-    others = [v for v in orbits[w] if v != w]
-    count = sum(weights.count(v) for v in others)
-    assert row["missing_witnesses"] == pairs + [
-        f"weight {ring.weight_vector(w)} is open: {len(others)} more block(s) of its orbit "
-        f"({count} pairs) follow it"]
-    assert row["achieved_rank"] == row["target_rank"] - len(pairs) - count
+    assert row["missing_witnesses"] == pairs and len(pairs) == 30
+    assert row["achieved_rank"] == row["target_rank"] - len(pairs)
 
 
 @pytest.mark.parametrize("n,max_degree,digest", [
-    pytest.param(2, 4, "3b24812941f1169e", id="2-4"),
-    pytest.param(3, 2, "8be9687e7835e3e2", id="3-2"),
-    pytest.param(3, 3, "7eb720615812c5d4", id="3-3")])
+    pytest.param(2, 4, "f56514e2accd8956", id="2-4"),
+    pytest.param(3, 2, "32b06902b9613a47", id="3-2"),
+    pytest.param(3, 3, "d48b6c77aa145ac0", id="3-3")])
 def test_kept_vectors_are_pinned(n, max_degree, digest, closure_n3):
     # the kept vectors B in pair coordinates and their order: seeds and
-    # generator brackets at grades 0-1, [T_1, T_{d-1}] brackets of the orbit
-    # representatives' blocks above
+    # generator brackets at grades 0-1, [T_1, T_{d-1}] brackets of block 0
+    # above
     res = closure_n3 if (n, max_degree) == (3, 2) else closure_of(n, max_degree)
     spans = [[sorted(v.items()) for v in res.spans[d]] for d in range(max_degree + 1)]
     assert hashlib.sha256(json.dumps(spans).encode()).hexdigest()[:16] == digest
 
 
+def lemma_family(n, d, step3=True):
+    """The brackets of the weight lemma's proof (`_certify_degree`) at grade
+    d >= 2, as pair vectors from `_PairBrackets.add`, each checked against
+    the closed form the proof reads off it: step 1 for the root pairs g*Theta
+    of nonzero weight, step 2 for the Cartan pairs h*Xi_b with lambda_h != 0,
+    and, when `step3`, step 3's brackets for the d = 2 exceptions."""
+    ring = liegen._TracelessFields(n, d)
+    table = liegen._PairBrackets(ring, 1, d)
+    nv, units = ring.nv, ring.units
+    index = {g: gi for gi, g in enumerate(generator_ids(n))}
+    xis = [index[Xi(a)] for a in range(1, n)]
+    # lambda_u(a) and mu_V(a): Xi_a(x_u) = lambda_u(a) x_u, [Xi_a, V] = mu_V(a) V
+    lam = [tuple(ring.images[xa][units[u]].get(units[u], 0) for xa in xis) for u in range(nv)]
+    mu = [tuple(sum(c for _, c in ring.structure[xa][V]) for xa in xis) for V in range(nv)]
+    right = {m: j for j, m in enumerate(ring.monomials(d - 1))}
+    top = {m: j for j, m in enumerate(ring.monomials(d))}
+
+    def weight(m):
+        return tuple(sum(e * lam[v][a] for v, e in ring.factors(m)) for a in range(n - 1))
+
+    def take(u, W, f, V):
+        out = {}
+        table.add(u * nv + W, right[f] * nv + V, 1, out)
+        return {k: c for k, c in out.items() if c}
+
+    def is_exception(m):
+        """Whether m is x_ab^2, a != b, at d = 2."""
+        factors = ring.factors(m)
+        return d == 2 and len(factors) == 1 and factors[0][1] == 2 and any(lam[factors[0][0]])
+
+    family = []
+    for g, gj in top.items():
+        lg = weight(g)
+        for V in range(nv):
+            if V in xis or lg == mu[V]:
+                continue                    # Cartan pairs below; weight 0
+            # step 1: a split g = x_u f with lambda_f != mu_V, and an a where
+            # the coefficient (mu_V - lambda_f)(a) is nonzero
+            for u, _ in ring.factors(g):
+                lf = tuple(x - y for x, y in zip(lg, lam[u]))
+                a = next((a for a in range(n - 1) if mu[V][a] != lf[a]), None)
+                if a is not None:
+                    vec = take(u, xis[a], g - units[u], V)
+                    assert {k: c for k, c in vec.items() if k % nv not in xis} == {
+                        gj * nv + V: mu[V][a] - lf[a]}
+                    family.append(vec)
+                    break
+            else:
+                # only x_ab^2 * Theta_ab, at d = 2
+                assert is_exception(g) and mu[V] == lam[ring.factors(g)[0][0]]
+        if not any(lg):
+            continue
+        # step 2: the Cartan pairs h*Xi_b of h = g
+        factors = ring.factors(g)
+        diagonal = [u for u, _ in factors if not any(lam[u])]
+        if diagonal:
+            u = diagonal[0]
+            a = next(a for a in range(n - 1) if lg[a])
+            for b, xb in enumerate(xis):
+                vec = take(u, xis[a], g - units[u], xb)
+                assert vec == {gj * nv + xb: -lg[a]}
+                family.append(vec)
+            continue
+        split = [u for u, _ in factors if lam[u] != tuple(x - y for x, y in zip(lg, lam[u]))]
+        if not split:
+            assert is_exception(g)
+            continue
+        u = split[0]
+        lf = tuple(x - y for x, y in zip(lg, lam[u]))
+        for a, xa in enumerate(xis):
+            for b, xb in enumerate(xis):
+                want = {gj * nv + xa: lam[u][b]}
+                want[gj * nv + xb] = want.get(gj * nv + xb, 0) - lf[a]
+                vec = take(u, xa, g - units[u], xb)
+                assert vec == {k: c for k, c in want.items() if c}
+                family.append(vec)
+    if d == 2 and step3:
+        # step 3: x_dd = x_aa, or x_bb when a = n
+        for a, b in itertools.permutations(range(n), 2):
+            ab, ba = a * n + b, b * n + a
+            dd = (a if a < n - 1 else b) * (n + 1)
+            t_ab, t_ba = index[Theta(a + 1, b + 1)], index[Theta(b + 1, a + 1)]
+            for xc in xis:
+                vec = take(ab, xc, units[dd], t_ba)
+                assert set(vec) <= {top[units[dd] + units[ab]] * nv + t_ba}
+                family += [vec, take(dd, xc, units[ab], t_ba)]
+            family.append(take(dd, t_ab, units[ab], t_ba))
+    return ring.weights(d), family
+
+
+@pytest.mark.parametrize("n,max_degree", [(2, 6), (3, 4), (4, 3), (5, 2)])
+def test_weight_lemma_family(n, max_degree):
+    # the explicit brackets of the weight lemma span every block of nonzero
+    # weight, at every grade from 2 to max_degree; only block 0 stays open
+    for d in range(2, max_degree + 1):
+        weights, family = lemma_family(n, d)
+        space = ModularRowSpace(liegen.CLOSURE_PRIME, weights)
+        for vec in family:
+            space.insert(vec)
+        assert space.open_blocks == {0}, d
+        assert space.rank - len(space.blocks.get(0, ())) == sum(1 for w in weights if w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_weight_lemma_needs_step_3(n):
+    # without step 3's brackets the family falls short at d = 2 by exactly
+    # the n * n(n - 1) pairs x_ab^2 * Xi_c and x_ab^2 * Theta_ab
+    weights, family = lemma_family(n, 2, step3=False)
+    space = ModularRowSpace(liegen.CLOSURE_PRIME, weights)
+    for vec in family:
+        space.insert(vec)
+    nonzero = space.rank - len(space.blocks.get(0, ()))
+    assert sum(1 for w in weights if w) - nonzero == n * n * (n - 1)
+
+
 def test_uncertified_operands_leave_later_grades_unproven():
     # a grade-1 seed set that leaves grade 1 short: the brackets of grade 2
-    # would need every grade-1 pair in the algebra, so grade 2 runs none and
-    # is not certified either.  Its witnesses are the pairs of the orbit
-    # representatives, each open orbit followed by a line for its other
-    # blocks, and no pair of the grade counts as achieved
+    # would need every grade-1 pair in the algebra, so grade 2 runs none,
+    # the weight lemma proves nothing, and the grade is not certified.  Its
+    # witnesses are the pairs of block 0, then one line counting the pairs
+    # of nonzero weight, and no pair of the grade counts as achieved
     seeds = [s for s in build_seeds(2) if s.grade == 0]
     res = closure(seeds, 2)
     assert not res.reports[1].certified
     rep = res.reports[2]
     assert rep.complete and not rep.certified and rep.sl_rank is None
     assert rep.brackets_evaluated == rep.brackets_skipped == rep.blocks_computed == 0
-    ring = liegen._TracelessFields(2, 2)
-    weights = ring.weights(2)
-    orbits = ring.orbits(weights)
-    pairs = [w for w in rep.missing_witnesses if " * " in w]
-    follow = [w for w in rep.missing_witnesses if " * " not in w]
-    assert len(pairs) == sum(map(weights.count, orbits)) == 11
-    assert len(follow) == sum(len(ws) > 1 for ws in orbits.values()) == 3
-    assert follow[0] == "weight (-1, 1) is open: 1 more block(s) of its orbit (4 pairs) follow it"
-    followers = sum(int(re.search(r"\((\d+) pairs\)", w).group(1)) for w in follow)
-    assert rep.achieved_rank == rep.target_rank - len(pairs) - followers == 0
+    weights = liegen._TracelessFields(2, 2).weights(2)
+    assert rep.missing_witnesses == [
+        "x11^2 * xi1", "x11*x12 * theta12", "x11*x21 * theta21", "x12*x21 * xi1",
+        "14 pairs of nonzero weight are unproven: the weight lemma needs grades 1 and d - 1 "
+        "certified"]
+    assert weights.count(0) == 4 and len(weights) == 18
+    assert rep.achieved_rank == 0
 
 
 @pytest.mark.parametrize("n", [2, 3])
