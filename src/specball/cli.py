@@ -48,8 +48,13 @@ def _write_output(text: str, out_path: str | None):
                        f".specball-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        try:
+            # one write, unless the system takes fewer bytes than asked
+            view = memoryview(text.encode())
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -300,10 +305,11 @@ def cmd_orbit(args) -> int:
     drift = None
     if args.check_fibre and non_moebius:
         drift = float(np.max(np.abs(np.array(fc1.pi) - np.array(fc0.pi)))) if len(fc0) else 0.0
+    trajectory = [flows.matrix_to_json(P) for P in points]
     payload = _report(config, {
         "n": A.shape[0],
-        "result": flows.matrix_to_json(X),
-        "trajectory": [flows.matrix_to_json(P) for P in points],
+        "result": trajectory[-1],
+        "trajectory": trajectory,
         "in_ball": flows.in_symmetrized_polydisc(fc1),
         "fibre_drift": drift,
     })
@@ -329,11 +335,13 @@ def _bounded(kind, low: float, strict: bool = False):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `specball` parser, built on first use and shared by every later
-    `main` call in the process (parsing leaves it unchanged)."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `specball` parser and its subcommand parsers by name, built on
+    first use and shared by every later `main` call in the process (parsing
+    leaves them unchanged)."""
     ap = argparse.ArgumentParser(prog="specball",
                                  description=__doc__.strip().splitlines()[0])
+    # argparse names the subcommand by its dest when it is missing
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, n_default=None):
@@ -395,13 +403,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-fibre", action="store_true")
     p.set_defaults(func=cmd_orbit)
 
-    return ap
+    return ap, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    """Run one command.  An argv that starts with a subcommand is parsed by
+    that subcommand's parser alone, with the messages and exit codes of the
+    whole parser; any other argv (none, -h, an unknown command) by the whole
+    parser."""
+    ap, commands = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = ap.parse_args(argv)
+        if command is None:
+            args = ap.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                ap.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

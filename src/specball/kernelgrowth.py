@@ -36,7 +36,7 @@ from itertools import accumulate, combinations_with_replacement, count
 from math import comb, gcd
 
 from .adjointfields import VectorField, make_theta, make_xi
-from .linalg import SparseMatrix
+from .linalg import ExactRowSpace, SparseMatrix, clear_denominators
 from .polyring import GradingError, exact_coefficient
 
 
@@ -176,20 +176,29 @@ def jordan_type(der: LinearDerivation) -> list[int] | None:
     """Jordan block sizes (descending) of the linear matrix when it is
     nilpotent, from the ranks of its powers; None when it is not nilpotent.
     The linear matrix is A itself, read off `entries`, the variables in
-    order (the degree-1 slice matrix)."""
+    order (the degree-1 slice matrix).  The row space of A^(k+1) is that
+    of A^k times A, spanned by an echelon basis of A^k's rows times A, so
+    each rank is one exact echelon of at most the previous rank's vectors."""
     rows: dict[int, dict[int, int | Fraction]] = {}
     for (i, j), c in der.entries.items():
         rows.setdefault(i, {})[j] = c
-    mat = SparseMatrix(der.nvars, der.nvars, rows)
     ranks = [der.nvars]
-    power = mat
+    basis = list(rows.values())
     while ranks[-1] > 0:
-        r = power.rank()
+        space = ExactRowSpace()
+        for v in basis:
+            space.insert(clear_denominators(v))
+        r = space.rank
         if r == ranks[-1]:
             return None          # the ranks stopped falling above zero
         ranks.append(r)
-        if r > 0:
-            power = power @ mat
+        basis = []
+        for v in space.rows.values():
+            image: dict[int, int | Fraction] = {}
+            for k, c in v.items():
+                for j, a in rows.get(k, {}).items():
+                    image[j] = image.get(j, 0) + c * a
+            basis.append(image)
     # blocks of size >= k: ranks[k-1] - ranks[k]
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]
     blocks = []

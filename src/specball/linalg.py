@@ -27,21 +27,23 @@ from .polyring import GradingError, exact_coefficient
 
 
 def clear_denominators(vec: dict[int, int | Fraction]) -> dict[int, int]:
-    """Scale a rational vector to a primitive integer vector."""
-    if all(type(c) is int for c in vec.values()):
-        ints = {k: c for k, c in vec.items() if c}
-    else:
-        denom = lcm(*(Fraction(c).denominator for c in vec.values()))
-        ints = {k: int(Fraction(c) * denom) for k, c in vec.items() if c != 0}
-    if not ints:
+    """Scale a rational vector to a primitive integer vector whose first
+    entry is positive: a new dict, zero entries dropped."""
+    vals = vec.values()
+    try:
+        g = gcd(*vals)
+    except TypeError:           # a Fraction among the entries
+        denom = lcm(*(Fraction(c).denominator for c in vals))
+        vec = {k: int(Fraction(c) * denom) for k, c in vec.items() if c}
+        vals = vec.values()
+        g = gcd(*vals)
+    if 0 in vals:
+        vec = {k: c for k, c in vec.items() if c}
+    if not vec:
         return {}
-    g = gcd(*ints.values())
-    if g > 1:
-        ints = {k: c // g for k, c in ints.items()}
-    lead = ints[min(ints)]
-    if lead < 0:
-        ints = {k: -c for k, c in ints.items()}
-    return ints
+    if vec[min(vec)] < 0:
+        g = -g
+    return dict(vec) if g == 1 else {k: c // g for k, c in vec.items()}
 
 
 class ExactRowSpace:
@@ -55,30 +57,29 @@ class ExactRowSpace:
         return len(self.rows)
 
     def reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        """Eliminate pivots from vec; returns the (primitive) remainder."""
-        v = {k: c for k, c in vec.items() if c != 0}
+        """Eliminate pivots from vec; returns the remainder, primitive when
+        vec is, and vec itself when no pivot meets it and its first entry
+        is positive."""
+        v = vec if 0 not in vec.values() else {k: c for k, c in vec.items() if c}
+        rows = self.rows
         while v:
             p = min(v)
-            row = self.rows.get(p)
+            row = rows.get(p)
             if row is None:
                 break
             a, b = row[p], v[p]
             g = gcd(a, b)
             ma, mb = a // g, b // g
-            new = {}
-            for k, c in v.items():
-                new[k] = c * ma
+            new = dict(v) if ma == 1 else {k: c * ma for k, c in v.items()}
             for k, c in row.items():
                 s = new.get(k, 0) - c * mb
                 if s:
                     new[k] = s
                 else:
-                    new.pop(k, None)
+                    del new[k]
             v = new
             if v:
-                g = 0
-                for c in v.values():
-                    g = gcd(g, c)
+                g = gcd(*v.values())
                 if g > 1:
                     v = {k: c // g for k, c in v.items()}
         if v and v[min(v)] < 0:
@@ -86,7 +87,9 @@ class ExactRowSpace:
         return v
 
     def insert(self, vec: dict[int, int]) -> bool:
-        """Insert if independent; returns True when the rank grew."""
+        """Insert if independent; returns True when the rank grew.  The
+        echelon may keep vec itself as a row, so the caller leaves it
+        unchanged."""
         rem = self.reduce(vec)
         if not rem:
             return False

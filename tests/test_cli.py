@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -149,6 +150,39 @@ def test_tables_golden_match_is_structural(capsys, monkeypatch):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 2
+
+
+_PARSE_RECORDED = json.loads((Path(__file__).parent / "data" / "cli_parse_recorded.json").read_text())
+
+
+@pytest.mark.parametrize("record", _PARSE_RECORDED, ids=lambda r: " ".join(r["argv"]) or "(none)")
+def test_parse_messages_match_recorded(capsys, monkeypatch, record):
+    # recorded when main ran every argv through the whole parser: each
+    # command is now parsed by its own parser, with the same output, the
+    # same messages (usage and help at 80 columns) and the same exit code
+    monkeypatch.setenv("COLUMNS", "80")
+    code = cli.main(list(record["argv"]))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (record["code"], record["out"], record["err"])
+
+
+def test_commands_skip_the_top_level_parse(capsys, monkeypatch, orbit_files, tmp_path):
+    mat, word, bad, empty = orbit_files
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def subcommand_parse_only(parser, *args, **kwargs):
+        if parser.prog == "specball":
+            raise AssertionError("an argv with a subcommand went through the whole parser")
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", subcommand_parse_only)
+    for argv in (["tables", "--n", "2"], ["verify", "--n", "2", "--id", "xi-bracket"],
+                 ["generate", "--max-degree", "1"],
+                 ["kernels", "--field", "theta12", "--m", "0..2"],
+                 ["growth", "--chain", "--m", "1..2"], ["jets", "--k", "1", "--m", "0..1"],
+                 ["orbit", "--word", str(word), "--matrix", str(mat)]):
+        assert cli.main(argv + ["--out", str(tmp_path / "report")]) == 0, argv
+        assert (tmp_path / "report").read_text()
 
 
 def test_generate_small(capsys):
@@ -792,6 +826,22 @@ def test_out_file_atomic_write(tmp_path, capsys):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.parent.glob(".specball-*"))
+
+
+def test_out_file_written_in_full_by_short_writes(tmp_path, monkeypatch):
+    whole = tmp_path / "whole.json"
+    assert cli.main(["tables", "--n", "3", "--out", str(whole)]) == 0
+    write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(write(fd, data[:7]))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    short = tmp_path / "short.json"
+    assert cli.main(["tables", "--n", "3", "--out", str(short)]) == 0
+    assert short.read_bytes() == whole.read_bytes()
+    assert len(sizes) == -(-whole.stat().st_size // 7) and max(sizes) == 7
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])

@@ -20,6 +20,7 @@ from specball.kernelgrowth import (
     growth_table,
     jet_inequality,
     jordan_blocks_theta12,
+    jordan_type,
     kernel_dim,
     kernel_dim_with_method,
     restrict,
@@ -27,6 +28,7 @@ from specball.kernelgrowth import (
     weight_kernel_table,
     xi1_weight_system,
 )
+from specball.linalg import SparseMatrix
 from specball.polyring import HomSliceBasis, Polynomial
 
 
@@ -197,6 +199,92 @@ def test_jordan_formula_general():
     for n in (2, 3, 4):
         expected = sorted([3] + [2] * (2 * n - 4) + [1] * ((n - 2) ** 2 + 1), reverse=True)
         assert jordan_blocks_theta12(n) == expected
+
+
+def _jordan_type_by_powers(der):
+    """The reference: the Jordan type from the ranks of the powers of A,
+    each power multiplied out as a SparseMatrix and ranked on its own."""
+    rows = {}
+    for (i, j), c in der.entries.items():
+        rows.setdefault(i, {})[j] = c
+    mat = SparseMatrix(der.nvars, der.nvars, rows)
+    ranks = [der.nvars]
+    power = mat
+    while ranks[-1] > 0:
+        r = power.rank()
+        if r == ranks[-1]:
+            return None
+        ranks.append(r)
+        if r > 0:
+            power = power @ mat
+    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]
+    blocks = []
+    for k in range(1, len(at_least)):
+        blocks.extend([k] * (at_least[k - 1] - at_least[k]))
+    return sorted(blocks, reverse=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_jordan_type_matches_the_powers_on_generator_fields(n):
+    for gid in generator_ids(n):
+        der = LinearDerivation.from_vector_field(generator_field(n, gid))
+        expected = _jordan_type_by_powers(der)
+        assert jordan_type(der) == expected, gid
+        # Theta fields are nilpotent, Xi fields are not
+        assert (expected is None) == isinstance(gid, Xi), gid
+    chain = LinearDerivation.chain(3)
+    assert jordan_type(chain) == _jordan_type_by_powers(chain) == [3]
+
+
+def _random_linear_matrix(rng, size):
+    """Entries {(i, j): c} of a size x size matrix: dense, diagonal, or
+    nilpotent (strictly upper triangular, or Jordan blocks in a random
+    order), then conjugated by elementary matrices with integer or
+    Fraction multipliers, which keeps the Jordan type."""
+    kind = rng.choice(["dense", "diagonal", "triangular", "blocks"])
+    A = [[0] * size for _ in range(size)]
+    if kind == "dense":
+        for i in range(size):
+            for j in range(size):
+                A[i][j] = rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)])
+    elif kind == "diagonal":
+        for i in range(size):
+            A[i][i] = rng.choice([0, 1, -2, Fraction(1, 2)])
+    elif kind == "triangular":
+        for i in range(size):
+            for j in range(i + 1, size):
+                A[i][j] = rng.choice([0, 0, 1, -1, 3])
+    else:
+        order = rng.sample(range(size), size)
+        start = 0
+        while start < size:
+            k = rng.randint(1, size - start)
+            for t in range(start, start + k - 1):
+                A[order[t]][order[t + 1]] = 1
+            start += k
+    for _ in range(rng.randint(0, 3) if size > 1 else 0):
+        i, j = rng.sample(range(size), 2)
+        c = rng.choice([1, -2, Fraction(1, 2), Fraction(-2, 3)])
+        # A -> E A E^-1 with E = I + c e_ij: row i gains c row j, then
+        # column j loses c column i
+        for col in range(size):
+            A[i][col] += c * A[j][col]
+        for row in range(size):
+            A[row][j] -= c * A[row][i]
+    return {(i, j): A[i][j] for i in range(size) for j in range(size) if A[i][j]}
+
+
+def test_jordan_type_matches_the_powers_on_random_matrices():
+    rng = random.Random(42)
+    seen = {"nilpotent": 0, "not nilpotent": 0, "fraction": 0}
+    for _ in range(400):
+        size = rng.randint(1, 7)
+        der = LinearDerivation(size, _random_linear_matrix(rng, size))
+        expected = _jordan_type_by_powers(der)
+        assert jordan_type(der) == expected, der.entries
+        seen["nilpotent" if expected is not None else "not nilpotent"] += 1
+        seen["fraction"] += any(type(c) is Fraction for c in der.entries.values())
+    assert min(seen.values()) >= 100, seen
 
 
 def test_adjoin_bound_degenerate():

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from specball import liegen
 from specball.liegen import CLOSURE_PRIME, build_seeds, closure
-from specball.linalg import ExactRowSpace, ModularRowSpace
+from specball.linalg import ExactRowSpace, ModularRowSpace, clear_denominators
 from specball.polyring import GradingError
 
 
@@ -31,6 +33,47 @@ def test_modular_rank_never_exceeds_exact_rank():
             assert mod.rank <= exact.rank
             drops += mod.rank < exact.rank
     assert drops > 0
+
+
+def _fraction_rank(rows, ncols):
+    """Rank by Gauss-Jordan elimination over Fraction: the reference."""
+    pivots = {}                                   # pivot column -> row, 1 there
+    for row in rows:
+        v = [Fraction(row.get(j, 0)) for j in range(ncols)]
+        for col, prow in pivots.items():
+            if v[col]:
+                v = [a - v[col] * b for a, b in zip(v, prow)]
+        lead = next((j for j, c in enumerate(v) if c), None)
+        if lead is not None:
+            pivots[lead] = [c / v[lead] for c in v]
+            for col, prow in pivots.items():
+                if col != lead and prow[lead]:
+                    pivots[col] = [a - prow[lead] * b for a, b in zip(prow, pivots[lead])]
+    return len(pivots)
+
+
+def test_exact_rank_matches_fraction_elimination():
+    # rows with zero entries, negative leads, common factors and Fractions
+    rng = random.Random(3)
+    for _ in range(300):
+        ncols = rng.randint(1, 6)
+        rows = [{j: rng.choice([0, 0, 1, -1, 2, -4, 6, Fraction(1, 2), Fraction(-2, 3)])
+                 for j in range(ncols)} for _ in range(rng.randint(1, 6))]
+        cleared, raw = ExactRowSpace(), ExactRowSpace()
+        for row in rows:
+            vec = clear_denominators(row)
+            nonzero = {k: Fraction(c) for k, c in row.items() if c}
+            assert vec.keys() == nonzero.keys()
+            if vec:
+                lead = min(vec)
+                assert vec[lead] > 0 and gcd(*vec.values()) == 1
+                assert all(vec[k] * nonzero[lead] == c * vec[lead] for k, c in nonzero.items())
+            cleared.insert(vec)
+            if all(type(c) is int for c in row.values()):
+                raw.insert(row)
+        assert cleared.rank == _fraction_rank(rows, ncols)
+        int_rows = [r for r in rows if all(type(c) is int for c in r.values())]
+        assert raw.rank == _fraction_rank(int_rows, ncols)
 
 
 def test_modular_rank_drops_when_p_divides_the_determinant():
