@@ -369,8 +369,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--max-degree", type=_bounded(int, 0), required=True)
     p.add_argument("--method", choices=["auto", "exact", "modular"], default="auto",
                    help="no effect: every grade has the pair-coordinate certificate")
-    p.add_argument("--budget-ms", type=_bounded(float, 0, strict=True), default=None)
-    p.add_argument("--budget-brackets", type=_bounded(int, 0), default=None)
+    p.add_argument("--budget-ms", type=_bounded(float, 0, strict=True), default=None,
+                   help="time budget of grades 0-1; grades >= 2 take no bracket")
+    p.add_argument("--budget-brackets", type=_bounded(int, 0), default=None,
+                   help="bracket budget of grades 0-1; grades >= 2 take no bracket")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("kernels", help="kernel dimensions on homogeneous slices")

@@ -14,14 +14,13 @@ homomorphism.  A vector is kept in pair coordinates (`_TracelessFields`):
 one integer per pair f*V, standing for the sum of c * f * V.  Two pairs
 bracket by a closed form (`_PairBrackets`), with no field in the loop.
 Grades 0 and 1 close the seeds under the kept generators; a grade d >= 2
-brackets grade-1 pairs with grade-(d-1) pairs, which lie in L once those
-grades are certified.
+computes no bracket, as two lemmas prove it from grade 1.
 
 The pair vectors with that closed form are the sections of the action Lie
 algebroid C[sl_n] (x) sl_n of sl_n acting on itself (Mackenzie, 2005), and
 its anchor Phi, from pair vectors to fields, is a Lie algebra
 homomorphism.  So a formal bracket of pair vectors whose fields lie in L
-stands for a field in L, and each grade is certified from the kept
+stands for a field in L, and grades 0 and 1 are certified from the kept
 brackets and seeds B alone, with one prime `CLOSURE_PRIME`
 (`_certify_degree`): when B spans all pairs mod p, it spans them over Q,
 so every pair is in L.  The rank of the target fields is the pair count
@@ -32,8 +31,9 @@ Every generator field, seed, bracket and pair is homogeneous for the
 weights of the diagonal torus of SL_n (x_ij has weight e_i - e_j).  The
 echelon is therefore one `linalg.ModularRowSpace` graded by weight, and the
 certificate holds block by block.  At a grade d >= 2 a weight lemma proves
-every block of nonzero weight from certified grades 1 and d - 1, so the
-brackets fill the weight-0 block alone (`closure`, `_certify_degree`).
+every block of nonzero weight from certified grades 1 and d - 1, and a
+weight-0 lemma block 0, so by induction a grade d >= 2 is certified exactly
+when grade 1 is (`closure`, `_certify_degree`).
 """
 from __future__ import annotations
 
@@ -309,9 +309,23 @@ class _TracelessFields:
         """Keys of the degree-`degree` monomials, in `slice_monomials` order."""
         return self._slice(degree)[0]
 
+    def index(self, degree: int) -> dict[int, int]:
+        """The index in `monomials(degree)` of each key there."""
+        return self._slice(degree)[1]
+
     def weights(self, d: int) -> list[int]:
         """The weight of each grade-d target pair f*V, in pair-index order."""
         return [fw + gw for fw in self._slice(d)[2] for gw in self.gen_weights]
+
+    def block_count(self, d: int) -> int:
+        """The number of distinct weights of the grade-d pairs, with no pair
+        listed.  The generators' weights, like the coordinates', are 0 and the
+        roots, so a pair's weight is that of a degree-(d + 1) monomial: a sum
+        of d + 1 coordinate weights."""
+        steps, sums = set(self.var_weights), {0}
+        for _ in range(d + 1):
+            sums = {s + w for s in sums for w in steps}
+        return len(sums)
 
     def factors(self, key: int) -> list[tuple[int, int]]:
         """(v, e_v) for the variables x_v of a packed monomial, e_v > 0."""
@@ -343,13 +357,11 @@ class _PairBrackets:
     with V(h) and W(f) taken on tr = 0 (`_TracelessFields.images`) and
     [W, V] from the structure constants of `generator_matrix`.
 
-    W(f) is summed here by the Leibniz rule on the ring's packed keys, not
-    through `adjointfields.add_derivation`: that works in all n^2 variables,
-    one key field each, so W(f) would keep its x_nn terms,
-    while the substitution x_nn = -(x_11 + ... + x_{n-1,n-1}) of tr = 0
-    lives in `ring.images`.
-    `test_vector_bracket_matches_polynomial_bracket` checks the closed form
-    against `adjointfields.bracket` of the two pair fields."""
+    W(f) is summed by the Leibniz rule on the packed keys, from W(x_v) on
+    tr = 0 in `ring.images`; `adjointfields.add_derivation` would keep the
+    x_nn terms.  The closure uses e = 0; the tests' reference step and lemma
+    checks use e = 1.  `test_vector_bracket_matches_polynomial_bracket`
+    checks the closed form against `adjointfields.bracket`."""
 
     def __init__(self, ring: _TracelessFields, e: int, d: int):
         self.ring, self.nv = ring, ring.nv
@@ -405,17 +417,17 @@ class DegreeReport:
     n: int
     grade: int
     method: str                      # "pair-coordinate", or "pair-coordinate/weight-lemma" (d >= 2)
-    operands: str                    # "seeds" (grades 0-1) or "T_1 x T_{d-1}"
+    operands: str                    # "seeds" (grades 0-1) or "T_1 x T_{d-1}", the lemmas' brackets
     target_rank: int                 # |F_d|: monomial x generator pairs (traceless)
     achieved_rank: int               # pairs proved in L: all when certified
-    missing_witnesses: list[str]     # open computed blocks' pairs outside span(B); lemma count
+    missing_witnesses: list[str]     # pairs outside span(B) of open blocks (d >= 2: block 0's); count
     sl_rank: int | None              # certified: rank T_d = target_rank - relation_rank
     sl_target_component_rank: int    # target_rank - relation_rank: rank T_d by Kostant's count
-    gl_rank: int                     # kept vectors B: rank_p(B) (d >= 2: block 0's, and seeds)
-    brackets_evaluated: int          # brackets computed
-    brackets_skipped: int            # brackets of the step not computed (`closure`)
+    gl_rank: int                     # kept vectors B: rank_p(B) (d >= 2: the grade's own seeds)
+    brackets_evaluated: int          # brackets computed (none at d >= 2)
+    brackets_skipped: int            # brackets of the walk not computed, their block full
     blocks: int                      # weight blocks of the grade
-    blocks_computed: int             # blocks the brackets were computed for (d >= 2: block 0)
+    blocks_computed: int             # blocks the walk filled: all at grades 0-1, none above
     complete: bool                   # fixed point, full rank or operands exhausted within budget
     certified: bool                  # every pair in L and rank T_d proven (`_certify_degree`)
     prime: int                       # p of the echelon of B
@@ -432,107 +444,72 @@ class ClosureResult:
 
 
 def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = None,
-            budget_ms: float | None = None, all_blocks: bool = False) -> ClosureResult:
+            budget_ms: float | None = None) -> ClosureResult:
     """Bracket-closure of the seed set, graded by coefficient degree, in pair
     coordinates (`_TracelessFields`): a vector of grade d stands for the sum
     of c * f * V over the degree-d monomials f and generators V, on tr = 0.
 
-    Each grade puts its seeds (checked by `_seed_ring`) and then brackets
-    into one mod-p echelon over the pair coordinates, and keeps a vector
-    exactly when it is new there: `spans[d]` lists the kept vectors B, each
-    a seed or a formal bracket of pair vectors whose fields lie in the
-    algebra (a section of the action Lie algebroid, see `_certify_degree`),
-    so its own field does too.  Nothing else goes in: a block is full when
-    B alone has rank |F_w| there.  One helper takes every bracket: it
-    charges the budget, sums the bracket through `_PairBrackets.add` and
-    keeps it.  Every pair and bracket is homogeneous for the sl_n torus
-    weight (`_TracelessFields.var_weights`), so the echelon is one
-    `ModularRowSpace` graded by pair weight, whose `open_blocks` are the
-    weights still below the rank of their pair count; a bracket's weight,
-    the sum of its operands', is known before it is taken.  Two plain loops
-    feed the helper.
+    Grades 0 and 1 put their seeds (checked by `_seed_ring`) and then
+    brackets into one mod-p echelon over the pair coordinates, and keep a
+    vector exactly when it is new there: `spans[d]` lists the kept vectors
+    B, each a seed or a formal bracket of pair vectors whose fields lie in
+    the algebra (a section of the action Lie algebroid, see
+    `_certify_degree`), so its own field does too.  Nothing else goes in: a
+    block is full when B alone has rank |F_w| there.  Every pair and bracket
+    is homogeneous for the sl_n torus weight (`_TracelessFields.var_weights`),
+    so the echelon is one `ModularRowSpace` graded by pair weight, whose
+    `open_blocks` are the weights still below the rank of their pair count;
+    a bracket's weight, the sum of its operands', is known before it is
+    taken.  The walk goes over the growing list of kept vectors and brackets
+    each with each kept grade-0 vector (at grade 0, each one kept before it),
+    by the closed form of `_PairBrackets` with h = 1, linear in both
+    operands.  It skips a bracket whose block is not open
+    (`brackets_skipped`) and stops once no block is open.
 
-    The walk (grades 0 and 1) goes over the growing list of kept vectors and
-    brackets each with each kept grade-0 vector (at grade 0, each one kept
-    before it), by the closed form with h = 1, linear in both operands.  It
-    skips a bracket whose block is not open (`brackets_skipped`) and stops
-    once no block is open.
-
-    The step (grades d >= 2) is [T_1, T_{d-1}], which runs only when grades 1
-    and d - 1 are certified, because only then are its operands in the Lie
-    algebra.  The weight lemma of `_certify_degree` then proves every block
-    of nonzero weight, so the step fills the weight-0 block alone, seeds of
-    the grade or not: it brackets the grade-1 pairs of weight u with the
-    grade-(d-1) pairs of weight -u (a < b at d = 2) until that block is
-    full; `brackets_skipped` counts the rest of the step.
-    `all_blocks=True` fills every block the same way, the tests' reference.
+    A grade d >= 2 takes no bracket: two lemmas of `_certify_degree` prove
+    it from grade 1.  It builds an echelon only for its own seeds, or for
+    its witnesses when grade 1 is not certified.
 
     Soundness does not rest on the weight prediction: a kept vector goes to
     the block its own coordinates name (across two blocks it raises
-    `GradingError`).  When a budget runs out the closure stops after
-    reporting that grade: later grades get no `spans` or `reports` entry,
-    and `complete` is False.  A grade that would start after `budget_ms` has
-    passed is not started.  `budget_brackets` counts the brackets computed,
-    not those skipped.
+    `GradingError`).  The budgets bound grades 0 and 1, the only ones that
+    take brackets.  When one runs out the closure stops after reporting
+    that grade: later grades get no `spans` or `reports` entry, and
+    `complete` is False.  A grade 0 or 1 that would start after `budget_ms`
+    has passed is not started.  `budget_brackets` counts the brackets
+    computed, not those skipped.
     """
     n = _seed_ring(seeds)
     deadline = time.monotonic() + budget_ms / 1000.0 if budget_ms is not None else None
-
-    def out_of_budget() -> bool:
-        return ((deadline is not None and time.monotonic() > deadline)
-                or (budget_brackets is not None and brackets_done >= budget_brackets))
-
     ring = _TracelessFields(n, max_degree)
     spans: dict[int, list[dict[int, int]]] = {}
     reports: dict[int, DegreeReport] = {}
-    by_weight: dict[int, dict[int, list[int]]] = {}     # grade -> weight -> its pair indices
     brackets_done = 0
 
     complete = True
     for d in range(max_degree + 1):
-        if deadline is not None and time.monotonic() > deadline:
+        if d <= 1 and deadline is not None and time.monotonic() > deadline:
             complete = False
             break
-        weights = ring.weights(d)
-        groups = by_weight[d] = {}
-        for i, w in enumerate(weights):
-            groups.setdefault(w, []).append(i)
-        # at d >= 2 the weight lemma proves every block but weight 0,
-        # unless every block is asked for
-        lemma = d >= 2 and not all_blocks
-        space = ModularRowSpace(CLOSURE_PRIME, weights)
-        open_blocks = space.open_blocks
+        proved = d <= 1 or reports[1].certified
         kept = spans[d] = []
-        brackets = _PairBrackets(ring, 0 if d <= 1 else 1, d)
-        for s in seeds:
-            if s.grade == d:
-                gi = _generator_index(n)[s.generator]
-                vec = {brackets.offset[m] + gi: c for m, c in ring.restrict(s.coefficient).items()}
-                if space.insert(vec):
-                    kept.append(vec)
-        begun = brackets_done
-
-        def bracket_and_keep(terms) -> bool:
-            """Charge the budget, sum c * [pair a, pair b] over the terms (a, b, c)
-            and keep the sum if it is new mod p; False once the budget is out."""
-            nonlocal brackets_done, complete
-            if out_of_budget():
-                complete = False
-                return False
-            brackets_done += 1
-            out: dict[int, int] = {}
-            for a, b, c in terms:
-                brackets.add(a, b, c, out)
-            out = {k: c for k, c in out.items() if c}
-            if space.insert(out):
-                kept.append(out)
-            return True
-
+        space = None
+        if d <= 1 or not proved or any(s.grade == d for s in seeds):
+            space = ModularRowSpace(CLOSURE_PRIME, ring.weights(d))
+            index = ring.index(d)
+            for s in seeds:
+                if s.grade == d:
+                    gi = _generator_index(n)[s.generator]
+                    vec = {index[m] * ring.nv + gi: c for m, c in ring.restrict(s.coefficient).items()}
+                    if space.insert(vec):
+                        kept.append(vec)
+        begun, skipped = brackets_done, 0
         if d <= 1:
             # the walk: `kept` grows as it is walked; a grade-0 pair's index is its
             # generator's.  Each weight is read once: the grade-0 operands' in
             # `zero_weights` (grown with `kept` at grade 0), the walked vector's in wx
-            operands_ok, computed, skipped = True, len(groups), 0
+            brackets = _PairBrackets(ring, 0, d)
+            weights, open_blocks = space.block_of, space.open_blocks
             zero_weights = [ring.gen_weights[next(iter(u))] for u in spans[0]] if d else []
             for j, x in enumerate(kept):
                 wx = weights[next(iter(x))]
@@ -543,27 +520,23 @@ def closure(seeds: list[Seed], max_degree: int, budget_brackets: int | None = No
                         break
                     if wu + wx not in open_blocks:
                         skipped += 1
-                    elif not bracket_and_keep((a, b, ua * xb) for a, ua in u.items()
-                                              for b, xb in x.items()):
+                        continue
+                    if ((deadline is not None and time.monotonic() > deadline)
+                            or (budget_brackets is not None and brackets_done >= budget_brackets)):
+                        complete = False
                         break
+                    brackets_done += 1
+                    out: dict[int, int] = {}
+                    for a, ua in u.items():
+                        for b, xb in x.items():
+                            brackets.add(a, b, ua * xb, out)
+                    out = {k: c for k, c in out.items() if c}
+                    if space.insert(out):
+                        kept.append(out)
                 if not (complete and open_blocks):
                     break
-        else:
-            # the step, each block it must fill until that is full
-            operands_ok = reports[1].certified and reports[d - 1].certified
-            computed = 0
-            blocks = [0] if lemma else sorted(groups)
-            for computed, w in enumerate(blocks if operands_ok else (), 1):
-                for a, b in _block_operands(by_weight[1], by_weight[d - 1], w, d == 2):
-                    if w not in open_blocks or not bracket_and_keep(((a, b, 1),)):
-                        break
-                if not complete:
-                    break
-            k, m = len(brackets.left) * ring.nv, len(brackets.right) * ring.nv
-            skipped = ((k * (k - 1) // 2 if d == 2 else k * m) - brackets_done + begun
-                       if operands_ok else 0)
-        reports[d] = _certify_degree(ring, d, space, groups, lemma, len(kept), operands_ok,
-                                     brackets_done - begun, skipped, computed, complete)
+        reports[d] = _certify_degree(ring, d, space, proved, len(kept), brackets_done - begun,
+                                     skipped, complete)
         if not complete:
             break
 
@@ -595,22 +568,8 @@ def _seed_ring(seeds: list[Seed]) -> int:
     return n
 
 
-def _block_operands(ones: dict[int, list[int]], rest: dict[int, list[int]], w: int,
-                    distinct: bool):
-    """The brackets of weight w of the [T_1, T_{d-1}] step: (a, b) for the
-    grade-1 pairs a of each weight u and the grade-(d-1) pairs b of weight
-    w - u, b in the outer loop; only a < b when both grades are 1
-    (`distinct`)."""
-    for u, left in ones.items():
-        for b in rest.get(w - u, ()):
-            for a in left:
-                if not distinct or a < b:
-                    yield a, b
-
-
-def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
-                    groups: dict[int, list[int]], lemma: bool, gl_rank: int,
-                    operands_ok: bool, evaluated: int, skipped: int, computed: int,
+def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace | None,
+                    proved: bool, gl_rank: int, evaluated: int, skipped: int,
                     complete: bool) -> DegreeReport:
     """The pair-coordinate certificate of a grade.
 
@@ -620,10 +579,11 @@ def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
     `_PairBrackets`, are the sections of the action Lie algebroid
     C[sl_n] (x) sl_n, and its anchor Phi is a Lie algebra homomorphism
     (`test_vector_bracket_matches_polynomial_bracket` checks the closed form
-    against the bracket of fields).  B are the kept vectors: seeds, whose
-    fields are in L, or formal brackets of two vectors whose fields are in
-    L, so Phi(B) lies in L; at grades d >= 2 this needs grades 1 and d - 1
-    certified.  If
+    against the bracket of fields).
+
+    Grades 0 and 1.  B are the kept vectors: seeds, whose fields are in L,
+    or formal brackets of two vectors whose fields are in L, so Phi(B) lies
+    in L.  If
 
         rank_p(B) = |F_d|,
 
@@ -635,20 +595,24 @@ def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
     T_{d,w} only modulo ker Phi (the Theta seeds alone, at grade 1) leaves
     the block open, unproven rather than disproved.
 
-    The weight lemma: for d >= 2, if grades 1 and d - 1 are certified,
-    every grade-d pair of nonzero weight lies in L (`lemma`; the closure
-    then computes block 0 alone).  Notation: Xi_a(f) = lambda_f(a) * f for
-    a monomial f on tr = 0 and [Xi_a, V] = mu_V(a) * V, in the orientation
-    of `adjointfields.bracket`.  Diagonal coordinates have lambda = 0; each
-    off-diagonal x_ab has its own root weight lambda_ab = mu_{Theta_ab}, and
-    no root is a multiple of another.  A pair f*V has block weight
-    lambda_f - mu_V.  S_d is the span of the brackets of grade-1 pairs with
-    grade-(d-1) pairs; every pair of those grades is in L, so Phi(S_d) lies
-    in L, and the lemma follows from Q^{F_{d,w}} in S_d for w != 0.  By the
-    closed form, whose terms all have the weight of the bracket,
+    Grades d >= 2 are certified exactly when grade 1 is (`proved`), by
+    induction on d.  S_d is the span of the brackets of grade-1 pairs with
+    grade-(d-1) pairs.  When grades 1 and d - 1 are certified, every pair of
+    those grades is in L, so Phi(S_d) lies in L; the weight lemma and the
+    weight-0 lemma below put every grade-d pair in S_d, so grade d is
+    certified with no bracket computed.
+
+    Notation: Xi_a(f) = lambda_f(a) * f for a monomial f on tr = 0 and
+    [Xi_a, V] = mu_V(a) * V, in the orientation of `adjointfields.bracket`.
+    Diagonal coordinates have lambda = 0; each off-diagonal x_ab has its own
+    root weight lambda_ab = mu_{Theta_ab}, and no root is a multiple of
+    another.  A pair f*V has block weight lambda_f - mu_V.  By the closed
+    form, whose terms all have the weight of the bracket,
 
         [x_u*Xi_a, f*V] = (mu_V - lambda_f)(a) * x_u f*V + f*V(x_u)*Xi_a.
 
+    The weight lemma: for d >= 2, every grade-d pair of nonzero weight w is
+    in S_d.
     1. Root pairs g*Theta of weight w != 0.  Choose x_u | g with
        lambda_{g/x_u} != mu_Theta, and an a where the coefficient
        (mu_Theta - lambda_{g/x_u})(a) is nonzero.  The bracket
@@ -682,8 +646,37 @@ def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
     Steps 2 and 3 put every Cartan pair of nonzero weight in S_d, step 1
     then every root pair but x_ab^2*Theta_ab, and step 3 those.  Checked
     against `_PairBrackets.add` up to n = 5 (`test_weight_lemma_family`).
-    The weight-0 block holds the diagonal h (x) h, h in the diagonal
-    coordinates, where all three steps fail, so the closure computes it.
+
+    The weight-0 lemma: for d >= 2, every grade-d pair of weight 0 is in
+    S_d.  Write y_a for x_aa on tr = 0 and alpha_ab = lambda_ab.
+    a. Root pairs g*Theta of weight 0.  lambda_g = mu_Theta != 0, so g has an
+       off-diagonal factor x_u, and the coefficient of g*Theta in
+       [x_u*Xi_a, (g/x_u)*Theta] is lambda_u(a), nonzero for some a: the
+       bracket reduces g*Theta to Cartan pairs of weight 0.
+    b. Cartan pairs h*Xi_b with lambda_h = 0, h not diagonal.  An
+       off-diagonal x_u | h has lambda_u != lambda_{h/x_u} = -lambda_u, so
+       step 2's second bullet puts them in S_d.
+    c. Diagonal Cartan pairs, n >= 3.  For K = sum k_c Xi_c in ker alpha_ab
+       and a diagonal monomial f of degree d - 1, the first term vanishes:
+       [x_ab*K, f*Theta_ab] = f*Theta_ab(x_ab)*K = +-(y_a - y_b)*f*K.  Every
+       degree-d diagonal polynomial is a sum of products of d roots.
+       - A product P with two non-proportional roots beta and gamma: the
+         hyperplanes ker beta and ker gamma span the Cartan, so every
+         K_beta + K_gamma, K_beta in ker beta and K_gamma in ker gamma,
+         gives P * (K_beta + K_gamma).
+       - A product beta^d, beta = y_a - y_b: beta = (y_a - y_c) + (y_c - y_b)
+         for some c not in {a, b} (n >= 3) splits it into two products of
+         the first kind (d >= 2).
+    d. n = 2, the one diagonal Cartan pair x11^d*Xi1.  The bracket
+       [x11*Theta12, x11^(d-1)*Theta21] is x11^d*Xi1 - x11^(d-1) x12*Theta12
+       - (d - 1) x11^(d-1) x21*Theta21, and step a's brackets
+       [x12*Xi1, x11^(d-1)*Theta12] = 2 x11^(d-1) x12*Theta12 - 2 x11^d*Xi1
+       and [x21*Xi1, x11^(d-1)*Theta21] = 2 x11^d*Xi1 - 2 x11^(d-1) x21*Theta21
+       reduce it to (1 - d) * x11^d*Xi1, nonzero for d >= 2.
+    Steps c and d put the diagonal Cartan pairs in S_d, step b the other
+    Cartan pairs of weight 0, and step a then the root pairs.  Checked
+    against `_PairBrackets.add` up to n = 6 (`weight_zero_family` in the
+    tests).
 
     The rank of T_d is |F_d| - dim ker Phi_d, and dim ker Phi_d is
     `relation_rank` = sum over k = 1..min(d, n-1) of C(n^2 + d - k - 2,
@@ -696,35 +689,38 @@ def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
     tr(X^k) I) = 0 forces every c_k to vanish on a dense set, hence to be
     0.  So a certified grade has `sl_rank` = |F_d| - `relation_rank`.
 
-    The grade is certified when its operands are and every block the
-    brackets must fill (block 0 alone under the lemma) is full.  Otherwise
-    `missing_witnesses` lists the pairs of those blocks outside span(B)
-    mod p as unproven, and, when the lemma's operands are not certified, a
-    line counting the pairs of nonzero weight, unproven too;
+    A grade 0 or 1 that is not certified lists in `missing_witnesses` the
+    pairs of its open blocks outside span(B) mod p.  A grade d >= 2 that is
+    not certified lists block 0's pairs outside the span of its own seeds,
+    then a line counting the pairs of nonzero weight, unproven too.
     `achieved_rank` counts the rest.
     """
-    n, open_blocks = ring.n, space.open_blocks
-    target = len(space.block_of)
-    open_computed = [w for w in ([0] if lemma else groups) if w in open_blocks]
-    certified = operands_ok and not open_computed
-    relation_rank = sum(comb(n * n + d - k - 2, d - k) for k in range(1, min(d, n - 1) + 1))
+    n, nv = ring.n, ring.nv
+    target = nv * comb(nv + d - 1, d)
+    certified, witnessed, unproven = proved, (), 0
+    if d <= 1:
+        certified = not space.open_blocks
+        witnessed = space.open_blocks
+    elif not proved:
+        witnessed = {0} & space.open_blocks
+        unproven = target - space.sizes[0]
     missing = []
-    if open_computed:
-        nv = ring.nv
+    if witnessed:
         gens = generator_ids(n)
         monos = list(slice_monomials(nv, d))
         missing = [f"{format_poly(Polynomial.from_monomial(n * n, monos[i // nv]))} * "
                    f"{gens[i % nv].label()}"
-                   for i in sorted(i for w in open_computed for i in groups[w])
-                   if not space.contains({i: 1})]
-    unproven = target - len(groups[0]) if lemma and not operands_ok else 0
+                   for i, w in enumerate(space.block_of)
+                   if w in witnessed and not space.contains({i: 1})]
     achieved = target - len(missing) - unproven
     if unproven:
         missing.append(f"{unproven} pairs of nonzero weight are unproven: the weight lemma "
                        "needs grades 1 and d - 1 certified")
+    relation_rank = sum(comb(n * n + d - k - 2, d - k) for k in range(1, min(d, n - 1) + 1))
+    blocks = ring.block_count(d)
     return DegreeReport(
         n=n, grade=d,
-        method="pair-coordinate/weight-lemma" if lemma else "pair-coordinate",
+        method="pair-coordinate" if d <= 1 else "pair-coordinate/weight-lemma",
         operands="seeds" if d <= 1 else "T_1 x T_{d-1}",
         target_rank=target, achieved_rank=achieved,
         missing_witnesses=missing,
@@ -732,9 +728,9 @@ def _certify_degree(ring: _TracelessFields, d: int, space: ModularRowSpace,
         sl_target_component_rank=target - relation_rank,
         gl_rank=gl_rank,
         brackets_evaluated=evaluated, brackets_skipped=skipped,
-        blocks=len(groups), blocks_computed=computed,
+        blocks=blocks, blocks_computed=blocks if d <= 1 else 0,
         complete=complete, certified=certified,
-        prime=space.p, relation_rank=relation_rank,
+        prime=CLOSURE_PRIME, relation_rank=relation_rank,
     )
 
 

@@ -40,9 +40,9 @@ def test_closure_counters_are_fed(monkeypatch):
     assert calls["liegen.closure"] == 1 and calls["liegen.certify"] == 3
     for layer in ("liegen.closure", "liegen.certify"):
         assert metrics[f"{layer}.self_s"]["value"] > 0, layer
-    # grade 2 brackets only in its weight-0 block
-    assert metrics["liegen.brackets"]["value"] == 6 + 4
-    assert metrics["liegen.accepted"]["value"] == 3 + 9 + 4
+    # grade 2 takes no bracket and keeps no vector: the lemmas prove it
+    assert metrics["liegen.brackets"]["value"] == 6 + 0
+    assert metrics["liegen.accepted"]["value"] == 3 + 9 + 0
     # the seeds are read off the generator tables and the closure brackets
     # integer vectors: no polynomial or field is built, bracketed, scaled or
     # projected, at n = 2 or n = 3

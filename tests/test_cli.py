@@ -211,12 +211,13 @@ def test_generate_budget_exhaustion(capsys):
     assert not payload["complete"]
 
 
-@pytest.mark.parametrize("budget,code,last", [(30, 3, 1), (100, 3, 2), (200, 3, 3), (None, 0, 3)])
+@pytest.mark.parametrize("budget,code,last", [(30, 3, 1), (100, 0, 3), (200, 0, 3), (None, 0, 3)])
 def test_generate_report_matches_recorded(capsys, budget, code, last):
-    # the stdout of generate at n = 3 to grade 3, byte for byte: bracket
-    # budgets that stop in grades 1, 2 and 3 pin the counters of a grade cut
-    # short (brackets evaluated and skipped, blocks computed, missing
-    # witnesses), and the full run pins every certified grade
+    # the stdout of generate at n = 3 to grade 3, byte for byte: a bracket
+    # budget that stops in grade 1 pins the counters of a grade cut short
+    # (brackets evaluated and skipped, blocks computed, missing witnesses).
+    # Grades 0-1 take 74 brackets and grades >= 2 none, so budgets 100 and
+    # 200 complete like the full run, which pins every certified grade
     argv = ["generate", "--n", "3", "--max-degree", "3"]
     name = "generate_n3_d3"
     if budget is not None:
@@ -227,14 +228,13 @@ def test_generate_report_matches_recorded(capsys, budget, code, last):
     assert out == (Path(__file__).parent / "data" / f"{name}.json").read_text(encoding="utf-8")
     payload = json.loads(out)
     assert payload["degrees"][-1]["degree"] == last
-    assert payload["complete"] == (budget is None)
+    assert payload["complete"] == (code == 0)
 
 
 @pytest.mark.parametrize("n,max_degree", [(4, 3), (2, 6)])
 def test_generate_report_matches_recorded_at_other_sizes(capsys, n, max_degree):
-    # the same byte-for-byte check where the weight lemma proves most
-    # blocks: (4,3), whose grade 3 fills block 0 of its 309 blocks, and
-    # n = 2 up to grade 6
+    # the same byte-for-byte check where the lemmas prove every grade from
+    # 2 up: (4,3), whose grade 3 has 309 blocks, and n = 2 up to grade 6
     code, out = run(capsys, ["generate", "--n", str(n), "--max-degree", str(max_degree)])
     assert code == 0
     name = f"generate_n{n}_d{max_degree}.json"
@@ -243,7 +243,7 @@ def test_generate_report_matches_recorded_at_other_sizes(capsys, n, max_degree):
 
 def test_generate_method_flag_has_no_effect(capsys):
     # every grade has the pair-coordinate certificate whatever --method says,
-    # with block 0 alone computed and the weight lemma from grade 2 on
+    # with the lemmas of `_certify_degree` from grade 2 on
     degrees = []
     for method in ("auto", "exact", "modular"):
         code, out = run(capsys, ["generate", "--n", "2", "--max-degree", "3",
@@ -257,21 +257,20 @@ def test_generate_method_flag_has_no_effect(capsys):
 
 @pytest.mark.parametrize("n,max_degree,rows", [
     (2, 4, [(3, 3, 0, 3, 0, 0, 3, 3), (9, 8, 1, 9, 8, 6, 5, 5),
-            (18, 15, 3, 4, 36, 4, 7, 1), (30, 24, 6, 6, 162, 8, 9, 1),
-            (45, 35, 10, 7, 270, 10, 11, 1)]),
+            (18, 15, 3, 0, 0, 0, 7, 0), (30, 24, 6, 0, 0, 0, 9, 0),
+            (45, 35, 10, 0, 0, 0, 11, 0)]),
     (3, 2, [(8, 8, 0, 8, 0, 0, 7, 7), (64, 63, 1, 64, 246, 74, 19, 19),
-            (288, 279, 9, 30, 2016, 45, 37, 1)]),
+            (288, 279, 9, 0, 0, 0, 37, 0)]),
 ])
 def test_generate_pinned_rows(capsys, n, max_degree, rows):
     # (target rank, component rank, relation rank, kept vectors, brackets,
     # brackets evaluated, blocks, blocks computed) per grade; the
     # ranks are those the closure gave when it eliminated polynomial fields
     # exactly over Q.  Grades 0-1 bracket the generators with the kept
-    # vectors and skip brackets in full blocks; grades 2 and up bracket
-    # grade-1 pairs with grade-(d-1) pairs in block 0, leave the other
-    # blocks to the weight lemma, and count every other bracket of the step
-    # as skipped.  Grades 0-1 keep one
-    # vector per pair, as every block is full from brackets and seeds alone
+    # vectors and skip brackets in full blocks; grades 2 and up take no
+    # bracket and keep no vector, as the lemmas prove them from grade 1.
+    # Grades 0-1 keep one vector per pair, as every block is full from
+    # brackets and seeds alone
     code, out = run(capsys, ["generate", "--n", str(n), "--max-degree", str(max_degree)])
     assert code == 0
     degrees = json.loads(out)["degrees"]
@@ -290,7 +289,7 @@ def test_generate_pinned_rows(capsys, n, max_degree, rows):
             "prime": 2 ** 31 - 1, "relation_rank": relations,
             "certified": True, "complete": True,
         }
-        assert kept == target if d <= 1 else kept < target
+        assert kept == (target if d <= 1 else 0)
 
 
 @pytest.mark.parametrize("flags", [

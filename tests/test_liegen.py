@@ -38,7 +38,8 @@ from specball.liegen import (
     verify_identity,
     _SlProjector,
 )
-from specball.polyring import Monomial, Polynomial, parse_poly, slice_monomials, substitute_trace
+from specball.polyring import (
+    Monomial, Polynomial, format_poly, parse_poly, slice_monomials, substitute_trace)
 
 
 # matches_printed flags: the orientation-consistent evaluation reproduces
@@ -124,13 +125,73 @@ class PairAction:
 
 def proved_fields(res, d):
     """The fields the certificate of grade d puts in L: the kept vectors,
-    and at d >= 2 every pair of nonzero weight, which the weight lemma of
-    `_certify_degree` puts in L."""
+    and at d >= 2 every pair, which the weight lemma and the weight-0 lemma
+    of `_certify_degree` put in L."""
     if d <= 1:
         return kept_fields(res, d)
-    weights = liegen._TracelessFields(res.n, d).weights(d)
-    return kept_fields(res, d) + [pair_field({i: 1}, res.n, d)
-                                  for i, w in enumerate(weights) if w]
+    npairs = len(liegen._TracelessFields(res.n, d).weights(d))
+    return kept_fields(res, d) + [pair_field({i: 1}, res.n, d) for i in range(npairs)]
+
+
+def pair_labels(n, d):
+    """The label `closure` gives each grade-d pair in its witnesses, by pair
+    index."""
+    gens = [g.label() for g in generator_ids(n)]
+    return [f"{format_poly(Polynomial.from_monomial(n * n, m))} * {g}"
+            for m in slice_monomials(n * n - 1, d) for g in gens]
+
+
+def step_closure(seeds, max_degree):
+    """The retired [T_1, T_{d-1}] step, the reference for grades d >= 2.
+
+    Grades 0 and 1 are `closure`'s.  A grade d >= 2 puts its seeds, and,
+    when grades 1 and d - 1 are certified, the brackets of each grade-1 pair
+    a with each grade-(d-1) pair b (a < b at d = 2), through
+    `_PairBrackets.add`, into a `ModularRowSpace` graded by weight; it skips
+    a bracket whose block is full and computes every block.  It is certified
+    when grades 1 and d - 1 are and every block is full; its witnesses are
+    all pairs outside the span, by pair index."""
+    res = closure(seeds, min(max_degree, 1))
+    n, spans, reports = res.n, res.spans, res.reports
+    ring = liegen._TracelessFields(n, max_degree)
+    gens = liegen._generator_index(n)
+    for d in range(2, max_degree + 1):
+        weights = ring.weights(d)
+        space = ModularRowSpace(liegen.CLOSURE_PRIME, weights)
+        table = liegen._PairBrackets(ring, 1, d)
+        kept = spans[d] = []
+        for s in (s for s in seeds if s.grade == d):
+            vec = {table.offset[m] + gens[s.generator]: c
+                   for m, c in ring.restrict(s.coefficient).items()}
+            if space.insert(vec):
+                kept.append(vec)
+        operands = reports[1].certified and reports[d - 1].certified
+        evaluated = 0
+        if operands:
+            ones, rest = ring.weights(1), ring.weights(d - 1)
+            for b, wb in enumerate(rest):
+                for a, wa in enumerate(ones[:b] if d == 2 else ones):
+                    if wa + wb in space.open_blocks:
+                        out = {}
+                        table.add(a, b, 1, out)
+                        evaluated += 1
+                        out = {k: c for k, c in out.items() if c}
+                        if space.insert(out):
+                            kept.append(out)
+        labels = pair_labels(n, d)
+        missing = [labels[i] for i in range(len(weights)) if not space.contains({i: 1})]
+        certified = operands and not missing
+        target, relations = closed_form(n, d)
+        blocks = len(set(weights))
+        reports[d] = liegen.DegreeReport(
+            n=n, grade=d, method="pair-coordinate", operands="T_1 x T_{d-1}",
+            target_rank=target, achieved_rank=target - len(missing), missing_witnesses=missing,
+            sl_rank=target - relations if certified else None,
+            sl_target_component_rank=target - relations, gl_rank=len(kept),
+            brackets_evaluated=evaluated, brackets_skipped=0, blocks=blocks,
+            blocks_computed=blocks if operands else 0, complete=True, certified=certified,
+            prime=liegen.CLOSURE_PRIME, relation_rank=relations)
+    return liegen.ClosureResult(n, max_degree, spans, reports, res.complete)
 
 
 def field_of(vec, n, m):
@@ -161,7 +222,7 @@ def test_seed_example_n3_product_of_kernel_elements():
     labels = {(str(s.coefficient), s.generator.label()) for s in seeds}
     assert ("x21", "theta12") in labels and ("x31", "theta12") in labels
     assert {s.grade for s in seeds} == {0, 1}
-    res = closure(seeds, 2, all_blocks=True)
+    res = step_closure(seeds, 2)
     v = scale_field(parse_poly("x21*x31", 3), make_theta(3, 1, 2))
     assert in_span(kept_fields(res, 2), v, 2)
 
@@ -240,7 +301,7 @@ def test_closure_contains_zero_field():
 
 
 def test_closure_n2_contains_x12_powers():
-    res = closure(build_seeds(2), 3, all_blocks=True)
+    res = step_closure(build_seeds(2), 3)
     t12 = make_theta(2, 1, 2)
     x12 = Polynomial.x(1, 2, 2)
     for d in (1, 2, 3):
@@ -256,7 +317,7 @@ def test_closure_n3_degree1_contains_x11_xi1():
 
 
 def test_closure_n3_degree2_contains_x12sq_theta12():
-    res = closure(build_seeds(3), 2, all_blocks=True)
+    res = step_closure(build_seeds(3), 2)
     v = scale_field(parse_poly("x12^2", 3), make_theta(3, 1, 2))
     assert in_span(kept_fields(res, 2), v, 2)
     assert res.reports[2].certified
@@ -283,27 +344,28 @@ def test_closure_order_independent():
 
 def test_closure_monotone_under_budget():
     # a tiny bracket budget yields a flagged partial result, never a wrong
-    # one: 4 brackets run out in grade 1 (it needs 6), 8 in block 0 of
-    # grade 2 (it needs 4 more), which leaves some of its pairs unproven
-    full = closure(build_seeds(2), 2)
+    # one: 4 and 5 brackets run out in grade 1 (it needs 6), which leaves
+    # some of its pairs unproven.  Grades >= 2 take no bracket, so the 6 of
+    # grade 1 complete the closure to any grade
+    full = closure(build_seeds(2), 3)
     assert full.complete
-    for budget, last in ((4, 1), (8, 2)):
-        res = closure(build_seeds(2), 2, budget_brackets=budget)
+    for budget in (4, 5):
+        res = closure(build_seeds(2), 3, budget_brackets=budget)
         assert not res.complete
-        assert max(res.reports) == max(res.spans) == last
+        assert max(res.reports) == max(res.spans) == 1
         for d, rep in res.reports.items():
             assert rep.achieved_rank <= rep.target_rank
             assert rep.achieved_rank <= full.reports[d].achieved_rank
             for v in kept_fields(res, d):
                 assert in_span(kept_fields(full, d), v, d)
-        rep = res.reports[last]
+        rep = res.reports[1]
         assert not rep.complete and not rep.certified and rep.missing_witnesses
         assert rep.achieved_rank == rep.target_rank - len(rep.missing_witnesses)
+        assert set(rep.missing_witnesses) < set(pair_labels(2, 1))
         assert sum(r.brackets_evaluated for r in res.reports.values()) == budget
-    # cut inside block 0 of grade 2, the lemma still proves the other blocks:
-    # the witnesses are block 0's pairs outside the span
-    assert set(rep.missing_witnesses) < {"x11^2 * xi1", "x11*x12 * theta12", "x11*x21 * theta21",
-                                         "x12*x21 * xi1"}
+    res = closure(build_seeds(2), 3, budget_brackets=6)
+    assert res.complete and all(rep.certified for rep in res.reports.values())
+    assert [rep.brackets_evaluated for rep in res.reports.values()] == [0, 6, 0, 0]
 
 
 def test_closure_stops_at_the_grade_that_ran_out():
@@ -334,7 +396,7 @@ def test_closure_starts_no_grade_after_the_deadline(monkeypatch):
     assert not res.complete
 
 
-@pytest.mark.parametrize("grade,begun", [(1, 3), (2, 2)])
+@pytest.mark.parametrize("grade,begun", [(1, 3), (1, 5)])
 def test_closure_stops_inside_the_grade_the_deadline_passes(monkeypatch, grade, begun):
     # the clock jumps past the deadline while the grade's `begun`-th bracket
     # is summed: that bracket is finished and counted, the next one is not
@@ -364,6 +426,26 @@ def test_closure_stops_inside_the_grade_the_deadline_passes(monkeypatch, grade, 
     assert not rep.complete and not rep.certified
     assert max(res.reports) == max(res.spans) == grade and not res.complete
     assert not any(outs[d] for d in range(grade + 1, 4))
+
+
+def test_budgets_bound_grades_0_and_1_only(monkeypatch):
+    # grades >= 2 take no bracket, so no budget reaches them: a deadline
+    # that passes once grade 1 is certified, or a bracket budget that grade 1
+    # uses up, still reports every grade, certified
+    clock = [0.0]
+    monkeypatch.setattr(liegen.time, "monotonic", lambda: clock[0])
+    certify = liegen._certify_degree
+
+    def certify_then_expire(ring, d, *args):
+        if d == 1:
+            clock[0] = 1e9
+        return certify(ring, d, *args)
+
+    monkeypatch.setattr(liegen, "_certify_degree", certify_then_expire)
+    for budget in ({"budget_ms": 1}, {"budget_brackets": 6}):
+        res = closure(build_seeds(2), 4, **budget)
+        assert res.complete and list(res.reports) == list(range(5))
+        assert all(rep.certified and rep.complete for rep in res.reports.values())
 
 
 def test_empty_seed_set_rejected():
@@ -535,6 +617,11 @@ def closure_n3():
     return closure(build_seeds(3), 2)
 
 
+@pytest.fixture(scope="module")
+def step_n3():
+    return step_closure(build_seeds(3), 2)
+
+
 def sl_vector_oracle(v, grade):
     """Traceless vector of a field, substituting the trace in each whole
     component: the computation `_SlProjector.vector` does per monomial."""
@@ -551,10 +638,10 @@ def sl_vector_oracle(v, grade):
     return clear_denominators(out)
 
 
-def test_sl_projection_matches_per_component_oracle(closure_n3):
+def test_sl_projection_matches_per_component_oracle(step_n3):
     for d in range(3):
         proj = _SlProjector(3, d)
-        fields = kept_fields(closure_n3, d)
+        fields = kept_fields(step_n3, d)
         for v in fields:
             assert proj.vector(v) == sl_vector_oracle(v, d)
         # rational coefficients take the Fraction path
@@ -587,12 +674,11 @@ def test_kept_fields_are_traceless_independent(n, max_degree, closure_n3):
     # the certificate from brackets alone, checked over Q: the kept vectors
     # are independent as formal pair vectors (exact rank gl_rank), and the
     # fields they stand for, projected to tr = 0, have exact rank sl_rank,
-    # the pair count minus Kostant's count.  When every block is computed,
-    # B spans every pair; under the weight lemma B fills block 0, and B with
-    # the pairs of nonzero weight stands for all of T_d
-    for all_blocks in (True, False):
-        res = (closure_n3 if n == 3 and not all_blocks
-               else closure(build_seeds(n), max_degree, all_blocks=all_blocks))
+    # the pair count minus Kostant's count.  In the reference step, which
+    # computes every block, B spans every pair; `closure` keeps no vector at
+    # d >= 2, where the lemmas put every pair in L
+    step = step_closure(build_seeds(n), max_degree)
+    for res in (step, closure_n3 if n == 3 else closure_of(n, max_degree)):
         for d in range(max_degree + 1):
             rep = res.reports[d]
             target, relations = closed_form(n, d)
@@ -600,11 +686,11 @@ def test_kept_fields_are_traceless_independent(n, max_degree, closure_n3):
             for vec in res.spans[d]:
                 assert pairs.insert(vec)
             assert pairs.rank == rep.gl_rank == len(res.spans[d])
-            if all_blocks:
+            if res is step or d <= 1:
                 assert rep.gl_rank == target
             projector = _SlProjector(n, d)
             fields = ExactRowSpace()
-            for v in kept_fields(res, d) if all_blocks else proved_fields(res, d):
+            for v in kept_fields(res, d) if res is step else proved_fields(res, d):
                 fields.insert(projector.vector(v))
             assert fields.rank == rep.sl_rank == target - relations
 
@@ -622,25 +708,26 @@ def closed_form(n, d):
 
 
 @functools.cache
-def closure_of(n, max_degree, all_blocks=False):
-    return closure(build_seeds(n), max_degree, all_blocks=all_blocks)
+def closure_of(n, max_degree):
+    return closure(build_seeds(n), max_degree)
 
 
 @pytest.mark.parametrize("n,max_degree", [(2, 4), (3, 2), (3, 3), (4, 2), (3, 4), (4, 3)])
 def test_closure_ranks_closed_form(n, max_degree, closure_n3):
     # up to (3,3) and (4,2), the ranks, relation ranks, prime and verdicts are
     # those of the closure that bracketed field vectors in column coordinates
-    # (one-prime certificate); (3,4) and (4,3) come from [T_1, T_{d-1}] alone.
-    # Grades 0-1 fill every block; a grade d >= 2 fills block 0, and the
-    # weight lemma proves the others.  Its echelon holds the kept vectors
-    # alone, and the relation rank is Kostant's count
+    # (one-prime certificate); (3,4) and (4,3) those of the [T_1, T_{d-1}]
+    # step.  Grades 0-1 fill every block; a grade d >= 2 takes no bracket and
+    # keeps no vector, as the lemmas prove it from grade 1.  The relation
+    # rank is Kostant's count, and the block count, read off no pair, is that
+    # of the pairs' weights
     res = closure_n3 if (n, max_degree) == (3, 2) else closure_of(n, max_degree)
     ring = liegen._TracelessFields(n, max_degree)
     for d in range(max_degree + 1):
         rep = res.reports[d]
         target, relations = closed_form(n, d)
         weights = ring.weights(d)
-        assert rep.target_rank == target
+        assert rep.target_rank == len(weights) == target
         assert rep.sl_rank == rep.sl_target_component_rank == target - relations
         assert rep.relation_rank == relations
         assert rep.gl_rank == len(res.spans[d])
@@ -652,62 +739,81 @@ def test_closure_ranks_closed_form(n, max_degree, closure_n3):
             assert rep.gl_rank == target and rep.blocks_computed == rep.blocks
         else:
             assert rep.method == "pair-coordinate/weight-lemma" and rep.operands == "T_1 x T_{d-1}"
-            assert rep.blocks_computed == 1 < rep.blocks
-            # the kept vectors fill block 0 and no other block
-            kept = ModularRowSpace(liegen.CLOSURE_PRIME, weights)
-            for vec in res.spans[d]:
-                assert kept.insert(vec) and kept.block(vec) == 0
-            assert 0 not in kept.open_blocks and len(kept.open_blocks) == rep.blocks - 1
+            assert rep.blocks_computed == rep.brackets_evaluated == rep.brackets_skipped == 0
+            assert res.spans[d] == []
     expected = {2: [3, 8, 15, 24, 35], 3: [8, 63, 279, 916, 2484], 4: [15, 224, 1784, 10064]}[n]
     assert [res.reports[d].sl_rank for d in range(max_degree + 1)] == expected[:max_degree + 1]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_block_count_reads_no_pair(n):
+    # the block count from sums of coordinate weights is the number of
+    # distinct weights of the grade-d pairs, listed pair by pair
+    ring = liegen._TracelessFields(n, 3)
+    for d in range(4 if n <= 4 else 3):
+        assert ring.block_count(d) == len(set(ring.weights(d))), d
+
+
 @pytest.mark.parametrize("n,max_degree", [(2, 6), (3, 4), (4, 3)])
-def test_orbit_step_matches_every_block(n, max_degree):
-    # the reference computes every weight block of the [T_1, T_{d-1}] step:
-    # each block is full, and the certificates and ranks, at every grade up
-    # to max_degree, are those of the step that computes block 0 and leaves
-    # the other blocks to the weight lemma
-    every = closure_of(n, max_degree, all_blocks=True)
-    orbit = closure_of(n, max_degree)
-    assert every.complete and orbit.complete
-    for d in range(max_degree + 1):
-        ref, rep = every.reports[d], orbit.reports[d]
-        assert ref.certified and rep.certified
-        assert ref.gl_rank == ref.target_rank and ref.blocks_computed == ref.blocks
-        assert ref.method == "pair-coordinate"
-        for key in ("certified", "sl_rank", "relation_rank", "target_rank", "achieved_rank",
-                    "sl_target_component_rank", "blocks"):
-            assert getattr(ref, key) == getattr(rep, key), (d, key)
-        if d >= 2:
-            assert rep.blocks_computed == 1 < rep.blocks
-            assert rep.brackets_evaluated < ref.brackets_evaluated
+def test_step_closure_matches_closure(n, max_degree):
+    # the retired step brackets every block of every grade d >= 2 and fills
+    # it; its verdicts, achieved ranks and witnesses are those of `closure`,
+    # which takes no bracket there.  On the Theta-only and grade-0-only seed
+    # subsets grade 1 is not certified, so neither certifies a grade d >= 2:
+    # the step lists every pair, `closure` block 0's, then a line counting
+    # the pairs of nonzero weight
+    seeds = build_seeds(n)
+    ring = liegen._TracelessFields(n, max_degree)
+    for subset in (seeds, [s for s in seeds if isinstance(s.generator, Theta)],
+                   [s for s in seeds if s.grade == 0]):
+        step, res = step_closure(subset, max_degree), closure(subset, max_degree)
+        assert step.complete and res.complete
+        for d in range(2, max_degree + 1):
+            ref, rep = step.reports[d], res.reports[d]
+            assert (ref.certified, ref.achieved_rank) == (rep.certified, rep.achieved_rank)
+            assert ref.certified == (subset is seeds) == step.reports[1].certified
+            if ref.certified:
+                assert ref.gl_rank == ref.target_rank and ref.blocks_computed == ref.blocks
+                assert ref.missing_witnesses == rep.missing_witnesses == []
+                continue
+            zero = {label for label, w in zip(pair_labels(n, d), ring.weights(d)) if not w}
+            block0 = [label for label in ref.missing_witnesses if label in zero]
+            assert rep.missing_witnesses == block0 + [
+                f"{len(ref.missing_witnesses) - len(block0)} pairs of nonzero weight are "
+                "unproven: the weight lemma needs grades 1 and d - 1 certified"]
 
 
 def test_grade_with_its_own_seeds_fills_block_zero():
     # seeds of grade 2, one of nonzero weight and one in block 0, go into
-    # the echelon and are kept; the weight lemma needs no symmetry of L, so
-    # that grade still brackets in block 0 alone
+    # that grade's echelon and are kept, and the grade is certified from
+    # grade 1 whatever its seeds.  With grade 1 left open (the grade-0 seeds
+    # alone), the block-0 seed fills its pair of block 0, which is then no
+    # witness; the seed of nonzero weight is not read
     extra = [Seed(parse_poly("x12*x21", 3), Theta(1, 2), 2),
              Seed(parse_poly("x11*x22", 3), Xi(1), 2)]
     res = closure(build_seeds(3) + extra, 3)
     rep = res.reports
     for r in (rep[2], rep[3]):
-        assert r.method == "pair-coordinate/weight-lemma" and r.blocks_computed == 1 < r.blocks
+        assert r.method == "pair-coordinate/weight-lemma" and r.blocks_computed == 0 < r.blocks
     assert all(r.certified for r in rep.values())
     assert rep[2].sl_rank == closed_form(3, 2)[0] - closed_form(3, 2)[1]
     ring = liegen._TracelessFields(3, 2)
     weights = ring.weights(2)
-    seeded = res.spans[2][:2]
-    assert [{weights[i] for i in vec} for vec in seeded] == [{ring.gen_weights[0]}, {0}]
-    assert rep[2].gl_rank == len(closure_of(3, 2).spans[2]) + 1
+    assert [{weights[i] for i in vec} for vec in res.spans[2]] == [{ring.gen_weights[0]}, {0}]
+    assert (rep[2].gl_rank, rep[3].gl_rank) == (2, 0)
+    grade0 = [s for s in build_seeds(3) if s.grade == 0]
+    alone, seeded = closure(grade0, 2).reports[2], closure(grade0 + extra, 2).reports[2]
+    assert not alone.certified and not seeded.certified and seeded.gl_rank == 2
+    assert "x11*x22 * xi1" in alone.missing_witnesses
+    assert [w for w in alone.missing_witnesses if w != "x11*x22 * xi1"] == seeded.missing_witnesses
+    assert (alone.achieved_rank, seeded.achieved_rank) == (0, 1)
 
 
 def pair_brackets(n, max_degree):
-    """Every bracket the closure may take up to `max_degree`, as (d, e, a,
-    b): at grades d = 0 and 1 the grade-0 pair a (a generator) with each
-    grade-d pair b; at d >= 2 each grade-1 pair a with each grade-(d-1)
-    pair b."""
+    """Every bracket the closure, the reference step and the lemmas may take
+    up to `max_degree`, as (d, e, a, b): at grades d = 0 and 1 the grade-0
+    pair a (a generator) with each grade-d pair b; at d >= 2 each grade-1
+    pair a with each grade-(d-1) pair b."""
     nv = n * n - 1
 
     def size(d):
@@ -887,9 +993,13 @@ def test_pair_brackets_commute_with_weyl_and_transpose(n, d, sigma):
 def test_small_primes_never_certify_a_wrong_rank(prime, monkeypatch, capsys):
     # rank_p(B) <= rank_Q(B), so a prime that loses rank can only leave a
     # grade uncertified, and `generate` exits 5; a certified row has the
-    # closed-form ranks.  The uncertified list is what a run gives: grade 2
-    # stays open mod 2 at n = 2 and mod 3 at n = 3
+    # closed-form ranks.  Only grades 0-1 have an echelon to lose rank in,
+    # and they stay certified mod 2 and 3, as the lemmas prove grades >= 2
+    # over Q.  The reference step, whose grade 2 brackets into an echelon,
+    # leaves that grade open mod 2 at n = 2 and mod 3 at n = 3
     monkeypatch.setattr(liegen, "CLOSURE_PRIME", prime)
+    step_open = [n for n in (2, 3) if not step_closure(build_seeds(n), 2).reports[2].certified]
+    assert step_open == {2: [2], 3: [3], 5: []}[prime]
     uncertified = []
     for n, max_degree in ((2, 4), (3, 2)):
         code = cli.main(["generate", "--n", str(n), "--max-degree", str(max_degree)])
@@ -908,13 +1018,15 @@ def test_small_primes_never_certify_a_wrong_rank(prime, monkeypatch, capsys):
         else:
             assert code == 5
             uncertified.append(n)
-    assert uncertified == {2: [2], 3: [3], 5: []}[prime]
+    assert uncertified == []
 
 
 @pytest.mark.parametrize("n,max_degree", [(3, 3), (4, 2)])
 def test_closure_sets_up_only_what_the_representatives_use(n, max_degree, monkeypatch):
     # a pair-bracket table derives W(f) only for the right monomials f of
-    # the brackets it takes
+    # the brackets it takes, in `closure` and in the reference step.
+    # `closure` sets up tables for grades 0-1 alone, and its grade-1 walk
+    # leaves some variables unused as right operands
     used = {}
     add_bracket = liegen._PairBrackets.add
 
@@ -924,15 +1036,14 @@ def test_closure_sets_up_only_what_the_representatives_use(n, max_degree, monkey
 
     monkeypatch.setattr(liegen._PairBrackets, "add", recording_add)
     ring = liegen._TracelessFields(n, max_degree)
-    for all_blocks in (False, True):
+    for run in (closure, step_closure):
         used.clear()
-        closure(build_seeds(n), max_degree, all_blocks=all_blocks)
+        run(build_seeds(n), max_degree)
         for table, js in used.items():
             assert set(table.derivatives) == js
-        # at (4,2) the representatives use every variable; at (3,3) they
-        # leave some degree-2 right monomials unused
-        top = next(t for t in used if len(t.offset) == len(ring.monomials(max_degree)))
-        assert (len(top.derivatives) < len(top.right)) == (max_degree == 3 and not all_blocks)
+        top = max(used, key=lambda t: len(t.offset))
+        assert len(top.offset) == len(ring.monomials(1 if run is closure else max_degree))
+        assert run is step_closure or len(top.derivatives) < len(top.right)
 
 
 def weight_oracle(ring, key):
@@ -983,13 +1094,11 @@ def test_evaluated_brackets_lie_in_their_predicted_weight(n, max_degree, monkeyp
     monkeypatch.setattr(liegen._PairBrackets, "add", recording)
     res = closure(build_seeds(n), max_degree)
     assert len(calls) >= sum(rep.brackets_evaluated for rep in res.reports.values())
-    assert sum(d >= 2 for _, d, _ in calls) == sum(
-        rep.brackets_evaluated for d, rep in res.reports.items() if d >= 2)
     nonzero = 0
     for w, d, term in calls:
         assert {weights[d][k] for k, c in term.items() if c} <= {w}
-        # the [T_1, T_{d-1}] step computes block 0 alone
-        assert d <= 1 or w == 0
+        # grades >= 2 take no bracket
+        assert d <= 1
         nonzero += any(term.values())
     assert nonzero > len(calls) // 2
 
@@ -1020,67 +1129,72 @@ def test_vectors_across_weight_blocks_raise():
 
 
 def test_a_block_without_brackets_stays_open(monkeypatch, capsys):
-    # with nothing written into block 0 of grade 2, the one block the
-    # weight lemma leaves to brackets: the grade is not certified, its
-    # witnesses are that block's pairs, the lemma proves every other pair,
-    # and generate exits 5
+    # with no bracket written into block 0 of grade 1, that block stays
+    # open: grade 1 is not certified, its witnesses are block 0's pairs
+    # outside the span of its seeds, and the other blocks are full.  Grade
+    # 2, proved from grade 1 only, is unproven too: its witnesses are block
+    # 0's pairs, then the count of the rest.  generate exits 5
     ring = liegen._TracelessFields(3, 2)
-    weights = ring.weights(2)
-    w = 0
-    top = len(ring.monomials(2))
+    weights = {d: ring.weights(d) for d in (1, 2)}
+    grade1 = len(ring.monomials(1))
     inner = liegen._PairBrackets.add
 
-    def add_outside_w(self, a, b, scale, out):
+    def add_outside_block_0(self, a, b, scale, out):
         term = {}
         inner(self, a, b, scale, term)
-        if len(self.offset) == top and any(weights[k] == w for k, c in term.items() if c):
+        if len(self.offset) == grade1 and any(weights[1][k] == 0 for k, c in term.items() if c):
             return
         for k, c in term.items():
             out[k] = out.get(k, 0) + c
 
-    monkeypatch.setattr(liegen._PairBrackets, "add", add_outside_w)
+    monkeypatch.setattr(liegen._PairBrackets, "add", add_outside_block_0)
     assert cli.main(["generate", "--n", "3", "--max-degree", "2"]) == 5
     rows = json.loads(capsys.readouterr().out)["degrees"]
-    assert rows[0]["certified"] and rows[1]["certified"]
-    row = rows[2]
-    assert row["complete"] and not row["certified"] and row["sl_component_rank"] is None
-    gens = generator_ids(3)
-    monos = list(slice_monomials(ring.nv, 2))
-    pairs = [f"{Polynomial.from_monomial(9, monos[i // ring.nv])} * {gens[i % ring.nv].label()}"
-             for i, v in enumerate(weights) if v == w]
-    assert row["missing_witnesses"] == pairs and len(pairs) == 30
-    assert row["achieved_rank"] == row["target_rank"] - len(pairs)
+    assert rows[0]["certified"] and not rows[1]["certified"]
+    for row in rows[1:]:
+        assert row["complete"] and not row["certified"] and row["sl_component_rank"] is None
+    # block 0 of grade 1: the seeds x_aa * xi_b fill its Cartan pairs, and
+    # the root pairs x_ab * theta_ab are left
+    row1, row2 = rows[1:]
+    assert [p for p, w in zip(pair_labels(3, 1), weights[1]) if w == 0] == [
+        "x11 * xi1", "x11 * xi2", "x12 * theta12", "x13 * theta13", "x21 * theta21",
+        "x22 * xi1", "x22 * xi2", "x23 * theta23", "x31 * theta31", "x32 * theta32"]
+    assert row1["missing_witnesses"] == ["x12 * theta12", "x13 * theta13", "x21 * theta21",
+                                         "x23 * theta23", "x31 * theta31", "x32 * theta32"]
+    assert row1["achieved_rank"] == row1["target_rank"] - 6
+    assert row2["missing_witnesses"] == [p for p, w in zip(pair_labels(3, 2), weights[2]) if w == 0] + [
+        "258 pairs of nonzero weight are unproven: the weight lemma needs grades 1 and d - 1 "
+        "certified"]
+    assert row2["achieved_rank"] == 0
 
 
 @pytest.mark.parametrize("n,max_degree,digest", [
-    pytest.param(2, 4, "f56514e2accd8956", id="2-4"),
-    pytest.param(3, 2, "32b06902b9613a47", id="3-2"),
-    pytest.param(3, 3, "d48b6c77aa145ac0", id="3-3")])
+    pytest.param(2, 4, "3849e2fddb80e066", id="2-4"),
+    pytest.param(3, 2, "36fea503d103cc7c", id="3-2"),
+    pytest.param(3, 3, "36fea503d103cc7c", id="3-3")])
 def test_kept_vectors_are_pinned(n, max_degree, digest, closure_n3):
     # the kept vectors B in pair coordinates and their order: seeds and
-    # generator brackets at grades 0-1, [T_1, T_{d-1}] brackets of block 0
-    # above
+    # generator brackets at grades 0-1, and none above
     res = closure_n3 if (n, max_degree) == (3, 2) else closure_of(n, max_degree)
-    spans = [[sorted(v.items()) for v in res.spans[d]] for d in range(max_degree + 1)]
+    assert all(res.spans[d] == [] for d in range(2, max_degree + 1))
+    spans = [[sorted(v.items()) for v in res.spans[d]] for d in (0, 1)]
     assert hashlib.sha256(json.dumps(spans).encode()).hexdigest()[:16] == digest
 
 
-def lemma_family(n, d, step3=True):
-    """The brackets of the weight lemma's proof (`_certify_degree`) at grade
-    d >= 2, as pair vectors from `_PairBrackets.add`, each checked against
-    the closed form the proof reads off it: step 1 for the root pairs g*Theta
-    of nonzero weight, step 2 for the Cartan pairs h*Xi_b with lambda_h != 0,
-    and, when `step3`, step 3's brackets for the d = 2 exceptions."""
+def lemma_setting(n, d):
+    """The grade-d setting of the lemmas of `_certify_degree`: the ring, the
+    generator indices, those of the Xi_a, lambda_u(a) and mu_V(a)
+    (Xi_a(x_u) = lambda_u(a) x_u, [Xi_a, V] = mu_V(a) V), the index of each
+    degree-d monomial, the weight lambda_m of a monomial, and `take`, the
+    bracket [x_u*W, f*V] of `_PairBrackets.add` for f of degree d - 1."""
     ring = liegen._TracelessFields(n, d)
     table = liegen._PairBrackets(ring, 1, d)
     nv, units = ring.nv, ring.units
     index = {g: gi for gi, g in enumerate(generator_ids(n))}
     xis = [index[Xi(a)] for a in range(1, n)]
-    # lambda_u(a) and mu_V(a): Xi_a(x_u) = lambda_u(a) x_u, [Xi_a, V] = mu_V(a) V
     lam = [tuple(ring.images[xa][units[u]].get(units[u], 0) for xa in xis) for u in range(nv)]
     mu = [tuple(sum(c for _, c in ring.structure[xa][V]) for xa in xis) for V in range(nv)]
-    right = {m: j for j, m in enumerate(ring.monomials(d - 1))}
-    top = {m: j for j, m in enumerate(ring.monomials(d))}
+    right = ring.index(d - 1)
 
     def weight(m):
         return tuple(sum(e * lam[v][a] for v, e in ring.factors(m)) for a in range(n - 1))
@@ -1089,6 +1203,17 @@ def lemma_family(n, d, step3=True):
         out = {}
         table.add(u * nv + W, right[f] * nv + V, 1, out)
         return {k: c for k, c in out.items() if c}
+    return ring, index, xis, lam, mu, ring.index(d), weight, take
+
+
+def lemma_family(n, d, step3=True):
+    """The brackets of the weight lemma's proof (`_certify_degree`) at grade
+    d >= 2, as pair vectors from `_PairBrackets.add`, each checked against
+    the closed form the proof reads off it: step 1 for the root pairs g*Theta
+    of nonzero weight, step 2 for the Cartan pairs h*Xi_b with lambda_h != 0,
+    and, when `step3`, step 3's brackets for the d = 2 exceptions."""
+    ring, index, xis, lam, mu, top, weight, take = lemma_setting(n, d)
+    nv, units = ring.nv, ring.units
 
     def is_exception(m):
         """Whether m is x_ab^2, a != b, at d = 2."""
@@ -1155,6 +1280,76 @@ def lemma_family(n, d, step3=True):
     return ring.weights(d), family
 
 
+def weight_zero_family(n, d, steps="abcd"):
+    """The brackets of the weight-0 lemma's proof (`_certify_degree`) at
+    grade d >= 2, as pair vectors from `_PairBrackets.add`, each checked
+    against the closed form the proof reads off it: step a for the root
+    pairs g*Theta of weight 0, b for the Cartan pairs h*Xi_b with lambda_h = 0
+    and h not diagonal, c for the diagonal Cartan pairs at n >= 3, and d for
+    x11^d*Xi1 at n = 2.  `steps` names the steps taken."""
+    ring, index, xis, lam, mu, top, weight, take = lemma_setting(n, d)
+    nv, units = ring.nv, ring.units
+    family = []
+    for g, gj in top.items():
+        lg = weight(g)
+        off = [u for u, _ in ring.factors(g) if any(lam[u])]
+        for V in range(nv) if "a" in steps else ():
+            if V in xis or lg != mu[V]:
+                continue
+            # a: lambda_g = mu_V != 0, so g has an off-diagonal factor x_u
+            u = off[0]
+            a = next(a for a in range(n - 1) if lam[u][a])
+            vec = take(u, xis[a], g - units[u], V)
+            assert {k: c for k, c in vec.items() if k % nv not in xis} == {gj * nv + V: lam[u][a]}
+            family.append(vec)
+        if "b" in steps and off and not any(lg):
+            # b: lambda_{g/x_u} = -lambda_u, so [x_u*Xi_a, (g/x_u)*Xi_b] =
+            # lambda_u(b) * g*Xi_a + lambda_u(a) * g*Xi_b
+            u = off[0]
+            for a, xa in enumerate(xis):
+                for b, xb in enumerate(xis):
+                    want = {gj * nv + xa: lam[u][b]}
+                    want[gj * nv + xb] = want.get(gj * nv + xb, 0) + lam[u][a]
+                    vec = take(u, xa, g - units[u], xb)
+                    assert vec == {k: c for k, c in want.items() if c}
+                    family.append(vec)
+    if "c" in steps and n >= 3:
+        def y(a):
+            return {units[a * (n + 1)]: 1} if a < n - 1 else ring.trace_form
+
+        diagonal = [f for f in ring.monomials(d - 1)
+                    if all(v % (n + 1) == 0 for v, _ in ring.factors(f))]
+        for a, b in itertools.permutations(range(n), 2):
+            ab, t_ab = a * n + b, index[Theta(a + 1, b + 1)]
+            image = ring.images[t_ab][units[ab]]
+            assert image in (liegen._sum([(y(a), 1), (y(b), -1)]),
+                             liegen._sum([(y(a), -1), (y(b), 1)]))
+            # c: K = sum k_c Xi_c in ker alpha_ab, and f diagonal:
+            # [x_ab*K, f*Theta_ab] = f*Theta_ab(x_ab)*K
+            for c, e in itertools.combinations(range(n - 1), 2):
+                K = {xis[c]: lam[ab][e], xis[e]: -lam[ab][c]}
+                for f in diagonal:
+                    vec = liegen._sum((take(ab, xk, f, t_ab), k) for xk, k in K.items())
+                    assert vec == {top[f + m] * nv + xk: k * cm
+                                   for m, cm in image.items() for xk, k in K.items() if k}
+                    family.append(vec)
+    if "d" in steps and n == 2:
+        # d: [x11*Theta12, x11^(d-1)*Theta21], reduced by the step-a brackets
+        # [x12*Xi1, x11^(d-1)*Theta12] and [x21*Xi1, x11^(d-1)*Theta21]
+        x11, x12, x21 = units[:3]
+        t12, t21, xi1 = index[Theta(1, 2)], index[Theta(2, 1)], xis[0]
+        f = (d - 1) * x11
+        kx, k12, k21 = top[d * x11] * nv + xi1, top[f + x12] * nv + t12, top[f + x21] * nv + t21
+        v0, v1, v2 = take(0, t12, f, t21), take(1, xi1, f, t12), take(2, xi1, f, t21)
+        assert v0 == {kx: 1, k12: -1, k21: 1 - d}
+        assert v1 == {kx: -2, k12: 2} and v2 == {kx: 2, k21: -2}
+        # v0 + v1 / 2 - (d - 1) / 2 * v2 = (1 - d) * x11^d*Xi1
+        vec = liegen._sum([(v0, 2), (v1, 1), (v2, 1 - d)])
+        assert vec == {kx: 2 * (1 - d)}
+        family.append(vec)
+    return ring, family
+
+
 @pytest.mark.parametrize("n,max_degree", [(2, 6), (3, 4), (4, 3), (5, 2)])
 def test_weight_lemma_family(n, max_degree):
     # the explicit brackets of the weight lemma span every block of nonzero
@@ -1178,6 +1373,59 @@ def test_weight_lemma_needs_step_3(n):
         space.insert(vec)
     nonzero = space.rank - len(space.blocks.get(0, ()))
     assert sum(1 for w in weights if w) - nonzero == n * n * (n - 1)
+
+
+def block_zero(ring, d, family):
+    """The echelon of the family's vectors over the grade-d pairs."""
+    space = ModularRowSpace(liegen.CLOSURE_PRIME, ring.weights(d))
+    for vec in family:
+        space.insert(vec)
+    return space
+
+
+@pytest.mark.parametrize("n,max_degree", [(2, 8), (3, 5), (4, 4), (5, 3), (6, 2)])
+def test_weight_zero_family(n, max_degree):
+    # the explicit brackets of the weight-0 lemma fill block 0, and no other
+    # block, at every grade from 2 to max_degree
+    for d in range(2, max_degree + 1):
+        ring, family = weight_zero_family(n, d)
+        space = block_zero(ring, d, family)
+        assert list(space.blocks) == [0] and 0 not in space.open_blocks, d
+
+
+@pytest.mark.parametrize("n,d", [(2, 4), (3, 3), (4, 2)])
+def test_both_lemmas_fill_every_block(n, d):
+    # S_d holds every grade-d pair: the two families together fill every block
+    weights, lemma = lemma_family(n, d)
+    ring, zero = weight_zero_family(n, d)
+    assert not block_zero(ring, d, lemma + zero).open_blocks
+
+
+def test_weight_zero_lemma_needs_step_d():
+    # at n = 2, without step d the family falls short of block 0 by exactly
+    # its one diagonal Cartan pair x11^d*Xi1, at every grade
+    for d in range(2, 9):
+        ring, family = weight_zero_family(2, d, steps="abc")
+        space = block_zero(ring, d, family)
+        assert space.sizes[0] - len(space.blocks[0]) == 1
+        assert not space.contains({ring.index(d)[d * ring.units[0]] * ring.nv + 2: 1})
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 5), (4, 4), (5, 3), (6, 3)])
+def test_step_c_alone_fills_the_diagonal_cartan_pairs(n, d):
+    # at n >= 3 the brackets of step c lie among the diagonal Cartan pairs
+    # f*Xi_b, f a diagonal monomial, and span all of them
+    ring, family = weight_zero_family(n, d, steps="c")
+    nv = ring.nv
+    xis = [gi for gi, g in enumerate(generator_ids(n)) if isinstance(g, Xi)]
+    pairs = [j * nv + xi for j, m in enumerate(ring.monomials(d))
+             if all(v % (n + 1) == 0 for v, _ in ring.factors(m)) for xi in xis]
+    assert len(pairs) == comb(n + d - 2, d) * (n - 1)
+    column = {k: i for i, k in enumerate(pairs)}
+    space = ModularRowSpace(liegen.CLOSURE_PRIME, [0] * len(pairs))
+    for vec in family:
+        space.insert({column[k]: c for k, c in vec.items()})
+    assert space.rank == len(pairs)
 
 
 def test_uncertified_operands_leave_later_grades_unproven():

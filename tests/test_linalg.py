@@ -210,8 +210,8 @@ def test_column_index_insert_matches_the_scan(p):
 
 
 def test_column_index_replays_a_closure(monkeypatch):
-    # every insert of closure(build_seeds(4), 3), one echelon per grade,
-    # replayed through both
+    # every insert of closure(build_seeds(5), 3), one echelon for each of
+    # grades 0 and 1 (grades >= 2 build none), replayed through both
     inserts = []
 
     class Recording(ModularRowSpace):
@@ -220,13 +220,13 @@ def test_column_index_replays_a_closure(monkeypatch):
             return super().insert(vec)
 
     monkeypatch.setattr(liegen, "ModularRowSpace", Recording)
-    closure(build_seeds(4), 3)
+    closure(build_seeds(5), 3)
     spaces = {}
     for block_of, vec in inserts:
         if id(block_of) not in spaces:
             spaces[id(block_of)] = (ModularRowSpace(CLOSURE_PRIME, block_of),
                                     ScanRowSpace(CLOSURE_PRIME, block_of))
         _insert_both(*spaces[id(block_of)], vec)
-    assert len(spaces) == 4 and len(inserts) > 1000
+    assert len(spaces) == 2 and len(inserts) > 1000
     for indexed, scan in spaces.values():
         assert _state(indexed) == _state(scan)
